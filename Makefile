@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race bench bench-engine bench-throughput bench-hybrid examples examples-run fuzz chaos farm
+.PHONY: check vet staticcheck build test race bench bench-engine bench-throughput bench-hybrid bench-test bench-e2e bench-compare examples examples-run fuzz chaos farm
 
 # check is the tier-1 gate: everything CI runs.
 check: vet staticcheck build test race
@@ -42,13 +42,34 @@ bench-engine:
 # bench-throughput tracks the simulator hot path (the "scalable" claim):
 # the policy variant must stay within a few percent of the base rate.
 bench-throughput:
-	$(GO) test -run xxx -bench 'BenchmarkSimulatorEventRate' -benchtime 5x .
+	$(GO) test -run xxx -bench 'BenchmarkSimulatorEventRate' -benchtime 5x -benchmem .
 
 # bench-hybrid records the hybrid-fidelity speedup benchmark: simulated
 # users per wall-clock second at full DES vs. sampled fidelity.
 # BENCH_hybrid.json is the committed trajectory point.
 bench-hybrid:
 	$(GO) test -run xxx -bench 'BenchmarkHybridFidelity' -benchtime 1x . | tee BENCH_hybrid.json
+
+# bench-test vets and tests the repository benchmark itself. bench/ is a
+# module of its own, so `go test ./...` (tier-1) does not reach it.
+bench-test:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+# bench-e2e runs the repository benchmark (BENCHMARK.json): the four
+# whole-run workloads, end-to-end metrics per workload, written to
+# BENCH_E2E_OUT. Pass BENCH_E2E_FLAGS=-trace for the per-layer run.
+BENCH_E2E_SEED ?= 1
+BENCH_E2E_OUT ?= bench-e2e.json
+bench-e2e:
+	bash bench/run.sh -seed $(BENCH_E2E_SEED) $(BENCH_E2E_FLAGS) -out $(BENCH_E2E_OUT)
+
+# bench-compare judges two bench-e2e result files against the bounds in
+# BENCHMARK.json:
+#   make bench-compare A=parent.json B=change.json
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=<before.json> B=<after.json>"; exit 2; }
+	bash bench/run.sh -compare $(A) $(B)
 
 examples:
 	$(GO) build ./examples/...

@@ -6,6 +6,7 @@
 // Usage:
 //
 //	uqsim -config configs/twotier [-qps 30000] [-duration 2s] [-csv] [-faults faults.json] [-max-wall 30s]
+//	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof [-memprofilerate 1]]
 //
 // SIGINT/SIGTERM and the -max-wall watchdog stop the simulation cleanly:
 // the partial report up to the stopped virtual clock is still printed and
@@ -38,6 +39,8 @@ func main() {
 	maxWall := flag.Duration("max-wall", 0, "stop the run after this much wall-clock time, flush partial results, exit nonzero")
 	fidelity := flag.String("fidelity", "", `override the engine fidelity: "full" or "hybrid"`)
 	sampleRate := flag.Float64("sample-rate", 0, "hybrid foreground sample fraction in (0,1] (requires -fidelity hybrid or a hybrid config)")
+	var prof cli.Profiles
+	prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *cfgDir == "" {
@@ -46,7 +49,16 @@ func main() {
 		os.Exit(cli.ExitUsage)
 	}
 	wd := cli.StartWatchdog(*maxWall)
-	if err := run(*cfgDir, *faults, *qps, *warmup, *duration, *csv, *fidelity, *sampleRate); err != nil {
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "uqsim:", err)
+		os.Exit(cli.ExitUsage)
+	}
+	err = run(*cfgDir, *faults, *qps, *warmup, *duration, *csv, *fidelity, *sampleRate)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "uqsim:", err)
 		os.Exit(cli.ExitPartial)
 	}

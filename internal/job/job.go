@@ -109,7 +109,20 @@ type Request struct {
 	// TierLatency accumulates per-tier residence time (queueing +
 	// service) keyed by service name, consumed by the power manager.
 	TierLatency map[string]des.Time
+
+	// Owner is the issuing layer's own per-request state, attached so a
+	// job can reach it without a lookup; this package never looks inside.
+	Owner any
+
+	// jobs counts the live jobs created for this request and not yet
+	// freed: a terminated request can be recycled once it reaches zero.
+	jobs int
 }
+
+// LiveJobs reports how many of the request's jobs have been created and not
+// yet freed. Stray work of a timed-out, failed or out-raced attempt keeps
+// its request alive through this count.
+func (r *Request) LiveJobs() int { return r.jobs }
 
 // Done reports whether the request has completed.
 func (r *Request) Done() bool { return r.Finish != 0 }
@@ -180,31 +193,67 @@ type Job struct {
 	// (index into the path's stage list), maintained by the service
 	// runtime.
 	StageIdx int
+
+	// Dest and DestPath park the job's final destination while it passes
+	// through a machine's network-processing service under that service's
+	// own path: Dest is the routing layer's handle for the destination
+	// (nil: a response leaving the cluster), DestPath the execution path
+	// to restore on arrival.
+	Dest     any
+	DestPath int
 }
 
-// Factory allocates request and job IDs.
+// Factory allocates request and job IDs and recycles the storage of freed
+// requests and jobs. IDs are never reused; storage is. The freelists hold
+// exactly what has been freed, so they are bounded by the peak number of
+// live objects.
 type Factory struct {
-	nextReq ID
-	nextJob ID
+	nextReq  ID
+	nextJob  ID
+	freeReqs []*Request
+	freeJobs []*Job
 }
 
 // NewFactory returns an ID factory starting at 1 (0 is reserved "no id").
 func NewFactory() *Factory { return &Factory{nextReq: 1, nextJob: 1} }
 
-// NewRequest creates a request arriving at the given time.
+// NewRequest creates a request arriving at the given time. Every field of
+// recycled storage is overwritten; the TierLatency map is kept but emptied.
 func (f *Factory) NewRequest(arrival des.Time) *Request {
-	r := &Request{ID: f.nextReq, Arrival: arrival}
+	var r *Request
+	if n := len(f.freeReqs); n > 0 {
+		r = f.freeReqs[n-1]
+		f.freeReqs = f.freeReqs[:n-1]
+		tiers := r.TierLatency
+		clear(tiers)
+		*r = Request{TierLatency: tiers}
+	} else {
+		r = &Request{}
+	}
+	r.ID = f.nextReq
+	r.Arrival = arrival
 	f.nextReq++
 	return r
 }
 
-// NewJob creates a job belonging to req.
+// NewJob creates a job belonging to req, overwriting every field of
+// recycled storage.
 func (f *Factory) NewJob(req *Request) *Job {
-	j := &Job{ID: f.nextJob, Req: req}
+	var j *Job
+	if n := len(f.freeJobs); n > 0 {
+		j = f.freeJobs[n-1]
+		f.freeJobs = f.freeJobs[:n-1]
+		*j = Job{}
+	} else {
+		j = &Job{}
+	}
+	j.ID = f.nextJob
+	j.Req = req
 	f.nextJob++
 	if req != nil {
 		j.SizeKB = req.SizeKB
 		j.Conn = req.Conn
+		req.jobs++
 	}
 	return j
 }
@@ -216,4 +265,19 @@ func (f *Factory) Clone(j *Job) *Job {
 	c.Conn = j.Conn
 	c.SizeKB = j.SizeKB
 	return c
+}
+
+// FreeJob takes back a job nothing references any more: it stops counting
+// against its request and its storage is reused by a later NewJob.
+func (f *Factory) FreeJob(j *Job) {
+	if j.Req != nil {
+		j.Req.jobs--
+	}
+	f.freeJobs = append(f.freeJobs, j)
+}
+
+// FreeRequest takes back a terminated request with no live jobs; its
+// storage is reused by a later NewRequest.
+func (f *Factory) FreeRequest(r *Request) {
+	f.freeReqs = append(f.freeReqs, r)
 }

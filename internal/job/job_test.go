@@ -1,6 +1,7 @@
 package job
 
 import (
+	"reflect"
 	"testing"
 
 	"uqsim/internal/des"
@@ -95,5 +96,56 @@ func TestNewJobNilRequest(t *testing.T) {
 	j := f.NewJob(nil)
 	if j.Req != nil || j.ID == 0 {
 		t.Fatal("nil-request job should work for substrate tests")
+	}
+}
+
+// TestFactoryRecyclesCleanStorage: a freed job or request comes back from
+// the factory with a fresh ID and no trace of its previous life — whatever
+// was written to it, before or after the free.
+func TestFactoryRecyclesCleanStorage(t *testing.T) {
+	f := NewFactory()
+	r := f.NewRequest(5)
+	r.AddTierLatency("nginx", des.Millisecond)
+	j := f.NewJob(r)
+	if r.LiveJobs() != 1 {
+		t.Fatalf("live jobs = %d, want 1", r.LiveJobs())
+	}
+	f.FreeJob(j)
+	if r.LiveJobs() != 0 {
+		t.Fatalf("live jobs after free = %d, want 0", r.LiveJobs())
+	}
+	f.FreeRequest(r)
+	tiers := r.TierLatency
+
+	// Dirty both while they sit on the freelists.
+	*j = Job{ID: 99, Req: r, Outcome: OutcomeCanceled, StageIdx: 3, Started: 7, Dest: f, DestPath: 2}
+	r.TimedOut, r.Failed, r.Outcome, r.Finish, r.Attempt = true, true, OutcomeDeadline, 9, 4
+	r.Owner, r.Deadline, r.LeavesRemaining = f, 11, 6
+
+	r2 := f.NewRequest(20)
+	if r2 != r {
+		t.Fatal("freed request storage should be reused")
+	}
+	if len(r2.TierLatency) != 0 {
+		t.Fatalf("recycled request carries tier latency %v", r2.TierLatency)
+	}
+	if want := (Request{ID: 2, Arrival: 20, TierLatency: tiers}); !reflect.DeepEqual(*r2, want) {
+		t.Fatalf("recycled request = %+v, want %+v", *r2, want)
+	}
+	r2.AddTierLatency("memcached", des.Microsecond)
+	if len(tiers) != 1 {
+		t.Fatal("the tier-latency map should be kept, not remade")
+	}
+
+	r2.SizeKB, r2.Conn = 1.5, 8
+	j2 := f.NewJob(r2)
+	if j2 != j {
+		t.Fatal("freed job storage should be reused")
+	}
+	if want := (Job{ID: 2, Req: r2, SizeKB: 1.5, Conn: 8}); *j2 != want {
+		t.Fatalf("recycled job = %+v, want %+v", *j2, want)
+	}
+	if f.NewJob(nil) == j || f.NewRequest(0) == r {
+		t.Fatal("an empty freelist must allocate fresh storage")
 	}
 }

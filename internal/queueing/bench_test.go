@@ -14,13 +14,15 @@ func benchQueue(b *testing.B, q Queue, conns int) {
 		jobs[i] = f.NewJob(nil)
 		jobs[i].Conn = i % conns
 	}
+	var buf []*job.Job
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, j := range jobs {
 			q.Push(j)
 		}
 		for q.Len() > 0 {
-			q.PopBatch(16)
+			buf = q.PopInto(buf[:0], 16)
 		}
 	}
 }

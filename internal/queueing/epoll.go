@@ -4,93 +4,92 @@ import (
 	"uqsim/internal/job"
 )
 
-// connQueue is one per-connection subqueue, kept in arrival order.
-type connQueue struct {
-	conn  int
-	items []*job.Job
+// connSubs classifies jobs into per-connection subqueues, each kept in
+// arrival order. A connection's subqueue and its backing array outlive the
+// moments the connection has nothing queued, so re-activating a connection
+// allocates nothing; order lists only the connections with queued jobs.
+type connSubs struct {
+	subs  map[int]*FIFO
+	order []*FIFO // active connections in first-activation order
+	total int
 }
 
+func (c *connSubs) Push(j *job.Job) {
+	sub := c.subs[j.Conn]
+	if sub == nil {
+		sub = NewFIFO()
+		c.subs[j.Conn] = sub
+	}
+	if sub.Len() == 0 {
+		c.order = append(c.order, sub)
+	}
+	sub.Push(j)
+	c.total++
+}
+
+func (c *connSubs) Len() int { return c.total }
+
+// ActiveConnections reports how many connections currently have queued jobs.
+func (c *connSubs) ActiveConnections() int { return len(c.order) }
+
 // Epoll models the epoll stage queue: jobs are classified into subqueues by
-// connection, and one PopBatch drains the first PerConn jobs of every
-// active subqueue — the simulator analogue of epoll_wait returning all
-// ready events at once. The batch cost amortization this enables is the key
+// connection, and one batch drains the first PerConn jobs of every active
+// subqueue — the simulator analogue of epoll_wait returning all ready
+// events at once. The batch cost amortization this enables is the key
 // modelling difference from single-queue simulators (paper §IV-E).
 type Epoll struct {
 	// PerConn bounds jobs taken per connection per batch (the paper's
 	// "queue parameter" N); <= 0 means all queued jobs per connection.
 	PerConn int
 
-	subs  map[int]*connQueue
-	order []int // active connections in first-activation order
-	total int
+	connSubs
 }
 
 // NewEpoll returns an epoll queue taking up to perConn jobs per connection
 // per batch (<= 0: unbounded).
 func NewEpoll(perConn int) *Epoll {
-	return &Epoll{PerConn: perConn, subs: make(map[int]*connQueue)}
+	return &Epoll{PerConn: perConn, connSubs: connSubs{subs: make(map[int]*FIFO)}}
 }
 
-func (q *Epoll) Push(j *job.Job) {
-	sub, ok := q.subs[j.Conn]
-	if !ok {
-		sub = &connQueue{conn: j.Conn}
-		q.subs[j.Conn] = sub
-		q.order = append(q.order, j.Conn)
-	}
-	sub.items = append(sub.items, j)
-	q.total++
-}
-
-// PopBatch returns the first PerConn jobs of each active subqueue, in
+// PopInto appends the first PerConn jobs of each active subqueue, in
 // connection-activation order, overall bounded by max (<=0: unbounded).
-func (q *Epoll) PopBatch(max int) []*job.Job {
-	if q.total == 0 {
-		return nil
-	}
-	var batch []*job.Job
-	newOrder := make([]int, 0, len(q.order))
-	for i, conn := range q.order {
-		if max > 0 && len(batch) >= max {
-			newOrder = append(newOrder, q.order[i:]...)
-			break
-		}
-		sub := q.subs[conn]
-		take := len(sub.items)
+func (q *Epoll) PopInto(buf []*job.Job, max int) []*job.Job {
+	base, keep := len(buf), 0
+	for i, sub := range q.order {
+		take := sub.Len()
 		if q.PerConn > 0 && take > q.PerConn {
 			take = q.PerConn
 		}
-		if max > 0 && len(batch)+take > max {
-			take = max - len(batch)
+		if max > 0 {
+			room := max - (len(buf) - base)
+			if room <= 0 {
+				keep += copy(q.order[keep:], q.order[i:])
+				break
+			}
+			if take > room {
+				take = room
+			}
 		}
-		if take > 0 {
-			batch = append(batch, sub.items[:take]...)
-			sub.items = sub.items[take:]
-			q.total -= take
-		}
-		if len(sub.items) == 0 {
-			delete(q.subs, conn)
-		} else {
-			newOrder = append(newOrder, conn)
+		buf = sub.PopInto(buf, take)
+		q.total -= take
+		if sub.Len() > 0 {
+			q.order[keep] = sub
+			keep++
 		}
 	}
-	q.order = newOrder
-	return batch
+	q.order = q.order[:keep]
+	return buf
 }
 
-func (q *Epoll) Len() int { return q.total }
+// PopBatch is PopInto with a fresh slice, for callers that hold no buffer.
+func (q *Epoll) PopBatch(max int) []*job.Job { return q.PopInto(nil, max) }
 
 func (q *Epoll) Peek() *job.Job {
-	for _, conn := range q.order {
-		if sub, ok := q.subs[conn]; ok && len(sub.items) > 0 {
-			return sub.items[0]
-		}
+	if q.total == 0 {
+		return nil
 	}
-	return nil
+	return q.order[0].Peek()
 }
-
-// ActiveConnections reports how many connections currently have queued jobs.
-func (q *Epoll) ActiveConnections() int { return len(q.subs) }
 
 // Socket models the socket_read stage queue: per-connection subqueues, but a
 // batch drains up to PerConn jobs from a single ready connection,
@@ -99,60 +98,41 @@ type Socket struct {
 	// PerConn bounds jobs per batch (<= 0: whole connection).
 	PerConn int
 
-	subs  map[int]*connQueue
-	order []int
-	next  int // round-robin cursor into order
-	total int
+	connSubs
+	next int // round-robin cursor into order
 }
 
 // NewSocket returns a socket queue draining up to perConn jobs from one
 // connection per batch (<= 0: entire connection backlog).
 func NewSocket(perConn int) *Socket {
-	return &Socket{PerConn: perConn, subs: make(map[int]*connQueue)}
+	return &Socket{PerConn: perConn, connSubs: connSubs{subs: make(map[int]*FIFO)}}
 }
 
-func (q *Socket) Push(j *job.Job) {
-	sub, ok := q.subs[j.Conn]
-	if !ok {
-		sub = &connQueue{conn: j.Conn}
-		q.subs[j.Conn] = sub
-		q.order = append(q.order, j.Conn)
-	}
-	sub.items = append(sub.items, j)
-	q.total++
-}
-
-func (q *Socket) PopBatch(max int) []*job.Job {
+func (q *Socket) PopInto(buf []*job.Job, max int) []*job.Job {
 	if q.total == 0 {
-		return nil
+		return buf
 	}
 	if q.next >= len(q.order) {
 		q.next = 0
 	}
-	conn := q.order[q.next]
-	sub := q.subs[conn]
-	take := len(sub.items)
+	sub := q.order[q.next]
+	take := sub.Len()
 	if q.PerConn > 0 && take > q.PerConn {
 		take = q.PerConn
 	}
 	if max > 0 && take > max {
 		take = max
 	}
-	batch := make([]*job.Job, take)
-	copy(batch, sub.items[:take])
-	sub.items = sub.items[take:]
+	buf = sub.PopInto(buf, take)
 	q.total -= take
-	if len(sub.items) == 0 {
-		delete(q.subs, conn)
+	if sub.Len() == 0 {
 		q.order = append(q.order[:q.next], q.order[q.next+1:]...)
 		// cursor now points at the following connection already
 	} else {
 		q.next++
 	}
-	return batch
+	return buf
 }
-
-func (q *Socket) Len() int { return q.total }
 
 func (q *Socket) Peek() *job.Job {
 	if q.total == 0 {
@@ -162,11 +142,8 @@ func (q *Socket) Peek() *job.Job {
 	if idx >= len(q.order) {
 		idx = 0
 	}
-	return q.subs[q.order[idx]].items[0]
+	return q.order[idx].Peek()
 }
-
-// ActiveConnections reports how many connections currently have queued jobs.
-func (q *Socket) ActiveConnections() int { return len(q.subs) }
 
 // Kind names a queue discipline in configs.
 type Kind string

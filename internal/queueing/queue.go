@@ -20,10 +20,12 @@ import (
 type Queue interface {
 	// Push enqueues a job.
 	Push(j *job.Job)
-	// PopBatch removes and returns the next batch according to the
-	// queue's discipline. max bounds the batch size; max <= 0 means the
-	// discipline's natural/unbounded batch. Returns nil when empty.
-	PopBatch(max int) []*job.Job
+	// PopInto removes the next batch according to the queue's discipline
+	// and appends it to buf, returning the extended slice (buf itself when
+	// the queue is empty). max bounds the batch size; max <= 0 means the
+	// discipline's natural/unbounded batch. The caller owns buf, so a
+	// steady-state pop allocates nothing.
+	PopInto(buf []*job.Job, max int) []*job.Job
 	// Len reports the number of queued jobs.
 	Len() int
 	// Peek returns the job that would lead the next batch without
@@ -44,28 +46,26 @@ func (q *FIFO) Push(j *job.Job) {
 	q.items = append(q.items, j)
 }
 
-func (q *FIFO) PopBatch(max int) []*job.Job {
+func (q *FIFO) PopInto(buf []*job.Job, max int) []*job.Job {
 	n := q.Len()
-	if n == 0 {
-		return nil
-	}
 	if max <= 0 || max > n {
 		max = n
 	}
-	batch := make([]*job.Job, max)
-	copy(batch, q.items[q.head:q.head+max])
+	buf = append(buf, q.items[q.head:q.head+max]...)
 	q.head += max
 	q.compact()
-	return batch
+	return buf
 }
 
 // Pop removes and returns the single oldest job, or nil when empty.
 func (q *FIFO) Pop() *job.Job {
-	b := q.PopBatch(1)
-	if len(b) == 0 {
+	if q.Len() == 0 {
 		return nil
 	}
-	return b[0]
+	j := q.items[q.head]
+	q.head++
+	q.compact()
+	return j
 }
 
 // PopTail removes and returns the single newest job, or nil when empty.

@@ -37,13 +37,13 @@ func TestFIFOOrder(t *testing.T) {
 	if q.Peek().ID != want[0] {
 		t.Fatal("peek should show oldest")
 	}
-	got := ids(q.PopBatch(0))
+	got := ids(popBatch(q, 0))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order mismatch: %v vs %v", got, want)
 		}
 	}
-	if q.Len() != 0 || q.Peek() != nil || q.PopBatch(1) != nil {
+	if q.Len() != 0 || q.Peek() != nil || popBatch(q, 1) != nil {
 		t.Fatal("queue should be empty")
 	}
 }
@@ -54,13 +54,13 @@ func TestFIFOBatchBound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.Push(mkJob(f, 0))
 	}
-	if got := len(q.PopBatch(2)); got != 2 {
+	if got := len(popBatch(q, 2)); got != 2 {
 		t.Fatalf("batch = %d, want 2", got)
 	}
 	if q.Len() != 3 {
 		t.Fatalf("remaining = %d", q.Len())
 	}
-	if got := len(q.PopBatch(10)); got != 3 {
+	if got := len(popBatch(q, 10)); got != 3 {
 		t.Fatalf("batch = %d, want 3", got)
 	}
 }
@@ -146,7 +146,7 @@ func TestEpollTakesFromEachActiveConnection(t *testing.T) {
 	if q.ActiveConnections() != 3 {
 		t.Fatalf("active = %d", q.ActiveConnections())
 	}
-	batch := q.PopBatch(0)
+	batch := popBatch(q, 0)
 	// Expect first 2 of conn1, 1 of conn2, 2 of conn3 = 5 jobs.
 	if len(batch) != 5 {
 		t.Fatalf("batch = %d, want 5 (%v)", len(batch), ids(batch))
@@ -161,7 +161,7 @@ func TestEpollTakesFromEachActiveConnection(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("len = %d, want 1", q.Len())
 	}
-	rest := q.PopBatch(0)
+	rest := popBatch(q, 0)
 	if len(rest) != 1 || rest[0].ID != c1[2].ID {
 		t.Fatalf("rest = %v", ids(rest))
 	}
@@ -175,7 +175,7 @@ func TestEpollMaxBound(t *testing.T) {
 			q.Push(mkJob(f, c))
 		}
 	}
-	batch := q.PopBatch(5)
+	batch := popBatch(q, 5)
 	if len(batch) != 5 {
 		t.Fatalf("batch = %d, want 5", len(batch))
 	}
@@ -185,7 +185,7 @@ func TestEpollMaxBound(t *testing.T) {
 	// Remaining jobs must still pop in consistent order with no loss.
 	total := len(batch)
 	for q.Len() > 0 {
-		b := q.PopBatch(5)
+		b := popBatch(q, 5)
 		if len(b) == 0 {
 			t.Fatal("stuck queue")
 		}
@@ -202,11 +202,11 @@ func TestEpollPerConnFIFOWithinConnection(t *testing.T) {
 	a, b := mkJob(f, 7), mkJob(f, 7)
 	q.Push(a)
 	q.Push(b)
-	first := q.PopBatch(0)
+	first := popBatch(q, 0)
 	if len(first) != 1 || first[0] != a {
 		t.Fatal("per-conn limit should take oldest first")
 	}
-	second := q.PopBatch(0)
+	second := popBatch(q, 0)
 	if len(second) != 1 || second[0] != b {
 		t.Fatal("second pop should return remaining job")
 	}
@@ -234,17 +234,17 @@ func TestSocketSingleConnectionPerBatch(t *testing.T) {
 		q.Push(j)
 	}
 	// First batch: 2 jobs from conn1.
-	b1 := q.PopBatch(0)
+	b1 := popBatch(q, 0)
 	if len(b1) != 2 || b1[0] != c1[0] || b1[1] != c1[1] {
 		t.Fatalf("b1 = %v", ids(b1))
 	}
 	// Round robin: next batch from conn2.
-	b2 := q.PopBatch(0)
+	b2 := popBatch(q, 0)
 	if len(b2) != 2 || b2[0] != c2[0] {
 		t.Fatalf("b2 = %v", ids(b2))
 	}
 	// Back to conn1's remaining job.
-	b3 := q.PopBatch(0)
+	b3 := popBatch(q, 0)
 	if len(b3) != 1 || b3[0] != c1[2] {
 		t.Fatalf("b3 = %v", ids(b3))
 	}
@@ -259,10 +259,10 @@ func TestSocketMaxBound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.Push(mkJob(f, 1))
 	}
-	if got := len(q.PopBatch(3)); got != 3 {
+	if got := len(popBatch(q, 3)); got != 3 {
 		t.Fatalf("batch = %d", got)
 	}
-	if got := len(q.PopBatch(0)); got != 2 {
+	if got := len(popBatch(q, 0)); got != 2 {
 		t.Fatalf("batch = %d", got)
 	}
 }
@@ -279,7 +279,7 @@ func TestSocketPeekAndActive(t *testing.T) {
 		t.Fatalf("active = %d", q.ActiveConnections())
 	}
 	p := q.Peek()
-	b := q.PopBatch(0)
+	b := popBatch(q, 0)
 	if len(b) != 1 || b[0] != p {
 		t.Fatal("peek should match next pop")
 	}
@@ -321,7 +321,7 @@ func TestQueueConservationProperty(t *testing.T) {
 		seen := make(map[job.ID]bool)
 		perConnSeen := make(map[int]int)
 		for q.Len() > 0 {
-			batch := q.PopBatch(r.Intn(7)) // 0 (unbounded) .. 6
+			batch := popBatch(q, r.Intn(7)) // 0 (unbounded) .. 6
 			if len(batch) == 0 {
 				return false // stuck
 			}

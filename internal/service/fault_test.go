@@ -199,3 +199,29 @@ func TestThreadedKillRestoresThreadPool(t *testing.T) {
 		t.Fatalf("in-flight %d", in.InFlight())
 	}
 }
+
+// TestKillDrainsEveryConnection: per-connection queues hand out one
+// connection (socket) or a bounded slice of each (epoll) per pop, so a kill
+// has to keep popping until the queue is empty.
+func TestKillDrainsEveryConnection(t *testing.T) {
+	for _, kind := range []queueing.Kind{queueing.KindSocket, queueing.KindEpoll} {
+		h := newHarness(t, 4)
+		bp := singleStageBP("svc", float64(des.Millisecond))
+		bp.Stages[0].Queue, bp.Stages[0].PerConn = kind, 1
+		in := h.deploy(t, bp, 1)
+		in.OnJobDrop = func(des.Time, *job.Job) {}
+		// Nine jobs on three connections; one starts, eight queue.
+		for i := 0; i < 9; i++ {
+			j := h.newJob()
+			j.Conn = i % 3
+			in.Enqueue(0, j)
+		}
+		h.eng.RunUntil(100 * des.Microsecond)
+		if lost := in.Kill(h.eng.Now()); len(lost) != 8 {
+			t.Fatalf("%s: kill returned %d queued jobs, want 8", kind, len(lost))
+		}
+		if in.QueueLen() != 0 {
+			t.Fatalf("%s: %d jobs still queued on a killed instance", kind, in.QueueLen())
+		}
+	}
+}

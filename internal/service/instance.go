@@ -27,8 +27,15 @@ type Instance struct {
 	// Simple-model + threaded-model core accounting.
 	busyCores int
 
-	// pumpPending coalesces same-instant dispatch attempts.
+	// pumpPending coalesces same-instant dispatch attempts; pumpFn is the
+	// dispatch callback, bound once so scheduling a pump allocates nothing.
 	pumpPending bool
+	pumpFn      des.Callback
+
+	// freeRuns recycles stage-execution records; one is the single-job pop
+	// buffer of the threaded model.
+	freeRuns []*stageRun
+	one      [1]*job.Job
 
 	// Fault state: down marks a killed instance; epoch invalidates
 	// completion events scheduled before the kill (their callbacks see a
@@ -59,7 +66,9 @@ type Instance struct {
 	// a true return discards the job unserved (its request already
 	// terminated — deadline expiry, client timeout, or a lost hedge race).
 	// Lazy cancellation at dequeue keeps enqueue O(1) while guaranteeing
-	// no core is ever spent on work nobody wants.
+	// no core is ever spent on work nobody wants. A true return hands the
+	// job back: the instance never touches it again, so the callee may
+	// recycle it there and then.
 	IsCanceled func(j *job.Job) bool
 
 	// Overload admission discipline for entry jobs (first path stage).
@@ -107,6 +116,7 @@ func NewInstance(eng des.Scheduler, bp *Blueprint, name string, alloc *cluster.A
 		r:         r,
 		residence: stats.NewLatencyHist(),
 	}
+	in.pumpFn = in.pump
 	in.queues = make([]queueing.Queue, len(bp.Stages))
 	in.stageWait = make([]*stats.LatencyHist, len(bp.Stages))
 	for i, s := range bp.Stages {
@@ -185,14 +195,16 @@ func (in *Instance) schedulePump(now des.Time) {
 		return
 	}
 	in.pumpPending = true
-	in.eng.Post(now, func(t des.Time) {
-		in.pumpPending = false
-		if in.BP.Model == ModelThreaded {
-			in.pumpThreaded(t)
-		} else {
-			in.pumpSimple(t)
-		}
-	})
+	in.eng.Post(now, in.pumpFn)
+}
+
+func (in *Instance) pump(now des.Time) {
+	in.pumpPending = false
+	if in.BP.Model == ModelThreaded {
+		in.pumpThreaded(now)
+	} else {
+		in.pumpSimple(now)
+	}
 }
 
 // pushToStage places j into the queue of its current path stage.
@@ -254,18 +266,19 @@ func (in *Instance) overloadActive() bool {
 	return in.IsCanceled != nil || in.codel != nil || in.disc.LIFO()
 }
 
-// popEntry pops up to max jobs from q, applying the overload controls to
-// entry jobs: canceled jobs are discarded, CoDel sheds stale heads, and
-// adaptive LIFO serves the newest job while the head's sojourn exceeds
-// the target. Non-entry jobs (later path stages) pass through untouched.
-// Returns nil once the queue has drained; with no controls configured it
-// degrades to a plain PopBatch, preserving batch amortization.
-func (in *Instance) popEntry(now des.Time, q queueing.Queue, max int) []*job.Job {
+// popEntry pops up to max jobs from q into the empty buffer buf, applying
+// the overload controls to entry jobs: canceled jobs are discarded, CoDel
+// sheds stale heads, and adaptive LIFO serves the newest job while the
+// head's sojourn exceeds the target. Non-entry jobs (later path stages) pass
+// through untouched. Returns buf still empty once the queue has drained;
+// with no controls configured it degrades to a plain PopInto, preserving
+// batch amortization.
+func (in *Instance) popEntry(now des.Time, q queueing.Queue, max int, buf []*job.Job) []*job.Job {
 	if !in.overloadActive() {
-		return q.PopBatch(max)
+		return q.PopInto(buf, max)
 	}
 	for q.Len() > 0 {
-		batch := in.popOrdered(now, q, max)
+		batch := in.popOrdered(now, q, max, buf)
 		kept := batch[:0]
 		for _, j := range batch {
 			if !entryJob(j) {
@@ -290,23 +303,106 @@ func (in *Instance) popEntry(now des.Time, q queueing.Queue, max int) []*job.Job
 		if len(kept) > 0 {
 			return kept
 		}
+		buf = kept
 	}
-	return nil
+	return buf
 }
 
 // popOrdered applies the adaptive-LIFO flip: while the oldest entry job
 // has waited longer than the target, the newest job is served first —
 // fresh requests can still meet their deadlines, stale ones mostly
 // cannot. Otherwise the queue's native batch discipline applies.
-func (in *Instance) popOrdered(now des.Time, q queueing.Queue, max int) []*job.Job {
+func (in *Instance) popOrdered(now des.Time, q queueing.Queue, max int, buf []*job.Job) []*job.Job {
 	if in.disc.LIFO() {
 		if f, ok := q.(*queueing.FIFO); ok {
 			if head := f.Peek(); head != nil && entryJob(head) && now-head.Enqueued > in.disc.Target {
-				return []*job.Job{f.PopTail()}
+				return append(buf, f.PopTail())
 			}
 		}
 	}
-	return q.PopBatch(max)
+	return q.PopInto(buf, max)
+}
+
+// ---- stage execution ----
+
+// stageRun is one stage execution in progress: the batch holding a core or
+// a pool unit until its completion event fires. Runs are recycled through
+// the instance's freelist; each owns its batch buffer and binds its
+// completion callback once, so dispatching a stage allocates nothing.
+type stageRun struct {
+	in    *Instance
+	batch []*job.Job
+	stage int
+	// epoch is the instance epoch the run started in; a different epoch at
+	// completion means a kill invalidated the run and its work is lost.
+	epoch uint64
+	pool  *cluster.Pool // the pool unit held (nil: the run holds a core)
+	done  des.Callback  // complete, bound at creation
+}
+
+func (in *Instance) newRun() *stageRun {
+	if n := len(in.freeRuns); n > 0 {
+		r := in.freeRuns[n-1]
+		in.freeRuns = in.freeRuns[:n-1]
+		return r
+	}
+	r := &stageRun{in: in}
+	r.done = r.complete
+	return r
+}
+
+func (in *Instance) freeRun(r *stageRun) {
+	r.batch = r.batch[:0]
+	in.freeRuns = append(in.freeRuns, r)
+}
+
+// start occupies one unit of pool (e.g. a disk spindle) — or, when pool is
+// nil, one core — with r's batch for the sampled duration plus extra.
+func (in *Instance) start(now des.Time, stage int, r *stageRun, pool *cluster.Pool, extra des.Time) {
+	in.noteWait(now, stage, r.batch)
+	if pool == nil {
+		in.setBusy(now, in.busyCores+1)
+	}
+	dur := in.sampleCost(stage, r.batch, pool != nil) + extra
+	r.stage, r.epoch, r.pool = stage, in.epoch, pool
+	in.eng.Post(now+dur, r.done)
+}
+
+// complete fires when the run's duration has elapsed.
+func (r *stageRun) complete(now des.Time) {
+	in, pool := r.in, r.pool
+	if pool != nil {
+		// The pool unit is freed exactly once — here — whether or not
+		// the instance survived; a kill must never double-release it.
+		pool.Release()
+	}
+	lost := in.epoch != r.epoch
+	if lost {
+		// The instance was killed mid-stage: the work is lost.
+		in.dropBatch(now, r.batch)
+	} else if pool == nil {
+		in.setBusy(now, in.busyCores-1)
+	}
+	if in.BP.Model == ModelThreaded {
+		j, stage := r.batch[0], r.stage
+		in.freeRun(r)
+		if pool != nil {
+			in.wakePoolWaiter(now, in.BP.Stages[stage].PoolName, pool)
+		} else if !lost {
+			in.wakeCoreWaiter(now)
+		}
+		if !lost {
+			in.finishThreadedStage(now, j)
+		}
+		return
+	}
+	if !lost {
+		in.advanceBatch(now, r.batch)
+	}
+	in.freeRun(r)
+	if !lost || pool != nil {
+		in.pumpSimple(now) // even after a kill, a queued job may be waiting for the freed unit
+	}
 }
 
 // ---- simple (event-driven) model ----
@@ -327,22 +423,26 @@ func (in *Instance) pumpSimple(now des.Time) {
 			if st.PoolName != "" {
 				pool := in.mustPool(st.PoolName)
 				for q.Len() > 0 && pool.TryAcquire() {
-					batch := in.popEntry(now, q, 1)
-					if len(batch) == 0 {
+					r := in.newRun()
+					r.batch = in.popEntry(now, q, 1, r.batch)
+					if len(r.batch) == 0 {
+						in.freeRun(r)
 						pool.Release()
 						break
 					}
-					in.startPoolStage(now, s, batch[0], pool)
+					in.start(now, s, r, pool, 0)
 					progress = true
 				}
 				continue
 			}
 			for q.Len() > 0 && in.busyCores < in.Alloc.Cores {
-				batch := in.popEntry(now, q, in.batchMax(st))
-				if len(batch) == 0 {
+				r := in.newRun()
+				r.batch = in.popEntry(now, q, in.batchMax(st), r.batch)
+				if len(r.batch) == 0 {
+					in.freeRun(r)
 					break
 				}
-				in.startCPUBatch(now, s, batch)
+				in.start(now, s, r, nil, 0)
 				progress = true
 			}
 		}
@@ -365,43 +465,6 @@ func (in *Instance) mustPool(name string) *cluster.Pool {
 	return pool
 }
 
-// startCPUBatch occupies one core for the batch's sampled duration.
-func (in *Instance) startCPUBatch(now des.Time, stage int, batch []*job.Job) {
-	in.noteWait(now, stage, batch)
-	in.setBusy(now, in.busyCores+1)
-	dur := in.sampleCost(stage, batch, false)
-	epoch := in.epoch
-	in.eng.Post(now+dur, func(t des.Time) {
-		if in.epoch != epoch {
-			// The instance was killed mid-stage: the work is lost.
-			in.dropBatch(t, batch)
-			return
-		}
-		in.setBusy(t, in.busyCores-1)
-		in.advanceBatch(t, batch)
-		in.pumpSimple(t)
-	})
-}
-
-// startPoolStage occupies one pool unit (e.g. a disk spindle) for one job.
-func (in *Instance) startPoolStage(now des.Time, stage int, j *job.Job, pool *cluster.Pool) {
-	in.noteWait(now, stage, []*job.Job{j})
-	dur := in.sampleCost(stage, []*job.Job{j}, true)
-	epoch := in.epoch
-	in.eng.Post(now+dur, func(t des.Time) {
-		// The pool unit is freed exactly once — here — whether or not
-		// the instance survived; a kill must never double-release it.
-		pool.Release()
-		if in.epoch != epoch {
-			in.dropBatch(t, []*job.Job{j})
-			in.pumpSimple(t) // a queued job may be waiting for the unit
-			return
-		}
-		in.advanceBatch(t, []*job.Job{j})
-		in.pumpSimple(t)
-	})
-}
-
 // ---- threaded (blocking) model ----
 
 func (in *Instance) pumpThreaded(now des.Time) {
@@ -411,7 +474,7 @@ func (in *Instance) pumpThreaded(now des.Time) {
 	// Assign idle threads to waiting jobs. Everything in threadQ is an
 	// entry job, so the overload vetting applies to each pop.
 	for in.idleThreads > 0 && in.threadQ.Len() > 0 {
-		batch := in.popEntry(now, in.threadQ, 1)
+		batch := in.popEntry(now, in.threadQ, 1, in.one[:0])
 		if len(batch) == 0 {
 			return
 		}
@@ -437,19 +500,7 @@ func (in *Instance) runThreadedStage(now des.Time, j *job.Job) {
 			q.Push(j)
 			return
 		}
-		in.noteWait(now, stage, []*job.Job{j})
-		dur := in.sampleCost(stage, []*job.Job{j}, true)
-		epoch := in.epoch
-		in.eng.Post(now+dur, func(t des.Time) {
-			pool.Release()
-			if in.epoch != epoch {
-				in.dropBatch(t, []*job.Job{j})
-				in.wakePoolWaiter(t, st.PoolName, pool)
-				return
-			}
-			in.wakePoolWaiter(t, st.PoolName, pool)
-			in.finishThreadedStage(t, j)
-		})
+		in.startOne(now, stage, j, pool, 0)
 		return
 	}
 	if in.busyCores >= in.Alloc.Cores {
@@ -457,22 +508,18 @@ func (in *Instance) runThreadedStage(now des.Time, j *job.Job) {
 		in.coreQ.Push(j)
 		return
 	}
-	in.noteWait(now, stage, []*job.Job{j})
-	in.setBusy(now, in.busyCores+1)
-	dur := in.sampleCost(stage, []*job.Job{j}, false)
+	var ctxSwitch des.Time
 	if in.BP.Threads > in.Alloc.Cores && in.BP.CtxSwitch > 0 {
-		dur += in.BP.CtxSwitch
+		ctxSwitch = in.BP.CtxSwitch
 	}
-	epoch := in.epoch
-	in.eng.Post(now+dur, func(t des.Time) {
-		if in.epoch != epoch {
-			in.dropBatch(t, []*job.Job{j})
-			return
-		}
-		in.setBusy(t, in.busyCores-1)
-		in.wakeCoreWaiter(t)
-		in.finishThreadedStage(t, j)
-	})
+	in.startOne(now, stage, j, nil, ctxSwitch)
+}
+
+// startOne starts a single-job stage run (the threaded model never batches).
+func (in *Instance) startOne(now des.Time, stage int, j *job.Job, pool *cluster.Pool, extra des.Time) {
+	r := in.newRun()
+	r.batch = append(r.batch, j)
+	in.start(now, stage, r, pool, extra)
 }
 
 func (in *Instance) wakeCoreWaiter(now des.Time) {
@@ -524,8 +571,8 @@ func (in *Instance) Kill(now des.Time) []*job.Job {
 	in.setBusy(now, 0)
 	var lost []*job.Job
 	for _, q := range in.queues {
-		for q.Len() > 0 {
-			lost = append(lost, q.PopBatch(0)...)
+		for q.Len() > 0 { // one pop may take only part: a batch per connection
+			lost = q.PopInto(lost, 0)
 		}
 	}
 	if in.BP.Model == ModelThreaded {

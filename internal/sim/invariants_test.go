@@ -305,15 +305,15 @@ func TestNoLostRequestsAcrossComplexTopology(t *testing.T) {
 	if len(s.inflight) != 0 {
 		t.Fatalf("%d requests stuck after drain", len(s.inflight))
 	}
-	if len(s.pending) != 0 {
-		t.Fatalf("%d jobs stuck in netproc", len(s.pending))
+	if s.pendingN != 0 {
+		t.Fatalf("%d jobs stuck in netproc", s.pendingN)
 	}
 	for _, p := range s.pools {
 		if p.inUse() != 0 {
 			t.Fatalf("pool %s leaked %d tokens", p.spec.Name, p.inUse())
 		}
-		if len(p.waiters) != 0 {
-			t.Fatalf("pool %s has %d stranded waiters", p.spec.Name, len(p.waiters))
+		if p.waiters.len() != 0 {
+			t.Fatalf("pool %s has %d stranded waiters", p.spec.Name, p.waiters.len())
 		}
 	}
 	_ = rep

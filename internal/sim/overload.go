@@ -49,11 +49,13 @@ func (s *Sim) installOverload() {
 		return
 	}
 	s.isCanceledFn = func(j *job.Job) bool {
-		if j.Outcome != job.OutcomeOK {
-			return true // abandoned attempt or lost hedge race
+		// Canceled: an abandoned attempt or lost hedge race, or a job of
+		// a request that already ended.
+		if r := j.Req; j.Outcome == job.OutcomeOK && (r == nil || !(r.Failed || r.Done())) {
+			return false
 		}
-		r := j.Req
-		return r != nil && (r.Failed || r.Done())
+		s.releaseJob(j) // the instance discards it unserved: the job dies here
+		return true
 	}
 	for _, dep := range s.Deployments() {
 		for _, in := range dep.Instances {
@@ -96,7 +98,7 @@ func (s *Sim) cleanupRequest(st *reqState) {
 	for _, ev := range st.retries {
 		s.eng.Cancel(ev) // fired events are safe no-ops
 	}
-	st.retries = nil
+	st.retries = st.retries[:0]
 	for id, c := range st.calls {
 		if c.timeout != nil {
 			s.eng.Cancel(c.timeout)
@@ -114,8 +116,8 @@ func (s *Sim) cleanupRequest(st *reqState) {
 		}
 		c.j.Outcome = job.OutcomeCanceled
 		delete(s.calls, id)
+		delete(st.calls, id)
 	}
-	st.calls = nil
 }
 
 // trackCall indexes a live attempt under its request so cleanupRequest
@@ -246,7 +248,8 @@ func (s *Sim) onHedgeTimer(now des.Time, op *hedgeOp) {
 	s.calls[j.ID] = h
 	s.trackCall(st, j.ID, h)
 	if c.pr.pol.Timeout > 0 {
-		h.timeout = s.eng.At(now+c.pr.pol.Timeout, func(t des.Time) { s.onAttemptTimeout(t, j) })
+		id := j.ID
+		h.timeout = s.eng.At(now+c.pr.pol.Timeout, func(t des.Time) { s.onAttemptTimeout(t, id) })
 	}
 	s.hedgesN++
 	s.errCount(node.Service).Hedges++

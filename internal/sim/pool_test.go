@@ -1,0 +1,220 @@
+package sim
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"uqsim/internal/cluster"
+	"uqsim/internal/des"
+	"uqsim/internal/dist"
+	"uqsim/internal/fault"
+	"uqsim/internal/graph"
+	"uqsim/internal/service"
+	"uqsim/internal/workload"
+)
+
+// randomSuites are the randomized topology families of random_test.go —
+// plain dispatch, the full fault vocabulary with policies, and overload
+// control — plus three families aimed at what outlives a request.
+var randomSuites = []struct {
+	name  string
+	seeds int64
+	build func(*testing.T, int64) *Sim // nil: buildRandomTopology
+	with  func(*testing.T, *Sim, int64)
+	// golden is the SHA-256 prefix over every seed's fingerprint and drained
+	// event count, recorded at the commit before the request path started
+	// recycling its objects (PR 12).
+	golden string
+}{
+	{name: "plain", seeds: 25, golden: "9564c9ff16c4328c"},
+	{name: "faults", seeds: 15, with: withRandomFaults, golden: "467f0a132c9578c4"},
+	{name: "overload", seeds: 25, with: withRandomOverload, golden: "f9c2fb74e8583a99"},
+	{name: "retries", seeds: 25, with: withRandomRetries, golden: "b40bf3934284bf93"},
+	{name: "orphans", seeds: 10, build: buildOrphanedAttempts, golden: "a82c45d3c6255b8d"},
+	{name: "starved", seeds: 10, build: buildStarvedPool, golden: "ba576885449de661"},
+}
+
+// buildOrphanedAttempts fans root out to b then a, both behind retry-less
+// policies with timeouts and no overload control. Service a is killed for
+// good early on, so from then every request dispatches its attempt on b and
+// at once fails on a; when b is killed too, the attempts queued there lose
+// their jobs after their requests have ended, and their timeouts fire for
+// attempts that have neither a job nor a request left.
+func buildOrphanedAttempts(t *testing.T, seed int64) *Sim {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	s := New(Options{Seed: uint64(seed)})
+	s.AddMachine("m0", 16, cluster.FreqSpec{})
+	for _, svc := range []struct {
+		name   string
+		meanUs float64
+	}{{"root", 20}, {"a", 50}, {"b", float64(500 + r.Intn(2000))}, {"join", 20}} {
+		if _, err := s.Deploy(service.SingleStage(svc.name, dist.NewExponential(svc.meanUs*1000)),
+			RoundRobin, Placement{Machine: "m0", Cores: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	topo := &graph.Topology{Trees: []graph.Tree{{Name: "t", Weight: 1, Root: 0, Nodes: []graph.Node{
+		{ID: 0, Service: "root", Instance: -1, Children: []int{1, 2}},
+		{ID: 1, Service: "b", Instance: -1, Children: []int{3}},
+		{ID: 2, Service: "a", Instance: -1, Children: []int{3}},
+		{ID: 3, Service: "join", Instance: -1},
+	}}}}
+	if err := s.SetTopology(topo); err != nil {
+		t.Fatal(err)
+	}
+	for _, svc := range []string{"a", "b"} {
+		if err := s.SetServicePolicy(svc, fault.Policy{Timeout: des.Time(10+r.Intn(30)) * des.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.SetClient(ClientConfig{Pattern: workload.ConstantRate(float64(1000 + r.Intn(3000)))})
+	killB := des.Time(20+r.Intn(40)) * des.Millisecond
+	if err := s.InstallFaults(fault.Plan{Events: []fault.Event{
+		{At: 5 * des.Millisecond, Kind: fault.KillInstance, Service: "a", Instance: -1},
+		{At: killB, Kind: fault.KillInstance, Service: "b", Instance: -1},
+		{At: killB + 60*des.Millisecond, Kind: fault.RestartInstance, Service: "b", Instance: -1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// buildStarvedPool puts a one-to-three-token connection pool in front of a
+// slow service and gives every request a deadline shorter than the wait:
+// requests expire, and are recycled, while still parked as pool waiters.
+func buildStarvedPool(t *testing.T, seed int64) *Sim {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	s := New(Options{Seed: uint64(seed)})
+	s.AddMachine("m0", 16, cluster.FreqSpec{})
+	for _, svc := range []struct {
+		name   string
+		meanUs float64
+	}{{"root", 20}, {"leaf", float64(500 + r.Intn(1500))}} {
+		if _, err := s.Deploy(service.SingleStage(svc.name, dist.NewExponential(svc.meanUs*1000)),
+			RoundRobin, Placement{Machine: "m0", Cores: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	topo := graph.Linear("t", "root", "leaf")
+	topo.Pools = []graph.ConnPool{{Name: "cli", Capacity: 1 + r.Intn(3)}}
+	topo.Trees[0].Nodes[0].AcquireConn = []string{"cli"}
+	topo.Trees[0].Nodes[1].ReleaseConn = []string{"cli"}
+	if err := s.SetTopology(topo); err != nil {
+		t.Fatal(err)
+	}
+	s.SetClient(ClientConfig{
+		Pattern: workload.ConstantRate(float64(1500 + r.Intn(2000))),
+		Budget:  dist.NewUniform(float64(des.Millisecond), float64(8*des.Millisecond)),
+	})
+	return s
+}
+
+// withRandomRetries installs retrying policies, an impatient retrying
+// client and outages, but none of the overload-control features. Without
+// them nothing cancels a terminated request's timers or attempts: client
+// timeouts, retry backoffs and attempt timeouts fire after the request (and
+// sometimes its jobs) are gone, which is the regime the recycling rules
+// have to survive and the two suites above rarely reach.
+func withRandomRetries(t *testing.T, s *Sim, seed int64) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed ^ 0x7e7))
+	mids := len(s.Deployments()) - 2
+	for i := 0; i < mids; i++ {
+		p := fault.Policy{
+			Timeout:       des.Time(1+r.Intn(8)) * des.Millisecond,
+			MaxRetries:    1 + r.Intn(3),
+			BackoffBase:   des.Time(1+r.Intn(10)) * des.Millisecond,
+			BackoffJitter: 0.5,
+		}
+		if r.Intn(2) == 0 {
+			p.Breaker = &fault.BreakerSpec{
+				ErrorThreshold: 0.5, Window: 8 + r.Intn(16),
+				Cooldown: des.Time(5+r.Intn(20)) * des.Millisecond,
+			}
+		}
+		if err := s.SetServicePolicy(fmt.Sprintf("mid%d", i), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SetMaxQueue("join", 16+r.Intn(32)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.Client()
+	cfg.Timeout = des.Time(2+r.Intn(10)) * des.Millisecond
+	cfg.MaxRetries = r.Intn(3)
+	s.SetClient(cfg)
+	victim := fmt.Sprintf("mid%d", r.Intn(mids))
+	kill := des.Time(40+r.Intn(80)) * des.Millisecond
+	crash := des.Time(150+r.Intn(60)) * des.Millisecond
+	if err := s.InstallFaults(fault.Plan{Events: []fault.Event{
+		{At: kill, Kind: fault.KillInstance, Service: victim, Instance: -1},
+		{At: kill + 30*des.Millisecond, Kind: fault.RestartInstance, Service: victim, Instance: -1},
+		{At: crash, Kind: fault.CrashMachine, Machine: "m0"},
+		{At: crash + 25*des.Millisecond, Kind: fault.RecoverMachine, Machine: "m0"},
+		{At: 20 * des.Millisecond, Kind: fault.EdgeLatency, Service: "join",
+			Extra: des.Time(1+r.Intn(6)) * des.Millisecond, Until: 90 * des.Millisecond},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runRandom runs one randomized cell to its horizon, drains the engine and
+// returns the report fingerprint with the number of events fired.
+func runRandom(t *testing.T, seed int64, build func(*testing.T, int64) *Sim, with func(*testing.T, *Sim, int64), prep func(*Sim)) string {
+	t.Helper()
+	if build == nil {
+		build = buildRandomTopology
+	}
+	s := build(t, seed)
+	if with != nil {
+		with(t, s, seed)
+	}
+	if prep != nil {
+		prep(s)
+	}
+	rep, err := s.Run(0, 300*des.Millisecond)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	s.Engine().Run() // drain
+	return fmt.Sprintf("%s events=%d", reportFingerprint(rep), s.Engine().Processed())
+}
+
+// TestRandomTopologyGoldens pins the randomized families byte for byte
+// against the pre-pooling commit: recycling jobs, requests and request state
+// must not move an event, an RNG draw or an ID.
+func TestRandomTopologyGoldens(t *testing.T) {
+	for _, suite := range randomSuites {
+		h := sha256.New()
+		for seed := int64(1); seed <= suite.seeds; seed++ {
+			fmt.Fprintln(h, runRandom(t, seed, suite.build, suite.with, nil))
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil))[:16]; got != suite.golden {
+			t.Errorf("%s: fingerprints hash to %s, pinned %s", suite.name, got, suite.golden)
+		}
+	}
+}
+
+// TestPoisonedReleaseChangesNothing is the pool-hygiene check. With
+// poisonReleased set, every released job, request and reqState is
+// overwritten with garbage that looks alive and is never handed out again,
+// so whatever reads an object after its release either panics or drives the
+// run off its fingerprint; and because the poisoned run recycles nothing,
+// matching it also shows that recycled storage carries no state into its
+// next life.
+func TestPoisonedReleaseChangesNothing(t *testing.T) {
+	poison := func(s *Sim) { s.poisonReleased = true }
+	for _, suite := range randomSuites {
+		for seed := int64(1); seed <= suite.seeds; seed++ {
+			want := runRandom(t, seed, suite.build, suite.with, nil)
+			if got := runRandom(t, seed, suite.build, suite.with, poison); got != want {
+				t.Fatalf("%s seed %d: poisoning released objects changed the run\n pooled:   %s\n poisoned: %s",
+					suite.name, seed, want, got)
+			}
+		}
+	}
+}

@@ -370,16 +370,16 @@ func TestRandomOverloadTopologiesDrain(t *testing.T) {
 		if n := len(s.inflight); n != 0 {
 			t.Fatalf("seed %d: %d requests leaked", seed, n)
 		}
-		if n := len(s.pending); n != 0 {
+		if n := s.pendingN; n != 0 {
 			t.Fatalf("seed %d: %d netproc deliveries leaked", seed, n)
 		}
 		if n := len(s.calls); n != 0 {
 			t.Fatalf("seed %d: %d tracked calls leaked", seed, n)
 		}
 		for name, p := range s.pools {
-			if p.inUse() != 0 || len(p.waiters) != 0 {
+			if p.inUse() != 0 || p.waiters.len() != 0 {
 				t.Fatalf("seed %d: pool %s leaked (%d in use, %d waiters)",
-					seed, name, p.inUse(), len(p.waiters))
+					seed, name, p.inUse(), p.waiters.len())
 			}
 		}
 		for _, dep := range s.Deployments() {
@@ -409,13 +409,13 @@ func TestRandomTopologiesConserveRequests(t *testing.T) {
 		if n := len(s.inflight); n != 0 {
 			t.Fatalf("seed %d: %d requests leaked", seed, n)
 		}
-		if n := len(s.pending); n != 0 {
+		if n := s.pendingN; n != 0 {
 			t.Fatalf("seed %d: %d netproc deliveries leaked", seed, n)
 		}
 		for name, p := range s.pools {
-			if p.inUse() != 0 || len(p.waiters) != 0 {
+			if p.inUse() != 0 || p.waiters.len() != 0 {
 				t.Fatalf("seed %d: pool %s leaked (%d in use, %d waiters)",
-					seed, name, p.inUse(), len(p.waiters))
+					seed, name, p.inUse(), p.waiters.len())
 			}
 		}
 		for _, dep := range s.Deployments() {

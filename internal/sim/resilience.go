@@ -42,8 +42,9 @@ type call struct {
 	pr         *policyRuntime
 	timeout    *des.Event
 
-	// Overload-control state: the attempt's job (for cancellation), its
-	// issue time and target instance (for hedge placement and latency
+	// Overload-control state: the attempt's job (for cancellation; nil
+	// once the job died and only the attempt's timeout is still owed),
+	// its issue time and target instance (for hedge placement and latency
 	// observation), and the hedge race it participates in, if any.
 	j       *job.Job
 	start   des.Time
@@ -192,7 +193,8 @@ func (s *Sim) startAttempt(now des.Time, req *job.Request, st *reqState, nodeID,
 	s.calls[j.ID] = c
 	s.trackCall(st, j.ID, c)
 	if pr.pol.Timeout > 0 {
-		c.timeout = s.eng.At(now+pr.pol.Timeout, func(t des.Time) { s.onAttemptTimeout(t, j) })
+		id := j.ID
+		c.timeout = s.eng.At(now+pr.pol.Timeout, func(t des.Time) { s.onAttemptTimeout(t, id) })
 	}
 	s.maybeHedge(now, c, node.Instance >= 0, len(dep.Instances))
 	s.deliver(now, j, in, srcMachine)
@@ -200,20 +202,26 @@ func (s *Sim) startAttempt(now des.Time, req *job.Request, st *reqState, nodeID,
 
 // onAttemptTimeout fires when an attempt outlives its edge timeout: the
 // caller abandons it (the server-side work keeps running, its result
-// discarded) and retries or fails the request.
-func (s *Sim) onAttemptTimeout(now des.Time, j *job.Job) {
-	c, ok := s.calls[j.ID]
+// discarded) and retries or fails the request. The timer holds the ID of
+// the attempt's job, not the job, which may have died by now.
+func (s *Sim) onAttemptTimeout(now des.Time, id job.ID) {
+	c, ok := s.calls[id]
 	if !ok {
 		return // the attempt settled first
 	}
-	delete(s.calls, j.ID)
-	untrackCall(c.st, j.ID)
-	j.Outcome = job.OutcomeTimeout
+	delete(s.calls, id)
+	// An orphan's job was lost after its request had ended: nothing is
+	// left to abandon, but the edge still observes the timeout.
+	orphan := c.j == nil
+	if !orphan {
+		untrackCall(c.st, id)
+		c.j.Outcome = job.OutcomeTimeout
+	}
 	s.observeCall(now, c.inst.Name, false, c.pr.pol.Timeout)
 	if c.pr.brk != nil {
 		c.pr.brk.Record(now, true)
 	}
-	if c.req.Failed || c.req.Done() {
+	if orphan || c.req.Failed || c.req.Done() {
 		return
 	}
 	s.failCall(now, c, job.OutcomeTimeout)
@@ -229,8 +237,13 @@ func (s *Sim) retryOrFail(now des.Time, req *job.Request, st *reqState, nodeID, 
 		s.retriesN++
 		s.errCount(svc).Retries++
 		delay := pr.pol.Backoff(attempt+1, s.retryRNG)
+		// Without overload control the timer is never cancelled and may
+		// outlive the request; the ID tells it the storage moved on.
+		id := req.ID
 		ev := s.eng.At(now+delay, func(t des.Time) {
-			s.startAttempt(t, req, st, nodeID, conn, srcMachine, attempt+1, pr)
+			if req.ID == id {
+				s.startAttempt(t, req, st, nodeID, conn, srcMachine, attempt+1, pr)
+			}
 		})
 		if s.overloadOn {
 			// Indexed so an expiring deadline can cancel the pending retry.
@@ -263,8 +276,14 @@ func (s *Sim) settleCall(now des.Time, c *call, jID job.ID) {
 // failAttemptOrRequest propagates one dead job upstream: a policy-guarded
 // edge retries or fails; an unguarded edge fails the whole request. Jobs of
 // already-abandoned attempts (edge timeout fired) or finished requests are
-// discarded silently — their edge has moved on.
+// discarded silently — their edge has moved on. Either way the job dies
+// here.
 func (s *Sim) failAttemptOrRequest(now des.Time, j *job.Job, out job.Outcome) {
+	s.propagateFailure(now, j, out)
+	s.releaseJob(j)
+}
+
+func (s *Sim) propagateFailure(now des.Time, j *job.Job, out job.Outcome) {
 	// An attempt already abandoned by its edge (timeout fired, hedge race
 	// lost) must never overwrite its outcome or touch the live request.
 	abandoned := j.Outcome != job.OutcomeOK
@@ -276,6 +295,11 @@ func (s *Sim) failAttemptOrRequest(now des.Time, j *job.Job, out job.Outcome) {
 	}
 	req := j.Req
 	if req == nil || req.Failed || req.Done() || abandoned {
+		if !abandoned && len(s.calls) > 0 {
+			if c, ok := s.calls[j.ID]; ok {
+				c.j = nil // the attempt's timeout is still owed; its job is not
+			}
+		}
 		return
 	}
 	if c, ok := s.calls[j.ID]; ok {
@@ -317,20 +341,15 @@ func (s *Sim) handleJobDrop(now des.Time, j *job.Job) {
 // response in transit is lost on the wire, so the request never completes
 // and is dropped.
 func (s *Sim) handleNetDrop(now des.Time, j *job.Job) {
-	d, ok := s.pending[j.ID]
-	if ok {
-		delete(s.pending, j.ID)
-	}
-	if ok && d.instance != nil {
+	if s.unpark(j) != nil {
 		s.failAttemptOrRequest(now, j, job.OutcomeDropped)
 		return
 	}
-	req := j.Req
-	if req == nil || req.Failed || req.Done() {
-		return
+	if req := j.Req; req != nil && !req.Failed && !req.Done() {
+		s.countError("netproc", job.OutcomeDropped)
+		s.failRequest(now, req, job.OutcomeDropped)
 	}
-	s.countError("netproc", job.OutcomeDropped)
-	s.failRequest(now, req, job.OutcomeDropped)
+	s.releaseJob(j)
 }
 
 // failRequest terminates a request with an error: it leaves the system now
@@ -349,8 +368,12 @@ func (s *Sim) failRequest(now des.Time, req *job.Request, out job.Outcome) {
 	if s.overloadOn {
 		s.cleanupRequest(st)
 	}
+	// The request exits the system in one step, wherever it was in its
+	// acquire chain: every token it holds goes back, pool by pool.
 	for _, name := range s.poolOrder {
-		s.pools[name].releaseAll(now, req)
+		for p := s.pools[name]; st.lastToken(p) >= 0; {
+			s.releaseConn(now, p, st)
+		}
 	}
 	// A client-timed-out request was already counted (and its closed-loop
 	// user freed) at the timeout instant. Buckets are gated on arrival time
@@ -373,14 +396,16 @@ func (s *Sim) failRequest(now des.Time, req *job.Request, out job.Outcome) {
 	if s.OnRequestDone != nil {
 		s.OnRequestDone(now, req)
 	}
-	if req.TimedOut {
-		return
+	if !req.TimedOut {
+		if s.closedLoop != nil {
+			s.closedLoop.RequestDone(now)
+		} else if s.sessions != nil && st.user >= 0 {
+			// A failed step still advances the session user's journey.
+			s.sessions.Done(now, st.user)
+		}
 	}
-	if s.closedLoop != nil {
-		s.closedLoop.RequestDone(now)
-	} else if s.sessions != nil && st != nil && st.user >= 0 {
-		// A failed step still advances the session user's journey.
-		s.sessions.Done(now, st.user)
+	if req.LiveJobs() == 0 {
+		s.releaseRequest(req) // else the last stray job to die does it
 	}
 }
 

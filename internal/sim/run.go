@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"uqsim/internal/des"
 	"uqsim/internal/graph"
@@ -120,7 +121,7 @@ func (s *Sim) admitAs(now des.Time, attempt, forceTree, user int) {
 	req.Conn = int(req.ID) % s.clientCfg.Connections
 	req.LeavesRemaining = len(tree.Leaves())
 
-	st := &reqState{tree: tree, treeIdx: treeIdx, arrived: make([]int, len(tree.Nodes)), at: now, user: user}
+	st := s.newReqState(req, tree, treeIdx, now, user)
 	s.inflight[req.ID] = st
 	if now >= s.warmupEnd {
 		s.arrivals++
@@ -132,12 +133,19 @@ func (s *Sim) admitAs(now des.Time, attempt, forceTree, user int) {
 		}
 	}
 	if s.clientCfg.Timeout > 0 {
-		ev := s.eng.At(now+s.clientCfg.Timeout, func(t des.Time) { s.onTimeout(t, req) })
+		// Without overload control the timer is never cancelled and may
+		// outlive the request; the ID tells it the storage moved on.
+		id := req.ID
+		ev := s.eng.At(now+s.clientCfg.Timeout, func(t des.Time) {
+			if req.ID == id {
+				s.onTimeout(t, req)
+			}
+		})
 		if s.overloadOn {
 			st.clientTO = ev
 		}
 	}
-	s.enterNode(now, req, st, tree.Root, req.Conn, "")
+	s.enterNode(now, st, tree.Root, 0, req.Conn, "")
 }
 
 // onTimeout fires when a request exceeds the client's patience: the client
@@ -180,28 +188,25 @@ func (s *Sim) onTimeout(now des.Time, req *job.Request) {
 	}
 }
 
-// enterNode walks the request into tree node nodeID: acquire declared
-// connection tokens, then dispatch the node's job. srcMachine names the
-// machine the triggering job ran on ("" for the external client).
-func (s *Sim) enterNode(now des.Time, req *job.Request, st *reqState, nodeID, conn int, srcMachine string) {
-	node := &st.tree.Nodes[nodeID]
-	s.acquireConns(now, req, node.AcquireConn, conn, func(t des.Time, finalConn int) {
-		s.dispatchNode(t, req, st, nodeID, finalConn, srcMachine)
-	})
-}
-
-// acquireConns acquires each listed pool token in order, then calls done
-// with the connection id implied by the last acquired token (or the
-// inherited one when no pools are listed).
-func (s *Sim) acquireConns(now des.Time, req *job.Request, names []string, conn int, done func(des.Time, int)) {
-	if len(names) == 0 {
-		done(now, conn)
-		return
+// enterNode walks the request into tree node nodeID: acquire the node's
+// declared connection tokens from the k-th on (0 on entry), in order, then
+// dispatch the node's job with the connection id implied by the last
+// acquired token (or the inherited one when no pools are listed). An
+// exhausted pool parks the walk as a waiter; the releasing request's
+// releaseConn resumes it at k+1. srcMachine names the machine the
+// triggering job ran on ("" for the external client).
+func (s *Sim) enterNode(now des.Time, st *reqState, nodeID, k, conn int, srcMachine string) {
+	names := st.tree.Nodes[nodeID].AcquireConn
+	for ; k < len(names); k++ {
+		p := s.pools[names[k]]
+		if p.free.len() == 0 {
+			p.waiters.push(waiter{req: st.req, id: st.req.ID, st: st, nodeID: nodeID, k: k, srcMachine: srcMachine})
+			return
+		}
+		conn = p.free.pop()
+		st.tokens = append(st.tokens, heldToken{pool: p, token: conn})
 	}
-	pool := s.pools[names[0]]
-	pool.acquire(now, req, func(t des.Time, token int) {
-		s.acquireConns(t, req, names[1:], token, done)
-	})
+	s.dispatchNode(now, st.req, st, nodeID, conn, srcMachine)
 }
 
 // dispatchNode creates the node's job and routes it to an instance. Edges
@@ -356,15 +361,26 @@ func (s *Sim) admitDelivery(now des.Time, j *job.Job, in *service.Instance, srcM
 		}
 		return
 	}
-	np := s.netproc[dest]
-	targetPath := j.PathID
-	j.PathID = 0 // netproc's single path
-	s.pending[j.ID] = &delivery{instance: in, pathID: targetPath}
-	if res := np.Admit(now, j); res != service.Admitted {
-		delete(s.pending, j.ID)
-		j.PathID = targetPath
+	s.park(j, in)
+	if res := s.netproc[dest].Admit(now, j); res != service.Admitted {
+		s.unpark(j)
 		s.deliveryRejected(now, j, res)
 	}
+}
+
+// park routes j through a network service: its destination (nil: a
+// response leaving the cluster) and execution path wait in the job while it
+// runs netproc's single path. unpark restores them on the way out.
+func (s *Sim) park(j *job.Job, dest any) {
+	j.Dest, j.DestPath, j.PathID = dest, j.PathID, 0
+	s.pendingN++
+}
+
+func (s *Sim) unpark(j *job.Job) (dest *service.Instance) {
+	dest, _ = j.Dest.(*service.Instance)
+	j.Dest, j.PathID = nil, j.DestPath
+	s.pendingN--
+	return dest
 }
 
 // deliverDuplicate admits a gray-link duplicate of j: a fresh clone
@@ -381,33 +397,29 @@ func (s *Sim) deliverDuplicate(now des.Time, j *job.Job, in *service.Instance, d
 	dup.Machine = dest
 	dup.Instance = in.Name
 	if s.netCfg == nil {
-		in.Admit(now, dup)
+		if in.Admit(now, dup) != service.Admitted {
+			s.releaseJob(dup)
+		}
 		return
 	}
-	np := s.netproc[dest]
-	targetPath := dup.PathID
-	dup.PathID = 0
-	s.pending[dup.ID] = &delivery{instance: in, pathID: targetPath}
-	if np.Admit(now, dup) != service.Admitted {
-		delete(s.pending, dup.ID)
+	s.park(dup, in)
+	if s.netproc[dest].Admit(now, dup) != service.Admitted {
+		s.unpark(dup)
+		s.releaseJob(dup)
 	}
 }
 
 // handleNetDone fires when the network service finishes processing a
 // message: deliver the job to its real destination.
 func (s *Sim) handleNetDone(now des.Time, j *job.Job) {
-	d, ok := s.pending[j.ID]
-	if !ok {
-		panic(fmt.Sprintf("sim: netproc finished unknown job %d", j.ID))
-	}
-	delete(s.pending, j.ID)
-	if d.instance == nil {
+	dest := s.unpark(j)
+	if dest == nil {
 		// Transmit pass for a response leaving the cluster.
 		s.finalizeLeaf(now, j)
+		s.releaseJob(j)
 		return
 	}
-	j.PathID = d.pathID
-	if res := d.instance.Admit(now, j); res != service.Admitted {
+	if res := dest.Admit(now, j); res != service.Admitted {
 		// The destination died or filled up while the message was in
 		// transit through the network service.
 		s.deliveryRejected(now, j, res)
@@ -415,8 +427,18 @@ func (s *Sim) handleNetDone(now des.Time, j *job.Job) {
 }
 
 // handleJobDone fires when a microservice instance completes a job's
-// service-local path: release tokens, fan out to children, finish leaves.
+// service-local path. The job dies here unless it goes on through a
+// network service.
 func (s *Sim) handleJobDone(now des.Time, j *job.Job) {
+	if !s.routeJobDone(now, j) {
+		s.releaseJob(j)
+	}
+}
+
+// routeJobDone releases the finished job's tokens, fans out to its node's
+// children and finishes leaves. It reports whether j is still in use (on
+// its transmit pass through netproc).
+func (s *Sim) routeJobDone(now des.Time, j *job.Job) (forwarded bool) {
 	settled := false
 	if len(s.calls) > 0 {
 		if c, ok := s.calls[j.ID]; ok {
@@ -433,7 +455,7 @@ func (s *Sim) handleJobDone(now des.Time, j *job.Job) {
 	st, ok := s.inflight[j.Req.ID]
 	if !ok {
 		if j.Req.Failed || j.Req.Done() {
-			return // stray server-side work of a request that already ended
+			return false // stray server-side work of a request that already ended
 		}
 		panic(fmt.Sprintf("sim: job %d of unknown request %d completed", j.ID, j.Req.ID))
 	}
@@ -445,22 +467,20 @@ func (s *Sim) handleJobDone(now des.Time, j *job.Job) {
 		// An abandoned attempt completed server-side: the edge timeout
 		// already handed this hop to a retry, so the result is discarded
 		// (and the conn tokens stay with the live attempt's completion).
-		return
+		return false
 	}
 	for _, name := range node.ReleaseConn {
-		s.pools[name].release(now, j.Req)
+		s.releaseConn(now, s.pools[name], st)
 	}
 	if len(node.Children) == 0 {
 		// Leaf: optionally pay the client-transmit network pass.
 		if s.netCfg != nil && s.netCfg.ClientTx {
-			np := s.netproc[j.Machine]
-			s.pending[j.ID] = &delivery{instance: nil}
-			j.PathID = 0
-			np.Enqueue(now, j)
-			return
+			s.park(j, nil)
+			s.netproc[j.Machine].Enqueue(now, j)
+			return true
 		}
 		s.finalizeLeaf(now, j)
-		return
+		return false
 	}
 	children := node.Children
 	if node.BranchKey != "" {
@@ -474,9 +494,10 @@ func (s *Sim) handleJobDone(now des.Time, j *job.Job) {
 	for _, child := range children {
 		st.arrived[child]++
 		if st.arrived[child] == st.tree.FanIn(child) {
-			s.enterNode(now, j.Req, st, child, j.Conn, j.Machine)
+			s.enterNode(now, st, child, 0, j.Conn, j.Machine)
 		}
 	}
+	return false
 }
 
 // applyBranch validates a brancher's selection and prunes the leaves of
@@ -485,19 +506,14 @@ func (s *Sim) applyBranch(j *job.Job, st *reqState, node *graph.Node, selected [
 	if len(selected) == 0 {
 		panic(fmt.Sprintf("sim: brancher %q selected no children", node.BranchKey))
 	}
-	valid := make(map[int]bool, len(node.Children))
-	for _, c := range node.Children {
-		valid[c] = true
-	}
-	chosen := make(map[int]bool, len(selected))
+	// Children lists are short: linear scans beat building sets.
 	for _, c := range selected {
-		if !valid[c] {
+		if !slices.Contains(node.Children, c) {
 			panic(fmt.Sprintf("sim: brancher %q selected non-child node %d", node.BranchKey, c))
 		}
-		chosen[c] = true
 	}
 	for _, c := range node.Children {
-		if !chosen[c] {
+		if !slices.Contains(selected, c) {
 			j.Req.LeavesRemaining -= len(st.tree.LeavesUnder(c))
 		}
 	}
@@ -555,13 +571,15 @@ func (s *Sim) finalizeLeaf(now des.Time, j *job.Job) {
 	// A timed-out request already released its closed-loop user (and its
 	// client-visible latency) at the timeout instant; likewise a session
 	// user already advanced past a timed-out step.
-	if req.TimedOut {
-		return
+	if !req.TimedOut {
+		if s.closedLoop != nil {
+			s.closedLoop.RequestDone(now)
+		} else if s.sessions != nil && user >= 0 {
+			s.sessions.Done(now, user)
+		}
 	}
-	if s.closedLoop != nil {
-		s.closedLoop.RequestDone(now)
-	} else if s.sessions != nil && user >= 0 {
-		s.sessions.Done(now, user)
+	if req.LiveJobs() == 0 {
+		s.releaseRequest(req) // else the last stray job to die does it
 	}
 }
 
@@ -797,8 +815,8 @@ func (s *Sim) VerifyDrained() error {
 	if n := len(s.inflight); n > 0 {
 		return fmt.Errorf("sim: %d requests still in flight after drain", n)
 	}
-	if n := len(s.pending); n > 0 {
-		return fmt.Errorf("sim: %d deliveries still pending after drain", n)
+	if s.pendingN > 0 {
+		return fmt.Errorf("sim: %d deliveries still pending after drain", s.pendingN)
 	}
 	if n := len(s.calls); n > 0 {
 		return fmt.Errorf("sim: %d live call attempts after drain", n)
@@ -822,72 +840,96 @@ func (s *Sim) VerifyDrained() error {
 }
 
 // connPool is the runtime of a graph.ConnPool: a FIFO token dispenser whose
-// tokens double as connection IDs.
+// tokens double as connection IDs. The tokens a request holds live on its
+// reqState.
 type connPool struct {
 	spec    graph.ConnPool
-	free    []int
-	waiters []waiter
-	held    map[job.ID][]int
+	free    fifo[int]
+	waiters fifo[waiter]
 }
 
+// heldToken is one granted connection token.
+type heldToken struct {
+	pool  *connPool
+	token int
+}
+
+// waiter is a node walk parked on an exhausted pool: everything enterNode
+// needs to resume after tree node nodeID's k-th token. A
+// waiter can outlive its request (a failed request leaves the system at
+// once, its waiters are skipped lazily), so it carries the request's ID to
+// tell when req and st have been recycled.
 type waiter struct {
-	req  *job.Request
-	cont func(des.Time, int)
+	req        *job.Request
+	id         job.ID
+	st         *reqState
+	nodeID, k  int
+	srcMachine string
 }
 
 func newConnPool(spec graph.ConnPool, base int) *connPool {
-	p := &connPool{spec: spec, held: make(map[job.ID][]int)}
+	p := &connPool{spec: spec}
 	for i := 0; i < spec.Capacity; i++ {
-		p.free = append(p.free, base+i)
+		p.free.push(base + i)
 	}
 	return p
 }
 
-// acquire grants a token now if available, else queues the continuation.
-func (p *connPool) acquire(now des.Time, req *job.Request, cont func(des.Time, int)) {
-	if len(p.free) > 0 {
-		token := p.free[0]
-		p.free = p.free[1:]
-		p.held[req.ID] = append(p.held[req.ID], token)
-		cont(now, token)
-		return
+// releaseConn returns the token of p that st's request acquired last,
+// granting it to the oldest live waiter if any.
+func (s *Sim) releaseConn(now des.Time, p *connPool, st *reqState) {
+	i := st.lastToken(p)
+	if i < 0 {
+		panic(fmt.Sprintf("sim: request %d releases pool %q it does not hold", st.req.ID, p.spec.Name))
 	}
-	p.waiters = append(p.waiters, waiter{req: req, cont: cont})
-}
-
-// release returns one of req's tokens, granting it to the oldest waiter if
-// any.
-func (p *connPool) release(now des.Time, req *job.Request) {
-	tokens := p.held[req.ID]
-	if len(tokens) == 0 {
-		panic(fmt.Sprintf("sim: request %d releases pool %q it does not hold", req.ID, p.spec.Name))
-	}
-	token := tokens[len(tokens)-1]
-	if len(tokens) == 1 {
-		delete(p.held, req.ID)
-	} else {
-		p.held[req.ID] = tokens[:len(tokens)-1]
-	}
-	for len(p.waiters) > 0 {
-		w := p.waiters[0]
-		p.waiters = p.waiters[1:]
-		if w.req.Failed {
+	token := st.tokens[i].token
+	st.tokens = append(st.tokens[:i], st.tokens[i+1:]...)
+	for p.waiters.len() > 0 {
+		w := p.waiters.pop()
+		if w.req.ID != w.id || w.req.Failed {
 			continue // abandoned while queued; the token passes it by
 		}
-		p.held[w.req.ID] = append(p.held[w.req.ID], token)
-		w.cont(now, token)
+		w.st.tokens = append(w.st.tokens, heldToken{pool: p, token: token})
+		s.enterNode(now, w.st, w.nodeID, w.k+1, token, w.srcMachine)
 		return
 	}
-	p.free = append(p.free, token)
+	p.free.push(token)
 }
 
-// releaseAll returns every token req holds (a failed request exits the
-// system in one step, wherever it was in its acquire chain).
-func (p *connPool) releaseAll(now des.Time, req *job.Request) {
-	for len(p.held[req.ID]) > 0 {
-		p.release(now, req)
+// lastToken indexes the most recently granted token of p, or -1.
+func (st *reqState) lastToken(p *connPool) int {
+	for i := len(st.tokens) - 1; i >= 0; i-- {
+		if st.tokens[i].pool == p {
+			return i
+		}
 	}
+	return -1
 }
 
 // inUse reports granted tokens.
-func (p *connPool) inUse() int { return p.spec.Capacity - len(p.free) }
+func (p *connPool) inUse() int { return p.spec.Capacity - p.free.len() }
+
+// fifo is a queue over a slice that keeps its backing array: popping
+// advances a head index, and the consumed prefix is reclaimed once it is
+// the larger half (or the queue empties), so capacity is reused instead of
+// leaking one element per pop.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) || (q.head > 64 && q.head*2 >= len(q.items)) {
+		q.items = append(q.items[:0], q.items[q.head:]...)
+		q.head = 0
+	}
+	return v
+}

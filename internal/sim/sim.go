@@ -189,7 +189,14 @@ type Sim struct {
 	loadScale *float64
 
 	inflight map[job.ID]*reqState
-	pending  map[job.ID]*delivery // jobs in transit through netproc
+	// pendingN counts jobs in transit through a network service (their
+	// destination parked in Job.Dest), for VerifyDrained.
+	pendingN int
+	// freeStates recycles request state; jobs and requests recycle through
+	// fac. poisonReleased is a test hook: released objects are overwritten
+	// with garbage and withheld from reuse, so a read after release shows.
+	freeStates     []*reqState
+	poisonReleased bool
 
 	branchers map[string]Brancher
 
@@ -236,11 +243,14 @@ type Sim struct {
 	perTier         map[string]*stats.LatencyHist
 
 	// OnRequestDone observes every completed request (after or during
-	// warmup), e.g. for the power manager's windowed tail tracker.
+	// warmup), e.g. for the power manager's windowed tail tracker. The
+	// request's storage is recycled once its last job has finished: a hook
+	// must copy what it needs and not retain req past its return.
 	OnRequestDone func(now des.Time, req *job.Request)
 	// OnJobDone observes every completed service-local job with the
 	// service name of the node it executed — the hook the tracer uses
-	// to build per-request waterfalls.
+	// to build per-request waterfalls. Like req above, j (and j.Req) must
+	// not be retained past the hook's return.
 	OnJobDone func(now des.Time, j *job.Job, service string)
 	// OnCallResult observes the outcome of every dispatched call against
 	// the instance that served (or lost) it: ok with the observed latency
@@ -259,14 +269,18 @@ func (s *Sim) observeCall(now des.Time, instance string, ok bool, latency des.Ti
 	}
 }
 
-// reqState tracks one in-flight request's progress through its tree.
+// reqState tracks one request's progress through its tree. It is reachable
+// from the request (Request.Owner) and shares its lifetime: both are
+// recycled together, by releaseRequest.
 type reqState struct {
+	req      *job.Request
 	tree     *graph.Tree
 	treeIdx  int
-	arrived  []int    // per-node parent-completion counts
-	at       des.Time // the request's arrival instant
-	user     int      // owning session user (-1: no session client)
-	timedOut bool     // client gave up; server work continues abandoned
+	arrived  []int       // per-node parent-completion counts
+	tokens   []heldToken // connection-pool tokens held, in grant order
+	at       des.Time    // the request's arrival instant
+	user     int         // owning session user (-1: no session client)
+	timedOut bool        // client gave up; server work continues abandoned
 
 	// Overload-control bookkeeping (only maintained when a budget,
 	// hedge, or discipline is configured): everything cleanupRequest
@@ -275,12 +289,6 @@ type reqState struct {
 	clientTO   *des.Event
 	retries    []*des.Event     // pending retry timers
 	calls      map[job.ID]*call // live policy-guarded attempts
-}
-
-// delivery is a job waiting to exit the network service.
-type delivery struct {
-	instance *service.Instance // final destination (nil: response to client)
-	pathID   int
 }
 
 // OnNew, when set, observes every simulation created by New. Command-line
@@ -313,7 +321,6 @@ func newSim(opts Options, split *rng.Splitter, eng des.Runner) *Sim {
 		netproc:      make(map[string]*service.Instance),
 		pools:        make(map[string]*connPool),
 		inflight:     make(map[job.ID]*reqState),
-		pending:      make(map[job.ID]*delivery),
 		branchers:    make(map[string]Brancher),
 		svcPolicies:  make(map[string]*policyRuntime),
 		nodePolicies: make(map[[2]int]*policyRuntime),
@@ -882,6 +889,7 @@ func (s *Sim) Topology() *graph.Topology { return s.topo }
 // Brancher decides at runtime which children of a branch node receive a
 // request (selecting among node.Children by ID). A cache model, for
 // example, returns the hit child or the miss chain depending on its state.
+// Like the hooks, it must not retain req.
 type Brancher func(now des.Time, req *job.Request, children []int) []int
 
 // RegisterBrancher installs the decision function for all nodes whose

@@ -286,10 +286,19 @@ type Sessions struct {
 	eng   des.Scheduler
 	split *rng.Splitter
 
-	users   map[int]*sessionUser
-	order   []int // spawn order, for LIFO retirement
-	nextID  int
-	bgUsers int
+	users map[int]*sessionUser
+	// order lists users in spawn order, for LIFO retirement: a simulated
+	// user's id, or a negative marker for a background user. A departed
+	// user leaves its entry behind as a tombstone (an id no longer in
+	// users), which retire skips; departed counts them and compactOrder
+	// sweeps them once they are the larger half, so a departure costs O(1)
+	// amortised however long the list. orderSwept counts the entries those
+	// sweeps visit.
+	order      []int
+	departed   int
+	orderSwept int
+	nextID     int
+	bgUsers    int
 	// pendingRetire counts simulated users marked retiring but not yet
 	// departed: they still hold map slots until their next step boundary,
 	// so population control must not count them as excess again.
@@ -504,12 +513,24 @@ func (s *Sessions) depart(id int, u *sessionUser) {
 		s.pendingRetire--
 	}
 	delete(s.users, id)
-	for i := len(s.order) - 1; i >= 0; i-- {
-		if s.order[i] == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
+	s.departed++
+	if s.departed > 64 && s.departed*2 > len(s.order) {
+		s.compactOrder()
+	}
+}
+
+// compactOrder drops the tombstones of departed users, keeping the order
+// of everyone else.
+func (s *Sessions) compactOrder() {
+	s.orderSwept += len(s.order)
+	live := s.order[:0]
+	for _, key := range s.order {
+		if _, ok := s.users[key]; ok || key < 0 {
+			live = append(live, key)
 		}
 	}
+	s.order = live
+	s.departed = 0
 }
 
 func expTime(r *rng.Source, mean des.Time) des.Time {

@@ -395,3 +395,77 @@ func TestSessionsOnOff(t *testing.T) {
 		t.Fatalf("on/off users issued %d vs always-on %d; want a clear reduction", bursty, always)
 	}
 }
+
+// TestSessionsDepartureWorkBounded: departing a foreground user must not
+// scan the spawn-order list. Under a million background markers the order
+// list is as long as the hybrid_1m benchmark cell's; retiring every
+// foreground user may sweep it a bounded number of times in total, counted
+// in list entries visited rather than wall time.
+func TestSessionsDepartureWorkBounded(t *testing.T) {
+	const foreground, users = 400, 1_000_000
+	eng := des.New()
+	cfg := validSessionConfig()
+	cfg.Users = users
+	var sess *Sessions
+	emit := func(now des.Time, user, tree int) {
+		eng.Post(now+des.Millisecond, func(t des.Time) { sess.Done(t, user) })
+	}
+	sess, err := NewSessions(eng, rng.NewSplitter(9).Child("sessions"), cfg, emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Foreground users are spread through the spawn order, one in 2500.
+	sess.SampleUser = func(id int) bool { return id%(users/foreground) == 0 }
+	sess.Start(0)
+	eng.RunUntil(50 * des.Millisecond)
+	if got := sess.SimulatedUsers(); got != foreground {
+		t.Fatalf("%d simulated users, want %d", got, foreground)
+	}
+	sess.Stop()
+	eng.Run() // every user departs at its next step boundary
+	if got := sess.SimulatedUsers(); got != 0 {
+		t.Fatalf("%d simulated users left after Stop and drain", got)
+	}
+	// One entry visited per departure is the O(1) budget; the old tail scan
+	// visited about half a million per departure.
+	if sess.orderSwept > foreground {
+		t.Fatalf("retiring %d users swept %d order entries", foreground, sess.orderSwept)
+	}
+}
+
+// TestSessionsRetireNewestFirstAcrossTombstones: departed users leave
+// tombstones in the spawn order until a sweep; retirement must keep
+// picking the newest live users through them and after the sweep.
+func TestSessionsRetireNewestFirstAcrossTombstones(t *testing.T) {
+	eng := des.New()
+	cfg := validSessionConfig()
+	cfg.Users = 300
+	var sess *Sessions
+	emit := func(now des.Time, user, tree int) {
+		eng.Post(now+des.Millisecond, func(t des.Time) { sess.Done(t, user) })
+	}
+	sess, err := NewSessions(eng, rng.NewSplitter(4).Child("sessions"), cfg, emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Start(0)
+	// Three rounds: retire the newest 80, let them depart, check who is
+	// left. The second round crosses the sweep threshold.
+	live := 300
+	for round := 0; round < 3; round++ {
+		sess.retire(80)
+		live -= 80
+		eng.RunUntil(eng.Now() + des.Second)
+		if got := sess.SimulatedUsers(); got != live {
+			t.Fatalf("round %d: %d users live, want %d", round, got, live)
+		}
+		for id := 0; id < 300; id++ {
+			if _, ok := sess.users[id]; ok != (id < live) {
+				t.Fatalf("round %d: user %d live=%v; retirement must take the newest first", round, id, ok)
+			}
+		}
+	}
+	if sess.orderSwept == 0 || len(sess.order) >= 300 {
+		t.Fatalf("240 of 300 departed but the order list was never swept (len %d)", len(sess.order))
+	}
+}

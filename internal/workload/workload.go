@@ -199,6 +199,9 @@ type OpenLoop struct {
 	eng     des.Scheduler
 	r       *rng.Source
 	stopped bool
+	// arrive and poll are the generator's two event callbacks, bound once
+	// so scheduling the next arrival allocates nothing.
+	arrive, poll des.Callback
 }
 
 // NewOpenLoop builds a generator on the engine with a dedicated stream.
@@ -213,7 +216,20 @@ func NewOpenLoop(eng des.Scheduler, r *rng.Source, pattern Pattern, emit func(no
 			panic(err.Error())
 		}
 	}
-	return &OpenLoop{Emit: emit, Pattern: pattern, eng: eng, r: r}
+	g := &OpenLoop{Emit: emit, Pattern: pattern, eng: eng, r: r}
+	g.arrive = func(t des.Time) {
+		if g.stopped {
+			return
+		}
+		g.Emit(t)
+		g.scheduleNext(t)
+	}
+	g.poll = func(t des.Time) {
+		if !g.stopped {
+			g.scheduleNext(t)
+		}
+	}
+	return g
 }
 
 // Start schedules the first arrival at (or after) virtual time at.
@@ -229,11 +245,7 @@ func (g *OpenLoop) scheduleNext(from des.Time) {
 	rate := g.Pattern.RateAt(from)
 	if rate <= 0 {
 		// Idle period: poll again in 1ms of virtual time.
-		g.eng.Post(from+des.Millisecond, func(t des.Time) {
-			if !g.stopped {
-				g.scheduleNext(t)
-			}
-		})
+		g.eng.Post(from+des.Millisecond, g.poll)
 		return
 	}
 	meanGapNs := 1e9 / rate
@@ -247,13 +259,7 @@ func (g *OpenLoop) scheduleNext(from des.Time) {
 	if gap < 1 {
 		gap = 1
 	}
-	g.eng.Post(from+gap, func(t des.Time) {
-		if g.stopped {
-			return
-		}
-		g.Emit(t)
-		g.scheduleNext(t)
-	})
+	g.eng.Post(from+gap, g.arrive)
 }
 
 // ClosedLoop models N users who each issue one request, wait for its

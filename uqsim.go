@@ -59,6 +59,11 @@ import (
 // ---- core simulation types ----
 
 // Sim is one assembled simulation; see sim.Sim.
+//
+// Its OnRequestDone and OnJobDone hooks receive pointers into storage the
+// simulation recycles: a hook must copy the fields it needs and must not
+// keep the request or job past its own return (the tracer, the power
+// manager and every experiment here copy).
 type Sim = sim.Sim
 
 // Options seeds a simulation's random streams.
@@ -452,7 +457,8 @@ type TraceSpan = trace.Span
 func NewTracer(sampleEvery int) *Tracer { return trace.New(sampleEvery) }
 
 // AttachTracer wires a tracer into a simulation's job/request hooks.
-// Attach before Run; it replaces any previously installed hooks.
+// Attach before Run; it replaces any previously installed hooks. The
+// tracer copies what it records, as every hook must (see Sim).
 func AttachTracer(s *Sim, t *Tracer) {
 	s.OnJobDone = t.OnJobDone
 	s.OnRequestDone = t.OnRequestDone
