@@ -90,8 +90,10 @@ func ErlangC(k int, a float64) float64 {
 	// Compute iteratively to avoid factorial overflow:
 	// B(0)=1; B(j)=a·B(j−1)/(j+a·B(j−1)) is Erlang-B; then
 	// C = k·B /(k − a(1−B)).
+	// Once b underflows to exactly 0 it stays 0, so the rest of the
+	// recurrence is skipped.
 	b := 1.0
-	for j := 1; j <= k; j++ {
+	for j := 1; j <= k && b != 0; j++ {
 		b = a * b / (float64(j) + a*b)
 	}
 	return float64(k) * b / (float64(k) - a*(1-b))
@@ -117,10 +119,8 @@ func MMkMeanWait(lambda, mu float64, k int) float64 {
 // arrival waits, unboundedly — the distribution-space face of the
 // saturated sentinel (condRate == 0 is the branch condition).
 func MMkWaitDist(lambda, mu float64, k int) (pWait, condRate float64) {
-	if MMkSaturated(lambda, mu, k) {
-		return 1, 0
-	}
-	return ErlangC(k, lambda/mu), float64(k)*mu - lambda
+	p := MMkAt(lambda, mu, k)
+	return p.PWait, p.CondRate
 }
 
 // MMkTimeoutProb is the probability an M/M/k queue wait exceeds timeoutS
@@ -180,12 +180,14 @@ func MMkMeanQueueLength(lambda, mu float64, k int) float64 {
 type MMkPoint struct {
 	Rho       float64 // offered utilization λ/(kµ), uncapped
 	PWait     float64 // P(wait > 0): Erlang-C, 1 when saturated
+	CondRate  float64 // kµ − λ, rate of the wait given one occurs; 0 when saturated
 	MeanWaitS float64 // mean queue wait in seconds; sentinel when saturated
 	QueueLen  float64 // mean waiting jobs Lq; sentinel when saturated
 	Saturated bool
 }
 
-// MMkAt computes the equilibrium point; see MMkPoint.
+// MMkAt computes the equilibrium point; see MMkPoint. The O(k) Erlang-C
+// recurrence runs once and every other field derives from it.
 func MMkAt(lambda, mu float64, k int) MMkPoint {
 	p := MMkPoint{Saturated: MMkSaturated(lambda, mu, k)}
 	if mu > 0 && k > 0 {
@@ -200,39 +202,10 @@ func MMkAt(lambda, mu float64, k int) MMkPoint {
 		return p
 	}
 	p.PWait = ErlangC(k, lambda/mu)
-	p.MeanWaitS = MMkMeanWait(lambda, mu, k)
+	p.CondRate = float64(k)*mu - lambda
+	p.MeanWaitS = p.PWait / p.CondRate
 	p.QueueLen = lambda * p.MeanWaitS
 	return p
-}
-
-// ClosedMMkRate solves the closed-population fixed point of n users
-// cycling through think (mean thinkS seconds) and one M/M/k service
-// (mean service time es seconds, k servers): λ = n / (thinkS + es +
-// Wq(λ)). The iteration is damped and always converges to the unique
-// fixed point; the returned rate never exceeds the bottleneck capacity
-// k/es (a closed loop self-limits — users queue rather than vanish, so
-// there is no shed flow). Degenerate inputs return 0.
-func ClosedMMkRate(n, thinkS, es float64, k int) float64 {
-	if n <= 0 || es <= 0 || k <= 0 || thinkS < 0 {
-		return 0
-	}
-	mu := 1 / es
-	capacity := float64(k) * mu
-	// Start from the no-queueing estimate, clamped inside capacity.
-	lam := math.Min(n/(thinkS+es), 0.999*capacity)
-	for i := 0; i < 64; i++ {
-		w := MMkMeanWait(lam, mu, k)
-		if IsSaturated(w) {
-			lam = 0.999 * capacity
-			continue
-		}
-		next := n / (thinkS + es + w)
-		if next >= capacity {
-			next = 0.999 * capacity
-		}
-		lam = 0.5*lam + 0.5*next
-	}
-	return lam
 }
 
 // MMkMeanSojourn is the mean time in system of M/M/k.

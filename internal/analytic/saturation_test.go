@@ -186,44 +186,3 @@ func TestMMkAt(t *testing.T) {
 		t.Errorf("degenerate mu: %+v", got)
 	}
 }
-
-// TestClosedMMkRate checks the closed-population fixed point: bounded by
-// both the population limit n/(Z+E[S]) and the bottleneck capacity k·mu,
-// approaching each in the appropriate regime, and solving its own defining
-// equation on the interior.
-func TestClosedMMkRate(t *testing.T) {
-	const es = 0.010 // 10 ms service, mu = 100
-	// Degenerate inputs.
-	for _, c := range []struct {
-		n, think, es float64
-		k            int
-	}{
-		{0, 1, es, 4}, {-5, 1, es, 4}, {100, 1, 0, 4}, {100, 1, es, 0}, {100, -1, es, 4},
-	} {
-		if got := ClosedMMkRate(c.n, c.think, c.es, c.k); got != 0 {
-			t.Errorf("ClosedMMkRate(%v,%v,%v,%d) = %v, want 0", c.n, c.think, c.es, c.k, got)
-		}
-	}
-	// Light population: rate ~ n/(Z+E[S]) (negligible queueing).
-	got := ClosedMMkRate(10, 1, es, 16)
-	want := 10 / (1 + es)
-	if math.Abs(got-want)/want > 0.01 {
-		t.Errorf("light closed rate %v, want ~%v", got, want)
-	}
-	// Huge population: rate pinned just inside bottleneck capacity k/es.
-	capacity := 4 / es
-	got = ClosedMMkRate(1e6, 0.1, es, 4)
-	if got > capacity || got < 0.99*capacity {
-		t.Errorf("saturated closed rate %v, want within [0.99, 1]·%v", got, capacity)
-	}
-	// Interior: the fixed point satisfies lambda·(Z + E[S] + Wq(lambda)) = n.
-	n, think, k := 300.0, 1.0, 4
-	lam := ClosedMMkRate(n, think, es, k)
-	w := MMkMeanWait(lam, 1/es, k)
-	if IsSaturated(w) {
-		t.Fatalf("interior fixed point saturated: lambda=%v", lam)
-	}
-	if resid := lam*(think+es+w) - n; math.Abs(resid) > 0.01*n {
-		t.Errorf("fixed point residual %v at lambda=%v (n=%v)", resid, lam, n)
-	}
-}

@@ -76,6 +76,17 @@ func ReportTables(rep *sim.Report) []*Table {
 			formatByCause(rep.BackgroundShedByCause),
 			fmt.Sprintf("%d", rep.SaturatedEpochs))
 		out = append(out, hy)
+		w := rep.FluidWork
+		work := NewTable("Fluid tier work (simulator-side; not in the fingerprint)",
+			"epochs", "event_resolves", "memo_hits", "fp_solves", "fp_iterations", "fp_capped")
+		work.Add(
+			fmt.Sprintf("%d", w.Epochs),
+			fmt.Sprintf("%d", w.Resolves),
+			fmt.Sprintf("%d", w.MemoHits),
+			fmt.Sprintf("%d", w.Solves),
+			fmt.Sprintf("%d", w.Iterations),
+			fmt.Sprintf("%d", w.Capped))
+		out = append(out, work)
 	}
 
 	if rep.CrossRegionCalls > 0 || rep.StaleReads > 0 {

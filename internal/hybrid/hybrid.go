@@ -173,9 +173,39 @@ type evalKey struct {
 
 type point struct {
 	analytic.MMkPoint
-	condRate float64 // kµ_eff − λ_eff, for wait draws
-	capped   des.Time
-	amp      float64 // mean-field retry amplification E[attempts]
+	capped des.Time
+	amp    float64 // mean-field retry amplification E[attempts]
+}
+
+// Counters is the simulator-side work the fluid tier did in one run: what
+// a run cost the host, not what the simulated system did, so the
+// determinism fingerprint leaves it out.
+type Counters struct {
+	Epochs     int // epoch-grid evaluations, including the one at Start
+	Resolves   int // event-driven re-solves at fault and heal boundaries
+	MemoHits   int // solves skipped because their exact inputs were unchanged
+	Solves     int // damped fixed points run
+	Iterations int // steps those fixed points took in total
+	Capped     int // fixed points that ran to their cap without converging
+}
+
+// FixedPoint iterates x ← step(x) at most maxIter times and returns the
+// last iterate. step must be a pure function of x, so an iterate that
+// returns its own input bit for bit would do so for ever: stopping there
+// gives exactly the value the full maxIter steps would. A 2-cycle in the
+// last ulp never satisfies the test and runs to the cap.
+func (c *Counters) FixedPoint(x float64, maxIter int, step func(float64) float64) float64 {
+	c.Solves++
+	for i := 0; i < maxIter; i++ {
+		next := step(x)
+		c.Iterations++
+		if next == x {
+			return x
+		}
+		x = next
+	}
+	c.Capped++
+	return x
 }
 
 // State is the live fluid tier of one run.
@@ -222,6 +252,7 @@ type State struct {
 	baseK []int
 
 	satEpochs int
+	work      Counters
 	stopped   bool
 }
 
@@ -302,6 +333,7 @@ func (st *State) Start(eng des.Scheduler, at, warmupEnd des.Time) {
 	}
 	st.eng = eng
 	st.warmupEnd = warmupEnd
+	st.work.Epochs++
 	st.eval(at)
 	epoch := st.cfg.Epoch
 	var tick func(t des.Time)
@@ -309,6 +341,7 @@ func (st *State) Start(eng des.Scheduler, at, warmupEnd des.Time) {
 		if st.stopped {
 			return
 		}
+		st.work.Epochs++
 		st.accrue(t)
 		st.eval(t)
 		eng.Post(t+epoch, tick)
@@ -366,16 +399,15 @@ func (st *State) eval(t des.Time) {
 			st.lastWGray += (1 - cut) * drop
 		}
 		if m := &st.memo[i]; !m.valid || m.lambda != lambda || m.k != k || m.mu != mu {
-			amp := amplification(lambda, mu, k, s.Policy)
-			p := analytic.MMkAt(lambda*amp, mu, k)
-			_, cond := analytic.MMkWaitDist(lambda*amp, mu, k)
+			amp := st.work.amplification(lambda, mu, k, s.Policy)
 			st.points[i] = point{
-				MMkPoint: p,
-				condRate: cond,
+				MMkPoint: analytic.MMkAt(lambda*amp, mu, k),
 				capped:   des.FromNanos(st.cfg.MaxWaitFactor * s.MeanServiceS * 1e9),
 				amp:      amp,
 			}
 			*m = evalKey{lambda: lambda, k: k, mu: mu, valid: true}
+		} else {
+			st.work.MemoHits++
 		}
 		if st.points[i].Saturated {
 			anySat = true
@@ -426,20 +458,18 @@ func (st *State) shedCauseFor(i int, lambda, mu float64, k int, speed float64) s
 // system entering the storm). With a breaker threshold, an equilibrium
 // failure rate at or above it holds the breaker open in mean field:
 // retries fail fast and the amplification collapses back toward 1.
-func amplification(lambda, mu float64, k int, pol *Policy) float64 {
+func (c *Counters) amplification(lambda, mu float64, k int, pol *Policy) float64 {
 	if pol == nil || pol.MaxRetries <= 0 || lambda <= 0 || k <= 0 || mu <= 0 {
 		return 1
 	}
-	amp := 1.0
-	for iter := 0; iter < 32; iter++ {
+	return c.FixedPoint(1, 32, func(amp float64) float64 {
 		pTO := analytic.MMkTimeoutProb(lambda*amp, mu, k, pol.TimeoutS)
 		next := analytic.RetryAttempts(pTO, pol.MaxRetries)
 		if pol.BreakerThreshold > 0 && pTO >= pol.BreakerThreshold {
 			next = 1
 		}
-		amp = 0.5*amp + 0.5*next
-	}
-	return amp
+		return 0.5*amp + 0.5*next
+	})
 }
 
 // clamp01 clamps a Loss callback's pair into [0, 1].
@@ -500,6 +530,7 @@ func (st *State) Resolve(t des.Time) {
 	if !st.Active() || st.stopped || st.eng == nil || t < st.lastEval {
 		return
 	}
+	st.work.Resolves++
 	st.accrue(t)
 	st.eval(t)
 }
@@ -535,12 +566,16 @@ func (st *State) WaitFor(idx int) des.Time {
 	if r.Float64() >= p.PWait {
 		return 0
 	}
-	w := des.FromNanos(r.ExpFloat64() / p.condRate * 1e9)
+	w := des.FromNanos(r.ExpFloat64() / p.CondRate * 1e9)
 	if w > p.capped {
 		w = p.capped
 	}
 	return w
 }
+
+// Work returns the tier's live work counters, so the rate callback can
+// book the solves it runs on the tier's behalf.
+func (st *State) Work() *Counters { return &st.work }
 
 // Point reports service idx's current epoch equilibrium.
 func (st *State) Point(idx int) analytic.MMkPoint {
@@ -560,6 +595,7 @@ type Snapshot struct {
 	Shed            int64
 	Unreachable     int64
 	SaturatedEpochs int
+	Work            Counters
 }
 
 // Snapshot resolves the accrued background flow.
@@ -579,6 +615,7 @@ func (st *State) Snapshot() Snapshot {
 		Shed:            shed,
 		Unreachable:     unreach,
 		SaturatedEpochs: st.satEpochs,
+		Work:            st.work,
 	}
 }
 

@@ -256,3 +256,35 @@ func TestReplicaChangeReflected(t *testing.T) {
 		t.Fatalf("scale-up not reflected: wait %v -> %v", before, after)
 	}
 }
+
+// TestWorkCounters: the simulator-side counters in the snapshot count what
+// the tier did. Under a constant envelope only the first evaluation
+// solves; a capacity change re-solves once, event-driven; a retry policy
+// books its fixed point.
+func TestWorkCounters(t *testing.T) {
+	k := 4
+	svc := []Service{{Name: "web", Visits: 1, MeanServiceS: 0.010, Servers: func() int { return k },
+		Policy: &Policy{TimeoutS: 0.05, MaxRetries: 2}}}
+	eng := des.New()
+	st, err := New(Config{SampleRate: 0.2}, svc,
+		func(des.Time) float64 { return 240 }, rng.NewSplitter(3).Child("hybrid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Start(eng, 0, 0)
+	eng.Post(520*des.Millisecond, func(tt des.Time) {
+		k = 3
+		st.Resolve(tt)
+	})
+	eng.RunUntil(des.Second)
+	st.Finish(des.Second)
+	w := st.Snapshot().Work
+	// Evaluations at 0, 50ms, ..., 1s and one re-solve; two of them (the
+	// first, and the one after the capacity change) miss the memo.
+	if w.Epochs != 21 || w.Resolves != 1 || w.MemoHits != 20 || w.Solves != 2 {
+		t.Fatalf("work counters %+v, want 21 epochs, 1 re-solve, 20 memo hits, 2 solves", w)
+	}
+	if w.Iterations < w.Solves || w.Iterations > 32*w.Solves || w.Capped > w.Solves {
+		t.Fatalf("fixed-point counters out of range: %+v", w)
+	}
+}

@@ -139,28 +139,9 @@ func (s *Sim) setupHybrid(warmupEnd des.Time) error {
 	if s.clientCfg.Sessions != nil {
 		cfg.Closed = true
 		sc := s.clientCfg.Sessions
-		think := sc.MeanThinkS()
-		fpSvcs := svcs
-		// The fixed point costs O(iterations × total cores) via ErlangC;
-		// the envelope is piecewise-constant, so memoize on the population
-		// and the deployment's live core counts (which faults can change).
-		var memoPop, memoRate float64
-		var memoSig uint64
-		memoPop = -1
+		cr := newClosedRate(sc.MeanThinkS(), svcs)
 		rate = func(t des.Time) float64 {
-			n := float64(sc.PopulationAt(t))
-			sig := uint64(0)
-			for _, sv := range fpSvcs {
-				sig = sig*1000003 + uint64(sv.Servers())
-				if sv.Speed != nil {
-					sig = sig*1000003 + math.Float64bits(sv.Speed())
-				}
-			}
-			if n != memoPop || sig != memoSig {
-				memoPop, memoSig = n, sig
-				memoRate = closedPopulationRate(n, think, fpSvcs)
-			}
-			return memoRate
+			return cr.at(float64(sc.PopulationAt(t)), s.fluid.Work())
 		}
 	} else {
 		base := s.clientCfg.Pattern
@@ -387,87 +368,105 @@ func meanServiceSeconds(bp *service.Blueprint, meanKB float64) (float64, error) 
 	return ns / 1e9, nil
 }
 
-// closedPopulationRate solves the closed-population fixed point over the
-// full service chain: n users cycling through think time Z and every
-// service's queue, λ = n / (Z + Σ visits·(E[S] + Wq)). Like
-// analytic.ClosedMMkRate but multi-service; the returned rate never
-// exceeds the bottleneck capacity.
-func closedPopulationRate(n, thinkS float64, svcs []hybrid.Service) float64 {
+// closedRate is the session client's offered-rate envelope: the closed-
+// population fixed point over the full service chain, n users cycling
+// through think time Z and every service's queue, λ = n / (Z + Σ
+// visits·(E[S] + Wq)). The rate never exceeds the bottleneck capacity.
+// A solve costs O(iterations × total cores) via ErlangC and the envelope
+// is piecewise-constant, so the last solve is memoized on its exact
+// inputs: the population and every service's live core count and speed
+// (both of which faults can change).
+type closedRate struct {
+	thinkS float64
+	svcs   []hybrid.Service
+	n      float64 // memoized population; NaN before the first solve
+	in     []closedInput
+	rate   float64
+}
+
+type closedInput struct {
+	k     int
+	speed float64
+	es    float64 // effective seconds per visit, derived from speed
+}
+
+func newClosedRate(thinkS float64, svcs []hybrid.Service) *closedRate {
+	return &closedRate{thinkS: thinkS, svcs: svcs, n: math.NaN(), in: make([]closedInput, len(svcs))}
+}
+
+// at returns the closed rate for population n at the services' current
+// state, replaying the memoized solve when nothing it read has changed.
+func (c *closedRate) at(n float64, work *hybrid.Counters) float64 {
+	hit := n == c.n
+	for i := range c.svcs {
+		sv, in := &c.svcs[i], &c.in[i]
+		// Effective per-visit service times: DVFS degrades stretch E[S] by
+		// 1/speed, shifting both the zero-contention base time and the
+		// bottleneck capacity the fixed point clamps to.
+		k, speed := sv.Servers(), 1.0
+		if sv.Speed != nil {
+			speed = sv.Speed()
+		}
+		// Speeds compare by bits, so a NaN equals itself and still hits.
+		if k != in.k || math.Float64bits(speed) != math.Float64bits(in.speed) {
+			hit = false
+			*in = closedInput{k: k, speed: speed, es: sv.MeanServiceS / speed}
+		}
+	}
+	if hit {
+		work.MemoHits++
+		return c.rate
+	}
+	c.n = n
+	c.rate = c.solve(n, work)
+	return c.rate
+}
+
+func (c *closedRate) solve(n float64, work *hybrid.Counters) float64 {
 	if n <= 0 {
 		return 0
 	}
-	// Effective per-visit service times: DVFS degrades stretch E[S] by
-	// 1/speed, shifting both the zero-contention base time and the
-	// bottleneck capacity the fixed point clamps to.
-	es := make([]float64, len(svcs))
-	for i := range svcs {
-		es[i] = svcs[i].MeanServiceS
-		if svcs[i].Speed != nil {
-			sp := svcs[i].Speed()
-			if !(sp > 0) {
-				return 0 // frozen service: closed users pile up behind it
-			}
-			es[i] = svcs[i].MeanServiceS / sp
-		}
-	}
 	capacity := math.Inf(1)
-	base := thinkS
-	for i := range svcs {
-		sv := &svcs[i]
+	base := c.thinkS
+	for i := range c.svcs {
+		sv, in := &c.svcs[i], &c.in[i]
+		if !(in.speed > 0) {
+			return 0 // frozen service: closed users pile up behind it
+		}
 		if sv.Visits <= 0 {
 			continue
 		}
-		base += sv.Visits * es[i]
-		k := sv.Servers()
-		if k <= 0 {
+		base += sv.Visits * in.es
+		if in.k <= 0 {
 			// Total outage of a required service (every replica down under
 			// a fault plan): closed users pile up behind it and the system
 			// delivers nothing until it recovers.
 			return 0
 		}
-		if c := float64(k) / es[i] / sv.Visits; c < capacity {
-			capacity = c
-		}
+		capacity = math.Min(capacity, float64(in.k)/in.es/sv.Visits)
 	}
 	if base <= 0 {
 		return 0
 	}
-	lam := n / base
-	if !math.IsInf(capacity, 1) && lam > 0.999*capacity {
-		lam = 0.999 * capacity
-	}
-	for i := 0; i < 64; i++ {
-		r := thinkS
-		saturated := false
-		for j := range svcs {
-			sv := &svcs[j]
-			r += sv.Visits * es[j]
+	// With no visited service capacity is +Inf and so is the clamp, which
+	// then never binds.
+	clamp := 0.999 * capacity
+	lam := work.FixedPoint(math.Min(n/base, clamp), 64, func(lam float64) float64 {
+		r := c.thinkS
+		for i := range c.svcs {
+			sv, in := &c.svcs[i], &c.in[i]
+			r += sv.Visits * in.es
 			if sv.Visits <= 0 {
 				continue
 			}
-			w := analytic.MMkMeanWait(lam*sv.Visits, 1/es[j], sv.Servers())
+			w := analytic.MMkMeanWait(lam*sv.Visits, 1/in.es, in.k)
 			if analytic.IsSaturated(w) {
-				saturated = true
-				break
+				return clamp
 			}
 			r += sv.Visits * w
 		}
-		if saturated {
-			if math.IsInf(capacity, 1) {
-				// No finite bottleneck to clamp to (defensive: the zero-
-				// server scan above should have caught this) — report zero
-				// throughput rather than letting Inf leak into accrual.
-				return 0
-			}
-			lam = 0.999 * capacity
-			continue
-		}
-		next := n / r
-		if !math.IsInf(capacity, 1) && next > 0.999*capacity {
-			next = 0.999 * capacity
-		}
-		lam = 0.5*lam + 0.5*next
-	}
+		return 0.5*lam + 0.5*math.Min(n/r, clamp)
+	})
 	if math.IsNaN(lam) || math.IsInf(lam, 0) || lam < 0 {
 		return 0
 	}

@@ -17,20 +17,20 @@ func TestClosedPopulationRateTotalOutage(t *testing.T) {
 	dead := []hybrid.Service{
 		{Name: "web", Visits: 1, MeanServiceS: 0.010, Servers: func() int { return 0 }},
 	}
-	if got := closedPopulationRate(1000, 0.1, dead); got != 0 {
+	if got := closedRateOf(1000, 0.1, dead); got != 0 {
 		t.Fatalf("total outage rate = %v, want 0", got)
 	}
 	mixed := []hybrid.Service{
 		{Name: "web", Visits: 1, MeanServiceS: 0.010, Servers: func() int { return 4 }},
 		{Name: "db", Visits: 2, MeanServiceS: 0.005, Servers: func() int { return 0 }},
 	}
-	if got := closedPopulationRate(1000, 0.1, mixed); got != 0 {
+	if got := closedRateOf(1000, 0.1, mixed); got != 0 {
 		t.Fatalf("required-service outage rate = %v, want 0", got)
 	}
 	healthy := []hybrid.Service{
 		{Name: "web", Visits: 1, MeanServiceS: 0.010, Servers: func() int { return 4 }},
 	}
-	got := closedPopulationRate(1000, 0.1, healthy)
+	got := closedRateOf(1000, 0.1, healthy)
 	if math.IsNaN(got) || math.IsInf(got, 0) || got <= 0 {
 		t.Fatalf("healthy rate = %v, want finite positive", got)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"uqsim/internal/des"
 	"uqsim/internal/graph"
+	"uqsim/internal/hybrid"
 	"uqsim/internal/job"
 	"uqsim/internal/service"
 	"uqsim/internal/stats"
@@ -715,6 +716,10 @@ type Report struct {
 	// SaturatedEpochs counts fluid-tier epochs with at least one
 	// saturated service.
 	SaturatedEpochs int
+	// FluidWork counts what the fluid tier cost the host (epochs,
+	// re-solves, memo hits, fixed-point iterations). It describes the
+	// simulator, not the simulated system: the fingerprint leaves it out.
+	FluidWork hybrid.Counters
 }
 
 func (s *Sim) report(horizon des.Time) *Report {
@@ -751,6 +756,7 @@ func (s *Sim) report(horizon des.Time) *Report {
 		r.BackgroundShed = uint64(snap.Shed)
 		r.BackgroundUnreachable = uint64(snap.Unreachable)
 		r.SaturatedEpochs = snap.SaturatedEpochs
+		r.FluidWork = snap.Work
 		if by := s.fluid.ByCause(); len(by) > 0 {
 			r.BackgroundShedByCause = make(map[string]uint64, len(by))
 			for cause, n := range by {

@@ -258,6 +258,7 @@ func (c *SessionConfig) TreeWeights() []float64 {
 // sessionUser is one live simulated (foreground-sampled) user.
 type sessionUser struct {
 	r        *rng.Source
+	wake     func(t des.Time) // issues the next request; bound once at spawn
 	journey  int
 	step     int
 	offAt    des.Time // end of the current on-period (OnOff only)
@@ -287,14 +288,18 @@ type Sessions struct {
 	split *rng.Splitter
 
 	users map[int]*sessionUser
-	// order lists users in spawn order, for LIFO retirement: a simulated
-	// user's id, or a negative marker for a background user. A departed
-	// user leaves its entry behind as a tombstone (an id no longer in
-	// users), which retire skips; departed counts them and compactOrder
+	// order lists users in spawn order, for LIFO retirement, run-length
+	// coded: one entry per simulated user, holding its id and the number of
+	// background users spawned after it and before the next simulated one.
+	// order[0] is a sentinel (id -1) that holds the background users older
+	// than every simulated one. Spawning or retiring a background user
+	// moves a count, so the list grows with the simulated users only. A
+	// departed user leaves its entry behind as a tombstone (an id no longer
+	// in users), which retire skips; departed counts them and compactOrder
 	// sweeps them once they are the larger half, so a departure costs O(1)
 	// amortised however long the list. orderSwept counts the entries those
 	// sweeps visit.
-	order      []int
+	order      []orderEntry
 	departed   int
 	orderSwept int
 	nextID     int
@@ -305,6 +310,11 @@ type Sessions struct {
 	pendingRetire int
 	jCum          []float64
 	stopTick      bool
+}
+
+type orderEntry struct {
+	id      int // simulated user, or -1 for the sentinel
+	bgAfter int // background users spawned between this entry and the next
 }
 
 // NewSessions builds a session source. The splitter must be dedicated to
@@ -322,6 +332,7 @@ func NewSessions(eng des.Scheduler, split *rng.Splitter, cfg SessionConfig, emit
 		eng:   eng,
 		split: split,
 		users: make(map[int]*sessionUser),
+		order: []orderEntry{{id: -1}},
 	}
 	s.jCum = make([]float64, len(cfg.Journeys))
 	cum := 0.0
@@ -400,17 +411,18 @@ func (s *Sessions) spawn(now des.Time) {
 	s.nextID++
 	if s.SampleUser != nil && !s.SampleUser(id) {
 		s.bgUsers++
-		s.order = append(s.order, -id-1) // negative marker: background user
+		s.order[len(s.order)-1].bgAfter++
 		return
 	}
 	u := &sessionUser{r: s.split.Stream("user", fmt.Sprint(id))}
+	u.wake = func(t des.Time) { s.issue(t, id, u) }
 	u.journey = s.pickJourney(u.r)
 	u.step = 0
 	if s.cfg.OnOff != nil {
 		u.offAt = now + expTime(u.r, s.cfg.OnOff.MeanOn)
 	}
 	s.users[id] = u
-	s.order = append(s.order, id)
+	s.order = append(s.order, orderEntry{id: id})
 	s.issueAfterThink(now, id, u)
 }
 
@@ -419,16 +431,15 @@ func (s *Sessions) spawn(now des.Time) {
 // inflight requests drain and conservation holds.
 func (s *Sessions) retire(n int) {
 	for i := len(s.order) - 1; i >= 0 && n > 0; i-- {
-		key := s.order[i]
-		if key < 0 { // background marker
-			if s.bgUsers > 0 {
-				s.bgUsers--
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				n--
-			}
-			continue
+		e := &s.order[i]
+		// The background users after e are newer than e itself.
+		bg := min(e.bgAfter, n)
+		e.bgAfter -= bg
+		s.bgUsers -= bg
+		if n -= bg; n == 0 {
+			return
 		}
-		u, ok := s.users[key]
+		u, ok := s.users[e.id]
 		if !ok || u.retiring {
 			continue
 		}
@@ -472,19 +483,23 @@ func (s *Sessions) issueAfterThink(now des.Time, id int, u *sessionUser) {
 		gap += pause
 		u.offAt = now + gap + expTime(u.r, s.cfg.OnOff.MeanOn)
 	}
-	s.eng.Post(now+gap, func(t des.Time) {
-		if u.gone {
-			return
-		}
-		if u.retiring {
-			s.depart(id, u)
-			return
-		}
-		u.inflight = true
-		u.lastIss = t
-		u.issued = true
-		s.Emit(t, id, s.cfg.Journeys[u.journey].Steps[u.step].Tree)
-	})
+	s.eng.Post(now+gap, u.wake)
+}
+
+// issue is a user's wake-up after its think time: it sends the current
+// step's request, unless the user was retired while thinking.
+func (s *Sessions) issue(t des.Time, id int, u *sessionUser) {
+	if u.gone {
+		return
+	}
+	if u.retiring {
+		s.depart(id, u)
+		return
+	}
+	u.inflight = true
+	u.lastIss = t
+	u.issued = true
+	s.Emit(t, id, s.cfg.Journeys[u.journey].Steps[u.step].Tree)
 }
 
 // Done advances user id past its current step: the sim layer calls it
@@ -520,13 +535,15 @@ func (s *Sessions) depart(id int, u *sessionUser) {
 }
 
 // compactOrder drops the tombstones of departed users, keeping the order
-// of everyone else.
+// of everyone else: a tombstone's background run joins the entry before it.
 func (s *Sessions) compactOrder() {
 	s.orderSwept += len(s.order)
-	live := s.order[:0]
-	for _, key := range s.order {
-		if _, ok := s.users[key]; ok || key < 0 {
-			live = append(live, key)
+	live := s.order[:1] // the sentinel stays
+	for _, e := range s.order[1:] {
+		if _, ok := s.users[e.id]; ok {
+			live = append(live, e)
+		} else {
+			live[len(live)-1].bgAfter += e.bgAfter
 		}
 	}
 	s.order = live
