@@ -32,15 +32,23 @@ bench: bench-engine
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # bench-engine records the DES scheduling and PDES dispatch benchmarks in
-# benchstat format. BENCH_engine.json is the committed trajectory point;
-# compare a working tree against it with
+# benchstat format: post, cold-path At, Arm+Cancel of a caller-owned timer,
+# a self-rescheduling chain, and the hold model (pop + post at a standing
+# depth of 64, 4k and 100k). BENCH_engine.json is the committed trajectory
+# point; compare a working tree against it with
 #   benchstat BENCH_engine.json <(make -s bench-engine)
+# -cpu 1 because every committed point was recorded on one processor: the
+# rows keep their names and the sharded rows keep measuring dispatch cost,
+# not this host's core count.
 bench-engine:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSharded' -benchmem \
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSharded' -benchmem -cpu 1 \
 		./internal/des ./internal/pdes | tee BENCH_engine.json
 
 # bench-throughput tracks the simulator hot path (the "scalable" claim):
-# the policy variant must stay within a few percent of the base rate.
+# the policy variant must stay within a few percent of the base rate and
+# of its allocation count (a timer armed and abandoned allocates nothing);
+# what the hedging variant still allocates is the epoll queues' one-off
+# subqueue per connection, 2,048 connections on nine instances.
 bench-throughput:
 	$(GO) test -run xxx -bench 'BenchmarkSimulatorEventRate' -benchtime 5x -benchmem .
 
@@ -92,11 +100,14 @@ examples-run: examples
 		$(GO) run ./$$d -max-wall $(EXAMPLES_MAX_WALL) >/dev/null; \
 	done
 
-# fuzz exercises every config-loader fuzz target for FUZZTIME each. CI runs
-# this as a short smoke; leave a target running longer locally with e.g.
+# fuzz exercises the event-queue script fuzzer (live engine against the
+# container/heap reference) and every config-loader fuzz target for
+# FUZZTIME each. CI runs this as a short smoke; leave a target running
+# longer locally with e.g.
 #   make fuzz FUZZTIME=5m
 FUZZTIME ?= 10s
 fuzz:
+	$(GO) test ./internal/des -run xxx -fuzz FuzzEngineScript -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/config -run xxx -fuzz FuzzMachines -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/config -run xxx -fuzz FuzzFaults -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/config -run xxx -fuzz FuzzControl -fuzztime $(FUZZTIME)

@@ -4,16 +4,50 @@ import (
 	"runtime"
 	"testing"
 
+	"uqsim/internal/config"
 	"uqsim/internal/des"
+	"uqsim/internal/dist"
+	"uqsim/internal/fault"
 	"uqsim/internal/sim"
+	"uqsim/internal/workload"
 )
+
+// guardedThreeRegion is the three-region config directory (region-homed
+// client with a timeout, WAN hops, heartbeats and region failover, a region
+// crash and recovery) at a steady 6 kQPS with a timeout, retries, a hedge and
+// a breaker on both edges: every kind of request-path timer is armed on
+// every request, and nearly all are abandoned.
+func guardedThreeRegion() (*sim.Sim, error) {
+	setup, err := config.LoadDir("../../configs/threeregion")
+	if err != nil {
+		return nil, err
+	}
+	s := setup.Sim
+	cc := s.Client()
+	cc.Pattern = workload.ConstantRate(6000)
+	cc.Budget = dist.NewDeterministic(float64(150 * des.Millisecond))
+	s.SetClient(cc)
+	for _, svc := range []string{"front", "store"} {
+		if err := s.SetServicePolicy(svc, fault.Policy{
+			Timeout: 50 * des.Millisecond, MaxRetries: 2, BackoffBase: des.Millisecond, BackoffJitter: 0.5,
+			Hedge:   &fault.HedgeSpec{Quantile: 0.95, MinSamples: 64},
+			Breaker: &fault.BreakerSpec{ErrorThreshold: 0.5, Window: 64, Cooldown: 100 * des.Millisecond},
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
 
 // TestRequestPathAllocationCeiling keeps the request path allocation-free:
 // jobs, requests, request state, stage runs and queue buffers are all
 // recycled, so what a run still allocates is the one-off growth of those
 // pools, not something per request. The ceilings are the figures measured
 // when the pools went in (PR 12) plus 10 %; before, the two-tier cell
-// allocated 70 times per request and the fan-out cell 3,000 times.
+// allocated 70 times per request and the fan-out cell 3,000 times. The
+// guarded three-region cell joined with PR 16, which moved every policy and
+// control-plane timer into the record it guards: before, it allocated 17
+// times per request.
 func TestRequestPathAllocationCeiling(t *testing.T) {
 	cells := []struct {
 		name     string
@@ -36,6 +70,28 @@ func TestRequestPathAllocationCeiling(t *testing.T) {
 			},
 			duration: 10 * des.Second,
 			ceiling:  18.3, // measured 16.63
+		},
+		{
+			// BenchmarkSimulatorEventRateWithPolicies' shape: a timeout armed
+			// and abandoned on every memcached call (3.1 before PR 16).
+			name: "twotier+policy",
+			build: func() (*sim.Sim, error) {
+				s, err := TwoTier(TwoTierConfig{Seed: 1, QPS: 40000, Network: true})
+				if err != nil {
+					return nil, err
+				}
+				return s, s.SetServicePolicy("memcached", fault.Policy{
+					Timeout: des.Second, MaxRetries: 2, BackoffBase: des.Millisecond,
+				})
+			},
+			duration: des.Second,
+			ceiling:  0.063, // measured 0.057
+		},
+		{
+			name:     "threeregion+policies",
+			build:    guardedThreeRegion,
+			duration: 2 * des.Second,
+			ceiling:  0.355, // measured 0.321
 		},
 	}
 	for _, c := range cells {

@@ -32,7 +32,7 @@ func (p *Plane) evaluateScale(now des.Time, md *managedDeployment) {
 	}
 	as := md.scale
 	ac := as.cfg
-	defer p.eng.After(ac.Interval, func(t des.Time) { p.evaluateScale(t, md) })
+	defer p.after(ac.Interval, md.scaleTick)
 
 	// Serving replicas: up, not retired. Ejected instances still burn
 	// cores, so they count for capacity even while out of the rotation.
@@ -153,5 +153,5 @@ func (p *Plane) drainAndRelease(now des.Time, md *managedDeployment, tr *instanc
 			return
 		}
 	}
-	p.eng.After(md.scale.cfg.Interval/4+1, func(t des.Time) { p.drainAndRelease(t, md, tr) })
+	p.after(md.scale.cfg.Interval/4+1, func(t des.Time) { p.drainAndRelease(t, md, tr) })
 }

@@ -286,6 +286,14 @@ type Plane struct {
 	lostRegions map[string]bool
 	stats       Stats
 	stopped     bool
+	// Loop callbacks are bound once, so that a tick allocates nothing.
+	suspicionTick, regionTick des.Callback
+}
+
+// after posts fn d from now. No control-plane event is ever cancelled:
+// a stopped plane's loops stand down when they next fire.
+func (p *Plane) after(d des.Time, fn des.Callback) {
+	p.eng.Post(p.eng.Now()+max(d, 0), fn)
 }
 
 // managedDeployment is the plane's view of one deployment.
@@ -293,14 +301,17 @@ type managedDeployment struct {
 	dep    *sim.Deployment
 	tracks []*instanceTrack
 	scale  *autoscaleState // nil unless autoscaled
+
+	ejectTick, scaleTick des.Callback
 }
 
 // instanceTrack is the plane's per-instance state: detector history,
 // ejection window, and autoscaler busy-time cursor.
 type instanceTrack struct {
-	md *managedDeployment
-	in *service.Instance
-	hb *rng.Source
+	md   *managedDeployment
+	in   *service.Instance
+	hb   *rng.Source
+	beat des.Callback
 
 	// Failure detector (Welford over observed heartbeat intervals).
 	lastBeat des.Time
@@ -438,21 +449,25 @@ func Attach(s *sim.Sim, cfg Config) (*Plane, error) {
 	// registerInstance; then one detector check loop, one ejector loop per
 	// deployment, one autoscale loop per scaled deployment.
 	if cfg.Detector != nil {
-		p.eng.After(cfg.Detector.CheckInterval, p.checkSuspicions)
+		p.suspicionTick = p.checkSuspicions
+		p.after(cfg.Detector.CheckInterval, p.suspicionTick)
 	}
 	if cfg.RegionFailover != nil {
-		p.eng.After(cfg.RegionFailover.CheckInterval, p.checkRegions)
+		p.regionTick = p.checkRegions
+		p.after(cfg.RegionFailover.CheckInterval, p.regionTick)
 	}
 	if cfg.Ejection != nil {
 		for _, md := range p.managed {
 			md := md
-			p.eng.After(cfg.Ejection.Interval, func(now des.Time) { p.evaluateEjections(now, md) })
+			md.ejectTick = func(now des.Time) { p.evaluateEjections(now, md) }
+			p.after(cfg.Ejection.Interval, md.ejectTick)
 		}
 	}
 	for _, md := range p.managed {
 		if md.scale != nil {
 			md := md
-			p.eng.After(md.scale.cfg.Interval, func(now des.Time) { p.evaluateScale(now, md) })
+			md.scaleTick = func(now des.Time) { p.evaluateScale(now, md) }
+			p.after(md.scale.cfg.Interval, md.scaleTick)
 		}
 	}
 	return p, nil
@@ -489,6 +504,7 @@ func (p *Plane) registerInstance(md *managedDeployment, in *service.Instance) *i
 	if p.cfg.Detector != nil {
 		tr.hb = p.s.Stream("control", "hb", in.Name)
 		tr.lastBeat = p.eng.Now()
+		tr.beat = func(now des.Time) { p.onBeat(now, tr) }
 		p.scheduleBeat(tr)
 	}
 	return tr

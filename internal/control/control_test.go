@@ -561,3 +561,28 @@ func TestPartitionFalseSuspicion(t *testing.T) {
 		}
 	}
 }
+
+// TestHeartbeatTicksDoNotAllocate: heartbeats and suspicion checks re-arm
+// themselves through callbacks bound once per instance and per plane, so a
+// quiet detector allocates nothing however long it ticks. The engine runs
+// the plane alone: no client is started.
+func TestHeartbeatTicksDoNotAllocate(t *testing.T) {
+	s := singleService(t, 7, sim.RoundRobin, 200, 2000, cluster.FreqSpec{},
+		sim.Placement{Machine: "m0", Cores: 2},
+		sim.Placement{Machine: "m1", Cores: 2})
+	if _, err := Attach(s, Config{
+		Detector: &DetectorConfig{Period: des.Millisecond, Jitter: 0.2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eng := s.Engine()
+	eng.RunUntil(50 * des.Millisecond) // grow the event freelist
+	before := eng.Processed()
+	allocs := testing.AllocsPerRun(20, func() { eng.RunUntil(eng.Now() + 20*des.Millisecond) })
+	if ticks := eng.Processed() - before; ticks < 21*40 {
+		t.Fatalf("only %d detector events fired", ticks)
+	}
+	if allocs != 0 {
+		t.Fatalf("detector ticks allocate %.1f objects per 20 ms, want 0", allocs)
+	}
+}

@@ -25,19 +25,22 @@ func (p *Plane) scheduleBeat(tr *instanceTrack) {
 	if j := p.cfg.Detector.Jitter; j > 0 {
 		d = des.Time(float64(d) * (1 + j*(2*tr.hb.Float64()-1)))
 	}
-	p.eng.After(d, func(now des.Time) {
-		if p.stopped || tr.replaced || tr.md.dep.Retired(tr.in) {
-			return // emitter dies with its instance's tenure
-		}
-		// A beat is only heard when the instance is up AND its machine
-		// can reach the plane's vantage: a partition silences a live
-		// instance exactly like a crash does, which is the whole
-		// ambiguity failure detection lives with.
-		if !tr.in.Down() && p.beatVisible(tr) {
-			p.recordBeat(now, tr)
-		}
-		p.scheduleBeat(tr)
-	})
+	p.after(d, tr.beat)
+}
+
+// onBeat is one heartbeat of tr: heard or not, the next one is armed.
+func (p *Plane) onBeat(now des.Time, tr *instanceTrack) {
+	if p.stopped || tr.replaced || tr.md.dep.Retired(tr.in) {
+		return // emitter dies with its instance's tenure
+	}
+	// A beat is only heard when the instance is up AND its machine
+	// can reach the plane's vantage: a partition silences a live
+	// instance exactly like a crash does, which is the whole
+	// ambiguity failure detection lives with.
+	if !tr.in.Down() && p.beatVisible(tr) {
+		p.recordBeat(now, tr)
+	}
+	p.scheduleBeat(tr)
 }
 
 // recordBeat folds one received heartbeat into the detector state. A beat
@@ -105,7 +108,7 @@ func (p *Plane) checkSuspicions(now des.Time) {
 			}
 		}
 	}
-	p.eng.After(p.cfg.Detector.CheckInterval, p.checkSuspicions)
+	p.after(p.cfg.Detector.CheckInterval, p.suspicionTick)
 }
 
 // declareDead marks an instance failed and, when failover is configured,
@@ -123,7 +126,7 @@ func (p *Plane) declareDead(now des.Time, tr *instanceTrack) {
 		tr.suspectEject = true
 	}
 	if p.cfg.Failover != nil {
-		p.eng.After(p.cfg.Failover.RestartDelay, func(t des.Time) { p.failover(t, tr) })
+		p.after(p.cfg.Failover.RestartDelay, func(t des.Time) { p.failover(t, tr) })
 	}
 }
 
@@ -144,14 +147,14 @@ func (p *Plane) failover(now des.Time, tr *instanceTrack) {
 	machine, ok := p.placeReplica(p.cfg.Failover.Machines, tr.in.Alloc.Cores, "")
 	if !ok {
 		p.stats.FailoverStalls++
-		p.eng.After(p.cfg.Failover.RestartDelay, func(t des.Time) { p.failover(t, tr) })
+		p.after(p.cfg.Failover.RestartDelay, func(t des.Time) { p.failover(t, tr) })
 		return
 	}
 	in, err := p.s.AddReplica(dep.Name, machine, tr.in.Alloc.Cores)
 	if err != nil {
 		// Raced with another allocation; try again next delay.
 		p.stats.FailoverStalls++
-		p.eng.After(p.cfg.Failover.RestartDelay, func(t des.Time) { p.failover(t, tr) })
+		p.after(p.cfg.Failover.RestartDelay, func(t des.Time) { p.failover(t, tr) })
 		return
 	}
 	tr.replaced = true

@@ -85,7 +85,7 @@ func (p *Plane) evaluateEjections(now des.Time, md *managedDeployment) {
 		if md.dep.Eject(o.tr.in) {
 			p.stats.Ejections++
 			tr := o.tr
-			p.eng.After(e.Probation, func(t des.Time) { p.reinstate(t, tr) })
+			p.after(e.Probation, func(t des.Time) { p.reinstate(t, tr) })
 		}
 	}
 
@@ -96,7 +96,7 @@ func (p *Plane) evaluateEjections(now des.Time, md *managedDeployment) {
 			tr.lat = stats.NewP2Quantile(e.Quantile)
 		}
 	}
-	p.eng.After(e.Interval, func(t des.Time) { p.evaluateEjections(t, md) })
+	p.after(e.Interval, md.ejectTick)
 }
 
 // reinstate ends an instance's probation: back into the rotation with a

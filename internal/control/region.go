@@ -82,7 +82,7 @@ func (p *Plane) checkRegions(now des.Time) {
 		case lost && !p.lostRegions[name]:
 			p.lostRegions[name] = true
 			p.stats.RegionLosses++
-			p.eng.After(p.cfg.RegionFailover.DrainDelay, func(t des.Time) { p.promoteAway(t, name) })
+			p.after(p.cfg.RegionFailover.DrainDelay, func(t des.Time) { p.promoteAway(t, name) })
 		case !lost && p.lostRegions[name]:
 			delete(p.lostRegions, name)
 			p.stats.RegionRestores++
@@ -91,7 +91,7 @@ func (p *Plane) checkRegions(now des.Time) {
 			// during the outage stay fresh for the traffic they absorbed.
 		}
 	}
-	p.eng.After(p.cfg.RegionFailover.CheckInterval, p.checkRegions)
+	p.after(p.cfg.RegionFailover.CheckInterval, p.regionTick)
 }
 
 // promoteAway fails the lost region's traffic over: for every managed

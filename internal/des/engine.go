@@ -9,56 +9,31 @@ import (
 // which the event fires (always equal to Engine.Now at that instant).
 type Callback func(now Time)
 
-// Event is a handle to a scheduled callback. It can be cancelled until it
-// fires; cancellation removes the heap entry in O(log n), so heavily
-// cancelled workloads (e.g. RPC timeout guards that almost never fire)
-// don't bloat the queue.
+// Event is one scheduled callback. At returns a fresh one as a handle; Arm
+// queues one the caller owns, usually a field of the record the timer
+// guards, so that arming and cancelling allocate nothing. The zero value is
+// not queued. An event is queued from Arm until it fires or is cancelled
+// (an O(log n) removal, so guards that almost never fire don't bloat the
+// heap) and must not be copied or overwritten meanwhile; after that it may
+// be armed again, also from inside its own callback.
 type Event struct {
-	at       Time
-	seq      uint64
-	index    int // heap index; -1 once popped
-	canceled bool
-	pooled   bool // fire-and-forget: recycled after firing, no live handle
-	fn       Callback
+	at     Time
+	seq    uint64
+	fn     Callback
+	pos    int32 // heap index + 1; 0 while not queued
+	pooled bool  // posted fire-and-forget: the queue recycles it, no handle exists
 }
 
-// At reports the virtual time the event is scheduled for.
+// At reports the virtual time the event was last scheduled for.
 func (e *Event) At() Time { return e.at }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
+// Pending reports whether the event is queued: armed and neither fired nor
+// cancelled yet.
+func (e *Event) Pending() bool { return e.pos != 0 }
 
-// Fn reports the event's callback. It exists for engines executing
-// popped events; model code has no business calling it.
-func (e *Event) Fn() Callback { return e.fn }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+// before orders events by (time, sequence).
+func (e *Event) before(o *Event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
 // Engine is a single-threaded discrete-event simulation loop. Zero value is
@@ -72,6 +47,7 @@ type Engine struct {
 	// else on the engine remains single-threaded.
 	stopped   atomic.Bool
 	processed uint64
+	armed     uint64
 	canceled  uint64
 }
 
@@ -91,12 +67,28 @@ func (e *Engine) Pending() int { return e.q.Len() }
 // Processed reports how many events have fired since construction.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
+// Armed reports how many cancellable events (Arm, At, After) have been
+// scheduled, and Canceled how many of them were removed before firing.
+func (e *Engine) Armed() uint64    { return e.armed }
+func (e *Engine) Canceled() uint64 { return e.canceled }
+
+// Arm schedules fn to run at absolute virtual time t on ev, an event the
+// caller owns and that is not queued (see Event). Scheduling in the past
 // panics: it indicates a causality bug in a model, never a recoverable
 // condition.
-func (e *Engine) At(t Time, fn Callback) *Event {
+func (e *Engine) Arm(ev *Event, t Time, fn Callback) {
 	e.check(t, fn)
-	return e.q.Schedule(t, fn, false)
+	e.armed++
+	e.q.Arm(ev, t, fn)
+}
+
+// At is Arm on a freshly allocated event, returned as the handle. It suits
+// cold paths; a hot path that cancels owns its event and calls Arm, one that
+// never cancels calls Post.
+func (e *Engine) At(t Time, fn Callback) *Event {
+	ev := new(Event)
+	e.Arm(ev, t, fn)
+	return ev
 }
 
 // After schedules fn to run d after the current virtual time. Negative
@@ -114,7 +106,7 @@ func (e *Engine) After(d Time, fn Callback) *Event {
 // do not allocate in steady state.
 func (e *Engine) Post(t Time, fn Callback) {
 	e.check(t, fn)
-	e.q.Schedule(t, fn, true)
+	e.q.Post(t, fn)
 }
 
 func (e *Engine) check(t Time, fn Callback) {
@@ -126,8 +118,8 @@ func (e *Engine) check(t Time, fn Callback) {
 	}
 }
 
-// Cancel prevents ev from firing and removes its heap entry. Cancelling an
-// already-fired or already-cancelled event is a harmless no-op.
+// Cancel prevents ev from firing and removes its heap entry. Cancelling a
+// nil, never-armed, fired or already-cancelled event is a harmless no-op.
 func (e *Engine) Cancel(ev *Event) {
 	if e.q.Remove(ev) {
 		e.canceled++
@@ -140,15 +132,13 @@ func (e *Engine) Step() bool {
 	if e.stopped.Load() {
 		return false
 	}
-	ev := e.q.Pop()
-	if ev == nil {
+	at, fn := e.q.Pop()
+	if fn == nil {
 		return false
 	}
-	e.now = ev.at
+	e.now = at
 	e.processed++
-	fn := ev.fn
-	e.q.Recycle(ev)
-	fn(e.now)
+	fn(at)
 	return true
 }
 
@@ -161,12 +151,11 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps ≤ deadline, then advances the clock
 // to the deadline. Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline Time) {
-	for !e.stopped.Load() {
+	for {
 		next, ok := e.q.Peek()
-		if !ok || next > deadline {
+		if !ok || next > deadline || !e.Step() {
 			break
 		}
-		e.Step()
 	}
 	if e.now < deadline && !e.stopped.Load() {
 		e.now = deadline

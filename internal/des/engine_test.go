@@ -138,8 +138,8 @@ func TestEngineCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("event not marked cancelled")
+	if ev.Pending() {
+		t.Fatal("cancelled event still pending")
 	}
 	// Double-cancel and nil-cancel are no-ops.
 	e.Cancel(ev)
@@ -148,7 +148,7 @@ func TestEngineCancel(t *testing.T) {
 
 // TestEngineCancelAfterFired: cancelling an event that already ran is a
 // no-op — it must not touch the heap (the event's slot may have been
-// reused) or re-mark it as pending work.
+// reused), count as a cancellation or re-mark it as pending work.
 func TestEngineCancelAfterFired(t *testing.T) {
 	e := New()
 	fired := 0
@@ -156,8 +156,8 @@ func TestEngineCancelAfterFired(t *testing.T) {
 	later := e.At(20, func(Time) { fired++ })
 	e.Step() // fires ev
 	e.Cancel(ev)
-	if !ev.Canceled() {
-		t.Fatal("post-fire cancel should still mark the event")
+	if ev.Pending() || e.Canceled() != 0 {
+		t.Fatalf("post-fire cancel: pending %v, cancelled count %d, want false, 0", ev.Pending(), e.Canceled())
 	}
 	e.Run()
 	if fired != 2 {

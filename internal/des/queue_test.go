@@ -7,23 +7,23 @@ func TestEventQueueOrderAndRecycle(t *testing.T) {
 	var got []int
 	rec := func(i int) Callback { return func(Time) { got = append(got, i) } }
 
-	q.Schedule(30, rec(2), true)
-	q.Schedule(10, rec(0), true)
-	q.Schedule(10, rec(1), true) // same time: scheduling order breaks the tie
-	q.Schedule(40, rec(3), false)
+	var owned Event
+	q.Post(30, rec(2))
+	q.Post(10, rec(0))
+	q.Post(10, rec(1)) // same time: scheduling order breaks the tie
+	q.Arm(&owned, 40, rec(3))
 
 	var prev Time
 	for {
-		ev := q.Pop()
-		if ev == nil {
+		at, fn := q.Pop()
+		if fn == nil {
 			break
 		}
-		if ev.At() < prev {
-			t.Fatalf("events out of order: %v after %v", ev.At(), prev)
+		if at < prev {
+			t.Fatalf("events out of order: %v after %v", at, prev)
 		}
-		prev = ev.At()
-		ev.fn(ev.At())
-		q.Recycle(ev)
+		prev = at
+		fn(at)
 	}
 	for i, v := range got {
 		if v != i {
@@ -31,39 +31,34 @@ func TestEventQueueOrderAndRecycle(t *testing.T) {
 		}
 	}
 	if len(q.free) != 3 {
-		t.Fatalf("freelist has %d events, want 3 (non-pooled event must not be recycled)", len(q.free))
+		t.Fatalf("freelist has %d events, want 3 (a caller-owned event must not be recycled)", len(q.free))
 	}
 
-	// Re-scheduling must reuse freelist storage.
-	before := len(q.free)
-	q.Schedule(50, rec(4), true)
-	if len(q.free) != before-1 {
-		t.Fatalf("Schedule did not draw from freelist: %d -> %d", before, len(q.free))
+	// Posting must reuse freelist storage, arming must not touch it.
+	q.Arm(&owned, 45, rec(5))
+	q.Post(50, rec(4))
+	if len(q.free) != 2 {
+		t.Fatalf("freelist has %d events after one Post and one Arm, want 2", len(q.free))
 	}
 }
 
 func TestEventQueuePopBefore(t *testing.T) {
 	var q EventQueue
 	fn := func(Time) {}
-	q.Schedule(10, fn, true)
-	q.Schedule(20, fn, true)
-	q.Schedule(30, fn, true)
+	q.Post(10, fn)
+	q.Post(20, fn)
+	q.Post(30, fn)
 
-	if ev := q.PopBefore(10); ev != nil {
-		t.Fatalf("PopBefore(10) returned event at %v, want nil (end is exclusive)", ev.At())
+	if at, fn := q.PopBefore(10); fn != nil {
+		t.Fatalf("PopBefore(10) returned event at %v, want none (end is exclusive)", at)
 	}
-	ev := q.PopBefore(25)
-	if ev == nil || ev.At() != 10 {
-		t.Fatalf("PopBefore(25) = %v, want event at 10", ev)
+	for _, want := range []Time{10, 20} {
+		if at, fn := q.PopBefore(25); fn == nil || at != want {
+			t.Fatalf("PopBefore(25) = %v, want event at %v", at, want)
+		}
 	}
-	q.Recycle(ev)
-	ev = q.PopBefore(25)
-	if ev == nil || ev.At() != 20 {
-		t.Fatalf("PopBefore(25) = %v, want event at 20", ev)
-	}
-	q.Recycle(ev)
-	if ev := q.PopBefore(25); ev != nil {
-		t.Fatalf("PopBefore(25) = event at %v, want nil", ev.At())
+	if at, fn := q.PopBefore(25); fn != nil {
+		t.Fatalf("PopBefore(25) = event at %v, want none", at)
 	}
 	if n := q.Len(); n != 1 {
 		t.Fatalf("queue has %d events, want 1", n)
@@ -73,21 +68,21 @@ func TestEventQueuePopBefore(t *testing.T) {
 func TestEventQueueRemove(t *testing.T) {
 	var q EventQueue
 	fired := false
-	ev := q.Schedule(10, func(Time) { fired = true }, false)
-	q.Schedule(20, func(Time) {}, true)
+	var ev Event
+	q.Arm(&ev, 10, func(Time) { fired = true })
+	q.Post(20, func(Time) {})
 
-	if !q.Remove(ev) {
+	if !q.Remove(&ev) {
 		t.Fatal("Remove reported false for a queued event")
 	}
-	if q.Remove(ev) {
+	if q.Remove(&ev) {
 		t.Fatal("second Remove reported true")
 	}
 	if at, ok := q.Peek(); !ok || at != 20 {
 		t.Fatalf("Peek = %v,%v, want 20,true", at, ok)
 	}
-	for ev := q.Pop(); ev != nil; ev = q.Pop() {
-		ev.fn(ev.At())
-		q.Recycle(ev)
+	for at, fn := q.Pop(); fn != nil; at, fn = q.Pop() {
+		fn(at)
 	}
 	if fired {
 		t.Fatal("cancelled event fired")

@@ -8,8 +8,12 @@ package des
 type Scheduler interface {
 	// Now reports the current virtual time.
 	Now() Time
-	// At schedules fn at absolute time t and returns a cancellable
-	// handle. Scheduling in the past panics.
+	// Arm schedules fn at absolute time t on ev, an event the caller
+	// owns and that is not queued; arming and cancelling it allocate
+	// nothing. Scheduling in the past panics.
+	Arm(ev *Event, t Time, fn Callback)
+	// At is Arm on a newly allocated event, returned as the handle: for
+	// cold paths.
 	At(t Time, fn Callback) *Event
 	// After schedules fn d after the current time; negative delays
 	// clamp to zero.
@@ -18,8 +22,8 @@ type Scheduler interface {
 	// is returned and the event's storage is recycled after it fires.
 	// Use it on hot paths that never cancel.
 	Post(t Time, fn Callback)
-	// Cancel prevents ev from firing; no-op on nil, fired or already
-	// cancelled events.
+	// Cancel prevents ev from firing; no-op on nil, never-armed, fired
+	// or already cancelled events.
 	Cancel(ev *Event)
 }
 

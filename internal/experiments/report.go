@@ -8,8 +8,8 @@ import (
 )
 
 // ReportTables renders a simulation report as summary, per-tier, and
-// per-instance tables — shared by the CLI tools. Runs with failed calls gain
-// a fourth per-service error-breakdown table.
+// per-instance tables — shared by the CLI tools. Hybrid runs, runs that
+// armed a policy timer and runs with failed calls each gain a table.
 func ReportTables(rep *sim.Report) []*Table {
 	sum := NewTable("Run summary",
 		"offered_qps", "goodput_qps", "completions", "timeouts", "deadline", "shed", "dropped",
@@ -87,6 +87,23 @@ func ReportTables(rep *sim.Report) []*Table {
 			fmt.Sprintf("%d", w.Iterations),
 			fmt.Sprintf("%d", w.Capped))
 		out = append(out, work)
+	}
+
+	if tw := rep.Timers; tw != (sim.TimerWork{}) {
+		timers := NewTable("Timers (simulator-side; not in the fingerprint)",
+			"kind", "armed", "cancelled", "fired")
+		for _, row := range []struct {
+			kind string
+			n    sim.TimerCounts
+		}{
+			{"attempt_timeout", tw.AttemptTimeout}, {"hedge_trigger", tw.HedgeTrigger},
+			{"client_timeout", tw.ClientTimeout}, {"deadline", tw.Deadline},
+			{"retry_backoff", tw.RetryBackoff},
+		} {
+			timers.Add(row.kind, fmt.Sprintf("%d", row.n.Armed),
+				fmt.Sprintf("%d", row.n.Cancelled), fmt.Sprintf("%d", row.n.Fired))
+		}
+		out = append(out, timers)
 	}
 
 	if rep.CrossRegionCalls > 0 || rep.StaleReads > 0 {

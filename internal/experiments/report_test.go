@@ -87,3 +87,39 @@ func TestReportTablesErrorBreakdown(t *testing.T) {
 		t.Fatalf("svc dropped column should be nonzero: %v", errs.Rows[0])
 	}
 }
+
+// TestReportTablesTimers: a run that arms policy timers gains the timer
+// table, and each kind's cancelled + fired never exceeds its armed.
+func TestReportTablesTimers(t *testing.T) {
+	s := sim.New(sim.Options{Seed: 2})
+	s.AddMachine("m0", 4, cluster.FreqSpec{})
+	if _, err := s.Deploy(service.SingleStage("svc", dist.NewExponential(float64(400*des.Microsecond))),
+		sim.RoundRobin, sim.Placement{Machine: "m0", Cores: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetTopology(graph.Linear("main", "svc")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetServicePolicy("svc", fault.Policy{Timeout: des.Millisecond, MaxRetries: 1, BackoffBase: des.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	s.SetClient(sim.ClientConfig{Pattern: workload.ConstantRate(1500), Timeout: 20 * des.Millisecond})
+	rep, err := s.Run(0, des.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := ReportTables(rep)
+	timers := tables[3]
+	if !strings.HasPrefix(timers.Title, "Timers") || len(timers.Rows) != 5 {
+		t.Fatalf("table 3 is %q with %d rows, want the five timer kinds", timers.Title, len(timers.Rows))
+	}
+	tw := rep.Timers
+	if tw.ClientTimeout.Armed < rep.Arrivals || tw.AttemptTimeout.Fired == 0 || tw.RetryBackoff.Armed != rep.Retries {
+		t.Fatalf("timer counts %+v do not match %d arrivals, %d retries", tw, rep.Arrivals, rep.Retries)
+	}
+	for _, n := range []sim.TimerCounts{tw.AttemptTimeout, tw.HedgeTrigger, tw.ClientTimeout, tw.Deadline, tw.RetryBackoff} {
+		if n.Cancelled+n.Fired > n.Armed {
+			t.Fatalf("timer counts %+v: cancelled + fired exceeds armed", n)
+		}
+	}
+}

@@ -201,6 +201,12 @@ type Job struct {
 	// to restore on arrival.
 	Dest     any
 	DestPath int
+
+	// Owner is the issuing layer's own state for the call attempt this
+	// job carries, attached so its completion or loss reaches that state
+	// without a lookup; nil when nothing guards the job. This package
+	// never looks inside.
+	Owner any
 }
 
 // Factory allocates request and job IDs and recycles the storage of freed

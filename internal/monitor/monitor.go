@@ -84,6 +84,7 @@ type Monitor struct {
 	gauges   []*stats.TimeSeries
 	started  bool
 	samples  int
+	tick     des.Callback // m.sample, bound once
 }
 
 // New creates a monitor sampling every interval of virtual time.
@@ -91,7 +92,9 @@ func New(eng des.Scheduler, interval des.Time) *Monitor {
 	if interval <= 0 {
 		panic("monitor: interval must be positive")
 	}
-	return &Monitor{eng: eng, interval: interval}
+	m := &Monitor{eng: eng, interval: interval}
+	m.tick = m.sample
+	return m
 }
 
 // Watch registers a target under a display name. Must be called before
@@ -144,7 +147,7 @@ func (m *Monitor) Gauges() []*stats.TimeSeries { return m.gauges }
 // Start schedules the first sample one interval from now.
 func (m *Monitor) Start() {
 	m.started = true
-	m.eng.After(m.interval, m.sample)
+	m.eng.Post(m.eng.Now()+m.interval, m.tick)
 }
 
 func (m *Monitor) sample(now des.Time) {
@@ -173,7 +176,7 @@ func (m *Monitor) sample(now des.Time) {
 	for i, fn := range m.gaugeFns {
 		m.gauges[i].Record(now, fn(now))
 	}
-	m.eng.After(m.interval, m.sample)
+	m.eng.Post(now+m.interval, m.tick)
 }
 
 // Samples reports how many sampling rounds have run.

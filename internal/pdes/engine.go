@@ -98,6 +98,9 @@ func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 // other LPs' clocks may differ by up to the lookahead.
 func (e *Engine) Now() des.Time { return e.procs[0].now }
 
+// Arm schedules fn on the coordinator LP on the caller's event.
+func (e *Engine) Arm(ev *des.Event, t des.Time, fn des.Callback) { e.procs[0].Arm(ev, t, fn) }
+
 // At schedules fn on the coordinator LP. See des.Scheduler.
 func (e *Engine) At(t des.Time, fn des.Callback) *des.Event { return e.procs[0].At(t, fn) }
 
@@ -249,7 +252,7 @@ func (e *Engine) mergeAll() {
 				panic(fmt.Sprintf("pdes: merged message for LP %d at %v is before its clock %v",
 					m.dst, m.at, p.now))
 			}
-			p.q.Schedule(m.at, m.fn, true)
+			p.q.Post(m.at, m.fn)
 			m.fn = nil // release the closure; msgs backs the reused scratch
 		}
 	}

@@ -44,11 +44,18 @@ func (p *Proc) Now() des.Time { return p.now }
 // Processed reports how many events this LP has fired.
 func (p *Proc) Processed() uint64 { return p.processed }
 
-// At schedules fn on this LP at absolute time t. Scheduling in the past
-// panics: it indicates a causality bug in a model.
-func (p *Proc) At(t des.Time, fn des.Callback) *des.Event {
+// Arm schedules fn on this LP at absolute time t on the caller's event.
+// Scheduling in the past panics: it indicates a causality bug in a model.
+func (p *Proc) Arm(ev *des.Event, t des.Time, fn des.Callback) {
 	p.check(t, fn)
-	return p.q.Schedule(t, fn, false)
+	p.q.Arm(ev, t, fn)
+}
+
+// At is Arm on a newly allocated event, returned as the handle.
+func (p *Proc) At(t des.Time, fn des.Callback) *des.Event {
+	ev := new(des.Event)
+	p.Arm(ev, t, fn)
+	return ev
 }
 
 // After schedules fn on this LP d after its current time. Negative
@@ -64,7 +71,7 @@ func (p *Proc) After(d des.Time, fn des.Callback) *des.Event {
 // recycled after it fires.
 func (p *Proc) Post(t des.Time, fn des.Callback) {
 	p.check(t, fn)
-	p.q.Schedule(t, fn, true)
+	p.q.Post(t, fn)
 }
 
 // Cancel prevents an event scheduled on this LP from firing. Events
@@ -112,14 +119,12 @@ func (p *Proc) check(t des.Time, fn des.Callback) {
 // picked up in the same pass; cross-LP sends accumulate in the outbox.
 func (p *Proc) runWindow(end des.Time) {
 	for !p.eng.stopped.Load() {
-		ev := p.q.PopBefore(end)
-		if ev == nil {
+		at, fn := p.q.PopBefore(end)
+		if fn == nil {
 			return
 		}
-		p.now = ev.At()
+		p.now = at
 		p.processed++
-		fn := ev.Fn()
-		p.q.Recycle(ev)
-		fn(p.now)
+		fn(at)
 	}
 }

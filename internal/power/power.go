@@ -157,6 +157,7 @@ type Manager struct {
 	TailTrace *stats.TimeSeries            // end-to-end p99 per cycle (ms)
 	FreqTrace map[string]*stats.TimeSeries // per-tier frequency (MHz)
 
+	tick       des.Callback // m.cycle, bound once
 	lastProbe  des.Time
 	cycles     int
 	violations int
@@ -210,6 +211,7 @@ func New(eng des.Scheduler, cfg Config, tiers []*Tier) (*Manager, error) {
 		})
 	}
 	m.targetBucket = cfg.Buckets - 1 // start near the QoS boundary
+	m.tick = m.cycle
 	return m, nil
 }
 
@@ -226,12 +228,12 @@ func (m *Manager) Observe(now des.Time, req *job.Request) {
 
 // Start schedules the first decision cycle.
 func (m *Manager) Start() {
-	m.eng.After(m.cfg.Interval, m.cycle)
+	m.eng.Post(m.eng.Now()+m.cfg.Interval, m.tick)
 }
 
 // cycle is one pass of Algorithm 1.
 func (m *Manager) cycle(now des.Time) {
-	defer m.eng.After(m.cfg.Interval, m.cycle)
+	defer m.eng.Post(now+m.cfg.Interval, m.tick)
 
 	p99, ok := m.e2e.Quantile(now, m.cfg.Quantile)
 	if !ok {

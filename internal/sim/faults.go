@@ -50,7 +50,7 @@ func (s *Sim) InstallFaults(plan fault.Plan) error {
 			}
 			for mi, machine := range d.Machines {
 				mev := fault.Event{At: ev.At + des.Time(mi)*ev.Stagger, Kind: kind, Machine: machine}
-				s.eng.At(mev.At, func(t des.Time) { s.applyFault(t, mev) })
+				s.eng.Post(mev.At, func(t des.Time) { s.applyFault(t, mev) })
 			}
 			continue
 		case fault.PartitionStart:
@@ -84,7 +84,7 @@ func (s *Sim) InstallFaults(plan fault.Plan) error {
 			}
 		}
 		ev := ev
-		s.eng.At(ev.At, func(t des.Time) { s.applyFault(t, ev) })
+		s.eng.Post(ev.At, func(t des.Time) { s.applyFault(t, ev) })
 	}
 	return nil
 }
@@ -174,7 +174,7 @@ func (s *Sim) applyFault(now des.Time, ev fault.Event) {
 			a.SetFreq(ev.FreqMHz)
 		}
 		if ev.Until > now {
-			s.eng.At(ev.Until, func(t des.Time) {
+			s.eng.Post(ev.Until, func(t des.Time) {
 				for i, a := range allocs {
 					a.SetFreq(old[i])
 				}
@@ -185,12 +185,12 @@ func (s *Sim) applyFault(now des.Time, ev fault.Event) {
 		s.edgeExtra[ev.Service] = ev.Extra
 		if ev.Until > now {
 			svc := ev.Service
-			s.eng.At(ev.Until, func(t des.Time) { delete(s.edgeExtra, svc) })
+			s.eng.Post(ev.Until, func(t des.Time) { delete(s.edgeExtra, svc) })
 		}
 	case fault.PartitionStart:
 		s.netState().StartPartition(ev.GroupA, ev.GroupB, ev.OneWay)
 		if ev.Until > now {
-			s.eng.At(ev.Until, func(t des.Time) {
+			s.eng.Post(ev.Until, func(t des.Time) {
 				s.net.HealPartition(ev.GroupA, ev.GroupB, ev.OneWay)
 				s.fluidResolve(t)
 			})
@@ -198,7 +198,7 @@ func (s *Sim) applyFault(now des.Time, ev fault.Event) {
 	case fault.SetLink:
 		s.netState().SetLink(ev.Src, ev.Dst, netfault.Link{Drop: ev.Drop, Dup: ev.Dup})
 		if ev.Until > now {
-			s.eng.At(ev.Until, func(t des.Time) {
+			s.eng.Post(ev.Until, func(t des.Time) {
 				s.net.ClearLink(ev.Src, ev.Dst)
 				s.fluidResolve(t)
 			})
@@ -208,7 +208,7 @@ func (s *Sim) applyFault(now des.Time, ev fault.Event) {
 		if ev.Until > now {
 			// Overlapping steps are last-writer-wins; healing restores the
 			// nominal rate, not the previous step's.
-			s.eng.At(ev.Until, func(t des.Time) {
+			s.eng.Post(ev.Until, func(t des.Time) {
 				*s.loadScale = 1
 				s.fluidResolve(t)
 			})

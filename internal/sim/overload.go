@@ -71,70 +71,29 @@ func (s *Sim) installOverload() {
 // cancelled (lazily, at dequeue), and pending timers leave the event heap
 // via O(log n) cancellation.
 func (s *Sim) onDeadline(now des.Time, req *job.Request) {
-	if req.Failed || req.Done() {
-		return
-	}
+	s.timers.Deadline.Fired++
 	s.failRequest(now, req, job.OutcomeDeadline)
 }
 
-// cleanupRequest tears down a terminated request's live machinery: the
-// deadline and client-timeout events, pending retry/hedge timers, and
-// every live policy attempt — whose jobs are marked canceled so the
-// serving instance discards them unserved (or counts the work wasted if
-// already on a core). Cancellation keeps the event heap small under
-// overload: dead timers never fire.
+// cleanupRequest disarms a terminated request's timers, always: deadline,
+// client timeout, every pending retry backoff. Under overload control its
+// live attempts are abandoned with it; without, they run on and their
+// timeouts still observe the edge.
 func (s *Sim) cleanupRequest(st *reqState) {
-	if st == nil {
-		return
-	}
-	if st.deadlineEv != nil {
-		s.eng.Cancel(st.deadlineEv)
-		st.deadlineEv = nil
-	}
-	if st.clientTO != nil {
-		s.eng.Cancel(st.clientTO)
-		st.clientTO = nil
-	}
-	for _, ev := range st.retries {
-		s.eng.Cancel(ev) // fired events are safe no-ops
-	}
-	st.retries = st.retries[:0]
-	for id, c := range st.calls {
-		if c.timeout != nil {
-			s.eng.Cancel(c.timeout)
-		}
-		if c.op != nil && !c.op.done {
-			c.op.done = true
-			if c.op.timer != nil {
-				s.eng.Cancel(c.op.timer)
+	s.disarm(&st.deadlineEv, &s.timers.Deadline)
+	s.disarm(&st.clientTO, &s.timers.ClientTimeout)
+	for i := len(st.calls) - 1; i >= 0; i-- {
+		// Releasing c moves an attempt already passed over into slot i.
+		switch c := st.calls[i]; {
+		case c.j == nil:
+			s.disarm(&c.timer, &s.timers.RetryBackoff)
+			s.releaseCall(c)
+		case s.overloadOn:
+			if c.op != nil {
+				s.disarm(&c.op.timer, &s.timers.HedgeTrigger)
 			}
+			s.abandonCall(c)
 		}
-		if c.isProbe && c.pr.brk != nil {
-			// The half-open probe dies without an outcome; release the slot
-			// or the breaker refuses every future call.
-			c.pr.brk.CancelProbe()
-		}
-		c.j.Outcome = job.OutcomeCanceled
-		delete(s.calls, id)
-		delete(st.calls, id)
-	}
-}
-
-// trackCall indexes a live attempt under its request so cleanupRequest
-// can find it. Only maintained when an overload feature is on.
-func (s *Sim) trackCall(st *reqState, id job.ID, c *call) {
-	if !s.overloadOn {
-		return
-	}
-	if st.calls == nil {
-		st.calls = make(map[job.ID]*call, 2)
-	}
-	st.calls[id] = c
-}
-
-func untrackCall(st *reqState, id job.ID) {
-	if st.calls != nil {
-		delete(st.calls, id)
 	}
 }
 
@@ -151,13 +110,12 @@ func (s *Sim) handleJobShed(now des.Time, j *job.Job) {
 // optional backup racing it, and the timer that issues the backup. The
 // first response wins; the loser is cancelled (unserved) or its completed
 // work discarded. A hedge is an attempt, not an arrival — request
-// conservation never sees it.
+// conservation never sees it. Records are pooled (see recycle.go).
 type hedgeOp struct {
 	primary *call // nil once the primary failed
 	hedge   *call // nil until issued, and again once the hedge failed
-	timer   *des.Event
-	issued  bool
-	done    bool // a side won, or the edge moved on (retry/failure)
+	timer   des.Event
+	onTimer des.Callback
 }
 
 // maybeHedge arms the hedge timer for a freshly issued primary attempt.
@@ -172,9 +130,8 @@ func (s *Sim) maybeHedge(now des.Time, c *call, pinned bool, nInstances int) {
 	if !ok {
 		return
 	}
-	op := &hedgeOp{primary: c}
-	c.op = op
-	op.timer = s.eng.At(now+delay, func(t des.Time) { s.onHedgeTimer(t, op) })
+	op := s.newHedgeOp(c)
+	s.arm(&op.timer, now+delay, op.onTimer, &s.timers.HedgeTrigger)
 }
 
 // hedgeDelay resolves the wait before the backup attempt: the observed
@@ -214,16 +171,13 @@ func (s *Sim) edgeLatency(treeIdx, nodeID int, q float64) *stats.P2Quantile {
 }
 
 // onHedgeTimer fires when the primary has been outstanding for the hedge
-// delay: issue one backup attempt to a different healthy instance.
+// delay: issue one backup attempt to a different healthy instance. The
+// trigger is disarmed as soon as the primary settles or fails or its request
+// terminates, so the race it finds is undecided.
 func (s *Sim) onHedgeTimer(now des.Time, op *hedgeOp) {
-	if op.done || op.primary == nil {
-		return
-	}
+	s.timers.HedgeTrigger.Fired++
 	c := op.primary
 	req, st := c.req, c.st
-	if req.Failed || req.Done() {
-		return
-	}
 	node := &st.tree.Nodes[c.nodeID]
 	probe := false
 	if c.pr.brk != nil {
@@ -237,20 +191,10 @@ func (s *Sim) onHedgeTimer(now des.Time, op *hedgeOp) {
 	if in == nil {
 		return // no distinct healthy instance to race against
 	}
-	op.issued = true
 	j := s.newNodeJob(req, st, c.nodeID, c.conn, dep)
-	h := &call{
-		req: req, st: st, nodeID: c.nodeID, conn: c.conn,
-		srcMachine: c.srcMachine, attempt: c.attempt, pr: c.pr,
-		j: j, start: now, inst: in, isHedge: true, op: op, isProbe: probe,
-	}
-	op.hedge = h
-	s.calls[j.ID] = h
-	s.trackCall(st, j.ID, h)
-	if c.pr.pol.Timeout > 0 {
-		id := j.ID
-		h.timeout = s.eng.At(now+c.pr.pol.Timeout, func(t des.Time) { s.onAttemptTimeout(t, id) })
-	}
+	h := s.newCall(req, st, c.nodeID, c.conn, c.srcMachine, c.attempt, c.pr)
+	h.isHedge, h.op, op.hedge = true, op, h
+	s.issue(now, h, j, in, probe)
 	s.hedgesN++
 	s.errCount(node.Service).Hedges++
 	s.deliver(now, j, in, c.srcMachine)
@@ -280,13 +224,10 @@ func (s *Sim) pickAvoiding(dep *Deployment, avoid *service.Instance) *service.In
 // timer is disarmed and the loser, if still racing, is abandoned.
 func (s *Sim) settleHedge(now des.Time, winner *call) {
 	op := winner.op
-	if op == nil || op.done {
+	if op == nil {
 		return
 	}
-	op.done = true
-	if op.timer != nil && !op.issued {
-		s.eng.Cancel(op.timer)
-	}
+	s.disarm(&op.timer, &s.timers.HedgeTrigger)
 	loser := op.hedge
 	if winner.isHedge {
 		s.hedgeWins++
@@ -297,48 +238,40 @@ func (s *Sim) settleHedge(now des.Time, winner *call) {
 	}
 }
 
-// abandonCall kills a racing attempt that lost: its timeout is cancelled,
-// its job marked canceled — discarded unserved at dequeue, or counted as
-// wasted work if already on a core.
+// abandonCall kills a live attempt that lost its race or its request: its
+// timeout is cancelled, its job marked canceled — discarded unserved at
+// dequeue, or counted as wasted work if already on a core.
 func (s *Sim) abandonCall(c *call) {
-	if c.timeout != nil {
-		s.eng.Cancel(c.timeout)
-	}
-	delete(s.calls, c.j.ID)
-	untrackCall(c.st, c.j.ID)
+	s.disarm(&c.timer, &s.timers.AttemptTimeout)
 	if c.isProbe && c.pr.brk != nil {
-		// A probe losing the hedge race never reaches Record; free the slot.
+		// The half-open probe dies without an outcome; release the slot or
+		// the breaker refuses every future call.
 		c.pr.brk.CancelProbe()
 	}
 	c.j.Outcome = job.OutcomeCanceled
+	s.unlink(c)
+	s.releaseCall(c)
 }
 
 // failCall routes one failed attempt (timeout, shed, drop) through the
 // hedge state machine: a failed hedge is absorbed while the primary still
 // races; a failed primary promotes a live hedge to sole attempt; only
 // when no side is left does the edge fall back to retry-or-fail. The
-// caller has already removed c from the live-call index and fed the
-// breaker.
+// caller has already unlinked c from its job and fed the breaker.
 func (s *Sim) failCall(now des.Time, c *call, out job.Outcome) {
-	svc := c.st.tree.Nodes[c.nodeID].Service
-	if op := c.op; op != nil && !op.done {
+	if op := c.op; op != nil {
+		other := op.hedge
 		if c.isHedge {
-			op.hedge = nil
-			if op.primary != nil {
-				s.countError(svc, out) // absorbed: the primary still races
-				return
-			}
-		} else {
-			op.primary = nil
-			if op.hedge != nil {
-				s.countError(svc, out) // the hedge is promoted and races on
-				return
-			}
-			if op.timer != nil && !op.issued {
-				s.eng.Cancel(op.timer) // no backup is coming
-			}
+			other = op.primary
 		}
-		op.done = true
+		if other != nil {
+			// A failed hedge is absorbed, the primary still races; a failed
+			// primary leaves the hedge promoted to sole attempt.
+			s.countError(c.st.tree.Nodes[c.nodeID].Service, out)
+			s.releaseCall(c)
+			return
+		}
+		s.disarm(&op.timer, &s.timers.HedgeTrigger) // no backup is coming
 	}
-	s.retryOrFail(now, c.req, c.st, c.nodeID, c.conn, c.srcMachine, c.attempt, c.pr, out)
+	s.retryOrFail(now, c, out)
 }

@@ -25,7 +25,12 @@ var randomSuites = []struct {
 	with  func(*testing.T, *Sim, int64)
 	// golden is the SHA-256 prefix over every seed's fingerprint and drained
 	// event count, recorded at the commit before the request path started
-	// recycling its objects (PR 12).
+	// recycling its objects (PR 12); the races family was added with PR 16.
+	// Since PR 16 a terminated request's client timeout and retry backoffs
+	// are disarmed whether or not overload control is on; before, without it,
+	// they stayed queued and fired as no-ops (onTimeout and startAttempt
+	// return at once for an ended request). runRandom adds those back per
+	// seed, so the pre-PR-12 hashes still hold unchanged.
 	golden string
 }{
 	{name: "plain", seeds: 25, golden: "9564c9ff16c4328c"},
@@ -34,6 +39,7 @@ var randomSuites = []struct {
 	{name: "retries", seeds: 25, with: withRandomRetries, golden: "b40bf3934284bf93"},
 	{name: "orphans", seeds: 10, build: buildOrphanedAttempts, golden: "a82c45d3c6255b8d"},
 	{name: "starved", seeds: 10, build: buildStarvedPool, golden: "ba576885449de661"},
+	{name: "races", seeds: 15, build: buildHedgeRaces, golden: "6aa51a9a473e00a8"},
 }
 
 // buildOrphanedAttempts fans root out to b then a, both behind retry-less
@@ -113,6 +119,100 @@ func buildStarvedPool(t *testing.T, seed int64) *Sim {
 	return s
 }
 
+// buildHedgeRaces is aimed at the pooled call and hedge records. Root fans
+// out to a and b, three instances each behind a policy with a hedge, a
+// breaker, a timeout and two retries whose backoff is as long as the
+// request's whole budget. Instances of both are killed and restarted, so
+// breakers trip and re-probe. Over the seeds hedges win their race (the
+// primary's record is released while its job runs on), half-open probes are
+// torn down by a lost race or an expired deadline, and deadlines expire
+// while an edge is waiting out a backoff.
+func buildHedgeRaces(t *testing.T, seed int64) *Sim {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	s := New(Options{Seed: uint64(seed)})
+	s.AddMachine("m0", 32, cluster.FreqSpec{})
+	for _, svc := range []struct {
+		name      string
+		meanUs    float64
+		instances int
+	}{{"root", 20, 1}, {"a", float64(300 + r.Intn(600)), 3}, {"b", float64(300 + r.Intn(600)), 3}, {"join", 20, 1}} {
+		placements := make([]Placement, svc.instances)
+		for i := range placements {
+			placements[i] = Placement{Machine: "m0", Cores: 1}
+		}
+		if _, err := s.Deploy(service.SingleStage(svc.name, dist.NewExponential(svc.meanUs*1000)),
+			RoundRobin, placements...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	topo := &graph.Topology{Trees: []graph.Tree{{Name: "t", Weight: 1, Root: 0, Nodes: []graph.Node{
+		{ID: 0, Service: "root", Instance: -1, Children: []int{1, 2}},
+		{ID: 1, Service: "a", Instance: -1, Children: []int{3}},
+		{ID: 2, Service: "b", Instance: -1, Children: []int{3}},
+		{ID: 3, Service: "join", Instance: -1},
+	}}}}
+	if err := s.SetTopology(topo); err != nil {
+		t.Fatal(err)
+	}
+	for _, svc := range []string{"a", "b"} {
+		if err := s.SetServicePolicy(svc, fault.Policy{
+			Timeout:     des.Time(2+r.Intn(4)) * des.Millisecond,
+			MaxRetries:  2,
+			BackoffBase: des.Time(2+r.Intn(6)) * des.Millisecond,
+			Hedge:       &fault.HedgeSpec{Delay: des.Time(300+r.Intn(900)) * des.Microsecond, Jitter: 0.3},
+			Breaker: &fault.BreakerSpec{
+				ErrorThreshold: 0.3, Window: 6 + r.Intn(10),
+				Cooldown: des.Time(3+r.Intn(10)) * des.Millisecond,
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.SetClient(ClientConfig{
+		Pattern: workload.ConstantRate(float64(1500 + r.Intn(2000))),
+		Budget:  dist.NewUniform(float64(2*des.Millisecond), float64(10*des.Millisecond)),
+	})
+	var events []fault.Event
+	for _, svc := range []string{"a", "b"} {
+		for i := 0; i < 3; i++ {
+			at := des.Time(20+r.Intn(200)) * des.Millisecond
+			events = append(events,
+				fault.Event{At: at, Kind: fault.KillInstance, Service: svc, Instance: i},
+				fault.Event{At: at + des.Time(10+r.Intn(40))*des.Millisecond, Kind: fault.RestartInstance, Service: svc, Instance: i})
+		}
+	}
+	if err := s.InstallFaults(fault.Plan{Events: events}); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestHedgeRacesReach keeps buildHedgeRaces aimed: over its seeds hedges
+// must win races, breakers must trip and deadlines must fire while a retry
+// backoff is pending. (Probe teardown has no counter; a count in
+// abandonCall read 59 over the fifteen seeds when the family was written.)
+func TestHedgeRacesReach(t *testing.T) {
+	var wins, trips, midBackoff, expired uint64
+	for seed := int64(1); seed <= 15; seed++ {
+		s := buildHedgeRaces(t, seed)
+		rep, err := s.Run(0, 300*des.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wins += rep.HedgeWins
+		expired += rep.Timers.Deadline.Fired
+		midBackoff += rep.Timers.RetryBackoff.Cancelled
+		for _, b := range s.Breakers() {
+			trips += b.Trips
+		}
+	}
+	if wins == 0 || trips == 0 || midBackoff == 0 || expired == 0 {
+		t.Fatalf("hedge wins %d, breaker trips %d, backoffs disarmed %d, deadlines fired %d: all must be reached",
+			wins, trips, midBackoff, expired)
+	}
+}
+
 // withRandomRetries installs retrying policies, an impatient retrying
 // client and outages, but none of the overload-control features. Without
 // them nothing cancels a terminated request's timers or attempts: client
@@ -163,7 +263,8 @@ func withRandomRetries(t *testing.T, s *Sim, seed int64) {
 }
 
 // runRandom runs one randomized cell to its horizon, drains the engine and
-// returns the report fingerprint with the number of events fired.
+// returns the report fingerprint with the number of events fired, counting
+// in the dead timers a run without overload control no longer fires.
 func runRandom(t *testing.T, seed int64, build func(*testing.T, int64) *Sim, with func(*testing.T, *Sim, int64), prep func(*Sim)) string {
 	t.Helper()
 	if build == nil {
@@ -181,7 +282,14 @@ func runRandom(t *testing.T, seed int64, build func(*testing.T, int64) *Sim, wit
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	s.Engine().Run() // drain
-	return fmt.Sprintf("%s events=%d", reportFingerprint(rep), s.Engine().Processed())
+	if err := s.VerifyDrained(); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	events := s.Engine().Processed()
+	if !s.overloadOn {
+		events += s.timers.ClientTimeout.Cancelled + s.timers.RetryBackoff.Cancelled
+	}
+	return fmt.Sprintf("%s events=%d", reportFingerprint(rep), events)
 }
 
 // TestRandomTopologyGoldens pins the randomized families byte for byte

@@ -373,7 +373,7 @@ func TestRandomOverloadTopologiesDrain(t *testing.T) {
 		if n := s.pendingN; n != 0 {
 			t.Fatalf("seed %d: %d netproc deliveries leaked", seed, n)
 		}
-		if n := len(s.calls); n != 0 {
+		if n := s.liveCalls; n != 0 {
 			t.Fatalf("seed %d: %d tracked calls leaked", seed, n)
 		}
 		for name, p := range s.pools {

@@ -14,7 +14,7 @@ import (
 // the layer where child RPCs are issued: attempt timeouts, backoff retries
 // against healthy instances, circuit breaking, and upstream propagation of
 // sheds and crash-induced drops. Edges without a policy keep the original
-// fast path; a request on a policy edge gets a call record per live attempt.
+// fast path; a request on a policy edge gets a call record per dispatch.
 
 // policyRuntime is one installed policy plus its breaker instance.
 type policyRuntime struct {
@@ -30,8 +30,10 @@ func newPolicyRuntime(p fault.Policy) *policyRuntime {
 	return pr
 }
 
-// call is the live state of one policy-guarded RPC attempt, keyed by the
-// attempt's job ID. It carries everything needed to re-issue the edge.
+// call is one dispatch over a policy-guarded edge: the live attempt, or
+// the retry backoff after a failed one. Its job reaches it through
+// Job.Owner, its request through reqState.calls, and it carries everything
+// needed to re-issue the edge. Records are pooled (see recycle.go).
 type call struct {
 	req        *job.Request
 	st         *reqState
@@ -40,12 +42,16 @@ type call struct {
 	srcMachine string
 	attempt    int
 	pr         *policyRuntime
-	timeout    *des.Event
+	slot       int // index in st.calls; -1 once the request no longer reaches it
 
-	// Overload-control state: the attempt's job (for cancellation; nil
-	// once the job died and only the attempt's timeout is still owed),
-	// its issue time and target instance (for hedge placement and latency
-	// observation), and the hedge race it participates in, if any.
+	// timer is the attempt's edge timeout while the attempt is live (or an
+	// orphan's timeout is still owed), the retry backoff after it failed.
+	timer                des.Event
+	onTimeout, onBackoff des.Callback
+
+	// The live attempt: its job (nil during backoff, and for an orphan,
+	// whose job died with the timeout still owed), issue time and target
+	// instance, and the hedge race it participates in, if any.
 	j       *job.Job
 	start   des.Time
 	inst    *service.Instance
@@ -151,118 +157,109 @@ func (s *Sim) edgePolicy(treeIdx, nodeID int, svc string) *policyRuntime {
 	return s.svcPolicies[svc]
 }
 
-// startAttempt issues attempt number attempt of a policy-guarded edge.
-func (s *Sim) startAttempt(now des.Time, req *job.Request, st *reqState, nodeID, conn int, srcMachine string, attempt int, pr *policyRuntime) {
-	if req.Failed || req.Done() {
-		return
-	}
-	if req.Expired(now) {
-		// Defensive: the deadline event is the source of truth and fires
-		// before same-instant dispatches, but a continuation resumed from
-		// inside another event can land exactly on the deadline.
-		s.failRequest(now, req, job.OutcomeDeadline)
-		return
-	}
-	node := &st.tree.Nodes[nodeID]
+// startAttempt issues the attempt c describes, for a request that is live
+// and inside its deadline: dispatchNode checked, a backoff never outlives it.
+func (s *Sim) startAttempt(now des.Time, c *call) {
+	node := &c.st.tree.Nodes[c.nodeID]
 	probe := false
-	if pr.brk != nil {
+	if brk := c.pr.brk; brk != nil {
 		// State before Allow: an admitted half-open call is the probe.
-		probe = pr.brk.State(now) == fault.BreakerHalfOpen
-		if !pr.brk.Allow(now) {
+		probe = brk.State(now) == fault.BreakerHalfOpen
+		if !brk.Allow(now) {
 			s.countError(node.Service, job.OutcomeBreakerOpen)
-			s.failRequest(now, req, job.OutcomeBreakerOpen)
+			s.failRequest(now, c.req, job.OutcomeBreakerOpen) // takes c back
 			return
 		}
 	}
 	dep := s.deployments[node.Service]
-	in := s.pickFor(node, dep, srcMachine)
+	in := s.pickFor(node, dep, c.srcMachine)
 	if in == nil {
 		// No healthy instance: an instant connection failure.
-		if pr.brk != nil {
-			pr.brk.Record(now, true)
+		if c.pr.brk != nil {
+			c.pr.brk.Record(now, true)
 		}
-		s.retryOrFail(now, req, st, nodeID, conn, srcMachine, attempt, pr, job.OutcomeDropped)
+		s.retryOrFail(now, c, job.OutcomeDropped)
 		return
 	}
-	j := s.newNodeJob(req, st, nodeID, conn, dep)
-	c := &call{
-		req: req, st: st, nodeID: nodeID, conn: conn,
-		srcMachine: srcMachine, attempt: attempt, pr: pr,
-		j: j, start: now, inst: in, isProbe: probe,
-	}
-	s.calls[j.ID] = c
-	s.trackCall(st, j.ID, c)
-	if pr.pol.Timeout > 0 {
-		id := j.ID
-		c.timeout = s.eng.At(now+pr.pol.Timeout, func(t des.Time) { s.onAttemptTimeout(t, id) })
-	}
+	j := s.newNodeJob(c.req, c.st, c.nodeID, c.conn, dep)
+	s.issue(now, c, j, in, probe)
 	s.maybeHedge(now, c, node.Instance >= 0, len(dep.Instances))
-	s.deliver(now, j, in, srcMachine)
+	s.deliver(now, j, in, c.srcMachine)
+}
+
+// issue makes c the live attempt that j carries to instance in, and arms
+// its edge timeout.
+func (s *Sim) issue(now des.Time, c *call, j *job.Job, in *service.Instance, probe bool) {
+	c.j, c.start, c.inst, c.isProbe = j, now, in, probe
+	j.Owner = c
+	s.liveCalls++
+	if t := c.pr.pol.Timeout; t > 0 {
+		s.arm(&c.timer, now+t, c.onTimeout, &s.timers.AttemptTimeout)
+	}
+}
+
+// unlink ends a live attempt: its job no longer reaches the record.
+func (s *Sim) unlink(c *call) {
+	c.j.Owner = nil
+	c.j = nil
+	s.liveCalls--
 }
 
 // onAttemptTimeout fires when an attempt outlives its edge timeout: the
 // caller abandons it (the server-side work keeps running, its result
-// discarded) and retries or fails the request. The timer holds the ID of
-// the attempt's job, not the job, which may have died by now.
-func (s *Sim) onAttemptTimeout(now des.Time, id job.ID) {
-	c, ok := s.calls[id]
-	if !ok {
-		return // the attempt settled first
-	}
-	delete(s.calls, id)
+// discarded) and retries or fails the request.
+func (s *Sim) onAttemptTimeout(now des.Time, c *call) {
+	s.timers.AttemptTimeout.Fired++
 	// An orphan's job was lost after its request had ended: nothing is
 	// left to abandon, but the edge still observes the timeout.
 	orphan := c.j == nil
-	if !orphan {
-		untrackCall(c.st, id)
+	if orphan {
+		s.liveCalls--
+	} else {
 		c.j.Outcome = job.OutcomeTimeout
+		s.unlink(c)
 	}
 	s.observeCall(now, c.inst.Name, false, c.pr.pol.Timeout)
 	if c.pr.brk != nil {
 		c.pr.brk.Record(now, true)
 	}
 	if orphan || c.req.Failed || c.req.Done() {
+		s.releaseCall(c)
 		return
 	}
 	s.failCall(now, c, job.OutcomeTimeout)
 }
 
-// retryOrFail re-issues a failed attempt after exponential backoff, or
-// fails the request once retries are exhausted. out is the failure that
-// triggered it (used for accounting and, terminally, the request outcome).
-func (s *Sim) retryOrFail(now des.Time, req *job.Request, st *reqState, nodeID, conn int, srcMachine string, attempt int, pr *policyRuntime, out job.Outcome) {
-	svc := st.tree.Nodes[nodeID].Service
+// retryOrFail re-issues the failed edge c describes after exponential
+// backoff, waited out on the same record, or fails the request once retries
+// are exhausted. out is the failure that triggered it (used for accounting
+// and, terminally, the request outcome).
+func (s *Sim) retryOrFail(now des.Time, c *call, out job.Outcome) {
+	svc := c.st.tree.Nodes[c.nodeID].Service
 	s.countError(svc, out)
-	if attempt < pr.pol.MaxRetries {
+	s.leaveRace(c)
+	if c.attempt < c.pr.pol.MaxRetries {
 		s.retriesN++
 		s.errCount(svc).Retries++
-		delay := pr.pol.Backoff(attempt+1, s.retryRNG)
-		// Without overload control the timer is never cancelled and may
-		// outlive the request; the ID tells it the storage moved on.
-		id := req.ID
-		ev := s.eng.At(now+delay, func(t des.Time) {
-			if req.ID == id {
-				s.startAttempt(t, req, st, nodeID, conn, srcMachine, attempt+1, pr)
-			}
-		})
-		if s.overloadOn {
-			// Indexed so an expiring deadline can cancel the pending retry.
-			st.retries = append(st.retries, ev)
-		}
+		delay := c.pr.pol.Backoff(c.attempt+1, s.retryRNG)
+		s.arm(&c.timer, now+delay, c.onBackoff, &s.timers.RetryBackoff)
 		return
 	}
-	s.failRequest(now, req, out)
+	s.failRequest(now, c.req, out) // takes c back
+}
+
+func (s *Sim) onBackoff(now des.Time, c *call) {
+	s.timers.RetryBackoff.Fired++
+	c.attempt++
+	s.startAttempt(now, c)
 }
 
 // settleCall closes a live attempt whose job completed in time: cancel the
 // timeout, feed the breaker a success, record the observed edge latency
 // for quantile-based hedging, and resolve any hedge race in its favor.
-func (s *Sim) settleCall(now des.Time, c *call, jID job.ID) {
-	if c.timeout != nil {
-		s.eng.Cancel(c.timeout)
-	}
-	delete(s.calls, jID)
-	untrackCall(c.st, jID)
+func (s *Sim) settleCall(now des.Time, c *call) {
+	s.disarm(&c.timer, &s.timers.AttemptTimeout)
+	s.unlink(c)
 	s.observeCall(now, c.inst.Name, true, now-c.start)
 	if c.pr.brk != nil {
 		c.pr.brk.Record(now, false)
@@ -271,6 +268,7 @@ func (s *Sim) settleCall(now des.Time, c *call, jID job.ID) {
 		s.edgeLatency(c.st.treeIdx, c.nodeID, h.Quantile).Add(float64(now - c.start))
 	}
 	s.settleHedge(now, c)
+	s.releaseCall(c)
 }
 
 // failAttemptOrRequest propagates one dead job upstream: a policy-guarded
@@ -294,20 +292,22 @@ func (s *Sim) propagateFailure(now des.Time, j *job.Job, out job.Outcome) {
 		s.observeCall(now, j.Instance, false, 0)
 	}
 	req := j.Req
+	c, _ := j.Owner.(*call)
 	if req == nil || req.Failed || req.Done() || abandoned {
-		if !abandoned && len(s.calls) > 0 {
-			if c, ok := s.calls[j.ID]; ok {
-				c.j = nil // the attempt's timeout is still owed; its job is not
+		if c != nil {
+			// An orphan: only the attempt's timeout is still owed.
+			j.Owner, c.j = nil, nil
+			untrack(c)
+			if !c.timer.Pending() {
+				s.liveCalls--
+				s.releaseCall(c)
 			}
 		}
 		return
 	}
-	if c, ok := s.calls[j.ID]; ok {
-		if c.timeout != nil {
-			s.eng.Cancel(c.timeout)
-		}
-		delete(s.calls, j.ID)
-		untrackCall(c.st, j.ID)
+	if c != nil {
+		s.disarm(&c.timer, &s.timers.AttemptTimeout)
+		s.unlink(c)
 		if c.pr.brk != nil {
 			c.pr.brk.Record(now, true)
 		}
@@ -365,9 +365,7 @@ func (s *Sim) failRequest(now des.Time, req *job.Request, out job.Outcome) {
 	req.Outcome = out
 	st := s.inflight[req.ID]
 	delete(s.inflight, req.ID)
-	if s.overloadOn {
-		s.cleanupRequest(st)
-	}
+	s.cleanupRequest(st)
 	// The request exits the system in one step, wherever it was in its
 	// acquire chain: every token it holds goes back, pool by pool.
 	for _, name := range s.poolOrder {

@@ -130,21 +130,17 @@ func (s *Sim) admitAs(now des.Time, attempt, forceTree, user int) {
 	if s.clientCfg.Budget != nil {
 		if b := s.clientCfg.Budget.Sample(s.budgetRNG); b > 0 {
 			req.Deadline = now + des.FromNanos(b)
-			st.deadlineEv = s.eng.At(req.Deadline, func(t des.Time) { s.onDeadline(t, req) })
+			if st.onDeadline == nil {
+				st.onDeadline = func(t des.Time) { s.onDeadline(t, st.req) }
+			}
+			s.arm(&st.deadlineEv, req.Deadline, st.onDeadline, &s.timers.Deadline)
 		}
 	}
 	if s.clientCfg.Timeout > 0 {
-		// Without overload control the timer is never cancelled and may
-		// outlive the request; the ID tells it the storage moved on.
-		id := req.ID
-		ev := s.eng.At(now+s.clientCfg.Timeout, func(t des.Time) {
-			if req.ID == id {
-				s.onTimeout(t, req)
-			}
-		})
-		if s.overloadOn {
-			st.clientTO = ev
+		if st.onClientTO == nil {
+			st.onClientTO = func(t des.Time) { s.onTimeout(t, st.req) }
 		}
+		s.arm(&st.clientTO, now+s.clientCfg.Timeout, st.onClientTO, &s.timers.ClientTimeout)
 	}
 	s.enterNode(now, st, tree.Root, 0, req.Conn, "")
 }
@@ -153,9 +149,7 @@ func (s *Sim) admitAs(now des.Time, attempt, forceTree, user int) {
 // records the timeout as its observed latency and possibly retries, while
 // the in-flight server work continues to completion.
 func (s *Sim) onTimeout(now des.Time, req *job.Request) {
-	if req.Done() || req.TimedOut || req.Failed {
-		return
-	}
+	s.timers.ClientTimeout.Fired++
 	req.TimedOut = true
 	user, userTree := -1, -1
 	if st, ok := s.inflight[req.ID]; ok {
@@ -228,7 +222,7 @@ func (s *Sim) dispatchNode(now des.Time, req *job.Request, st *reqState, nodeID,
 	node := &st.tree.Nodes[nodeID]
 	if s.hasPolicies {
 		if pr := s.edgePolicy(st.treeIdx, nodeID, node.Service); pr != nil {
-			s.startAttempt(now, req, st, nodeID, conn, srcMachine, 0, pr)
+			s.startAttempt(now, s.newCall(req, st, nodeID, conn, srcMachine, 0, pr))
 			return
 		}
 	}
@@ -302,7 +296,7 @@ func (s *Sim) deliver(now des.Time, j *job.Job, in *service.Instance, srcMachine
 		}
 	}
 	if delay > 0 {
-		s.eng.At(now+delay, func(t des.Time) { s.deliverDirect(t, j, in, srcMachine) })
+		s.eng.Post(now+delay, s.newHop(j, in, srcMachine, false).resume)
 		return
 	}
 	s.deliverDirect(now, j, in, srcMachine)
@@ -343,7 +337,7 @@ func (s *Sim) deliverDirect(now des.Time, j *job.Job, in *service.Instance, srcM
 	// existing random streams.
 	if s.geo != nil {
 		if wan := s.wanHop(now, j, in, srcMachine); wan > 0 {
-			s.eng.At(now+wan, func(t des.Time) { s.admitDelivery(t, j, in, srcMachine) })
+			s.eng.Post(now+wan, s.newHop(j, in, srcMachine, true).resume)
 			return
 		}
 	}
@@ -440,15 +434,10 @@ func (s *Sim) handleJobDone(now des.Time, j *job.Job) {
 // children and finishes leaves. It reports whether j is still in use (on
 // its transmit pass through netproc).
 func (s *Sim) routeJobDone(now des.Time, j *job.Job) (forwarded bool) {
-	settled := false
-	if len(s.calls) > 0 {
-		if c, ok := s.calls[j.ID]; ok {
-			// A live policy-guarded attempt finished in time.
-			s.settleCall(now, c, j.ID)
-			settled = true
-		}
-	}
-	if !settled && j.Outcome == job.OutcomeOK {
+	if c, _ := j.Owner.(*call); c != nil {
+		// A live policy-guarded attempt finished in time.
+		s.settleCall(now, c)
+	} else if j.Outcome == job.OutcomeOK {
 		// Bare-edge success: report the instance's residence time (a
 		// settled call already reported its edge-level latency).
 		s.observeCall(now, j.Instance, true, now-j.Enqueued)
@@ -534,14 +523,8 @@ func (s *Sim) finalizeLeaf(now des.Time, j *job.Job) {
 	}
 	req.Finish = now
 	st := s.inflight[req.ID]
-	if s.overloadOn {
-		// Disarm the completed request's deadline and timeout events.
-		s.cleanupRequest(st)
-	}
-	user := -1
-	if st != nil {
-		user = st.user
-	}
+	s.cleanupRequest(st)
+	user := st.user
 	delete(s.inflight, req.ID)
 	if !req.TimedOut {
 		// Delivered throughput and latency samples belong to the window
@@ -720,6 +703,19 @@ type Report struct {
 	// re-solves, memo hits, fixed-point iterations). It describes the
 	// simulator, not the simulated system: the fingerprint leaves it out.
 	FluidWork hybrid.Counters
+	// Timers counts the request path's timers by kind, likewise left out of
+	// the fingerprint. A kind with Cancelled close to Armed is a guard that
+	// almost never fires.
+	Timers TimerWork
+}
+
+// TimerCounts counts the timers of one kind: Armed, then either Cancelled
+// before firing or Fired; the difference was still queued at the horizon.
+type TimerCounts struct{ Armed, Cancelled, Fired uint64 }
+
+// TimerWork is TimerCounts per kind of request-path timer.
+type TimerWork struct {
+	AttemptTimeout, HedgeTrigger, ClientTimeout, Deadline, RetryBackoff TimerCounts
 }
 
 func (s *Sim) report(horizon des.Time) *Report {
@@ -745,6 +741,7 @@ func (s *Sim) report(horizon des.Time) *Report {
 
 		Latency: s.latency,
 		PerTier: s.perTier,
+		Timers:  s.timers,
 
 		SampleRate: 1,
 	}
@@ -824,8 +821,8 @@ func (s *Sim) VerifyDrained() error {
 	if s.pendingN > 0 {
 		return fmt.Errorf("sim: %d deliveries still pending after drain", s.pendingN)
 	}
-	if n := len(s.calls); n > 0 {
-		return fmt.Errorf("sim: %d live call attempts after drain", n)
+	if s.liveCalls > 0 {
+		return fmt.Errorf("sim: %d live call attempts after drain", s.liveCalls)
 	}
 	for _, name := range s.poolOrder {
 		if n := s.pools[name].inUse(); n > 0 {

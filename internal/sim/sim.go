@@ -192,10 +192,14 @@ type Sim struct {
 	// pendingN counts jobs in transit through a network service (their
 	// destination parked in Job.Dest), for VerifyDrained.
 	pendingN int
-	// freeStates recycles request state; jobs and requests recycle through
-	// fac. poisonReleased is a test hook: released objects are overwritten
-	// with garbage and withheld from reuse, so a read after release shows.
+	// The free lists recycle request state, call records, hedge races and
+	// delayed deliveries; jobs and requests recycle through fac.
+	// poisonReleased is a test hook: released objects are overwritten with
+	// garbage and withheld from reuse, so a read after release shows.
 	freeStates     []*reqState
+	freeCalls      []*call
+	freeOps        []*hedgeOp
+	freeHops       []*hop
 	poisonReleased bool
 
 	branchers map[string]Brancher
@@ -204,13 +208,13 @@ type Sim struct {
 	svcPolicies  map[string]*policyRuntime
 	nodePolicies map[[2]int]*policyRuntime // [tree,node] override
 	hasPolicies  bool
-	calls        map[job.ID]*call
+	liveCalls    int                 // attempts issued and not yet settled, failed or abandoned
 	edgeExtra    map[string]des.Time // injected per-delivery latency by service
 	retryRNG     *rng.Source
 
 	// Overload control: deadline budgets, hedged requests, adaptive
-	// admission. overloadOn (resolved at Run) gates all per-request
-	// tracking so runs without these features pay nothing.
+	// admission. overloadOn (resolved at Run) says whether a terminated
+	// request's queued and running work is cancelled with it.
 	hasHedge      bool
 	hasDiscipline bool
 	overloadOn    bool
@@ -239,6 +243,7 @@ type Sim struct {
 	crossHops       uint64 // subset that crossed a region boundary
 	staleReads      uint64 // cross-origin serves of a lagging replica
 	errCounts       map[string]*ErrorCounts
+	timers          TimerWork
 	latency         *stats.LatencyHist
 	perTier         map[string]*stats.LatencyHist
 
@@ -282,13 +287,12 @@ type reqState struct {
 	user     int         // owning session user (-1: no session client)
 	timedOut bool        // client gave up; server work continues abandoned
 
-	// Overload-control bookkeeping (only maintained when a budget,
-	// hedge, or discipline is configured): everything cleanupRequest
-	// must cancel when the request terminates.
-	deadlineEv *des.Event
-	clientTO   *des.Event
-	retries    []*des.Event     // pending retry timers
-	calls      map[job.ID]*call // live policy-guarded attempts
+	// What cleanupRequest disarms: the request's own two timers (callbacks
+	// bound on first use) and its call records, live attempts and pending
+	// retry backoffs, each holding its index here in call.slot.
+	deadlineEv, clientTO   des.Event
+	onDeadline, onClientTO des.Callback
+	calls                  []*call
 }
 
 // OnNew, when set, observes every simulation created by New. Command-line
@@ -324,7 +328,6 @@ func newSim(opts Options, split *rng.Splitter, eng des.Runner) *Sim {
 		branchers:    make(map[string]Brancher),
 		svcPolicies:  make(map[string]*policyRuntime),
 		nodePolicies: make(map[[2]int]*policyRuntime),
-		calls:        make(map[job.ID]*call),
 		edgeExtra:    make(map[string]des.Time),
 		retryRNG:     split.Stream("retry"),
 		hedgeRNG:     split.Stream("hedge"),

@@ -95,8 +95,17 @@ var goldens = []golden{
 		}, 0, 2*des.Second),
 		fp: "5eddaf5ee3480e82", events: 110689,
 	},
-	{name: "threeregion", run: dirRun("../../configs/threeregion"), fp: "7b3be4a67b448088", events: 11483},
-	{name: "metastable", run: dirRun("../../configs/metastable"), fp: "e36be1304fca77ed", events: 15798},
+	// Both config directories set a client timeout and no overload control.
+	// Until PR 16 nothing cancelled that timer when its request completed:
+	// it fired later as a no-op (onTimeout returns at once for a finished
+	// request), counted by Processed and by nothing else. Now a request's
+	// timers are disarmed as it terminates, so the count drops by the dead
+	// timers that used to fire inside the horizon, 1,362 of the 1,780
+	// disarmed here and 2,575 of 2,643 on metastable (old pins 11483 and
+	// 15798, sums checked with a counter in disarm); the fingerprints are
+	// the old ones.
+	{name: "threeregion", run: dirRun("../../configs/threeregion"), fp: "7b3be4a67b448088", events: 10121},
+	{name: "metastable", run: dirRun("../../configs/metastable"), fp: "e36be1304fca77ed", events: 13223},
 	{
 		name: "hybrid-sessions",
 		run:  appsRun(hybridSessions, 500*des.Millisecond, 2500*des.Millisecond),

@@ -112,9 +112,16 @@ const (
 
 // ---- simulation engines ----
 
-// Scheduler is the event-scheduling surface model code sees (Now, At,
-// After, Post, Cancel).
+// Scheduler is the event-scheduling surface model code sees (Now, Post,
+// Arm, At, After, Cancel). Post if you never cancel: the event's storage is
+// recycled. Arm if you do and own the storage: the Event is a field of your
+// own record, and arming and cancelling it allocate nothing. At and After
+// allocate a handle per call and are for cold paths.
 type Scheduler = des.Scheduler
+
+// Event is a cancellable scheduled callback: the handle At returns, or the
+// caller-owned storage Arm queues. Its zero value is ready to arm.
+type Event = des.Event
 
 // Runner is a complete engine: a Scheduler that can also drive the event
 // loop. Options.Engine accepts any Runner; nil selects the sequential
