@@ -31,18 +31,16 @@ race:
 bench: bench-engine
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# bench-engine records the DES scheduling and PDES dispatch benchmarks in
-# benchstat format: post, cold-path At, Arm+Cancel of a caller-owned timer,
-# a self-rescheduling chain, and the hold model (pop + post at a standing
+# bench-engine records the event-engine benchmarks in benchstat format:
+# post, cold-path At, Arm+Cancel of a caller-owned timer, a
+# self-rescheduling chain, and the hold model (pop + post at a standing
 # depth of 64, 4k and 100k). BENCH_engine.json is the committed trajectory
 # point; compare a working tree against it with
 #   benchstat BENCH_engine.json <(make -s bench-engine)
-# -cpu 1 because every committed point was recorded on one processor: the
-# rows keep their names and the sharded rows keep measuring dispatch cost,
-# not this host's core count.
+# -cpu 1 because every committed point was recorded on one processor, so
+# the rows keep their names.
 bench-engine:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSharded' -benchmem -cpu 1 \
-		./internal/des ./internal/pdes | tee BENCH_engine.json
+	$(GO) test -run xxx -bench BenchmarkEngine -benchmem -cpu 1 ./internal/des | tee BENCH_engine.json
 
 # bench-throughput tracks the simulator hot path (the "scalable" claim):
 # the policy variant must stay within a few percent of the base rate and

@@ -3,8 +3,8 @@
 // vocabulary (machine and instance crashes, DVFS degradation, partitions,
 // gray links, correlated domain bursts, load steps) against a config
 // directory, runs each scenario, and checks a battery of invariants —
-// request conservation, post-run drain, sequential-vs-parallel fingerprint
-// determinism, and recovery properties (goodput and tail latency return to
+// request conservation, post-run drain, same-seed fingerprint determinism,
+// and recovery properties (goodput and tail latency return to
 // baseline after the last fault heals; no breaker, region, or ejection
 // stays stuck). Violations are delta-debugged down to a minimal
 // reproducing schedule and emitted as replayable faults.json + seed
@@ -60,9 +60,6 @@ type Options struct {
 	// baseline·factor + slack is a violation (defaults 3 and 20ms).
 	P99Factor  float64
 	P99SlackMs float64
-	// Workers lists the parallel-engine worker counts checked against the
-	// sequential fingerprint (default 2 and 4).
-	Workers []int
 	// Fidelity selects the fidelity every scenario runs at: "" or "full"
 	// for pure DES, "hybrid" for sampled-foreground + fluid-background
 	// (see config.ApplyFidelity). Hybrid mode additionally checks the
@@ -95,9 +92,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.P99SlackMs <= 0 {
 		out.P99SlackMs = 20
-	}
-	if len(out.Workers) == 0 {
-		out.Workers = []int{2, 4}
 	}
 	if out.Interrupted == nil {
 		out.Interrupted = func() bool { return false }

@@ -30,10 +30,9 @@ const minWindowSamples = 20
 
 // Verify runs the scenario and checks every invariant, in severity order:
 // conservation, drain, stuck breaker / region / ejection, recovery
-// goodput and p99 against a no-fault baseline, and sequential-vs-parallel
-// fingerprint determinism. It returns the first violation (nil if the
-// scenario passes) plus the sequential run's fingerprint, which a corpus
-// replay must reproduce exactly.
+// goodput and p99 against a no-fault baseline, and same-seed fingerprint
+// determinism. It returns the first violation (nil if the scenario passes)
+// plus the run's fingerprint, which a corpus replay must reproduce exactly.
 func (h *Harness) Verify(sc Scenario) (*Violation, string, error) {
 	faultsJSON, ff, err := h.Materialize(sc)
 	if err != nil {
@@ -47,7 +46,7 @@ func (h *Harness) Verify(sc Scenario) (*Violation, string, error) {
 func (h *Harness) verifyFaults(seed uint64, faultsJSON []byte, ff *config.FaultsFile) (*Violation, string, error) {
 	winStart := h.recoveryWindowStart(ff)
 
-	run, err := h.runOnce(h.docs, seed, 1, faultsJSON, winStart, h.opts.Fidelity, h.opts.SampleRate)
+	run, err := h.runOnce(h.docs, seed, faultsJSON, winStart, h.opts.Fidelity, h.opts.SampleRate)
 	if err != nil {
 		return nil, "", err
 	}
@@ -107,30 +106,29 @@ func (h *Harness) verifyFaults(seed uint64, faultsJSON []byte, ff *config.Faults
 			return v, fp, nil
 		}
 	}
-	// Determinism: the parallel engine must reproduce the sequential
-	// fingerprint bit-for-bit at every worker count.
-	for _, w := range h.opts.Workers {
-		prun, err := h.runOnce(h.docs, seed, w, faultsJSON, 0, h.opts.Fidelity, h.opts.SampleRate)
-		if err != nil {
-			return nil, "", err
-		}
-		if prun.fingerprint != fp {
-			return &Violation{
-				ID:     "determinism",
-				Detail: fmt.Sprintf("workers=%d fingerprint diverges from sequential:\n  seq: %s\n  par: %s", w, fp, prun.fingerprint),
-			}, fp, nil
-		}
+	// Determinism: a same-seed rerun must reproduce the fingerprint
+	// bit-for-bit. Anything that reads Go's randomised map order, the wall
+	// clock or a shared global diverges here.
+	rerun, err := h.runOnce(h.docs, seed, faultsJSON, 0, h.opts.Fidelity, h.opts.SampleRate)
+	if err != nil {
+		return nil, "", err
+	}
+	if rerun.fingerprint != fp {
+		return &Violation{
+			ID:     "determinism",
+			Detail: fmt.Sprintf("same-seed rerun fingerprint diverges:\n  first: %s\n  rerun: %s", fp, rerun.fingerprint),
+		}, fp, nil
 	}
 	// Cross-fidelity: in hybrid mode, a sample-rate-1.0 hybrid run is
 	// contractually inert — no extra random draws, no background
 	// accounting — so its fingerprint must match full DES bit-for-bit
 	// under this fault schedule too.
 	if h.hybridMode() {
-		full, err := h.runOnce(h.docs, seed, 1, faultsJSON, 0, "full", 0)
+		full, err := h.runOnce(h.docs, seed, faultsJSON, 0, "full", 0)
 		if err != nil {
 			return nil, "", err
 		}
-		inert, err := h.runOnce(h.docs, seed, 1, faultsJSON, 0, "hybrid", 1)
+		inert, err := h.runOnce(h.docs, seed, faultsJSON, 0, "hybrid", 1)
 		if err != nil {
 			return nil, "", err
 		}
@@ -179,20 +177,16 @@ func (r *runResult) drain(h *Harness) error {
 	return err
 }
 
-// runOnce assembles and runs one simulation: the given seed and engine
-// worker count, the materialized fault plan, the fidelity overrides
+// runOnce assembles and runs one simulation: the given seed, the
+// materialized fault plan, the fidelity overrides
 // (passed through config.ApplyFidelity), and — when winStart > 0 — a
 // recovery-window measurement hook counting goodput and latencies of
 // requests finishing at or after winStart.
-func (h *Harness) runOnce(docs *config.BaseDocs, seed uint64, workers int, faultsJSON []byte, winStart des.Time, fidelity string, sampleRate float64) (*runResult, error) {
+func (h *Harness) runOnce(docs *config.BaseDocs, seed uint64, faultsJSON []byte, winStart des.Time, fidelity string, sampleRate float64) (*runResult, error) {
 	if h.opts.Interrupted() {
 		return nil, ErrInterrupted
 	}
 	seeded, err := docs.WithSeed(seed)
-	if err != nil {
-		return nil, err
-	}
-	seeded, err = seeded.WithWorkers(workers)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +243,7 @@ func (h *Harness) baseline(seed uint64, winStart des.Time) (*windowStats, error)
 	if err != nil {
 		return nil, err
 	}
-	run, err := h.runOnce(h.docs, seed, 1, faultsJSON, winStart, h.opts.Fidelity, h.opts.SampleRate)
+	run, err := h.runOnce(h.docs, seed, faultsJSON, winStart, h.opts.Fidelity, h.opts.SampleRate)
 	if err != nil {
 		return nil, err
 	}

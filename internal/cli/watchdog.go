@@ -25,7 +25,7 @@ import (
 // doing work.
 type Watchdog struct {
 	mu          sync.Mutex
-	current     des.Runner
+	current     *des.Engine
 	interrupted atomic.Bool
 	reason      atomic.Value // string
 }

@@ -11,7 +11,7 @@ import (
 
 // BaseDocs holds the five required config documents of one directory. The
 // chaos harness reads them once and assembles many simulations from them —
-// same cluster, varied seeds, worker counts, and fault plans — without
+// same cluster, varied seeds and fault plans — without
 // re-touching the filesystem per trial.
 type BaseDocs struct {
 	Machines []byte
@@ -80,26 +80,4 @@ func HashDir(dir string) (string, error) {
 		h.Write(data)
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16]), nil
-}
-
-// WithWorkers returns a copy with the machines document's engine worker
-// count replaced: 0 or 1 selects the sequential engine, ≥ 2 the parallel
-// one. The chaos harness uses it for its sim-vs-pdes determinism checks.
-func (d *BaseDocs) WithWorkers(workers int) (*BaseDocs, error) {
-	var mf MachinesFile
-	if err := decodeStrict("machines.json", d.Machines, &mf); err != nil {
-		return nil, err
-	}
-	if workers <= 1 {
-		mf.Engine = nil
-	} else {
-		mf.Engine = &EngineSpec{Workers: workers}
-	}
-	machines, err := json.Marshal(&mf)
-	if err != nil {
-		return nil, fmt.Errorf("config: re-encoding machines.json: %w", err)
-	}
-	out := *d
-	out.Machines = machines
-	return &out, nil
 }

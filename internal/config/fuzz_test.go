@@ -54,6 +54,8 @@ func FuzzMachines(f *testing.F) {
 	f.Add([]byte(`{"machines":[{"name":"a","cores":2},{"name":"b","cores":2}],
 		"topology":{"regions":[{"name":"east","machines":["a"]},{"name":"west","machines":["b"]}],
 		"wan":{"links":[{"a":"east","b":"east","latency_ms":1}]}}}`))
+	// A pinned invalid input: the removed parallel-engine section.
+	f.Add([]byte(`{"machines":[{"name":"a","cores":2}],"engine":{"workers":4}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = Assemble(data, svc, graph, path, client)
 	})

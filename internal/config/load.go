@@ -16,7 +16,6 @@ import (
 	"uqsim/internal/graph"
 	"uqsim/internal/hybrid"
 	"uqsim/internal/netfault"
-	"uqsim/internal/pdes"
 	"uqsim/internal/queueing"
 	"uqsim/internal/service"
 	"uqsim/internal/sim"
@@ -121,6 +120,11 @@ func decodeStrict(name string, data []byte, v any) error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		if got, ok := unknownFieldOf(err); ok {
+			if name == "machines.json" && got == "engine" {
+				// The section that selected the parallel engine: an old
+				// document gets the reason, not a did-you-mean.
+				return fmt.Errorf(`config: machines.json: "engine" was removed in PR 21 (the parallel engine is gone); scale out with uqsim-farm`)
+			}
 			return unknownName(name, "", "field", got, jsonFieldNames(v))
 		}
 		return fmt.Errorf("config: %s: %w", name, err)
@@ -171,11 +175,7 @@ func assemble(mf *MachinesFile, sf *ServicesFile, gf *GraphFile, pf *PathsFile, 
 	if cf.DurationS <= 0 {
 		return nil, fmt.Errorf("config: client.json needs a positive duration_s")
 	}
-	eng, err := buildEngine(mf.Engine)
-	if err != nil {
-		return nil, err
-	}
-	s := sim.New(sim.Options{Seed: cf.Seed, Engine: eng})
+	s := sim.New(sim.Options{Seed: cf.Seed})
 
 	// Machines.
 	if len(mf.Machines) == 0 {
@@ -594,27 +594,6 @@ func buildSessions(spec *SessionsSpec, treeIdx map[string]int, treeNames []strin
 		return nil, fmt.Errorf("config: client.json: %w", err)
 	}
 	return sc, nil
-}
-
-// buildEngine resolves machines.json's optional engine section. Nil (or
-// workers ≤ 1) keeps Sim's default sequential engine; workers ≥ 2
-// selects the parallel engine, whose coordinator executes the same
-// deterministic event order.
-func buildEngine(es *EngineSpec) (des.Runner, error) {
-	if es == nil {
-		return nil, nil
-	}
-	if es.Workers < 0 {
-		return nil, fmt.Errorf("config: machines.json: engine.workers must be non-negative, got %d", es.Workers)
-	}
-	const maxWorkers = 1024
-	if es.Workers > maxWorkers {
-		return nil, fmt.Errorf("config: machines.json: engine.workers %d exceeds the limit of %d", es.Workers, maxWorkers)
-	}
-	if es.Workers <= 1 {
-		return nil, nil
-	}
-	return pdes.New(pdes.Options{LPs: 1, Workers: es.Workers, Lookahead: des.Millisecond}), nil
 }
 
 // faultKinds maps faults.json kind names to fault.Kind values (the inverse

@@ -231,56 +231,15 @@ func TestClientTimeoutValidation(t *testing.T) {
 	}
 }
 
-// TestEngineWorkersEquivalence: an "engine" section selecting the
-// parallel backend must assemble, run, and reproduce the sequential
-// engine's results exactly — same seed, same trace.
-func TestEngineWorkersEquivalence(t *testing.T) {
-	run := func(workers int) (uint64, des.Time) {
-		setup, err := mutateSetup(t, map[string]func(map[string]any){
-			"machines.json": func(m map[string]any) {
-				if workers > 0 {
-					m["engine"] = map[string]any{"workers": workers}
-				}
-			},
-			"client.json": func(m map[string]any) {
-				m["duration_s"] = 0.05
-				m["warmup_s"] = 0.0
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := setup.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Completions == 0 {
-			t.Fatal("no completions")
-		}
-		return rep.Completions, rep.Latency.P99()
-	}
-	seqN, seqP99 := run(0)
-	for _, workers := range []int{1, 4} {
-		if n, p99 := run(workers); n != seqN || p99 != seqP99 {
-			t.Fatalf("workers=%d diverged: %d completions p99=%v, sequential %d p99=%v",
-				workers, n, p99, seqN, seqP99)
-		}
-	}
-}
-
-func TestEngineWorkersValidation(t *testing.T) {
-	for _, c := range []struct {
-		name    string
-		workers float64
-	}{
-		{"negative", -1},
-		{"excessive", 2000},
-	} {
-		err := mutate(t, "machines.json", func(m map[string]any) {
-			m["engine"] = map[string]any{"workers": c.workers}
-		})
-		if err == nil {
-			t.Errorf("%s workers should fail", c.name)
+// TestEngineKeyRemoved: a machines.json that still has the "engine"
+// section of the deleted parallel engine fails with the reason, whatever
+// the section holds.
+func TestEngineKeyRemoved(t *testing.T) {
+	const want = `config: machines.json: "engine" was removed in PR 21 (the parallel engine is gone); scale out with uqsim-farm`
+	for _, engine := range []any{map[string]any{"workers": 4}, map[string]any{}} {
+		err := mutate(t, "machines.json", func(m map[string]any) { m["engine"] = engine })
+		if err == nil || err.Error() != want {
+			t.Errorf("engine %v: error %v, want %q", engine, err, want)
 		}
 	}
 }
@@ -293,9 +252,9 @@ func TestUnknownFieldSuggestion(t *testing.T) {
 		fn   func(map[string]any)
 		want string
 	}{
-		{"nested engine field", func(m map[string]any) {
-			m["engine"] = map[string]any{"workerz": 2}
-		}, `did you mean "workers"`},
+		{"nested wan field", func(m map[string]any) {
+			m["topology"] = map[string]any{"wan": map[string]any{"latncy_ms": 5}}
+		}, `did you mean "latency_ms"`},
 		{"top-level field", func(m map[string]any) {
 			m["machinez"] = []any{}
 		}, `did you mean "machines"`},

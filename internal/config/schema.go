@@ -20,8 +20,6 @@ type MachinesFile struct {
 	Machines []MachineSpec `json:"machines"`
 	// Network optionally enables per-machine interrupt processing.
 	Network *NetworkSpec `json:"network,omitempty"`
-	// Engine optionally selects the simulation engine backend.
-	Engine *EngineSpec `json:"engine,omitempty"`
 	// Topology optionally groups machines into failure domains (racks,
 	// power zones) for correlated fault injection.
 	Topology *TopologySpec `json:"topology,omitempty"`
@@ -73,14 +71,6 @@ type WANLinkSpec struct {
 type DomainSpec struct {
 	Name     string   `json:"name"`
 	Machines []string `json:"machines"`
-}
-
-// EngineSpec configures the event engine the assembled simulation runs
-// on. Workers ≥ 2 selects the parallel (pdes) engine with that many
-// worker goroutines; 0 or 1 keeps the sequential engine. Same-seed runs
-// produce identical results on either backend.
-type EngineSpec struct {
-	Workers int `json:"workers"`
 }
 
 // MachineSpec declares one server.

@@ -276,7 +276,7 @@ func (st *Stats) Fingerprint() string {
 // Plane is one attached control plane.
 type Plane struct {
 	s   *sim.Sim
-	eng des.Scheduler
+	eng *des.Engine
 	cfg Config
 
 	managed    []*managedDeployment

@@ -21,7 +21,7 @@ type Event struct {
 	seq    uint64
 	fn     Callback
 	pos    int32 // heap index + 1; 0 while not queued
-	pooled bool  // posted fire-and-forget: the queue recycles it, no handle exists
+	pooled bool  // posted fire-and-forget: the engine recycles it, no handle exists
 }
 
 // At reports the virtual time the event was last scheduled for.
@@ -36,12 +36,20 @@ func (e *Event) before(o *Event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-// Engine is a single-threaded discrete-event simulation loop. Zero value is
-// not usable; construct with New. Engines are not safe for concurrent use:
-// all scheduling must happen from event callbacks or before Run.
+// Engine is a single-threaded discrete-event simulation loop: the clock and
+// a deterministic priority queue of events ordered by (time, sequence). The
+// sequence number is assigned at scheduling time, so ties at the same
+// timestamp fire in scheduling order regardless of heap internals (see
+// queue.go). Every model — services, workloads, monitors, controllers —
+// schedules on an Engine directly.
+//
+// Construct with New. Engines are not safe for concurrent use: all
+// scheduling must happen from event callbacks or before Run.
 type Engine struct {
-	now Time
-	q   EventQueue
+	now  Time
+	h    []*Event // the event heap; see queue.go
+	seq  uint64
+	free []*Event // posted events that fired, reused by Post
 	// stopped is atomic so an external watchdog (signal handler, wall-clock
 	// guard) may call Stop while Run spins on another goroutine. Everything
 	// else on the engine remains single-threaded.
@@ -51,8 +59,6 @@ type Engine struct {
 	canceled  uint64
 }
 
-var _ Runner = (*Engine)(nil)
-
 // New returns an engine with the clock at zero and an empty event queue.
 func New() *Engine {
 	return &Engine{}
@@ -61,8 +67,9 @@ func New() *Engine {
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending reports the number of live events currently scheduled.
-func (e *Engine) Pending() int { return e.q.Len() }
+// Pending reports the number of events currently scheduled. A cancelled
+// event leaves the heap at once, so every one counted is live.
+func (e *Engine) Pending() int { return len(e.h) }
 
 // Processed reports how many events have fired since construction.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -73,13 +80,16 @@ func (e *Engine) Armed() uint64    { return e.armed }
 func (e *Engine) Canceled() uint64 { return e.canceled }
 
 // Arm schedules fn to run at absolute virtual time t on ev, an event the
-// caller owns and that is not queued (see Event). Scheduling in the past
-// panics: it indicates a causality bug in a model, never a recoverable
-// condition.
+// caller owns and that is not queued (see Event); arming a queued event
+// panics. Scheduling in the past panics too: it indicates a causality bug
+// in a model, never a recoverable condition.
 func (e *Engine) Arm(ev *Event, t Time, fn Callback) {
 	e.check(t, fn)
+	if ev.pos != 0 {
+		panic("des: arming an event that is already queued")
+	}
 	e.armed++
-	e.q.Arm(ev, t, fn)
+	e.push(ev, t, fn)
 }
 
 // At is Arm on a freshly allocated event, returned as the handle. It suits
@@ -106,7 +116,14 @@ func (e *Engine) After(d Time, fn Callback) *Event {
 // do not allocate in steady state.
 func (e *Engine) Post(t Time, fn Callback) {
 	e.check(t, fn)
-	e.q.Post(t, fn)
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &Event{pooled: true}
+	}
+	e.push(ev, t, fn)
 }
 
 func (e *Engine) check(t Time, fn Callback) {
@@ -118,23 +135,31 @@ func (e *Engine) check(t Time, fn Callback) {
 	}
 }
 
-// Cancel prevents ev from firing and removes its heap entry. Cancelling a
-// nil, never-armed, fired or already-cancelled event is a harmless no-op.
+// Cancel prevents ev from firing and removes its heap entry in O(log n).
+// Cancelling a nil, never-armed, fired or already-cancelled event is a
+// harmless no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if e.q.Remove(ev) {
-		e.canceled++
+	if ev == nil || ev.pos == 0 {
+		return
 	}
+	e.removeAt(int(ev.pos) - 1)
+	e.canceled++
 }
 
 // Step fires the single earliest pending event. It reports false when the
-// queue is empty or the engine has been stopped.
+// queue is empty or the engine has been stopped. A posted event's storage
+// is already back on the freelist, and an armed event may be armed again,
+// when the callback runs.
 func (e *Engine) Step() bool {
-	if e.stopped.Load() {
+	if e.stopped.Load() || len(e.h) == 0 {
 		return false
 	}
-	at, fn := e.q.Pop()
-	if fn == nil {
-		return false
+	ev := e.h[0]
+	e.removeAt(0)
+	at, fn := ev.at, ev.fn
+	if ev.pooled {
+		ev.fn = nil
+		e.free = append(e.free, ev)
 	}
 	e.now = at
 	e.processed++
@@ -151,19 +176,12 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps ≤ deadline, then advances the clock
 // to the deadline. Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline Time) {
-	for {
-		next, ok := e.q.Peek()
-		if !ok || next > deadline || !e.Step() {
-			break
-		}
+	for len(e.h) > 0 && e.h[0].at <= deadline && e.Step() {
 	}
 	if e.now < deadline && !e.stopped.Load() {
 		e.now = deadline
 	}
 }
-
-// NextEventTime reports the firing time of the earliest live pending event.
-func (e *Engine) NextEventTime() (Time, bool) { return e.q.Peek() }
 
 // Stop halts Run/RunUntil after the current event completes. Further Step
 // calls report false until Resume.

@@ -187,7 +187,7 @@ func TestEngineCancelSoleEvent(t *testing.T) {
 	e := New()
 	ev := e.At(5, func(Time) { t.Fatal("cancelled event fired") })
 	e.Cancel(ev)
-	if _, ok := e.NextEventTime(); ok {
+	if e.Pending() != 0 {
 		t.Fatal("cancelled sole event still pending")
 	}
 	e.Run()
@@ -338,22 +338,6 @@ func TestEngineNegativeAfterClamps(t *testing.T) {
 	e.Run()
 	if !fired {
 		t.Fatal("clamped event never fired")
-	}
-}
-
-func TestEngineNextEventTime(t *testing.T) {
-	e := New()
-	if _, ok := e.NextEventTime(); ok {
-		t.Fatal("empty engine should have no next event")
-	}
-	ev := e.At(30, func(Time) {})
-	e.At(40, func(Time) {})
-	if next, ok := e.NextEventTime(); !ok || next != 30 {
-		t.Fatalf("next = %v,%v want 30,true", next, ok)
-	}
-	e.Cancel(ev)
-	if next, ok := e.NextEventTime(); !ok || next != 40 {
-		t.Fatalf("next after cancel = %v,%v want 40,true", next, ok)
 	}
 }
 

@@ -3,87 +3,59 @@ package des
 import "testing"
 
 func TestEventQueueOrderAndRecycle(t *testing.T) {
-	var q EventQueue
+	e := New()
 	var got []int
 	rec := func(i int) Callback { return func(Time) { got = append(got, i) } }
 
 	var owned Event
-	q.Post(30, rec(2))
-	q.Post(10, rec(0))
-	q.Post(10, rec(1)) // same time: scheduling order breaks the tie
-	q.Arm(&owned, 40, rec(3))
+	e.Post(30, rec(2))
+	e.Post(10, rec(0))
+	e.Post(10, rec(1)) // same time: scheduling order breaks the tie
+	e.Arm(&owned, 40, rec(3))
 
 	var prev Time
-	for {
-		at, fn := q.Pop()
-		if fn == nil {
-			break
+	for e.Step() {
+		if e.Now() < prev {
+			t.Fatalf("events out of order: %v after %v", e.Now(), prev)
 		}
-		if at < prev {
-			t.Fatalf("events out of order: %v after %v", at, prev)
-		}
-		prev = at
-		fn(at)
+		prev = e.Now()
 	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("fire order %v, want 0..3", got)
 		}
 	}
-	if len(q.free) != 3 {
-		t.Fatalf("freelist has %d events, want 3 (a caller-owned event must not be recycled)", len(q.free))
+	if len(e.free) != 3 {
+		t.Fatalf("freelist has %d events, want 3 (a caller-owned event must not be recycled)", len(e.free))
 	}
 
 	// Posting must reuse freelist storage, arming must not touch it.
-	q.Arm(&owned, 45, rec(5))
-	q.Post(50, rec(4))
-	if len(q.free) != 2 {
-		t.Fatalf("freelist has %d events after one Post and one Arm, want 2", len(q.free))
-	}
-}
-
-func TestEventQueuePopBefore(t *testing.T) {
-	var q EventQueue
-	fn := func(Time) {}
-	q.Post(10, fn)
-	q.Post(20, fn)
-	q.Post(30, fn)
-
-	if at, fn := q.PopBefore(10); fn != nil {
-		t.Fatalf("PopBefore(10) returned event at %v, want none (end is exclusive)", at)
-	}
-	for _, want := range []Time{10, 20} {
-		if at, fn := q.PopBefore(25); fn == nil || at != want {
-			t.Fatalf("PopBefore(25) = %v, want event at %v", at, want)
-		}
-	}
-	if at, fn := q.PopBefore(25); fn != nil {
-		t.Fatalf("PopBefore(25) = event at %v, want none", at)
-	}
-	if n := q.Len(); n != 1 {
-		t.Fatalf("queue has %d events, want 1", n)
+	e.Arm(&owned, 45, rec(5))
+	e.Post(50, rec(4))
+	if len(e.free) != 2 {
+		t.Fatalf("freelist has %d events after one Post and one Arm, want 2", len(e.free))
 	}
 }
 
 func TestEventQueueRemove(t *testing.T) {
-	var q EventQueue
+	e := New()
 	fired := false
 	var ev Event
-	q.Arm(&ev, 10, func(Time) { fired = true })
-	q.Post(20, func(Time) {})
+	e.Arm(&ev, 10, func(Time) { fired = true })
+	e.Post(20, func(Time) {})
 
-	if !q.Remove(&ev) {
-		t.Fatal("Remove reported false for a queued event")
+	e.Cancel(&ev)
+	if e.Canceled() != 1 || ev.Pending() {
+		t.Fatalf("Cancel of a queued event: cancelled count %d, pending %v, want 1, false", e.Canceled(), ev.Pending())
 	}
-	if q.Remove(&ev) {
-		t.Fatal("second Remove reported true")
+	e.Cancel(&ev)
+	if e.Canceled() != 1 {
+		t.Fatal("second Cancel counted as a removal")
 	}
-	if at, ok := q.Peek(); !ok || at != 20 {
-		t.Fatalf("Peek = %v,%v, want 20,true", at, ok)
+	if e.Pending() != 1 || e.h[0].At() != 20 {
+		t.Fatalf("pending %d, want the event at 20 alone", e.Pending())
 	}
-	for at, fn := q.Pop(); fn != nil; at, fn = q.Pop() {
-		fn(at)
-	}
+	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}

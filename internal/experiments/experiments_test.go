@@ -289,26 +289,23 @@ func TestExtTimeoutsSmoke(t *testing.T) {
 
 func TestScalabilitySmoke(t *testing.T) {
 	tb := smoke(t, "scalability")
-	if len(tb.Rows) < 4 {
+	if len(tb.Rows) < 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
-	engines := map[string]bool{}
+	prev := 0
 	for _, r := range tb.Rows {
-		engines[r[1]] = true
-		if r[5] == "0" {
-			t.Fatalf("zero events in %v", r)
+		events, err := strconv.Atoi(r[3])
+		if err != nil || events == 0 {
+			t.Fatalf("events %q in %v", r[3], r)
 		}
-		if r[1] == "pdes" && r[2] == "1" && r[8] != "1.00" {
-			t.Fatalf("workers=1 baseline speedup %q in %v", r[8], r)
+		// More servers fan each request out wider: more events per run.
+		if events <= prev {
+			t.Fatalf("events do not grow with cluster size: %v", tb.Rows)
 		}
-		if r[1] == "pdes" && r[2] != "1" {
-			if _, err := strconv.ParseFloat(r[8], 64); err != nil {
-				t.Fatalf("unparseable speedup %q in %v", r[8], r)
-			}
+		prev = events
+		if _, err := strconv.ParseFloat(r[5], 64); err != nil {
+			t.Fatalf("unparseable events_per_wall_s %q in %v", r[5], r)
 		}
-	}
-	if !engines["sim"] || !engines["pdes"] {
-		t.Fatalf("missing engine series: %v", engines)
 	}
 }
 

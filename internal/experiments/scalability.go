@@ -6,30 +6,19 @@ import (
 
 	"uqsim/internal/apps"
 	"uqsim/internal/des"
-	"uqsim/internal/pdes"
 )
 
 // Scalability measures the simulator itself — the "scalable" half of the
-// paper's title. Two series per cluster size:
-//
-//   - engine=sim: the full sequential simulator running the tail-at-scale
-//     app, the reference for absolute event throughput.
-//   - engine=pdes: the sharded conservative-parallel model (one LP per
-//     machine plus a root LP), swept over worker counts. The speedup
-//     column is each worker count's events/s relative to the same
-//     cluster at workers=1; on a multi-core host it shows the parallel
-//     engine's scaling, and every worker count produces a bit-identical
-//     trace (see internal/pdes).
+// paper's title: the full simulator running the tail-at-scale app at
+// growing cluster sizes, for absolute event throughput. Scale-out beyond
+// one core is running many of these at once (internal/farm), not splitting
+// one across cores.
 func Scalability(o Opts) (*Table, error) {
-	t := NewTable("Scalability — simulator throughput vs cluster size and workers",
-		"servers", "engine", "workers", "virtual_s", "requests", "events",
-		"wall_ms", "events_per_wall_s", "speedup")
-	t.Note = "speedup = pdes events/s vs the same cluster at workers=1"
+	t := NewTable("Scalability — simulator throughput vs simulated cluster size",
+		"servers", "virtual_s", "requests", "events", "wall_ms", "events_per_wall_s")
 	clusters := []int{10, 50, 100, 500, 1000}
-	workers := []int{1, 2, 4, 8}
 	if o.scale() < 0.5 {
 		clusters = []int{10, 100}
-		workers = []int{1, 4}
 	}
 	_, dur := o.window(0, 10*des.Second)
 	for _, n := range clusters {
@@ -50,41 +39,13 @@ func Scalability(o Opts) (*Table, error) {
 		}
 		events := s.Engine().Processed()
 		t.Add(
-			fmt.Sprintf("%d", n), "sim", "1",
+			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.1f", dur.Seconds()),
 			fmt.Sprintf("%d", rep.Completions),
 			fmt.Sprintf("%d", events),
 			fmt.Sprintf("%d", wall.Milliseconds()),
 			fmt.Sprintf("%.0f", float64(events)/wall.Seconds()),
-			"-",
 		)
-		var base float64
-		for _, w := range workers {
-			sc, err := pdes.NewShardedCluster(pdes.ShardedClusterConfig{
-				Seed: o.Seed, Machines: n, QPS: 50, SlowFraction: 0.01,
-				LPs: n, Workers: w,
-			})
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			srep := sc.Run(dur)
-			wall := time.Since(start)
-			rate := float64(srep.Events) / wall.Seconds()
-			if w == workers[0] {
-				base = rate
-			}
-			t.Add(
-				fmt.Sprintf("%d", n), "pdes",
-				fmt.Sprintf("%d", w),
-				fmt.Sprintf("%.1f", dur.Seconds()),
-				fmt.Sprintf("%d", srep.Requests),
-				fmt.Sprintf("%d", srep.Events),
-				fmt.Sprintf("%d", wall.Milliseconds()),
-				fmt.Sprintf("%.0f", rate),
-				fmt.Sprintf("%.2f", rate/base),
-			)
-		}
 	}
 	return t, nil
 }

@@ -217,7 +217,7 @@ type State struct {
 	rate  func(t des.Time) float64
 	split *rng.Splitter
 
-	eng       des.Scheduler
+	eng       *des.Engine
 	warmupEnd des.Time
 
 	points  []point
@@ -327,7 +327,7 @@ func (st *State) ServiceIndex(name string) int {
 // Start begins the epoch loop. Background accrual covers [warmupEnd, end)
 // to match the simulator's measured-window accounting; equilibrium
 // injection is live from `at` so warmup traffic also sees background load.
-func (st *State) Start(eng des.Scheduler, at, warmupEnd des.Time) {
+func (st *State) Start(eng *des.Engine, at, warmupEnd des.Time) {
 	if !st.Active() {
 		return
 	}

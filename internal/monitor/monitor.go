@@ -76,7 +76,7 @@ type Series struct {
 
 // Monitor drives periodic sampling on a DES engine.
 type Monitor struct {
-	eng      des.Scheduler
+	eng      *des.Engine
 	interval des.Time
 	targets  []Target
 	series   []*Series
@@ -88,7 +88,7 @@ type Monitor struct {
 }
 
 // New creates a monitor sampling every interval of virtual time.
-func New(eng des.Scheduler, interval des.Time) *Monitor {
+func New(eng *des.Engine, interval des.Time) *Monitor {
 	if interval <= 0 {
 		panic("monitor: interval must be positive")
 	}

@@ -141,7 +141,7 @@ type Config struct {
 // Manager runs Algorithm 1 against a live simulation.
 type Manager struct {
 	cfg   Config
-	eng   des.Scheduler
+	eng   *des.Engine
 	tiers []*Tier
 	r     *rng.Source
 
@@ -167,7 +167,7 @@ type Manager struct {
 
 // New creates a controller over the given tiers. Call Attach to wire it to
 // a request-completion stream, then Start.
-func New(eng des.Scheduler, cfg Config, tiers []*Tier) (*Manager, error) {
+func New(eng *des.Engine, cfg Config, tiers []*Tier) (*Manager, error) {
 	if cfg.Target <= 0 {
 		return nil, fmt.Errorf("power: needs a positive QoS target")
 	}

@@ -19,7 +19,7 @@ type Instance struct {
 	Name  string
 	Alloc *cluster.Allocation
 
-	eng des.Scheduler
+	eng *des.Engine
 	r   *rng.Source
 
 	queues []queueing.Queue
@@ -101,7 +101,7 @@ type Instance struct {
 
 // NewInstance deploys bp as name on the given allocation and engine, with a
 // dedicated random stream. The blueprint must validate.
-func NewInstance(eng des.Scheduler, bp *Blueprint, name string, alloc *cluster.Allocation, r *rng.Source) (*Instance, error) {
+func NewInstance(eng *des.Engine, bp *Blueprint, name string, alloc *cluster.Allocation, r *rng.Source) (*Instance, error) {
 	if err := bp.Validate(); err != nil {
 		return nil, err
 	}

@@ -22,16 +22,8 @@ import (
 // optional connection pool. It exercises the whole dispatch surface.
 func buildRandomTopology(t *testing.T, seed int64) *Sim {
 	t.Helper()
-	return buildRandomTopologyOn(t, seed, nil)
-}
-
-// buildRandomTopologyOn builds the same topology on an explicit engine
-// (nil: the default sequential des.Engine), so equivalence tests can run
-// one seed on several engines and compare fingerprints.
-func buildRandomTopologyOn(t *testing.T, seed int64, eng des.Runner) *Sim {
-	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	s := New(Options{Seed: uint64(seed), Engine: eng})
+	s := New(Options{Seed: uint64(seed)})
 	nMachines := 1 + r.Intn(3)
 	for i := 0; i < nMachines; i++ {
 		s.AddMachine(fmt.Sprintf("m%d", i), 16, cluster.FreqSpec{})

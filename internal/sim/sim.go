@@ -120,17 +120,11 @@ type ClientConfig struct {
 type Options struct {
 	// Seed drives all random streams.
 	Seed uint64
-	// Engine, when non-nil, supplies the event engine the simulation
-	// runs on (e.g. a pdes coordinator). Nil gets a fresh sequential
-	// des.Engine. Any engine must execute events in the same
-	// deterministic (time, seq) order — same-seed runs produce
-	// identical results on every conforming engine.
-	Engine des.Runner
 }
 
 // Sim is one assembled simulation.
 type Sim struct {
-	eng     des.Runner
+	eng     *des.Engine
 	split   *rng.Splitter
 	cluster *cluster.Cluster
 	fac     *job.Factory
@@ -304,20 +298,8 @@ var OnNew func(*Sim)
 // New creates an empty simulation.
 func New(opts Options) *Sim {
 	split := rng.NewSplitter(opts.Seed)
-	eng := opts.Engine
-	if eng == nil {
-		eng = des.New()
-	}
-	s := newSim(opts, split, eng)
-	if OnNew != nil {
-		OnNew(s)
-	}
-	return s
-}
-
-func newSim(opts Options, split *rng.Splitter, eng des.Runner) *Sim {
-	return &Sim{
-		eng:          eng,
+	s := &Sim{
+		eng:          des.New(),
 		split:        split,
 		cluster:      cluster.NewCluster(),
 		fac:          job.NewFactory(),
@@ -337,11 +319,15 @@ func newSim(opts Options, split *rng.Splitter, eng des.Runner) *Sim {
 		latency:      stats.NewLatencyHist(),
 		perTier:      make(map[string]*stats.LatencyHist),
 	}
+	if OnNew != nil {
+		OnNew(s)
+	}
+	return s
 }
 
 // Engine exposes the underlying event engine (read-mostly; used by the
 // power manager to schedule decision epochs and by tests).
-func (s *Sim) Engine() des.Runner { return s.eng }
+func (s *Sim) Engine() *des.Engine { return s.eng }
 
 // Cluster exposes the machine registry.
 func (s *Sim) Cluster() *cluster.Cluster { return s.cluster }

@@ -11,8 +11,7 @@ import (
 // comparable string: every counter, the latency quantiles, the sorted
 // per-service error breakdowns, and the per-instance outcome counts. Two
 // runs with equal fingerprints observed the same simulation — the equality
-// the determinism tests and the chaos harness's sim-vs-pdes invariant
-// assert, and the identity a replayed corpus scenario must reproduce
+// the determinism tests and the chaos harness's same-seed rerun assert, and the identity a replayed corpus scenario must reproduce
 // bit-for-bit.
 func Fingerprint(rep *sim.Report) string {
 	fp := fmt.Sprintf("arr=%d comp=%d to=%d shed=%d drop=%d ddl=%d brk=%d retry=%d hedge=%d/%d cancel=%d waste=%d inflight=%d unreach=%d ldrop=%d ldup=%d xr=%d stale=%d mean=%v p50=%v p99=%v",

@@ -284,7 +284,7 @@ type Sessions struct {
 	SampleUser func(user int) bool
 
 	cfg   SessionConfig
-	eng   des.Scheduler
+	eng   *des.Engine
 	split *rng.Splitter
 
 	users map[int]*sessionUser
@@ -319,7 +319,7 @@ type orderEntry struct {
 
 // NewSessions builds a session source. The splitter must be dedicated to
 // this source (each user's stream is split from it by id).
-func NewSessions(eng des.Scheduler, split *rng.Splitter, cfg SessionConfig, emit func(now des.Time, user, tree int)) (*Sessions, error) {
+func NewSessions(eng *des.Engine, split *rng.Splitter, cfg SessionConfig, emit func(now des.Time, user, tree int)) (*Sessions, error) {
 	if emit == nil {
 		return nil, fmt.Errorf("workload: sessions need an emit callback")
 	}

@@ -196,7 +196,7 @@ type OpenLoop struct {
 	// Proc selects the interarrival process (default Poisson).
 	Proc Process
 
-	eng     des.Scheduler
+	eng     *des.Engine
 	r       *rng.Source
 	stopped bool
 	// arrive and poll are the generator's two event callbacks, bound once
@@ -207,7 +207,7 @@ type OpenLoop struct {
 // NewOpenLoop builds a generator on the engine with a dedicated stream.
 // Patterns implementing Validator are checked here; config loaders should
 // validate first to surface the error instead of the panic.
-func NewOpenLoop(eng des.Scheduler, r *rng.Source, pattern Pattern, emit func(now des.Time)) *OpenLoop {
+func NewOpenLoop(eng *des.Engine, r *rng.Source, pattern Pattern, emit func(now des.Time)) *OpenLoop {
 	if pattern == nil || emit == nil {
 		panic("workload: open-loop generator needs a pattern and an emit callback")
 	}
@@ -273,12 +273,12 @@ type ClosedLoop struct {
 
 	Users int
 
-	eng des.Scheduler
+	eng *des.Engine
 	r   *rng.Source
 }
 
 // NewClosedLoop builds a closed-loop generator with the given user count.
-func NewClosedLoop(eng des.Scheduler, r *rng.Source, users int, emit func(now des.Time)) *ClosedLoop {
+func NewClosedLoop(eng *des.Engine, r *rng.Source, users int, emit func(now des.Time)) *ClosedLoop {
 	if users < 1 {
 		panic("workload: closed loop needs at least one user")
 	}
@@ -309,12 +309,12 @@ type Replay struct {
 	// Emit receives each arrival. Required.
 	Emit func(now des.Time)
 
-	eng   des.Scheduler
+	eng   *des.Engine
 	trace []des.Time
 }
 
 // NewReplay builds a trace replayer; timestamps must be nondecreasing.
-func NewReplay(eng des.Scheduler, trace []des.Time, emit func(now des.Time)) *Replay {
+func NewReplay(eng *des.Engine, trace []des.Time, emit func(now des.Time)) *Replay {
 	if emit == nil {
 		panic("workload: replay needs an emit callback")
 	}

@@ -47,7 +47,6 @@ import (
 	"uqsim/internal/hybrid"
 	"uqsim/internal/monitor"
 	"uqsim/internal/netfault"
-	"uqsim/internal/pdes"
 	"uqsim/internal/power"
 	"uqsim/internal/service"
 	"uqsim/internal/sim"
@@ -110,49 +109,18 @@ const (
 	Second      = des.Second
 )
 
-// ---- simulation engines ----
+// ---- simulation engine ----
 
-// Scheduler is the event-scheduling surface model code sees (Now, Post,
-// Arm, At, After, Cancel). Post if you never cancel: the event's storage is
-// recycled. Arm if you do and own the storage: the Event is a field of your
-// own record, and arming and cancelling it allocate nothing. At and After
+// Engine is the discrete-event loop every simulation runs on (see
+// Sim.Engine). Post if you never cancel: the event's storage is recycled.
+// Arm if you do and own the storage: the Event is a field of your own
+// record, and arming and cancelling it allocate nothing. At and After
 // allocate a handle per call and are for cold paths.
-type Scheduler = des.Scheduler
+type Engine = des.Engine
 
 // Event is a cancellable scheduled callback: the handle At returns, or the
 // caller-owned storage Arm queues. Its zero value is ready to arm.
 type Event = des.Event
-
-// Runner is a complete engine: a Scheduler that can also drive the event
-// loop. Options.Engine accepts any Runner; nil selects the sequential
-// engine.
-type Runner = des.Runner
-
-// NewParallelEngine returns the conservative parallel engine configured
-// as a coordinator for a full Sim: it executes the exact deterministic
-// event order of the sequential engine, so results are bit-identical for
-// the same seed. Pass it as Options.Engine. The JSON front-end's
-// machines.json "engine": {"workers": N} section is equivalent.
-func NewParallelEngine(workers int) Runner {
-	return pdes.New(pdes.Options{LPs: 1, Workers: workers, Lookahead: Millisecond})
-}
-
-// ShardedCluster is the LP-decomposed fan-out cluster model: machines are
-// partitioned across logical processes and simulated in parallel
-// lookahead windows, with cross-LP messages merged deterministically so
-// every worker count reproduces the same trace.
-type ShardedCluster = pdes.ShardedCluster
-
-// ShardedClusterConfig parameterizes a ShardedCluster.
-type ShardedClusterConfig = pdes.ShardedClusterConfig
-
-// ShardReport is the outcome of a ShardedCluster run.
-type ShardReport = pdes.ShardReport
-
-// NewShardedCluster assembles the sharded fan-out model.
-func NewShardedCluster(cfg ShardedClusterConfig) (*ShardedCluster, error) {
-	return pdes.NewShardedCluster(cfg)
-}
 
 // ---- cluster ----
 
@@ -578,7 +546,7 @@ type ChaosReplayResult = chaos.ReplayResult
 
 // RunChaos generates seeded random fault schedules against the config
 // directory in opts, verifies each against the simulator's invariants
-// (conservation, drain, cross-engine determinism, post-heal recovery),
+// (conservation, drain, same-seed determinism, post-heal recovery),
 // shrinks every violation to a minimal reproduction, and archives the
 // repros as replayable corpus entries. The same engine backs
 // cmd/uqsim-chaos.
