@@ -128,11 +128,11 @@ CHAOS_TRIALS ?= 3
 CHAOS_MAX_WALL ?= 2m
 chaos:
 	@out=$$(mktemp -d); \
-	$(GO) build -o $$out/uqsim-chaos ./cmd/uqsim-chaos || exit 1; \
-	$$out/uqsim-chaos -config configs/metastable -trials $(CHAOS_TRIALS) \
+	$(GO) build -o $$out/uqsim ./cmd/uqsim || exit 1; \
+	$$out/uqsim chaos -config configs/metastable -trials $(CHAOS_TRIALS) \
 		-seed 1 -corpus $$out/corpus -max-wall $(CHAOS_MAX_WALL); rc=$$?; \
 	if [ $$rc -ne 0 ] && [ $$rc -ne 3 ]; then rm -rf $$out; exit $$rc; fi; \
-	$$out/uqsim-chaos -config configs/robust -fidelity hybrid -sample-rate 0.25 \
+	$$out/uqsim chaos -config configs/robust -fidelity hybrid -sample-rate 0.25 \
 		-trials $(CHAOS_TRIALS) -seed 1 -corpus $$out/corpus-hybrid \
 		-max-wall $(CHAOS_MAX_WALL); rc=$$?; \
 	rm -rf $$out; \
@@ -142,7 +142,7 @@ chaos:
 # sweep fanned out across FARM_WORKERS crash-recovering workers with the
 # built-in chaos monkey SIGKILLing one of them mid-run. The requeued job
 # retries, and the merged CSV must be byte-identical to a serial
-# uqsim-sweep of the same grid — the farm's determinism contract. If the
+# `uqsim sweep` of the same grid — the farm's determinism contract. If the
 # campaign is interrupted (exit 1) it finishes with -resume first.
 FARM_WORKERS ?= 4
 FARM_FROM ?= 18000
@@ -150,22 +150,21 @@ FARM_TO ?= 26000
 FARM_STEP ?= 2000
 farm:
 	@out=$$(mktemp -d); \
-	$(GO) build -o $$out/uqsim-farm ./cmd/uqsim-farm || exit 1; \
-	$(GO) build -o $$out/uqsim-sweep ./cmd/uqsim-sweep || exit 1; \
-	$$out/uqsim-farm -config configs/twotier \
+	$(GO) build -o $$out/uqsim ./cmd/uqsim || exit 1; \
+	$$out/uqsim farm -config configs/twotier \
 		-from $(FARM_FROM) -to $(FARM_TO) -step $(FARM_STEP) \
 		-workers $(FARM_WORKERS) -kill-workers 1 -seed 7 -q \
 		-spool $$out/spool; rc=$$?; \
 	if [ $$rc -eq 1 ]; then \
 		echo "farm: campaign interrupted; resuming"; \
-		$$out/uqsim-farm -config configs/twotier \
+		$$out/uqsim farm -config configs/twotier \
 			-from $(FARM_FROM) -to $(FARM_TO) -step $(FARM_STEP) \
 			-workers $(FARM_WORKERS) -resume -q -spool $$out/spool \
 			|| { rm -rf $$out; exit 1; }; \
 	elif [ $$rc -ne 0 ]; then rm -rf $$out; exit $$rc; fi; \
-	$$out/uqsim-farm -audit -spool $$out/spool >/dev/null \
+	$$out/uqsim farm -audit -spool $$out/spool >/dev/null \
 		|| { rm -rf $$out; echo "farm: journal audit failed"; exit 1; }; \
-	$$out/uqsim-sweep -config configs/twotier \
+	$$out/uqsim sweep -config configs/twotier \
 		-from $(FARM_FROM) -to $(FARM_TO) -step $(FARM_STEP) -csv \
 		> $$out/serial.csv || { rm -rf $$out; exit 1; }; \
 	cmp -s $$out/spool/merged.csv $$out/serial.csv; rc=$$?; \

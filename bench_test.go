@@ -2,7 +2,7 @@ package uqsim
 
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation section (each regenerates the experiment at reduced scale;
-// run `go run ./cmd/uqsim-experiments all` for the full-scale sweeps), an
+// run `go run ./cmd/uqsim experiments all` for the full-scale sweeps), an
 // ablation bench per DESIGN.md design decision, and simulator-throughput
 // benchmarks backing the "scalable" claim.
 

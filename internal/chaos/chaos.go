@@ -305,7 +305,7 @@ func (h *Harness) Trial(trial int) (*TrialResult, error) {
 }
 
 // Run explores opts.Trials scenarios, shrinking and archiving every
-// violation found. This is the cmd/uqsim-chaos entry point.
+// violation found. This is the `uqsim chaos` entry point.
 func Run(opts Options) (*Result, error) {
 	h, err := NewHarness(opts)
 	if err != nil {

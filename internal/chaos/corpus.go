@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"uqsim/internal/atomicfile"
 	"uqsim/internal/config"
 )
 
@@ -80,11 +81,11 @@ func ArchiveEntry(corpusDir string, e *Entry) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("chaos: creating corpus entry: %w", err)
 	}
-	if err := writeAtomic(filepath.Join(dir, "faults.json"), faults); err != nil {
-		return "", err
+	if err := atomicfile.Write(filepath.Join(dir, "faults.json"), faults); err != nil {
+		return "", fmt.Errorf("chaos: %w", err)
 	}
-	if err := writeAtomic(filepath.Join(dir, "meta.json"), append(meta, '\n')); err != nil {
-		return "", err
+	if err := atomicfile.Write(filepath.Join(dir, "meta.json"), append(meta, '\n')); err != nil {
+		return "", fmt.Errorf("chaos: %w", err)
 	}
 	return dir, nil
 }
@@ -97,30 +98,6 @@ func canonicalJSON(raw []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// writeAtomic writes via a same-directory temp file and rename, so a
-// signal mid-write leaves either the old content or the new — never a
-// truncated file.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("chaos: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("chaos: writing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("chaos: writing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("chaos: %w", err)
-	}
-	return nil
 }
 
 // Entries lists the complete corpus entries under dir, sorted by name.

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,10 +18,10 @@ import (
 	"uqsim/internal/config"
 )
 
-// These tests exercise the full binaries: a SIGINT landing mid-sweep must
+// These tests exercise the full binary: a SIGINT landing mid-sweep must
 // terminate the process nonzero while leaving only complete, parseable
-// artifacts behind. They build the real commands and signal them exactly
-// like an operator's Ctrl-C.
+// artifacts behind. They build the real command and signal its
+// subcommands exactly like an operator's Ctrl-C.
 
 func repoRoot(t *testing.T) string {
 	t.Helper()
@@ -31,15 +32,49 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
-func buildBinary(t *testing.T, pkg string) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
-	cmd := exec.Command("go", "build", "-o", bin, "./"+pkg)
-	cmd.Dir = repoRoot(t)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+var (
+	uqsimOnce sync.Once
+	uqsimPath string
+	uqsimErr  error
+)
+
+// TestMain removes the shared binary once every test has used it.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if uqsimPath != "" {
+		os.RemoveAll(filepath.Dir(uqsimPath))
 	}
-	return bin
+	os.Exit(code)
+}
+
+// uqsimBin builds cmd/uqsim once per test process; every test runs its
+// subcommands from that one binary.
+func uqsimBin(t *testing.T) string {
+	t.Helper()
+	uqsimOnce.Do(func() {
+		dir, err := os.MkdirTemp("", "uqsim-bin")
+		if err != nil {
+			uqsimErr = err
+			return
+		}
+		uqsimPath = filepath.Join(dir, "uqsim")
+		cmd := exec.Command("go", "build", "-o", uqsimPath, "./cmd/uqsim")
+		cmd.Dir = repoRoot(t)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			uqsimErr = fmt.Errorf("go build ./cmd/uqsim: %v\n%s", err, out)
+		}
+	})
+	if uqsimErr != nil {
+		t.Fatal(uqsimErr)
+	}
+	return uqsimPath
+}
+
+// uqsim returns a command running `uqsim <args>` from the repository root.
+func uqsim(t *testing.T, args ...string) *exec.Cmd {
+	cmd := exec.Command(uqsimBin(t), args...)
+	cmd.Dir = repoRoot(t)
+	return cmd
 }
 
 // syncBuffer is a buffer safe to poll while os/exec's copier goroutine
@@ -105,14 +140,12 @@ func interruptAndWait(t *testing.T, cmd *exec.Cmd) int {
 // nonzero and leave a corpus in which every entry is complete — meta.json
 // parses, records a violation, and sits beside a loadable faults.json.
 func TestChaosInterruptFlushesPartialCorpus(t *testing.T) {
-	bin := buildBinary(t, "cmd/uqsim-chaos")
 	corpusDir := filepath.Join(t.TempDir(), "corpus")
 
-	cmd := exec.Command(bin,
+	cmd := uqsim(t, "chaos",
 		"-config", "configs/metastable",
 		"-trials", "9999", "-seed", "1",
 		"-corpus", corpusDir, "-q")
-	cmd.Dir = repoRoot(t)
 	var out bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &out
 	if err := cmd.Start(); err != nil {
@@ -167,14 +200,12 @@ func TestChaosInterruptFlushesPartialCorpus(t *testing.T) {
 // nonzero; every CSV already in the output directory (including the
 // interrupted experiment's atomically written partial table) parses.
 func TestExperimentsInterruptFlushesPartialCSV(t *testing.T) {
-	bin := buildBinary(t, "cmd/uqsim-experiments")
 	outDir := filepath.Join(t.TempDir(), "results")
 
 	// chaos finishes in a few seconds; the rest keep the sweep busy long
 	// enough for the signal to land mid-run.
-	cmd := exec.Command(bin, "-csv", "-out", outDir,
+	cmd := uqsim(t, "experiments", "-csv", "-out", outDir,
 		"chaos", "scalability", "regionloss", "metastable")
-	cmd.Dir = repoRoot(t)
 	var out bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &out
 	if err := cmd.Start(); err != nil {
@@ -219,15 +250,12 @@ func TestExperimentsInterruptFlushesPartialCSV(t *testing.T) {
 // nonzero with a PARTIAL diagnostic, and the table printed must contain
 // only complete rows — the header plus one full row per finished point.
 func TestSweepInterruptPrintsCompleteRows(t *testing.T) {
-	bin := buildBinary(t, "cmd/uqsim-sweep")
-
 	// A wide grid keeps the sweep busy; -progress reports each finished
 	// point on stderr so the test can interrupt after the first one.
-	cmd := exec.Command(bin,
+	cmd := uqsim(t, "sweep",
 		"-config", "configs/twotier",
 		"-from", "15000", "-to", "80000", "-step", "1000",
 		"-csv", "-progress")
-	cmd.Dir = repoRoot(t)
 	var stdout bytes.Buffer
 	var stderr syncBuffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -264,14 +292,11 @@ func TestSweepInterruptPrintsCompleteRows(t *testing.T) {
 // simulation cleanly, still print the report header and collected
 // traces, and exit 1 with a PARTIAL diagnostic.
 func TestTraceInterruptReportsPartialRun(t *testing.T) {
-	bin := buildBinary(t, "cmd/uqsim-trace")
-
 	// An hour of virtual time takes far longer than the test to simulate,
 	// so the signal always lands mid-run.
-	cmd := exec.Command(bin,
+	cmd := uqsim(t, "trace",
 		"-config", "configs/twotier",
 		"-duration", "1h", "-sample", "64")
-	cmd.Dir = repoRoot(t)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Start(); err != nil {

@@ -123,7 +123,7 @@ func decodeStrict(name string, data []byte, v any) error {
 			if name == "machines.json" && got == "engine" {
 				// The section that selected the parallel engine: an old
 				// document gets the reason, not a did-you-mean.
-				return fmt.Errorf(`config: machines.json: "engine" was removed in PR 21 (the parallel engine is gone); scale out with uqsim-farm`)
+				return fmt.Errorf(`config: machines.json: "engine" was removed (the parallel engine is gone); scale out with uqsim farm`)
 			}
 			return unknownName(name, "", "field", got, jsonFieldNames(v))
 		}

@@ -235,7 +235,7 @@ func TestClientTimeoutValidation(t *testing.T) {
 // section of the deleted parallel engine fails with the reason, whatever
 // the section holds.
 func TestEngineKeyRemoved(t *testing.T) {
-	const want = `config: machines.json: "engine" was removed in PR 21 (the parallel engine is gone); scale out with uqsim-farm`
+	const want = `config: machines.json: "engine" was removed (the parallel engine is gone); scale out with uqsim farm`
 	for _, engine := range []any{map[string]any{"workers": 4}, map[string]any{}} {
 		err := mutate(t, "machines.json", func(m map[string]any) { m["engine"] = engine })
 		if err == nil || err.Error() != want {

@@ -46,7 +46,7 @@ func cwd() string {
 // faults — is checked against the invariant battery, the violation is
 // delta-debugged down to the minimal reproducing schedule, and the
 // minimum is re-verified to confirm it reproduces the identical
-// violation. The same pipeline runs generatively in cmd/uqsim-chaos;
+// violation. The same pipeline runs generatively in `uqsim chaos`;
 // this experiment pins the canonical seeded scenario so the find → check
 // → shrink → replay story is itself a regression-tested result.
 func Chaos(o Opts) (*Table, error) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -71,6 +72,31 @@ func TestGrid(t *testing.T) {
 	g := grid(10, 50, 10)
 	if len(g) != 5 || g[0] != 10 || g[4] != 50 {
 		t.Fatalf("grid %v", g)
+	}
+}
+
+// TestSweepGridRejectsEndlessGrids: every grid whose expansion would
+// never finish is an error, including a step that advances the load at
+// to but not at from.
+func TestSweepGridRejectsEndlessGrids(t *testing.T) {
+	g, err := SweepGrid(18000, 26000, 2000)
+	if err != nil || len(g) != 5 || g[0] != 18000 || g[4] != 26000 {
+		t.Fatalf("SweepGrid(18000, 26000, 2000) = %v, %v", g, err)
+	}
+	for _, c := range [][3]float64{
+		{1000, math.Inf(1), 1000},
+		{math.NaN(), 2000, 1000},
+		{1000, 2000, math.Inf(1)},
+		{0, 2000, 1000},
+		{-1000, 2000, 1000},
+		{1000, 2000, 0},
+		{2000, 1000, 1000},
+		{20000, 30000, 1e-13},
+		{1e16, 1e16 + 2, 1}, // 1e16+2 rounds up by 1, 1e16 rounds back to itself
+	} {
+		if g, err := SweepGrid(c[0], c[1], c[2]); err == nil {
+			t.Errorf("SweepGrid(%g, %g, %g) accepted, expanded to %d points", c[0], c[1], c[2], len(g))
+		}
 	}
 }
 

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"uqsim/internal/config"
 	"uqsim/internal/sim"
-	"uqsim/internal/workload"
 )
 
-// This file is the shared core of the load-sweep workflow: cmd/uqsim-sweep
+// This file is the shared core of the load-sweep workflow: `uqsim sweep`
 // runs these points serially, and the farm (internal/farm) fans the same
 // points out across worker processes. Both paths must produce identical
 // rows, byte for byte — the farm's determinism contract is that a merged
@@ -19,47 +19,54 @@ func SweepColumns() []string {
 	return []string{"offered_qps", "goodput_qps", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "in_flight"}
 }
 
-// SweepGrid expands the inclusive load grid [from, to] in step increments,
-// exactly as the serial CLI iterates it. Both the farm's campaign
-// expansion and cmd/uqsim-sweep call this, so a sweep point is the same
-// float64 in either path.
-func SweepGrid(from, to, step float64) []float64 {
+// SweepGrid expands the inclusive load grid [from, to] in step increments.
+// Both the farm's campaign expansion and `uqsim sweep` call this, so a
+// sweep point is the same float64 in either path. It rejects every grid
+// whose expansion would never end: a non-finite bound, from <= 0,
+// step <= 0, to < from, and a step below the float ulp at the grid's
+// magnitude (the load would stop advancing).
+func SweepGrid(from, to, step float64) ([]float64, error) {
+	for _, v := range []float64{from, to, step} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("grid bounds must be finite")
+		}
+	}
+	if from <= 0 || step <= 0 || to < from {
+		return nil, fmt.Errorf("grid needs from > 0, step > 0 and to >= from")
+	}
+	if to+step == to {
+		return nil, fmt.Errorf("step %g is too small to advance the grid at %g", step, to)
+	}
 	var out []float64
 	for qps := from; qps <= to+1e-9; qps += step {
+		// A step of exactly half an ulp passes the check above when to
+		// rounds up, yet stalls at a load that rounds down to even.
+		if qps+step == qps {
+			return nil, fmt.Errorf("step %g is too small to advance the grid at %g", step, qps)
+		}
 		out = append(out, qps)
 	}
-	return out
+	return out, nil
 }
 
 // SweepRow measures one load point of the configured scenario and formats
 // it as a table row in SweepColumns order. Each point assembles a fresh
 // simulation from the config directory (same seed, same windows), so rows
 // are independent: any subset can run anywhere, in any order, and still
-// match a serial sweep.
-func SweepRow(cfgDir string, qps float64) ([]string, error) {
-	return SweepRowMod(cfgDir, qps, nil)
-}
-
-// SweepRowMod is SweepRow with a hook to adjust the assembled simulation
-// before it runs (fidelity overrides, attached monitors). The
-// byte-identical serial-vs-farm contract extends to any deterministic mod
-// applied equally on both paths.
-func SweepRowMod(cfgDir string, qps float64, mod func(*sim.Sim) error) ([]string, error) {
-	setup, err := config.LoadDir(cfgDir)
+// match a serial sweep. mod, when non-nil, adjusts the assembled
+// simulation before it runs; the byte-identical serial-vs-farm contract
+// extends to any deterministic mod applied equally on both paths.
+func SweepRow(cfgDir string, qps float64, mod func(*sim.Sim) error) ([]string, error) {
+	setup, err := config.Load(cfgDir, config.Overrides{QPS: qps})
 	if err != nil {
 		return nil, err
 	}
-	cc := setup.Sim.Client()
-	cc.Pattern = workload.ConstantRate(qps)
-	cc.ClosedUsers = 0
-	cc.Sessions = nil
-	setup.Sim.SetClient(cc)
 	if mod != nil {
 		if err := mod(setup.Sim); err != nil {
 			return nil, err
 		}
 	}
-	rep, err := setup.Sim.Run(setup.Warmup, setup.Duration)
+	rep, err := setup.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -74,17 +81,7 @@ func SweepRowMod(cfgDir string, qps float64, mod func(*sim.Sim) error) ([]string
 	}, nil
 }
 
-// ApplyFidelity applies the CLI -fidelity/-sample-rate overrides to an
-// assembled simulation: "full" clears any configured hybrid split,
-// "hybrid" installs one (sample rate defaults to the config's, else 0.01),
-// and a bare sample-rate override retunes an already-hybrid setup. The
-// logic lives in internal/config so the chaos harness (which this package
-// imports) can share it without an import cycle.
-func ApplyFidelity(s *sim.Sim, fidelity string, sampleRate float64) error {
-	return config.ApplyFidelity(s, fidelity, sampleRate)
-}
-
-// SweepTable builds the table cmd/uqsim-sweep prints, ready for rows from
+// SweepTable builds the table `uqsim sweep` prints, ready for rows from
 // SweepRow.
 func SweepTable(cfgDir string) *Table {
 	return NewTable(fmt.Sprintf("Load sweep of %s", cfgDir), SweepColumns()...)

@@ -21,7 +21,7 @@ func TestFarmChaosCampaignMatchesSerial(t *testing.T) {
 	const seed, trials = 5, 3
 
 	// Serial reference: run the trials in-process and archive findings
-	// exactly as cmd/uqsim-chaos would.
+	// exactly as `uqsim chaos` would.
 	h, err := chaos.NewHarness(chaos.Options{ConfigDir: cfgDir, Seed: seed, Trials: trials})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@ package farm
 
 // Integration tests over the real worker binary: the dispatcher runs
 // in-process (so summaries and options are directly inspectable) and
-// spawns actual `uqsim-farm -worker` subprocesses, which it crashes,
+// spawns actual `uqsim farm -worker` subprocesses, which it crashes,
 // hangs, and SIGKILLs. The acceptance bar is the determinism contract:
 // whatever the farm survives, the merged output must be byte-identical
 // to a serial run.
@@ -25,7 +25,16 @@ var (
 	workerBinErr  error
 )
 
-// workerBin builds cmd/uqsim-farm once per test process.
+// TestMain removes the worker binary once every test has used it.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if workerBinErr == nil && workerBinPath != "" {
+		os.RemoveAll(filepath.Dir(workerBinPath))
+	}
+	os.Exit(code)
+}
+
+// workerBin builds cmd/uqsim once per test process.
 func workerBin(t *testing.T) string {
 	t.Helper()
 	workerBinOnce.Do(func() {
@@ -34,13 +43,13 @@ func workerBin(t *testing.T) string {
 			workerBinErr = err
 			return
 		}
-		dir, err := os.MkdirTemp("", "uqsim-farm-bin")
+		dir, err := os.MkdirTemp("", "uqsim-bin")
 		if err != nil {
 			workerBinErr = err
 			return
 		}
-		workerBinPath = filepath.Join(dir, "uqsim-farm")
-		cmd := exec.Command("go", "build", "-o", workerBinPath, "./cmd/uqsim-farm")
+		workerBinPath = filepath.Join(dir, "uqsim")
+		cmd := exec.Command("go", "build", "-o", workerBinPath, "./cmd/uqsim")
 		cmd.Dir = root
 		if out, err := cmd.CombinedOutput(); err != nil {
 			workerBinErr = err
@@ -54,7 +63,7 @@ func workerBin(t *testing.T) string {
 }
 
 func workerArgv(t *testing.T, cfgDir string) []string {
-	return []string{workerBin(t), "-worker", "-config", cfgDir, "-heartbeat", "200ms"}
+	return []string{workerBin(t), "farm", "-worker", "-config", cfgDir, "-heartbeat", "200ms"}
 }
 
 // serialCSV computes the sweep the slow way — one point after another in
@@ -62,8 +71,12 @@ func workerArgv(t *testing.T, cfgDir string) []string {
 func serialCSV(t *testing.T, cfgDir string, from, to, step float64) string {
 	t.Helper()
 	table := experiments.SweepTable(cfgDir)
-	for _, qps := range experiments.SweepGrid(from, to, step) {
-		row, err := experiments.SweepRow(cfgDir, qps)
+	grid, err := experiments.SweepGrid(from, to, step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, qps := range grid {
+		row, err := experiments.SweepRow(cfgDir, qps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +285,7 @@ func TestFarmPoisonQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.SweepRow(cfgDir, 21000)
+	want, err := experiments.SweepRow(cfgDir, 21000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,9 @@ func FuzzFarmJournal(f *testing.F) {
 	f.Add([]byte(`{"kind":"sweep","config_dir":"d","config_hash":"h","from_qps":1e16,"to_qps":10000000000000004,"step_qps":1}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{}`))
+	// A step of exactly half an ulp: to rounds up, so the step looks big
+	// enough there, but the grid stalls at from, which rounds down.
+	f.Add([]byte(`{"kind":"sweep","config_dir":"d","config_hash":"h","from_qps":1e16,"to_qps":10000000000000002,"step_qps":1}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if c, err := DecodeCampaign(data); err == nil {

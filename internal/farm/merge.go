@@ -3,6 +3,7 @@ package farm
 import (
 	"fmt"
 
+	"uqsim/internal/atomicfile"
 	"uqsim/internal/chaos"
 	"uqsim/internal/experiments"
 )
@@ -105,7 +106,10 @@ func Merge(spoolDir string) (*Merged, error) {
 
 // WriteCSV writes the merged table atomically.
 func (m *Merged) WriteCSV(path string) error {
-	return writeAtomic(path, []byte(m.Table.CSV()))
+	if err := atomicfile.Write(path, []byte(m.Table.CSV())); err != nil {
+		return fmt.Errorf("farm: %w", err)
+	}
+	return nil
 }
 
 // WriteCorpus archives the chaos entries under dir, exactly as a serial

@@ -42,7 +42,7 @@ func (e *Executor) Execute(spec JobSpec) (*Result, error) {
 	res := &Result{Hash: spec.Hash(), Job: spec}
 	switch spec.Kind {
 	case KindSweep:
-		row, err := experiments.SweepRow(e.ConfigDir, spec.QPS)
+		row, err := experiments.SweepRow(e.ConfigDir, spec.QPS, nil)
 		if err != nil {
 			return nil, err
 		}

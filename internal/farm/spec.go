@@ -26,7 +26,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"uqsim/internal/config"
 	"uqsim/internal/experiments"
@@ -56,7 +55,7 @@ type Campaign struct {
 	ConfigHash string `json:"config_hash"`
 
 	// Sweep campaigns: the inclusive load grid, expanded exactly like
-	// cmd/uqsim-sweep iterates it.
+	// `uqsim sweep` iterates it.
 	FromQPS float64 `json:"from_qps,omitempty"`
 	ToQPS   float64 `json:"to_qps,omitempty"`
 	StepQPS float64 `json:"step_qps,omitempty"`
@@ -111,22 +110,15 @@ func (c *Campaign) Validate() error {
 	}
 	switch c.Kind {
 	case KindSweep:
-		for _, v := range []float64{c.FromQPS, c.ToQPS, c.StepQPS} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("farm: sweep campaign grid must be finite")
-			}
-		}
-		if c.StepQPS <= 0 || c.ToQPS < c.FromQPS || c.FromQPS <= 0 {
-			return fmt.Errorf("farm: sweep campaign needs from_qps > 0, step_qps > 0, to_qps >= from_qps")
-		}
-		// A step below the float ulp at the grid's magnitude would never
-		// advance the sweep loop; reject it or Jobs() could spin forever
-		// on a hostile campaign.json.
-		if c.ToQPS+c.StepQPS == c.ToQPS {
-			return fmt.Errorf("farm: step_qps %g is too small to advance the grid at %g", c.StepQPS, c.ToQPS)
-		}
+		// Bound the job count before SweepGrid materializes the grid, so a
+		// hostile campaign.json cannot ask for an unbounded allocation. A
+		// non-finite or non-positive bound either trips this or reaches
+		// SweepGrid's own checks.
 		if n := (c.ToQPS - c.FromQPS) / c.StepQPS; n > MaxJobs {
 			return fmt.Errorf("farm: sweep campaign expands to over %d jobs", MaxJobs)
+		}
+		if _, err := experiments.SweepGrid(c.FromQPS, c.ToQPS, c.StepQPS); err != nil {
+			return fmt.Errorf("farm: sweep campaign: %w", err)
 		}
 	case KindChaos:
 		if c.Trials <= 0 {
@@ -154,7 +146,11 @@ func (c *Campaign) Jobs() ([]JobSpec, error) {
 	var jobs []JobSpec
 	switch c.Kind {
 	case KindSweep:
-		for i, qps := range experiments.SweepGrid(c.FromQPS, c.ToQPS, c.StepQPS) {
+		grid, err := experiments.SweepGrid(c.FromQPS, c.ToQPS, c.StepQPS)
+		if err != nil {
+			return nil, err
+		}
+		for i, qps := range grid {
 			jobs = append(jobs, JobSpec{
 				Kind: KindSweep, ConfigHash: c.ConfigHash, Index: i, QPS: qps,
 			})

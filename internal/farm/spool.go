@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"uqsim/internal/atomicfile"
 	"uqsim/internal/chaos"
 )
 
@@ -99,8 +100,8 @@ func OpenSpool(dir string, c *Campaign, resume bool) (*Spool, error) {
 			return nil, fmt.Errorf("farm: spool %s already holds this campaign; pass -resume to finish it", dir)
 		}
 	} else if os.IsNotExist(err) {
-		if err := writeAtomic(head, want); err != nil {
-			return nil, err
+		if err := atomicfile.Write(head, want); err != nil {
+			return nil, fmt.Errorf("farm: %w", err)
 		}
 	} else {
 		return nil, fmt.Errorf("farm: reading %s: %w", head, err)
@@ -141,8 +142,8 @@ func (s *Spool) CommitResult(r *Result) (committed bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("farm: encoding result: %w", err)
 	}
-	if err := writeAtomic(path, append(data, '\n')); err != nil {
-		return false, err
+	if err := atomicfile.Write(path, append(data, '\n')); err != nil {
+		return false, fmt.Errorf("farm: %w", err)
 	}
 	return true, nil
 }
@@ -157,7 +158,10 @@ func (s *Spool) Quarantine(q *QuarantineEntry) error {
 	if err != nil {
 		return fmt.Errorf("farm: encoding quarantine entry: %w", err)
 	}
-	return writeAtomic(filepath.Join(s.Dir, "quarantine", q.Hash+".json"), append(data, '\n'))
+	if err := atomicfile.Write(filepath.Join(s.Dir, "quarantine", q.Hash+".json"), append(data, '\n')); err != nil {
+		return fmt.Errorf("farm: %w", err)
+	}
+	return nil
 }
 
 // Committed loads every journaled result, keyed by job hash.
@@ -216,30 +220,6 @@ func (s *Spool) scan(sub string, fn func(hash string, data []byte) error) error 
 		if err := fn(strings.TrimSuffix(name, ".json"), data); err != nil {
 			return fmt.Errorf("farm: %s/%s: %w", sub, name, err)
 		}
-	}
-	return nil
-}
-
-// writeAtomic writes via a same-directory temp file and rename, so a kill
-// mid-write leaves either the old content or the new — never a truncated
-// file.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("farm: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("farm: writing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("farm: writing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("farm: %w", err)
 	}
 	return nil
 }

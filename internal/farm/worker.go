@@ -66,7 +66,7 @@ func testHook(env string, job JobSpec, attempt int) bool {
 	return strings.Contains(job.Key(), key) && attempt <= n
 }
 
-// WorkerMain is the body of `uqsim-farm -worker`: it executes dispatched
+// WorkerMain is the body of `uqsim farm -worker`: it executes dispatched
 // jobs against configDir sequentially, emitting a heartbeat every
 // heartbeat interval while a job runs. It returns when in closes (normal
 // retirement) and surfaces only protocol-level failures — a job that

@@ -549,7 +549,7 @@ type ChaosReplayResult = chaos.ReplayResult
 // (conservation, drain, same-seed determinism, post-heal recovery),
 // shrinks every violation to a minimal reproduction, and archives the
 // repros as replayable corpus entries. The same engine backs
-// cmd/uqsim-chaos.
+// `uqsim chaos`.
 func RunChaos(opts ChaosOptions) (*ChaosResult, error) { return chaos.Run(opts) }
 
 // ReplayChaosFinding re-runs one corpus entry directory and reports
@@ -600,7 +600,7 @@ func NewFarmChaosCampaign(configDir string, seed uint64, trials, maxActions int)
 // queue, hung workers are killed by the per-job watchdog, crashed workers
 // respawn with backoff, poison jobs are quarantined after repeated
 // failures, and results commit idempotently. The same engine backs
-// cmd/uqsim-farm.
+// `uqsim farm`.
 func RunFarm(o FarmOptions, c *FarmCampaign) (*FarmSummary, error) { return farm.Run(o, c) }
 
 // MergeFarm replays a spool journal into campaign-order results.
