@@ -32,9 +32,9 @@ bench: bench-engine
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # bench-engine records the event-engine benchmarks in benchstat format:
-# post, cold-path At, Arm+Cancel of a caller-owned timer, a
-# self-rescheduling chain, and the hold model (pop + post at a standing
-# depth of 64, 4k and 100k). BENCH_engine.json is the committed trajectory
+# post, post at the current instant (the same-instant lane), cold-path At,
+# Arm+Cancel of a caller-owned timer, a self-rescheduling chain, and the
+# hold model (pop + post at a standing depth of 64, 4k and 100k). BENCH_engine.json is the committed trajectory
 # point; compare a working tree against it with
 #   benchstat BENCH_engine.json <(make -s bench-engine)
 # -cpu 1 because every committed point was recorded on one processor, so

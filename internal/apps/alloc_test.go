@@ -48,12 +48,19 @@ func guardedThreeRegion() (*sim.Sim, error) {
 // guarded three-region cell joined with PR 16, which moved every policy and
 // control-plane timer into the record it guards: before, it allocated 17
 // times per request.
+//
+// The fan-out cell's malloc ceiling and the byte ceilings are the figures
+// measured once instances stopped keeping latency histograms, plus 10 %.
+// Bytes catch what a malloc count misses: the fan-out run used to copy a
+// 12.8 KB histogram per instance into its report, 19.4 KB per request
+// against 1.7 KB now.
 func TestRequestPathAllocationCeiling(t *testing.T) {
 	cells := []struct {
 		name     string
 		build    func() (*sim.Sim, error)
 		duration des.Time
 		ceiling  float64 // mallocs per completed request over the whole run
+		bytes    float64 // bytes allocated per completed request; 0: unchecked
 	}{
 		{
 			name: "twotier",
@@ -62,6 +69,7 @@ func TestRequestPathAllocationCeiling(t *testing.T) {
 			},
 			duration: des.Second,
 			ceiling:  0.062, // measured 0.056
+			bytes:    3.2,   // measured 2.9 (3.1 under the race detector)
 		},
 		{
 			name: "fanout",
@@ -69,7 +77,8 @@ func TestRequestPathAllocationCeiling(t *testing.T) {
 				return TailAtScale(TailAtScaleConfig{Seed: 1, QPS: 50, Servers: 600, SlowFraction: 0.01})
 			},
 			duration: 10 * des.Second,
-			ceiling:  18.3, // measured 16.63
+			ceiling:  14.1, // measured 12.81
+			bytes:    1840, // measured 1,672
 		},
 		{
 			// BenchmarkSimulatorEventRateWithPolicies' shape: a timeout armed
@@ -107,9 +116,35 @@ func TestRequestPathAllocationCeiling(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		perReq := float64(after.Mallocs-before.Mallocs) / float64(rep.Completions)
-		t.Logf("%s: %.3f mallocs per request over %d requests", c.name, perReq, rep.Completions)
+		bytesPerReq := float64(after.TotalAlloc-before.TotalAlloc) / float64(rep.Completions)
+		t.Logf("%s: %.3f mallocs and %.1f bytes per request over %d requests", c.name, perReq, bytesPerReq, rep.Completions)
 		if perReq > c.ceiling {
 			t.Errorf("%s: %.3f mallocs per request, ceiling %.3f", c.name, perReq, c.ceiling)
 		}
+		if c.bytes > 0 && bytesPerReq > c.bytes {
+			t.Errorf("%s: %.1f bytes per request, ceiling %.1f", c.name, bytesPerReq, c.bytes)
+		}
+	}
+}
+
+// TestFanoutBuildAllocationCeiling bounds what building the 600-leaf
+// fan-out allocates, so per-instance state stays small: at 12.8 KB each, a
+// latency histogram per instance and per stage made this 17.1 MB. The
+// ceiling sits 10 % over the 792 KB measured under the race detector; the
+// plain build measures 688 KB.
+func TestFanoutBuildAllocationCeiling(t *testing.T) {
+	const ceiling = 880_000 // bytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := TailAtScale(TailAtScaleConfig{Seed: 1, QPS: 50, Servers: 600, SlowFraction: 0.01})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(s)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("building 600 leaves allocates %d bytes", got)
+	if got > ceiling {
+		t.Errorf("building 600 leaves allocates %d bytes, ceiling %d", got, ceiling)
 	}
 }

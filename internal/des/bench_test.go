@@ -33,6 +33,23 @@ func BenchmarkEnginePost(b *testing.B) {
 	}
 }
 
+// BenchmarkEnginePostNow is a service's dispatch pump: post at the current
+// instant, then step, over a standing heap of 64 later events. The post
+// takes the same-instant lane and never touches the heap.
+func BenchmarkEnginePostNow(b *testing.B) {
+	e := New()
+	hop := func(Time) {}
+	for i := 0; i < 64; i++ {
+		e.Post(Time(i+1)*Second, hop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Post(e.Now(), hop)
+		e.Step()
+	}
+}
+
 // BenchmarkEngineChain measures a self-rescheduling event chain, the
 // shape of service stage pumps and open-loop arrival generators.
 func BenchmarkEngineChain(b *testing.B) {

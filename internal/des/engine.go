@@ -47,7 +47,9 @@ func (e *Event) before(o *Event) bool {
 // scheduling must happen from event callbacks or before Run.
 type Engine struct {
 	now  Time
-	h    []*Event // the event heap; see queue.go
+	h    []*Event    // the event heap; see queue.go
+	lane []laneEntry // posts at the current instant, lane[head:] pending; see queue.go
+	head int
 	seq  uint64
 	free []*Event // posted events that fired, reused by Post
 	// stopped is atomic so an external watchdog (signal handler, wall-clock
@@ -69,7 +71,7 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of events currently scheduled. A cancelled
 // event leaves the heap at once, so every one counted is live.
-func (e *Engine) Pending() int { return len(e.h) }
+func (e *Engine) Pending() int { return len(e.h) + len(e.lane) - e.head }
 
 // Processed reports how many events have fired since construction.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -113,9 +115,14 @@ func (e *Engine) After(d Time, fn Callback) *Event {
 // Post schedules fn at absolute time t fire-and-forget. No handle is
 // returned and the event's storage is recycled after it fires, so hot
 // paths that never cancel (service stage completions, generator arrivals)
-// do not allocate in steady state.
+// do not allocate in steady state. A post at the current time skips the
+// heap for the same-instant lane.
 func (e *Engine) Post(t Time, fn Callback) {
 	e.check(t, fn)
+	if t == e.now {
+		e.postNow(fn)
+		return
+	}
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -151,7 +158,16 @@ func (e *Engine) Cancel(ev *Event) {
 // is already back on the freelist, and an armed event may be armed again,
 // when the callback runs.
 func (e *Engine) Step() bool {
-	if e.stopped.Load() || len(e.h) == 0 {
+	if e.stopped.Load() {
+		return false
+	}
+	if e.laneFirst() {
+		fn := e.popLane()
+		e.processed++
+		fn(e.now)
+		return true
+	}
+	if len(e.h) == 0 {
 		return false
 	}
 	ev := e.h[0]
@@ -176,7 +192,7 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps ≤ deadline, then advances the clock
 // to the deadline. Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.h) > 0 && e.h[0].at <= deadline && e.Step() {
+	for (e.head < len(e.lane) && e.now <= deadline || len(e.h) > 0 && e.h[0].at <= deadline) && e.Step() {
 	}
 	if e.now < deadline && !e.stopped.Load() {
 		e.now = deadline

@@ -83,7 +83,7 @@ func powerRun(o Opts, interval des.Time, dur des.Time) (*power.Manager, error) {
 		}
 		tiers = append(tiers, tier)
 	}
-	mgr, err := power.New(s.Engine(), power.Config{
+	mgr, err := power.New(s, power.Config{
 		Target:   5 * des.Millisecond,
 		Interval: interval,
 		Seed:     o.Seed,

@@ -106,10 +106,6 @@ type Request struct {
 	// Attempt is 0 for the original request, k for its k-th retry.
 	Attempt int
 
-	// TierLatency accumulates per-tier residence time (queueing +
-	// service) keyed by service name, consumed by the power manager.
-	TierLatency map[string]des.Time
-
 	// Owner is the issuing layer's own per-request state, attached so a
 	// job can reach it without a lookup; this package never looks inside.
 	Owner any
@@ -117,6 +113,16 @@ type Request struct {
 	// jobs counts the live jobs created for this request and not yet
 	// freed: a terminated request can be recycled once it reaches zero.
 	jobs int
+
+	// tiers accumulates residence (queueing + service) per tier number the
+	// issuing layer assigns; recycling keeps it, cleared.
+	tiers []tierVisit
+}
+
+// tierVisit is one tier's residence; visited tells zero residence from none.
+type tierVisit struct {
+	d       des.Time
+	visited bool
 }
 
 // LiveJobs reports how many of the request's jobs have been created and not
@@ -150,12 +156,24 @@ func (r *Request) Latency() des.Time {
 	return r.Finish - r.Arrival
 }
 
-// AddTierLatency accrues residence time against the named tier.
-func (r *Request) AddTierLatency(tier string, d des.Time) {
-	if r.TierLatency == nil {
-		r.TierLatency = make(map[string]des.Time)
+// AddTierLatency accrues residence time against tier number tier.
+func (r *Request) AddTierLatency(tier int, d des.Time) {
+	if tier >= len(r.tiers) {
+		grown := make([]tierVisit, tier+1)
+		copy(grown, r.tiers)
+		r.tiers = grown
 	}
-	r.TierLatency[tier] += d
+	r.tiers[tier].d += d
+	r.tiers[tier].visited = true
+}
+
+// TierLatency reports the residence accrued against tier number tier and
+// whether any job of the request visited that tier.
+func (r *Request) TierLatency(tier int) (des.Time, bool) {
+	if tier < 0 || tier >= len(r.tiers) {
+		return 0, false
+	}
+	return r.tiers[tier].d, r.tiers[tier].visited
 }
 
 // Job is one request's visit to one path node / microservice instance.
@@ -224,15 +242,15 @@ type Factory struct {
 func NewFactory() *Factory { return &Factory{nextReq: 1, nextJob: 1} }
 
 // NewRequest creates a request arriving at the given time. Every field of
-// recycled storage is overwritten; the TierLatency map is kept but emptied.
+// recycled storage is overwritten; the per-tier storage is kept, cleared.
 func (f *Factory) NewRequest(arrival des.Time) *Request {
 	var r *Request
 	if n := len(f.freeReqs); n > 0 {
 		r = f.freeReqs[n-1]
 		f.freeReqs = f.freeReqs[:n-1]
-		tiers := r.TierLatency
+		tiers := r.tiers
 		clear(tiers)
-		*r = Request{TierLatency: tiers}
+		*r = Request{tiers: tiers}
 	} else {
 		r = &Request{}
 	}

@@ -42,16 +42,28 @@ func TestRequestLifecycle(t *testing.T) {
 }
 
 func TestRequestTierLatency(t *testing.T) {
+	const nginx, memcached, idle, netproc = 0, 1, 2, 3
 	f := NewFactory()
 	r := f.NewRequest(0)
-	r.AddTierLatency("nginx", 2*des.Millisecond)
-	r.AddTierLatency("nginx", 1*des.Millisecond)
-	r.AddTierLatency("memcached", 500*des.Microsecond)
-	if r.TierLatency["nginx"] != 3*des.Millisecond {
-		t.Fatalf("nginx tier = %v", r.TierLatency["nginx"])
+	r.AddTierLatency(nginx, 2*des.Millisecond)
+	r.AddTierLatency(nginx, 1*des.Millisecond)
+	r.AddTierLatency(memcached, 500*des.Microsecond)
+	r.AddTierLatency(netproc, 0)
+	if d, ok := r.TierLatency(nginx); !ok || d != 3*des.Millisecond {
+		t.Fatalf("nginx tier = %v (visited %v)", d, ok)
 	}
-	if r.TierLatency["memcached"] != 500*des.Microsecond {
-		t.Fatalf("memcached tier = %v", r.TierLatency["memcached"])
+	if d, ok := r.TierLatency(memcached); !ok || d != 500*des.Microsecond {
+		t.Fatalf("memcached tier = %v (visited %v)", d, ok)
+	}
+	// A zero residence is still a visit; a tier never visited is none,
+	// inside the slice or past its end.
+	if d, ok := r.TierLatency(netproc); !ok || d != 0 {
+		t.Fatalf("netproc tier = %v (visited %v), want a zero-residence visit", d, ok)
+	}
+	for _, tier := range []int{idle, 7, -1} {
+		if _, ok := r.TierLatency(tier); ok {
+			t.Fatalf("tier %d reports a visit", tier)
+		}
 	}
 }
 
@@ -105,7 +117,7 @@ func TestNewJobNilRequest(t *testing.T) {
 func TestFactoryRecyclesCleanStorage(t *testing.T) {
 	f := NewFactory()
 	r := f.NewRequest(5)
-	r.AddTierLatency("nginx", des.Millisecond)
+	r.AddTierLatency(1, des.Millisecond)
 	j := f.NewJob(r)
 	if r.LiveJobs() != 1 {
 		t.Fatalf("live jobs = %d, want 1", r.LiveJobs())
@@ -115,7 +127,7 @@ func TestFactoryRecyclesCleanStorage(t *testing.T) {
 		t.Fatalf("live jobs after free = %d, want 0", r.LiveJobs())
 	}
 	f.FreeRequest(r)
-	tiers := r.TierLatency
+	tiers := r.tiers
 
 	// Dirty both while they sit on the freelists.
 	*j = Job{ID: 99, Req: r, Outcome: OutcomeCanceled, StageIdx: 3, Started: 7, Dest: f, DestPath: 2}
@@ -126,15 +138,15 @@ func TestFactoryRecyclesCleanStorage(t *testing.T) {
 	if r2 != r {
 		t.Fatal("freed request storage should be reused")
 	}
-	if len(r2.TierLatency) != 0 {
-		t.Fatalf("recycled request carries tier latency %v", r2.TierLatency)
+	if _, ok := r2.TierLatency(1); ok {
+		t.Fatalf("recycled request carries tier latency %v", r2.tiers)
 	}
-	if want := (Request{ID: 2, Arrival: 20, TierLatency: tiers}); !reflect.DeepEqual(*r2, want) {
+	if want := (Request{ID: 2, Arrival: 20, tiers: tiers}); !reflect.DeepEqual(*r2, want) {
 		t.Fatalf("recycled request = %+v, want %+v", *r2, want)
 	}
-	r2.AddTierLatency("memcached", des.Microsecond)
-	if len(tiers) != 1 {
-		t.Fatal("the tier-latency map should be kept, not remade")
+	r2.AddTierLatency(0, des.Microsecond)
+	if !tiers[0].visited {
+		t.Fatal("the tier-latency storage should be kept, not remade")
 	}
 
 	r2.SizeKB, r2.Conn = 1.5, 8

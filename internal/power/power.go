@@ -21,6 +21,7 @@ import (
 	"uqsim/internal/des"
 	"uqsim/internal/job"
 	"uqsim/internal/rng"
+	"uqsim/internal/sim"
 	"uqsim/internal/stats"
 )
 
@@ -30,6 +31,7 @@ import (
 type Tier struct {
 	Name   string
 	Allocs []*cluster.Allocation
+	num    int // the sim's tier number for Name, resolved by New
 }
 
 // setFreqSteps moves every allocation of the tier by n DVFS steps (n may be
@@ -165,9 +167,9 @@ type Manager struct {
 	energySum  float64 // Σ over cycles of mean normalized power (f/fnom)³
 }
 
-// New creates a controller over the given tiers. Call Attach to wire it to
-// a request-completion stream, then Start.
-func New(eng *des.Engine, cfg Config, tiers []*Tier) (*Manager, error) {
+// New creates a controller over the given tiers of s. Wire Observe to
+// s.OnRequestDone, then Start.
+func New(s *sim.Sim, cfg Config, tiers []*Tier) (*Manager, error) {
 	if cfg.Target <= 0 {
 		return nil, fmt.Errorf("power: needs a positive QoS target")
 	}
@@ -191,7 +193,7 @@ func New(eng *des.Engine, cfg Config, tiers []*Tier) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:       cfg,
-		eng:       eng,
+		eng:       s.Engine(),
 		tiers:     tiers,
 		r:         rng.New(cfg.Seed ^ 0x9e37),
 		e2e:       stats.NewWindowedTail(cfg.Interval),
@@ -199,6 +201,7 @@ func New(eng *des.Engine, cfg Config, tiers []*Tier) (*Manager, error) {
 		FreqTrace: make(map[string]*stats.TimeSeries),
 	}
 	for _, tier := range tiers {
+		tier.num = s.TierNumber(tier.Name)
 		m.perTier = append(m.perTier, stats.NewWindowedTail(cfg.Interval))
 		m.FreqTrace[tier.Name] = stats.NewTimeSeries(tier.Name + ".freq")
 	}
@@ -220,7 +223,7 @@ func New(eng *des.Engine, cfg Config, tiers []*Tier) (*Manager, error) {
 func (m *Manager) Observe(now des.Time, req *job.Request) {
 	m.e2e.Record(now, req.Latency())
 	for i, tier := range m.tiers {
-		if d, ok := req.TierLatency[tier.Name]; ok {
+		if d, ok := req.TierLatency(tier.num); ok {
 			m.perTier[i].Record(now, d)
 		}
 	}

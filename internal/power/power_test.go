@@ -54,15 +54,15 @@ func TestBucketInsertBounded(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	eng := des.New()
+	s := sim.New(sim.Options{})
 	tiers := []*Tier{{Name: "a"}}
-	if _, err := New(eng, Config{Interval: des.Second}, tiers); err == nil {
+	if _, err := New(s, Config{Interval: des.Second}, tiers); err == nil {
 		t.Fatal("missing target should fail")
 	}
-	if _, err := New(eng, Config{Target: des.Millisecond}, tiers); err == nil {
+	if _, err := New(s, Config{Target: des.Millisecond}, tiers); err == nil {
 		t.Fatal("missing interval should fail")
 	}
-	if _, err := New(eng, Config{Target: des.Millisecond, Interval: des.Second}, nil); err == nil {
+	if _, err := New(s, Config{Target: des.Millisecond, Interval: des.Second}, nil); err == nil {
 		t.Fatal("missing tiers should fail")
 	}
 }
@@ -87,7 +87,7 @@ func buildManaged(t *testing.T, qps float64, interval des.Time, seed uint64) (*s
 		}
 		tiers = append(tiers, tier)
 	}
-	m, err := New(s.Engine(), Config{
+	m, err := New(s, Config{
 		Target:   5 * des.Millisecond,
 		Interval: interval,
 		Seed:     seed,
@@ -164,7 +164,7 @@ func TestManagerDiurnalViolationRatesGrowWithInterval(t *testing.T) {
 			}
 			tiers = append(tiers, tier)
 		}
-		m, err := New(s.Engine(), Config{Target: 5 * des.Millisecond, Interval: interval, Seed: 13}, tiers)
+		m, err := New(s, Config{Target: 5 * des.Millisecond, Interval: interval, Seed: 13}, tiers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestViolationsTriggerSpeedUp(t *testing.T) {
 		}
 		tiers = append(tiers, tier)
 	}
-	m, err := New(s.Engine(), Config{
+	m, err := New(s, Config{
 		Target:   500 * des.Microsecond, // tight: ~p99 at this load
 		Interval: 100 * des.Millisecond,
 		Seed:     15,

@@ -216,7 +216,7 @@ func TestArrivalDuringProcessingQueues(t *testing.T) {
 		t.Fatalf("a %v b %v", a.Finished, b.Finished)
 	}
 	// b waited 500ns in queue.
-	if got := in.StageWait(0).Max(); got != 500 {
+	if got := max(a.Started-a.Enqueued, b.Started-b.Enqueued); got != 500 {
 		t.Fatalf("max stage wait %v, want 500", got)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"uqsim/internal/job"
 	"uqsim/internal/queueing"
 	"uqsim/internal/rng"
-	"uqsim/internal/stats"
 )
 
 // Instance is one deployed copy of a microservice blueprint, pinned to a
@@ -18,6 +17,9 @@ type Instance struct {
 	BP    *Blueprint
 	Name  string
 	Alloc *cluster.Allocation
+	// Tier is the number under which completed jobs accrue their residence
+	// on the request (job.Request.AddTierLatency), assigned by the sim.
+	Tier int
 
 	eng *des.Engine
 	r   *rng.Source
@@ -93,8 +95,6 @@ type Instance struct {
 	canceled   uint64 // entry jobs discarded unserved (dead request / lost hedge)
 	wasted     uint64 // jobs served to completion whose result was discarded
 	inFlight   int
-	residence  *stats.LatencyHist
-	stageWait  []*stats.LatencyHist
 	busyNsAcc  float64
 	lastChange des.Time
 }
@@ -109,19 +109,16 @@ func NewInstance(eng *des.Engine, bp *Blueprint, name string, alloc *cluster.All
 		return nil, fmt.Errorf("service %s: needs a core allocation", name)
 	}
 	in := &Instance{
-		BP:        bp,
-		Name:      name,
-		Alloc:     alloc,
-		eng:       eng,
-		r:         r,
-		residence: stats.NewLatencyHist(),
+		BP:    bp,
+		Name:  name,
+		Alloc: alloc,
+		eng:   eng,
+		r:     r,
 	}
 	in.pumpFn = in.pump
 	in.queues = make([]queueing.Queue, len(bp.Stages))
-	in.stageWait = make([]*stats.LatencyHist, len(bp.Stages))
 	for i, s := range bp.Stages {
 		in.queues[i] = queueing.New(s.Queue, s.PerConn)
-		in.stageWait[i] = stats.NewLatencyHist()
 	}
 	if bp.Model == ModelThreaded {
 		in.idleThreads = bp.Threads
@@ -357,9 +354,14 @@ func (in *Instance) freeRun(r *stageRun) {
 }
 
 // start occupies one unit of pool (e.g. a disk spindle) — or, when pool is
-// nil, one core — with r's batch for the sampled duration plus extra.
+// nil, one core — with r's batch for the sampled duration plus extra, and
+// stamps the jobs a worker picks up for the first time.
 func (in *Instance) start(now des.Time, stage int, r *stageRun, pool *cluster.Pool, extra des.Time) {
-	in.noteWait(now, stage, r.batch)
+	for _, j := range r.batch {
+		if j.Started == 0 {
+			j.Started = now
+		}
+	}
 	if pool == nil {
 		in.setBusy(now, in.busyCores+1)
 	}
@@ -653,9 +655,8 @@ func (in *Instance) completeJob(now des.Time, j *job.Job) {
 		// and accounted at the timeout value.
 		in.wasted++
 	}
-	in.residence.Record(now - j.Arrived)
 	if j.Req != nil {
-		j.Req.AddTierLatency(in.BP.Name, now-j.Arrived)
+		j.Req.AddTierLatency(in.Tier, now-j.Arrived)
 	}
 	if in.OnJobDone != nil {
 		in.OnJobDone(now, j)
@@ -688,15 +689,6 @@ func (in *Instance) sampleCost(stage int, batch []*job.Job, isPool bool) des.Tim
 		total *= in.Alloc.SpeedFactor()
 	}
 	return des.FromNanos(total)
-}
-
-func (in *Instance) noteWait(now des.Time, stage int, batch []*job.Job) {
-	for _, j := range batch {
-		if j.Started == 0 {
-			j.Started = now
-		}
-		in.stageWait[stage].Record(now - j.Enqueued)
-	}
 }
 
 func (in *Instance) setBusy(now des.Time, n int) {
@@ -746,13 +738,6 @@ func (in *Instance) QueueLen() int {
 	}
 	return n
 }
-
-// Residence returns the histogram of service residence times (queueing +
-// processing inside this instance).
-func (in *Instance) Residence() *stats.LatencyHist { return in.residence }
-
-// StageWait returns the queue-delay histogram of the given stage.
-func (in *Instance) StageWait(stage int) *stats.LatencyHist { return in.stageWait[stage] }
 
 // Utilization reports mean core occupancy in [0,1] up to virtual time now.
 func (in *Instance) Utilization(now des.Time) float64 {

@@ -490,14 +490,19 @@ func TestMetricsAndUtilization(t *testing.T) {
 	if u < 0.45 || u > 0.55 {
 		t.Fatalf("utilization = %v, want ≈0.5", u)
 	}
-	if in.Residence().Count() != 10 {
-		t.Fatal("residence histogram count")
+	if len(h.done) != 10 {
+		t.Fatal("residence count")
 	}
-	if in.Residence().Mean() != 1000 {
-		t.Fatalf("residence mean %v, want 1000 (no queueing)", in.Residence().Mean())
+	var residence, waits des.Time
+	for _, j := range h.done {
+		residence += j.Finished - j.Arrived
+		waits += j.Started - j.Enqueued
 	}
-	if in.StageWait(0).Count() != 10 {
-		t.Fatal("stage wait count")
+	if mean := residence / 10; mean != 1000 {
+		t.Fatalf("residence mean %v, want 1000 (no queueing)", mean)
+	}
+	if waits != 0 {
+		t.Fatalf("stage waits sum to %v, want 0", waits)
 	}
 	if in.QueueLen() != 0 {
 		t.Fatal("queue should drain")
@@ -507,11 +512,15 @@ func TestMetricsAndUtilization(t *testing.T) {
 func TestTierLatencyAccrual(t *testing.T) {
 	h := newHarness(t, 4)
 	in := h.deploy(t, singleStageBP("svc", 1000), 1)
+	in.Tier = 2
 	j := h.newJob()
 	h.eng.At(0, func(now des.Time) { in.Enqueue(now, j) })
 	h.eng.Run()
-	if j.Req.TierLatency["svc"] != 1000 {
-		t.Fatalf("tier latency = %v", j.Req.TierLatency["svc"])
+	if d, ok := j.Req.TierLatency(2); !ok || d != 1000 {
+		t.Fatalf("tier latency = %v (visited %v), want 1000", d, ok)
+	}
+	if _, ok := j.Req.TierLatency(0); ok {
+		t.Fatal("a tier the request never visited reports a visit")
 	}
 }
 

@@ -31,15 +31,19 @@ var randomSuites = []struct {
 	// they stayed queued and fired as no-ops (onTimeout and startAttempt
 	// return at once for an ended request). runRandom adds those back per
 	// seed, so the pre-PR-12 hashes still hold unchanged.
+	// Fingerprints are taken as Run returns. They used to be taken after the
+	// drain, which went on adding latency samples and error counts to the
+	// report; six hashes were re-pinned to what the same runs' reports held
+	// as Run returned, so no event, draw or ID moved.
 	golden string
 }{
-	{name: "plain", seeds: 25, golden: "9564c9ff16c4328c"},
-	{name: "faults", seeds: 15, with: withRandomFaults, golden: "467f0a132c9578c4"},
-	{name: "overload", seeds: 25, with: withRandomOverload, golden: "f9c2fb74e8583a99"},
-	{name: "retries", seeds: 25, with: withRandomRetries, golden: "b40bf3934284bf93"},
+	{name: "plain", seeds: 25, golden: "9783f147a2cffe0b"},
+	{name: "faults", seeds: 15, with: withRandomFaults, golden: "c91385f21c1c8ff6"},
+	{name: "overload", seeds: 25, with: withRandomOverload, golden: "ca8a90c554444090"},
+	{name: "retries", seeds: 25, with: withRandomRetries, golden: "0ed18df728f5ebfe"},
 	{name: "orphans", seeds: 10, build: buildOrphanedAttempts, golden: "a82c45d3c6255b8d"},
-	{name: "starved", seeds: 10, build: buildStarvedPool, golden: "ba576885449de661"},
-	{name: "races", seeds: 15, build: buildHedgeRaces, golden: "6aa51a9a473e00a8"},
+	{name: "starved", seeds: 10, build: buildStarvedPool, golden: "98fa479bf8a3abf1"},
+	{name: "races", seeds: 15, build: buildHedgeRaces, golden: "bdbf0c411b7a2534"},
 }
 
 // buildOrphanedAttempts fans root out to b then a, both behind retry-less
@@ -264,7 +268,8 @@ func withRandomRetries(t *testing.T, s *Sim, seed int64) {
 
 // runRandom runs one randomized cell to its horizon, drains the engine and
 // returns the report fingerprint with the number of events fired, counting
-// in the dead timers a run without overload control no longer fires.
+// in the dead timers a run without overload control no longer fires. The
+// drain must leave the report as Run returned it.
 func runRandom(t *testing.T, seed int64, build func(*testing.T, int64) *Sim, with func(*testing.T, *Sim, int64), prep func(*Sim)) string {
 	t.Helper()
 	if build == nil {
@@ -281,15 +286,19 @@ func runRandom(t *testing.T, seed int64, build func(*testing.T, int64) *Sim, wit
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
+	fp := reportFingerprint(rep)
 	s.Engine().Run() // drain
 	if err := s.VerifyDrained(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
+	}
+	if after := reportFingerprint(rep); after != fp {
+		t.Fatalf("seed %d: the drain after Run changed the report\n at Run: %s\n drained: %s", seed, fp, after)
 	}
 	events := s.Engine().Processed()
 	if !s.overloadOn {
 		events += s.timers.ClientTimeout.Cancelled + s.timers.RetryBackoff.Cancelled
 	}
-	return fmt.Sprintf("%s events=%d", reportFingerprint(rep), events)
+	return fmt.Sprintf("%s events=%d", fp, events)
 }
 
 // TestRandomTopologyGoldens pins the randomized families byte for byte

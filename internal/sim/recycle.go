@@ -92,7 +92,7 @@ func (s *Sim) releaseRequest(req *job.Request) {
 		// request, so the ID guards still stand down.
 		deadReq, deadSt := req, st
 		req, st = new(job.Request), new(reqState)
-		*req = job.Request{TierLatency: deadReq.TierLatency}
+		*req = *deadReq // NewRequest rewrites all but the kept tier storage
 		*deadReq = job.Request{ID: ^job.ID(0), LeavesRemaining: -1 << 40, Outcome: ^job.Outcome(0)}
 		*deadSt = reqState{treeIdx: -1, user: -1 << 40}
 	}

@@ -86,6 +86,7 @@ func (s *Sim) Run(warmup, duration des.Time) (*Report, error) {
 	if s.fluid != nil {
 		s.fluid.Finish(end)
 	}
+	s.windowEnd = end
 	return s.report(end), nil
 }
 
@@ -160,7 +161,7 @@ func (s *Sim) onTimeout(now des.Time, req *job.Request) {
 	// the outcome bucket is gated on the request's arrival instead, so
 	// every counted arrival lands in exactly one bucket and
 	// warmup-straddling requests never skew the conservation invariant.
-	if now >= s.warmupEnd {
+	if now >= s.warmupEnd && now <= s.windowEnd {
 		s.latency.Record(s.clientCfg.Timeout)
 	}
 	if req.Arrival >= s.warmupEnd {
@@ -530,16 +531,13 @@ func (s *Sim) finalizeLeaf(now des.Time, j *job.Job) {
 		// Delivered throughput and latency samples belong to the window
 		// the completion lands in (warmup-backlog work the system serves
 		// during the window is real delivered work)...
-		if now >= s.warmupEnd {
+		if now >= s.warmupEnd && now <= s.windowEnd {
 			s.windowDone++
 			s.latency.Record(req.Latency())
-			for tier, d := range req.TierLatency {
-				h, ok := s.perTier[tier]
-				if !ok {
-					h = stats.NewLatencyHist()
-					s.perTier[tier] = h
+			for t, h := range s.perTier {
+				if d, ok := req.TierLatency(t); ok {
+					h.Record(d)
 				}
-				h.Record(d)
 			}
 		}
 		// ...while the outcome bucket is gated on the arrival, so every
@@ -585,10 +583,9 @@ type InstanceReport struct {
 	// whose result was discarded (the caller had stopped waiting). High
 	// Wasted with low Canceled means cancellation arrives too late to
 	// save work.
-	Canceled  uint64
-	Wasted    uint64
-	QueueLen  int
-	Residence *stats.LatencyHist
+	Canceled uint64
+	Wasted   uint64
+	QueueLen int
 }
 
 // Report is the outcome of a run.
@@ -659,7 +656,8 @@ type Report struct {
 	// Completions (which is arrival-gated).
 	OfferedQPS float64
 	GoodputQPS float64
-	// Latency is the end-to-end request latency histogram.
+	// Latency is the end-to-end request latency histogram. Like PerTier and
+	// Errors it covers the run up to Horizon and takes nothing after Run.
 	Latency *stats.LatencyHist
 	// PerTier holds per-service residence-latency histograms keyed by
 	// service name, accumulated over completed requests.
@@ -737,10 +735,10 @@ func (s *Sim) report(horizon des.Time) *Report {
 		Retries:          s.retriesN,
 		HedgesIssued:     s.hedgesN,
 		HedgeWins:        s.hedgeWins,
-		Errors:           s.errCounts,
+		Errors:           make(map[string]*ErrorCounts, len(s.errCounts)),
 
 		Latency: s.latency,
-		PerTier: s.perTier,
+		PerTier: make(map[string]*stats.LatencyHist, len(s.tiers)),
 		Timers:  s.timers,
 
 		SampleRate: 1,
@@ -759,6 +757,15 @@ func (s *Sim) report(horizon des.Time) *Report {
 			for cause, n := range by {
 				r.BackgroundShedByCause[cause] = uint64(n)
 			}
+		}
+	}
+	for svc, ec := range s.errCounts {
+		c := *ec
+		r.Errors[svc] = &c
+	}
+	for t, h := range s.perTier {
+		if h.Count() > 0 {
+			r.PerTier[s.tiers[t]] = h
 		}
 	}
 	if s.net != nil {
@@ -805,7 +812,6 @@ func instanceReport(in *service.Instance, svc string, horizon des.Time) Instance
 		Canceled:    in.CanceledEarly(),
 		Wasted:      in.WastedWork(),
 		QueueLen:    in.QueueLen(),
-		Residence:   in.Residence().Snapshot(),
 	}
 }
 

@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"uqsim/internal/cluster"
 	"uqsim/internal/des"
@@ -238,8 +239,12 @@ type Sim struct {
 	staleReads      uint64 // cross-origin serves of a lagging replica
 	errCounts       map[string]*ErrorCounts
 	timers          TimerWork
-	latency         *stats.LatencyHist
-	perTier         map[string]*stats.LatencyHist
+	// Latency samples land in [warmupEnd, windowEnd], closed by Run at the
+	// end its report covers. perTier[t] is the residence of tiers[t].
+	windowEnd des.Time
+	latency   *stats.LatencyHist
+	perTier   []*stats.LatencyHist
+	tiers     []string
 
 	// OnRequestDone observes every completed request (after or during
 	// warmup), e.g. for the power manager's windowed tail tracker. The
@@ -316,8 +321,8 @@ func New(opts Options) *Sim {
 		budgetRNG:    split.Stream("budget"),
 		edgeLat:      make(map[[2]int]*stats.P2Quantile),
 		errCounts:    make(map[string]*ErrorCounts),
+		windowEnd:    des.MaxTime,
 		latency:      stats.NewLatencyHist(),
-		perTier:      make(map[string]*stats.LatencyHist),
 	}
 	if OnNew != nil {
 		OnNew(s)
@@ -614,6 +619,7 @@ func (s *Sim) Deploy(bp *service.Blueprint, lb Policy, placements ...Placement) 
 		Name: bp.Name, BP: bp, LB: lb,
 		rng: s.split.Stream("lb", bp.Name),
 	}
+	tier := s.TierNumber(bp.Name)
 	if len(bp.PathProbs) > 0 {
 		dep.pathChoice = dist.NewChoice(bp.PathProbs)
 		dep.pathRNG = s.split.Stream("paths", bp.Name)
@@ -632,6 +638,7 @@ func (s *Sim) Deploy(bp *service.Blueprint, lb Policy, placements ...Placement) 
 		if err != nil {
 			return nil, err
 		}
+		in.Tier = tier
 		in.OnJobDone = s.handleJobDone
 		in.OnJobDrop = s.handleJobDrop
 		in.OnJobShed = s.handleJobShed
@@ -685,7 +692,7 @@ func (s *Sim) AddReplica(svc, machine string, cores int) (*service.Instance, err
 	in.OnJobDrop = s.handleJobDrop
 	in.OnJobShed = s.handleJobShed
 	tmpl := dep.Instances[0]
-	in.MaxQueue = tmpl.MaxQueue
+	in.Tier, in.MaxQueue = tmpl.Tier, tmpl.MaxQueue
 	if d := tmpl.Discipline(); d.Kind != fault.QueueFIFO {
 		if err := in.SetDiscipline(d); err != nil {
 			m.Release(alloc)
@@ -721,6 +728,18 @@ func (s *Sim) RemoveReplica(svc string, in *service.Instance) error {
 	dep.Retire(in)
 	in.Alloc.Machine.Release(in.Alloc)
 	return nil
+}
+
+// TierNumber reports the number under which requests accrue the residence
+// of the named service's tier (job.Request.TierLatency). Tiers are numbered
+// densely as first named, at Deploy or here.
+func (s *Sim) TierNumber(name string) int {
+	if t := slices.Index(s.tiers, name); t >= 0 {
+		return t
+	}
+	s.tiers = append(s.tiers, name)
+	s.perTier = append(s.perTier, stats.NewLatencyHist())
+	return len(s.tiers) - 1
 }
 
 // Stream derives a labeled RNG stream from the simulation seed. Attached
@@ -814,6 +833,7 @@ func (s *Sim) EnableNetwork(cfg NetworkConfig) error {
 		if err != nil {
 			return err
 		}
+		in.Tier = s.TierNumber("netproc")
 		in.OnJobDone = s.handleNetDone
 		in.OnJobDrop = s.handleNetDrop
 		s.netproc[m.Name] = in

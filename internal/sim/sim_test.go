@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"uqsim/internal/cluster"
@@ -268,17 +269,70 @@ func TestConnectionPoolBlocks(t *testing.T) {
 	// at ~2ms.
 	s.SetClient(ClientConfig{Pattern: workload.ConstantRate(2_000_000)})
 	s.Engine().At(2*des.Microsecond, func(des.Time) { s.Engine().Stop() })
+	// The stopped run's report covers 2µs; the latencies come after it.
+	var latency []des.Time
+	s.OnRequestDone = func(_ des.Time, req *job.Request) { latency = append(latency, req.Latency()) }
 	if _, err := s.Run(0, 10*des.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// Drain remaining events after stop.
 	s.Engine().Resume()
 	s.Engine().RunUntil(10 * des.Millisecond)
-	if s.latency.Count() < 2 {
-		t.Fatalf("completions = %d", s.latency.Count())
+	if len(latency) < 2 {
+		t.Fatalf("completions = %d", len(latency))
 	}
-	if s.latency.Max() < 1900*des.Microsecond {
-		t.Fatalf("second request should wait for the connection; max latency %v", s.latency.Max())
+	if m := slices.Max(latency); m < 1900*des.Microsecond {
+		t.Fatalf("second request should wait for the connection; max latency %v", m)
+	}
+}
+
+// TestReportFrozenAfterRun: the report covers [warmup, horizon]. Requests
+// still in flight at the horizon complete in a later drain, and must not
+// land in the histograms or error counts the caller already holds.
+func TestReportFrozenAfterRun(t *testing.T) {
+	s := New(Options{Seed: 42})
+	s.AddMachine("m0", 16, cluster.FreqSpec{})
+	s.AddMachine("m1", 16, cluster.FreqSpec{})
+	for _, svc := range []struct {
+		name, machine string
+		cost          des.Time
+	}{{"front", "m0", 100 * des.Microsecond}, {"back", "m1", 25 * des.Millisecond}} {
+		if _, err := s.Deploy(service.SingleStage(svc.name, dist.NewDeterministic(float64(svc.cost))),
+			RoundRobin, Placement{Machine: svc.machine, Cores: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.EnableNetwork(NetworkConfig{CoresPerMachine: 1, PerMsg: dist.NewDeterministic(1000)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetTopology(graph.Linear("main", "front", "back")); err != nil {
+		t.Fatal(err)
+	}
+	s.SetClient(ClientConfig{Pattern: workload.ConstantRate(100), Proc: workload.Uniform})
+	const horizon = des.Second
+	rep, err := s.Run(100*des.Millisecond, horizon-100*des.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func() []uint64 {
+		out := []uint64{rep.Latency.Count()}
+		for _, tier := range []string{"front", "back", "netproc"} {
+			if rep.PerTier[tier] == nil {
+				t.Fatalf("tier %s missing from %v", tier, rep.PerTier)
+			}
+			out = append(out, rep.PerTier[tier].Count())
+		}
+		return out
+	}
+	before := counts()
+	late := 0
+	s.OnRequestDone = func(des.Time, *job.Request) { late++ }
+	s.Engine().RunUntil(horizon + des.Second)
+	if late == 0 {
+		t.Fatal("no request was in flight at the horizon; the drain proves nothing")
+	}
+	if after := counts(); !slices.Equal(before, after) {
+		t.Fatalf("drain after Run moved the report's counts %v to %v", before, after)
 	}
 }
 

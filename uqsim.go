@@ -71,7 +71,8 @@ type Options = sim.Options
 // Report is the outcome of a run.
 type Report = sim.Report
 
-// InstanceReport summarizes one instance after a run.
+// InstanceReport summarizes one instance after a run: its counts and core
+// utilization. Residence latency is reported per tier, in Report.PerTier.
 type InstanceReport = sim.InstanceReport
 
 // ClientConfig describes the workload source.
@@ -495,7 +496,7 @@ type PowerTier = power.Tier
 // NewPowerManager creates a controller; wire mgr.Observe to
 // Sim.OnRequestDone and call mgr.Start before Run.
 func NewPowerManager(s *Sim, cfg PowerConfig, tiers []*PowerTier) (*PowerManager, error) {
-	return power.New(s.Engine(), cfg, tiers)
+	return power.New(s, cfg, tiers)
 }
 
 // TiersOf builds PowerTiers from named deployments of s.
