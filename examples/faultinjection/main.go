@@ -36,12 +36,9 @@ func build(qps float64) *uqsim.Sim {
 }
 
 func report(label string, rep *uqsim.Report) {
-	leaked := int64(rep.Arrivals) -
-		int64(rep.Completions+rep.Timeouts+rep.Shed+rep.Dropped) -
-		int64(rep.InFlight)
 	fmt.Printf("%-22s goodput=%5.0f qps  p99=%8.3f ms  retries=%-5d shed=%-5d dropped=%-5d leaked=%d\n",
 		label, rep.GoodputQPS, rep.Latency.P99().Millis(),
-		rep.Retries, rep.Shed, rep.Dropped, leaked)
+		rep.Retries, rep.Shed, rep.Dropped, uqsim.Leaked(rep))
 	if ec := rep.Errors["api"]; ec != nil {
 		fmt.Printf("%-22s api call errors: timeouts=%d dropped=%d breaker_open=%d\n",
 			"", ec.Timeouts, ec.Dropped, ec.BreakerOpen)

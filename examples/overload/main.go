@@ -42,13 +42,10 @@ func build(qps float64) *uqsim.Sim {
 }
 
 func report(label string, rep *uqsim.Report) {
-	leaked := int64(rep.Arrivals) -
-		int64(rep.Completions+rep.Timeouts+rep.DeadlineExpired+rep.Shed+rep.Dropped) -
-		int64(rep.InFlight)
 	fmt.Printf("%-30s goodput=%5.0f qps  p99=%7.3f ms  timeouts=%-5d deadline=%-5d hedges=%-4d wasted=%-5d canceled=%-5d leaked=%d\n",
 		label, rep.GoodputQPS, rep.Latency.P99().Millis(),
 		rep.Timeouts, rep.DeadlineExpired, rep.HedgesIssued,
-		rep.WastedWork, rep.CanceledWork, leaked)
+		rep.WastedWork, rep.CanceledWork, uqsim.Leaked(rep))
 }
 
 func main() {

@@ -37,12 +37,9 @@ func must(_ any, err error) {
 }
 
 func report(label string, s *uqsim.Sim, rep *uqsim.Report) {
-	leaked := int64(rep.Arrivals) -
-		int64(rep.Completions+rep.Timeouts+rep.Shed+rep.Dropped+rep.DeadlineExpired+rep.Unreachable) -
-		int64(rep.InFlight)
 	fmt.Printf("%-18s goodput=%5.0f qps  p99=%7.3f ms  unreachable=%-5d linkdrops=%-5d retries=%-5d leaked=%d\n",
 		label, rep.GoodputQPS, rep.Latency.P99().Millis(),
-		s.Net().Unreachable(), rep.LinkDrops, rep.Retries, leaked)
+		s.Net().Unreachable(), rep.LinkDrops, rep.Retries, uqsim.Leaked(rep))
 }
 
 func main() {

@@ -91,12 +91,9 @@ func must(_ any, err error) {
 }
 
 func report(label string, rep *uqsim.Report) {
-	leaked := int64(rep.Arrivals) -
-		int64(rep.Completions+rep.Timeouts+rep.Shed+rep.Dropped+rep.DeadlineExpired+rep.Unreachable) -
-		int64(rep.InFlight)
 	fmt.Printf("%-22s goodput=%5.0f qps  p99=%8.3f ms  xregion=%-6d stale=%-6d retries=%-6d leaked=%d\n",
 		label, rep.GoodputQPS, rep.Latency.P99().Millis(),
-		rep.CrossRegionCalls, rep.StaleReads, rep.Retries, leaked)
+		rep.CrossRegionCalls, rep.StaleReads, rep.Retries, uqsim.Leaked(rep))
 }
 
 func main() {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"uqsim/internal/config"
+	"uqsim/internal/fault"
 	"uqsim/internal/rng"
 )
 
@@ -115,8 +116,8 @@ func (h *Harness) crashMachine(src *rng.Source) Action {
 	return Action{
 		Label: "crash " + m,
 		Events: []config.FaultEventSpec{
-			{AtS: startS, Kind: "crash_machine", Machine: m},
-			{AtS: endS, Kind: "recover_machine", Machine: m},
+			{AtS: startS, Kind: fault.CrashMachine.String(), Machine: m},
+			{AtS: endS, Kind: fault.RecoverMachine.String(), Machine: m},
 		},
 	}
 }
@@ -128,8 +129,8 @@ func (h *Harness) killInstance(src *rng.Source) Action {
 	return Action{
 		Label: fmt.Sprintf("kill %s#%d", svc.name, idx),
 		Events: []config.FaultEventSpec{
-			{AtS: startS, Kind: "kill_instance", Service: svc.name, Instance: &idx},
-			{AtS: endS, Kind: "restart_instance", Service: svc.name, Instance: ptr(idx)},
+			{AtS: startS, Kind: fault.KillInstance.String(), Service: svc.name, Instance: &idx},
+			{AtS: endS, Kind: fault.RestartInstance.String(), Service: svc.name, Instance: ptr(idx)},
 		},
 	}
 }
@@ -142,7 +143,7 @@ func (h *Harness) degradeFreq(src *rng.Source) Action {
 	return Action{
 		Label: fmt.Sprintf("degrade %s to %.0fMHz", fm.name, mhz),
 		Events: []config.FaultEventSpec{
-			{AtS: startS, Kind: "degrade_freq", Machine: fm.name, FreqMHz: mhz, UntilS: endS},
+			{AtS: startS, Kind: fault.DegradeFreq.String(), Machine: fm.name, FreqMHz: mhz, UntilS: endS},
 		},
 	}
 }
@@ -154,7 +155,7 @@ func (h *Harness) edgeLatency(src *rng.Source) Action {
 	return Action{
 		Label: fmt.Sprintf("edge latency %s +%.1fms", svc.name, extra),
 		Events: []config.FaultEventSpec{
-			{AtS: startS, Kind: "edge_latency", Service: svc.name, ExtraMs: extra, UntilS: endS},
+			{AtS: startS, Kind: fault.EdgeLatency.String(), Service: svc.name, ExtraMs: extra, UntilS: endS},
 		},
 	}
 }
@@ -166,8 +167,8 @@ func (h *Harness) domainBurst(src *rng.Source) Action {
 	return Action{
 		Label: "burst " + d,
 		Events: []config.FaultEventSpec{
-			{AtS: startS, Kind: "crash_domain", Domain: d, StaggerMs: stagger},
-			{AtS: endS, Kind: "recover_domain", Domain: d, StaggerMs: stagger},
+			{AtS: startS, Kind: fault.CrashDomain.String(), Domain: d, StaggerMs: stagger},
+			{AtS: endS, Kind: fault.RecoverDomain.String(), Domain: d, StaggerMs: stagger},
 		},
 	}
 }
@@ -178,7 +179,7 @@ func (h *Harness) partition(src *rng.Source) Action {
 	cut := 1 + src.IntN(len(ms)-1)
 	oneWay := src.IntN(4) == 0
 	startS, endS := h.window(src)
-	label := "partition"
+	label := fault.PartitionStart.String()
 	if oneWay {
 		label = "one-way partition"
 	}
@@ -216,7 +217,7 @@ func (h *Harness) loadStep(src *rng.Source) Action {
 	return Action{
 		Label: fmt.Sprintf("load ×%.1f", factor),
 		Events: []config.FaultEventSpec{
-			{AtS: startS, Kind: "load_step", Factor: factor, UntilS: endS},
+			{AtS: startS, Kind: fault.LoadStep.String(), Factor: factor, UntilS: endS},
 		},
 	}
 }

@@ -295,84 +295,32 @@ func (h *Harness) recoveryWindowStart(ff *config.FaultsFile) des.Time {
 	return des.FromSeconds(winStartS)
 }
 
-// healAnalysis scans a fault plan and reports when its last fault heals.
-// ok is false when the plan has no faults at all or contains one that
-// never heals (an unmatched crash, or a window with until_s 0).
+// healAnalysis reports when a fault plan's last fault heals. ok is false
+// when nothing heals or some fault never does (fault.Plan.Healing
+// decides). Heal instants come from the spec's own seconds rather than
+// the plan's nanoseconds, so window starts carry no rounding: a windowed
+// fault heals at until_s, a recovery at at_s, and a domain recovery at a
+// conservative at_s + n × stagger for its n machines.
 func (h *Harness) healAnalysis(ff *config.FaultsFile) (lastHealS float64, ok bool) {
-	any := false
-	heal := func(s float64) {
-		any = true
-		lastHealS = math.Max(lastHealS, s)
-	}
-	// Pair crashes with recoveries per target; an unmatched crash means
-	// the plan never fully heals.
-	type pending struct{ crashes, recovers int }
-	machines := map[string]*pending{}
-	instances := map[string]*pending{}
-	domains := map[string]*pending{}
-	get := func(m map[string]*pending, k string) *pending {
-		if m[k] == nil {
-			m[k] = &pending{}
-		}
-		return m[k]
-	}
-	for _, ev := range ff.Events {
-		switch ev.Kind {
-		case "crash_machine":
-			get(machines, ev.Machine).crashes++
-		case "recover_machine":
-			get(machines, ev.Machine).recovers++
-			heal(ev.AtS)
-		case "crash_domain":
-			get(domains, ev.Domain).crashes++
-		case "recover_domain":
-			get(domains, ev.Domain).recovers++
-			// The burst staggers member recoveries after at_s.
-			heal(ev.AtS + ev.StaggerMs*float64(h.world.domainSize[ev.Domain])/1000)
-		case "kill_instance", "restart_instance":
-			key := ev.Service
-			if ev.Instance != nil {
-				key = fmt.Sprintf("%s#%d", ev.Service, *ev.Instance)
-			}
-			if ev.Kind == "kill_instance" {
-				get(instances, key).crashes++
-			} else {
-				get(instances, key).recovers++
-				heal(ev.AtS)
-			}
-		default:
-			// Windowed kinds (degrade_freq, edge_latency, load_step)
-			// heal at until_s; 0 means permanent.
-			if ev.UntilS <= 0 {
-				return 0, false
-			}
-			any = true
-			heal(ev.UntilS)
-		}
-	}
-	for _, m := range []map[string]*pending{machines, instances, domains} {
-		for _, p := range m {
-			if p.crashes > p.recovers {
-				return 0, false
-			}
-		}
-	}
-	if ff.Network != nil {
-		for _, p := range ff.Network.Partitions {
-			if p.UntilS <= 0 {
-				return 0, false
-			}
-			heal(p.UntilS)
-		}
-		for _, l := range ff.Network.Links {
-			if l.UntilS <= 0 {
-				return 0, false
-			}
-			heal(l.UntilS)
-		}
-	}
-	if !any {
+	plan, err := config.FaultPlan(ff)
+	if err != nil {
 		return 0, false
 	}
-	return lastHealS, true
+	heals, ok := plan.Healing()
+	for _, i := range heals {
+		var s float64
+		switch j := i - len(ff.Events); {
+		case j < 0 && plan.Events[i].Kind.Windowed():
+			s = ff.Events[i].UntilS
+		case j < 0:
+			ev := ff.Events[i]
+			s = ev.AtS + ev.StaggerMs*float64(h.world.domainSize[ev.Domain])/1000
+		case j < len(ff.Network.Partitions):
+			s = ff.Network.Partitions[j].UntilS
+		default:
+			s = ff.Network.Links[j-len(ff.Network.Partitions)].UntilS
+		}
+		lastHealS = math.Max(lastHealS, s)
+	}
+	return lastHealS, ok
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"uqsim/internal/control"
-	"uqsim/internal/des"
 	"uqsim/internal/sim"
 )
 
@@ -19,7 +18,6 @@ func ApplyControl(s *sim.Sim, data []byte) (*control.Plane, error) {
 	if err := decodeStrict("control.json", data, &cf); err != nil {
 		return nil, err
 	}
-	ms := func(v float64) des.Time { return des.FromSeconds(v / 1000) }
 
 	var deployed []string
 	for _, dep := range s.Deployments() {
@@ -59,22 +57,22 @@ func ApplyControl(s *sim.Sim, data []byte) (*control.Plane, error) {
 	}
 	if cf.Heartbeat != nil {
 		cfg.Detector = &control.DetectorConfig{
-			Period:        ms(cf.Heartbeat.PeriodMs),
+			Period:        fromMs(cf.Heartbeat.PeriodMs),
 			Jitter:        cf.Heartbeat.Jitter,
-			CheckInterval: ms(cf.Heartbeat.CheckIntervalMs),
+			CheckInterval: fromMs(cf.Heartbeat.CheckIntervalMs),
 			PhiThreshold:  cf.Heartbeat.PhiThreshold,
 			MinSamples:    cf.Heartbeat.MinSamples,
 		}
 	}
 	if cf.Ejection != nil {
 		cfg.Ejection = &control.EjectionConfig{
-			Interval:           ms(cf.Ejection.IntervalMs),
+			Interval:           fromMs(cf.Ejection.IntervalMs),
 			FailureRatio:       cf.Ejection.FailureRatio,
 			LatencyFactor:      cf.Ejection.LatencyFactor,
 			Quantile:           cf.Ejection.Quantile,
 			MinRequests:        cf.Ejection.MinRequests,
 			MinHealthyFraction: cf.Ejection.MinHealthyFraction,
-			Probation:          ms(cf.Ejection.ProbationMs),
+			Probation:          fromMs(cf.Ejection.ProbationMs),
 		}
 	}
 	if cf.Failover != nil {
@@ -82,14 +80,14 @@ func ApplyControl(s *sim.Sim, data []byte) (*control.Plane, error) {
 			return nil, err
 		}
 		cfg.Failover = &control.FailoverConfig{
-			RestartDelay: ms(cf.Failover.RestartDelayMs),
+			RestartDelay: fromMs(cf.Failover.RestartDelayMs),
 			Machines:     cf.Failover.Machines,
 		}
 	}
 	if cf.RegionFailover != nil {
 		cfg.RegionFailover = &control.RegionFailoverConfig{
-			CheckInterval: ms(cf.RegionFailover.CheckIntervalMs),
-			DrainDelay:    ms(cf.RegionFailover.DrainDelayMs),
+			CheckInterval: fromMs(cf.RegionFailover.CheckIntervalMs),
+			DrainDelay:    fromMs(cf.RegionFailover.DrainDelayMs),
 		}
 	}
 	for i, as := range cf.Autoscale {
@@ -105,9 +103,9 @@ func ApplyControl(s *sim.Sim, data []byte) (*control.Plane, error) {
 			Max:               as.Max,
 			TargetUtilization: as.TargetUtilization,
 			TargetQueue:       as.TargetQueue,
-			Interval:          ms(as.IntervalMs),
-			UpCooldown:        ms(as.UpCooldownMs),
-			DownCooldown:      ms(as.DownCooldownMs),
+			Interval:          fromMs(as.IntervalMs),
+			UpCooldown:        fromMs(as.UpCooldownMs),
+			DownCooldown:      fromMs(as.DownCooldownMs),
 			Tolerance:         as.Tolerance,
 			Cores:             as.Cores,
 			Machines:          as.Machines,

@@ -138,6 +138,31 @@ func TestLoadDirReadsFaultsJSON(t *testing.T) {
 	}
 }
 
+// TestShippedFaultsLoad: every committed faults.json — the shipped config
+// directories and every chaos corpus entry — loads under the current
+// validation.
+func TestShippedFaultsLoad(t *testing.T) {
+	for _, dir := range []string{"robust", "metastable", "threeregion"} {
+		if _, err := LoadDir(filepath.Join("..", "..", "configs", dir)); err != nil {
+			t.Errorf("configs/%s: %v", dir, err)
+		}
+	}
+	entries, err := filepath.Glob(filepath.Join("..", "..", "configs", "*", "corpus", "*", "faults.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 {
+		t.Fatal("no corpus entries found")
+	}
+	for _, faults := range entries {
+		// entry → corpus → config directory.
+		dir := filepath.Dir(filepath.Dir(filepath.Dir(faults)))
+		if _, err := LoadDirWithFaults(dir, faults); err != nil {
+			t.Errorf("%s: %v", faults, err)
+		}
+	}
+}
+
 func TestFaultsJSONErrors(t *testing.T) {
 	cases := []struct {
 		name, doc, want string
@@ -154,6 +179,14 @@ func TestFaultsJSONErrors(t *testing.T) {
 		{"retries without timeout", `{"policies": [{"service": "memcached", "max_retries": 2}]}`, "timeout"},
 		{"shed unknown service", `{"shedding": [{"service": "ghost", "max_queue": 10}]}`, "ghost"},
 		{"negative max queue", `{"shedding": [{"service": "nginx", "max_queue": -1}]}`, "negative"},
+		{"degrade until at at", `{"events": [{"at_s": 1, "until_s": 1, "kind": "degrade_freq", "machine": "cache", "freq_mhz": 1300}]}`, "not after"},
+		{"degrade until before at", `{"events": [{"at_s": 1, "until_s": 0.5, "kind": "degrade_freq", "machine": "cache", "freq_mhz": 1300}]}`, "not after"},
+		{"until on a crash", `{"events": [{"at_s": 1, "until_s": 2, "kind": "crash_machine", "machine": "cache"}]}`, "recover_machine"},
+		{"until on a kill", `{"events": [{"at_s": 1, "until_s": 2, "kind": "kill_instance", "service": "memcached"}]}`, "restart_instance"},
+		{"until on a recovery", `{"events": [{"at_s": 1, "until_s": 2, "kind": "recover_machine", "machine": "cache"}]}`, "takes no until"},
+		{"until on a restart", `{"events": [{"at_s": 1, "until_s": 2, "kind": "restart_instance", "service": "memcached"}]}`, "takes no until"},
+		{"partition under events", `{"events": [{"at_s": 1, "kind": "partition"}]}`, "network section"},
+		{"set_link under events", `{"events": [{"at_s": 1, "kind": "SET_LINK"}]}`, "network section"},
 	}
 	for _, c := range cases {
 		_, err := assembleWithFaults(t, c.doc)

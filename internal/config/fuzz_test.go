@@ -74,6 +74,14 @@ func FuzzFaults(f *testing.F) {
 		"links":[{"at_s":0,"until_s":0.5,"src":"frontend","dst":"cache","drop":0.1,"dup":0.05}]}}`))
 	f.Add([]byte(`{"policies":[{"service":"nginx","timeout_ms":10,"max_retries":2,
 		"breaker":{"error_threshold":0.5,"window":16,"cooldown_ms":50}}]}`))
+	// Pinned invalid inputs: an until_s that never opens a window, an
+	// until_s on kinds that heal by recovery or are recoveries, and a
+	// network kind under events.
+	f.Add([]byte(`{"events":[{"at_s":0.2,"until_s":0.2,"kind":"degrade_freq","machine":"cache","freq_mhz":1300}]}`))
+	f.Add([]byte(`{"events":[{"at_s":0.1,"until_s":0.3,"kind":"crash_machine","machine":"cache"}]}`))
+	f.Add([]byte(`{"events":[{"at_s":0.1,"until_s":0.3,"kind":"kill_instance","service":"memcached"},
+		{"at_s":0.2,"until_s":0.3,"kind":"restart_instance","service":"memcached"}]}`))
+	f.Add([]byte(`{"events":[{"at_s":0.1,"kind":"partition"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = Assemble(mach, svc, graph, path, client, data)
 	})

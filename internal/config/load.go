@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"uqsim/internal/cluster"
@@ -596,53 +597,107 @@ func buildSessions(spec *SessionsSpec, treeIdx map[string]int, treeNames []strin
 	return sc, nil
 }
 
-// faultKinds maps faults.json kind names to fault.Kind values (the inverse
-// of Kind.String).
-var faultKinds = map[string]fault.Kind{
-	"crash_machine":    fault.CrashMachine,
-	"recover_machine":  fault.RecoverMachine,
-	"crash_domain":     fault.CrashDomain,
-	"recover_domain":   fault.RecoverDomain,
-	"kill_instance":    fault.KillInstance,
-	"restart_instance": fault.RestartInstance,
-	"degrade_freq":     fault.DegradeFreq,
-	"edge_latency":     fault.EdgeLatency,
-	"load_step":        fault.LoadStep,
+// fromMs converts a config document's milliseconds to virtual time.
+func fromMs(v float64) des.Time { return des.FromSeconds(v / 1000) }
+
+// FaultPlan converts faults.json's schedule into a fault plan: the events
+// section in order, then network.partitions, then network.links. Kind
+// names parse case-insensitively; kinds that act on machine groups or
+// links belong in the network section. Names are not resolved here:
+// installing the plan does that.
+func FaultPlan(ff *FaultsFile) (fault.Plan, error) {
+	var plan fault.Plan
+	for i, es := range ff.Events {
+		key := fmt.Sprintf("events[%d].kind", i)
+		kind, ok := fault.ParseKind(es.Kind)
+		if !ok {
+			return plan, unknownName("faults.json", key, "kind", es.Kind, fault.KindNames())
+		}
+		switch kind.Target() {
+		case fault.OnGroups, fault.OnLink:
+			return plan, fmt.Errorf("config: faults.json: %s: %s belongs in the network section (network.partitions, network.links)", key, kind)
+		}
+		inst := -1
+		if es.Instance != nil {
+			inst = *es.Instance
+		}
+		plan.Events = append(plan.Events, fault.Event{
+			At:       des.FromSeconds(es.AtS),
+			Kind:     kind,
+			Machine:  es.Machine,
+			Service:  es.Service,
+			Instance: inst,
+			FreqMHz:  es.FreqMHz,
+			Extra:    fromMs(es.ExtraMs),
+			Until:    des.FromSeconds(es.UntilS),
+			Domain:   es.Domain,
+			Stagger:  fromMs(es.StaggerMs),
+			Factor:   es.Factor,
+		})
+	}
+	if nf := ff.Network; nf != nil {
+		for _, ps := range nf.Partitions {
+			plan.Events = append(plan.Events, fault.Event{
+				At:     des.FromSeconds(ps.AtS),
+				Kind:   fault.PartitionStart,
+				GroupA: ps.GroupA,
+				GroupB: ps.GroupB,
+				OneWay: ps.OneWay,
+				Until:  des.FromSeconds(ps.UntilS),
+			})
+		}
+		for _, ls := range nf.Links {
+			plan.Events = append(plan.Events, fault.Event{
+				At:    des.FromSeconds(ls.AtS),
+				Kind:  fault.SetLink,
+				Src:   ls.Src,
+				Dst:   ls.Dst,
+				Drop:  ls.Drop,
+				Dup:   ls.Dup,
+				Until: des.FromSeconds(ls.UntilS),
+			})
+		}
+	}
+	return plan, nil
+}
+
+// faultKey names the faults.json entry plan event i of FaultPlan(ff) came
+// from.
+func faultKey(ff *FaultsFile, i int) string {
+	if i < len(ff.Events) {
+		return fmt.Sprintf("events[%d]", i)
+	}
+	i -= len(ff.Events)
+	if i < len(ff.Network.Partitions) {
+		return fmt.Sprintf("network.partitions[%d]", i)
+	}
+	return fmt.Sprintf("network.links[%d]", i-len(ff.Network.Partitions))
 }
 
 // applyFaults installs faults.json's policies, shedding bounds, and fault
 // plan on an assembled simulation.
 func applyFaults(s *sim.Sim, ff *FaultsFile) error {
-	ms := func(v float64) des.Time { return des.FromSeconds(v / 1000) }
 	var deployed []string
 	for _, dep := range s.Deployments() {
 		deployed = append(deployed, dep.Name)
 	}
-	known := func(name string) bool {
-		for _, d := range deployed {
-			if d == name {
-				return true
-			}
-		}
-		return false
-	}
 	for i, ps := range ff.Policies {
 		p := fault.Policy{
-			Timeout:       ms(ps.TimeoutMs),
+			Timeout:       fromMs(ps.TimeoutMs),
 			MaxRetries:    ps.MaxRetries,
-			BackoffBase:   ms(ps.BackoffBaseMs),
+			BackoffBase:   fromMs(ps.BackoffBaseMs),
 			BackoffJitter: ps.BackoffJitter,
 		}
 		if ps.Breaker != nil {
 			p.Breaker = &fault.BreakerSpec{
 				ErrorThreshold: ps.Breaker.ErrorThreshold,
 				Window:         ps.Breaker.Window,
-				Cooldown:       ms(ps.Breaker.CooldownMs),
+				Cooldown:       fromMs(ps.Breaker.CooldownMs),
 			}
 		}
 		if ps.Hedge != nil {
 			p.Hedge = &fault.HedgeSpec{
-				Delay:      ms(ps.Hedge.DelayMs),
+				Delay:      fromMs(ps.Hedge.DelayMs),
 				Quantile:   ps.Hedge.Quantile,
 				MinSamples: ps.Hedge.MinSamples,
 				Jitter:     ps.Hedge.Jitter,
@@ -660,7 +715,7 @@ func applyFaults(s *sim.Sim, ff *FaultsFile) error {
 			if ps.Node != nil {
 				return fmt.Errorf("config: faults.json policy %d: node %d needs a tree", i, *ps.Node)
 			}
-			if !known(ps.Service) {
+			if !slices.Contains(deployed, ps.Service) {
 				return unknownName("faults.json", fmt.Sprintf("policies[%d].service", i), "service", ps.Service, deployed)
 			}
 			if err := s.SetServicePolicy(ps.Service, p); err != nil {
@@ -671,7 +726,7 @@ func applyFaults(s *sim.Sim, ff *FaultsFile) error {
 		}
 	}
 	for i, sh := range ff.Shedding {
-		if !known(sh.Service) {
+		if !slices.Contains(deployed, sh.Service) {
 			return unknownName("faults.json", fmt.Sprintf("shedding[%d].service", i), "service", sh.Service, deployed)
 		}
 		if err := s.SetMaxQueue(sh.Service, sh.MaxQueue); err != nil {
@@ -679,7 +734,7 @@ func applyFaults(s *sim.Sim, ff *FaultsFile) error {
 		}
 	}
 	for i, qs := range ff.Queues {
-		if !known(qs.Service) {
+		if !slices.Contains(deployed, qs.Service) {
 			return unknownName("faults.json", fmt.Sprintf("queues[%d].service", i), "service", qs.Service, deployed)
 		}
 		var kind fault.QueueKind
@@ -697,95 +752,30 @@ func applyFaults(s *sim.Sim, ff *FaultsFile) error {
 		}
 		if err := s.SetQueueDiscipline(qs.Service, fault.QueueDiscipline{
 			Kind:     kind,
-			Target:   ms(qs.TargetMs),
-			Interval: ms(qs.IntervalMs),
+			Target:   fromMs(qs.TargetMs),
+			Interval: fromMs(qs.IntervalMs),
 		}); err != nil {
 			return fmt.Errorf("config: faults.json queues %d: %w", i, err)
 		}
 	}
-	nf := ff.Network
-	if len(ff.Events) == 0 && (nf == nil || len(nf.Partitions)+len(nf.Links) == 0) {
-		return nil
+	plan, err := FaultPlan(ff)
+	if err != nil || plan.Empty() {
+		return err
 	}
-	var plan fault.Plan
-	for i, es := range ff.Events {
-		kind, ok := faultKinds[strings.ToLower(es.Kind)]
-		if !ok {
-			return fmt.Errorf("config: faults.json event %d: unknown kind %q", i, es.Kind)
-		}
-		if es.Service != "" && !known(es.Service) {
-			return unknownName("faults.json", fmt.Sprintf("events[%d].service", i), "service", es.Service, deployed)
-		}
-		inst := -1
-		if es.Instance != nil {
-			inst = *es.Instance
-		}
-		plan.Events = append(plan.Events, fault.Event{
-			At:       des.FromSeconds(es.AtS),
-			Kind:     kind,
-			Machine:  es.Machine,
-			Service:  es.Service,
-			Instance: inst,
-			FreqMHz:  es.FreqMHz,
-			Extra:    ms(es.ExtraMs),
-			Until:    des.FromSeconds(es.UntilS),
-			Domain:   es.Domain,
-			Stagger:  ms(es.StaggerMs),
-			Factor:   es.Factor,
-		})
+	// Every referenced name gets did-you-mean here; missing names and the
+	// instance range are left to InstallFaults.
+	valid := map[string][]string{fault.RefService: deployed}
+	for _, m := range s.Cluster().Machines() {
+		valid[fault.RefMachine] = append(valid[fault.RefMachine], m.Name)
 	}
-	if nf != nil {
-		var machines []string
-		for _, m := range s.Cluster().Machines() {
-			machines = append(machines, m.Name)
-		}
-		checkMachine := func(key, name string) error {
-			if _, ok := s.Cluster().Machine(name); !ok {
-				return unknownName("faults.json", key, "machine", name, machines)
+	for _, d := range s.Domains() {
+		valid[fault.RefDomain] = append(valid[fault.RefDomain], d.Name)
+	}
+	for i, ev := range plan.Events {
+		for _, r := range ev.Refs() {
+			if r.Name != "" && !slices.Contains(valid[r.Noun], r.Name) {
+				return unknownName("faults.json", faultKey(ff, i)+"."+r.Field, r.Noun, r.Name, valid[r.Noun])
 			}
-			return nil
-		}
-		for i, ps := range nf.Partitions {
-			for _, group := range []struct {
-				key   string
-				names []string
-			}{{"group_a", ps.GroupA}, {"group_b", ps.GroupB}} {
-				for j, name := range group.names {
-					key := fmt.Sprintf("network.partitions[%d].%s[%d]", i, group.key, j)
-					if err := checkMachine(key, name); err != nil {
-						return err
-					}
-				}
-			}
-			plan.Events = append(plan.Events, fault.Event{
-				At:     des.FromSeconds(ps.AtS),
-				Kind:   fault.PartitionStart,
-				GroupA: ps.GroupA,
-				GroupB: ps.GroupB,
-				OneWay: ps.OneWay,
-				Until:  des.FromSeconds(ps.UntilS),
-			})
-		}
-		for i, ls := range nf.Links {
-			if ls.Src != "" {
-				if err := checkMachine(fmt.Sprintf("network.links[%d].src", i), ls.Src); err != nil {
-					return err
-				}
-			}
-			if ls.Dst != "" {
-				if err := checkMachine(fmt.Sprintf("network.links[%d].dst", i), ls.Dst); err != nil {
-					return err
-				}
-			}
-			plan.Events = append(plan.Events, fault.Event{
-				At:    des.FromSeconds(ls.AtS),
-				Kind:  fault.SetLink,
-				Src:   ls.Src,
-				Dst:   ls.Dst,
-				Drop:  ls.Drop,
-				Dup:   ls.Dup,
-				Until: des.FromSeconds(ls.UntilS),
-			})
 		}
 	}
 	if err := s.InstallFaults(plan); err != nil {

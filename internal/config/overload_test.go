@@ -2,6 +2,8 @@ package config
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -153,6 +155,9 @@ func TestUnknownServiceDidYouMean(t *testing.T) {
 		{"shedding", `{"shedding": [{"service": "ngnix", "max_queue": 10}]}`, "shedding[0].service"},
 		{"queue", `{"queues": [{"service": "memcache", "kind": "codel"}]}`, "queues[0].service"},
 		{"event", `{"events": [{"at_s": 1, "kind": "kill_instance", "service": "Memcached2"}]}`, "events[0].service"},
+		{"event kind", `{"events": [{"at_s": 1, "kind": "crash_machin", "machine": "cache"}]}`, "events[0].kind"},
+		{"event machine", `{"events": [{"at_s": 1, "kind": "crash_machine", "machine": "cahce"}]}`, "events[0].machine"},
+		{"partition machine", `{"network": {"partitions": [{"at_s": 1, "group_a": ["frontend"], "group_b": ["cach"]}]}}`, "network.partitions[0].group_b[0]"},
 	}
 	for _, c := range cases {
 		_, err := assembleWithFaults(t, c.doc)
@@ -168,9 +173,22 @@ func TestUnknownServiceDidYouMean(t *testing.T) {
 			t.Errorf("%s: error %q should suggest the closest service", c.name, msg)
 		}
 	}
+	// Domains resolve against machines.json topology, so the domain case
+	// runs on a config that declares some.
+	faults := filepath.Join(t.TempDir(), "faults.json")
+	if err := os.WriteFile(faults, []byte(`{"events": [
+		{"at_s": 0.3, "kind": "crash_domain", "domain": "eats"},
+		{"at_s": 0.6, "kind": "recover_domain", "domain": "east"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadDirWithFaults("../../configs/threeregion", faults)
+	if err == nil || !strings.Contains(err.Error(), "events[0].domain") ||
+		!strings.Contains(err.Error(), `did you mean "east"`) {
+		t.Errorf("domain typo: %v", err)
+	}
 	// A name nothing like any service lists the valid ones instead of
 	// guessing.
-	_, err := assembleWithFaults(t, `{"policies": [{"service": "zzzzzzzzzz", "timeout_ms": 10}]}`)
+	_, err = assembleWithFaults(t, `{"policies": [{"service": "zzzzzzzzzz", "timeout_ms": 10}]}`)
 	if err == nil || strings.Contains(err.Error(), "did you mean") {
 		t.Errorf("far-off name should not produce a suggestion: %v", err)
 	}

@@ -66,7 +66,7 @@ type WANLinkSpec struct {
 }
 
 // DomainSpec is one named failure domain: a set of machines that share
-// fate under crash_domain / recover_domain fault events. Domains may
+// fate under domain crash and recovery fault events. Domains may
 // overlap (a machine can sit in both a rack and a power zone).
 type DomainSpec struct {
 	Name     string   `json:"name"`
@@ -424,9 +424,9 @@ type QueueSpec struct {
 	IntervalMs float64 `json:"interval_ms,omitempty"`
 }
 
-// FaultEventSpec schedules one fault action. Kind is one of crash_machine,
-// recover_machine, crash_domain, recover_domain, kill_instance,
-// restart_instance, degrade_freq, edge_latency, load_step.
+// FaultEventSpec schedules one fault action. Kind names a row of the fault
+// kinds table in internal/fault (fault.Kinds lists them); kinds acting on
+// machine groups or links go in the network section instead.
 type FaultEventSpec struct {
 	AtS     float64 `json:"at_s"`
 	Kind    string  `json:"kind"`
@@ -436,13 +436,14 @@ type FaultEventSpec struct {
 	Instance *int    `json:"instance,omitempty"`
 	FreqMHz  float64 `json:"freq_mhz,omitempty"`
 	ExtraMs  float64 `json:"extra_ms,omitempty"`
-	UntilS   float64 `json:"until_s,omitempty"`
-	// Domain names a machines.json topology domain for crash_domain /
-	// recover_domain; StaggerMs spaces the per-machine events within the
+	// UntilS ends a windowed kind (0: never); other kinds reject it.
+	UntilS float64 `json:"until_s,omitempty"`
+	// Domain names a machines.json topology domain (or region) for the
+	// domain kinds; StaggerMs spaces the per-machine events within the
 	// burst.
 	Domain    string  `json:"domain,omitempty"`
 	StaggerMs float64 `json:"stagger_ms,omitempty"`
-	// Factor multiplies the open-loop arrival rate (load_step).
+	// Factor multiplies the open-loop arrival rate (a load step).
 	Factor float64 `json:"factor,omitempty"`
 }
 

@@ -7,6 +7,7 @@ import (
 	"uqsim/internal/des"
 	"uqsim/internal/service"
 	"uqsim/internal/sim"
+	"uqsim/internal/validate"
 )
 
 // AblationNoBatching quantifies design decision #1 of DESIGN.md: disabling
@@ -98,7 +99,7 @@ func AblationNoBlocking(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		t.Add(c.label,
@@ -132,7 +133,7 @@ func AblationLBPolicies(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		t.Add(c.label,

@@ -8,6 +8,7 @@ import (
 
 	"uqsim/internal/chaos"
 	"uqsim/internal/config"
+	"uqsim/internal/fault"
 )
 
 func init() {
@@ -68,7 +69,7 @@ func Chaos(o Opts) (*Table, error) {
 			{
 				Label: "edge latency backend +2ms (decoy)",
 				Events: []config.FaultEventSpec{
-					{AtS: 0.6, Kind: "edge_latency", Service: "backend", ExtraMs: 2, UntilS: 1.0},
+					{AtS: 0.6, Kind: fault.EdgeLatency.String(), Service: "backend", ExtraMs: 2, UntilS: 1.0},
 				},
 			},
 			{
@@ -80,7 +81,7 @@ func Chaos(o Opts) (*Table, error) {
 			{
 				Label: "load ×1.1 (decoy)",
 				Events: []config.FaultEventSpec{
-					{AtS: 0.5, Kind: "load_step", Factor: 1.1, UntilS: 0.9},
+					{AtS: 0.5, Kind: fault.LoadStep.String(), Factor: 1.1, UntilS: 0.9},
 				},
 			},
 			{

@@ -6,6 +6,7 @@ import (
 	"uqsim/internal/apps"
 	"uqsim/internal/cache"
 	"uqsim/internal/des"
+	"uqsim/internal/validate"
 )
 
 // cacheZipf builds the popularity model used for the analytic ceiling
@@ -47,7 +48,7 @@ func ExtTimeouts(o Opts) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := checkConservation(rep); err != nil {
+			if err := validate.Conservation(rep); err != nil {
 				return nil, err
 			}
 			rate := 0.0
@@ -94,7 +95,7 @@ func ExtEmergentCache(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		mongoShare := 0.0

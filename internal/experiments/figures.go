@@ -8,6 +8,7 @@ import (
 	"uqsim/internal/des"
 	"uqsim/internal/dist"
 	"uqsim/internal/sim"
+	"uqsim/internal/validate"
 )
 
 // Fig5TwoTier regenerates the two-tier NGINX→memcached validation: one
@@ -157,7 +158,7 @@ func Fig14TailAtScale(o Opts) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := checkConservation(rep); err != nil {
+			if err := validate.Conservation(rep); err != nil {
 				return nil, err
 			}
 			cdf := analytic.MixtureExpCDF(slow, 1, 10) // ms units
@@ -219,7 +220,7 @@ func Fig13BigHouse(o Opts) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := checkConservation(rep); err != nil {
+			if err := validate.Conservation(rep); err != nil {
 				return nil, err
 			}
 			t.Add(c.label, "uqsim",

@@ -75,7 +75,7 @@ func HybridFault(o Opts) (*Table, error) {
 	}
 	addRow := func(phase, fid string, rate float64, rep *sim.Report,
 		errP50, errP99 float64, withCI string) error {
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return fmt.Errorf("hybridfault %s/%s: %w", phase, fid, err)
 		}
 		fmtErr := func(e float64) string {

@@ -10,6 +10,7 @@ import (
 	"uqsim/internal/graph"
 	"uqsim/internal/service"
 	"uqsim/internal/sim"
+	"uqsim/internal/validate"
 	"uqsim/internal/workload"
 )
 
@@ -158,7 +159,7 @@ func Metastable(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		var unreach uint64
@@ -181,7 +182,7 @@ func Metastable(o Opts) (*Table, error) {
 			fmt.Sprintf("%d", r.rep.Retries),
 			fmt.Sprintf("%d", r.rep.WastedWork),
 			deg,
-			fmt.Sprintf("%d", leaked(r.rep)))
+			fmt.Sprintf("%d", validate.Leaked(r.rep)))
 	}
 
 	for _, c := range []struct {

@@ -70,7 +70,7 @@ func MillionUser(o Opts) (*Table, error) {
 	}
 	addRow := func(rho float64, fid string, users int, rate float64, c *cell,
 		errP50, errP99 float64, withCI string, speedup string) error {
-		if err := checkConservation(c.rep); err != nil {
+		if err := validate.Conservation(c.rep); err != nil {
 			return fmt.Errorf("millionuser rho=%.1f %s: %w", rho, fid, err)
 		}
 		fmtErr := func(e float64) string {

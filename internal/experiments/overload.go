@@ -10,6 +10,7 @@ import (
 	"uqsim/internal/graph"
 	"uqsim/internal/service"
 	"uqsim/internal/sim"
+	"uqsim/internal/validate"
 	"uqsim/internal/workload"
 )
 
@@ -115,7 +116,7 @@ func Overload(o Opts) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := checkConservation(rep); err != nil {
+			if err := validate.Conservation(rep); err != nil {
 				return nil, err
 			}
 			t.Add(c.label,
@@ -129,7 +130,7 @@ func Overload(o Opts) (*Table, error) {
 				fmt.Sprintf("%d", rep.HedgesIssued),
 				fmt.Sprintf("%d", rep.WastedWork),
 				fmt.Sprintf("%d", rep.CanceledWork),
-				fmt.Sprintf("%d", leaked(rep)))
+				fmt.Sprintf("%d", validate.Leaked(rep)))
 		}
 	}
 	return t, nil

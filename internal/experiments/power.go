@@ -10,6 +10,7 @@ import (
 	"uqsim/internal/job"
 	"uqsim/internal/power"
 	"uqsim/internal/service"
+	"uqsim/internal/validate"
 	"uqsim/internal/workload"
 )
 
@@ -50,7 +51,7 @@ func Fig15Diurnal(o Opts) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkConservation(rep); err != nil {
+	if err := validate.Conservation(rep); err != nil {
 		return nil, err
 	}
 	for i := 0; i < nBuckets; i++ {
@@ -97,7 +98,7 @@ func powerRun(o Opts, interval des.Time, dur des.Time) (*power.Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkConservation(rep); err != nil {
+	if err := validate.Conservation(rep); err != nil {
 		return nil, err
 	}
 	return mgr, nil

@@ -12,6 +12,7 @@ import (
 	"uqsim/internal/graph"
 	"uqsim/internal/service"
 	"uqsim/internal/sim"
+	"uqsim/internal/validate"
 	"uqsim/internal/workload"
 )
 
@@ -183,7 +184,7 @@ func RegionLoss(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		r := &result{rep: rep, failoverMS: "-", actions: "-"}
@@ -234,7 +235,7 @@ func RegionLoss(o Opts) (*Table, error) {
 			fmt.Sprintf("%d", r.rep.Retries),
 			fmt.Sprintf("%d", r.rep.WastedWork),
 			r.actions,
-			fmt.Sprintf("%d", leaked(r.rep)))
+			fmt.Sprintf("%d", validate.Leaked(r.rep)))
 	}
 	return t, nil
 }

@@ -114,7 +114,7 @@ func ReportTables(rep *sim.Report) []*Table {
 
 	if len(rep.Errors) > 0 {
 		errs := NewTable("Per-service call errors",
-			"service", "timeouts", "shed", "dropped", "breaker_open", "retries", "hedges")
+			"service", "timeouts", "shed", "dropped", "breaker_open", "unreachable", "retries", "hedges")
 		svcs := make([]string, 0, len(rep.Errors))
 		for name := range rep.Errors {
 			svcs = append(svcs, name)
@@ -127,6 +127,7 @@ func ReportTables(rep *sim.Report) []*Table {
 				fmt.Sprintf("%d", ec.Shed),
 				fmt.Sprintf("%d", ec.Dropped),
 				fmt.Sprintf("%d", ec.BreakerOpen),
+				fmt.Sprintf("%d", ec.Unreachable),
 				fmt.Sprintf("%d", ec.Retries),
 				fmt.Sprintf("%d", ec.Hedges))
 		}

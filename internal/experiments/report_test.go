@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,6 +87,52 @@ func TestReportTablesErrorBreakdown(t *testing.T) {
 	}
 	if errs.Rows[0][3] == "0" {
 		t.Fatalf("svc dropped column should be nonzero: %v", errs.Rows[0])
+	}
+}
+
+// TestReportTablesUnreachable: attempts a partition fails fast are counted
+// per service, and the call-errors table prints them.
+func TestReportTablesUnreachable(t *testing.T) {
+	s := sim.New(sim.Options{Seed: 2})
+	s.AddMachine("m0", 4, cluster.FreqSpec{})
+	s.AddMachine("m1", 4, cluster.FreqSpec{})
+	for _, d := range []struct{ svc, machine string }{{"front", "m0"}, {"back", "m1"}} {
+		if _, err := s.Deploy(service.SingleStage(d.svc, dist.NewDeterministic(float64(100*des.Microsecond))),
+			sim.RoundRobin, sim.Placement{Machine: d.machine, Cores: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SetTopology(graph.Linear("main", "front", "back")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetServicePolicy("back", fault.Policy{Timeout: 10 * des.Millisecond, MaxRetries: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s.SetClient(sim.ClientConfig{Pattern: workload.ConstantRate(1000)})
+	if err := s.InstallFaults(fault.Plan{Events: []fault.Event{{
+		At: 300 * des.Millisecond, Until: 600 * des.Millisecond, Kind: fault.PartitionStart,
+		GroupA: []string{"m0"}, GroupB: []string{"m1"},
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run(0, des.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := ReportTables(rep)
+	errs := tables[len(tables)-1]
+	col := slices.Index(errs.Columns, "unreachable")
+	if !strings.HasPrefix(errs.Title, "Per-service call errors") || col < 0 {
+		t.Fatalf("last table %q has columns %v, want the call errors with unreachable", errs.Title, errs.Columns)
+	}
+	ec := rep.Errors["back"]
+	if ec == nil || ec.Unreachable == 0 {
+		t.Fatalf("back errors %+v, want unreachable attempts from the partition", ec)
+	}
+	for _, row := range errs.Rows {
+		if row[0] == "back" && row[col] != fmt.Sprint(ec.Unreachable) {
+			t.Fatalf("back row %v prints unreachable %s, want %d", row, row[col], ec.Unreachable)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"uqsim/internal/graph"
 	"uqsim/internal/service"
 	"uqsim/internal/sim"
+	"uqsim/internal/validate"
 	"uqsim/internal/workload"
 )
 
@@ -60,7 +61,7 @@ func Resilience(o Opts) (*Table, error) {
 			fmt.Sprintf("%d", rep.Retries),
 			fmt.Sprintf("%d", rep.Shed),
 			fmt.Sprintf("%d", rep.Dropped),
-			fmt.Sprintf("%d", leaked(rep)))
+			fmt.Sprintf("%d", validate.Leaked(rep)))
 	}
 
 	// (a) Retry amplification: kill one of two instances for 15% of the
@@ -104,7 +105,7 @@ func Resilience(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		addRow("a:instance-outage", c.label, rep)
@@ -145,7 +146,7 @@ func Resilience(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		addRow("b:machine-crash", c.label, rep)
@@ -174,7 +175,7 @@ func Resilience(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		addRow("c:2x-overload", c.label, rep)

@@ -6,6 +6,7 @@ import (
 
 	"uqsim/internal/apps"
 	"uqsim/internal/des"
+	"uqsim/internal/validate"
 )
 
 // Scalability measures the simulator itself — the "scalable" half of the
@@ -34,7 +35,7 @@ func Scalability(o Opts) (*Table, error) {
 			return nil, err
 		}
 		wall := time.Since(start)
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		events := s.Engine().Processed()

@@ -12,6 +12,7 @@ import (
 	"uqsim/internal/job"
 	"uqsim/internal/service"
 	"uqsim/internal/sim"
+	"uqsim/internal/validate"
 	"uqsim/internal/workload"
 )
 
@@ -132,7 +133,7 @@ func SelfHealing(o Opts) (*Table, error) {
 			fmt.Sprintf("%.3f", rep.Latency.P99().Millis()),
 			fmtMTTR(mttr),
 			actions(st),
-			fmt.Sprintf("%d", leaked(rep)))
+			fmt.Sprintf("%d", validate.Leaked(rep)))
 	}
 
 	// (a) Instance crash without recovery: two machines, one instance
@@ -163,7 +164,7 @@ func SelfHealing(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return nil, 0, nil, err
 		}
 		var st *control.Stats
@@ -212,7 +213,7 @@ func SelfHealing(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return nil, nil, err
 		}
 		var st *control.Stats
@@ -259,7 +260,7 @@ func SelfHealing(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return nil, nil, err
 		}
 		var st *control.Stats
@@ -294,7 +295,7 @@ func SelfHealing(o Opts) (*Table, error) {
 		verdict = "DIVERGED"
 	}
 	t.Add("d:determinism", "failover-rerun", "-", "-", "-", verdict,
-		fmt.Sprintf("%d", leaked(rep2)))
+		fmt.Sprintf("%d", validate.Leaked(rep2)))
 	return t, nil
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"uqsim/internal/des"
 	"uqsim/internal/sim"
+	"uqsim/internal/validate"
 )
 
 // Opts controls experiment runs.
@@ -80,7 +81,7 @@ func sweep(o Opts, build builder, loads []float64, warmup, duration des.Time) ([
 		if err != nil {
 			return nil, fmt.Errorf("experiments: running at %v QPS: %w", qps, err)
 		}
-		if err := checkConservation(rep); err != nil {
+		if err := validate.Conservation(rep); err != nil {
 			return nil, fmt.Errorf("experiments: at %v QPS: %w", qps, err)
 		}
 		out = append(out, point{OfferedQPS: qps, Rep: rep})
@@ -128,7 +129,7 @@ func saturation(o Opts, build builder, overload float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := checkConservation(rep); err != nil {
+	if err := validate.Conservation(rep); err != nil {
 		return 0, err
 	}
 	return rep.GoodputQPS, nil

@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"uqsim/internal/des"
@@ -31,10 +34,125 @@ func TestEventValidation(t *testing.T) {
 		{Kind: Kind(99), Machine: "m0"},     // unknown kind
 		{At: des.Second, Kind: EdgeLatency, Service: "svc",
 			Extra: des.Millisecond, Until: des.Millisecond}, // until before at
+		{At: des.Second, Kind: DegradeFreq, Machine: "m0", FreqMHz: 1200,
+			Until: des.Second}, // until at at: the window never opens
+		{At: des.Second, Kind: DegradeFreq, Machine: "m0", FreqMHz: 1200,
+			Until: des.Millisecond}, // until before at
 	}
 	for i, e := range bad {
 		if err := e.Validate(); err == nil {
 			t.Errorf("bad event %d (%s): validation passed", i, e.Kind)
+		}
+	}
+	// Kinds that do not heal at Until reject one instead of ignoring it,
+	// and the error names the kind on the other side of the pair.
+	for _, c := range []struct {
+		e    Event
+		want string
+	}{
+		{Event{Kind: CrashMachine, Machine: "m0", Until: des.Second}, "recover_machine"},
+		{Event{Kind: RecoverMachine, Machine: "m0", Until: des.Second}, "crash_machine"},
+		{Event{Kind: KillInstance, Service: "svc", Instance: -1, Until: des.Second}, "restart_instance"},
+		{Event{Kind: RestartInstance, Service: "svc", Instance: -1, Until: des.Second}, "kill_instance"},
+		{Event{Kind: CrashDomain, Domain: "rack", Until: des.Second}, "recover_domain"},
+		{Event{Kind: RecoverDomain, Domain: "rack", Until: des.Second}, "crash_domain"},
+	} {
+		err := c.e.Validate()
+		if err == nil || !strings.Contains(err.Error(), "until") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s with until: error %v should reject the until and name %s", c.e.Kind, err, c.want)
+		}
+	}
+}
+
+// TestKindsTable: every kind below the end of the table has a row whose
+// name round-trips through ParseKind (in any case), and every recovery
+// pairs with a non-windowed kind on the same single-name target, so
+// Healing can key the pair by that name.
+func TestKindsTable(t *testing.T) {
+	if names := KindNames(); len(names) != int(kindEnd) {
+		t.Fatalf("KindNames() lists %d kinds, table has %d rows", len(names), kindEnd)
+	}
+	seen := map[string]bool{}
+	for k := Kind(0); k < kindEnd; k++ {
+		row := kinds[k]
+		if row.name == "" || seen[row.name] {
+			t.Fatalf("kind %d: missing or duplicate name %q", int(k), row.name)
+		}
+		seen[row.name] = true
+		if got, ok := ParseKind(k.String()); !ok || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, ok)
+		}
+		if got, ok := ParseKind(strings.ToUpper(k.String())); !ok || got != k {
+			t.Errorf("ParseKind is case-sensitive for %q", k.String())
+		}
+		if _, recovery := k.recovers(); row.heal == healNever && !recovery {
+			t.Errorf("%s never heals and heals nothing: its events could never be judged", k)
+		}
+		if row.heal != healByRecovery {
+			continue
+		}
+		rec := kinds[row.by]
+		if rec.heal == healAtUntil || rec.heal == healByRecovery || rec.target != row.target {
+			t.Errorf("%s heals by %s, which must be a non-windowed kind on the same target", k, row.by)
+		}
+		if refs := (Event{Kind: k}).Refs(); len(refs) != 1 {
+			t.Errorf("%s heals by recovery but its target names %d things, want 1", k, len(refs))
+		}
+		if healed, ok := row.by.recovers(); !ok || healed != k {
+			t.Errorf("%s.recovers() = %v, %v; want %s", row.by, healed, ok, k)
+		}
+	}
+	if _, ok := ParseKind("meteor_strike"); ok {
+		t.Error("ParseKind accepted an unknown name")
+	}
+	if got := kindEnd.String(); got != fmt.Sprintf("kind(%d)", int(kindEnd)) {
+		t.Errorf("out-of-table kind prints %q", got)
+	}
+}
+
+// TestPlanHealing pairs recoveries with the faults they heal per target
+// and requires every window to close.
+func TestPlanHealing(t *testing.T) {
+	s := des.Second
+	cases := []struct {
+		name   string
+		events []Event
+		heals  []int
+	}{
+		{"empty", nil, nil},
+		{"crash without recover", []Event{{At: s, Kind: CrashMachine, Machine: "m0"}}, nil},
+		{"crash recovered", []Event{
+			{At: s, Kind: CrashMachine, Machine: "m0"},
+			{At: 2 * s, Kind: RecoverMachine, Machine: "m0"},
+		}, []int{1}},
+		{"recovery on another machine", []Event{
+			{At: s, Kind: CrashMachine, Machine: "m0"},
+			{At: 2 * s, Kind: RecoverMachine, Machine: "m1"},
+		}, nil},
+		{"machine and domain of one name are different targets", []Event{
+			{At: s, Kind: CrashDomain, Domain: "m0"},
+			{At: 2 * s, Kind: RecoverMachine, Machine: "m0"},
+		}, nil},
+		{"kill restarted on its instance", []Event{
+			{At: s, Kind: KillInstance, Service: "svc", Instance: 1},
+			{At: 2 * s, Kind: RestartInstance, Service: "svc", Instance: 1},
+		}, []int{1}},
+		{"kill restarted on another instance", []Event{
+			{At: s, Kind: KillInstance, Service: "svc", Instance: 1},
+			{At: 2 * s, Kind: RestartInstance, Service: "svc", Instance: 0},
+		}, nil},
+		{"permanent window", []Event{{At: s, Kind: LoadStep, Factor: 2}}, nil},
+		{"windows close", []Event{
+			{At: s, Kind: LoadStep, Factor: 2, Until: 2 * s},
+			{At: s, Kind: PartitionStart, GroupA: []string{"a"}, GroupB: []string{"b"}, Until: 3 * s},
+		}, []int{0, 1}},
+		{"extra recovery", []Event{{At: s, Kind: RecoverDomain, Domain: "rack"}}, []int{0}},
+	}
+	for _, c := range cases {
+		p := Plan{Events: c.events}
+		heals, ok := p.Healing()
+		if ok != (c.heals != nil) || !slices.Equal(heals, c.heals) {
+			t.Errorf("%s: Healing() = %v, %v; want %v", c.name, heals, ok, c.heals)
 		}
 	}
 }

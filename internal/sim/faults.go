@@ -20,30 +20,14 @@ func (s *Sim) InstallFaults(plan fault.Plan) error {
 		return err
 	}
 	for i, ev := range plan.Events {
-		switch ev.Kind {
-		case fault.CrashMachine, fault.RecoverMachine, fault.DegradeFreq:
-			if _, ok := s.cluster.Machine(ev.Machine); !ok {
-				return fmt.Errorf("sim: fault event %d (%s) references unknown machine %q", i, ev.Kind, ev.Machine)
-			}
-		case fault.KillInstance, fault.RestartInstance:
-			dep, ok := s.deployments[ev.Service]
-			if !ok {
-				return fmt.Errorf("sim: fault event %d (%s) references undeployed service %q", i, ev.Kind, ev.Service)
-			}
-			if ev.Instance >= len(dep.Instances) {
-				return fmt.Errorf("sim: fault event %d (%s) targets instance %d of %d", i, ev.Kind, ev.Instance, len(dep.Instances))
-			}
-		case fault.EdgeLatency:
-			if _, ok := s.deployments[ev.Service]; !ok {
-				return fmt.Errorf("sim: fault event %d (%s) references undeployed service %q", i, ev.Kind, ev.Service)
-			}
-		case fault.CrashDomain, fault.RecoverDomain:
-			d, ok := s.domain(ev.Domain)
-			if !ok {
-				return fmt.Errorf("sim: fault event %d (%s) references undeclared domain %q", i, ev.Kind, ev.Domain)
-			}
+		if err := s.checkFaultRefs(ev); err != nil {
+			return fmt.Errorf("sim: fault event %d (%s) %w", i, ev.Kind, err)
+		}
+		switch ev.Kind.Target() {
+		case fault.OnDomain:
 			// Correlated burst: the domain event expands at install time
 			// into per-machine events staggered in declaration order.
+			d, _ := s.domain(ev.Domain)
 			kind := fault.CrashMachine
 			if ev.Kind == fault.RecoverDomain {
 				kind = fault.RecoverMachine
@@ -53,24 +37,9 @@ func (s *Sim) InstallFaults(plan fault.Plan) error {
 				s.eng.Post(mev.At, func(t des.Time) { s.applyFault(t, mev) })
 			}
 			continue
-		case fault.PartitionStart:
-			for _, m := range append(append([]string(nil), ev.GroupA...), ev.GroupB...) {
-				if _, ok := s.cluster.Machine(m); !ok {
-					return fmt.Errorf("sim: fault event %d (%s) references unknown machine %q", i, ev.Kind, m)
-				}
-			}
+		case fault.OnGroups, fault.OnLink:
 			s.netState() // exists before the run: dispatch consults it
-		case fault.SetLink:
-			for _, m := range []string{ev.Src, ev.Dst} {
-				if m == "" {
-					continue
-				}
-				if _, ok := s.cluster.Machine(m); !ok {
-					return fmt.Errorf("sim: fault event %d (%s) references unknown machine %q", i, ev.Kind, m)
-				}
-			}
-			s.netState()
-		case fault.LoadStep:
+		case fault.OnClient:
 			// Needs an open-loop client (closed loops have no target rate
 			// to scale), installed before the plan so the pattern can be
 			// wrapped here.
@@ -89,30 +58,56 @@ func (s *Sim) InstallFaults(plan fault.Plan) error {
 	return nil
 }
 
-// applyFault executes one fault event at virtual time now. Every path
-// that changes fluid-visible state (capacity, frequency, reachability,
-// link loss, offered load) ends in fluidResolve so the background tier
-// re-solves its equilibrium at the fault boundary itself rather than
-// coasting on a stale solution until the next epoch edge; heal closures
+// checkFaultRefs resolves every name an event references: machines in the
+// cluster, a deployed service whose deployment has the event's instance,
+// a declared domain or region.
+func (s *Sim) checkFaultRefs(ev fault.Event) error {
+	for _, r := range ev.Refs() {
+		var ok bool
+		switch r.Noun {
+		case fault.RefMachine:
+			_, ok = s.cluster.Machine(r.Name)
+		case fault.RefService:
+			var dep *Deployment
+			if dep, ok = s.deployments[r.Name]; ok && ev.Instance >= len(dep.Instances) {
+				return fmt.Errorf("targets instance %d of %d", ev.Instance, len(dep.Instances))
+			}
+		case fault.RefDomain:
+			_, ok = s.domain(r.Name)
+		}
+		if !ok {
+			return fmt.Errorf("references unknown %s %q", r.Noun, r.Name)
+		}
+	}
+	return nil
+}
+
+// applyFault executes one fault event at virtual time now and, when the
+// kind is windowed, schedules its undo at Until. Every path that changes
+// fluid-visible state (capacity, frequency, reachability, link loss,
+// offered load) ends in fluidResolve so the background tier re-solves its
+// equilibrium at the fault boundary itself rather than coasting on a
+// stale solution until the next epoch edge; undos that change such state
 // do the same at the heal boundary.
 func (s *Sim) applyFault(now des.Time, ev fault.Event) {
 	defer s.fluidResolve(now)
+	if undo := s.doFault(now, ev); undo != nil && ev.Until > now {
+		s.eng.Post(ev.Until, undo)
+	}
+}
+
+// doFault applies one fault event's effect and returns the undo that heals
+// it, nil for kinds that do not heal at Until.
+func (s *Sim) doFault(now des.Time, ev fault.Event) (undo func(des.Time)) {
 	switch ev.Kind {
-	case fault.KillInstance:
+	case fault.KillInstance, fault.RestartInstance:
 		dep := s.deployments[ev.Service]
 		for i, in := range dep.Instances {
-			if ev.Instance >= 0 && i != ev.Instance {
-				continue
-			}
-			s.killInstance(now, dep, in)
-		}
-	case fault.RestartInstance:
-		dep := s.deployments[ev.Service]
-		for i, in := range dep.Instances {
-			if ev.Instance >= 0 && i != ev.Instance {
-				continue
-			}
-			if in.Down() {
+			switch {
+			case ev.Instance >= 0 && i != ev.Instance: // not targeted
+			case ev.Kind == fault.KillInstance:
+				s.killInstance(now, dep, in)
+			case in.Down():
 				in.Restart(now)
 			}
 		}
@@ -128,7 +123,7 @@ func (s *Sim) applyFault(now des.Time, ev fault.Event) {
 		// cut counting, one level up.
 		s.crashedM[ev.Machine]++
 		if s.crashedM[ev.Machine] > 1 {
-			return // already down; this crash just adds a cause
+			return nil // already down; this crash just adds a cause
 		}
 		// Deterministic deployment order matters: kill order decides the
 		// order drops propagate and retries get scheduled.
@@ -147,20 +142,16 @@ func (s *Sim) applyFault(now des.Time, ev fault.Event) {
 	case fault.RecoverMachine:
 		if n := s.crashedM[ev.Machine]; n > 1 {
 			s.crashedM[ev.Machine] = n - 1
-			return // another crash cause still holds the machine down
+			return nil // another crash cause still holds the machine down
 		}
 		delete(s.crashedM, ev.Machine)
 		for _, dep := range s.Deployments() {
-			touched := false
 			for _, in := range dep.Instances {
 				if in.Alloc.Machine.Name == ev.Machine && in.Down() {
 					in.Restart(now)
-					touched = true
 				}
 			}
-			if touched {
-				dep.refreshHealthy()
-			}
+			dep.refreshHealthy()
 		}
 		if np, ok := s.netproc[ev.Machine]; ok {
 			np.Restart(now)
@@ -173,47 +164,38 @@ func (s *Sim) applyFault(now des.Time, ev fault.Event) {
 			old[i] = a.Freq()
 			a.SetFreq(ev.FreqMHz)
 		}
-		if ev.Until > now {
-			s.eng.Post(ev.Until, func(t des.Time) {
-				for i, a := range allocs {
-					a.SetFreq(old[i])
-				}
-				s.fluidResolve(t)
-			})
+		return func(t des.Time) {
+			for i, a := range allocs {
+				a.SetFreq(old[i])
+			}
+			s.fluidResolve(t)
 		}
 	case fault.EdgeLatency:
 		s.edgeExtra[ev.Service] = ev.Extra
-		if ev.Until > now {
-			svc := ev.Service
-			s.eng.Post(ev.Until, func(t des.Time) { delete(s.edgeExtra, svc) })
-		}
+		// The fluid tier does not model edge latency: nothing to re-solve.
+		return func(des.Time) { delete(s.edgeExtra, ev.Service) }
 	case fault.PartitionStart:
 		s.netState().StartPartition(ev.GroupA, ev.GroupB, ev.OneWay)
-		if ev.Until > now {
-			s.eng.Post(ev.Until, func(t des.Time) {
-				s.net.HealPartition(ev.GroupA, ev.GroupB, ev.OneWay)
-				s.fluidResolve(t)
-			})
+		return func(t des.Time) {
+			s.net.HealPartition(ev.GroupA, ev.GroupB, ev.OneWay)
+			s.fluidResolve(t)
 		}
 	case fault.SetLink:
 		s.netState().SetLink(ev.Src, ev.Dst, netfault.Link{Drop: ev.Drop, Dup: ev.Dup})
-		if ev.Until > now {
-			s.eng.Post(ev.Until, func(t des.Time) {
-				s.net.ClearLink(ev.Src, ev.Dst)
-				s.fluidResolve(t)
-			})
+		return func(t des.Time) {
+			s.net.ClearLink(ev.Src, ev.Dst)
+			s.fluidResolve(t)
 		}
 	case fault.LoadStep:
 		*s.loadScale = ev.Factor
-		if ev.Until > now {
-			// Overlapping steps are last-writer-wins; healing restores the
-			// nominal rate, not the previous step's.
-			s.eng.Post(ev.Until, func(t des.Time) {
-				*s.loadScale = 1
-				s.fluidResolve(t)
-			})
+		// Overlapping steps are last-writer-wins; healing restores the
+		// nominal rate, not the previous step's.
+		return func(t des.Time) {
+			*s.loadScale = 1
+			s.fluidResolve(t)
 		}
 	}
+	return nil
 }
 
 // scaledPattern multiplies a base arrival pattern by a live scale factor —

@@ -175,6 +175,32 @@ func TestHybridRetryAmplificationSheds(t *testing.T) {
 	}
 }
 
+// TestHybridFaultResolvesPinned: one window of each windowed kind re-solves
+// the fluid tier on every apply and on every heal but edge_latency's
+// (the fluid tier does not model edge latency): 5 + 4 = 9 resolves, the
+// count and fluid work pinned from before heals were posted in one place.
+func TestHybridFaultResolvesPinned(t *testing.T) {
+	ms := des.Millisecond
+	s := buildTwoTierHybrid(t, 500, 0.25)
+	if err := s.InstallFaults(fault.Plan{Events: []fault.Event{
+		{At: 110 * ms, Until: 230 * ms, Kind: fault.DegradeFreq, Machine: "m1", FreqMHz: 1300},
+		{At: 260 * ms, Until: 390 * ms, Kind: fault.EdgeLatency, Service: "backend", Instance: -1, Extra: ms},
+		{At: 420 * ms, Until: 530 * ms, Kind: fault.PartitionStart, GroupA: []string{"m0"}, GroupB: []string{"m1"}},
+		{At: 560 * ms, Until: 680 * ms, Kind: fault.SetLink, Src: "m0", Dst: "m1", Drop: 0.1},
+		{At: 710 * ms, Until: 830 * ms, Kind: fault.LoadStep, Factor: 1.5},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run(0, des.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBackgroundBooks(t, rep)
+	if want := (hybrid.Counters{Epochs: 21, Resolves: 9, MemoHits: 50}); rep.FluidWork != want {
+		t.Fatalf("fluid work %+v, want %+v", rep.FluidWork, want)
+	}
+}
+
 // TestHybridFaultsInertAtFullRate: with sample rate 1.0 the fluid tier
 // does not exist, fault boundaries resolve nothing, and the report's
 // background buckets stay empty — the inertness contract extended to the

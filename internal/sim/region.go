@@ -16,7 +16,7 @@ import (
 // With a geography installed, every dispatch prefers the nearest
 // healthy region of the target deployment and cross-region hops pay the
 // WAN delay. Each region is also registered as a failure domain, so
-// crash_domain/recover_domain events and DomainUp gauges address
+// domain crash and recovery events and DomainUp gauges address
 // regions by name. Must be called before any Deploy.
 func (s *Sim) SetGeography(regions []cluster.Region) (*cluster.Geography, error) {
 	if s.geo != nil {

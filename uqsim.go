@@ -52,6 +52,7 @@ import (
 	"uqsim/internal/sim"
 	"uqsim/internal/stats"
 	"uqsim/internal/trace"
+	"uqsim/internal/validate"
 	"uqsim/internal/workload"
 )
 
@@ -358,6 +359,7 @@ const (
 	RecoverDomain   = fault.RecoverDomain
 	PartitionStart  = fault.PartitionStart
 	SetLink         = fault.SetLink
+	LoadStep        = fault.LoadStep
 )
 
 // FailureDomain groups machines that fail together (a rack, a power
@@ -400,6 +402,11 @@ const (
 // ErrorCounts breaks down failed call attempts per target service (see
 // Report.Errors).
 type ErrorCounts = sim.ErrorCounts
+
+// Leaked is a report's conservation residue: arrivals minus completions,
+// timeouts, deadline expiries, shed, dropped, unreachable and in-flight
+// requests. Anything but 0 means requests vanished from the accounting.
+func Leaked(rep *Report) int64 { return validate.Leaked(rep) }
 
 // ---- monitoring ----
 
