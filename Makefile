@@ -45,8 +45,9 @@ bench-engine:
 # bench-throughput tracks the simulator hot path (the "scalable" claim):
 # the policy variant must stay within a few percent of the base rate and
 # of its allocation count (a timer armed and abandoned allocates nothing);
-# what the hedging variant still allocates is the epoll queues' one-off
-# subqueue per connection, 2,048 connections on nine instances.
+# what the hedging variant still allocates is the backing array of each
+# connection's epoll/socket subqueue, once per connection and queue (2,048
+# connections on nine instances).
 bench-throughput:
 	$(GO) test -run xxx -bench 'BenchmarkSimulatorEventRate' -benchtime 5x -benchmem .
 

@@ -62,8 +62,9 @@ func BenchmarkAblationLBPolicies(b *testing.B) { benchExperiment(b, "ablation-lb
 // ---- simulator throughput ----
 
 // BenchmarkSimulatorEventRate measures how many simulated requests per
-// wall-clock second the two-tier model sustains (each request is ~14
-// discrete events across stages, netproc, and pools).
+// wall-clock second the two-tier model sustains (each request is ~22
+// discrete events across stages, netproc, and pools: events/op over req/op,
+// and des.events_per_req in the repository benchmark's traced run).
 func BenchmarkSimulatorEventRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s, err := TwoTier(TwoTierConfig{Seed: uint64(i + 1), QPS: 40000, Network: true})

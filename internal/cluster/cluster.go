@@ -91,6 +91,13 @@ type Machine struct {
 	Name     string
 	NumCores int
 	Freq     FreqSpec
+	// ID numbers the machine densely in registration order (Cluster.Add),
+	// so per-machine and per-machine-pair state is a slice index away.
+	ID int
+	// Region is the index of the machine's home region in the installed
+	// geography (Geography.Regions), -1 when it has none. The simulation
+	// sets it when it installs a geography.
+	Region int
 
 	freeCores int
 	allocs    []*Allocation
@@ -106,6 +113,7 @@ func NewMachine(name string, cores int, freq FreqSpec) *Machine {
 		Name:      name,
 		NumCores:  cores,
 		Freq:      freq,
+		Region:    -1,
 		freeCores: cores,
 		pools:     make(map[string]*Pool),
 	}
@@ -217,7 +225,7 @@ func (a *Allocation) SpeedFactor() float64 {
 // Cluster is a named set of machines.
 type Cluster struct {
 	machines map[string]*Machine
-	order    []string
+	order    []*Machine // by ID
 }
 
 // NewCluster returns an empty cluster.
@@ -225,13 +233,14 @@ func NewCluster() *Cluster {
 	return &Cluster{machines: make(map[string]*Machine)}
 }
 
-// Add registers a machine; duplicate names are an error.
+// Add registers a machine and assigns its ID; duplicate names are an error.
 func (c *Cluster) Add(m *Machine) error {
 	if _, ok := c.machines[m.Name]; ok {
 		return fmt.Errorf("cluster: duplicate machine %q", m.Name)
 	}
+	m.ID = len(c.order)
 	c.machines[m.Name] = m
-	c.order = append(c.order, m.Name)
+	c.order = append(c.order, m)
 	return nil
 }
 
@@ -241,14 +250,25 @@ func (c *Cluster) Machine(name string) (*Machine, bool) {
 	return m, ok
 }
 
-// Machines returns all machines in registration order.
-func (c *Cluster) Machines() []*Machine {
-	out := make([]*Machine, 0, len(c.order))
-	for _, n := range c.order {
-		out = append(out, c.machines[n])
+// ID resolves a machine name to its ID; -1 for an unknown name.
+func (c *Cluster) ID(name string) int {
+	if m, ok := c.machines[name]; ok {
+		return m.ID
 	}
-	return out
+	return -1
 }
+
+// IDs resolves machine names to IDs, as ID does.
+func (c *Cluster) IDs(names []string) []int {
+	ids := make([]int, len(names))
+	for i, name := range names {
+		ids[i] = c.ID(name)
+	}
+	return ids
+}
+
+// Machines returns all machines in registration (ID) order.
+func (c *Cluster) Machines() []*Machine { return append([]*Machine(nil), c.order...) }
 
 // Size reports the number of machines.
 func (c *Cluster) Size() int { return len(c.order) }

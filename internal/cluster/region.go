@@ -48,13 +48,23 @@ func (l WANLink) delay(sizeKB float64) des.Time {
 // machine→region assignment plus a WAN latency/bandwidth model between
 // regions. A Geography is immutable once built except for the WAN
 // parameters, which may be set before the simulation starts.
+//
+// Regions are numbered by declaration order. The name-keyed methods are
+// the configuration API; the index-keyed ones (LinkAt, DelayAt, NearestAt)
+// serve the per-hop path without hashing a name.
 type Geography struct {
 	regions   []Region
-	index     map[string]int    // region name → declaration order
-	byMachine map[string]string // machine → region name
+	index     map[string]int // region name → declaration order
+	byMachine map[string]int // machine name → region index
 	def       WANLink
-	links     map[[2]string]WANLink // symmetric; key is sorted pair
-	nearest   map[string][]string   // cached Nearest orders; reset on WAN edits
+	links     []wanOverride // region×region, row-major; symmetric
+	nearest   [][]int       // NearestAt orders by region, built on demand; reset on WAN edits
+}
+
+// wanOverride is one region pair's SetLink, if it has one.
+type wanOverride struct {
+	WANLink
+	set bool
 }
 
 // NewGeography validates and indexes a region set. known reports
@@ -67,8 +77,8 @@ func NewGeography(regions []Region, known func(string) bool) (*Geography, error)
 	}
 	g := &Geography{
 		index:     make(map[string]int, len(regions)),
-		byMachine: make(map[string]string),
-		links:     make(map[[2]string]WANLink),
+		byMachine: make(map[string]int),
+		links:     make([]wanOverride, len(regions)*len(regions)),
 	}
 	for i, r := range regions {
 		if r.Name == "" {
@@ -85,12 +95,12 @@ func NewGeography(regions []Region, known func(string) bool) (*Geography, error)
 				return nil, fmt.Errorf("region %q: unknown machine %q", r.Name, m)
 			}
 			if prev, taken := g.byMachine[m]; taken {
-				if prev == r.Name {
+				if prev == i {
 					return nil, fmt.Errorf("region %q lists machine %q twice", r.Name, m)
 				}
-				return nil, fmt.Errorf("machine %q assigned to two regions: %q and %q", m, prev, r.Name)
+				return nil, fmt.Errorf("machine %q assigned to two regions: %q and %q", m, regions[prev].Name, r.Name)
 			}
-			g.byMachine[m] = r.Name
+			g.byMachine[m] = i
 		}
 		g.index[r.Name] = i
 		cp := Region{Name: r.Name, Machines: append([]string(nil), r.Machines...)}
@@ -108,9 +118,34 @@ func (g *Geography) HasRegion(name string) bool {
 	return ok
 }
 
+// RegionIndex reports a region's index in Regions: -1 for an undeclared
+// name, and on a nil Geography.
+func (g *Geography) RegionIndex(name string) int {
+	if g != nil {
+		if i, ok := g.index[name]; ok {
+			return i
+		}
+	}
+	return -1
+}
+
+// Names lists the region names in declaration order.
+func (g *Geography) Names() []string {
+	names := make([]string, len(g.regions))
+	for i, r := range g.regions {
+		names[i] = r.Name
+	}
+	return names
+}
+
 // RegionOf returns the home region of a machine, or "" if the machine
 // has no region assignment.
-func (g *Geography) RegionOf(machine string) string { return g.byMachine[machine] }
+func (g *Geography) RegionOf(machine string) string {
+	if i, ok := g.byMachine[machine]; ok {
+		return g.regions[i].Name
+	}
+	return ""
+}
 
 // SetDefaultWAN sets the WAN model used between every region pair that
 // has no explicit link override.
@@ -126,31 +161,47 @@ func (g *Geography) SetDefaultWAN(l WANLink) error {
 // SetLink overrides the WAN model between one region pair. Links are
 // symmetric: SetLink(a, b, l) also applies to b→a traffic.
 func (g *Geography) SetLink(a, b string, l WANLink) error {
-	if !g.HasRegion(a) {
+	i, ok := g.index[a]
+	if !ok {
 		return fmt.Errorf("wan link: unknown region %q", a)
 	}
-	if !g.HasRegion(b) {
+	j, ok := g.index[b]
+	if !ok {
 		return fmt.Errorf("wan link: unknown region %q", b)
 	}
-	if a == b {
+	if i == j {
 		return fmt.Errorf("wan link: %q cannot link to itself", a)
 	}
 	if err := l.validate(); err != nil {
 		return err
 	}
-	g.links[pairKey(a, b)] = l
+	n := len(g.regions)
+	g.links[i*n+j] = wanOverride{l, true}
+	g.links[j*n+i] = wanOverride{l, true}
 	g.nearest = nil
 	return nil
 }
 
 // Link returns the WAN model between two regions. Traffic within one
-// region — or touching an unassigned endpoint — costs nothing.
+// region — or touching an unassigned or undeclared endpoint — costs
+// nothing.
 func (g *Geography) Link(src, dst string) WANLink {
-	if src == "" || dst == "" || src == dst {
+	i, ok := g.index[src]
+	j, ok2 := g.index[dst]
+	if !ok || !ok2 {
 		return WANLink{}
 	}
-	if l, ok := g.links[pairKey(src, dst)]; ok {
-		return l
+	return g.LinkAt(i, j)
+}
+
+// LinkAt is Link by region index; a negative index is an unassigned
+// endpoint.
+func (g *Geography) LinkAt(i, j int) WANLink {
+	if i < 0 || j < 0 || i == j {
+		return WANLink{}
+	}
+	if o := g.links[i*len(g.regions)+j]; o.set {
+		return o.WANLink
 	}
 	return g.def
 }
@@ -160,38 +211,44 @@ func (g *Geography) Delay(src, dst string, sizeKB float64) des.Time {
 	return g.Link(src, dst).delay(sizeKB)
 }
 
-// Nearest returns every region name ordered by WAN latency from the
-// given region, nearest first; from itself leads (latency zero) and
-// ties break by declaration order. The result is cached and must not
-// be mutated by the caller.
-func (g *Geography) Nearest(from string) []string {
-	if cached, ok := g.nearest[from]; ok {
-		return cached
-	}
-	if !g.HasRegion(from) {
-		return nil
-	}
-	order := make([]string, 0, len(g.regions))
-	for _, r := range g.regions {
-		order = append(order, r.Name)
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		li, lj := g.Link(from, order[i]).Latency, g.Link(from, order[j]).Latency
-		if li != lj {
-			return li < lj
-		}
-		return g.index[order[i]] < g.index[order[j]]
-	})
-	if g.nearest == nil {
-		g.nearest = make(map[string][]string)
-	}
-	g.nearest[from] = order
-	return order
+// DelayAt is Delay by region index.
+func (g *Geography) DelayAt(i, j int, sizeKB float64) des.Time {
+	return g.LinkAt(i, j).delay(sizeKB)
 }
 
-func pairKey(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
+// Nearest returns every region name ordered by WAN latency from the
+// given region, nearest first; from itself leads (latency zero) and
+// ties break by declaration order. Nil for an undeclared region.
+func (g *Geography) Nearest(from string) []string {
+	i, ok := g.index[from]
+	if !ok {
+		return nil
 	}
-	return [2]string{a, b}
+	order := g.NearestAt(i)
+	names := make([]string, len(order))
+	for k, r := range order {
+		names[k] = g.regions[r].Name
+	}
+	return names
+}
+
+// NearestAt is Nearest by region index. The result is cached until the
+// WAN model changes and must not be mutated by the caller.
+func (g *Geography) NearestAt(from int) []int {
+	if g.nearest == nil {
+		g.nearest = make([][]int, len(g.regions))
+	}
+	if cached := g.nearest[from]; cached != nil {
+		return cached
+	}
+	order := make([]int, len(g.regions))
+	for i := range order {
+		order[i] = i
+	}
+	// A stable sort over declaration order breaks latency ties by it.
+	sort.SliceStable(order, func(a, b int) bool {
+		return g.LinkAt(from, order[a]).Latency < g.LinkAt(from, order[b]).Latency
+	})
+	g.nearest[from] = order
+	return order
 }

@@ -215,3 +215,61 @@ func TestLoadDirThreeRegion(t *testing.T) {
 		t.Fatalf("leaked %d requests", leaked)
 	}
 }
+
+// TestThreeRegionIndexLookups: on the shipped three-region config, every
+// per-hop geography lookup by index (LinkAt, DelayAt, NearestAt, the
+// machines' Region) agrees with the name-keyed API on every region pair,
+// and each nearest order is the one its definition gives: ascending WAN
+// latency from the source, ties by declaration order.
+func TestThreeRegionIndexLookups(t *testing.T) {
+	setup, err := LoadDir("../../configs/threeregion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := setup.Sim.Geography()
+	regions := geo.Regions()
+	for i, a := range regions {
+		if r := geo.RegionIndex(a.Name); r != i {
+			t.Fatalf("RegionIndex(%s) = %d, want %d", a.Name, r, i)
+		}
+		for j, b := range regions {
+			if got, want := geo.LinkAt(i, j), geo.Link(a.Name, b.Name); got != want {
+				t.Errorf("LinkAt(%d, %d) = %+v, Link(%s, %s) = %+v", i, j, got, a.Name, b.Name, want)
+			}
+			if got, want := geo.DelayAt(i, j, 3), geo.Delay(a.Name, b.Name, 3); got != want {
+				t.Errorf("DelayAt(%d, %d) = %v, Delay(%s, %s) = %v", i, j, got, a.Name, b.Name, want)
+			}
+		}
+		byName := geo.Nearest(a.Name)
+		byIndex := geo.NearestAt(i)
+		if len(byName) != len(regions) || len(byIndex) != len(regions) {
+			t.Fatalf("Nearest(%s) = %v, NearestAt(%d) = %v", a.Name, byName, i, byIndex)
+		}
+		for k, r := range byIndex {
+			if regions[r].Name != byName[k] {
+				t.Errorf("NearestAt(%d)[%d] = %s, Nearest(%s)[%d] = %s", i, k, regions[r].Name, a.Name, k, byName[k])
+			}
+			if k == 0 {
+				if r != i {
+					t.Errorf("Nearest(%s) does not lead with itself: %v", a.Name, byName)
+				}
+				continue
+			}
+			prev := byIndex[k-1]
+			lp, lr := geo.Link(a.Name, regions[prev].Name).Latency, geo.Link(a.Name, regions[r].Name).Latency
+			if lp > lr || (lp == lr && prev > r) {
+				t.Errorf("Nearest(%s) = %v is not ordered by latency, then declaration", a.Name, byName)
+			}
+		}
+	}
+	for _, m := range setup.Sim.Cluster().Machines() {
+		want := geo.RegionOf(m.Name)
+		got := ""
+		if m.Region >= 0 {
+			got = regions[m.Region].Name
+		}
+		if got != want {
+			t.Errorf("machine %s: Region %d (%q), RegionOf %q", m.Name, m.Region, got, want)
+		}
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"math"
 	"sort"
 
+	"uqsim/internal/cluster"
 	"uqsim/internal/des"
 	"uqsim/internal/monitor"
 	"uqsim/internal/rng"
@@ -279,11 +280,14 @@ type Plane struct {
 	eng *des.Engine
 	cfg Config
 
-	managed    []*managedDeployment
-	byInstance map[string]*instanceTrack
-	// lostRegions holds the regions currently declared lost, for
-	// edge-triggered loss/restore accounting.
-	lostRegions map[string]bool
+	managed []*managedDeployment
+	// byInstance[in.Tier][in.Index] is a managed instance's tracker.
+	byInstance [][]*instanceTrack
+	// vantage is the machine Config.Vantage names (nil: omniscient).
+	vantage *cluster.Machine
+	// lostRegions marks, by region index, the regions currently declared
+	// lost, for edge-triggered loss/restore accounting.
+	lostRegions []bool
 	stats       Stats
 	stopped     bool
 	// Loop callbacks are bound once, so that a tick allocates nothing.
@@ -372,10 +376,13 @@ func Attach(s *sim.Sim, cfg Config) (*Plane, error) {
 		}
 		cfg.Failover = f
 	}
+	var vantage *cluster.Machine
 	if cfg.Vantage != "" {
-		if _, ok := s.Cluster().Machine(cfg.Vantage); !ok {
+		m, ok := s.Cluster().Machine(cfg.Vantage)
+		if !ok {
 			return nil, fmt.Errorf("control: vantage references unknown machine %q", cfg.Vantage)
 		}
+		vantage = m
 	}
 	if cfg.RegionFailover != nil {
 		if cfg.Detector == nil {
@@ -387,8 +394,10 @@ func Attach(s *sim.Sim, cfg Config) (*Plane, error) {
 		cfg.RegionFailover = cfg.RegionFailover.withDefaults(cfg.Detector)
 	}
 
-	p := &Plane{s: s, eng: s.Engine(), cfg: cfg, byInstance: make(map[string]*instanceTrack),
-		lostRegions: make(map[string]bool)}
+	p := &Plane{s: s, eng: s.Engine(), cfg: cfg, vantage: vantage}
+	if geo := s.Geography(); geo != nil {
+		p.lostRegions = make([]bool, len(geo.Regions()))
+	}
 
 	// Resolve the managed deployments in deterministic order.
 	deps := s.Deployments()
@@ -500,7 +509,15 @@ func (p *Plane) registerInstance(md *managedDeployment, in *service.Instance) *i
 		tr.lat = stats.NewP2Quantile(p.cfg.Ejection.Quantile)
 	}
 	md.tracks = append(md.tracks, tr)
-	p.byInstance[in.Name] = tr
+	for in.Tier >= len(p.byInstance) {
+		p.byInstance = append(p.byInstance, nil)
+	}
+	row := p.byInstance[in.Tier]
+	for in.Index >= len(row) {
+		row = append(row, nil)
+	}
+	row[in.Index] = tr
+	p.byInstance[in.Tier] = row
 	if p.cfg.Detector != nil {
 		tr.hb = p.s.Stream("control", "hb", in.Name)
 		tr.lastBeat = p.eng.Now()
@@ -521,9 +538,11 @@ func (p *Plane) Stats() *Stats { return &p.stats }
 // After every injected fault has healed the list must drain — a region
 // still listed is stuck unrestored, which the chaos invariants flag.
 func (p *Plane) LostRegions() []string {
-	out := make([]string, 0, len(p.lostRegions))
-	for name := range p.lostRegions {
-		out = append(out, name)
+	out := []string{}
+	for r, lost := range p.lostRegions {
+		if lost {
+			out = append(out, p.s.Geography().Regions()[r].Name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -532,9 +551,12 @@ func (p *Plane) LostRegions() []string {
 // ObserveCall feeds one data-plane call outcome into the ejection window
 // of the serving instance. Wire it as sim.Sim.OnCallResult — Attach does
 // not install it implicitly so callers can compose observers.
-func (p *Plane) ObserveCall(now des.Time, instance string, ok bool, latency des.Time) {
-	tr, found := p.byInstance[instance]
-	if !found {
+func (p *Plane) ObserveCall(now des.Time, in *service.Instance, ok bool, latency des.Time) {
+	if in.Tier >= len(p.byInstance) || in.Index >= len(p.byInstance[in.Tier]) {
+		return
+	}
+	tr := p.byInstance[in.Tier][in.Index]
+	if tr == nil {
 		return
 	}
 	if ok {
@@ -573,7 +595,7 @@ func (p *Plane) placeReplica(allowed []string, cores int, exclude string) (strin
 			return
 		}
 		m, ok := p.s.Cluster().Machine(name)
-		if !ok || m.FreeCores() < cores || p.machineSuspect(name) || !p.vantageReaches(name) {
+		if !ok || m.FreeCores() < cores || p.machineSuspect(name) || !p.vantageReaches(m) {
 			return
 		}
 		if m.FreeCores() > bestFree {
@@ -616,11 +638,8 @@ func (p *Plane) machineSuspect(machine string) bool {
 // vantageReaches reports whether the plane can currently reach machine
 // from its vantage — replicas are never placed through an open
 // partition. Omniscient planes (no vantage) reach everything.
-func (p *Plane) vantageReaches(machine string) bool {
-	if p.cfg.Vantage == "" || machine == p.cfg.Vantage {
-		return true
-	}
-	return p.s.Reachable(p.cfg.Vantage, machine)
+func (p *Plane) vantageReaches(m *cluster.Machine) bool {
+	return p.vantage == nil || m == p.vantage || p.s.Reachable(p.vantage, m)
 }
 
 // beatVisible reports whether tr's heartbeat currently reaches the
@@ -628,20 +647,14 @@ func (p *Plane) vantageReaches(machine string) bool {
 // vantage silences a live instance — the false-suspicion case the
 // phi-accrual detector must weather.
 func (p *Plane) beatVisible(tr *instanceTrack) bool {
-	if p.cfg.Vantage == "" {
-		return true
-	}
-	m := tr.in.Alloc.Machine.Name
-	if m == p.cfg.Vantage {
-		return true
-	}
-	return p.s.Reachable(m, p.cfg.Vantage)
+	m := tr.in.Alloc.Machine
+	return p.vantage == nil || m == p.vantage || p.s.Reachable(m, p.vantage)
 }
 
 // partitionBlind reports whether the plane's view of md is currently
 // missing a live instance (up, but unreachable from the vantage).
 func (p *Plane) partitionBlind(md *managedDeployment) bool {
-	if p.cfg.Vantage == "" {
+	if p.vantage == nil {
 		return false
 	}
 	for _, tr := range md.tracks {

@@ -232,13 +232,13 @@ func TestEjectionBoundedByMinHealthy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every replica reports a 100% windowed failure rate.
-	for i := 0; i < 4; i++ {
+	dep, _ := s.Deployment("s")
+	for _, in := range dep.Instances {
 		for k := 0; k < 25; k++ {
-			plane.ObserveCall(0, fmt.Sprintf("s-%d", i), false, 0)
+			plane.ObserveCall(0, in, false, 0)
 		}
 	}
 	s.Engine().RunUntil(15 * des.Millisecond)
-	dep, _ := s.Deployment("s")
 	if got := plane.Stats().Ejections; got != 2 {
 		t.Fatalf("ejections = %d, want 2 (min-healthy floor of 4 replicas)", got)
 	}

@@ -44,18 +44,19 @@ func (c *RegionFailoverConfig) withDefaults(det *DetectorConfig) *RegionFailover
 	return &out
 }
 
-// regionLost reports whether the plane currently believes region is
-// gone: at least one live-tenure tracked instance is homed there and
-// every such instance is declared dead. Regions hosting nothing the
-// plane manages are never lost — there is nothing to fail over.
-func (p *Plane) regionLost(region string) bool {
+// regionLost reports whether the plane currently believes region (an
+// index into the geography's regions) is gone: at least one live-tenure
+// tracked instance is homed there and every such instance is declared
+// dead. Regions hosting nothing the plane manages are never lost — there
+// is nothing to fail over.
+func (p *Plane) regionLost(region int) bool {
 	seen := false
 	for _, md := range p.managed {
 		for _, tr := range md.tracks {
 			if tr.replaced || md.dep.Retired(tr.in) {
 				continue
 			}
-			if p.s.RegionOf(tr.in.Alloc.Machine.Name) != region {
+			if tr.in.Alloc.Machine.Region != region {
 				continue
 			}
 			seen = true
@@ -75,16 +76,15 @@ func (p *Plane) checkRegions(now des.Time) {
 	if p.stopped {
 		return
 	}
-	for _, r := range p.s.Geography().Regions() {
-		name := r.Name
-		lost := p.regionLost(name)
+	for i := range p.s.Geography().Regions() {
+		lost := p.regionLost(i)
 		switch {
-		case lost && !p.lostRegions[name]:
-			p.lostRegions[name] = true
+		case lost && !p.lostRegions[i]:
+			p.lostRegions[i] = true
 			p.stats.RegionLosses++
-			p.after(p.cfg.RegionFailover.DrainDelay, func(t des.Time) { p.promoteAway(t, name) })
-		case !lost && p.lostRegions[name]:
-			delete(p.lostRegions, name)
+			p.after(p.cfg.RegionFailover.DrainDelay, func(t des.Time) { p.promoteAway(t, i) })
+		case !lost && p.lostRegions[i]:
+			p.lostRegions[i] = false
 			p.stats.RegionRestores++
 			// Promotions persist — the healed region's replicas rejoin
 			// the rotation via the data plane, and regions promoted
@@ -99,22 +99,23 @@ func (p *Plane) checkRegions(now des.Time) {
 // replica region (by WAN latency from the lost one) that still has
 // healthy replicas is promoted. A region that healed during the drain
 // grace is left alone.
-func (p *Plane) promoteAway(now des.Time, lost string) {
-	if p.stopped || !p.lostRegions[lost] {
+func (p *Plane) promoteAway(now des.Time, r int) {
+	if p.stopped || !p.lostRegions[r] {
 		return
 	}
 	geo := p.s.Geography()
+	lost := geo.Regions()[r].Name
 	for _, md := range p.managed {
 		dep := md.dep
 		if !dep.Replicated() || !regionListed(dep.ReplicaRegions(), lost) {
 			continue
 		}
-		for _, r := range geo.Nearest(lost) {
-			if r == lost || !regionListed(dep.ReplicaRegions(), r) || dep.RegionHealthy(r) == 0 {
+		for _, to := range geo.Nearest(lost) {
+			if to == lost || !regionListed(dep.ReplicaRegions(), to) || dep.RegionHealthy(to) == 0 {
 				continue
 			}
-			if _, already := dep.PromotedAt(r); !already {
-				dep.Promote(now, r)
+			if _, already := dep.PromotedAt(to); !already {
+				dep.Promote(now, to)
 				p.stats.RegionFailovers++
 			}
 			break

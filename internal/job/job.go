@@ -189,12 +189,10 @@ type Job struct {
 	Conn int
 	// SizeKB drives per-byte costs (socket_read time ∝ bytes).
 	SizeKB float64
-	// Machine records which machine the job's instance runs on, set at
-	// routing time; "" means the job came from the external client.
-	Machine string
-	// Instance records the instance that executed the job, set at
-	// routing time (used by tracing).
-	Instance string
+	// Server is the routing layer's handle for the instance serving the
+	// job (and through it the machine), set at routing time; nil before.
+	// This package never looks inside.
+	Server any
 
 	// Outcome records how this job attempt ended: OK on completion,
 	// Timeout when an edge policy abandoned it mid-service (the server

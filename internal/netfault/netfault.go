@@ -73,18 +73,49 @@ func (l Link) Validate() error {
 	return nil
 }
 
-type pair [2]string
+// Pairs is a dense table over directed machine pairs, indexed by machine
+// ID (cluster.Machine.ID): one row per source, grown on first write, so a
+// lookup is two slice indexes and never hashes.
+type Pairs[T any] struct{ rows [][]T }
+
+// At returns the entry for src→dst (the zero value if never written).
+func (t *Pairs[T]) At(src, dst int) T {
+	if src < len(t.rows) && dst < len(t.rows[src]) {
+		return t.rows[src][dst]
+	}
+	var zero T
+	return zero
+}
+
+// Ref returns the entry for src→dst for writing, growing the table.
+func (t *Pairs[T]) Ref(src, dst int) *T {
+	if src >= len(t.rows) {
+		t.rows = append(t.rows, make([][]T, src+1-len(t.rows))...)
+	}
+	if row := t.rows[src]; dst >= len(row) {
+		t.rows[src] = append(row, make([]T, dst+1-len(row))...)
+	}
+	return &t.rows[src][dst]
+}
+
+// linkSlot is one directed pair's gray-link spec, if it has one.
+type linkSlot struct {
+	Link
+	set bool
+}
 
 // State is the time-varying network fault state consulted at the
-// dispatch boundary. The zero value is not usable; construct with New.
+// dispatch boundary. Machines are addressed by ID (cluster.Machine.ID).
+// The zero value is not usable; construct with New.
 type State struct {
 	// cuts counts, per directed machine pair, how many open partitions
 	// sever it — counting (rather than a set) lets overlapping
 	// partitions heal independently.
-	cuts map[pair]int
+	cuts Pairs[int]
 	open int // open partition events (Start minus Heal)
 
-	links       map[pair]Link
+	links       Pairs[linkSlot]
+	nLinks      int
 	defaultLink Link
 	hasDefault  bool
 
@@ -94,17 +125,12 @@ type State struct {
 }
 
 // New returns a fully-connected, loss-free network state.
-func New() *State {
-	return &State{cuts: make(map[pair]int), links: make(map[pair]Link)}
-}
+func New() *State { return &State{} }
 
 // Reachable reports whether a message from src can currently reach dst.
 // A machine always reaches itself.
-func (st *State) Reachable(src, dst string) bool {
-	if src == dst {
-		return true
-	}
-	return st.cuts[pair{src, dst}] == 0
+func (st *State) Reachable(src, dst int) bool {
+	return src == dst || st.cuts.At(src, dst) == 0
 }
 
 // Partitioned reports whether any partition is currently open.
@@ -114,70 +140,73 @@ func (st *State) Partitioned() bool { return st.open > 0 }
 // a→b for every a in groupA, b in groupB, and — unless oneWay — the
 // reverse direction too. Overlapping partitions stack; each must be
 // healed with a matching HealPartition.
-func (st *State) StartPartition(groupA, groupB []string, oneWay bool) {
+func (st *State) StartPartition(groupA, groupB []int, oneWay bool) {
 	st.open++
-	st.eachPair(groupA, groupB, oneWay, func(p pair) { st.cuts[p]++ })
+	st.eachPair(groupA, groupB, oneWay, func(a, b int) { *st.cuts.Ref(a, b)++ })
 }
 
 // HealPartition reverses a StartPartition with identical arguments.
 // Healing a partition that was never started panics: it indicates a
 // fault-plan accounting bug, never a recoverable condition.
-func (st *State) HealPartition(groupA, groupB []string, oneWay bool) {
+func (st *State) HealPartition(groupA, groupB []int, oneWay bool) {
 	st.open--
 	if st.open < 0 {
 		panic("netfault: heal without a matching partition")
 	}
-	st.eachPair(groupA, groupB, oneWay, func(p pair) {
-		n := st.cuts[p] - 1
-		if n < 0 {
-			panic(fmt.Sprintf("netfault: heal of uncut pair %v", p))
+	st.eachPair(groupA, groupB, oneWay, func(a, b int) {
+		n := st.cuts.Ref(a, b)
+		if *n == 0 {
+			panic(fmt.Sprintf("netfault: heal of uncut pair %d→%d", a, b))
 		}
-		if n == 0 {
-			delete(st.cuts, p)
-		} else {
-			st.cuts[p] = n
-		}
+		*n--
 	})
 }
 
-func (st *State) eachPair(groupA, groupB []string, oneWay bool, fn func(pair)) {
+func (st *State) eachPair(groupA, groupB []int, oneWay bool, fn func(a, b int)) {
 	for _, a := range groupA {
 		for _, b := range groupB {
 			if a == b {
 				continue
 			}
-			fn(pair{a, b})
+			fn(a, b)
 			if !oneWay {
-				fn(pair{b, a})
+				fn(b, a)
 			}
 		}
 	}
 }
 
-// SetLink installs a gray-link spec on the directed src→dst pair. Empty
-// src and dst install the default spec applied to every cross-machine
-// pair without a specific one.
-func (st *State) SetLink(src, dst string, l Link) {
-	if src == "" && dst == "" {
+// SetLink installs a gray-link spec on the directed src→dst pair.
+// Negative src and dst install the default spec applied to every
+// cross-machine pair without a specific one.
+func (st *State) SetLink(src, dst int, l Link) {
+	if src < 0 && dst < 0 {
 		st.defaultLink, st.hasDefault = l, true
 		return
 	}
-	st.links[pair{src, dst}] = l
+	slot := st.links.Ref(src, dst)
+	if !slot.set {
+		st.nLinks++
+	}
+	*slot = linkSlot{l, true}
 }
 
 // ClearLink removes a gray-link spec installed by SetLink.
-func (st *State) ClearLink(src, dst string) {
-	if src == "" && dst == "" {
+func (st *State) ClearLink(src, dst int) {
+	if src < 0 && dst < 0 {
 		st.defaultLink, st.hasDefault = Link{}, false
 		return
 	}
-	delete(st.links, pair{src, dst})
+	if slot := st.links.Ref(src, dst); slot.set {
+		*slot = linkSlot{}
+		st.nLinks--
+	}
 }
 
 // LinkFor reports the gray-link spec in force on src→dst, if any.
-func (st *State) LinkFor(src, dst string) (Link, bool) {
-	if l, ok := st.links[pair{src, dst}]; ok {
-		return l, true
+func (st *State) LinkFor(src, dst int) (Link, bool) {
+	if slot := st.links.At(src, dst); slot.set {
+		return slot.Link, true
 	}
 	if st.hasDefault && src != dst {
 		return st.defaultLink, true
@@ -187,7 +216,7 @@ func (st *State) LinkFor(src, dst string) (Link, bool) {
 
 // Lossy reports whether any gray-link spec is installed — the dispatch
 // layer's cheap gate before per-message RNG draws.
-func (st *State) Lossy() bool { return st.hasDefault || len(st.links) > 0 }
+func (st *State) Lossy() bool { return st.hasDefault || st.nLinks > 0 }
 
 // CountUnreachable records one attempt failed fast on a severed pair.
 func (st *State) CountUnreachable() { st.unreachable++ }

@@ -5,23 +5,37 @@ import (
 )
 
 // connSubs classifies jobs into per-connection subqueues, each kept in
-// arrival order. A connection's subqueue and its backing array outlive the
-// moments the connection has nothing queued, so re-activating a connection
-// allocates nothing; order lists only the connections with queued jobs.
+// arrival order. Subqueues are found by connection ID in a table of
+// fixed-size pages, a page allocated when one of its connections first
+// queues, so a queue that only sees one pool's tokens holds pages for
+// those alone and the table never copies a subqueue as it grows. The IDs
+// are only labels, since order follows activation order. A connection's
+// subqueue and its backing array outlive the moments the connection has
+// nothing queued, so re-activating a connection allocates nothing; order
+// lists only the connections with queued jobs.
 type connSubs struct {
-	subs  map[int]*FIFO
-	order []*FIFO // active connections in first-activation order
+	pages [][]FIFO // connection c's subqueue: pages[c/connPage][c%connPage]
+	order []int    // active connection IDs in first-activation order
 	total int
 }
 
+// connPage is the number of connections one page of the table covers.
+const connPage = 64
+
+// at returns conn's subqueue, whose page must exist.
+func (c *connSubs) at(conn int) *FIFO { return &c.pages[conn/connPage][conn%connPage] }
+
 func (c *connSubs) Push(j *job.Job) {
-	sub := c.subs[j.Conn]
-	if sub == nil {
-		sub = NewFIFO()
-		c.subs[j.Conn] = sub
+	p := j.Conn / connPage
+	for p >= len(c.pages) {
+		c.pages = append(c.pages, nil)
 	}
+	if c.pages[p] == nil {
+		c.pages[p] = make([]FIFO, connPage)
+	}
+	sub := c.at(j.Conn)
 	if sub.Len() == 0 {
-		c.order = append(c.order, sub)
+		c.order = append(c.order, j.Conn)
 	}
 	sub.Push(j)
 	c.total++
@@ -48,14 +62,15 @@ type Epoll struct {
 // NewEpoll returns an epoll queue taking up to perConn jobs per connection
 // per batch (<= 0: unbounded).
 func NewEpoll(perConn int) *Epoll {
-	return &Epoll{PerConn: perConn, connSubs: connSubs{subs: make(map[int]*FIFO)}}
+	return &Epoll{PerConn: perConn}
 }
 
 // PopInto appends the first PerConn jobs of each active subqueue, in
 // connection-activation order, overall bounded by max (<=0: unbounded).
 func (q *Epoll) PopInto(buf []*job.Job, max int) []*job.Job {
 	base, keep := len(buf), 0
-	for i, sub := range q.order {
+	for i, conn := range q.order {
+		sub := q.at(conn)
 		take := sub.Len()
 		if q.PerConn > 0 && take > q.PerConn {
 			take = q.PerConn
@@ -73,7 +88,7 @@ func (q *Epoll) PopInto(buf []*job.Job, max int) []*job.Job {
 		buf = sub.PopInto(buf, take)
 		q.total -= take
 		if sub.Len() > 0 {
-			q.order[keep] = sub
+			q.order[keep] = conn
 			keep++
 		}
 	}
@@ -88,7 +103,7 @@ func (q *Epoll) Peek() *job.Job {
 	if q.total == 0 {
 		return nil
 	}
-	return q.order[0].Peek()
+	return q.at(q.order[0]).Peek()
 }
 
 // Socket models the socket_read stage queue: per-connection subqueues, but a
@@ -105,7 +120,7 @@ type Socket struct {
 // NewSocket returns a socket queue draining up to perConn jobs from one
 // connection per batch (<= 0: entire connection backlog).
 func NewSocket(perConn int) *Socket {
-	return &Socket{PerConn: perConn, connSubs: connSubs{subs: make(map[int]*FIFO)}}
+	return &Socket{PerConn: perConn}
 }
 
 func (q *Socket) PopInto(buf []*job.Job, max int) []*job.Job {
@@ -115,7 +130,7 @@ func (q *Socket) PopInto(buf []*job.Job, max int) []*job.Job {
 	if q.next >= len(q.order) {
 		q.next = 0
 	}
-	sub := q.order[q.next]
+	sub := q.at(q.order[q.next])
 	take := sub.Len()
 	if q.PerConn > 0 && take > q.PerConn {
 		take = q.PerConn
@@ -142,7 +157,7 @@ func (q *Socket) Peek() *job.Job {
 	if idx >= len(q.order) {
 		idx = 0
 	}
-	return q.order[idx].Peek()
+	return q.at(q.order[idx]).Peek()
 }
 
 // Kind names a queue discipline in configs.

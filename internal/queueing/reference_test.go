@@ -354,3 +354,166 @@ func TestPopIntoReusesBuffer(t *testing.T) {
 		}
 	}
 }
+
+// mapSubs is connSubs as it was before subqueues were indexed by
+// connection ID: a map from ID to subqueue. mapEpoll and mapSocket are the
+// Epoll and Socket batch rules over it, unchanged.
+type mapSubs struct {
+	subs  map[int]*FIFO
+	order []*FIFO
+	total int
+}
+
+func (c *mapSubs) Push(j *job.Job) {
+	sub := c.subs[j.Conn]
+	if sub == nil {
+		sub = NewFIFO()
+		c.subs[j.Conn] = sub
+	}
+	if sub.Len() == 0 {
+		c.order = append(c.order, sub)
+	}
+	sub.Push(j)
+	c.total++
+}
+
+func (c *mapSubs) Len() int { return c.total }
+
+func (c *mapSubs) Peek() *job.Job {
+	if c.total == 0 {
+		return nil
+	}
+	return c.order[0].Peek()
+}
+
+type mapEpoll struct {
+	PerConn int
+	mapSubs
+}
+
+func (q *mapEpoll) PopInto(buf []*job.Job, max int) []*job.Job {
+	base, keep := len(buf), 0
+	for i, sub := range q.order {
+		take := sub.Len()
+		if q.PerConn > 0 && take > q.PerConn {
+			take = q.PerConn
+		}
+		if max > 0 {
+			room := max - (len(buf) - base)
+			if room <= 0 {
+				keep += copy(q.order[keep:], q.order[i:])
+				break
+			}
+			if take > room {
+				take = room
+			}
+		}
+		buf = sub.PopInto(buf, take)
+		q.total -= take
+		if sub.Len() > 0 {
+			q.order[keep] = sub
+			keep++
+		}
+	}
+	q.order = q.order[:keep]
+	return buf
+}
+
+type mapSocket struct {
+	PerConn int
+	mapSubs
+	next int
+}
+
+func (q *mapSocket) PopInto(buf []*job.Job, max int) []*job.Job {
+	if q.total == 0 {
+		return buf
+	}
+	if q.next >= len(q.order) {
+		q.next = 0
+	}
+	sub := q.order[q.next]
+	take := sub.Len()
+	if q.PerConn > 0 && take > q.PerConn {
+		take = q.PerConn
+	}
+	if max > 0 && take > max {
+		take = max
+	}
+	buf = sub.PopInto(buf, take)
+	q.total -= take
+	if sub.Len() == 0 {
+		q.order = append(q.order[:q.next], q.order[q.next+1:]...)
+	} else {
+		q.next++
+	}
+	return buf
+}
+
+func (q *mapSocket) Peek() *job.Job {
+	if q.total == 0 {
+		return nil
+	}
+	idx := q.next
+	if idx >= len(q.order) {
+		idx = 0
+	}
+	return q.order[idx].Peek()
+}
+
+// TestConnSubsDense: connection IDs are labels, so renumbering them cannot
+// move a job. The simulator numbers a connection pool's tokens densely after
+// the client's connections, where they used to start at 1<<20; the script
+// interleaves client connections with pool tokens and demands that the
+// ID-indexed queues, fed the dense numbers, pop exactly what the map-keyed
+// ones pop when fed the old numbers.
+func TestConnSubsDense(t *testing.T) {
+	const clients, tokens = 64, 40
+	for seed := int64(1); seed <= 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		perConn := r.Intn(5)
+		cases := []struct {
+			name      string
+			old, live Queue
+		}{
+			{"epoll", &mapEpoll{PerConn: perConn, mapSubs: mapSubs{subs: map[int]*FIFO{}}}, NewEpoll(perConn)},
+			{"socket", &mapSocket{PerConn: perConn, mapSubs: mapSubs{subs: map[int]*FIFO{}}}, NewSocket(perConn)},
+		}
+		for _, c := range cases {
+			f := job.NewFactory()
+			var oldBuf, liveBuf []*job.Job
+			for step := 0; step < 2000; step++ {
+				if r.Intn(3) > 0 {
+					j := f.NewJob(nil)
+					oldConn, liveConn := r.Intn(clients), 0
+					if r.Intn(2) == 0 {
+						k := r.Intn(tokens)
+						oldConn, liveConn = 1<<20+k, clients+k
+					} else {
+						liveConn = oldConn
+					}
+					dup := *j
+					j.Conn, dup.Conn = oldConn, liveConn
+					c.old.Push(j)
+					c.live.Push(&dup)
+					continue
+				}
+				max := r.Intn(8)
+				oldBuf, liveBuf = c.old.PopInto(oldBuf[:0], max), c.live.PopInto(liveBuf[:0], max)
+				if len(oldBuf) != len(liveBuf) {
+					t.Fatalf("seed %d step %d %s: popped %d jobs, map-keyed %d", seed, step, c.name, len(liveBuf), len(oldBuf))
+				}
+				for i := range oldBuf {
+					if oldBuf[i].ID != liveBuf[i].ID {
+						t.Fatalf("seed %d step %d %s: pop %d is job %d, map-keyed %d",
+							seed, step, c.name, i, liveBuf[i].ID, oldBuf[i].ID)
+					}
+				}
+				if c.old.Len() != c.live.Len() || (c.old.Peek() == nil) != (c.live.Peek() == nil) ||
+					(c.old.Peek() != nil && c.old.Peek().ID != c.live.Peek().ID) {
+					t.Fatalf("seed %d step %d %s: Len or Peek diverged", seed, step, c.name)
+				}
+			}
+		}
+	}
+}

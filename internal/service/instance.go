@@ -20,6 +20,9 @@ type Instance struct {
 	// Tier is the number under which completed jobs accrue their residence
 	// on the request (job.Request.AddTierLatency), assigned by the sim.
 	Tier int
+	// Index is the instance's position among its service's instances,
+	// assigned by the sim: with Tier it names the instance densely.
+	Index int
 
 	eng *des.Engine
 	r   *rng.Source

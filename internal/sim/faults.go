@@ -127,14 +127,14 @@ func (s *Sim) doFault(now des.Time, ev fault.Event) (undo func(des.Time)) {
 		}
 		// Deterministic deployment order matters: kill order decides the
 		// order drops propagate and retries get scheduled.
-		for _, dep := range s.Deployments() {
+		for _, dep := range s.deps {
 			for _, in := range dep.Instances {
 				if in.Alloc.Machine.Name == ev.Machine {
 					s.killInstance(now, dep, in)
 				}
 			}
 		}
-		if np, ok := s.netproc[ev.Machine]; ok {
+		if np := s.netprocOn(ev.Machine); np != nil {
 			for _, j := range np.Kill(now) {
 				s.handleNetDrop(now, j)
 			}
@@ -145,7 +145,7 @@ func (s *Sim) doFault(now des.Time, ev fault.Event) (undo func(des.Time)) {
 			return nil // another crash cause still holds the machine down
 		}
 		delete(s.crashedM, ev.Machine)
-		for _, dep := range s.Deployments() {
+		for _, dep := range s.deps {
 			for _, in := range dep.Instances {
 				if in.Alloc.Machine.Name == ev.Machine && in.Down() {
 					in.Restart(now)
@@ -153,7 +153,7 @@ func (s *Sim) doFault(now des.Time, ev fault.Event) (undo func(des.Time)) {
 			}
 			dep.refreshHealthy()
 		}
-		if np, ok := s.netproc[ev.Machine]; ok {
+		if np := s.netprocOn(ev.Machine); np != nil {
 			np.Restart(now)
 		}
 	case fault.DegradeFreq:
@@ -171,19 +171,22 @@ func (s *Sim) doFault(now des.Time, ev fault.Event) (undo func(des.Time)) {
 			s.fluidResolve(t)
 		}
 	case fault.EdgeLatency:
-		s.edgeExtra[ev.Service] = ev.Extra
+		dep := s.deployments[ev.Service]
+		dep.extra = ev.Extra
 		// The fluid tier does not model edge latency: nothing to re-solve.
-		return func(des.Time) { delete(s.edgeExtra, ev.Service) }
+		return func(des.Time) { dep.extra = 0 }
 	case fault.PartitionStart:
-		s.netState().StartPartition(ev.GroupA, ev.GroupB, ev.OneWay)
+		a, b := s.cluster.IDs(ev.GroupA), s.cluster.IDs(ev.GroupB)
+		s.netState().StartPartition(a, b, ev.OneWay)
 		return func(t des.Time) {
-			s.net.HealPartition(ev.GroupA, ev.GroupB, ev.OneWay)
+			s.net.HealPartition(a, b, ev.OneWay)
 			s.fluidResolve(t)
 		}
 	case fault.SetLink:
-		s.netState().SetLink(ev.Src, ev.Dst, netfault.Link{Drop: ev.Drop, Dup: ev.Dup})
+		src, dst := s.cluster.ID(ev.Src), s.cluster.ID(ev.Dst) // "": the default link
+		s.netState().SetLink(src, dst, netfault.Link{Drop: ev.Drop, Dup: ev.Dup})
 		return func(t des.Time) {
-			s.net.ClearLink(ev.Src, ev.Dst)
+			s.net.ClearLink(src, dst)
 			s.fluidResolve(t)
 		}
 	case fault.LoadStep:
@@ -207,6 +210,14 @@ type scaledPattern struct {
 }
 
 func (p *scaledPattern) RateAt(t des.Time) float64 { return p.base.RateAt(t) * *p.scale }
+
+// netprocOn is the named machine's interrupt service; nil without one.
+func (s *Sim) netprocOn(machine string) *service.Instance {
+	if m, ok := s.cluster.Machine(machine); ok && m.ID < len(s.netproc) {
+		return s.netproc[m.ID]
+	}
+	return nil
+}
 
 // killInstance takes one deployed instance down and propagates every lost
 // job upstream. No-op when already down.

@@ -98,18 +98,18 @@ func (s *Sim) setupHybrid(warmupEnd des.Time) error {
 	}
 	callers := s.fluidCallers(weights)
 	var svcs []hybrid.Service
-	s.fluidIdx = make(map[string]int)
-	for _, name := range s.depOrder {
+	for _, dep := range s.deps {
+		name := dep.Name
+		dep.fluid = -1
 		v := visits[name]
 		if v <= 0 {
 			continue // never visited: carries no background load
 		}
-		dep := s.deployments[name]
 		ms, err := meanServiceSeconds(dep.BP, meanKB)
 		if err != nil {
 			return err
 		}
-		s.fluidIdx[name] = len(svcs)
+		dep.fluid = len(svcs)
 		svcs = append(svcs, hybrid.Service{
 			Name:         name,
 			Visits:       v,
@@ -244,9 +244,9 @@ func (s *Sim) fluidLoss(dep *Deployment, callers []string) func() (float64, floa
 				continue
 			}
 			for _, pin := range cdep.Healthy() {
-				src := pin.Alloc.Machine.Name
+				src := pin.Alloc.Machine.ID
 				for _, in := range dep.Healthy() {
-					dst := in.Alloc.Machine.Name
+					dst := in.Alloc.Machine.ID
 					pairs++
 					if !s.net.Reachable(src, dst) {
 						cutN++

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"uqsim/internal/cluster"
@@ -145,7 +146,7 @@ func TestConservationUnderFaults(t *testing.T) {
 		// Drain: no arrivals after the horizon, so pending retries, backoff
 		// timers, and client-timeout guards all resolve.
 		s.Engine().Run()
-		if n := len(s.inflight); n != 0 {
+		if n := len(s.live); n != 0 {
 			t.Fatalf("warmup %v: %d requests stuck after drain", warmup, n)
 		}
 		drained := s.report(s.Engine().Now())
@@ -244,7 +245,7 @@ func TestConservationUnderOverload(t *testing.T) {
 			t.Fatalf("warmup %v: overload run should cancel or waste some work", warmup)
 		}
 		s.Engine().Run()
-		if n := len(s.inflight); n != 0 {
+		if n := len(s.live); n != 0 {
 			t.Fatalf("warmup %v: %d requests stuck after drain", warmup, n)
 		}
 		drained := s.report(s.Engine().Now())
@@ -302,8 +303,8 @@ func TestNoLostRequestsAcrossComplexTopology(t *testing.T) {
 	// Let in-flight requests drain: no arrivals after horizon, so the
 	// remaining events complete everything.
 	s.Engine().Run()
-	if len(s.inflight) != 0 {
-		t.Fatalf("%d requests stuck after drain", len(s.inflight))
+	if len(s.live) != 0 {
+		t.Fatalf("%d requests stuck after drain", len(s.live))
 	}
 	if s.pendingN != 0 {
 		t.Fatalf("%d jobs stuck in netproc", s.pendingN)
@@ -379,7 +380,7 @@ func TestOnJobDoneHook(t *testing.T) {
 	counts := map[string]int{}
 	s.OnJobDone = func(now des.Time, j *job.Job, svc string) {
 		counts[svc]++
-		if j.Instance == "" || j.Machine == "" {
+		if servedBy(j) == nil {
 			t.Error("job missing instance/machine attribution")
 		}
 	}
@@ -491,7 +492,7 @@ func TestPoolTokensSetConnection(t *testing.T) {
 		t.Fatal("no jobs observed")
 	}
 	for _, c := range conns {
-		if c < 1<<20 {
+		if c < s.Client().Connections {
 			t.Fatalf("conn %d not from the pool token space", c)
 		}
 	}
@@ -557,8 +558,8 @@ func TestDynamicBranching(t *testing.T) {
 	}
 }
 
-// TestBranchingValidation: unregistered branchers and invalid selections
-// panic loudly.
+// TestBranchingValidation: an unregistered brancher fails Run naming the
+// tree, node and key; invalid selections panic loudly.
 func TestBranchingValidation(t *testing.T) {
 	build := func() *Sim {
 		s := New(Options{Seed: 12})
@@ -584,15 +585,10 @@ func TestBranchingValidation(t *testing.T) {
 		return s
 	}
 	// Unregistered brancher.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("unregistered brancher should panic")
-			}
-		}()
-		s := build()
-		_, _ = s.Run(0, 20*des.Millisecond)
-	}()
+	_, err := build().Run(0, 20*des.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), `tree "main" node 0 uses unregistered brancher "k"`) {
+		t.Errorf("unregistered brancher: Run error %v", err)
+	}
 	// Empty selection.
 	func() {
 		defer func() {

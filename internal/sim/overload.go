@@ -57,7 +57,7 @@ func (s *Sim) installOverload() {
 		s.releaseJob(j) // the instance discards it unserved: the job dies here
 		return true
 	}
-	for _, dep := range s.Deployments() {
+	for _, dep := range s.deps {
 		for _, in := range dep.Instances {
 			in.IsCanceled = s.isCanceledFn
 		}
@@ -126,7 +126,7 @@ func (s *Sim) maybeHedge(now des.Time, c *call, pinned bool, nInstances int) {
 	if h == nil || pinned || nInstances < 2 {
 		return
 	}
-	delay, ok := s.hedgeDelay(c.st.treeIdx, c.nodeID, h)
+	delay, ok := s.hedgeDelay(s.nodeOf(c.st, c.nodeID).lat, h)
 	if !ok {
 		return
 	}
@@ -134,17 +134,14 @@ func (s *Sim) maybeHedge(now des.Time, c *call, pinned bool, nInstances int) {
 	s.arm(&op.timer, now+delay, op.onTimer, &s.timers.HedgeTrigger)
 }
 
-// hedgeDelay resolves the wait before the backup attempt: the observed
-// per-edge latency quantile once the estimator is warm, else the fixed
-// fallback delay; jitter comes from the dedicated hedge RNG stream so
-// hedging never perturbs service-time draws.
-func (s *Sim) hedgeDelay(treeIdx, nodeID int, h *fault.HedgeSpec) (des.Time, bool) {
+// hedgeDelay resolves the wait before the backup attempt: the edge's
+// observed latency quantile (est) once it is warm, else the fixed fallback
+// delay; jitter comes from the dedicated hedge RNG stream so hedging never
+// perturbs service-time draws.
+func (s *Sim) hedgeDelay(est *stats.P2Quantile, h *fault.HedgeSpec) (des.Time, bool) {
 	d := h.Delay
-	if h.Quantile > 0 {
-		if est := s.edgeLat[[2]int{treeIdx, nodeID}]; est != nil &&
-			est.Count() >= uint64(h.MinSamplesOrDefault()) {
-			d = des.Time(est.Value())
-		}
+	if h.Quantile > 0 && est.Count() >= uint64(h.MinSamplesOrDefault()) {
+		d = des.Time(est.Value())
 	}
 	if d <= 0 {
 		return 0, false
@@ -158,18 +155,6 @@ func (s *Sim) hedgeDelay(treeIdx, nodeID int, h *fault.HedgeSpec) (des.Time, boo
 	return d, true
 }
 
-// edgeLatency returns the per-edge streaming quantile estimator, creating
-// it on first use.
-func (s *Sim) edgeLatency(treeIdx, nodeID int, q float64) *stats.P2Quantile {
-	key := [2]int{treeIdx, nodeID}
-	est := s.edgeLat[key]
-	if est == nil {
-		est = stats.NewP2Quantile(q)
-		s.edgeLat[key] = est
-	}
-	return est
-}
-
 // onHedgeTimer fires when the primary has been outstanding for the hedge
 // delay: issue one backup attempt to a different healthy instance. The
 // trigger is disarmed as soon as the primary settles or fails or its request
@@ -178,7 +163,7 @@ func (s *Sim) onHedgeTimer(now des.Time, op *hedgeOp) {
 	s.timers.HedgeTrigger.Fired++
 	c := op.primary
 	req, st := c.req, c.st
-	node := &st.tree.Nodes[c.nodeID]
+	nd := s.nodeOf(st, c.nodeID)
 	probe := false
 	if c.pr.brk != nil {
 		probe = c.pr.brk.State(now) == fault.BreakerHalfOpen
@@ -186,18 +171,17 @@ func (s *Sim) onHedgeTimer(now des.Time, op *hedgeOp) {
 			return // the edge is failing fast; don't add hedge load
 		}
 	}
-	dep := s.deployments[node.Service]
-	in := s.pickAvoiding(dep, c.inst)
+	in := s.pickAvoiding(nd.dep, c.inst)
 	if in == nil {
 		return // no distinct healthy instance to race against
 	}
-	j := s.newNodeJob(req, st, c.nodeID, c.conn, dep)
-	h := s.newCall(req, st, c.nodeID, c.conn, c.srcMachine, c.attempt, c.pr)
+	j := s.newNodeJob(req, c.nodeID, c.conn, nd)
+	h := s.newCall(req, st, c.nodeID, c.conn, c.src, c.attempt, c.pr)
 	h.isHedge, h.op, op.hedge = true, op, h
 	s.issue(now, h, j, in, probe)
 	s.hedgesN++
-	s.errCount(node.Service).Hedges++
-	s.deliver(now, j, in, c.srcMachine)
+	s.depErrs(nd.dep).Hedges++
+	s.deliver(now, j, nd.dep, in, c.src)
 }
 
 // pickAvoiding selects a healthy instance other than avoid, scanning
@@ -267,7 +251,7 @@ func (s *Sim) failCall(now des.Time, c *call, out job.Outcome) {
 		if other != nil {
 			// A failed hedge is absorbed, the primary still races; a failed
 			// primary leaves the hedge promoted to sole attempt.
-			s.countError(c.st.tree.Nodes[c.nodeID].Service, out)
+			s.countError(s.depErrs(s.nodeOf(c.st, c.nodeID).dep), out)
 			s.releaseCall(c)
 			return
 		}

@@ -11,6 +11,7 @@ import (
 	"uqsim/internal/dist"
 	"uqsim/internal/fault"
 	"uqsim/internal/graph"
+	"uqsim/internal/job"
 	"uqsim/internal/service"
 	"uqsim/internal/workload"
 )
@@ -331,6 +332,59 @@ func TestPoisonedReleaseChangesNothing(t *testing.T) {
 			if got := runRandom(t, seed, suite.build, suite.with, poison); got != want {
 				t.Fatalf("%s seed %d: poisoning released objects changed the run\n pooled:   %s\n poisoned: %s",
 					suite.name, seed, want, got)
+			}
+		}
+	}
+}
+
+// TestLiveRequestTable checks the in-flight list against a census of every
+// request in each family. A request leaves the list (slot -1) when it
+// terminates; when Run returns the list holds exactly the requests admitted
+// and not yet terminated, each at its own slot; and Report.InFlight counts
+// those of them the client still awaits.
+func TestLiveRequestTable(t *testing.T) {
+	for _, suite := range randomSuites {
+		build := suite.build
+		if build == nil {
+			build = buildRandomTopology
+		}
+		for seed := int64(1); seed <= suite.seeds; seed++ {
+			s := build(t, seed)
+			if suite.with != nil {
+				suite.with(t, s, seed)
+			}
+			census := make(map[job.ID]string)
+			s.OnRequestDone = func(_ des.Time, req *job.Request) {
+				if st := req.Owner.(*reqState); st.slot >= 0 || census[req.ID] != "" {
+					t.Fatalf("%s seed %d: request %d terminated at slot %d, census %q",
+						suite.name, seed, req.ID, st.slot, census[req.ID])
+				}
+				census[req.ID] = "terminated"
+			}
+			rep, err := s.Run(0, 300*des.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			awaited := 0
+			for i, st := range s.live {
+				if req := st.req; int(st.slot) != i || req.Failed || req.Done() || census[req.ID] != "" {
+					t.Fatalf("%s seed %d: slot %d holds request %d (slot %d, failed %v, done %v, census %q)",
+						suite.name, seed, i, req.ID, st.slot, req.Failed, req.Done(), census[req.ID])
+				}
+				census[st.req.ID] = "live"
+				if !st.req.TimedOut {
+					awaited++
+				}
+			}
+			// Without a warmup every request admitted is an arrival, and
+			// requests are numbered from 1 in admission order.
+			for id := job.ID(1); id <= job.ID(rep.Arrivals); id++ {
+				if census[id] == "" {
+					t.Fatalf("%s seed %d: request %d neither in flight nor terminated", suite.name, seed, id)
+				}
+			}
+			if rep.InFlight != awaited {
+				t.Fatalf("%s seed %d: Report.InFlight %d, census %d", suite.name, seed, rep.InFlight, awaited)
 			}
 		}
 	}

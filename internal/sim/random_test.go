@@ -123,7 +123,7 @@ func buildRandomTopology(t *testing.T, seed int64) *Sim {
 		// Geo-replicate the join tier when its random placements landed
 		// replicas in both regions.
 		if dep, _ := s.Deployment("join"); len(dep.Instances) >= 2 {
-			spans := make(map[string]bool)
+			spans := make(map[int]bool)
 			for _, reg := range dep.instRegion {
 				spans[reg] = true
 			}
@@ -359,7 +359,7 @@ func TestRandomOverloadTopologiesDrain(t *testing.T) {
 			t.Fatalf("seed %d: conservation: arrivals %d != %d", seed, rep.Arrivals, total)
 		}
 		s.Engine().Run() // drain
-		if n := len(s.inflight); n != 0 {
+		if n := len(s.live); n != 0 {
 			t.Fatalf("seed %d: %d requests leaked", seed, n)
 		}
 		if n := s.pendingN; n != 0 {
@@ -368,10 +368,10 @@ func TestRandomOverloadTopologiesDrain(t *testing.T) {
 		if n := s.liveCalls; n != 0 {
 			t.Fatalf("seed %d: %d tracked calls leaked", seed, n)
 		}
-		for name, p := range s.pools {
+		for _, p := range s.pools {
 			if p.inUse() != 0 || p.waiters.len() != 0 {
 				t.Fatalf("seed %d: pool %s leaked (%d in use, %d waiters)",
-					seed, name, p.inUse(), p.waiters.len())
+					seed, p.spec.Name, p.inUse(), p.waiters.len())
 			}
 		}
 		for _, dep := range s.Deployments() {
@@ -398,16 +398,16 @@ func TestRandomTopologiesConserveRequests(t *testing.T) {
 			t.Fatalf("seed %d: no completions", seed)
 		}
 		s.Engine().Run() // drain
-		if n := len(s.inflight); n != 0 {
+		if n := len(s.live); n != 0 {
 			t.Fatalf("seed %d: %d requests leaked", seed, n)
 		}
 		if n := s.pendingN; n != 0 {
 			t.Fatalf("seed %d: %d netproc deliveries leaked", seed, n)
 		}
-		for name, p := range s.pools {
+		for _, p := range s.pools {
 			if p.inUse() != 0 || p.waiters.len() != 0 {
 				t.Fatalf("seed %d: pool %s leaked (%d in use, %d waiters)",
-					seed, name, p.inUse(), p.waiters.len())
+					seed, p.spec.Name, p.inUse(), p.waiters.len())
 			}
 		}
 		for _, dep := range s.Deployments() {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"uqsim/internal/cluster"
 	"uqsim/internal/des"
 	"uqsim/internal/graph"
 	"uqsim/internal/job"
@@ -94,7 +95,7 @@ func (s *Sim) releaseRequest(req *job.Request) {
 		req, st = new(job.Request), new(reqState)
 		*req = *deadReq // NewRequest rewrites all but the kept tier storage
 		*deadReq = job.Request{ID: ^job.ID(0), LeavesRemaining: -1 << 40, Outcome: ^job.Outcome(0)}
-		*deadSt = reqState{treeIdx: -1, user: -1 << 40}
+		*deadSt = reqState{treeIdx: -1, user: -1 << 40, slot: 1 << 30}
 	}
 	s.freeStates = append(s.freeStates, st)
 	s.fac.FreeRequest(req)
@@ -127,14 +128,14 @@ func pop[T any](free *[]*T) *T {
 
 // newCall readies the record of one dispatch over a guarded edge and puts
 // it on its request's list. Callbacks are bound once, with fresh storage.
-func (s *Sim) newCall(req *job.Request, st *reqState, nodeID, conn int, srcMachine string, attempt int, pr *policyRuntime) *call {
+func (s *Sim) newCall(req *job.Request, st *reqState, nodeID, conn int, src *cluster.Machine, attempt int, pr *policyRuntime) *call {
 	c := pop(&s.freeCalls)
 	if c == nil {
 		c = &call{}
 		c.onTimeout = func(t des.Time) { s.onAttemptTimeout(t, c) }
 		c.onBackoff = func(t des.Time) { s.onBackoff(t, c) }
 	}
-	c.req, c.st, c.nodeID, c.conn, c.srcMachine, c.attempt, c.pr = req, st, nodeID, conn, srcMachine, attempt, pr
+	c.req, c.st, c.nodeID, c.conn, c.src, c.attempt, c.pr = req, st, nodeID, conn, src, attempt, pr
 	c.slot = len(st.calls)
 	st.calls = append(st.calls, c)
 	return c
@@ -211,27 +212,28 @@ func (s *Sim) leaveRace(c *call) {
 // wait ahead of deliverDirect, or WAN transit (routed) ahead of admitDelivery.
 type hop struct {
 	j      *job.Job
+	dep    *Deployment
 	in     *service.Instance
-	src    string
+	src    *cluster.Machine
 	routed bool
 	resume des.Callback
 }
 
 // newHop readies a hop; its callback releases it before the delivery goes on.
-func (s *Sim) newHop(j *job.Job, in *service.Instance, src string, routed bool) *hop {
+func (s *Sim) newHop(j *job.Job, dep *Deployment, in *service.Instance, src *cluster.Machine, routed bool) *hop {
 	h := pop(&s.freeHops)
 	if h == nil {
 		h = &hop{}
 		h.resume = func(t des.Time) {
-			j, in, src, routed := h.j, h.in, h.src, h.routed
+			j, dep, in, src, routed := h.j, h.dep, h.in, h.src, h.routed
 			s.freeHops = append(s.freeHops, h)
 			if routed {
 				s.admitDelivery(t, j, in, src)
 			} else {
-				s.deliverDirect(t, j, in, src)
+				s.deliverDirect(t, j, dep, in, src)
 			}
 		}
 	}
-	h.j, h.in, h.src, h.routed = j, in, src, routed
+	h.j, h.dep, h.in, h.src, h.routed = j, dep, in, src, routed
 	return h
 }

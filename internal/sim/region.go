@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"uqsim/internal/cluster"
 	"uqsim/internal/des"
@@ -22,7 +23,7 @@ func (s *Sim) SetGeography(regions []cluster.Region) (*cluster.Geography, error)
 	if s.geo != nil {
 		return nil, fmt.Errorf("sim: geography already set")
 	}
-	if len(s.depOrder) > 0 {
+	if len(s.deps) > 0 {
 		return nil, fmt.Errorf("sim: set the geography before deploying services")
 	}
 	g, err := cluster.NewGeography(regions, func(m string) bool {
@@ -39,6 +40,12 @@ func (s *Sim) SetGeography(regions []cluster.Region) (*cluster.Geography, error)
 		}
 		doms = append(doms, netfault.Domain{Name: r.Name, Machines: r.Machines})
 	}
+	for i, r := range g.Regions() {
+		for _, name := range r.Machines {
+			m, _ := s.cluster.Machine(name)
+			m.Region = i
+		}
+	}
 	s.geo = g
 	s.geoDomains = doms
 	return g, nil
@@ -47,23 +54,14 @@ func (s *Sim) SetGeography(regions []cluster.Region) (*cluster.Geography, error)
 // Geography reports the installed region layer (nil without one).
 func (s *Sim) Geography() *cluster.Geography { return s.geo }
 
-// RegionOf reports a machine's home region under the installed
-// geography; "" without one or for an unassigned machine.
-func (s *Sim) RegionOf(machine string) string {
-	if s.geo == nil {
-		return ""
+// sourceRegion is the index of the region a hop originates from: the
+// sending machine's home region, or the client's for entry hops (src ==
+// nil); -1 for none.
+func (s *Sim) sourceRegion(src *cluster.Machine) int {
+	if src == nil {
+		return s.clientRegion
 	}
-	return s.geo.RegionOf(machine)
-}
-
-// sourceRegion resolves the region a hop originates from: the sending
-// machine's home region, or the client's configured region for entry
-// hops (srcMachine == "").
-func (s *Sim) sourceRegion(srcMachine string) string {
-	if srcMachine == "" {
-		return s.clientCfg.Region
-	}
-	return s.geo.RegionOf(srcMachine)
+	return src.Region
 }
 
 // ReplicationSpec configures geo-replication for one deployment.
@@ -96,27 +94,21 @@ func (s *Sim) SetReplication(svc string, spec ReplicationSpec) error {
 	}
 	regions := append([]string(nil), spec.Regions...)
 	if len(regions) == 0 {
-		seen := make(map[string]bool)
+		seen := make([]bool, len(s.geo.Regions()))
 		for _, r := range dep.instRegion {
-			if r != "" && !seen[r] {
+			if r >= 0 && !seen[r] {
 				seen[r] = true
-				regions = append(regions, r)
+				regions = append(regions, s.geo.Regions()[r].Name)
 			}
 		}
 	}
-	for _, r := range regions {
-		if !s.geo.HasRegion(r) {
-			return fmt.Errorf("sim: %s: replication references unknown region %q", svc, r)
+	for _, name := range regions {
+		r := s.geo.RegionIndex(name)
+		if r < 0 {
+			return fmt.Errorf("sim: %s: replication references unknown region %q", svc, name)
 		}
-		hosted := false
-		for _, have := range dep.instRegion {
-			if have == r {
-				hosted = true
-				break
-			}
-		}
-		if !hosted {
-			return fmt.Errorf("sim: %s: replication region %q hosts no replica", svc, r)
+		if !slices.Contains(dep.instRegion, r) {
+			return fmt.Errorf("sim: %s: replication region %q hosts no replica", svc, name)
 		}
 	}
 	if len(regions) < 2 {
@@ -125,9 +117,6 @@ func (s *Sim) SetReplication(svc string, spec ReplicationSpec) error {
 	dep.replicated = true
 	dep.lag = spec.Lag
 	dep.replRegions = regions
-	if dep.promoted == nil {
-		dep.promoted = make(map[string]des.Time)
-	}
 	return nil
 }
 
@@ -141,35 +130,42 @@ func (d *Deployment) ReplicationLag() des.Time { return d.lag }
 func (d *Deployment) ReplicaRegions() []string { return d.replRegions }
 
 // RegionHealthy reports the healthy instances homed in one region.
-func (d *Deployment) RegionHealthy(region string) int { return len(d.byRegion[region]) }
+func (d *Deployment) RegionHealthy(region string) int {
+	if r := d.geo.RegionIndex(region); r >= 0 {
+		return len(d.byRegion[r])
+	}
+	return 0
+}
 
 // Promote marks a region as taking over serving at time now: its
 // replicas become fresh once the replication lag has elapsed. Promoting
 // an already-promoted region keeps the earlier clock.
 func (d *Deployment) Promote(now des.Time, region string) {
-	if d.promoted == nil {
-		d.promoted = make(map[string]des.Time)
-	}
-	if _, ok := d.promoted[region]; !ok {
-		d.promoted[region] = now
+	if r := d.geo.RegionIndex(region); r >= 0 && d.promoted[r] < 0 {
+		d.promoted[r] = now
 	}
 }
 
 // PromotedAt reports when a region was promoted, if it was.
 func (d *Deployment) PromotedAt(region string) (des.Time, bool) {
-	t, ok := d.promoted[region]
-	return t, ok
+	if r := d.geo.RegionIndex(region); r >= 0 && d.promoted[r] >= 0 {
+		return d.promoted[r], true
+	}
+	return 0, false
 }
 
 // FreshAt reports whether reads served by the region's replicas are
 // up to date at time now. Synchronously replicated deployments
 // (lag == 0) and non-replicated ones are always fresh.
 func (d *Deployment) FreshAt(now des.Time, region string) bool {
+	return d.freshAt(now, d.geo.RegionIndex(region))
+}
+
+func (d *Deployment) freshAt(now des.Time, r int) bool {
 	if !d.replicated || d.lag == 0 {
 		return true
 	}
-	pt, ok := d.promoted[region]
-	return ok && now >= pt+d.lag
+	return r >= 0 && d.promoted[r] >= 0 && now >= d.promoted[r]+d.lag
 }
 
 // Staleness reports how far the region's replicas lag behind at time
@@ -180,57 +176,40 @@ func (d *Deployment) Staleness(now des.Time, region string) des.Time {
 	if !d.replicated || d.lag == 0 {
 		return 0
 	}
-	if pt, ok := d.promoted[region]; ok {
-		if rem := pt + d.lag - now; rem > 0 {
-			return rem
-		}
-		return 0
+	if r := d.geo.RegionIndex(region); r >= 0 && d.promoted[r] >= 0 {
+		return max(d.promoted[r]+d.lag-now, 0)
 	}
 	return d.lag
-}
-
-// regionCursor returns the region's dedicated round-robin cursor,
-// creating it on first use.
-func (d *Deployment) regionCursor(region string) *int {
-	c, ok := d.regionRR[region]
-	if !ok {
-		c = new(int)
-		if d.regionRR == nil {
-			d.regionRR = make(map[string]*int)
-		}
-		d.regionRR[region] = c
-	}
-	return c
 }
 
 // pickRegional selects an instance by nearest-healthy-region order:
 // the source region's own replicas first, then outward by WAN latency.
 // Nil when the source has no region or only region-less instances are
 // healthy — the caller falls back to the region-blind pick.
-func (s *Sim) pickRegional(dep *Deployment, srcRegion string) *service.Instance {
-	if srcRegion == "" || dep.byRegion == nil {
+func (s *Sim) pickRegional(dep *Deployment, srcRegion int) *service.Instance {
+	if srcRegion < 0 || dep.byRegion == nil {
 		return nil
 	}
-	for _, r := range s.geo.Nearest(srcRegion) {
+	for _, r := range s.geo.NearestAt(srcRegion) {
 		if hs := dep.byRegion[r]; len(hs) > 0 {
-			return dep.pickFrom(hs, dep.regionCursor(r))
+			return dep.pickFrom(hs, &dep.regionRR[r])
 		}
 	}
 	return nil
 }
 
-// wanHop accounts the region crossing of one delivery and returns the
-// WAN delay it must pay (zero intra-region or when an endpoint has no
-// region). A cross-region serve of a geo-replicated deployment outside
-// the request's origin region counts as stale while the serving region
-// lags (FreshAt).
-func (s *Sim) wanHop(now des.Time, j *job.Job, in *service.Instance, srcMachine string) des.Time {
-	dstR := s.geo.RegionOf(in.Alloc.Machine.Name)
-	if dstR == "" {
+// wanHop accounts the region crossing of one delivery to dep's instance
+// in and returns the WAN delay it must pay (zero intra-region or when an
+// endpoint has no region). A cross-region serve of a geo-replicated
+// deployment outside the request's origin region counts as stale while
+// the serving region lags (FreshAt).
+func (s *Sim) wanHop(now des.Time, j *job.Job, dep *Deployment, in *service.Instance, src *cluster.Machine) des.Time {
+	dstR := in.Alloc.Machine.Region
+	if dstR < 0 {
 		return 0
 	}
-	srcR := s.sourceRegion(srcMachine)
-	if srcR == "" {
+	srcR := s.sourceRegion(src)
+	if srcR < 0 {
 		return 0
 	}
 	s.regionHops++
@@ -238,12 +217,12 @@ func (s *Sim) wanHop(now des.Time, j *job.Job, in *service.Instance, srcMachine 
 		return 0
 	}
 	s.crossHops++
-	if dep := s.deployments[in.BP.Name]; dep != nil && dep.replicated {
-		if home := s.clientCfg.Region; home != "" && home != dstR && !dep.FreshAt(now, dstR) {
+	if dep.replicated {
+		if home := s.clientRegion; home >= 0 && home != dstR && !dep.freshAt(now, dstR) {
 			s.staleReads++
 		}
 	}
-	return s.geo.Delay(srcR, dstR, j.Req.SizeKB)
+	return s.geo.DelayAt(srcR, dstR, j.Req.SizeKB)
 }
 
 // CrossRegionStats reports delivery counts under the geography: hops

@@ -220,6 +220,22 @@ func TestGeographySetupErrors(t *testing.T) {
 	}
 }
 
+// TestClientRegionMustBeDeclared: under a geography, a client homed in an
+// undeclared region fails Run, naming it and the declared ones, instead of
+// paying the default WAN delay on every entry hop while picking replicas
+// region-blind.
+func TestClientRegionMustBeDeclared(t *testing.T) {
+	s := twoRegionSim(t, 10*des.Millisecond)
+	cfg := s.Client()
+	cfg.Region = "esat"
+	s.SetClient(cfg)
+	_, err := s.Run(0, 10*des.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), `"esat"`) ||
+		!strings.Contains(err.Error(), `["east" "west"]`) {
+		t.Fatalf("Run with an undeclared client region: %v", err)
+	}
+}
+
 // TestRegionCrashCascadesAndHealsIndependently: crash_domain on a region
 // cascades to every machine in its racks, and an overlapping rack-level
 // crash holds its machine down after the region heals — the overlapping

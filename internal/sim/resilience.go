@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"uqsim/internal/cluster"
 	"uqsim/internal/des"
 	"uqsim/internal/fault"
 	"uqsim/internal/job"
@@ -35,14 +36,14 @@ func newPolicyRuntime(p fault.Policy) *policyRuntime {
 // Job.Owner, its request through reqState.calls, and it carries everything
 // needed to re-issue the edge. Records are pooled (see recycle.go).
 type call struct {
-	req        *job.Request
-	st         *reqState
-	nodeID     int
-	conn       int
-	srcMachine string
-	attempt    int
-	pr         *policyRuntime
-	slot       int // index in st.calls; -1 once the request no longer reaches it
+	req     *job.Request
+	st      *reqState
+	nodeID  int
+	conn    int
+	src     *cluster.Machine
+	attempt int
+	pr      *policyRuntime
+	slot    int // index in st.calls; -1 once the request no longer reaches it
 
 	// timer is the attempt's edge timeout while the attempt is live (or an
 	// orphan's timeout is still owed), the retry backoff after it failed.
@@ -96,7 +97,6 @@ func (s *Sim) SetServicePolicy(svc string, p fault.Policy) error {
 		return fmt.Errorf("sim: policy for undeployed service %q", svc)
 	}
 	s.svcPolicies[svc] = newPolicyRuntime(p)
-	s.hasPolicies = true
 	if p.Hedge != nil {
 		s.hasHedge = true
 	}
@@ -120,7 +120,6 @@ func (s *Sim) SetNodePolicy(tree string, nodeID int, p fault.Policy) error {
 			return fmt.Errorf("sim: tree %q has no node %d", tree, nodeID)
 		}
 		s.nodePolicies[[2]int{ti, nodeID}] = newPolicyRuntime(p)
-		s.hasPolicies = true
 		if p.Hedge != nil {
 			s.hasHedge = true
 		}
@@ -149,10 +148,8 @@ func (s *Sim) SetMaxQueue(svc string, max int) error {
 // edgePolicy resolves the policy guarding tree node nodeID (nil: none). Node
 // overrides win over service-level policies.
 func (s *Sim) edgePolicy(treeIdx, nodeID int, svc string) *policyRuntime {
-	if len(s.nodePolicies) > 0 {
-		if pr, ok := s.nodePolicies[[2]int{treeIdx, nodeID}]; ok {
-			return pr
-		}
+	if pr, ok := s.nodePolicies[[2]int{treeIdx, nodeID}]; ok {
+		return pr
 	}
 	return s.svcPolicies[svc]
 }
@@ -160,19 +157,18 @@ func (s *Sim) edgePolicy(treeIdx, nodeID int, svc string) *policyRuntime {
 // startAttempt issues the attempt c describes, for a request that is live
 // and inside its deadline: dispatchNode checked, a backoff never outlives it.
 func (s *Sim) startAttempt(now des.Time, c *call) {
-	node := &c.st.tree.Nodes[c.nodeID]
+	node, nd := &c.st.tree.Nodes[c.nodeID], s.nodeOf(c.st, c.nodeID)
 	probe := false
 	if brk := c.pr.brk; brk != nil {
 		// State before Allow: an admitted half-open call is the probe.
 		probe = brk.State(now) == fault.BreakerHalfOpen
 		if !brk.Allow(now) {
-			s.countError(node.Service, job.OutcomeBreakerOpen)
+			s.countError(s.depErrs(nd.dep), job.OutcomeBreakerOpen)
 			s.failRequest(now, c.req, job.OutcomeBreakerOpen) // takes c back
 			return
 		}
 	}
-	dep := s.deployments[node.Service]
-	in := s.pickFor(node, dep, c.srcMachine)
+	in := s.pickFor(node, nd.dep, c.src)
 	if in == nil {
 		// No healthy instance: an instant connection failure.
 		if c.pr.brk != nil {
@@ -181,10 +177,10 @@ func (s *Sim) startAttempt(now des.Time, c *call) {
 		s.retryOrFail(now, c, job.OutcomeDropped)
 		return
 	}
-	j := s.newNodeJob(c.req, c.st, c.nodeID, c.conn, dep)
+	j := s.newNodeJob(c.req, c.nodeID, c.conn, nd)
 	s.issue(now, c, j, in, probe)
-	s.maybeHedge(now, c, node.Instance >= 0, len(dep.Instances))
-	s.deliver(now, j, in, c.srcMachine)
+	s.maybeHedge(now, c, node.Instance >= 0, len(nd.dep.Instances))
+	s.deliver(now, j, nd.dep, in, c.src)
 }
 
 // issue makes c the live attempt that j carries to instance in, and arms
@@ -219,7 +215,7 @@ func (s *Sim) onAttemptTimeout(now des.Time, c *call) {
 		c.j.Outcome = job.OutcomeTimeout
 		s.unlink(c)
 	}
-	s.observeCall(now, c.inst.Name, false, c.pr.pol.Timeout)
+	s.observeCall(now, c.inst, false, c.pr.pol.Timeout)
 	if c.pr.brk != nil {
 		c.pr.brk.Record(now, true)
 	}
@@ -235,12 +231,12 @@ func (s *Sim) onAttemptTimeout(now des.Time, c *call) {
 // are exhausted. out is the failure that triggered it (used for accounting
 // and, terminally, the request outcome).
 func (s *Sim) retryOrFail(now des.Time, c *call, out job.Outcome) {
-	svc := c.st.tree.Nodes[c.nodeID].Service
-	s.countError(svc, out)
+	ec := s.depErrs(s.nodeOf(c.st, c.nodeID).dep)
+	s.countError(ec, out)
 	s.leaveRace(c)
 	if c.attempt < c.pr.pol.MaxRetries {
 		s.retriesN++
-		s.errCount(svc).Retries++
+		ec.Retries++
 		delay := c.pr.pol.Backoff(c.attempt+1, s.retryRNG)
 		s.arm(&c.timer, now+delay, c.onBackoff, &s.timers.RetryBackoff)
 		return
@@ -260,12 +256,12 @@ func (s *Sim) onBackoff(now des.Time, c *call) {
 func (s *Sim) settleCall(now des.Time, c *call) {
 	s.disarm(&c.timer, &s.timers.AttemptTimeout)
 	s.unlink(c)
-	s.observeCall(now, c.inst.Name, true, now-c.start)
+	s.observeCall(now, c.inst, true, now-c.start)
 	if c.pr.brk != nil {
 		c.pr.brk.Record(now, false)
 	}
 	if h := c.pr.pol.Hedge; h != nil && h.Quantile > 0 {
-		s.edgeLatency(c.st.treeIdx, c.nodeID, h.Quantile).Add(float64(now - c.start))
+		s.nodeOf(c.st, c.nodeID).lat.Add(float64(now - c.start))
 	}
 	s.settleHedge(now, c)
 	s.releaseCall(c)
@@ -289,7 +285,7 @@ func (s *Sim) propagateFailure(now des.Time, j *job.Job, out job.Outcome) {
 		j.Outcome = out
 		// One failure observation per live attempt: abandoned attempts
 		// already reported theirs at the abandonment instant.
-		s.observeCall(now, j.Instance, false, 0)
+		s.observeCall(now, servedBy(j), false, 0)
 	}
 	req := j.Req
 	c, _ := j.Owner.(*call)
@@ -314,9 +310,7 @@ func (s *Sim) propagateFailure(now des.Time, j *job.Job, out job.Outcome) {
 		s.failCall(now, c, out)
 		return
 	}
-	if st, ok := s.inflight[req.ID]; ok {
-		s.countError(st.tree.Nodes[j.NodeID].Service, out)
-	}
+	s.countError(s.depErrs(s.nodeOf(req.Owner.(*reqState), j.NodeID).dep), out)
 	s.failRequest(now, req, out)
 }
 
@@ -346,7 +340,7 @@ func (s *Sim) handleNetDrop(now des.Time, j *job.Job) {
 		return
 	}
 	if req := j.Req; req != nil && !req.Failed && !req.Done() {
-		s.countError("netproc", job.OutcomeDropped)
+		s.countError(s.errCount("netproc"), job.OutcomeDropped)
 		s.failRequest(now, req, job.OutcomeDropped)
 	}
 	s.releaseJob(j)
@@ -363,13 +357,13 @@ func (s *Sim) failRequest(now des.Time, req *job.Request, out job.Outcome) {
 	}
 	req.Failed = true
 	req.Outcome = out
-	st := s.inflight[req.ID]
-	delete(s.inflight, req.ID)
+	st := req.Owner.(*reqState)
+	s.dropLive(st)
 	s.cleanupRequest(st)
 	// The request exits the system in one step, wherever it was in its
 	// acquire chain: every token it holds goes back, pool by pool.
-	for _, name := range s.poolOrder {
-		for p := s.pools[name]; st.lastToken(p) >= 0; {
+	for _, p := range s.pools {
+		for st.lastToken(p) >= 0 {
 			s.releaseConn(now, p, st)
 		}
 	}
@@ -415,6 +409,14 @@ func (s *Sim) errCount(svc string) *ErrorCounts {
 		s.errCounts[svc] = ec
 	}
 	return ec
+}
+
+// depErrs is errCount for a deployment, kept on it after the first use.
+func (s *Sim) depErrs(dep *Deployment) *ErrorCounts {
+	if dep.errs == nil {
+		dep.errs = s.errCount(dep.Name)
+	}
+	return dep.errs
 }
 
 // BreakerInfo is one circuit breaker's externally visible state, for
@@ -473,9 +475,8 @@ func (s *Sim) Breakers() []BreakerInfo {
 	return out
 }
 
-// countError accrues one failed attempt against svc.
-func (s *Sim) countError(svc string, out job.Outcome) {
-	ec := s.errCount(svc)
+// countError accrues one failed attempt on ec.
+func (s *Sim) countError(ec *ErrorCounts, out job.Outcome) {
 	switch out {
 	case job.OutcomeTimeout:
 		ec.Timeouts++

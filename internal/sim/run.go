@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"uqsim/internal/cluster"
 	"uqsim/internal/des"
 	"uqsim/internal/graph"
 	"uqsim/internal/hybrid"
@@ -21,6 +22,9 @@ func (s *Sim) Run(warmup, duration des.Time) (*Report, error) {
 	}
 	if s.clientCfg.Pattern == nil && s.clientCfg.ClosedUsers <= 0 && s.clientCfg.Sessions == nil {
 		return nil, fmt.Errorf("sim: no client installed")
+	}
+	if err := s.resolve(); err != nil {
+		return nil, err
 	}
 	s.warmupEnd = warmup
 	horizon := warmup + duration
@@ -124,7 +128,7 @@ func (s *Sim) admitAs(now des.Time, attempt, forceTree, user int) {
 	req.LeavesRemaining = len(tree.Leaves())
 
 	st := s.newReqState(req, tree, treeIdx, now, user)
-	s.inflight[req.ID] = st
+	s.trackLive(st)
 	if now >= s.warmupEnd {
 		s.arrivals++
 	}
@@ -143,7 +147,7 @@ func (s *Sim) admitAs(now des.Time, attempt, forceTree, user int) {
 		}
 		s.arm(&st.clientTO, now+s.clientCfg.Timeout, st.onClientTO, &s.timers.ClientTimeout)
 	}
-	s.enterNode(now, st, tree.Root, 0, req.Conn, "")
+	s.enterNode(now, st, tree.Root, 0, req.Conn, nil)
 }
 
 // onTimeout fires when a request exceeds the client's patience: the client
@@ -153,7 +157,7 @@ func (s *Sim) onTimeout(now des.Time, req *job.Request) {
 	s.timers.ClientTimeout.Fired++
 	req.TimedOut = true
 	user, userTree := -1, -1
-	if st, ok := s.inflight[req.ID]; ok {
+	if st := req.Owner.(*reqState); st.slot >= 0 {
 		st.timedOut = true
 		user, userTree = st.user, st.treeIdx
 	}
@@ -184,32 +188,81 @@ func (s *Sim) onTimeout(now des.Time, req *job.Request) {
 	}
 }
 
+// treeNode is one topology node resolved for dispatch: what the per-job
+// path needs of it, found once by name (SetTopology, then resolve).
+type treeNode struct {
+	dep      *Deployment
+	pr       *policyRuntime    // the edge's resilience policy; nil: a bare edge
+	lat      *stats.P2Quantile // observed edge latency when pr hedges by quantile
+	pools    *nodePools        // nil: the node holds no connection pool
+	brancher Brancher
+	pathID   int // -1: sample the deployment's path choice
+}
+
+// nodePools lists the pools a node acquires, in order, and releases.
+type nodePools struct{ acquire, release []*connPool }
+
+func (s *Sim) nodeOf(st *reqState, nodeID int) *treeNode { return &s.nodes[st.treeIdx][nodeID] }
+
+// resolve completes the node table — policies and branchers may be set
+// after the topology — numbers the pools' tokens densely after the
+// client's connections, and finds the client's region.
+func (s *Sim) resolve() error {
+	s.clientRegion = s.geo.RegionIndex(s.clientCfg.Region)
+	if s.geo != nil && s.clientCfg.Region != "" && s.clientRegion < 0 {
+		return fmt.Errorf("sim: client region %q is not a declared region (have %q)", s.clientCfg.Region, s.geo.Names())
+	}
+	conn := s.clientCfg.Connections
+	for _, p := range s.pools {
+		p.base = conn
+		conn += p.spec.Capacity
+	}
+	for ti := range s.topo.Trees {
+		t := &s.topo.Trees[ti]
+		for ni := range t.Nodes {
+			n, nd := &t.Nodes[ni], &s.nodes[ti][ni]
+			nd.pr, nd.lat = s.edgePolicy(ti, ni, n.Service), nil
+			if nd.pr != nil && nd.pr.pol.Hedge != nil && nd.pr.pol.Hedge.Quantile > 0 {
+				nd.lat = stats.NewP2Quantile(nd.pr.pol.Hedge.Quantile)
+			}
+			if nd.brancher = s.branchers[n.BranchKey]; n.BranchKey != "" && nd.brancher == nil {
+				return fmt.Errorf("sim: tree %q node %d uses unregistered brancher %q", t.Name, ni, n.BranchKey)
+			}
+		}
+	}
+	return nil
+}
+
 // enterNode walks the request into tree node nodeID: acquire the node's
 // declared connection tokens from the k-th on (0 on entry), in order, then
 // dispatch the node's job with the connection id implied by the last
 // acquired token (or the inherited one when no pools are listed). An
 // exhausted pool parks the walk as a waiter; the releasing request's
-// releaseConn resumes it at k+1. srcMachine names the machine the
-// triggering job ran on ("" for the external client).
-func (s *Sim) enterNode(now des.Time, st *reqState, nodeID, k, conn int, srcMachine string) {
-	names := st.tree.Nodes[nodeID].AcquireConn
-	for ; k < len(names); k++ {
-		p := s.pools[names[k]]
+// releaseConn resumes it at k+1. src is the machine the triggering job ran
+// on (nil for the external client).
+func (s *Sim) enterNode(now des.Time, st *reqState, nodeID, k, conn int, src *cluster.Machine) {
+	var pools []*connPool
+	if np := s.nodeOf(st, nodeID).pools; np != nil {
+		pools = np.acquire
+	}
+	for ; k < len(pools); k++ {
+		p := pools[k]
 		if p.free.len() == 0 {
-			p.waiters.push(waiter{req: st.req, id: st.req.ID, st: st, nodeID: nodeID, k: k, srcMachine: srcMachine})
+			p.waiters.push(waiter{req: st.req, id: st.req.ID, st: st, nodeID: nodeID, k: k, src: src})
 			return
 		}
-		conn = p.free.pop()
-		st.tokens = append(st.tokens, heldToken{pool: p, token: conn})
+		token := p.free.pop()
+		st.tokens = append(st.tokens, heldToken{pool: p, token: token})
+		conn = p.base + token
 	}
-	s.dispatchNode(now, st.req, st, nodeID, conn, srcMachine)
+	s.dispatchNode(now, st.req, st, nodeID, conn, src)
 }
 
 // dispatchNode creates the node's job and routes it to an instance. Edges
 // guarded by a resilience policy go through the attempt machinery; bare
 // edges take the direct path, where a rejected or dropped job fails the
 // whole request.
-func (s *Sim) dispatchNode(now des.Time, req *job.Request, st *reqState, nodeID, conn int, srcMachine string) {
+func (s *Sim) dispatchNode(now des.Time, req *job.Request, st *reqState, nodeID, conn int, src *cluster.Machine) {
 	if req.Failed || req.Done() {
 		return // the request ended while this dispatch waited (conn pool)
 	}
@@ -220,30 +273,27 @@ func (s *Sim) dispatchNode(now des.Time, req *job.Request, st *reqState, nodeID,
 		s.failRequest(now, req, job.OutcomeDeadline)
 		return
 	}
-	node := &st.tree.Nodes[nodeID]
-	if s.hasPolicies {
-		if pr := s.edgePolicy(st.treeIdx, nodeID, node.Service); pr != nil {
-			s.startAttempt(now, s.newCall(req, st, nodeID, conn, srcMachine, 0, pr))
-			return
-		}
+	nd := s.nodeOf(st, nodeID)
+	if nd.pr != nil {
+		s.startAttempt(now, s.newCall(req, st, nodeID, conn, src, 0, nd.pr))
+		return
 	}
-	dep := s.deployments[node.Service]
-	in := s.pickFor(node, dep, srcMachine)
+	in := s.pickFor(&st.tree.Nodes[nodeID], nd.dep, src)
 	if in == nil {
 		// Every instance is down and no policy protects the edge.
-		s.countError(node.Service, job.OutcomeDropped)
+		s.countError(s.depErrs(nd.dep), job.OutcomeDropped)
 		s.failRequest(now, req, job.OutcomeDropped)
 		return
 	}
-	j := s.newNodeJob(req, st, nodeID, conn, dep)
-	s.deliver(now, j, in, srcMachine)
+	j := s.newNodeJob(req, nodeID, conn, nd)
+	s.deliver(now, j, nd.dep, in, src)
 }
 
 // pickFor selects the node's instance: its pinned one (nil when killed),
 // the nearest-healthy-region choice under a geography (ordered outward
 // from the hop's source region by WAN latency), or a healthy instance by
 // the deployment's region-blind balancing policy.
-func (s *Sim) pickFor(node *graph.Node, dep *Deployment, srcMachine string) *service.Instance {
+func (s *Sim) pickFor(node *graph.Node, dep *Deployment, src *cluster.Machine) *service.Instance {
 	if node.Instance >= 0 {
 		in := dep.Instances[node.Instance]
 		if in.Down() {
@@ -252,7 +302,7 @@ func (s *Sim) pickFor(node *graph.Node, dep *Deployment, srcMachine string) *ser
 		return in
 	}
 	if s.geo != nil {
-		if in := s.pickRegional(dep, s.sourceRegion(srcMachine)); in != nil {
+		if in := s.pickRegional(dep, s.sourceRegion(src)); in != nil {
 			return in
 		}
 	}
@@ -260,15 +310,15 @@ func (s *Sim) pickFor(node *graph.Node, dep *Deployment, srcMachine string) *ser
 }
 
 // newNodeJob creates the job for one visit to tree node nodeID.
-func (s *Sim) newNodeJob(req *job.Request, st *reqState, nodeID, conn int, dep *Deployment) *job.Job {
+func (s *Sim) newNodeJob(req *job.Request, nodeID, conn int, nd *treeNode) *job.Job {
 	j := s.fac.NewJob(req)
 	j.NodeID = nodeID
 	j.Conn = conn
-	pid := s.pathIDs[st.treeIdx][nodeID][0]
+	pid := nd.pathID
 	if pid < 0 {
 		// Unpinned: sample the service's execution-path state machine
 		// when it has one, else take the first path.
-		if dep.pathChoice != nil {
+		if dep := nd.dep; dep.pathChoice != nil {
 			pid = dep.pathChoice.Pick(dep.pathRNG)
 		} else {
 			pid = 0
@@ -278,47 +328,41 @@ func (s *Sim) newNodeJob(req *job.Request, st *reqState, nodeID, conn int, dep *
 	return j
 }
 
-// deliver routes j to instance in, paying any injected edge latency first,
-// passing through the destination machine's network service when the hop
-// crosses machines. The client is external (srcMachine == ""), so requests
-// entering the cluster always pay the receive pass; same-machine hops use
-// loopback and skip it.
-func (s *Sim) deliver(now des.Time, j *job.Job, in *service.Instance, srcMachine string) {
-	var delay des.Time
-	if len(s.edgeExtra) > 0 {
-		delay += s.edgeExtra[in.BP.Name]
-	}
-	if s.fluid != nil {
+// deliver routes j to instance in of dep, paying any injected edge latency
+// first, passing through the destination machine's network service when
+// the hop crosses machines. The client is external (src == nil), so
+// requests entering the cluster always pay the receive pass; same-machine
+// hops use loopback and skip it.
+func (s *Sim) deliver(now des.Time, j *job.Job, dep *Deployment, in *service.Instance, src *cluster.Machine) {
+	delay := dep.extra
+	if s.fluid != nil && dep.fluid >= 0 {
 		// Hybrid fidelity: the sampled request queues behind the fluid
 		// tier's background traffic — an equilibrium wait draw at the
 		// total (foreground + background) offered load.
-		if idx, ok := s.fluidIdx[in.BP.Name]; ok {
-			delay += s.fluid.WaitFor(idx)
-		}
+		delay += s.fluid.WaitFor(dep.fluid)
 	}
 	if delay > 0 {
-		s.eng.Post(now+delay, s.newHop(j, in, srcMachine, false).resume)
+		s.eng.Post(now+delay, s.newHop(j, dep, in, src, false).resume)
 		return
 	}
-	s.deliverDirect(now, j, in, srcMachine)
+	s.deliverDirect(now, j, dep, in, src)
 }
 
-func (s *Sim) deliverDirect(now des.Time, j *job.Job, in *service.Instance, srcMachine string) {
-	dest := in.Alloc.Machine.Name
-	j.Machine = dest
-	j.Instance = in.Name
+func (s *Sim) deliverDirect(now des.Time, j *job.Job, dep *Deployment, in *service.Instance, src *cluster.Machine) {
+	dest := in.Alloc.Machine
+	j.Server = in
 	// The network fault model sits at the cross-machine boundary: client
-	// hops (srcMachine == "") enter the cluster from outside and are not
+	// hops (src == nil) enter the cluster from outside and are not
 	// subject to intra-cluster partitions or gray links.
-	if s.net != nil && srcMachine != "" && srcMachine != dest {
-		if !s.net.Reachable(srcMachine, dest) {
+	if s.net != nil && src != nil && src != dest {
+		if !s.net.Reachable(src.ID, dest.ID) {
 			s.net.CountUnreachable()
 			s.failAttemptOrRequest(now, j, job.OutcomeUnreachable)
 			return
 		}
 		if s.net.Lossy() {
-			if l, ok := s.net.LinkFor(srcMachine, dest); ok {
-				r := s.linkStream(srcMachine, dest)
+			if l, ok := s.net.LinkFor(src.ID, dest.ID); ok {
+				r := s.linkStream(src, dest)
 				if l.Drop > 0 && r.Float64() < l.Drop {
 					s.net.CountDrop()
 					s.failAttemptOrRequest(now, j, job.OutcomeUnreachable)
@@ -326,7 +370,7 @@ func (s *Sim) deliverDirect(now des.Time, j *job.Job, in *service.Instance, srcM
 				}
 				if l.Dup > 0 && r.Float64() < l.Dup {
 					s.net.CountDup()
-					s.deliverDuplicate(now, j, in, dest)
+					s.deliverDuplicate(now, j, in)
 				}
 			}
 		}
@@ -337,28 +381,28 @@ func (s *Sim) deliverDirect(now des.Time, j *job.Job, in *service.Instance, srcM
 	// size — no RNG draw — so installing a geography never perturbs the
 	// existing random streams.
 	if s.geo != nil {
-		if wan := s.wanHop(now, j, in, srcMachine); wan > 0 {
-			s.eng.Post(now+wan, s.newHop(j, in, srcMachine, true).resume)
+		if wan := s.wanHop(now, j, dep, in, src); wan > 0 {
+			s.eng.Post(now+wan, s.newHop(j, dep, in, src, true).resume)
 			return
 		}
 	}
-	s.admitDelivery(now, j, in, srcMachine)
+	s.admitDelivery(now, j, in, src)
 }
 
 // admitDelivery lands a routed job at its destination machine: directly
 // into the instance, or through the machine's interrupt-processing
 // service when the hop crossed machines and a network model is
 // configured.
-func (s *Sim) admitDelivery(now des.Time, j *job.Job, in *service.Instance, srcMachine string) {
-	dest := in.Alloc.Machine.Name
-	if s.netCfg == nil || srcMachine == dest {
+func (s *Sim) admitDelivery(now des.Time, j *job.Job, in *service.Instance, src *cluster.Machine) {
+	dest := in.Alloc.Machine
+	if s.netCfg == nil || src == dest {
 		if res := in.Admit(now, j); res != service.Admitted {
 			s.deliveryRejected(now, j, res)
 		}
 		return
 	}
 	s.park(j, in)
-	if res := s.netproc[dest].Admit(now, j); res != service.Admitted {
+	if res := s.netproc[dest.ID].Admit(now, j); res != service.Admitted {
 		s.unpark(j)
 		s.deliveryRejected(now, j, res)
 	}
@@ -385,13 +429,12 @@ func (s *Sim) unpark(j *job.Job) (dest *service.Instance) {
 // it while handleJobDone's abandoned-attempt path discards the result.
 // A duplicate the receiver refuses (down, full) simply evaporates; the
 // original attempt's fate is tracked separately.
-func (s *Sim) deliverDuplicate(now des.Time, j *job.Job, in *service.Instance, dest string) {
+func (s *Sim) deliverDuplicate(now des.Time, j *job.Job, in *service.Instance) {
 	dup := s.fac.Clone(j)
 	dup.NodeID = j.NodeID
 	dup.PathID = j.PathID
 	dup.Outcome = job.OutcomeCanceled
-	dup.Machine = dest
-	dup.Instance = in.Name
+	dup.Server = in
 	if s.netCfg == nil {
 		if in.Admit(now, dup) != service.Admitted {
 			s.releaseJob(dup)
@@ -399,7 +442,7 @@ func (s *Sim) deliverDuplicate(now des.Time, j *job.Job, in *service.Instance, d
 		return
 	}
 	s.park(dup, in)
-	if s.netproc[dest].Admit(now, dup) != service.Admitted {
+	if s.netproc[in.Alloc.Machine.ID].Admit(now, dup) != service.Admitted {
 		s.unpark(dup)
 		s.releaseJob(dup)
 	}
@@ -441,16 +484,16 @@ func (s *Sim) routeJobDone(now des.Time, j *job.Job) (forwarded bool) {
 	} else if j.Outcome == job.OutcomeOK {
 		// Bare-edge success: report the instance's residence time (a
 		// settled call already reported its edge-level latency).
-		s.observeCall(now, j.Instance, true, now-j.Enqueued)
+		s.observeCall(now, servedBy(j), true, now-j.Enqueued)
 	}
-	st, ok := s.inflight[j.Req.ID]
-	if !ok {
+	st := j.Req.Owner.(*reqState)
+	if st.slot < 0 {
 		if j.Req.Failed || j.Req.Done() {
 			return false // stray server-side work of a request that already ended
 		}
-		panic(fmt.Sprintf("sim: job %d of unknown request %d completed", j.ID, j.Req.ID))
+		panic(fmt.Sprintf("sim: job %d of request %d, not in flight, completed", j.ID, j.Req.ID))
 	}
-	node := &st.tree.Nodes[j.NodeID]
+	node, nd := &st.tree.Nodes[j.NodeID], s.nodeOf(st, j.NodeID)
 	if s.OnJobDone != nil {
 		s.OnJobDone(now, j, node.Service)
 	}
@@ -460,32 +503,30 @@ func (s *Sim) routeJobDone(now des.Time, j *job.Job) (forwarded bool) {
 		// (and the conn tokens stay with the live attempt's completion).
 		return false
 	}
-	for _, name := range node.ReleaseConn {
-		s.releaseConn(now, s.pools[name], st)
+	if np := nd.pools; np != nil {
+		for _, p := range np.release {
+			s.releaseConn(now, p, st)
+		}
 	}
+	src := servedBy(j).Alloc.Machine
 	if len(node.Children) == 0 {
 		// Leaf: optionally pay the client-transmit network pass.
 		if s.netCfg != nil && s.netCfg.ClientTx {
 			s.park(j, nil)
-			s.netproc[j.Machine].Enqueue(now, j)
+			s.netproc[src.ID].Enqueue(now, j)
 			return true
 		}
 		s.finalizeLeaf(now, j)
 		return false
 	}
 	children := node.Children
-	if node.BranchKey != "" {
-		fn, ok := s.branchers[node.BranchKey]
-		if !ok {
-			panic(fmt.Sprintf("sim: node %d uses unregistered brancher %q", j.NodeID, node.BranchKey))
-		}
-		selected := fn(now, j.Req, node.Children)
-		children = s.applyBranch(j, st, node, selected)
+	if nd.brancher != nil {
+		children = s.applyBranch(j, st, node, nd.brancher(now, j.Req, node.Children))
 	}
 	for _, child := range children {
 		st.arrived[child]++
 		if st.arrived[child] == st.tree.FanIn(child) {
-			s.enterNode(now, st, child, 0, j.Conn, j.Machine)
+			s.enterNode(now, st, child, 0, j.Conn, src)
 		}
 	}
 	return false
@@ -523,10 +564,10 @@ func (s *Sim) finalizeLeaf(now des.Time, j *job.Job) {
 		return
 	}
 	req.Finish = now
-	st := s.inflight[req.ID]
+	st := req.Owner.(*reqState)
+	s.dropLive(st)
 	s.cleanupRequest(st)
 	user := st.user
-	delete(s.inflight, req.ID)
 	if !req.TimedOut {
 		// Delivered throughput and latency samples belong to the window
 		// the completion lands in (warmup-backlog work the system serves
@@ -775,7 +816,7 @@ func (s *Sim) report(horizon des.Time) *Report {
 	// Only measured arrivals count: a request still draining from the
 	// warmup window belongs to no bucket, and a timed-out request already
 	// landed in Timeouts even though its abandoned work is still running.
-	for _, st := range s.inflight {
+	for _, st := range s.live {
 		if st.at >= s.warmupEnd && !st.timedOut {
 			r.InFlight++
 		}
@@ -784,15 +825,15 @@ func (s *Sim) report(horizon des.Time) *Report {
 		r.OfferedQPS = float64(s.arrivals) / window
 		r.GoodputQPS = float64(s.windowDone) / window
 	}
-	for _, dep := range s.Deployments() {
+	for _, dep := range s.deps {
 		for _, in := range dep.Instances {
 			r.Instances = append(r.Instances, instanceReport(in, dep.Name, horizon))
 			r.CanceledWork += in.CanceledEarly()
 			r.WastedWork += in.WastedWork()
 		}
 	}
-	for _, m := range s.cluster.Machines() {
-		if np, ok := s.netproc[m.Name]; ok {
+	for _, np := range s.netproc {
+		if np != nil {
 			r.Instances = append(r.Instances, instanceReport(np, "netproc", horizon))
 		}
 	}
@@ -821,7 +862,7 @@ func instanceReport(in *service.Instance, svc string, horizon des.Time) Instance
 // instance work. Conservation tests run the engine dry and then assert
 // nothing leaked.
 func (s *Sim) VerifyDrained() error {
-	if n := len(s.inflight); n > 0 {
+	if n := len(s.live); n > 0 {
 		return fmt.Errorf("sim: %d requests still in flight after drain", n)
 	}
 	if s.pendingN > 0 {
@@ -830,12 +871,12 @@ func (s *Sim) VerifyDrained() error {
 	if s.liveCalls > 0 {
 		return fmt.Errorf("sim: %d live call attempts after drain", s.liveCalls)
 	}
-	for _, name := range s.poolOrder {
-		if n := s.pools[name].inUse(); n > 0 {
-			return fmt.Errorf("sim: pool %q still holds %d tokens after drain", name, n)
+	for _, p := range s.pools {
+		if n := p.inUse(); n > 0 {
+			return fmt.Errorf("sim: pool %q still holds %d tokens after drain", p.spec.Name, n)
 		}
 	}
-	for _, dep := range s.Deployments() {
+	for _, dep := range s.deps {
 		for _, in := range dep.Instances {
 			if got := in.InFlight(); got != 0 {
 				return fmt.Errorf("sim: instance %s reports %d in flight after drain", in.Name, got)
@@ -848,11 +889,12 @@ func (s *Sim) VerifyDrained() error {
 	return nil
 }
 
-// connPool is the runtime of a graph.ConnPool: a FIFO token dispenser whose
-// tokens double as connection IDs. The tokens a request holds live on its
-// reqState.
+// connPool is the runtime of a graph.ConnPool: a FIFO dispenser of tokens
+// 0..Capacity-1, token t doubling as connection ID base+t. The tokens a
+// request holds live on its reqState.
 type connPool struct {
 	spec    graph.ConnPool
+	base    int
 	free    fifo[int]
 	waiters fifo[waiter]
 }
@@ -869,17 +911,17 @@ type heldToken struct {
 // once, its waiters are skipped lazily), so it carries the request's ID to
 // tell when req and st have been recycled.
 type waiter struct {
-	req        *job.Request
-	id         job.ID
-	st         *reqState
-	nodeID, k  int
-	srcMachine string
+	req       *job.Request
+	id        job.ID
+	st        *reqState
+	nodeID, k int
+	src       *cluster.Machine
 }
 
-func newConnPool(spec graph.ConnPool, base int) *connPool {
+func newConnPool(spec graph.ConnPool) *connPool {
 	p := &connPool{spec: spec}
 	for i := 0; i < spec.Capacity; i++ {
-		p.free.push(base + i)
+		p.free.push(i)
 	}
 	return p
 }
@@ -899,10 +941,23 @@ func (s *Sim) releaseConn(now des.Time, p *connPool, st *reqState) {
 			continue // abandoned while queued; the token passes it by
 		}
 		w.st.tokens = append(w.st.tokens, heldToken{pool: p, token: token})
-		s.enterNode(now, w.st, w.nodeID, w.k+1, token, w.srcMachine)
+		s.enterNode(now, w.st, w.nodeID, w.k+1, p.base+token, w.src)
 		return
 	}
 	p.free.push(token)
+}
+
+// trackLive puts st on the in-flight list; dropLive takes it off.
+func (s *Sim) trackLive(st *reqState) {
+	st.slot = int32(len(s.live))
+	s.live = append(s.live, st)
+}
+
+func (s *Sim) dropLive(st *reqState) {
+	last := s.live[len(s.live)-1]
+	s.live[st.slot], last.slot = last, st.slot
+	s.live = s.live[:len(s.live)-1]
+	st.slot = -1
 }
 
 // lastToken indexes the most recently granted token of p, or -1.

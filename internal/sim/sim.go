@@ -131,10 +131,10 @@ type Sim struct {
 	fac     *job.Factory
 
 	deployments map[string]*Deployment
-	depOrder    []string
+	deps        []*Deployment // in creation order
 
 	netCfg  *NetworkConfig
-	netproc map[string]*service.Instance // machine name → interrupt service
+	netproc []*service.Instance // interrupt service by machine ID
 
 	// Network fault model: nil until a partition, gray link, or domain
 	// is installed — the perfect-fabric hot path pays one nil check.
@@ -146,7 +146,7 @@ type Sim struct {
 	// heal independently — the same cut counting the partition model
 	// uses, one level up.
 	crashedM map[string]int
-	linkRNG  map[[2]string]*rng.Source
+	linkRNG  netfault.Pairs[*rng.Source]
 
 	// Geography: nil until SetGeography installs the region layer. Every
 	// region doubles as a failure domain (geoDomains) so correlated
@@ -156,22 +156,26 @@ type Sim struct {
 
 	topo       *graph.Topology
 	treeChoice *dist.Choice
-	pathIDs    [][][]int // tree → node → resolved PathID (len 1 slice for alignment)
-	pools      map[string]*connPool
-	poolOrder  []string // deterministic iteration for releaseAll
+	// nodes resolves every topology node for dispatch (nodes[tree][node]):
+	// its deployment, path and pools at SetTopology, the rest when Run
+	// starts, after every Set* call. pools holds the connection pools in
+	// declaration order.
+	nodes [][]treeNode
+	pools []*connPool
 
-	clientCfg  ClientConfig
-	clientRNG  *rng.Source
-	closedLoop *workload.ClosedLoop
-	sessions   *workload.Sessions
+	clientCfg ClientConfig
+	// clientRegion is the index of the client's home region (-1: none),
+	// resolved when Run starts.
+	clientRegion int
+	clientRNG    *rng.Source
+	closedLoop   *workload.ClosedLoop
+	sessions     *workload.Sessions
 
 	// Hybrid fidelity: nil until SetHybrid opts in. fluid is the live
-	// background tier (built at Run, nil at sample rate 1.0); fluidIdx
-	// maps service names to wait-injection indices; sampleRNG drives the
-	// per-user Bernoulli sampling split.
+	// background tier (built at Run, nil at sample rate 1.0); sampleRNG
+	// drives the per-user Bernoulli sampling split.
 	hybridCfg *hybrid.Config
 	fluid     *hybrid.State
-	fluidIdx  map[string]int
 	sampleRNG *rng.Source
 	hybridMon hybrid.GaugeRegistry
 	// fgPattern is the run-local thinned arrival pattern the open-loop
@@ -183,7 +187,8 @@ type Sim struct {
 	// write through it, so the generator sees rate changes live.
 	loadScale *float64
 
-	inflight map[job.ID]*reqState
+	// live lists the requests in flight; each knows its place (reqState.slot).
+	live []*reqState
 	// pendingN counts jobs in transit through a network service (their
 	// destination parked in Job.Dest), for VerifyDrained.
 	pendingN int
@@ -202,9 +207,7 @@ type Sim struct {
 	// Resilience: per-edge policies and their live attempt state.
 	svcPolicies  map[string]*policyRuntime
 	nodePolicies map[[2]int]*policyRuntime // [tree,node] override
-	hasPolicies  bool
-	liveCalls    int                 // attempts issued and not yet settled, failed or abandoned
-	edgeExtra    map[string]des.Time // injected per-delivery latency by service
+	liveCalls    int                       // attempts issued and not yet settled, failed or abandoned
 	retryRNG     *rng.Source
 
 	// Overload control: deadline budgets, hedged requests, adaptive
@@ -216,7 +219,6 @@ type Sim struct {
 	isCanceledFn  func(j *job.Job) bool // installed on every instance while overloadOn
 	hedgeRNG      *rng.Source
 	budgetRNG     *rng.Source
-	edgeLat       map[[2]int]*stats.P2Quantile // [tree,node] → latency estimator
 
 	// Measurement. completions/timeouts/shedReqs/droppedReqs are the
 	// arrival-gated outcome buckets of the conservation identity;
@@ -260,17 +262,24 @@ type Sim struct {
 	// the instance that served (or lost) it: ok with the observed latency
 	// on success, !ok for timeouts, sheds, and drops. Control planes feed
 	// their per-instance success-rate and latency-quantile trackers from
-	// it; nil costs the dispatch path nothing.
-	OnCallResult func(now des.Time, instance string, ok bool, latency des.Time)
+	// it, finding the tracker by the instance's Tier and Index; nil costs
+	// the dispatch path nothing.
+	OnCallResult func(now des.Time, in *service.Instance, ok bool, latency des.Time)
 }
 
 // observeCall reports one call outcome to an attached observer. Calls
-// that never reached an instance (no healthy instance to pick) carry no
-// instance name and are skipped — there is nobody to blame.
-func (s *Sim) observeCall(now des.Time, instance string, ok bool, latency des.Time) {
-	if s.OnCallResult != nil && instance != "" {
-		s.OnCallResult(now, instance, ok, latency)
+// that never reached an instance (no healthy instance to pick) carry none
+// and are skipped — there is nobody to blame.
+func (s *Sim) observeCall(now des.Time, in *service.Instance, ok bool, latency des.Time) {
+	if s.OnCallResult != nil && in != nil {
+		s.OnCallResult(now, in, ok, latency)
 	}
+}
+
+// servedBy is the instance j was routed to; nil before routing.
+func servedBy(j *job.Job) *service.Instance {
+	in, _ := j.Server.(*service.Instance)
+	return in
 }
 
 // reqState tracks one request's progress through its tree. It is reachable
@@ -284,6 +293,7 @@ type reqState struct {
 	tokens   []heldToken // connection-pool tokens held, in grant order
 	at       des.Time    // the request's arrival instant
 	user     int         // owning session user (-1: no session client)
+	slot     int32       // index in Sim.live while in flight, else -1
 	timedOut bool        // client gave up; server work continues abandoned
 
 	// What cleanupRequest disarms: the request's own two timers (callbacks
@@ -309,17 +319,12 @@ func New(opts Options) *Sim {
 		cluster:      cluster.NewCluster(),
 		fac:          job.NewFactory(),
 		deployments:  make(map[string]*Deployment),
-		netproc:      make(map[string]*service.Instance),
-		pools:        make(map[string]*connPool),
-		inflight:     make(map[job.ID]*reqState),
 		branchers:    make(map[string]Brancher),
 		svcPolicies:  make(map[string]*policyRuntime),
 		nodePolicies: make(map[[2]int]*policyRuntime),
-		edgeExtra:    make(map[string]des.Time),
 		retryRNG:     split.Stream("retry"),
 		hedgeRNG:     split.Stream("hedge"),
 		budgetRNG:    split.Stream("budget"),
-		edgeLat:      make(map[[2]int]*stats.P2Quantile),
 		errCounts:    make(map[string]*ErrorCounts),
 		windowEnd:    des.MaxTime,
 		latency:      stats.NewLatencyHist(),
@@ -364,8 +369,8 @@ func (s *Sim) Net() *netfault.State { return s.net }
 // machine dst under the network fault model. With no network faults
 // installed everything is reachable. Control planes consult this for
 // their own vantage-restricted view of the cluster.
-func (s *Sim) Reachable(src, dst string) bool {
-	return s.net == nil || s.net.Reachable(src, dst)
+func (s *Sim) Reachable(src, dst *cluster.Machine) bool {
+	return s.net == nil || s.net.Reachable(src.ID, dst.ID)
 }
 
 // SetDomains declares the cluster's failure domains (racks, power
@@ -436,17 +441,12 @@ func (s *Sim) DomainUp(name string) float64 {
 // derived lazily — identical (seed, src, dst) always yield an identical
 // stream regardless of derivation order, so determinism survives any
 // link-creation order.
-func (s *Sim) linkStream(src, dst string) *rng.Source {
-	key := [2]string{src, dst}
-	r := s.linkRNG[key]
-	if r == nil {
-		r = s.split.Stream("netfault", "link", src, dst)
-		if s.linkRNG == nil {
-			s.linkRNG = make(map[[2]string]*rng.Source)
-		}
-		s.linkRNG[key] = r
+func (s *Sim) linkStream(src, dst *cluster.Machine) *rng.Source {
+	r := s.linkRNG.Ref(src.ID, dst.ID)
+	if *r == nil {
+		*r = s.split.Stream("netfault", "link", src.Name, dst.Name)
 	}
-	return r
+	return *r
 }
 
 // instanceState is a deployment's control-plane view of one instance.
@@ -488,22 +488,29 @@ type Deployment struct {
 	healthy []*service.Instance
 	state   []instanceState
 
-	// Geography bookkeeping (only populated when the sim has one).
-	// instRegion aligns with Instances; byRegion holds the per-region
-	// healthy subsets rebuilt alongside healthy; regionRR keeps one
-	// round-robin cursor per region so regional picks rotate like global
-	// ones.
-	instRegion []string
-	byRegion   map[string][]*service.Instance
-	regionRR   map[string]*int
+	// Geography bookkeeping (only populated when the sim has one), by
+	// region index. instRegion aligns with Instances (-1: no region);
+	// byRegion holds the per-region healthy subsets rebuilt alongside
+	// healthy; regionRR keeps one round-robin cursor per region so
+	// regional picks rotate like global ones.
+	geo        *cluster.Geography
+	instRegion []int
+	byRegion   [][]*service.Instance
+	regionRR   []int
 
 	// Geo-replication (SetReplication): reads served outside the
 	// request's origin region are stale until the serving region has
-	// been promoted for at least lag.
+	// been promoted (promoted[r] >= 0) for at least lag.
 	replicated  bool
 	lag         des.Time
 	replRegions []string
-	promoted    map[string]des.Time
+	promoted    []des.Time
+
+	// Injected edge latency, the fluid tier's index for this service (-1:
+	// not modeled), and the error counters (nil until the first error).
+	extra des.Time
+	fluid int
+	errs  *ErrorCounts
 }
 
 // refreshHealthy rebuilds the load-balancing set after a membership
@@ -518,7 +525,7 @@ func (d *Deployment) refreshHealthy() {
 		if d.state[i] == instActive && !in.Down() {
 			d.healthy = append(d.healthy, in)
 			if d.byRegion != nil {
-				if r := d.instRegion[i]; r != "" {
+				if r := d.instRegion[i]; r >= 0 {
 					d.byRegion[r] = append(d.byRegion[r], in)
 				}
 			}
@@ -532,10 +539,8 @@ func (d *Deployment) refreshHealthy() {
 func (d *Deployment) Healthy() []*service.Instance { return d.healthy }
 
 func (d *Deployment) indexOf(in *service.Instance) int {
-	for i, have := range d.Instances {
-		if have == in {
-			return i
-		}
+	if i := in.Index; i >= 0 && i < len(d.Instances) && d.Instances[i] == in {
+		return i
 	}
 	return -1
 }
@@ -617,7 +622,8 @@ func (s *Sim) Deploy(bp *service.Blueprint, lb Policy, placements ...Placement) 
 	}
 	dep := &Deployment{
 		Name: bp.Name, BP: bp, LB: lb,
-		rng: s.split.Stream("lb", bp.Name),
+		rng:   s.split.Stream("lb", bp.Name),
+		fluid: -1,
 	}
 	tier := s.TierNumber(bp.Name)
 	if len(bp.PathProbs) > 0 {
@@ -638,30 +644,35 @@ func (s *Sim) Deploy(bp *service.Blueprint, lb Policy, placements ...Placement) 
 		if err != nil {
 			return nil, err
 		}
-		in.Tier = tier
+		in.Tier, in.Index = tier, i
 		in.OnJobDone = s.handleJobDone
 		in.OnJobDrop = s.handleJobDrop
 		in.OnJobShed = s.handleJobShed
 		dep.Instances = append(dep.Instances, in)
 		dep.state = append(dep.state, instActive)
-		s.noteInstanceRegion(dep, p.Machine)
+		s.noteInstanceRegion(dep, m)
 	}
 	dep.refreshHealthy()
 	s.deployments[bp.Name] = dep
-	s.depOrder = append(s.depOrder, bp.Name)
+	s.deps = append(s.deps, dep)
 	return dep, nil
 }
 
 // noteInstanceRegion records the home region of the instance just
-// appended to dep and keeps the region index allocated. No-op without a
-// geography.
-func (s *Sim) noteInstanceRegion(dep *Deployment, machine string) {
+// appended to dep and keeps the per-region sets allocated. No-op without
+// a geography.
+func (s *Sim) noteInstanceRegion(dep *Deployment, m *cluster.Machine) {
 	if s.geo == nil {
 		return
 	}
-	dep.instRegion = append(dep.instRegion, s.geo.RegionOf(machine))
+	dep.instRegion = append(dep.instRegion, m.Region)
 	if dep.byRegion == nil {
-		dep.byRegion = make(map[string][]*service.Instance)
+		n := len(s.geo.Regions())
+		dep.geo, dep.byRegion, dep.regionRR = s.geo, make([][]*service.Instance, n), make([]int, n)
+		dep.promoted = make([]des.Time, n)
+		for r := range dep.promoted {
+			dep.promoted[r] = -1 // unpromoted
+		}
 	}
 }
 
@@ -692,7 +703,7 @@ func (s *Sim) AddReplica(svc, machine string, cores int) (*service.Instance, err
 	in.OnJobDrop = s.handleJobDrop
 	in.OnJobShed = s.handleJobShed
 	tmpl := dep.Instances[0]
-	in.Tier, in.MaxQueue = tmpl.Tier, tmpl.MaxQueue
+	in.Tier, in.Index, in.MaxQueue = tmpl.Tier, len(dep.Instances), tmpl.MaxQueue
 	if d := tmpl.Discipline(); d.Kind != fault.QueueFIFO {
 		if err := in.SetDiscipline(d); err != nil {
 			m.Release(alloc)
@@ -704,7 +715,7 @@ func (s *Sim) AddReplica(svc, machine string, cores int) (*service.Instance, err
 	}
 	dep.Instances = append(dep.Instances, in)
 	dep.state = append(dep.state, instActive)
-	s.noteInstanceRegion(dep, machine)
+	s.noteInstanceRegion(dep, m)
 	dep.refreshHealthy()
 	return in, nil
 }
@@ -755,13 +766,7 @@ func (s *Sim) Deployment(name string) (*Deployment, bool) {
 }
 
 // Deployments lists deployments in creation order.
-func (s *Sim) Deployments() []*Deployment {
-	out := make([]*Deployment, 0, len(s.depOrder))
-	for _, n := range s.depOrder {
-		out = append(out, s.deployments[n])
-	}
-	return out
-}
+func (s *Sim) Deployments() []*Deployment { return append([]*Deployment(nil), s.deps...) }
 
 // pickHealthy selects an instance from the maintained healthy set — up,
 // not ejected, not retired — according to the deployment's policy; nil
@@ -814,6 +819,7 @@ func (s *Sim) EnableNetwork(cfg NetworkConfig) error {
 		return fmt.Errorf("sim: network needs a message cost model")
 	}
 	s.netCfg = &cfg
+	s.netproc = make([]*service.Instance, s.cluster.Size())
 	for _, m := range s.cluster.Machines() {
 		bp := &service.Blueprint{
 			Name: "netproc",
@@ -836,7 +842,7 @@ func (s *Sim) EnableNetwork(cfg NetworkConfig) error {
 		in.Tier = s.TierNumber("netproc")
 		in.OnJobDone = s.handleNetDone
 		in.OnJobDrop = s.handleNetDrop
-		s.netproc[m.Name] = in
+		s.netproc[m.ID] = in
 	}
 	return nil
 }
@@ -847,10 +853,20 @@ func (s *Sim) SetTopology(topo *graph.Topology) error {
 	if err := topo.Validate(); err != nil {
 		return err
 	}
-	s.pathIDs = make([][][]int, len(topo.Trees))
+	pools := make([]*connPool, len(topo.Pools))
+	for i, spec := range topo.Pools {
+		pools[i] = newConnPool(spec)
+	}
+	poolsOf := func(names []string) (ps []*connPool) {
+		for _, name := range names {
+			ps = append(ps, pools[slices.IndexFunc(topo.Pools, func(p graph.ConnPool) bool { return p.Name == name })])
+		}
+		return ps
+	}
+	nodes := make([][]treeNode, len(topo.Trees))
 	for ti := range topo.Trees {
 		t := &topo.Trees[ti]
-		s.pathIDs[ti] = make([][]int, len(t.Nodes))
+		nodes[ti] = make([]treeNode, len(t.Nodes))
 		for ni := range t.Nodes {
 			n := &t.Nodes[ni]
 			dep, ok := s.deployments[n.Service]
@@ -864,28 +880,19 @@ func (s *Sim) SetTopology(topo *graph.Topology) error {
 			}
 			pid := -1 // default: sample from PathProbs, else path 0
 			if n.ServicePath != "" {
-				pid = -1
-				for i, p := range dep.BP.Paths {
-					if p.Name == n.ServicePath {
-						pid = i
-						break
-					}
-				}
+				pid = slices.IndexFunc(dep.BP.Paths, func(p service.PathSpec) bool { return p.Name == n.ServicePath })
 				if pid < 0 {
 					return fmt.Errorf("sim: tree %q node %d references unknown path %q of %s",
 						t.Name, ni, n.ServicePath, n.Service)
 				}
 			}
-			s.pathIDs[ti][ni] = []int{pid}
+			nodes[ti][ni] = treeNode{dep: dep, pathID: pid}
+			if len(n.AcquireConn)+len(n.ReleaseConn) > 0 {
+				nodes[ti][ni].pools = &nodePools{poolsOf(n.AcquireConn), poolsOf(n.ReleaseConn)}
+			}
 		}
 	}
-	connBase := 1 << 20 // keep pool conn ids distinct from client conn ids
-	for _, p := range topo.Pools {
-		s.pools[p.Name] = newConnPool(p, connBase)
-		s.poolOrder = append(s.poolOrder, p.Name)
-		connBase += p.Capacity
-	}
-	s.topo = topo
+	s.topo, s.nodes, s.pools = topo, nodes, pools
 	s.treeChoice = dist.NewChoice(topo.Weights())
 	return nil
 }

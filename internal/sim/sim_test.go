@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"uqsim/internal/cluster"
 	"uqsim/internal/des"
@@ -97,7 +98,7 @@ func TestTopologyPathResolution(t *testing.T) {
 	if err := s.SetTopology(topo); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.pathIDs[0][0][0]; got != 1 {
+	if got := s.nodes[0][0].pathID; got != 1 {
 		t.Fatalf("resolved path %d, want 1", got)
 	}
 	// Unknown path name.
@@ -555,5 +556,21 @@ func TestOnRequestDoneObserver(t *testing.T) {
 	}
 	if lastLatency != 100*des.Microsecond {
 		t.Fatalf("observed latency %v", lastLatency)
+	}
+}
+
+// TestRecordSizes pins the per-job and per-request records at or below
+// their sizes once names stopped being looked up per job: Job traded its
+// machine and instance name strings for one handle to the serving instance
+// (168 → 152 bytes on 64-bit), and reqState keeps its in-flight slot in the
+// padding beside timedOut (200 bytes, unchanged). Every byte added to either
+// is paid per job or per request, and jobs are the largest share of the
+// fan-out workload's bytes per request.
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(job.Job{}); n > 152 {
+		t.Errorf("job.Job is %d bytes, pinned at 152", n)
+	}
+	if n := unsafe.Sizeof(reqState{}); n > 200 {
+		t.Errorf("reqState is %d bytes, pinned at 200", n)
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"uqsim/internal/des"
 	"uqsim/internal/job"
+	"uqsim/internal/service"
 )
 
 // Span is one path-node execution within a request.
@@ -111,7 +112,7 @@ func New(sampleEvery int) *Tracer {
 
 // OnJobDone records one service-local job completion. Wire to
 // sim.Sim.OnJobDone.
-func (t *Tracer) OnJobDone(now des.Time, j *job.Job, service string) {
+func (t *Tracer) OnJobDone(now des.Time, j *job.Job, svc string) {
 	if j.Req == nil {
 		return
 	}
@@ -120,9 +121,13 @@ func (t *Tracer) OnJobDone(now des.Time, j *job.Job, service string) {
 	if !ok {
 		return // unsampled
 	}
+	var instance string
+	if in, ok := j.Server.(*service.Instance); ok {
+		instance = in.Name
+	}
 	r.Spans = append(r.Spans, Span{
-		Service:  service,
-		Instance: j.Instance,
+		Service:  svc,
+		Instance: instance,
 		Node:     j.NodeID,
 		Outcome:  j.Outcome,
 		Arrived:  j.Arrived,

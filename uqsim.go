@@ -162,6 +162,11 @@ type StageSpec = service.StageSpec
 // PathSpec is one execution path through stages.
 type PathSpec = service.PathSpec
 
+// Instance is one deployed copy of a service. Sim.OnCallResult reports each
+// call against the instance that served or lost it, not its name:
+// func(now Time, in *Instance, ok bool, latency Time); in.Name names it.
+type Instance = service.Instance
+
 // Execution models.
 const (
 	ModelSimple   = service.ModelSimple
@@ -480,7 +485,9 @@ type ControlStats = control.Stats
 
 // AttachControl wires a control plane into a simulation before Run. With
 // ejection configured, also set s.OnCallResult = plane.ObserveCall (or use
-// WireEjection). Call plane.Stop() after Run to quiesce the control loops.
+// WireEjection); ObserveCall takes the serving *Instance and finds its
+// tracker by the instance's Tier and Index. Call plane.Stop() after Run to
+// quiesce the control loops.
 func AttachControl(s *Sim, cfg ControlConfig) (*ControlPlane, error) {
 	return control.Attach(s, cfg)
 }
