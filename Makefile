@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race bench bench-engine bench-throughput bench-hybrid bench-test bench-e2e bench-compare examples examples-run fuzz chaos farm
+.PHONY: check vet staticcheck build test race bench bench-engine bench-throughput bench-test bench-e2e bench-compare examples examples-run fuzz chaos farm
 
 # check is the tier-1 gate: everything CI runs.
 check: vet staticcheck build test race
@@ -50,14 +50,6 @@ bench-engine:
 # connections on nine instances).
 bench-throughput:
 	$(GO) test -run xxx -bench 'BenchmarkSimulatorEventRate' -benchtime 5x -benchmem .
-
-# bench-hybrid records the hybrid-fidelity speedup benchmark: simulated
-# users per wall-clock second at full DES vs. sampled fidelity.
-# BENCH_hybrid.json is the committed trajectory point. ns/op is the mean
-# of five iterations and the custom metrics are the fifth's: a single
-# iteration runs cold, and the sampled run lasts only a few milliseconds.
-bench-hybrid:
-	$(GO) test -run xxx -bench 'BenchmarkHybridFidelity' -benchtime 5x . | tee BENCH_hybrid.json
 
 # bench-test vets and tests the repository benchmark itself. bench/ is a
 # module of its own, so `go test ./...` (tier-1) does not reach it.

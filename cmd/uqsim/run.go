@@ -54,7 +54,9 @@ func report(f *flags) error {
 	if err != nil {
 		return err
 	}
-	for _, t := range experiments.ReportTables(rep) {
+	eng := experiments.NewTable("Event engine (simulator-side; not in the fingerprint)", "heap_peak", "lane_peak")
+	eng.Add(fmt.Sprintf("%d", rep.HeapPeak), fmt.Sprintf("%d", rep.LanePeak))
+	for _, t := range append(experiments.ReportTables(rep), eng) {
 		if f.csv {
 			fmt.Print(t.CSV())
 			fmt.Println()

@@ -102,13 +102,7 @@ func ErlangC(k int, a float64) float64 {
 // MMkMeanWait is the mean queueing delay (excluding service) of M/M/k:
 // C(k,a) / (kµ − λ). Saturated or degenerate inputs return the
 // SaturatedWait sentinel (test with IsSaturated).
-func MMkMeanWait(lambda, mu float64, k int) float64 {
-	if MMkSaturated(lambda, mu, k) {
-		return SaturatedWait
-	}
-	a := lambda / mu
-	return ErlangC(k, a) / (float64(k)*mu - lambda)
-}
+func MMkMeanWait(lambda, mu float64, k int) float64 { return MMkAt(lambda, mu, k).MeanWaitS }
 
 // MMkWaitDist describes the full M/M/k waiting-time distribution at one
 // operating point: an arrival waits with probability pWait (Erlang-C)
@@ -133,14 +127,7 @@ func MMkWaitDist(lambda, mu float64, k int) (pWait, condRate float64) {
 // out. A non-positive timeout with retries configured would mean every
 // attempt fails instantly; it also returns 1.
 func MMkTimeoutProb(lambda, mu float64, k int, timeoutS float64) float64 {
-	if timeoutS <= 0 {
-		return 1
-	}
-	pWait, condRate := MMkWaitDist(lambda, mu, k)
-	if condRate <= 0 {
-		return pWait // saturated: (1, 0) — the whole mass times out
-	}
-	return pWait * math.Exp(-condRate*timeoutS)
+	return MMkAt(lambda, mu, k).TimeoutProb(timeoutS)
 }
 
 // RetryAttempts is the expected number of attempts of an RPC edge that
@@ -162,19 +149,13 @@ func RetryAttempts(p float64, retries int) float64 {
 // MMkMeanQueueLength is the mean number of waiting (not in-service) jobs
 // of M/M/k by Little's law: Lq = λ·Wq. Saturated inputs return the
 // sentinel.
-func MMkMeanQueueLength(lambda, mu float64, k int) float64 {
-	w := MMkMeanWait(lambda, mu, k)
-	if IsSaturated(w) {
-		return SaturatedWait
-	}
-	return lambda * w
-}
+func MMkMeanQueueLength(lambda, mu float64, k int) float64 { return MMkAt(lambda, mu, k).QueueLen }
 
-// MMkEquilibrium evaluates the stationary M/M/k state at one (λ, µ, k)
-// operating point — the per-epoch computation of a piecewise-constant
-// fluid trajectory, where the arrival envelope and the server count are
-// frozen within an epoch and re-evaluated at its boundary. Saturated
-// epochs report Saturated true with the mean-value fields pinned to the
+// MMkPoint is the stationary M/M/k state at one (λ, µ, k) operating
+// point — the per-epoch computation of a piecewise-constant fluid
+// trajectory, where the arrival envelope and the server count are frozen
+// within an epoch and re-evaluated at its boundary. Saturated epochs
+// report Saturated true with the mean-value fields pinned to the
 // sentinel; Rho is always the raw λ/(kµ) (it exceeds 1 past saturation,
 // which is exactly what a bottleneck-shedding law wants to see).
 type MMkPoint struct {
@@ -186,9 +167,36 @@ type MMkPoint struct {
 	Saturated bool
 }
 
-// MMkAt computes the equilibrium point; see MMkPoint. The O(k) Erlang-C
-// recurrence runs once and every other field derives from it.
-func MMkAt(lambda, mu float64, k int) MMkPoint {
+// TimeoutProb is the point's P(W > timeoutS); see MMkTimeoutProb.
+func (p MMkPoint) TimeoutProb(timeoutS float64) float64 {
+	if timeoutS <= 0 {
+		return 1
+	}
+	if p.CondRate <= 0 {
+		return p.PWait // saturated: (1, 0) — the whole mass times out
+	}
+	return p.PWait * math.Exp(-p.CondRate*timeoutS)
+}
+
+// MMk is an M/M/k kernel that memoizes Erlang-C recurrences for one run on
+// their exact inputs (k, bits of a = λ/µ), so it answers bit for bit; a key
+// whose probe window is full evicts its home slot. A nil *MMk remembers nothing.
+type MMk struct {
+	Recurrences int // O(k) recurrences At actually ran
+	memo        [1 << mmkBits]struct {
+		k    int // 0: empty, since k <= 0 never recurs
+		a, c float64
+	}
+}
+
+const mmkBits, mmkProbe = 8, 8 // 256 slots; a key searches 8 from its home
+
+// MMkAt computes the equilibrium point without a memo; see MMkPoint.
+func MMkAt(lambda, mu float64, k int) MMkPoint { return (*MMk)(nil).At(lambda, mu, k) }
+
+// At computes the equilibrium point; see MMkPoint. Every field derives
+// from one Erlang-C probability, which the memo may already hold.
+func (m *MMk) At(lambda, mu float64, k int) MMkPoint {
 	p := MMkPoint{Saturated: MMkSaturated(lambda, mu, k)}
 	if mu > 0 && k > 0 {
 		p.Rho = lambda / (float64(k) * mu)
@@ -201,20 +209,40 @@ func MMkAt(lambda, mu float64, k int) MMkPoint {
 		p.QueueLen = SaturatedWait
 		return p
 	}
-	p.PWait = ErlangC(k, lambda/mu)
+	p.PWait = m.erlangC(k, lambda/mu)
 	p.CondRate = float64(k)*mu - lambda
 	p.MeanWaitS = p.PWait / p.CondRate
 	p.QueueLen = lambda * p.MeanWaitS
 	return p
 }
 
+// erlangC is ErlangC, answered from the memo whenever it would recur.
+func (m *MMk) erlangC(k int, a float64) float64 {
+	if m == nil || a <= 0 || k <= 0 || a >= float64(k) {
+		return ErlangC(k, a)
+	}
+	bits := math.Float64bits(a)
+	home := int((bits ^ uint64(k)) * 0x9e3779b97f4a7c15 >> (64 - mmkBits))
+	e := &m.memo[home]
+	for i := 0; i < mmkProbe; i++ {
+		if s := &m.memo[(home+i)%len(m.memo)]; s.k == k && math.Float64bits(s.a) == bits {
+			return s.c
+		} else if s.k == 0 {
+			e = s
+			break
+		}
+	}
+	m.Recurrences++
+	e.k, e.a, e.c = k, a, ErlangC(k, a)
+	return e.c
+}
+
 // MMkMeanSojourn is the mean time in system of M/M/k.
 func MMkMeanSojourn(lambda, mu float64, k int) float64 {
-	w := MMkMeanWait(lambda, mu, k)
-	if math.IsInf(w, 1) {
-		return w
+	if p := MMkAt(lambda, mu, k); !p.Saturated {
+		return p.MeanWaitS + 1/mu
 	}
-	return w + 1/mu
+	return SaturatedWait
 }
 
 // MD1MeanWait is the mean queueing delay of M/D/1 (deterministic service

@@ -59,6 +59,8 @@ type Engine struct {
 	processed uint64
 	armed     uint64
 	canceled  uint64
+	heapPeak  int // most events on the heap at once
+	lanePeak  int // most same-instant posts pending at once
 }
 
 // New returns an engine with the clock at zero and an empty event queue.
@@ -80,6 +82,12 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // scheduled, and Canceled how many of them were removed before firing.
 func (e *Engine) Armed() uint64    { return e.armed }
 func (e *Engine) Canceled() uint64 { return e.canceled }
+
+// HeapPeak reports the most events the heap has held at once, and
+// LanePeak the most same-instant posts pending at once: the depths the
+// queue's costs grow with.
+func (e *Engine) HeapPeak() int { return e.heapPeak }
+func (e *Engine) LanePeak() int { return e.lanePeak }
 
 // Arm schedules fn to run at absolute virtual time t on ev, an event the
 // caller owns and that is not queued (see Event); arming a queued event

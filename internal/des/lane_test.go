@@ -141,3 +141,31 @@ func TestLaneReusesItsBackingArray(t *testing.T) {
 		t.Fatalf("lane capacity %d for two pending entries", c)
 	}
 }
+
+// TestEnginePeaks pins the heap and lane high-water marks of a script:
+// four events on the heap before a cancel, three same-instant posts from
+// one callback, and later, smaller depths that must not lower either mark.
+func TestEnginePeaks(t *testing.T) {
+	e := New()
+	nop := func(Time) {}
+	e.Post(1, func(Time) {
+		for i := 0; i < 3; i++ {
+			e.Post(1, nop)
+		}
+		e.Post(10, nop)
+	})
+	e.Post(2, func(Time) {
+		e.Post(2, nop)
+		e.Post(2, nop)
+	})
+	e.Post(3, nop)
+	e.Cancel(e.At(4, nop))
+	if e.HeapPeak() != 4 || e.LanePeak() != 0 {
+		t.Fatalf("before the run: heap peak %d, lane peak %d, want 4 and 0", e.HeapPeak(), e.LanePeak())
+	}
+	e.Run()
+	if e.HeapPeak() != 4 || e.LanePeak() != 3 || e.Processed() != 9 {
+		t.Fatalf("heap peak %d, lane peak %d, processed %d, want 4, 3, 9",
+			e.HeapPeak(), e.LanePeak(), e.Processed())
+	}
+}

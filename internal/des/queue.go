@@ -35,6 +35,9 @@ func (e *Engine) postNow(fn Callback) {
 	}
 	e.lane = append(e.lane, laneEntry{e.seq, fn})
 	e.seq++
+	if n := len(e.lane) - e.head; n > e.lanePeak {
+		e.lanePeak = n
+	}
 }
 
 // laneFirst reports whether the lane head is the earliest pending event.
@@ -59,6 +62,9 @@ func (e *Engine) push(ev *Event, t Time, fn Callback) {
 	ev.at, ev.seq, ev.fn = t, e.seq, fn
 	e.seq++
 	e.h = append(e.h, ev)
+	if len(e.h) > e.heapPeak {
+		e.heapPeak = len(e.h)
+	}
 	e.up(len(e.h)-1, ev)
 }
 

@@ -78,14 +78,16 @@ func ReportTables(rep *sim.Report) []*Table {
 		out = append(out, hy)
 		w := rep.FluidWork
 		work := NewTable("Fluid tier work (simulator-side; not in the fingerprint)",
-			"epochs", "event_resolves", "memo_hits", "fp_solves", "fp_iterations", "fp_capped")
+			"epochs", "event_resolves", "memo_hits", "fp_solves", "fp_iterations", "fp_capped",
+			"mmk_recurrences")
 		work.Add(
 			fmt.Sprintf("%d", w.Epochs),
 			fmt.Sprintf("%d", w.Resolves),
 			fmt.Sprintf("%d", w.MemoHits),
 			fmt.Sprintf("%d", w.Solves),
 			fmt.Sprintf("%d", w.Iterations),
-			fmt.Sprintf("%d", w.Capped))
+			fmt.Sprintf("%d", w.Capped),
+			fmt.Sprintf("%d", w.Recurrences))
 		out = append(out, work)
 	}
 

@@ -181,13 +181,18 @@ type point struct {
 // a run cost the host, not what the simulated system did, so the
 // determinism fingerprint leaves it out.
 type Counters struct {
-	Epochs     int // epoch-grid evaluations, including the one at Start
-	Resolves   int // event-driven re-solves at fault and heal boundaries
-	MemoHits   int // solves skipped because their exact inputs were unchanged
-	Solves     int // damped fixed points run
-	Iterations int // steps those fixed points took in total
-	Capped     int // fixed points that ran to their cap without converging
+	Epochs      int           // epoch-grid evaluations, including the one at Start
+	Resolves    int           // event-driven re-solves at fault and heal boundaries
+	MemoHits    int           // solves skipped because their exact inputs were unchanged
+	Solves      int           // damped fixed points run
+	Iterations  int           // steps those fixed points took in total
+	Capped      int           // fixed points that ran to their cap without converging
+	Recurrences int           // O(k) recurrences the run's M/M/k kernel ran; Snapshot fills it in
+	mmk         *analytic.MMk // the kernel solves evaluate through; nil: no memo
 }
+
+// At evaluates one M/M/k operating point through the run's kernel.
+func (c *Counters) At(lambda, mu float64, k int) analytic.MMkPoint { return c.mmk.At(lambda, mu, k) }
 
 // FixedPoint iterates x ← step(x) at most maxIter times and returns the
 // last iterate. step must be a pure function of x, so an iterate that
@@ -302,6 +307,7 @@ func New(cfg Config, services []Service, rate func(t des.Time) float64, split *r
 	for i, s := range services {
 		st.streams[i] = split.Stream("hybrid", s.Name)
 	}
+	st.work.mmk = new(analytic.MMk) // the run's kernel: every point the tier and the closed solver evaluate
 	return st, nil
 }
 
@@ -401,7 +407,7 @@ func (st *State) eval(t des.Time) {
 		if m := &st.memo[i]; !m.valid || m.lambda != lambda || m.k != k || m.mu != mu {
 			amp := st.work.amplification(lambda, mu, k, s.Policy)
 			st.points[i] = point{
-				MMkPoint: analytic.MMkAt(lambda*amp, mu, k),
+				MMkPoint: st.work.At(lambda*amp, mu, k),
 				capped:   des.FromNanos(st.cfg.MaxWaitFactor * s.MeanServiceS * 1e9),
 				amp:      amp,
 			}
@@ -463,7 +469,7 @@ func (c *Counters) amplification(lambda, mu float64, k int, pol *Policy) float64
 		return 1
 	}
 	return c.FixedPoint(1, 32, func(amp float64) float64 {
-		pTO := analytic.MMkTimeoutProb(lambda*amp, mu, k, pol.TimeoutS)
+		pTO := c.At(lambda*amp, mu, k).TimeoutProb(pol.TimeoutS)
 		next := analytic.RetryAttempts(pTO, pol.MaxRetries)
 		if pol.BreakerThreshold > 0 && pTO >= pol.BreakerThreshold {
 			next = 1
@@ -609,13 +615,15 @@ func (st *State) Snapshot() Snapshot {
 	if shed > arr-unreach {
 		shed = arr - unreach
 	}
+	work := st.work
+	work.Recurrences, work.mmk = st.work.mmk.Recurrences, nil
 	return Snapshot{
 		Arrivals:        arr,
 		Completions:     arr - shed - unreach,
 		Shed:            shed,
 		Unreachable:     unreach,
 		SaturatedEpochs: st.satEpochs,
-		Work:            st.work,
+		Work:            work,
 	}
 }
 

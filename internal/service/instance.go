@@ -416,9 +416,12 @@ func (in *Instance) pumpSimple(now des.Time) {
 	if in.down {
 		return
 	}
-	progress := true
-	for progress {
-		progress = false
+	// A pass leaves each stage with an empty queue or nothing free to run
+	// it on, and within a pump cores and pool units are only taken and only
+	// Enqueue adds to a queue: another pass can start something only if a
+	// vetting callback (IsCanceled, OnJobShed) enqueued here meanwhile.
+	for again := true; again; {
+		progress, arrived := false, in.arrived
 		for s := len(in.BP.Stages) - 1; s >= 0; s-- {
 			st := &in.BP.Stages[s]
 			q := in.queues[s]
@@ -451,6 +454,7 @@ func (in *Instance) pumpSimple(now des.Time) {
 				progress = true
 			}
 		}
+		again = progress && in.arrived != arrived
 	}
 }
 

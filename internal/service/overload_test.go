@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"uqsim/internal/des"
+	"uqsim/internal/dist"
 	"uqsim/internal/fault"
 	"uqsim/internal/job"
+	"uqsim/internal/queueing"
 )
 
 const msNs = float64(des.Millisecond)
@@ -183,5 +185,39 @@ func TestDisciplineThreadedModel(t *testing.T) {
 	if in.CanceledEarly() != 1 || in.Completed() != 2 || in.InFlight() != 0 {
 		t.Fatalf("canceled=%d completed=%d inflight=%d",
 			in.CanceledEarly(), in.Completed(), in.InFlight())
+	}
+}
+
+// TestVettingEnqueueStartsInSamePump: a vetting callback that enqueues
+// into its own instance mid-pass, onto a stage the pass already scanned,
+// must see the new job start in that same pump, not in a later one.
+func TestVettingEnqueueStartsInSamePump(t *testing.T) {
+	h := newHarness(t, 2)
+	bp := &Blueprint{
+		Name: "svc",
+		Stages: []StageSpec{
+			{Name: "a", Queue: queueing.KindSingle, PerJob: dist.NewDeterministic(100)},
+			{Name: "b", Queue: queueing.KindSingle, PerJob: dist.NewDeterministic(100)},
+		},
+		Paths: []PathSpec{{Name: "a", Stages: []int{0}}, {Name: "b", Stages: []int{1}}},
+	}
+	in := h.deploy(t, bp, 2)
+	first, second := h.newJob(), h.newJob()
+	second.PathID = 1
+	in.IsCanceled = func(j *job.Job) bool {
+		if j == first {
+			in.Enqueue(h.eng.Now(), second) // stage b, scanned before stage a
+		}
+		return false
+	}
+	h.eng.At(10, func(now des.Time) { in.Enqueue(now, first) })
+	h.eng.Step() // the enqueue, which posts the pump
+	h.eng.Step() // the pump
+	if first.Started != 10 || second.Started != 10 {
+		t.Fatalf("after one pump: first started %v, second %v, want both 10", first.Started, second.Started)
+	}
+	h.eng.Run()
+	if len(h.done) != 2 || second.Finished != 110 {
+		t.Fatalf("done %d, second finished %v, want 2 and 110", len(h.done), second.Finished)
 	}
 }

@@ -372,10 +372,10 @@ func meanServiceSeconds(bp *service.Blueprint, meanKB float64) (float64, error) 
 // population fixed point over the full service chain, n users cycling
 // through think time Z and every service's queue, λ = n / (Z + Σ
 // visits·(E[S] + Wq)). The rate never exceeds the bottleneck capacity.
-// A solve costs O(iterations × total cores) via ErlangC and the envelope
-// is piecewise-constant, so the last solve is memoized on its exact
-// inputs: the population and every service's live core count and speed
-// (both of which faults can change).
+// Its steps evaluate through the run's M/M/k kernel, shared with the
+// tier's epochs, and the envelope is piecewise-constant, so the last solve
+// is memoized on its exact inputs: the population and every service's
+// live core count and speed (both of which faults can change).
 type closedRate struct {
 	thinkS float64
 	svcs   []hybrid.Service
@@ -459,7 +459,7 @@ func (c *closedRate) solve(n float64, work *hybrid.Counters) float64 {
 			if sv.Visits <= 0 {
 				continue
 			}
-			w := analytic.MMkMeanWait(lam*sv.Visits, 1/in.es, in.k)
+			w := work.At(lam*sv.Visits, 1/in.es, in.k).MeanWaitS
 			if analytic.IsSaturated(w) {
 				return clamp
 			}

@@ -196,7 +196,7 @@ func TestHybridFaultResolvesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBackgroundBooks(t, rep)
-	if want := (hybrid.Counters{Epochs: 21, Resolves: 9, MemoHits: 50}); rep.FluidWork != want {
+	if want := (hybrid.Counters{Epochs: 21, Resolves: 9, MemoHits: 50, Recurrences: 5}); rep.FluidWork != want {
 		t.Fatalf("fluid work %+v, want %+v", rep.FluidWork, want)
 	}
 }

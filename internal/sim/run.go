@@ -746,6 +746,10 @@ type Report struct {
 	// the fingerprint. A kind with Cancelled close to Armed is a guard that
 	// almost never fires.
 	Timers TimerWork
+	// HeapPeak and LanePeak are the event engine's high-water marks: the
+	// most events its heap held at once, and the most same-instant posts
+	// pending at once. Simulator-side, like FluidWork and Timers.
+	HeapPeak, LanePeak int
 }
 
 // TimerCounts counts the timers of one kind: Armed, then either Cancelled
@@ -781,6 +785,9 @@ func (s *Sim) report(horizon des.Time) *Report {
 		Latency: s.latency,
 		PerTier: make(map[string]*stats.LatencyHist, len(s.tiers)),
 		Timers:  s.timers,
+
+		HeapPeak: s.eng.HeapPeak(),
+		LanePeak: s.eng.LanePeak(),
 
 		SampleRate: 1,
 	}
