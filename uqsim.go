@@ -30,12 +30,9 @@
 package uqsim
 
 import (
-	"time"
-
 	"uqsim/internal/apps"
 	"uqsim/internal/cache"
 	"uqsim/internal/chaos"
-	"uqsim/internal/cli"
 	"uqsim/internal/cluster"
 	"uqsim/internal/config"
 	"uqsim/internal/control"
@@ -484,17 +481,13 @@ type AutoscaleConfig = control.AutoscaleConfig
 type ControlStats = control.Stats
 
 // AttachControl wires a control plane into a simulation before Run. With
-// ejection configured, also set s.OnCallResult = plane.ObserveCall (or use
-// WireEjection); ObserveCall takes the serving *Instance and finds its
-// tracker by the instance's Tier and Index. Call plane.Stop() after Run to
+// ejection configured, also set s.OnCallResult = plane.ObserveCall;
+// ObserveCall takes the serving *Instance and finds its tracker by the
+// instance's Tier and Index. Call plane.Stop() after Run to
 // quiesce the control loops.
 func AttachControl(s *Sim, cfg ControlConfig) (*ControlPlane, error) {
 	return control.Attach(s, cfg)
 }
-
-// WireEjection points the simulation's call-result hook at the plane's
-// ejection observer, replacing any previously installed hook.
-func WireEjection(s *Sim, p *ControlPlane) { s.OnCallResult = p.ObserveCall }
 
 // ---- power management ----
 
@@ -625,16 +618,3 @@ func MergeFarm(spoolDir string) (*FarmMerged, error) { return farm.Merge(spoolDi
 // committed or quarantined at most once, no conflicting or orphaned
 // journal entries.
 func AuditFarm(spoolDir string) (*FarmAuditReport, error) { return farm.Audit(spoolDir) }
-
-// ---- command-line plumbing ----
-
-// Watchdog stops the currently running simulation when a termination
-// signal arrives or a wall-clock budget runs out, so binaries flush
-// partial results instead of dying mid-write.
-type Watchdog = cli.Watchdog
-
-// StartWatchdog installs the signal handler and, when maxWall > 0, arms
-// the wall-clock limit. Call it before building any simulation.
-func StartWatchdog(maxWall time.Duration) *Watchdog {
-	return cli.StartWatchdog(maxWall)
-}
