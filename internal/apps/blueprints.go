@@ -231,10 +231,6 @@ func DefaultNetwork() sim.NetworkConfig {
 	}
 }
 
-// PaperMachine builds a machine matching the validation platform of Table
-// II: 2×10 physical cores and DVFS from 1.2 to 2.6 GHz.
-func PaperMachineSpec() (cores int, freq float64) { return 20, 2600 }
-
 // CollapsedSamplers extracts the stage cost samplers along one execution
 // path of a blueprint — the BigHouse-style single-stage collapse, where
 // every per-dispatch base cost (epoll) is charged in full to every request

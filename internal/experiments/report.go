@@ -94,16 +94,9 @@ func ReportTables(rep *sim.Report) []*Table {
 	if tw := rep.Timers; tw != (sim.TimerWork{}) {
 		timers := NewTable("Timers (simulator-side; not in the fingerprint)",
 			"kind", "armed", "cancelled", "fired")
-		for _, row := range []struct {
-			kind string
-			n    sim.TimerCounts
-		}{
-			{"attempt_timeout", tw.AttemptTimeout}, {"hedge_trigger", tw.HedgeTrigger},
-			{"client_timeout", tw.ClientTimeout}, {"deadline", tw.Deadline},
-			{"retry_backoff", tw.RetryBackoff},
-		} {
-			timers.Add(row.kind, fmt.Sprintf("%d", row.n.Armed),
-				fmt.Sprintf("%d", row.n.Cancelled), fmt.Sprintf("%d", row.n.Fired))
+		for k, n := range tw {
+			timers.Add(sim.TimerKind(k).String(), fmt.Sprintf("%d", n.Armed),
+				fmt.Sprintf("%d", n.Cancelled), fmt.Sprintf("%d", n.Fired))
 		}
 		out = append(out, timers)
 	}

@@ -158,16 +158,20 @@ func TestReportTablesTimers(t *testing.T) {
 	}
 	tables := ReportTables(rep)
 	timers := tables[3]
-	if !strings.HasPrefix(timers.Title, "Timers") || len(timers.Rows) != 5 {
-		t.Fatalf("table 3 is %q with %d rows, want the five timer kinds", timers.Title, len(timers.Rows))
-	}
 	tw := rep.Timers
-	if tw.ClientTimeout.Armed < rep.Arrivals || tw.AttemptTimeout.Fired == 0 || tw.RetryBackoff.Armed != rep.Retries {
+	if !strings.HasPrefix(timers.Title, "Timers") || len(timers.Rows) != len(tw) {
+		t.Fatalf("table 3 is %q with %d rows, want one per timer kind", timers.Title, len(timers.Rows))
+	}
+	if tw[sim.TimerClientTimeout].Armed < rep.Arrivals || tw[sim.TimerAttemptTimeout].Fired == 0 ||
+		tw[sim.TimerRetryBackoff].Armed != rep.Retries {
 		t.Fatalf("timer counts %+v do not match %d arrivals, %d retries", tw, rep.Arrivals, rep.Retries)
 	}
-	for _, n := range []sim.TimerCounts{tw.AttemptTimeout, tw.HedgeTrigger, tw.ClientTimeout, tw.Deadline, tw.RetryBackoff} {
+	for k, n := range tw {
+		if timers.Rows[k][0] != sim.TimerKind(k).String() {
+			t.Fatalf("timer row %d is %q, want %q", k, timers.Rows[k][0], sim.TimerKind(k))
+		}
 		if n.Cancelled+n.Fired > n.Armed {
-			t.Fatalf("timer counts %+v: cancelled + fired exceeds armed", n)
+			t.Fatalf("%s timer counts %+v: cancelled + fired exceeds armed", sim.TimerKind(k), n)
 		}
 	}
 }

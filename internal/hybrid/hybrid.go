@@ -45,7 +45,6 @@ import (
 	"uqsim/internal/analytic"
 	"uqsim/internal/des"
 	"uqsim/internal/rng"
-	"uqsim/internal/stats"
 )
 
 // Cause labels bucket lost background flow by the fault family that
@@ -69,14 +68,6 @@ const (
 	// CauseGrayLink: flow dropped probabilistically on lossy links.
 	CauseGrayLink = "gray_link"
 )
-
-// GaugeRegistry is the slice of internal/monitor's Monitor the fluid tier
-// uses to publish its series. Declared here (not imported) so sim can
-// depend on hybrid without dragging the monitor package into its import
-// graph.
-type GaugeRegistry interface {
-	WatchGauge(name string, fn func(now des.Time) float64) *stats.TimeSeries
-}
 
 // Config selects the fidelity split.
 type Config struct {
@@ -703,35 +694,4 @@ func roundCount(v float64) int64 {
 		return 1 << 62
 	}
 	return int64(math.Round(v))
-}
-
-// Attach registers background-tier gauges on the monitor so dashboards
-// can separate fluid load from sampled load: the offered background rate
-// and each service's equilibrium utilization and queue length.
-func (st *State) Attach(m GaugeRegistry) {
-	if !st.Active() {
-		return
-	}
-	m.WatchGauge("hybrid.bg_qps", func(des.Time) float64 {
-		return st.lastRate * (1 - st.cfg.SampleRate)
-	})
-	m.WatchGauge("hybrid.bg_unreach_frac", func(des.Time) float64 {
-		return st.lastUnreach
-	})
-	for i, s := range st.services {
-		idx := i
-		m.WatchGauge("hybrid.rho."+s.Name, func(des.Time) float64 {
-			return st.points[idx].Rho
-		})
-		m.WatchGauge("hybrid.amp."+s.Name, func(des.Time) float64 {
-			return st.points[idx].amp
-		})
-		m.WatchGauge("hybrid.qlen."+s.Name, func(des.Time) float64 {
-			q := st.points[idx].QueueLen
-			if analytic.IsSaturated(q) {
-				return -1 // sentinel: unbounded
-			}
-			return q
-		})
-	}
 }

@@ -226,36 +226,34 @@ type Job struct {
 }
 
 // Factory allocates request and job IDs and recycles the storage of freed
-// requests and jobs. IDs are never reused; storage is. The freelists hold
-// exactly what has been freed, so they are bounded by the peak number of
-// live objects.
+// jobs. IDs are never reused; storage is. The freelist holds exactly what
+// has been freed, so it is bounded by the peak number of live jobs. Request
+// storage belongs to the issuing layer, which recycles it through
+// InitRequest.
 type Factory struct {
 	nextReq  ID
 	nextJob  ID
-	freeReqs []*Request
 	freeJobs []*Job
 }
 
 // NewFactory returns an ID factory starting at 1 (0 is reserved "no id").
 func NewFactory() *Factory { return &Factory{nextReq: 1, nextJob: 1} }
 
-// NewRequest creates a request arriving at the given time. Every field of
-// recycled storage is overwritten; the per-tier storage is kept, cleared.
+// NewRequest creates a request arriving at the given time.
 func (f *Factory) NewRequest(arrival des.Time) *Request {
-	var r *Request
-	if n := len(f.freeReqs); n > 0 {
-		r = f.freeReqs[n-1]
-		f.freeReqs = f.freeReqs[:n-1]
-		tiers := r.tiers
-		clear(tiers)
-		*r = Request{tiers: tiers}
-	} else {
-		r = &Request{}
-	}
-	r.ID = f.nextReq
-	r.Arrival = arrival
-	f.nextReq++
+	r := new(Request)
+	f.InitRequest(r, arrival)
 	return r
+}
+
+// InitRequest readies r, fresh or recycled storage with no live jobs, as
+// the next request, arriving at the given time. Every field is overwritten
+// but Owner, which goes with the storage, and the per-tier storage, kept
+// cleared.
+func (f *Factory) InitRequest(r *Request, arrival des.Time) {
+	clear(r.tiers)
+	*r = Request{ID: f.nextReq, Arrival: arrival, Owner: r.Owner, tiers: r.tiers}
+	f.nextReq++
 }
 
 // NewJob creates a job belonging to req, overwriting every field of
@@ -296,10 +294,4 @@ func (f *Factory) FreeJob(j *Job) {
 		j.Req.jobs--
 	}
 	f.freeJobs = append(f.freeJobs, j)
-}
-
-// FreeRequest takes back a terminated request with no live jobs; its
-// storage is reused by a later NewRequest.
-func (f *Factory) FreeRequest(r *Request) {
-	f.freeReqs = append(f.freeReqs, r)
 }

@@ -111,9 +111,10 @@ func TestNewJobNilRequest(t *testing.T) {
 	}
 }
 
-// TestFactoryRecyclesCleanStorage: a freed job or request comes back from
-// the factory with a fresh ID and no trace of its previous life — whatever
-// was written to it, before or after the free.
+// TestFactoryRecyclesCleanStorage: a freed job, or request storage readied
+// again by InitRequest, comes back with a fresh ID and no trace of its
+// previous life — whatever was written to it, before or after the free —
+// but the request's Owner, which goes with the storage.
 func TestFactoryRecyclesCleanStorage(t *testing.T) {
 	f := NewFactory()
 	r := f.NewRequest(5)
@@ -126,7 +127,6 @@ func TestFactoryRecyclesCleanStorage(t *testing.T) {
 	if r.LiveJobs() != 0 {
 		t.Fatalf("live jobs after free = %d, want 0", r.LiveJobs())
 	}
-	f.FreeRequest(r)
 	tiers := r.tiers
 
 	// Dirty both while they sit on the freelists.
@@ -134,14 +134,12 @@ func TestFactoryRecyclesCleanStorage(t *testing.T) {
 	r.TimedOut, r.Failed, r.Outcome, r.Finish, r.Attempt = true, true, OutcomeDeadline, 9, 4
 	r.Owner, r.Deadline, r.LeavesRemaining = f, 11, 6
 
-	r2 := f.NewRequest(20)
-	if r2 != r {
-		t.Fatal("freed request storage should be reused")
-	}
+	r2 := r
+	f.InitRequest(r2, 20)
 	if _, ok := r2.TierLatency(1); ok {
 		t.Fatalf("recycled request carries tier latency %v", r2.tiers)
 	}
-	if want := (Request{ID: 2, Arrival: 20, tiers: tiers}); !reflect.DeepEqual(*r2, want) {
+	if want := (Request{ID: 2, Arrival: 20, Owner: f, tiers: tiers}); !reflect.DeepEqual(*r2, want) {
 		t.Fatalf("recycled request = %+v, want %+v", *r2, want)
 	}
 	r2.AddTierLatency(0, des.Microsecond)
@@ -157,7 +155,7 @@ func TestFactoryRecyclesCleanStorage(t *testing.T) {
 	if want := (Job{ID: 2, Req: r2, SizeKB: 1.5, Conn: 8}); *j2 != want {
 		t.Fatalf("recycled job = %+v, want %+v", *j2, want)
 	}
-	if f.NewJob(nil) == j || f.NewRequest(0) == r {
+	if f.NewJob(nil) == j {
 		t.Fatal("an empty freelist must allocate fresh storage")
 	}
 }

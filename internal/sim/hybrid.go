@@ -32,12 +32,6 @@ func (s *Sim) HybridConfig() *hybrid.Config { return s.hybridCfg }
 // overriding a hybrid config file).
 func (s *Sim) ClearHybrid() { s.hybridCfg = nil }
 
-// SetHybridMonitor attaches m's gauges to the fluid tier when the run
-// starts (background offered rate, per-service equilibrium rho and queue
-// length) so dashboards separate fluid load from sampled load. m is
-// typically an *internal/monitor.Monitor.
-func (s *Sim) SetHybridMonitor(m hybrid.GaugeRegistry) { s.hybridMon = m }
-
 // Fluid exposes the live fluid tier (nil before Run or at sample rate 1).
 func (s *Sim) Fluid() *hybrid.State { return s.fluid }
 
@@ -146,9 +140,8 @@ func (s *Sim) setupHybrid(warmupEnd des.Time) error {
 	} else {
 		base := s.clientCfg.Pattern
 		rate = func(t des.Time) float64 { return base.RateAt(t) }
-		// The thinned pattern is run-local: mutating the stored client
-		// config would compound the thinning (rate · sampleRate²) on a
-		// subsequent Run of the same Sim.
+		// The thinned pattern is run-local: the stored client config keeps
+		// the unthinned pattern, the total offered load rate reads.
 		s.fgPattern = &thinnedPattern{base: base, f: cfg.SampleRate}
 	}
 
@@ -158,9 +151,6 @@ func (s *Sim) setupHybrid(warmupEnd des.Time) error {
 	}
 	s.fluid = st
 	s.sampleRNG = s.split.Stream("hybrid", "sample")
-	if s.hybridMon != nil {
-		st.Attach(s.hybridMon)
-	}
 	st.Start(s.eng, 0, warmupEnd)
 	return nil
 }

@@ -70,9 +70,9 @@ func (s *Sim) installOverload() {
 // subtree short-circuits — the request is failed now, queued work is
 // cancelled (lazily, at dequeue), and pending timers leave the event heap
 // via O(log n) cancellation.
-func (s *Sim) onDeadline(now des.Time, req *job.Request) {
-	s.timers.Deadline.Fired++
-	s.failRequest(now, req, job.OutcomeDeadline)
+func (s *Sim) onDeadline(now des.Time, st *reqState) {
+	s.timers[TimerDeadline].Fired++
+	s.failRequest(now, st, job.OutcomeDeadline)
 }
 
 // cleanupRequest disarms a terminated request's timers, always: deadline,
@@ -80,17 +80,17 @@ func (s *Sim) onDeadline(now des.Time, req *job.Request) {
 // live attempts are abandoned with it; without, they run on and their
 // timeouts still observe the edge.
 func (s *Sim) cleanupRequest(st *reqState) {
-	s.disarm(&st.deadlineEv, &s.timers.Deadline)
-	s.disarm(&st.clientTO, &s.timers.ClientTimeout)
+	s.disarm(&st.deadlineEv, TimerDeadline)
+	s.disarm(&st.clientTO, TimerClientTimeout)
 	for i := len(st.calls) - 1; i >= 0; i-- {
 		// Releasing c moves an attempt already passed over into slot i.
 		switch c := st.calls[i]; {
 		case c.j == nil:
-			s.disarm(&c.timer, &s.timers.RetryBackoff)
+			s.disarm(&c.timer, TimerRetryBackoff)
 			s.releaseCall(c)
 		case s.overloadOn:
 			if c.op != nil {
-				s.disarm(&c.op.timer, &s.timers.HedgeTrigger)
+				s.disarm(&c.op.timer, TimerHedgeTrigger)
 			}
 			s.abandonCall(c)
 		}
@@ -131,7 +131,7 @@ func (s *Sim) maybeHedge(now des.Time, c *call, pinned bool, nInstances int) {
 		return
 	}
 	op := s.newHedgeOp(c)
-	s.arm(&op.timer, now+delay, op.onTimer, &s.timers.HedgeTrigger)
+	s.arm(&op.timer, now+delay, op.onTimer, TimerHedgeTrigger)
 }
 
 // hedgeDelay resolves the wait before the backup attempt: the edge's
@@ -160,9 +160,9 @@ func (s *Sim) hedgeDelay(est *stats.P2Quantile, h *fault.HedgeSpec) (des.Time, b
 // trigger is disarmed as soon as the primary settles or fails or its request
 // terminates, so the race it finds is undecided.
 func (s *Sim) onHedgeTimer(now des.Time, op *hedgeOp) {
-	s.timers.HedgeTrigger.Fired++
+	s.timers[TimerHedgeTrigger].Fired++
 	c := op.primary
-	req, st := c.req, c.st
+	st := c.st
 	nd := s.nodeOf(st, c.nodeID)
 	probe := false
 	if c.pr.brk != nil {
@@ -175,8 +175,8 @@ func (s *Sim) onHedgeTimer(now des.Time, op *hedgeOp) {
 	if in == nil {
 		return // no distinct healthy instance to race against
 	}
-	j := s.newNodeJob(req, c.nodeID, c.conn, nd)
-	h := s.newCall(req, st, c.nodeID, c.conn, c.src, c.attempt, c.pr)
+	j := s.newNodeJob(&st.Request, c.nodeID, c.conn, nd)
+	h := s.newCall(st, c.nodeID, c.conn, c.src, c.attempt, c.pr)
 	h.isHedge, h.op, op.hedge = true, op, h
 	s.issue(now, h, j, in, probe)
 	s.hedgesN++
@@ -211,7 +211,7 @@ func (s *Sim) settleHedge(now des.Time, winner *call) {
 	if op == nil {
 		return
 	}
-	s.disarm(&op.timer, &s.timers.HedgeTrigger)
+	s.disarm(&op.timer, TimerHedgeTrigger)
 	loser := op.hedge
 	if winner.isHedge {
 		s.hedgeWins++
@@ -226,7 +226,7 @@ func (s *Sim) settleHedge(now des.Time, winner *call) {
 // timeout is cancelled, its job marked canceled — discarded unserved at
 // dequeue, or counted as wasted work if already on a core.
 func (s *Sim) abandonCall(c *call) {
-	s.disarm(&c.timer, &s.timers.AttemptTimeout)
+	s.disarm(&c.timer, TimerAttemptTimeout)
 	if c.isProbe && c.pr.brk != nil {
 		// The half-open probe dies without an outcome; release the slot or
 		// the breaker refuses every future call.
@@ -255,7 +255,7 @@ func (s *Sim) failCall(now des.Time, c *call, out job.Outcome) {
 			s.releaseCall(c)
 			return
 		}
-		s.disarm(&op.timer, &s.timers.HedgeTrigger) // no backup is coming
+		s.disarm(&op.timer, TimerHedgeTrigger) // no backup is coming
 	}
 	s.retryOrFail(now, c, out)
 }

@@ -206,8 +206,8 @@ func TestHedgeRacesReach(t *testing.T) {
 			t.Fatal(err)
 		}
 		wins += rep.HedgeWins
-		expired += rep.Timers.Deadline.Fired
-		midBackoff += rep.Timers.RetryBackoff.Cancelled
+		expired += rep.Timers[TimerDeadline].Fired
+		midBackoff += rep.Timers[TimerRetryBackoff].Cancelled
 		for _, b := range s.Breakers() {
 			trips += b.Trips
 		}
@@ -270,7 +270,9 @@ func withRandomRetries(t *testing.T, s *Sim, seed int64) {
 // runRandom runs one randomized cell to its horizon, drains the engine and
 // returns the report fingerprint with the number of events fired, counting
 // in the dead timers a run without overload control no longer fires. The
-// drain must leave the report as Run returned it.
+// drain must leave the report as Run returned it, and, unless released
+// blocks are poisoned, every request block handed out back on the free list
+// exactly once.
 func runRandom(t *testing.T, seed int64, build func(*testing.T, int64) *Sim, with func(*testing.T, *Sim, int64), prep func(*Sim)) string {
 	t.Helper()
 	if build == nil {
@@ -283,6 +285,8 @@ func runRandom(t *testing.T, seed int64, build func(*testing.T, int64) *Sim, wit
 	if prep != nil {
 		prep(s)
 	}
+	blocks := make(map[*reqState]bool) // every block a request terminated in
+	s.OnRequestDone = func(_ des.Time, req *job.Request) { blocks[req.Owner.(*reqState)] = true }
 	rep, err := s.Run(0, 300*des.Millisecond)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -295,9 +299,20 @@ func runRandom(t *testing.T, seed int64, build func(*testing.T, int64) *Sim, wit
 	if after := reportFingerprint(rep); after != fp {
 		t.Fatalf("seed %d: the drain after Run changed the report\n at Run: %s\n drained: %s", seed, fp, after)
 	}
+	if !s.poisonReleased {
+		for _, st := range s.freeStates {
+			if !blocks[st] {
+				t.Fatalf("seed %d: request block %p is on the free list twice, or was never handed out", seed, st)
+			}
+			delete(blocks, st)
+		}
+		if len(blocks) > 0 {
+			t.Fatalf("seed %d: %d request blocks never came back to the free list", seed, len(blocks))
+		}
+	}
 	events := s.Engine().Processed()
 	if !s.overloadOn {
-		events += s.timers.ClientTimeout.Cancelled + s.timers.RetryBackoff.Cancelled
+		events += s.timers[TimerClientTimeout].Cancelled + s.timers[TimerRetryBackoff].Cancelled
 	}
 	return fmt.Sprintf("%s events=%d", fp, events)
 }
@@ -367,12 +382,12 @@ func TestLiveRequestTable(t *testing.T) {
 			}
 			awaited := 0
 			for i, st := range s.live {
-				if req := st.req; int(st.slot) != i || req.Failed || req.Done() || census[req.ID] != "" {
+				if req := &st.Request; int(st.slot) != i || req.Failed || req.Done() || census[req.ID] != "" {
 					t.Fatalf("%s seed %d: slot %d holds request %d (slot %d, failed %v, done %v, census %q)",
 						suite.name, seed, i, req.ID, st.slot, req.Failed, req.Done(), census[req.ID])
 				}
-				census[st.req.ID] = "live"
-				if !st.req.TimedOut {
+				census[st.ID] = "live"
+				if !st.TimedOut {
 					awaited++
 				}
 			}

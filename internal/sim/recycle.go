@@ -10,18 +10,18 @@ import (
 	"uqsim/internal/service"
 )
 
-// Jobs, requests with their state, attempt records, hedge races and delayed
-// deliveries are recycled, each released at the one point it dies:
+// Jobs, request blocks, attempt records, hedge races and delayed deliveries
+// are recycled, each released at the one point it dies:
 //
 //   - A job is owned by whoever will report its fate: the sim while it is
 //     being routed, an instance once admitted. It dies when that report
 //     arrives — completion (handleJobDone, handleNetDone), loss
 //     (failAttemptOrRequest, handleNetDrop), a refused duplicate, or a
 //     dequeue-time discard (isCanceledFn) — and releaseJob runs there.
-//   - A request, with its reqState, dies when it has terminated
-//     (finalizeLeaf, failRequest) and its last job has died, whichever comes
-//     later: stray work of timed-out, failed and out-raced attempts reads
-//     its request until it finishes.
+//   - A request block (reqState, the request embedded) dies when it has
+//     terminated (finalizeLeaf, failRequest) and its last job has died,
+//     whichever comes later: stray work of timed-out, failed and out-raced
+//     attempts reads its request until it finishes.
 //   - A timer's des.Event lives in the record it guards (reqState, call,
 //     hedgeOp), and a record is released only with its events out of the
 //     queue. One rule makes that hold: a request's timers are disarmed when
@@ -39,27 +39,28 @@ import (
 //     its delay runs out.
 //
 // Parked connection-pool waiters may outlive their request; each carries
-// the request's ID and stands down when the storage has moved on to
-// another ID.
+// the request's ID and stands down when its block has moved on to another
+// ID.
 
-// newReqState readies state for a freshly admitted request, reusing
+// newReqState readies a block for a freshly admitted request, reusing
 // recycled storage and its slices.
-func (s *Sim) newReqState(req *job.Request, tree *graph.Tree, treeIdx int, now des.Time, user int) *reqState {
+func (s *Sim) newReqState(tree *graph.Tree, now des.Time, user int) *reqState {
 	st := pop(&s.freeStates)
 	if st != nil {
-		*st = reqState{arrived: st.arrived, tokens: st.tokens[:0], calls: st.calls,
+		*st = reqState{Request: st.Request, arrived: st.arrived, tokens: st.tokens[:0], calls: st.calls,
 			onDeadline: st.onDeadline, onClientTO: st.onClientTO}
 	} else {
 		st = &reqState{}
+		st.Owner = st
 	}
-	st.req, st.tree, st.treeIdx, st.at, st.user = req, tree, treeIdx, now, user
+	s.fac.InitRequest(&st.Request, now)
+	st.tree, st.user = tree, user
 	if n := len(tree.Nodes); cap(st.arrived) >= n {
 		st.arrived = st.arrived[:n]
 		clear(st.arrived)
 	} else {
 		st.arrived = make([]int, n)
 	}
-	req.Owner = st
 	return st
 }
 
@@ -78,39 +79,35 @@ func (s *Sim) releaseJob(j *job.Job) {
 	}
 	s.fac.FreeJob(j)
 	if req != nil && req.LiveJobs() == 0 && (req.Failed || req.Done()) {
-		s.releaseRequest(req)
+		s.releaseRequest(req.Owner.(*reqState))
 	}
 }
 
-func (s *Sim) releaseRequest(req *job.Request) {
-	st := req.Owner.(*reqState)
+func (s *Sim) releaseRequest(st *reqState) {
 	if len(st.calls) > 0 || st.deadlineEv.Pending() || st.clientTO.Pending() {
-		panic(fmt.Sprintf("sim: request %d released with %d calls or a timer still armed", req.ID, len(st.calls)))
+		panic(fmt.Sprintf("sim: request %d released with %d calls or a timer still armed", st.ID, len(st.calls)))
 	}
 	if s.poisonReleased {
 		// Poison looks alive (not failed, not done) so a stale reader
 		// carries on and breaks something visible, and its ID matches no
 		// request, so the ID guards still stand down.
-		deadReq, deadSt := req, st
-		req, st = new(job.Request), new(reqState)
-		*req = *deadReq // NewRequest rewrites all but the kept tier storage
-		*deadReq = job.Request{ID: ^job.ID(0), LeavesRemaining: -1 << 40, Outcome: ^job.Outcome(0)}
-		*deadSt = reqState{treeIdx: -1, user: -1 << 40, slot: 1 << 30}
+		*st = reqState{Request: job.Request{ID: ^job.ID(0), Class: -1, LeavesRemaining: -1 << 40, Outcome: ^job.Outcome(0)},
+			user: -1 << 40, slot: 1 << 30}
+		return
 	}
 	s.freeStates = append(s.freeStates, st)
-	s.fac.FreeRequest(req)
 }
 
-// arm queues a request-path timer on the event its record embeds; disarm
-// takes it out again unless it has fired or been disarmed. Both count into k.
-func (s *Sim) arm(ev *des.Event, t des.Time, fn des.Callback, k *TimerCounts) {
-	k.Armed++
+// arm queues a request-path timer of kind k on the event its record embeds;
+// disarm takes it out again unless it has fired or been disarmed. Both count.
+func (s *Sim) arm(ev *des.Event, t des.Time, fn des.Callback, k TimerKind) {
+	s.timers[k].Armed++
 	s.eng.Arm(ev, t, fn)
 }
 
-func (s *Sim) disarm(ev *des.Event, k *TimerCounts) {
+func (s *Sim) disarm(ev *des.Event, k TimerKind) {
 	if ev.Pending() {
-		k.Cancelled++
+		s.timers[k].Cancelled++
 		s.eng.Cancel(ev)
 	}
 }
@@ -128,14 +125,14 @@ func pop[T any](free *[]*T) *T {
 
 // newCall readies the record of one dispatch over a guarded edge and puts
 // it on its request's list. Callbacks are bound once, with fresh storage.
-func (s *Sim) newCall(req *job.Request, st *reqState, nodeID, conn int, src *cluster.Machine, attempt int, pr *policyRuntime) *call {
+func (s *Sim) newCall(st *reqState, nodeID, conn int, src *cluster.Machine, attempt int, pr *policyRuntime) *call {
 	c := pop(&s.freeCalls)
 	if c == nil {
 		c = &call{}
 		c.onTimeout = func(t des.Time) { s.onAttemptTimeout(t, c) }
 		c.onBackoff = func(t des.Time) { s.onBackoff(t, c) }
 	}
-	c.req, c.st, c.nodeID, c.conn, c.src, c.attempt, c.pr = req, st, nodeID, conn, src, attempt, pr
+	c.st, c.nodeID, c.conn, c.src, c.attempt, c.pr = st, nodeID, conn, src, attempt, pr
 	c.slot = len(st.calls)
 	st.calls = append(st.calls, c)
 	return c
@@ -164,7 +161,7 @@ func (s *Sim) releaseCall(c *call) {
 	if s.poisonReleased {
 		// Poison looks like a live, tracked attempt of a live request, so a
 		// stale reader acts on it; every pointer it would follow is nil.
-		*c = call{req: &job.Request{ID: ^job.ID(0)}, j: &job.Job{ID: ^job.ID(0)}, slot: 1 << 40, attempt: -1 << 40}
+		*c = call{st: &reqState{Request: job.Request{ID: ^job.ID(0), Class: -1}}, j: &job.Job{ID: ^job.ID(0)}, slot: 1 << 40, attempt: -1 << 40}
 		return
 	}
 	s.freeCalls = append(s.freeCalls, c) // newCall and issue rewrite every field

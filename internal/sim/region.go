@@ -225,13 +225,6 @@ func (s *Sim) wanHop(now des.Time, j *job.Job, dep *Deployment, in *service.Inst
 	return s.geo.DelayAt(srcR, dstR, j.Req.SizeKB)
 }
 
-// CrossRegionStats reports delivery counts under the geography: hops
-// where both endpoints have a region, the subset that crossed a region
-// boundary, and the stale subset of cross-origin replicated reads.
-func (s *Sim) CrossRegionStats() (hops, cross, stale uint64) {
-	return s.regionHops, s.crossHops, s.staleReads
-}
-
 // CrossRegionFraction reports the fraction of region-to-region traffic
 // that crossed a region boundary — the cross-region traffic gauge.
 func (s *Sim) CrossRegionFraction() float64 {

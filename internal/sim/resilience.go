@@ -36,7 +36,6 @@ func newPolicyRuntime(p fault.Policy) *policyRuntime {
 // Job.Owner, its request through reqState.calls, and it carries everything
 // needed to re-issue the edge. Records are pooled (see recycle.go).
 type call struct {
-	req     *job.Request
 	st      *reqState
 	nodeID  int
 	conn    int
@@ -164,7 +163,7 @@ func (s *Sim) startAttempt(now des.Time, c *call) {
 		probe = brk.State(now) == fault.BreakerHalfOpen
 		if !brk.Allow(now) {
 			s.countError(s.depErrs(nd.dep), job.OutcomeBreakerOpen)
-			s.failRequest(now, c.req, job.OutcomeBreakerOpen) // takes c back
+			s.failRequest(now, c.st, job.OutcomeBreakerOpen) // takes c back
 			return
 		}
 	}
@@ -177,7 +176,7 @@ func (s *Sim) startAttempt(now des.Time, c *call) {
 		s.retryOrFail(now, c, job.OutcomeDropped)
 		return
 	}
-	j := s.newNodeJob(c.req, c.nodeID, c.conn, nd)
+	j := s.newNodeJob(&c.st.Request, c.nodeID, c.conn, nd)
 	s.issue(now, c, j, in, probe)
 	s.maybeHedge(now, c, node.Instance >= 0, len(nd.dep.Instances))
 	s.deliver(now, j, nd.dep, in, c.src)
@@ -190,7 +189,7 @@ func (s *Sim) issue(now des.Time, c *call, j *job.Job, in *service.Instance, pro
 	j.Owner = c
 	s.liveCalls++
 	if t := c.pr.pol.Timeout; t > 0 {
-		s.arm(&c.timer, now+t, c.onTimeout, &s.timers.AttemptTimeout)
+		s.arm(&c.timer, now+t, c.onTimeout, TimerAttemptTimeout)
 	}
 }
 
@@ -205,7 +204,7 @@ func (s *Sim) unlink(c *call) {
 // caller abandons it (the server-side work keeps running, its result
 // discarded) and retries or fails the request.
 func (s *Sim) onAttemptTimeout(now des.Time, c *call) {
-	s.timers.AttemptTimeout.Fired++
+	s.timers[TimerAttemptTimeout].Fired++
 	// An orphan's job was lost after its request had ended: nothing is
 	// left to abandon, but the edge still observes the timeout.
 	orphan := c.j == nil
@@ -219,7 +218,7 @@ func (s *Sim) onAttemptTimeout(now des.Time, c *call) {
 	if c.pr.brk != nil {
 		c.pr.brk.Record(now, true)
 	}
-	if orphan || c.req.Failed || c.req.Done() {
+	if orphan || c.st.Failed || c.st.Done() {
 		s.releaseCall(c)
 		return
 	}
@@ -238,14 +237,14 @@ func (s *Sim) retryOrFail(now des.Time, c *call, out job.Outcome) {
 		s.retriesN++
 		ec.Retries++
 		delay := c.pr.pol.Backoff(c.attempt+1, s.retryRNG)
-		s.arm(&c.timer, now+delay, c.onBackoff, &s.timers.RetryBackoff)
+		s.arm(&c.timer, now+delay, c.onBackoff, TimerRetryBackoff)
 		return
 	}
-	s.failRequest(now, c.req, out) // takes c back
+	s.failRequest(now, c.st, out) // takes c back
 }
 
 func (s *Sim) onBackoff(now des.Time, c *call) {
-	s.timers.RetryBackoff.Fired++
+	s.timers[TimerRetryBackoff].Fired++
 	c.attempt++
 	s.startAttempt(now, c)
 }
@@ -254,7 +253,7 @@ func (s *Sim) onBackoff(now des.Time, c *call) {
 // timeout, feed the breaker a success, record the observed edge latency
 // for quantile-based hedging, and resolve any hedge race in its favor.
 func (s *Sim) settleCall(now des.Time, c *call) {
-	s.disarm(&c.timer, &s.timers.AttemptTimeout)
+	s.disarm(&c.timer, TimerAttemptTimeout)
 	s.unlink(c)
 	s.observeCall(now, c.inst, true, now-c.start)
 	if c.pr.brk != nil {
@@ -302,7 +301,7 @@ func (s *Sim) propagateFailure(now des.Time, j *job.Job, out job.Outcome) {
 		return
 	}
 	if c != nil {
-		s.disarm(&c.timer, &s.timers.AttemptTimeout)
+		s.disarm(&c.timer, TimerAttemptTimeout)
 		s.unlink(c)
 		if c.pr.brk != nil {
 			c.pr.brk.Record(now, true)
@@ -310,8 +309,9 @@ func (s *Sim) propagateFailure(now des.Time, j *job.Job, out job.Outcome) {
 		s.failCall(now, c, out)
 		return
 	}
-	s.countError(s.depErrs(s.nodeOf(req.Owner.(*reqState), j.NodeID).dep), out)
-	s.failRequest(now, req, out)
+	st := req.Owner.(*reqState)
+	s.countError(s.depErrs(s.nodeOf(st, j.NodeID).dep), out)
+	s.failRequest(now, st, out)
 }
 
 // deliveryRejected handles a job refused at admission: a down instance
@@ -341,23 +341,23 @@ func (s *Sim) handleNetDrop(now des.Time, j *job.Job) {
 	}
 	if req := j.Req; req != nil && !req.Failed && !req.Done() {
 		s.countError(s.errCount("netproc"), job.OutcomeDropped)
-		s.failRequest(now, req, job.OutcomeDropped)
+		s.failRequest(now, req.Owner.(*reqState), job.OutcomeDropped)
 	}
 	s.releaseJob(j)
 }
 
 // failRequest terminates a request with an error: it leaves the system now
 // (conn-pool tokens released, closed-loop user freed) and is counted into
-// exactly one outcome bucket, keeping arrivals == completions + timeouts +
-// shed + dropped. Stray server-side work of the request is discarded as it
-// surfaces.
-func (s *Sim) failRequest(now des.Time, req *job.Request, out job.Outcome) {
+// exactly one outcome bucket, keeping the conservation identity
+// (validate.Leaked) over all six. Stray server-side work of the request is
+// discarded as it surfaces.
+func (s *Sim) failRequest(now des.Time, st *reqState, out job.Outcome) {
+	req := &st.Request
 	if req.Failed || req.Done() {
 		return
 	}
 	req.Failed = true
 	req.Outcome = out
-	st := req.Owner.(*reqState)
 	s.dropLive(st)
 	s.cleanupRequest(st)
 	// The request exits the system in one step, wherever it was in its
@@ -397,7 +397,7 @@ func (s *Sim) failRequest(now des.Time, req *job.Request, out job.Outcome) {
 		}
 	}
 	if req.LiveJobs() == 0 {
-		s.releaseRequest(req) // else the last stray job to die does it
+		s.releaseRequest(st) // else the last stray job to die does it
 	}
 }
 

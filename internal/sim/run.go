@@ -15,8 +15,12 @@ import (
 )
 
 // Run executes the simulation: warmup (not measured), then duration
-// (measured), and returns the report. Run may be called once per Sim.
+// (measured), and returns the report. Run may be called once per Sim; a
+// second call, once a first got past setup validation, returns an error.
 func (s *Sim) Run(warmup, duration des.Time) (*Report, error) {
+	if s.ran {
+		return nil, fmt.Errorf("sim: Run called twice; a Sim runs once")
+	}
 	if s.topo == nil {
 		return nil, fmt.Errorf("sim: no topology installed")
 	}
@@ -26,10 +30,10 @@ func (s *Sim) Run(warmup, duration des.Time) (*Report, error) {
 	if err := s.resolve(); err != nil {
 		return nil, err
 	}
+	s.ran = true
 	s.warmupEnd = warmup
 	horizon := warmup + duration
 	s.installOverload()
-	s.fgPattern = nil
 	if s.hybridCfg != nil {
 		if err := s.setupHybrid(warmup); err != nil {
 			return nil, err
@@ -118,48 +122,46 @@ func (s *Sim) admitAs(now des.Time, attempt, forceTree, user int) {
 	}
 	tree := &s.topo.Trees[treeIdx]
 
-	req := s.fac.NewRequest(now)
-	req.Class = treeIdx
-	req.Attempt = attempt
+	st := s.newReqState(tree, now, user)
+	st.Class = treeIdx
+	st.Attempt = attempt
 	if s.clientCfg.SizeKB != nil {
-		req.SizeKB = s.clientCfg.SizeKB.Sample(s.clientRNG)
+		st.SizeKB = s.clientCfg.SizeKB.Sample(s.clientRNG)
 	}
-	req.Conn = int(req.ID) % s.clientCfg.Connections
-	req.LeavesRemaining = len(tree.Leaves())
+	st.Conn = int(st.ID) % s.clientCfg.Connections
+	st.LeavesRemaining = len(tree.Leaves())
 
-	st := s.newReqState(req, tree, treeIdx, now, user)
 	s.trackLive(st)
 	if now >= s.warmupEnd {
 		s.arrivals++
 	}
 	if s.clientCfg.Budget != nil {
 		if b := s.clientCfg.Budget.Sample(s.budgetRNG); b > 0 {
-			req.Deadline = now + des.FromNanos(b)
+			st.Deadline = now + des.FromNanos(b)
 			if st.onDeadline == nil {
-				st.onDeadline = func(t des.Time) { s.onDeadline(t, st.req) }
+				st.onDeadline = func(t des.Time) { s.onDeadline(t, st) }
 			}
-			s.arm(&st.deadlineEv, req.Deadline, st.onDeadline, &s.timers.Deadline)
+			s.arm(&st.deadlineEv, st.Deadline, st.onDeadline, TimerDeadline)
 		}
 	}
 	if s.clientCfg.Timeout > 0 {
 		if st.onClientTO == nil {
-			st.onClientTO = func(t des.Time) { s.onTimeout(t, st.req) }
+			st.onClientTO = func(t des.Time) { s.onTimeout(t, st) }
 		}
-		s.arm(&st.clientTO, now+s.clientCfg.Timeout, st.onClientTO, &s.timers.ClientTimeout)
+		s.arm(&st.clientTO, now+s.clientCfg.Timeout, st.onClientTO, TimerClientTimeout)
 	}
-	s.enterNode(now, st, tree.Root, 0, req.Conn, nil)
+	s.enterNode(now, st, tree.Root, 0, st.Conn, nil)
 }
 
 // onTimeout fires when a request exceeds the client's patience: the client
 // records the timeout as its observed latency and possibly retries, while
 // the in-flight server work continues to completion.
-func (s *Sim) onTimeout(now des.Time, req *job.Request) {
-	s.timers.ClientTimeout.Fired++
-	req.TimedOut = true
+func (s *Sim) onTimeout(now des.Time, st *reqState) {
+	s.timers[TimerClientTimeout].Fired++
+	st.TimedOut = true
 	user, userTree := -1, -1
-	if st := req.Owner.(*reqState); st.slot >= 0 {
-		st.timedOut = true
-		user, userTree = st.user, st.treeIdx
+	if st.slot >= 0 {
+		user, userTree = st.user, st.Class
 	}
 	// The latency sample belongs to the measurement window it lands in;
 	// the outcome bucket is gated on the request's arrival instead, so
@@ -168,16 +170,16 @@ func (s *Sim) onTimeout(now des.Time, req *job.Request) {
 	if now >= s.warmupEnd && now <= s.windowEnd {
 		s.latency.Record(s.clientCfg.Timeout)
 	}
-	if req.Arrival >= s.warmupEnd {
+	if st.Arrival >= s.warmupEnd {
 		s.timeouts++
 	}
-	if req.Attempt < s.clientCfg.MaxRetries {
+	if st.Attempt < s.clientCfg.MaxRetries {
 		// A session user's retry stays on the same journey step (same
 		// tree, same user); an anonymous client re-samples the tree.
 		if user >= 0 {
-			s.admitAs(now, req.Attempt+1, userTree, user)
+			s.admitAs(now, st.Attempt+1, userTree, user)
 		} else {
-			s.admit(now, req.Attempt+1)
+			s.admit(now, st.Attempt+1)
 		}
 	} else if s.closedLoop != nil {
 		// The user gave up; in a closed loop they move on.
@@ -202,7 +204,7 @@ type treeNode struct {
 // nodePools lists the pools a node acquires, in order, and releases.
 type nodePools struct{ acquire, release []*connPool }
 
-func (s *Sim) nodeOf(st *reqState, nodeID int) *treeNode { return &s.nodes[st.treeIdx][nodeID] }
+func (s *Sim) nodeOf(st *reqState, nodeID int) *treeNode { return &s.nodes[st.Class][nodeID] }
 
 // resolve completes the node table — policies and branchers may be set
 // after the topology — numbers the pools' tokens densely after the
@@ -248,44 +250,44 @@ func (s *Sim) enterNode(now des.Time, st *reqState, nodeID, k, conn int, src *cl
 	for ; k < len(pools); k++ {
 		p := pools[k]
 		if p.free.len() == 0 {
-			p.waiters.push(waiter{req: st.req, id: st.req.ID, st: st, nodeID: nodeID, k: k, src: src})
+			p.waiters.push(waiter{id: st.ID, st: st, nodeID: nodeID, k: k, src: src})
 			return
 		}
 		token := p.free.pop()
 		st.tokens = append(st.tokens, heldToken{pool: p, token: token})
 		conn = p.base + token
 	}
-	s.dispatchNode(now, st.req, st, nodeID, conn, src)
+	s.dispatchNode(now, st, nodeID, conn, src)
 }
 
 // dispatchNode creates the node's job and routes it to an instance. Edges
 // guarded by a resilience policy go through the attempt machinery; bare
 // edges take the direct path, where a rejected or dropped job fails the
 // whole request.
-func (s *Sim) dispatchNode(now des.Time, req *job.Request, st *reqState, nodeID, conn int, src *cluster.Machine) {
-	if req.Failed || req.Done() {
+func (s *Sim) dispatchNode(now des.Time, st *reqState, nodeID, conn int, src *cluster.Machine) {
+	if st.Failed || st.Done() {
 		return // the request ended while this dispatch waited (conn pool)
 	}
-	if req.Expired(now) {
+	if st.Expired(now) {
 		// Defensive: a conn-pool grant resumed inside another event can
 		// land exactly on the deadline instant, ahead of the deadline
 		// event's own bookkeeping path.
-		s.failRequest(now, req, job.OutcomeDeadline)
+		s.failRequest(now, st, job.OutcomeDeadline)
 		return
 	}
 	nd := s.nodeOf(st, nodeID)
 	if nd.pr != nil {
-		s.startAttempt(now, s.newCall(req, st, nodeID, conn, src, 0, nd.pr))
+		s.startAttempt(now, s.newCall(st, nodeID, conn, src, 0, nd.pr))
 		return
 	}
 	in := s.pickFor(&st.tree.Nodes[nodeID], nd.dep, src)
 	if in == nil {
 		// Every instance is down and no policy protects the edge.
 		s.countError(s.depErrs(nd.dep), job.OutcomeDropped)
-		s.failRequest(now, req, job.OutcomeDropped)
+		s.failRequest(now, st, job.OutcomeDropped)
 		return
 	}
-	j := s.newNodeJob(req, nodeID, conn, nd)
+	j := s.newNodeJob(&st.Request, nodeID, conn, nd)
 	s.deliver(now, j, nd.dep, in, src)
 }
 
@@ -602,7 +604,7 @@ func (s *Sim) finalizeLeaf(now des.Time, j *job.Job) {
 		}
 	}
 	if req.LiveJobs() == 0 {
-		s.releaseRequest(req) // else the last stray job to die does it
+		s.releaseRequest(st) // else the last stray job to die does it
 	}
 }
 
@@ -635,9 +637,9 @@ type Report struct {
 	Horizon  des.Time
 	Arrivals uint64
 	// Completions counts measured arrivals that finished within the
-	// client's patience (timed-out requests are excluded). Like all four
+	// client's patience (timed-out requests are excluded). Like all six
 	// outcome buckets it is gated on the request's arrival time, so the
-	// conservation identity below holds for any warmup.
+	// conservation identity (see Dropped) holds for any warmup.
 	Completions uint64
 	// Timeouts counts requests the client gave up on during the
 	// measured window (recorded into Latency at the timeout value).
@@ -647,17 +649,17 @@ type Report struct {
 	// fails (the BreakerFastFails subset).
 	Shed uint64
 	// Dropped counts requests that lost work to a crashed machine or
-	// killed instance with nothing left to retry. Together the five
-	// outcome buckets conserve requests:
+	// killed instance with nothing left to retry. Together the outcome
+	// buckets conserve requests (validate.Leaked):
 	// Arrivals == Completions + Timeouts + Shed + Dropped +
-	// DeadlineExpired (+ InFlight).
+	// DeadlineExpired + Unreachable (+ InFlight).
 	Dropped uint64
 	// DeadlineExpired counts requests whose end-to-end budget ran out
 	// before completion; their remaining subtree was short-circuited.
 	DeadlineExpired uint64
 	// Unreachable counts requests failed by the network fault model with
 	// nothing left to retry — a partition severed the machine pair or a
-	// gray link dropped the message. It is the sixth error bucket of the
+	// gray link dropped the message. It is the sixth outcome bucket of the
 	// conservation identity.
 	Unreachable uint64
 	// LinkDrops and LinkDups count gray-link message losses and
@@ -756,10 +758,26 @@ type Report struct {
 // before firing or Fired; the difference was still queued at the horizon.
 type TimerCounts struct{ Armed, Cancelled, Fired uint64 }
 
+// TimerKind is a kind of request-path timer: a row of TimerWork.
+type TimerKind int
+
+// Timer kinds, in TimerWork's row order.
+const (
+	TimerAttemptTimeout TimerKind = iota
+	TimerHedgeTrigger
+	TimerClientTimeout
+	TimerDeadline
+	TimerRetryBackoff
+	numTimerKinds
+)
+
+var timerNames = [numTimerKinds]string{"attempt_timeout", "hedge_trigger", "client_timeout", "deadline", "retry_backoff"}
+
+// String names the kind as the Timers table prints it.
+func (k TimerKind) String() string { return timerNames[k] }
+
 // TimerWork is TimerCounts per kind of request-path timer.
-type TimerWork struct {
-	AttemptTimeout, HedgeTrigger, ClientTimeout, Deadline, RetryBackoff TimerCounts
-}
+type TimerWork [numTimerKinds]TimerCounts
 
 func (s *Sim) report(horizon des.Time) *Report {
 	window := (horizon - s.warmupEnd).Seconds()
@@ -824,7 +842,7 @@ func (s *Sim) report(horizon des.Time) *Report {
 	// warmup window belongs to no bucket, and a timed-out request already
 	// landed in Timeouts even though its abandoned work is still running.
 	for _, st := range s.live {
-		if st.at >= s.warmupEnd && !st.timedOut {
+		if st.Arrival >= s.warmupEnd && !st.TimedOut {
 			r.InFlight++
 		}
 	}
@@ -916,9 +934,8 @@ type heldToken struct {
 // needs to resume after tree node nodeID's k-th token. A
 // waiter can outlive its request (a failed request leaves the system at
 // once, its waiters are skipped lazily), so it carries the request's ID to
-// tell when req and st have been recycled.
+// tell when st has been recycled.
 type waiter struct {
-	req       *job.Request
 	id        job.ID
 	st        *reqState
 	nodeID, k int
@@ -938,13 +955,13 @@ func newConnPool(spec graph.ConnPool) *connPool {
 func (s *Sim) releaseConn(now des.Time, p *connPool, st *reqState) {
 	i := st.lastToken(p)
 	if i < 0 {
-		panic(fmt.Sprintf("sim: request %d releases pool %q it does not hold", st.req.ID, p.spec.Name))
+		panic(fmt.Sprintf("sim: request %d releases pool %q it does not hold", st.ID, p.spec.Name))
 	}
 	token := st.tokens[i].token
 	st.tokens = append(st.tokens[:i], st.tokens[i+1:]...)
 	for p.waiters.len() > 0 {
 		w := p.waiters.pop()
-		if w.req.ID != w.id || w.req.Failed {
+		if w.st.ID != w.id || w.st.Failed {
 			continue // abandoned while queued; the token passes it by
 		}
 		w.st.tokens = append(w.st.tokens, heldToken{pool: p, token: token})

@@ -129,6 +129,7 @@ type Sim struct {
 	split   *rng.Splitter
 	cluster *cluster.Cluster
 	fac     *job.Factory
+	ran     bool // Run has been called
 
 	deployments map[string]*Deployment
 	deps        []*Deployment // in creation order
@@ -177,7 +178,6 @@ type Sim struct {
 	hybridCfg *hybrid.Config
 	fluid     *hybrid.State
 	sampleRNG *rng.Source
-	hybridMon hybrid.GaugeRegistry
 	// fgPattern is the run-local thinned arrival pattern the open-loop
 	// generator uses under hybrid fidelity; the stored client config keeps
 	// the unthinned pattern so it is never thinned twice.
@@ -192,8 +192,8 @@ type Sim struct {
 	// pendingN counts jobs in transit through a network service (their
 	// destination parked in Job.Dest), for VerifyDrained.
 	pendingN int
-	// The free lists recycle request state, call records, hedge races and
-	// delayed deliveries; jobs and requests recycle through fac.
+	// The free lists recycle request blocks, call records, hedge races and
+	// delayed deliveries; jobs recycle through fac.
 	// poisonReleased is a test hook: released objects are overwritten with
 	// garbage and withheld from reuse, so a read after release shows.
 	freeStates     []*reqState
@@ -220,9 +220,10 @@ type Sim struct {
 	hedgeRNG      *rng.Source
 	budgetRNG     *rng.Source
 
-	// Measurement. completions/timeouts/shedReqs/droppedReqs are the
-	// arrival-gated outcome buckets of the conservation identity;
-	// windowDone counts deliveries by completion time and feeds goodput.
+	// Measurement. completions, timeouts, shedReqs, droppedReqs,
+	// deadlineReqs and unreachableReqs are the six arrival-gated outcome
+	// buckets of the conservation identity (validate.Leaked); windowDone
+	// counts deliveries by completion time and feeds goodput.
 	warmupEnd       des.Time
 	arrivals        uint64
 	completions     uint64
@@ -282,19 +283,17 @@ func servedBy(j *job.Job) *service.Instance {
 	return in
 }
 
-// reqState tracks one request's progress through its tree. It is reachable
-// from the request (Request.Owner) and shares its lifetime: both are
-// recycled together, by releaseRequest.
+// reqState is one request's block: the request itself, embedded, and its
+// progress through its tree. The request reaches its block through
+// Request.Owner, set once when the block is allocated; blocks are recycled
+// whole, by releaseRequest. The tree index is Request.Class.
 type reqState struct {
-	req      *job.Request
-	tree     *graph.Tree
-	treeIdx  int
-	arrived  []int       // per-node parent-completion counts
-	tokens   []heldToken // connection-pool tokens held, in grant order
-	at       des.Time    // the request's arrival instant
-	user     int         // owning session user (-1: no session client)
-	slot     int32       // index in Sim.live while in flight, else -1
-	timedOut bool        // client gave up; server work continues abandoned
+	job.Request
+	tree    *graph.Tree
+	arrived []int       // per-node parent-completion counts
+	tokens  []heldToken // connection-pool tokens held, in grant order
+	user    int         // owning session user (-1: no session client)
+	slot    int32       // index in Sim.live while in flight, else -1
 
 	// What cleanupRequest disarms: the request's own two timers (callbacks
 	// bound on first use) and its call records, live attempts and pending

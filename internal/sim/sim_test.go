@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -47,6 +48,19 @@ func TestRunRequiresSetup(t *testing.T) {
 	}
 	if _, err := s.Run(0, des.Second); err == nil {
 		t.Fatal("run without client should fail")
+	}
+}
+
+// TestRunOnce: a Sim runs once. A second Run returns an error instead of
+// scheduling into the finished run's past.
+func TestRunOnce(t *testing.T) {
+	s := buildSingle(t, dist.NewExponential(float64(50*des.Microsecond)), 1, 1000)
+	if _, err := s.Run(0, des.Second); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run(0, des.Second)
+	if err == nil || !strings.Contains(err.Error(), "Run called twice") || rep != nil {
+		t.Fatalf("second Run returned %v, %v; want an error naming the second call", rep, err)
 	}
 }
 
@@ -562,15 +576,16 @@ func TestOnRequestDoneObserver(t *testing.T) {
 // TestRecordSizes pins the per-job and per-request records at or below
 // their sizes once names stopped being looked up per job: Job traded its
 // machine and instance name strings for one handle to the serving instance
-// (168 → 152 bytes on 64-bit), and reqState keeps its in-flight slot in the
-// padding beside timedOut (200 bytes, unchanged). Every byte added to either
-// is paid per job or per request, and jobs are the largest share of the
-// fan-out workload's bytes per request.
+// (168 → 152 bytes on 64-bit). A request is one block: reqState embeds the
+// 128-byte job.Request and dropped the fields that copied it, 304 bytes where
+// the request and its state were 128 + 200. Every byte added to either is
+// paid per job or per request, and jobs are the largest share of the fan-out
+// workload's bytes per request.
 func TestRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(job.Job{}); n > 152 {
 		t.Errorf("job.Job is %d bytes, pinned at 152", n)
 	}
-	if n := unsafe.Sizeof(reqState{}); n > 200 {
-		t.Errorf("reqState is %d bytes, pinned at 200", n)
+	if n := unsafe.Sizeof(reqState{}); n > 304 {
+		t.Errorf("reqState is %d bytes, pinned at 304", n)
 	}
 }
