@@ -76,13 +76,15 @@ bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
 
 # fuzz exercises the event-queue script fuzzer (live engine against the
-# container/heap reference) and every config-loader fuzz target for
+# container/heap reference), the session population controller against
+# its per-user reference, and every config-loader fuzz target for
 # FUZZTIME each. CI runs this as a short smoke; leave a target running
 # longer locally with e.g.
 #   make fuzz FUZZTIME=5m
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/des -run xxx -fuzz FuzzEngineScript -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/workload -run xxx -fuzz FuzzSessionsPopulation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/config -run xxx -fuzz FuzzMachines -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/config -run xxx -fuzz FuzzFaults -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/config -run xxx -fuzz FuzzControl -fuzztime $(FUZZTIME)

@@ -292,6 +292,9 @@ type Plane struct {
 	stopped     bool
 	// Loop callbacks are bound once, so that a tick allocates nothing.
 	suspicionTick, regionTick des.Callback
+	// zSafe is safeZ of the detector's threshold: silences shorter than it
+	// skip the phi evaluation.
+	zSafe float64
 }
 
 // after posts fn d from now. No control-plane event is ever cancelled:
@@ -307,6 +310,10 @@ type managedDeployment struct {
 	scale  *autoscaleState // nil unless autoscaled
 
 	ejectTick, scaleTick des.Callback
+	// Ejection scratch, reused by every window's evaluation.
+	cands     []*instanceTrack
+	quantiles []float64
+	outliers  []outlier
 }
 
 // instanceTrack is the plane's per-instance state: detector history,
@@ -458,6 +465,7 @@ func Attach(s *sim.Sim, cfg Config) (*Plane, error) {
 	// registerInstance; then one detector check loop, one ejector loop per
 	// deployment, one autoscale loop per scaled deployment.
 	if cfg.Detector != nil {
+		p.zSafe = safeZ(cfg.Detector.PhiThreshold)
 		p.suspicionTick = p.checkSuspicions
 		p.after(cfg.Detector.CheckInterval, p.suspicionTick)
 	}

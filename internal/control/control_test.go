@@ -586,3 +586,63 @@ func TestHeartbeatTicksDoNotAllocate(t *testing.T) {
 		t.Fatalf("detector ticks allocate %.1f objects per 20 ms, want 0", allocs)
 	}
 }
+
+// TestSafeZBoundsPhi: below safeZ(T) the suspicion score is under T at
+// every z of a 1e-4 grid, so skipping the phi evaluation there never
+// misses a declaration; and the bound sits within a few margins of the
+// crossing, so the skip covers nearly every healthy check.
+func TestSafeZBoundsPhi(t *testing.T) {
+	for _, threshold := range []float64{0.5, 1, 3, 8, 16} {
+		zs := safeZ(threshold)
+		for k := 0; ; k++ {
+			z := zs - float64(k)*1e-4
+			if z < -40 {
+				break
+			}
+			if phi(z) >= threshold {
+				t.Fatalf("threshold %v: phi(%v) = %v below safeZ %v", threshold, z, phi(z), zs)
+			}
+		}
+		if phi(zs+3e-3) < threshold {
+			t.Fatalf("threshold %v: safeZ %v is more than 3e-3 below the crossing", threshold, zs)
+		}
+	}
+}
+
+// TestEjectionWindowsDoNotAllocate: a window that ejects nothing reuses
+// the deployment's scratch slices and resets each latency estimator in
+// place, so evaluating it allocates nothing. The engine runs the plane
+// alone; each window is filled with the same healthy observations.
+func TestEjectionWindowsDoNotAllocate(t *testing.T) {
+	placements := make([]sim.Placement, 4)
+	for i := range placements {
+		placements[i] = sim.Placement{Machine: "m0", Cores: 1}
+	}
+	s := singleService(t, 7, sim.RoundRobin, 200, 2000, cluster.FreqSpec{}, placements...)
+	const interval = 10 * des.Millisecond
+	plane, err := Attach(s, Config{Ejection: &EjectionConfig{Interval: interval}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, _ := s.Deployment("s")
+	window := func() {
+		for _, in := range dep.Instances {
+			for k := 0; k < 50; k++ {
+				plane.ObserveCall(0, in, true, des.Time(1000+k))
+			}
+		}
+		s.Engine().RunUntil(s.Engine().Now() + interval)
+	}
+	window() // the first window sizes the scratch slices
+	before := s.Engine().Processed()
+	allocs := testing.AllocsPerRun(20, window)
+	if n := s.Engine().Processed() - before; n != 21 {
+		t.Fatalf("%d ejection windows evaluated, want 21", n)
+	}
+	if plane.Stats().Ejections != 0 {
+		t.Fatalf("%d ejections of identical instances", plane.Stats().Ejections)
+	}
+	if allocs != 0 {
+		t.Fatalf("an ejection window allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -66,12 +66,11 @@ func (p *Plane) recordBeat(now des.Time, tr *instanceTrack) {
 	tr.lastBeat = now
 }
 
-// phi is the suspicion score for tr at virtual time now: the negative
-// log10 of the probability that a healthy instance would stay silent this
-// long, under a normal model of its observed heartbeat intervals. The
-// standard deviation is floored at 10% of the mean so a nearly-perfect
-// clock does not fire on the first late beat.
-func (p *Plane) phi(now des.Time, tr *instanceTrack) float64 {
+// silenceZ is how unusual tr's current silence is: the gap since its last
+// beat, in standard deviations above the mean of its observed heartbeat
+// intervals. The standard deviation is floored at 10% of the mean so a
+// nearly-perfect clock does not fire on the first late beat.
+func (p *Plane) silenceZ(now des.Time, tr *instanceTrack) float64 {
 	d := p.cfg.Detector
 	mean := tr.meanInt
 	if tr.beats < uint64(d.MinSamples) || mean <= 0 {
@@ -84,13 +83,34 @@ func (p *Plane) phi(now des.Time, tr *instanceTrack) float64 {
 	if floor := 0.1 * mean; std < floor {
 		std = floor
 	}
-	elapsed := float64(now - tr.lastBeat)
-	z := (elapsed - mean) / std
+	return (float64(now-tr.lastBeat) - mean) / std
+}
+
+// phi is the suspicion score of a silence z standard deviations long: the
+// negative log10 of the probability that a healthy instance would stay
+// silent this long, under a normal model of its heartbeat intervals.
+func phi(z float64) float64 {
 	tail := 0.5 * math.Erfc(z/math.Sqrt2)
 	if tail <= 0 {
 		return math.Inf(1)
 	}
 	return -math.Log10(tail)
+}
+
+// safeZ is a silence below which phi stays under threshold: the crossing
+// bisected on phi itself, less a margin far wider than any rounding in
+// Erfc and Log10. phi rises with z, so a check only needs the tail math
+// for z at or above it; a clearly healthy instance costs one Sqrt.
+func safeZ(threshold float64) float64 {
+	lo, hi := -40.0, 40.0 // phi(-40) is 0, phi(40) is +Inf
+	for i := 0; i < 100; i++ {
+		if mid := (lo + hi) / 2; phi(mid) < threshold {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1e-3
 }
 
 // checkSuspicions is the detector's periodic evaluation loop.
@@ -103,7 +123,7 @@ func (p *Plane) checkSuspicions(now des.Time) {
 			if tr.dead || tr.replaced || md.dep.Retired(tr.in) {
 				continue
 			}
-			if p.phi(now, tr) >= p.cfg.Detector.PhiThreshold {
+			if z := p.silenceZ(now, tr); z >= p.zSafe && phi(z) >= p.cfg.Detector.PhiThreshold {
 				p.declareDead(now, tr)
 			}
 		}

@@ -1,10 +1,10 @@
 package control
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"uqsim/internal/des"
-	"uqsim/internal/stats"
 )
 
 // This file is the outlier ejector — the defense against gray failure,
@@ -35,9 +35,9 @@ func (p *Plane) evaluateEjections(now des.Time, md *managedDeployment) {
 	e := p.cfg.Ejection
 
 	// Candidates: instances currently in the rotation with enough
-	// windowed observations to judge.
-	var cands []*instanceTrack
-	var quantiles []float64
+	// windowed observations to judge. The slices are the deployment's
+	// scratch, reused every window.
+	cands, quantiles, outliers := md.cands[:0], md.quantiles[:0], md.outliers[:0]
 	for _, tr := range md.tracks {
 		if tr.replaced || tr.dead || tr.in.Down() || md.dep.Retired(tr.in) {
 			continue
@@ -52,7 +52,6 @@ func (p *Plane) evaluateEjections(now des.Time, md *managedDeployment) {
 	}
 	med := lowerMedian(quantiles)
 
-	var outliers []outlier
 	for i, tr := range cands {
 		total := tr.succ + tr.fail
 		if total >= uint64(e.MinRequests) {
@@ -68,12 +67,13 @@ func (p *Plane) evaluateEjections(now des.Time, md *managedDeployment) {
 		}
 	}
 	// Worst first; deployment order breaks score ties deterministically.
-	sort.Slice(outliers, func(a, b int) bool {
-		if outliers[a].score != outliers[b].score {
-			return outliers[a].score > outliers[b].score
+	slices.SortFunc(outliers, func(a, b outlier) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
 		}
-		return outliers[a].order < outliers[b].order
+		return cmp.Compare(a.order, b.order)
 	})
+	md.cands, md.quantiles, md.outliers = cands, quantiles, outliers
 
 	// Bounded eviction: never shrink the rotation below the min-healthy
 	// floor of the current replica count.
@@ -93,7 +93,7 @@ func (p *Plane) evaluateEjections(now des.Time, md *managedDeployment) {
 	for _, tr := range md.tracks {
 		tr.succ, tr.fail = 0, 0
 		if tr.lat != nil && tr.lat.Count() > 0 {
-			tr.lat = stats.NewP2Quantile(e.Quantile)
+			tr.lat.Reset()
 		}
 	}
 	p.after(e.Interval, md.ejectTick)
@@ -109,7 +109,7 @@ func (p *Plane) reinstate(now des.Time, tr *instanceTrack) {
 		p.stats.Reinstatements++
 		tr.succ, tr.fail = 0, 0
 		if tr.lat != nil {
-			tr.lat = stats.NewP2Quantile(p.cfg.Ejection.Quantile)
+			tr.lat.Reset()
 		}
 	}
 }
@@ -124,15 +124,14 @@ func inRotation(md *managedDeployment, tr *instanceTrack) bool {
 	return false
 }
 
-// lowerMedian is the lower median of vs (0 when empty): with two
-// instances, one degraded, the lower median is the healthy one's
-// quantile, so the degraded instance still stands out — an upper or mean
-// median would let one bad instance drag the baseline toward itself.
+// lowerMedian is the lower median of vs (0 when empty), sorting vs in
+// place: with two instances, one degraded, the lower median is the healthy
+// one's quantile, so the degraded instance still stands out — an upper or
+// mean median would let one bad instance drag the baseline toward itself.
 func lowerMedian(vs []float64) float64 {
 	if len(vs) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	return sorted[(len(sorted)-1)/2]
+	slices.Sort(vs)
+	return vs[(len(vs)-1)/2]
 }

@@ -104,3 +104,16 @@ func TestStreamPurityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFloat64MatchesRand: Float64 on the bare generator is, draw for draw,
+// what rand.Rand.Float64 returns on the same generator, and PCG(labels) is
+// seeded exactly like Stream(labels).
+func TestFloat64MatchesRand(t *testing.T) {
+	sp := NewSplitter(20260)
+	bare, wrapped := sp.PCG("hybrid", "sample"), sp.Stream("hybrid", "sample")
+	for i := 0; i < 1_000_000; i++ {
+		if got, want := Float64(bare), wrapped.Float64(); got != want {
+			t.Fatalf("draw %d: bare %v, rand.Rand %v", i, got, want)
+		}
+	}
+}

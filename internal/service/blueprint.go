@@ -110,6 +110,10 @@ type Blueprint struct {
 	CtxSwitch des.Time
 }
 
+// MaxStages bounds a blueprint's stage count: an instance tracks which
+// stage queues hold jobs in one 64-bit mask.
+const MaxStages = 64
+
 // Validate checks internal consistency.
 func (b *Blueprint) Validate() error {
 	if b.Name == "" {
@@ -117,6 +121,9 @@ func (b *Blueprint) Validate() error {
 	}
 	if len(b.Stages) == 0 {
 		return fmt.Errorf("service %s: needs at least one stage", b.Name)
+	}
+	if len(b.Stages) > MaxStages {
+		return fmt.Errorf("service %s: %d stages, at most %d are supported", b.Name, len(b.Stages), MaxStages)
 	}
 	if len(b.Paths) == 0 {
 		return fmt.Errorf("service %s: needs at least one path", b.Name)

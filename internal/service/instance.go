@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math/bits"
 
 	"uqsim/internal/cluster"
 	"uqsim/internal/des"
@@ -28,6 +29,11 @@ type Instance struct {
 	r   *rng.Source
 
 	queues []queueing.Queue
+	// ready has bit s set while stage s's queue may hold jobs: pushToStage
+	// sets it, and the simple-model pump clears it when it finds or leaves
+	// that queue empty. A clear bit means an empty queue, so the pump
+	// visits only the stages with work.
+	ready uint64
 
 	// Simple-model + threaded-model core accounting.
 	busyCores int
@@ -209,10 +215,10 @@ func (in *Instance) pump(now des.Time) {
 
 // pushToStage places j into the queue of its current path stage.
 func (in *Instance) pushToStage(now des.Time, j *job.Job) {
-	path := in.BP.Paths[j.PathID]
-	stage := path.Stages[j.StageIdx]
+	stage := in.BP.Paths[j.PathID].Stages[j.StageIdx]
 	j.Enqueued = now
 	in.queues[stage].Push(j)
+	in.ready |= 1 << stage
 }
 
 // ---- overload admission ----
@@ -420,12 +426,19 @@ func (in *Instance) pumpSimple(now des.Time) {
 	// it on, and within a pump cores and pool units are only taken and only
 	// Enqueue adds to a queue: another pass can start something only if a
 	// vetting callback (IsCanceled, OnJobShed) enqueued here meanwhile.
+	// A pass visits stages from the last to the first, as a descending scan
+	// would, but only those whose ready bit is set; the mask is re-read
+	// below each visited stage, so a job a callback queues at a lower stage
+	// is still seen in this pass.
 	for again := true; again; {
 		progress, arrived := false, in.arrived
-		for s := len(in.BP.Stages) - 1; s >= 0; s-- {
+		for below := uint64(1)<<len(in.BP.Stages) - 1; in.ready&below != 0; {
+			s := bits.Len64(in.ready&below) - 1
+			below = 1<<s - 1
 			st := &in.BP.Stages[s]
 			q := in.queues[s]
 			if q.Len() == 0 {
+				in.ready &^= 1 << s
 				continue
 			}
 			if st.PoolName != "" {
@@ -441,17 +454,20 @@ func (in *Instance) pumpSimple(now des.Time) {
 					in.start(now, s, r, pool, 0)
 					progress = true
 				}
-				continue
-			}
-			for q.Len() > 0 && in.busyCores < in.Alloc.Cores {
-				r := in.newRun()
-				r.batch = in.popEntry(now, q, in.batchMax(st), r.batch)
-				if len(r.batch) == 0 {
-					in.freeRun(r)
-					break
+			} else {
+				for q.Len() > 0 && in.busyCores < in.Alloc.Cores {
+					r := in.newRun()
+					r.batch = in.popEntry(now, q, in.batchMax(st), r.batch)
+					if len(r.batch) == 0 {
+						in.freeRun(r)
+						break
+					}
+					in.start(now, s, r, nil, 0)
+					progress = true
 				}
-				in.start(now, s, r, nil, 0)
-				progress = true
+			}
+			if q.Len() == 0 {
+				in.ready &^= 1 << s
 			}
 		}
 		again = progress && in.arrived != arrived
@@ -584,6 +600,7 @@ func (in *Instance) Kill(now des.Time) []*job.Job {
 			lost = q.PopInto(lost, 0)
 		}
 	}
+	in.ready = 0
 	if in.BP.Model == ModelThreaded {
 		for in.threadQ.Len() > 0 {
 			lost = append(lost, in.threadQ.Pop())
@@ -640,9 +657,8 @@ func (in *Instance) dropBatch(now des.Time, batch []*job.Job) {
 // completes it.
 func (in *Instance) advanceBatch(now des.Time, batch []*job.Job) {
 	for _, j := range batch {
-		path := in.BP.Paths[j.PathID]
 		j.StageIdx++
-		if j.StageIdx < len(path.Stages) {
+		if j.StageIdx < len(in.BP.Paths[j.PathID].Stages) {
 			in.pushToStage(now, j)
 		} else {
 			in.completeJob(now, j)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"testing"
 
 	"uqsim/internal/cluster"
@@ -76,6 +77,53 @@ func TestValidateErrors(t *testing.T) {
 	}
 	if err := singleStageBP("ok", 10).Validate(); err != nil {
 		t.Errorf("valid blueprint rejected: %v", err)
+	}
+}
+
+// chainBP is a blueprint of n single-queue stages and one path through
+// all of them.
+func chainBP(n int) *Blueprint {
+	bp := &Blueprint{Name: "chain", Paths: []PathSpec{{Name: "p"}}}
+	for i := 0; i < n; i++ {
+		bp.Stages = append(bp.Stages, StageSpec{Name: fmt.Sprint("s", i), Queue: queueing.KindSingle,
+			PerJob: dist.NewDeterministic(float64(10 + i%7))})
+		bp.Paths[0].Stages = append(bp.Paths[0].Stages, i)
+	}
+	return bp
+}
+
+// TestValidateStageLimit: the ready mask has one bit per stage, so a
+// blueprint may have 64 stages and no more.
+func TestValidateStageLimit(t *testing.T) {
+	if err := chainBP(MaxStages).Validate(); err != nil {
+		t.Fatalf("%d stages rejected: %v", MaxStages, err)
+	}
+	err := chainBP(MaxStages + 1).Validate()
+	if want := "service chain: 65 stages, at most 64 are supported"; err == nil || err.Error() != want {
+		t.Fatalf("65 stages: got error %v, want %q", err, want)
+	}
+}
+
+// TestReadyMaskCoversQueuedStages runs a burst through a 64-stage chain
+// (the top bit included) on two cores and checks after every event that
+// each stage queue holding jobs has its ready bit set: a clear bit is
+// what lets the pump skip a stage.
+func TestReadyMaskCoversQueuedStages(t *testing.T) {
+	h := newHarness(t, 2)
+	in := h.deploy(t, chainBP(MaxStages), 2)
+	const jobs = 50
+	for i := 0; i < jobs; i++ {
+		h.eng.At(des.Time(i*3), func(now des.Time) { in.Enqueue(now, h.newJob()) })
+	}
+	for h.eng.Step() {
+		for s, q := range in.queues {
+			if q.Len() > 0 && in.ready&(1<<s) == 0 {
+				t.Fatalf("t=%v: stage %d holds %d jobs but its ready bit is clear", h.eng.Now(), s, q.Len())
+			}
+		}
+	}
+	if len(h.done) != jobs || in.ready != 0 {
+		t.Fatalf("%d of %d jobs done, ready mask %#x after the drain", len(h.done), jobs, in.ready)
 	}
 }
 

@@ -150,7 +150,6 @@ func (s *Sim) setupHybrid(warmupEnd des.Time) error {
 		return err
 	}
 	s.fluid = st
-	s.sampleRNG = s.split.Stream("hybrid", "sample")
 	st.Start(s.eng, 0, warmupEnd)
 	return nil
 }

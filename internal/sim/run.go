@@ -9,6 +9,7 @@ import (
 	"uqsim/internal/graph"
 	"uqsim/internal/hybrid"
 	"uqsim/internal/job"
+	"uqsim/internal/rng"
 	"uqsim/internal/service"
 	"uqsim/internal/stats"
 	"uqsim/internal/workload"
@@ -65,8 +66,11 @@ func (s *Sim) Run(warmup, duration des.Time) (*Report, error) {
 			// Hybrid fidelity samples whole users, not requests: an
 			// unsampled user's entire journey belongs to the fluid tier,
 			// so sampled journeys keep their step-to-step correlation.
-			rate := s.fluid.SampleRate()
-			sess.SampleUser = func(int) bool { return s.sampleRNG.Float64() < rate }
+			// One draw per spawned id on the bare generator: the same
+			// values rand.Rand.Float64 gives on this stream, without its
+			// interface call per draw.
+			rate, g := s.fluid.SampleRate(), s.split.PCG("hybrid", "sample")
+			sess.SampleUser = func(int) bool { return rng.Float64(g) < rate }
 		}
 		s.sessions = sess
 		sess.Start(0)

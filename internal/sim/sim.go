@@ -173,11 +173,9 @@ type Sim struct {
 	sessions     *workload.Sessions
 
 	// Hybrid fidelity: nil until SetHybrid opts in. fluid is the live
-	// background tier (built at Run, nil at sample rate 1.0); sampleRNG
-	// drives the per-user Bernoulli sampling split.
+	// background tier (built at Run, nil at sample rate 1.0).
 	hybridCfg *hybrid.Config
 	fluid     *hybrid.State
-	sampleRNG *rng.Source
 	// fgPattern is the run-local thinned arrival pattern the open-loop
 	// generator uses under hybrid fidelity; the stored client config keeps
 	// the unthinned pattern so it is never thinned twice.

@@ -21,10 +21,20 @@ func NewP2Quantile(q float64) *P2Quantile {
 		panic("stats: P2 quantile must be in (0,1)")
 	}
 	p := &P2Quantile{q: q}
-	p.pos = [5]float64{1, 2, 3, 4, 5}
-	p.want = [5]float64{1, 1 + 2*q, 1 + 4*q, 3 + 2*q, 5}
-	p.incr = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
+	p.Reset()
 	return p
+}
+
+// Reset forgets every observation: the estimator is then the one
+// NewP2Quantile returns for its quantile, reused without an allocation.
+func (p *P2Quantile) Reset() {
+	q := p.q
+	*p = P2Quantile{
+		q:    q,
+		pos:  [5]float64{1, 2, 3, 4, 5},
+		want: [5]float64{1, 1 + 2*q, 1 + 4*q, 3 + 2*q, 5},
+		incr: [5]float64{0, q / 2, q, (1 + q) / 2, 1},
+	}
 }
 
 // Count reports the number of observations recorded.

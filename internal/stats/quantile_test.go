@@ -97,3 +97,28 @@ func TestP2PanicsOnBadQuantile(t *testing.T) {
 		}()
 	}
 }
+
+// TestP2ResetEqualsNew: an estimator reset after use is, field for field
+// and then estimate for estimate, a fresh NewP2Quantile.
+func TestP2ResetEqualsNew(t *testing.T) {
+	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
+		r := rand.New(rand.NewSource(int64(q * 100)))
+		used := NewP2Quantile(q)
+		for i := 0; i < 1000; i++ {
+			used.Add(r.ExpFloat64())
+		}
+		used.Reset()
+		fresh := NewP2Quantile(q)
+		if *used != *fresh {
+			t.Fatalf("q=%v: reset %+v, new %+v", q, *used, *fresh)
+		}
+		for i := 0; i < 500; i++ {
+			x := r.NormFloat64()
+			used.Add(x)
+			fresh.Add(x)
+			if a, b := used.Value(), fresh.Value(); math.Float64bits(a) != math.Float64bits(b) || used.Count() != fresh.Count() {
+				t.Fatalf("q=%v obs %d: reset estimator %v, new %v", q, i, a, b)
+			}
+		}
+	}
+}

@@ -280,7 +280,8 @@ type Sessions struct {
 	// SampleUser, when non-nil, decides at spawn whether a user runs at
 	// full DES fidelity. Unsampled users never Emit — the hybrid fluid
 	// tier carries their load analytically — but still count toward the
-	// population. nil: every user is simulated.
+	// population. It is called exactly once per user id, in id order.
+	// nil: every user is simulated.
 	SampleUser func(user int) bool
 
 	cfg   SessionConfig
@@ -302,8 +303,18 @@ type Sessions struct {
 	order      []orderEntry
 	departed   int
 	orderSwept int
-	nextID     int
-	bgUsers    int
+	// exhaustedFrom marks the exhausted suffix order[exhaustedFrom:]:
+	// entries with no background users after them whose simulated user is
+	// retiring or gone. Nothing makes such an entry useful to retire again
+	// except a spawn (which appends or adds background users at the end)
+	// or compactOrder (which moves entries), and both reset the mark to
+	// len(order); so retire resumes below it instead of walking the whole
+	// list, and its work is per user retired. retireVisits counts the
+	// entries retire visits.
+	exhaustedFrom int
+	retireVisits  int
+	nextID        int
+	bgUsers       int
 	// pendingRetire counts simulated users marked retiring but not yet
 	// departed: they still hold map slots until their next step boundary,
 	// so population control must not count them as excess again.
@@ -334,6 +345,7 @@ func NewSessions(eng *des.Engine, split *rng.Splitter, cfg SessionConfig, emit f
 		users: make(map[int]*sessionUser),
 		order: []orderEntry{{id: -1}},
 	}
+	s.exhaustedFrom = len(s.order)
 	s.jCum = make([]float64, len(cfg.Journeys))
 	cum := 0.0
 	for i, j := range cfg.Journeys {
@@ -397,23 +409,40 @@ func (s *Sessions) SimulatedUsers() int { return len(s.users) }
 func (s *Sessions) adjust(now des.Time) {
 	target := s.cfg.PopulationAt(now)
 	cur := s.ActiveUsers() - s.pendingRetire
-	for cur < target {
-		s.spawn(now)
-		cur++
-	}
-	if cur > target {
+	if cur < target {
+		s.spawn(now, target-cur)
+	} else if cur > target {
 		s.retire(cur - target)
 	}
 }
 
-func (s *Sessions) spawn(now des.Time) {
-	id := s.nextID
-	s.nextID++
-	if s.SampleUser != nil && !s.SampleUser(id) {
-		s.bgUsers++
-		s.order[len(s.order)-1].bgAfter++
-		return
+// spawn adds n users with the next n ids. SampleUser decides each id in id
+// order, once; a run of background ids costs one sampler call each and
+// is recorded with one count, and only a sampled id becomes a user.
+func (s *Sessions) spawn(now des.Time, n int) {
+	for n > 0 {
+		if s.SampleUser != nil {
+			run := 0
+			for run < n && !s.SampleUser(s.nextID+run) {
+				run++
+			}
+			s.nextID += run
+			s.bgUsers += run
+			s.order[len(s.order)-1].bgAfter += run
+			if n -= run; n == 0 {
+				break
+			}
+		}
+		s.spawnSim(now, s.nextID)
+		s.nextID++
+		n--
 	}
+	s.exhaustedFrom = len(s.order)
+}
+
+// spawnSim starts simulated user id: its own stream, a first journey, and
+// its first request after the first think time.
+func (s *Sessions) spawnSim(now des.Time, id int) {
 	u := &sessionUser{r: s.split.Stream("user", fmt.Sprint(id))}
 	u.wake = func(t des.Time) { s.issue(t, id, u) }
 	u.journey = s.pickJourney(u.r)
@@ -428,16 +457,20 @@ func (s *Sessions) spawn(now des.Time) {
 
 // retire removes n users, newest first. Background users vanish
 // immediately; simulated users depart at their next step boundary so
-// inflight requests drain and conservation holds.
+// inflight requests drain and conservation holds. The walk starts below
+// the exhausted suffix, whose entries it would only pass over, and moves
+// the mark down to the entry where it stopped.
 func (s *Sessions) retire(n int) {
-	for i := len(s.order) - 1; i >= 0 && n > 0; i-- {
+	i := s.exhaustedFrom - 1
+	for ; i >= 0 && n > 0; i-- {
+		s.retireVisits++
 		e := &s.order[i]
 		// The background users after e are newer than e itself.
 		bg := min(e.bgAfter, n)
 		e.bgAfter -= bg
 		s.bgUsers -= bg
 		if n -= bg; n == 0 {
-			return
+			break // e may keep background users, and its own user is unseen
 		}
 		u, ok := s.users[e.id]
 		if !ok || u.retiring {
@@ -447,6 +480,7 @@ func (s *Sessions) retire(n int) {
 		s.pendingRetire++
 		n--
 	}
+	s.exhaustedFrom = i + 1
 }
 
 func (s *Sessions) pickJourney(r *rng.Source) int {
@@ -548,6 +582,7 @@ func (s *Sessions) compactOrder() {
 	}
 	s.order = live
 	s.departed = 0
+	s.exhaustedFrom = len(s.order)
 }
 
 func expTime(r *rng.Source, mean des.Time) des.Time {
