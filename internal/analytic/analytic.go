@@ -36,15 +36,6 @@ func MM1SojournQuantile(lambda, mu, q float64) float64 {
 	return -math.Log(1-q) / (mu - lambda)
 }
 
-// MM1MeanQueueLength is the mean number in system: ρ/(1−ρ).
-func MM1MeanQueueLength(lambda, mu float64) float64 {
-	rho := lambda / mu
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	return rho / (1 - rho)
-}
-
 // Saturation sentinel. Every mean-value helper in this package returns
 // SaturatedWait (+Inf) when the queueing system has no stationary regime
 // (rho >= 1) or the inputs are degenerate (nonpositive service rate,
@@ -145,11 +136,6 @@ func RetryAttempts(p float64, retries int) float64 {
 	}
 	return (1 - math.Pow(p, float64(retries+1))) / (1 - p)
 }
-
-// MMkMeanQueueLength is the mean number of waiting (not in-service) jobs
-// of M/M/k by Little's law: Lq = λ·Wq. Saturated inputs return the
-// sentinel.
-func MMkMeanQueueLength(lambda, mu float64, k int) float64 { return MMkAt(lambda, mu, k).QueueLen }
 
 // MMkPoint is the stationary M/M/k state at one (λ, µ, k) operating
 // point — the per-epoch computation of a piecewise-constant fluid

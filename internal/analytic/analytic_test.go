@@ -31,13 +31,6 @@ func TestMM1(t *testing.T) {
 	if !math.IsInf(MM1SojournQuantile(1, 2, 1), 1) {
 		t.Fatal("q=1")
 	}
-	// ρ=0.5 → mean number in system = 1.
-	if got := MM1MeanQueueLength(5000, 10000); !close(got, 1, 1e-12) {
-		t.Fatalf("L %v", got)
-	}
-	if !math.IsInf(MM1MeanQueueLength(1, 1), 1) {
-		t.Fatal("saturated L")
-	}
 }
 
 func TestErlangCKnownValues(t *testing.T) {

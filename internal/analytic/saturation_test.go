@@ -84,9 +84,9 @@ func TestMMkMeanWaitBoundaries(t *testing.T) {
 		if !c.saturated && (w < 0 || math.IsNaN(w)) {
 			t.Errorf("%s: MMkMeanWait = %v, want finite nonnegative", c.name, w)
 		}
-		lq := MMkMeanQueueLength(c.lambda, c.mu, c.k)
+		lq := MMkAt(c.lambda, c.mu, c.k).QueueLen
 		if IsSaturated(lq) != c.saturated {
-			t.Errorf("%s: MMkMeanQueueLength saturation mismatch: %v", c.name, lq)
+			t.Errorf("%s: MMkPoint.QueueLen saturation mismatch: %v", c.name, lq)
 		}
 		// The sojourn helper must propagate the sentinel, not add 1/mu to it.
 		s := MMkMeanSojourn(c.lambda, c.mu, c.k)

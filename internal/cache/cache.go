@@ -63,9 +63,6 @@ func (c *LRU) Insert(key uint64) {
 	c.items[key] = c.order.PushFront(key)
 }
 
-// Len reports the number of cached keys.
-func (c *LRU) Len() int { return c.order.Len() }
-
 // HitRatio reports hits / (hits+misses) over the cache's lifetime.
 func (c *LRU) HitRatio() float64 {
 	total := c.hits + c.misses
@@ -74,10 +71,6 @@ func (c *LRU) HitRatio() float64 {
 	}
 	return float64(c.hits) / float64(total)
 }
-
-// Hits and Misses report the raw lookup counters.
-func (c *LRU) Hits() uint64   { return c.hits }
-func (c *LRU) Misses() uint64 { return c.misses }
 
 // Zipf samples keys 0..N-1 with P(k) ∝ 1/(k+1)^S via a precomputed CDF
 // (exact inverse-transform sampling; O(log N) per draw).
@@ -112,9 +105,6 @@ func (z *Zipf) Sample(r *rng.Source) uint64 {
 	u := r.Float64()
 	return uint64(sort.SearchFloat64s(z.cdf, u))
 }
-
-// N reports the key-universe size.
-func (z *Zipf) N() int { return len(z.cdf) }
 
 // PopularMass reports the probability mass of the k most popular keys —
 // the analytic ceiling for the hit ratio of a size-k cache under pure-LFU.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"uqsim/internal/atomicfile"
 	"uqsim/internal/config"
@@ -63,7 +62,7 @@ func findingEntry(f *Finding, faultsJSON []byte) (*Entry, error) {
 // (the materialized minimal schedule, merged with the config's base
 // policies) and meta.json. Both files land atomically and meta.json is
 // written last, so an interrupted flush can never leave an entry that
-// Entries or Replay would pick up half-written. Both documents are
+// Replay would pick up half-written. Both documents are
 // re-indented canonically: an Entry that crossed a process boundary (a
 // farm worker's result pipe, the spool journal) carries RawMessage bytes
 // reformatted by the enclosing encoders, and the corpus must come out
@@ -98,30 +97,6 @@ func canonicalJSON(raw []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// Entries lists the complete corpus entries under dir, sorted by name.
-// Directories without a meta.json (an interrupted flush) are skipped.
-func Entries(dir string) ([]string, error) {
-	des, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	var out []string
-	for _, de := range des {
-		if !de.IsDir() {
-			continue
-		}
-		entry := filepath.Join(dir, de.Name())
-		if _, err := os.Stat(filepath.Join(entry, "meta.json")); err == nil {
-			out = append(out, entry)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // ReplayResult compares a corpus entry's recorded finding against a fresh

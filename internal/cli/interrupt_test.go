@@ -155,8 +155,8 @@ func TestChaosInterruptFlushesPartialCorpus(t *testing.T) {
 	// Let the search archive at least one finding, then interrupt it with
 	// thousands of trials still pending.
 	waitFor(t, 2*time.Minute, "a complete corpus entry", func() bool {
-		entries, err := chaos.Entries(corpusDir)
-		return err == nil && len(entries) > 0
+		metas, err := filepath.Glob(filepath.Join(corpusDir, "*", "meta.json"))
+		return err == nil && len(metas) > 0
 	})
 	code := interruptAndWait(t, cmd)
 	if code == 0 {
@@ -166,15 +166,16 @@ func TestChaosInterruptFlushesPartialCorpus(t *testing.T) {
 		t.Fatalf("no interruption diagnostic in output:\n%s", out.String())
 	}
 
-	entries, err := chaos.Entries(corpusDir)
+	metas, err := filepath.Glob(filepath.Join(corpusDir, "*", "meta.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) == 0 {
+	if len(metas) == 0 {
 		t.Fatal("no corpus entries survived the interrupt")
 	}
-	for _, dir := range entries {
-		raw, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	for _, metaPath := range metas {
+		dir := filepath.Dir(metaPath)
+		raw, err := os.ReadFile(metaPath)
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)
 		}

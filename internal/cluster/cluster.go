@@ -45,18 +45,6 @@ func (f FreqSpec) Clamp(mhz float64) float64 {
 	return mhz
 }
 
-// Levels enumerates the discrete frequencies of the spec, ascending.
-func (f FreqSpec) Levels() []float64 {
-	if f.MaxMHz <= 0 || f.StepMHz <= 0 {
-		return nil
-	}
-	var out []float64
-	for m := f.MinMHz; m <= f.MaxMHz+1e-9; m += f.StepMHz {
-		out = append(out, m)
-	}
-	return out
-}
-
 // Pool is an auxiliary resource with bounded concurrency (e.g. 2 disk
 // spindles, a shared NIC DMA engine).
 type Pool struct {

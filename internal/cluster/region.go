@@ -53,12 +53,11 @@ func (l WANLink) delay(sizeKB float64) des.Time {
 // the configuration API; the index-keyed ones (LinkAt, DelayAt, NearestAt)
 // serve the per-hop path without hashing a name.
 type Geography struct {
-	regions   []Region
-	index     map[string]int // region name → declaration order
-	byMachine map[string]int // machine name → region index
-	def       WANLink
-	links     []wanOverride // region×region, row-major; symmetric
-	nearest   [][]int       // NearestAt orders by region, built on demand; reset on WAN edits
+	regions []Region
+	index   map[string]int // region name → declaration order
+	def     WANLink
+	links   []wanOverride // region×region, row-major; symmetric
+	nearest [][]int       // NearestAt orders by region, built on demand; reset on WAN edits
 }
 
 // wanOverride is one region pair's SetLink, if it has one.
@@ -76,10 +75,10 @@ func NewGeography(regions []Region, known func(string) bool) (*Geography, error)
 		return nil, fmt.Errorf("geography needs at least one region")
 	}
 	g := &Geography{
-		index:     make(map[string]int, len(regions)),
-		byMachine: make(map[string]int),
-		links:     make([]wanOverride, len(regions)*len(regions)),
+		index: make(map[string]int, len(regions)),
+		links: make([]wanOverride, len(regions)*len(regions)),
 	}
+	home := make(map[string]int) // machine name → region index
 	for i, r := range regions {
 		if r.Name == "" {
 			return nil, fmt.Errorf("region %d has no name", i)
@@ -94,13 +93,13 @@ func NewGeography(regions []Region, known func(string) bool) (*Geography, error)
 			if known != nil && !known(m) {
 				return nil, fmt.Errorf("region %q: unknown machine %q", r.Name, m)
 			}
-			if prev, taken := g.byMachine[m]; taken {
+			if prev, taken := home[m]; taken {
 				if prev == i {
 					return nil, fmt.Errorf("region %q lists machine %q twice", r.Name, m)
 				}
 				return nil, fmt.Errorf("machine %q assigned to two regions: %q and %q", m, regions[prev].Name, r.Name)
 			}
-			g.byMachine[m] = i
+			home[m] = i
 		}
 		g.index[r.Name] = i
 		cp := Region{Name: r.Name, Machines: append([]string(nil), r.Machines...)}
@@ -138,15 +137,6 @@ func (g *Geography) Names() []string {
 	return names
 }
 
-// RegionOf returns the home region of a machine, or "" if the machine
-// has no region assignment.
-func (g *Geography) RegionOf(machine string) string {
-	if i, ok := g.byMachine[machine]; ok {
-		return g.regions[i].Name
-	}
-	return ""
-}
-
 // SetDefaultWAN sets the WAN model used between every region pair that
 // has no explicit link override.
 func (g *Geography) SetDefaultWAN(l WANLink) error {
@@ -182,20 +172,9 @@ func (g *Geography) SetLink(a, b string, l WANLink) error {
 	return nil
 }
 
-// Link returns the WAN model between two regions. Traffic within one
-// region — or touching an unassigned or undeclared endpoint — costs
-// nothing.
-func (g *Geography) Link(src, dst string) WANLink {
-	i, ok := g.index[src]
-	j, ok2 := g.index[dst]
-	if !ok || !ok2 {
-		return WANLink{}
-	}
-	return g.LinkAt(i, j)
-}
-
-// LinkAt is Link by region index; a negative index is an unassigned
-// endpoint.
+// LinkAt returns the WAN model between regions i and j. Traffic within
+// one region, or touching an unassigned endpoint (a negative index),
+// costs nothing.
 func (g *Geography) LinkAt(i, j int) WANLink {
 	if i < 0 || j < 0 || i == j {
 		return WANLink{}
@@ -206,12 +185,7 @@ func (g *Geography) LinkAt(i, j int) WANLink {
 	return g.def
 }
 
-// Delay is the WAN cost of moving sizeKB from src to dst region.
-func (g *Geography) Delay(src, dst string, sizeKB float64) des.Time {
-	return g.Link(src, dst).delay(sizeKB)
-}
-
-// DelayAt is Delay by region index.
+// DelayAt is the WAN cost of moving sizeKB from region i to region j.
 func (g *Geography) DelayAt(i, j int, sizeKB float64) des.Time {
 	return g.LinkAt(i, j).delay(sizeKB)
 }

@@ -52,12 +52,6 @@ func TestGeographyLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g.RegionOf("m2"); got != "west" {
-		t.Fatalf("RegionOf(m2) = %q, want west", got)
-	}
-	if got := g.RegionOf("nope"); got != "" {
-		t.Fatalf("RegionOf(nope) = %q, want empty", got)
-	}
 	if !g.HasRegion("eu") || g.HasRegion("mars") {
 		t.Fatal("HasRegion wrong")
 	}
@@ -87,6 +81,9 @@ func TestGeographyWANAndNearest(t *testing.T) {
 	want := 5*des.Millisecond + 4*10*des.Microsecond
 	if d := g.Delay("west", "east", 4); d != want {
 		t.Fatalf("east-west delay = %v, want %v (link must be symmetric)", d, want)
+	}
+	if d := g.DelayAt(g.RegionIndex("east"), g.RegionIndex("west"), 4); d != want {
+		t.Fatalf("DelayAt(east, west) = %v, want %v", d, want)
 	}
 	if d := g.Delay("east", "eu", 0); d != 30*des.Millisecond {
 		t.Fatalf("default WAN delay = %v, want 30ms", d)

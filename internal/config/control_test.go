@@ -66,7 +66,7 @@ func TestLoadDirReadsControlJSON(t *testing.T) {
 	if st.Detections == 0 || st.Failovers == 0 {
 		t.Fatalf("kill at 0.5s not detected/failed over: %s", st.Fingerprint())
 	}
-	if lag := st.MeanDetectionLag(); lag <= 0 || lag > 200*des.Millisecond {
+	if lag := st.DetectionLagTotal / des.Time(st.Detections); lag <= 0 || lag > 200*des.Millisecond {
 		t.Fatalf("detection lag %v implausible", lag)
 	}
 }

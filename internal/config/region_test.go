@@ -1,6 +1,7 @@
 package config
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -163,10 +164,10 @@ func TestRegionConfigAssembles(t *testing.T) {
 	if geo == nil {
 		t.Fatal("no geography installed")
 	}
-	if got := geo.RegionOf("frontend"); got != "east" {
-		t.Fatalf("rack-pulled membership: frontend in %q, want east", got)
+	if !slices.Contains(geo.Regions()[geo.RegionIndex("east")].Machines, "frontend") {
+		t.Fatalf("rack-pulled membership: frontend not in east: %+v", geo.Regions())
 	}
-	if d := geo.Delay("east", "west", 0); d != des.Millisecond {
+	if d := geo.DelayAt(geo.RegionIndex("east"), geo.RegionIndex("west"), 0); d != des.Millisecond {
 		t.Fatalf("link override delay = %v, want 1ms", d)
 	}
 	rep, err := setup.Run()
@@ -217,10 +218,10 @@ func TestLoadDirThreeRegion(t *testing.T) {
 }
 
 // TestThreeRegionIndexLookups: on the shipped three-region config, every
-// per-hop geography lookup by index (LinkAt, DelayAt, NearestAt, the
-// machines' Region) agrees with the name-keyed API on every region pair,
-// and each nearest order is the one its definition gives: ascending WAN
-// latency from the source, ties by declaration order.
+// per-hop geography lookup by index (RegionIndex, NearestAt, the
+// machines' Region) agrees with the name-keyed API and the region
+// member lists, and each nearest order is the one its definition gives:
+// ascending WAN latency from the source, ties by declaration order.
 func TestThreeRegionIndexLookups(t *testing.T) {
 	setup, err := LoadDir("../../configs/threeregion")
 	if err != nil {
@@ -231,14 +232,6 @@ func TestThreeRegionIndexLookups(t *testing.T) {
 	for i, a := range regions {
 		if r := geo.RegionIndex(a.Name); r != i {
 			t.Fatalf("RegionIndex(%s) = %d, want %d", a.Name, r, i)
-		}
-		for j, b := range regions {
-			if got, want := geo.LinkAt(i, j), geo.Link(a.Name, b.Name); got != want {
-				t.Errorf("LinkAt(%d, %d) = %+v, Link(%s, %s) = %+v", i, j, got, a.Name, b.Name, want)
-			}
-			if got, want := geo.DelayAt(i, j, 3), geo.Delay(a.Name, b.Name, 3); got != want {
-				t.Errorf("DelayAt(%d, %d) = %v, Delay(%s, %s) = %v", i, j, got, a.Name, b.Name, want)
-			}
 		}
 		byName := geo.Nearest(a.Name)
 		byIndex := geo.NearestAt(i)
@@ -256,20 +249,25 @@ func TestThreeRegionIndexLookups(t *testing.T) {
 				continue
 			}
 			prev := byIndex[k-1]
-			lp, lr := geo.Link(a.Name, regions[prev].Name).Latency, geo.Link(a.Name, regions[r].Name).Latency
+			lp, lr := geo.LinkAt(i, prev).Latency, geo.LinkAt(i, r).Latency
 			if lp > lr || (lp == lr && prev > r) {
 				t.Errorf("Nearest(%s) = %v is not ordered by latency, then declaration", a.Name, byName)
 			}
 		}
 	}
-	for _, m := range setup.Sim.Cluster().Machines() {
-		want := geo.RegionOf(m.Name)
-		got := ""
-		if m.Region >= 0 {
-			got = regions[m.Region].Name
+	home := map[string]int{}
+	for i, r := range regions {
+		for _, name := range r.Machines {
+			home[name] = i
 		}
-		if got != want {
-			t.Errorf("machine %s: Region %d (%q), RegionOf %q", m.Name, m.Region, got, want)
+	}
+	for _, m := range setup.Sim.Cluster().Machines() {
+		want, ok := home[m.Name]
+		if !ok {
+			want = -1
+		}
+		if m.Region != want {
+			t.Errorf("machine %s: Region %d, its region's member list says %d", m.Name, m.Region, want)
 		}
 	}
 }

@@ -28,7 +28,6 @@ import (
 
 	"uqsim/internal/cluster"
 	"uqsim/internal/des"
-	"uqsim/internal/monitor"
 	"uqsim/internal/rng"
 	"uqsim/internal/service"
 	"uqsim/internal/sim"
@@ -254,15 +253,6 @@ type Stats struct {
 	RegionLosses    uint64
 	RegionFailovers uint64
 	RegionRestores  uint64
-}
-
-// MeanDetectionLag reports the average gap between an instance dying and
-// the detector noticing.
-func (st *Stats) MeanDetectionLag() des.Time {
-	if st.Detections == 0 {
-		return 0
-	}
-	return st.DetectionLagTotal / des.Time(st.Detections)
 }
 
 // Fingerprint flattens the counters into a comparable string for
@@ -575,20 +565,6 @@ func (p *Plane) ObserveCall(now des.Time, in *service.Instance, ok bool, latency
 	} else {
 		tr.fail++
 	}
-}
-
-// RegisterGauges surfaces per-deployment health state on a monitor:
-// <service>.replicas (non-retired instances), <service>.healthy (in the
-// load-balancing rotation), and <service>.ejected. Call before the
-// monitor starts.
-func (p *Plane) RegisterGauges(m *monitor.Monitor) {
-	for _, md := range p.managed {
-		dep := md.dep
-		m.WatchGauge(dep.Name+".replicas", func(des.Time) float64 { return float64(dep.ReplicaCount()) })
-		m.WatchGauge(dep.Name+".healthy", func(des.Time) float64 { return float64(len(dep.Healthy())) })
-		m.WatchGauge(dep.Name+".ejected", func(des.Time) float64 { return float64(dep.EjectedCount()) })
-	}
-	p.registerRegionGauges(m)
 }
 
 // placeReplica picks the machine for a new replica: among the allowed

@@ -74,7 +74,7 @@ func TestDetectionAndFailover(t *testing.T) {
 	if st.Detections != 1 || st.Failovers != 1 || st.Recoveries != 0 {
 		t.Fatalf("want 1 detection + 1 failover, got %s", st.Fingerprint())
 	}
-	if lag := st.MeanDetectionLag(); lag <= 0 || lag > 100*des.Millisecond {
+	if lag := st.DetectionLagTotal / des.Time(st.Detections); lag <= 0 || lag > 100*des.Millisecond {
 		t.Fatalf("detection lag %v outside (0, 100ms]", lag)
 	}
 	dep, _ := s.Deployment("s")
@@ -93,7 +93,8 @@ func TestDetectionAndFailover(t *testing.T) {
 		t.Fatalf("leaked %d requests", l)
 	}
 	plane.Stop()
-	s.Engine().Run()
+	for s.Engine().Step() {
+	}
 	if err := s.VerifyDrained(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,8 @@ func TestRecoveryWithdrawsDeclaration(t *testing.T) {
 		t.Fatalf("healthy replicas after recovery = %d, want 2", n)
 	}
 	plane.Stop()
-	s.Engine().Run()
+	for s.Engine().Step() {
+	}
 	if err := s.VerifyDrained(); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,8 @@ func grayFailureRun(t *testing.T, eject bool) (share float64, p99 des.Time, ejec
 		ejections = plane.Stats().Ejections
 		plane.Stop()
 	}
-	s.Engine().Run()
+	for s.Engine().Step() {
+	}
 	if err := s.VerifyDrained(); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +317,8 @@ func TestAutoscaleFollowsLoad(t *testing.T) {
 		t.Fatalf("leaked %d requests", l)
 	}
 	plane.Stop()
-	s.Engine().Run()
+	for s.Engine().Step() {
+	}
 	if err := s.VerifyDrained(); err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +469,8 @@ func TestControlledTopologiesConserveAndDrain(t *testing.T) {
 			t.Fatalf("seed %d: leaked %d requests", seed, l)
 		}
 		plane.Stop()
-		s.Engine().Run()
+		for s.Engine().Step() {
+		}
 		if err := s.VerifyDrained(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

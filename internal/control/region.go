@@ -2,7 +2,6 @@ package control
 
 import (
 	"uqsim/internal/des"
-	"uqsim/internal/monitor"
 )
 
 // This file is the region-failover orchestrator: the control plane's
@@ -130,37 +129,4 @@ func regionListed(regions []string, name string) bool {
 		}
 	}
 	return false
-}
-
-// registerRegionGauges surfaces the geography on a monitor:
-// region.<name>.up (fraction of the region's machines up),
-// net.xregion_fraction (fraction of regioned traffic crossing a
-// boundary), and per replicated deployment <service>.<region>.healthy
-// and <service>.<region>.staleness_ms for each replica region.
-func (p *Plane) registerRegionGauges(m *monitor.Monitor) {
-	geo := p.s.Geography()
-	if geo == nil {
-		return
-	}
-	s := p.s
-	for _, r := range geo.Regions() {
-		name := r.Name
-		m.WatchGauge("region."+name+".up", func(des.Time) float64 { return s.DomainUp(name) })
-	}
-	m.WatchGauge("net.xregion_fraction", func(des.Time) float64 { return s.CrossRegionFraction() })
-	for _, md := range p.managed {
-		dep := md.dep
-		if !dep.Replicated() {
-			continue
-		}
-		for _, r := range dep.ReplicaRegions() {
-			region := r
-			m.WatchGauge(dep.Name+"."+region+".healthy", func(des.Time) float64 {
-				return float64(dep.RegionHealthy(region))
-			})
-			m.WatchGauge(dep.Name+"."+region+".staleness_ms", func(now des.Time) float64 {
-				return dep.Staleness(now, region).Seconds() * 1000
-			})
-		}
-	}
 }

@@ -24,9 +24,6 @@ type Event struct {
 	pooled bool  // posted fire-and-forget: the engine recycles it, no handle exists
 }
 
-// At reports the virtual time the event was last scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Pending reports whether the event is queued: armed and neither fired nor
 // cancelled yet.
 func (e *Event) Pending() bool { return e.pos != 0 }
@@ -77,11 +74,6 @@ func (e *Engine) Pending() int { return len(e.h) + len(e.lane) - e.head }
 
 // Processed reports how many events have fired since construction.
 func (e *Engine) Processed() uint64 { return e.processed }
-
-// Armed reports how many cancellable events (Arm, At, After) have been
-// scheduled, and Canceled how many of them were removed before firing.
-func (e *Engine) Armed() uint64    { return e.armed }
-func (e *Engine) Canceled() uint64 { return e.canceled }
 
 // HeapPeak reports the most events the heap has held at once, and
 // LanePeak the most same-instant posts pending at once: the depths the
@@ -191,12 +183,6 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run fires events until the queue drains or Stop is called.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
 // RunUntil fires events with timestamps ≤ deadline, then advances the clock
 // to the deadline. Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline Time) {
@@ -207,12 +193,9 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// Stop halts Run/RunUntil after the current event completes. Further Step
-// calls report false until Resume.
+// Stop halts RunUntil after the current event completes. Further Step
+// calls report false.
 func (e *Engine) Stop() { e.stopped.Store(true) }
-
-// Resume clears a Stop so the engine can run again.
-func (e *Engine) Resume() { e.stopped.Store(false) }
 
 // Stopped reports whether the engine is currently stopped.
 func (e *Engine) Stopped() bool { return e.stopped.Load() }

@@ -57,13 +57,6 @@ func (t Time) Millis() float64 { return float64(t) / 1e6 }
 // Micros reports t as a floating-point number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / 1e3 }
 
-// Nanos reports t as a floating-point number of nanoseconds.
-func (t Time) Nanos() float64 { return float64(t) }
-
-// Duration converts t to a wall-clock duration value (same nanosecond
-// magnitude).
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // String formats the time with an auto-selected unit, e.g. "1.500ms".
 func (t Time) String() string {
 	switch {

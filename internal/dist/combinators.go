@@ -1,10 +1,6 @@
 package dist
 
-import (
-	"math"
-
-	"uqsim/internal/rng"
-)
+import "uqsim/internal/rng"
 
 // Scaled multiplies every sample of Base by Factor. The simulator uses it
 // to model DVFS: a stage calibrated at nominal frequency f0 running at f
@@ -27,123 +23,6 @@ func NewScaled(base Sampler, factor float64) Scaled {
 
 func (s Scaled) Sample(r *rng.Source) float64 { return s.Base.Sample(r) * s.Factor }
 func (s Scaled) Mean() float64                { return s.Base.Mean() * s.Factor }
-
-// Shifted adds Offset to every sample of Base (clamping at zero), modelling
-// a fixed overhead on top of a stochastic cost.
-type Shifted struct {
-	Base   Sampler
-	Offset float64
-}
-
-// NewShifted wraps base so every sample has offset added.
-func NewShifted(base Sampler, offset float64) Shifted {
-	if base == nil {
-		panic("dist: shifted base must not be nil")
-	}
-	return Shifted{Base: base, Offset: offset}
-}
-
-func (s Shifted) Sample(r *rng.Source) float64 {
-	v := s.Base.Sample(r) + s.Offset
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-func (s Shifted) Mean() float64 { return s.Base.Mean() + s.Offset }
-
-// Clamped restricts samples of Base to [Lo, Hi]. Used to bound heavy tails
-// (e.g. a Pareto service time with a timeout ceiling).
-type Clamped struct {
-	Base   Sampler
-	Lo, Hi float64
-}
-
-// NewClamped wraps base, clamping samples into [lo, hi].
-func NewClamped(base Sampler, lo, hi float64) Clamped {
-	if base == nil {
-		panic("dist: clamped base must not be nil")
-	}
-	if hi < lo {
-		panic("dist: clamp requires lo <= hi")
-	}
-	return Clamped{Base: base, Lo: lo, Hi: hi}
-}
-
-func (c Clamped) Sample(r *rng.Source) float64 {
-	v := c.Base.Sample(r)
-	if v < c.Lo {
-		return c.Lo
-	}
-	if v > c.Hi {
-		return c.Hi
-	}
-	return v
-}
-
-// Mean of a clamped distribution has no simple closed form; report the
-// base mean clamped into the interval as an approximation.
-func (c Clamped) Mean() float64 {
-	m := c.Base.Mean()
-	if math.IsNaN(m) {
-		return math.NaN()
-	}
-	if m < c.Lo {
-		return c.Lo
-	}
-	if m > c.Hi {
-		return c.Hi
-	}
-	return m
-}
-
-// Mixture draws from one of several component samplers with fixed weights —
-// the distribution-level analogue of µqSim's probabilistic execution paths.
-type Mixture struct {
-	components []Sampler
-	cum        []float64 // cumulative normalized weights
-	mean       float64
-}
-
-// NewMixture builds a mixture; weights need not be normalized but must be
-// non-negative with a positive sum, and len(weights) == len(components).
-func NewMixture(components []Sampler, weights []float64) *Mixture {
-	if len(components) == 0 || len(components) != len(weights) {
-		panic("dist: mixture needs equal, non-zero component and weight counts")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("dist: mixture weights must be non-negative")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("dist: mixture weights must sum to a positive value")
-	}
-	m := &Mixture{components: components, cum: make([]float64, len(weights))}
-	acc := 0.0
-	mean := 0.0
-	for i, w := range weights {
-		acc += w / total
-		m.cum[i] = acc
-		mean += (w / total) * components[i].Mean()
-	}
-	m.cum[len(m.cum)-1] = 1 // guard against rounding
-	m.mean = mean
-	return m
-}
-
-func (m *Mixture) Sample(r *rng.Source) float64 {
-	u := r.Float64()
-	for i, c := range m.cum {
-		if u <= c {
-			return m.components[i].Sample(r)
-		}
-	}
-	return m.components[len(m.components)-1].Sample(r)
-}
-func (m *Mixture) Mean() float64 { return m.mean }
 
 // Choice picks an index in [0, len(weights)) with the given weights. It is
 // the discrete selector behind probabilistic execution paths and

@@ -91,14 +91,6 @@ func (n Normal) Mean() float64 { return n.Mu }
 // Heavy-ish right tail; a common fit for RPC service times.
 type LogNormal struct{ Mu, Sigma float64 }
 
-// NewLogNormal constructs from log-space parameters.
-func NewLogNormal(mu, sigma float64) LogNormal {
-	if sigma < 0 {
-		panic("dist: lognormal sigma must be non-negative")
-	}
-	return LogNormal{Mu: mu, Sigma: sigma}
-}
-
 // LogNormalFromMoments constructs a LogNormal with the given real-space
 // mean and standard deviation.
 func LogNormalFromMoments(mean, stddev float64) LogNormal {
@@ -215,30 +207,3 @@ func (h HyperExp) Sample(r *rng.Source) float64 {
 }
 
 func (h HyperExp) Mean() float64 { return h.P*h.Mean1 + (1-h.P)*h.Mean2 }
-
-// SCV reports the squared coefficient of variation (≥ 1 for H2).
-func (h HyperExp) SCV() float64 {
-	m := h.Mean()
-	es2 := 2 * (h.P*h.Mean1*h.Mean1 + (1-h.P)*h.Mean2*h.Mean2)
-	return es2/(m*m) - 1
-}
-
-// Bernoulli returns 1 with probability P, else 0. Used for path choices
-// such as MongoDB cache hit vs. miss.
-type Bernoulli struct{ P float64 }
-
-// NewBernoulli returns a Bernoulli sampler; p must be in [0,1].
-func NewBernoulli(p float64) Bernoulli {
-	if p < 0 || p > 1 {
-		panic("dist: bernoulli p must be in [0,1]")
-	}
-	return Bernoulli{P: p}
-}
-
-func (b Bernoulli) Sample(r *rng.Source) float64 {
-	if r.Float64() < b.P {
-		return 1
-	}
-	return 0
-}
-func (b Bernoulli) Mean() float64 { return b.P }

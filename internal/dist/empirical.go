@@ -58,55 +58,6 @@ func NewEmpirical(edges []float64, counts []float64) (*Empirical, error) {
 	return e, nil
 }
 
-// FromSamples builds an Empirical from raw observations using equal-count
-// (quantile) bins, mirroring how profiled timestamps become a histogram.
-func FromSamples(samples []float64, bins int) (*Empirical, error) {
-	if len(samples) < 2 {
-		return nil, fmt.Errorf("dist: need at least 2 samples")
-	}
-	if bins < 1 {
-		return nil, fmt.Errorf("dist: need at least 1 bin")
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	if bins > len(sorted)-1 {
-		bins = len(sorted) - 1
-	}
-	edges := make([]float64, 0, bins+1)
-	counts := make([]float64, 0, bins)
-	prev := sorted[0]
-	edges = append(edges, prev)
-	for i := 1; i <= bins; i++ {
-		idx := i * (len(sorted) - 1) / bins
-		edge := sorted[idx]
-		if edge <= prev {
-			continue // collapse duplicate quantiles
-		}
-		edges = append(edges, edge)
-		counts = append(counts, float64(idx*(len(sorted)-1)/bins))
-		prev = edge
-	}
-	if len(edges) < 2 {
-		// All samples identical: widen artificially so the sampler works.
-		edges = []float64{sorted[0], sorted[0] + 1}
-		counts = []float64{1}
-	} else {
-		// Recompute counts as actual per-bin tallies.
-		counts = make([]float64, len(edges)-1)
-		for _, s := range sorted {
-			i := sort.SearchFloat64s(edges, s)
-			if i > 0 {
-				i--
-			}
-			if i >= len(counts) {
-				i = len(counts) - 1
-			}
-			counts[i]++
-		}
-	}
-	return NewEmpirical(edges, counts)
-}
-
 func (e *Empirical) Sample(r *rng.Source) float64 {
 	u := r.Float64()
 	i := sort.SearchFloat64s(e.cum, u)
@@ -118,9 +69,3 @@ func (e *Empirical) Sample(r *rng.Source) float64 {
 }
 
 func (e *Empirical) Mean() float64 { return e.mean }
-
-// Bins reports the number of histogram bins.
-func (e *Empirical) Bins() int { return len(e.cum) }
-
-// Support reports the histogram's [min, max) range.
-func (e *Empirical) Support() (lo, hi float64) { return e.edges[0], e.edges[len(e.edges)-1] }

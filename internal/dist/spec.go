@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -95,13 +94,4 @@ func (s Spec) Build() (Sampler, error) {
 	default:
 		return nil, fmt.Errorf("dist: unknown distribution type %q", s.Type)
 	}
-}
-
-// ParseSpec decodes a JSON blob into a sampler.
-func ParseSpec(raw []byte) (Sampler, error) {
-	var s Spec
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return nil, fmt.Errorf("dist: bad spec JSON: %w", err)
-	}
-	return s.Build()
 }

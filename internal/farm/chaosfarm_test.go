@@ -73,14 +73,7 @@ func TestFarmChaosCampaignMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serialEntries, err := chaos.Entries(serialCorpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	farmEntries, err := chaos.Entries(farmCorpus)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serialEntries, farmEntries := corpusEntries(t, serialCorpus), corpusEntries(t, farmCorpus)
 	if len(serialEntries) != len(farmEntries) || len(serialEntries) != violations {
 		t.Fatalf("corpus sizes: serial=%d farm=%d", len(serialEntries), len(farmEntries))
 	}
@@ -103,4 +96,18 @@ func TestFarmChaosCampaignMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// corpusEntries lists the complete entries (those with a meta.json) of a
+// chaos corpus directory, sorted by name.
+func corpusEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	metas, err := filepath.Glob(filepath.Join(dir, "*", "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range metas {
+		metas[i] = filepath.Dir(m)
+	}
+	return metas
 }

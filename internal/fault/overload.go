@@ -156,10 +156,3 @@ func (c *CoDel) OnDequeue(now, sojourn des.Time) bool {
 func (c *CoDel) next(from des.Time) des.Time {
 	return from + des.Time(float64(c.interval)/math.Sqrt(float64(c.count)))
 }
-
-// Dropping reports whether the controller is currently in a shedding
-// episode.
-func (c *CoDel) Dropping() bool { return c.dropping }
-
-// Drops reports the lifetime number of jobs shed.
-func (c *CoDel) Drops() uint64 { return c.drops }

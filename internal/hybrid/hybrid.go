@@ -310,17 +310,6 @@ func (st *State) Active() bool { return st.cfg.SampleRate < 1 }
 // SampleRate is the configured foreground fraction.
 func (st *State) SampleRate() float64 { return st.cfg.SampleRate }
 
-// ServiceIndex maps a service name to its wait-injection index (-1 when
-// the service has no fluid model).
-func (st *State) ServiceIndex(name string) int {
-	for i, s := range st.services {
-		if s.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Start begins the epoch loop. Background accrual covers [warmupEnd, end)
 // to match the simulator's measured-window accounting; equilibrium
 // injection is live from `at` so warmup traffic also sees background load.
@@ -573,14 +562,6 @@ func (st *State) WaitFor(idx int) des.Time {
 // Work returns the tier's live work counters, so the rate callback can
 // book the solves it runs on the tier's behalf.
 func (st *State) Work() *Counters { return &st.work }
-
-// Point reports service idx's current epoch equilibrium.
-func (st *State) Point(idx int) analytic.MMkPoint {
-	if idx < 0 || idx >= len(st.points) {
-		return analytic.MMkPoint{}
-	}
-	return st.points[idx].MMkPoint
-}
 
 // Snapshot is the background tier's contribution to the run report,
 // resolved to whole requests. Completions are arrivals minus shed minus

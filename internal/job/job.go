@@ -139,15 +139,6 @@ func (r *Request) Expired(now des.Time) bool {
 	return r.Deadline > 0 && now >= r.Deadline
 }
 
-// Remaining reports the residual deadline budget at virtual time now; 0
-// when expired or budget-less.
-func (r *Request) Remaining(now des.Time) des.Time {
-	if r.Deadline == 0 || now >= r.Deadline {
-		return 0
-	}
-	return r.Deadline - now
-}
-
 // Latency reports end-to-end latency; 0 while in flight.
 func (r *Request) Latency() des.Time {
 	if !r.Done() {

@@ -7,9 +7,6 @@
 package monitor
 
 import (
-	"fmt"
-	"strings"
-
 	"uqsim/internal/des"
 	"uqsim/internal/service"
 	"uqsim/internal/stats"
@@ -83,7 +80,6 @@ type Monitor struct {
 	gaugeFns []func(now des.Time) float64
 	gauges   []*stats.TimeSeries
 	started  bool
-	samples  int
 	tick     des.Callback // m.sample, bound once
 }
 
@@ -125,9 +121,9 @@ func (m *Monitor) Watch(name string, t Target) *Series {
 	return s
 }
 
-// WatchGauge registers a free-form gauge sampled on the monitor cadence —
-// the hook control planes use to surface healthy/ejected/replica counts
-// without the monitor depending on them. Must be called before Start.
+// WatchGauge registers a free-form gauge sampled on the monitor cadence,
+// such as Sim.DomainUp for a failure domain or a NetState counter. Must
+// be called before Start.
 func (m *Monitor) WatchGauge(name string, fn func(now des.Time) float64) *stats.TimeSeries {
 	if m.started {
 		panic("monitor: WatchGauge after Start")
@@ -141,9 +137,6 @@ func (m *Monitor) WatchGauge(name string, fn func(now des.Time) float64) *stats.
 	return ts
 }
 
-// Gauges returns the registered gauge series in WatchGauge order.
-func (m *Monitor) Gauges() []*stats.TimeSeries { return m.gauges }
-
 // Start schedules the first sample one interval from now.
 func (m *Monitor) Start() {
 	m.started = true
@@ -151,7 +144,6 @@ func (m *Monitor) Start() {
 }
 
 func (m *Monitor) sample(now des.Time) {
-	m.samples++
 	for i, t := range m.targets {
 		s := m.series[i]
 		s.QueueLen.Record(now, float64(t.QueueLen()))
@@ -179,90 +171,5 @@ func (m *Monitor) sample(now des.Time) {
 	m.eng.Post(now+m.interval, m.tick)
 }
 
-// Samples reports how many sampling rounds have run.
-func (m *Monitor) Samples() int { return m.samples }
-
 // Series returns the registered series in Watch order.
 func (m *Monitor) AllSeries() []*Series { return m.series }
-
-// PeakQueueLen reports the maximum sampled queue length per target.
-func (m *Monitor) PeakQueueLen() map[string]float64 {
-	out := make(map[string]float64, len(m.series))
-	for _, s := range m.series {
-		peak := 0.0
-		for _, p := range s.QueueLen.Points() {
-			if p.V > peak {
-				peak = p.V
-			}
-		}
-		out[s.Name] = peak
-	}
-	return out
-}
-
-// CSV renders all series as one CSV document (t_s, then one column per
-// target per metric).
-func (m *Monitor) CSV() string {
-	var b strings.Builder
-	b.WriteString("t_s")
-	for _, s := range m.series {
-		fmt.Fprintf(&b, ",%s_qlen,%s_inflight,%s_util", s.Name, s.Name, s.Name)
-		if s.Shed != nil {
-			fmt.Fprintf(&b, ",%s_shed,%s_dropped", s.Name, s.Name)
-		}
-		if s.Up != nil {
-			fmt.Fprintf(&b, ",%s_up", s.Name)
-		}
-		if s.Canceled != nil {
-			fmt.Fprintf(&b, ",%s_canceled,%s_wasted", s.Name, s.Name)
-		}
-	}
-	for _, g := range m.gauges {
-		fmt.Fprintf(&b, ",%s", g.Name)
-	}
-	b.WriteByte('\n')
-	if len(m.series) == 0 {
-		return b.String()
-	}
-	n := m.series[0].QueueLen.Len()
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "%.3f", m.series[0].QueueLen.Points()[i].T.Seconds())
-		for _, s := range m.series {
-			if i < s.QueueLen.Len() {
-				fmt.Fprintf(&b, ",%.0f,%.0f,%.3f",
-					s.QueueLen.Points()[i].V,
-					s.InFlight.Points()[i].V,
-					s.Util.Points()[i].V)
-				if s.Shed != nil {
-					fmt.Fprintf(&b, ",%.0f,%.0f", s.Shed.Points()[i].V, s.Dropped.Points()[i].V)
-				}
-				if s.Up != nil {
-					fmt.Fprintf(&b, ",%.0f", s.Up.Points()[i].V)
-				}
-				if s.Canceled != nil {
-					fmt.Fprintf(&b, ",%.0f,%.0f", s.Canceled.Points()[i].V, s.Wasted.Points()[i].V)
-				}
-			} else {
-				b.WriteString(",,,")
-				if s.Shed != nil {
-					b.WriteString(",,")
-				}
-				if s.Up != nil {
-					b.WriteString(",")
-				}
-				if s.Canceled != nil {
-					b.WriteString(",,")
-				}
-			}
-		}
-		for _, g := range m.gauges {
-			if i < g.Len() {
-				fmt.Fprintf(&b, ",%g", g.Points()[i].V)
-			} else {
-				b.WriteString(",")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

@@ -33,23 +33,32 @@ func buildMonitored(t *testing.T, qps float64) (*sim.Sim, *Monitor) {
 	return s, m
 }
 
+// peakQueueLen is the largest sampled queue length of one series.
+func peakQueueLen(s *Series) float64 {
+	peak := 0.0
+	for _, p := range s.QueueLen.Points() {
+		peak = max(peak, p.V)
+	}
+	return peak
+}
+
 func TestMonitorSamplesOnCadence(t *testing.T) {
 	s, m := buildMonitored(t, 1000)
 	if _, err := s.Run(0, des.Second); err != nil {
 		t.Fatal(err)
 	}
-	if m.Samples() < 99 || m.Samples() > 101 {
-		t.Fatalf("samples = %d, want ≈100", m.Samples())
-	}
 	series := m.AllSeries()[0]
-	if series.QueueLen.Len() != m.Samples() {
-		t.Fatal("queue series length mismatch")
+	if n := len(series.QueueLen.Points()); n < 99 || n > 101 {
+		t.Fatalf("samples = %d, want ≈100", n)
+	}
+	if len(series.Util.Points()) != len(series.QueueLen.Points()) {
+		t.Fatal("util series length mismatch")
 	}
 	// Under light load the queue stays empty and utilization ≈0.1.
-	if peak := m.PeakQueueLen()["svc-0"]; peak > 3 {
+	if peak := peakQueueLen(series); peak > 3 {
 		t.Fatalf("peak queue %v at light load", peak)
 	}
-	last := series.Util.Points()[series.Util.Len()-1]
+	last := series.Util.Points()[len(series.Util.Points())-1]
 	if last.V < 0.05 || last.V > 0.15 {
 		t.Fatalf("utilization %v, want ≈0.1", last.V)
 	}
@@ -60,7 +69,7 @@ func TestMonitorSeesOverloadBacklog(t *testing.T) {
 	if _, err := s.Run(0, des.Second); err != nil {
 		t.Fatal(err)
 	}
-	if peak := m.PeakQueueLen()["svc-0"]; peak < 1000 {
+	if peak := peakQueueLen(m.AllSeries()[0]); peak < 1000 {
 		t.Fatalf("peak queue %v under overload, want large", peak)
 	}
 }
@@ -75,8 +84,8 @@ func TestMonitorCSV(t *testing.T) {
 	if lines[0] != "t_s,svc-0_qlen,svc-0_inflight,svc-0_util,svc-0_shed,svc-0_dropped,svc-0_up,svc-0_canceled,svc-0_wasted" {
 		t.Fatalf("header %q", lines[0])
 	}
-	if len(lines) != m.Samples()+1 {
-		t.Fatalf("csv rows %d for %d samples", len(lines)-1, m.Samples())
+	if n := len(m.AllSeries()[0].QueueLen.Points()); len(lines) != n+1 {
+		t.Fatalf("csv rows %d for %d samples", len(lines)-1, n)
 	}
 }
 
@@ -139,7 +148,7 @@ func TestMonitorTracksCanceledWork(t *testing.T) {
 	if series.Canceled == nil || series.Wasted == nil {
 		t.Fatal("instance target should expose waste series")
 	}
-	last := series.Canceled.Points()[series.Canceled.Len()-1]
+	last := series.Canceled.Points()[len(series.Canceled.Points())-1]
 	if last.V == 0 {
 		t.Fatal("deadline overload should accumulate canceled work")
 	}

@@ -133,9 +133,6 @@ func (st *State) Reachable(src, dst int) bool {
 	return src == dst || st.cuts.At(src, dst) == 0
 }
 
-// Partitioned reports whether any partition is currently open.
-func (st *State) Partitioned() bool { return st.open > 0 }
-
 // StartPartition severs connectivity between the two machine groups:
 // a→b for every a in groupA, b in groupB, and — unless oneWay — the
 // reverse direction too. Overlapping partitions stack; each must be

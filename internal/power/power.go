@@ -411,9 +411,6 @@ func (m *Manager) speedUpViolators(cur tuple) {
 // Cycles reports completed decision cycles.
 func (m *Manager) Cycles() int { return m.cycles }
 
-// Violations reports cycles whose windowed p99 exceeded the QoS target.
-func (m *Manager) Violations() int { return m.violations }
-
 // ViolationRate reports the fraction of cycles in violation (Table III).
 func (m *Manager) ViolationRate() float64 {
 	if m.cycles == 0 {

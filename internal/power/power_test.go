@@ -138,7 +138,7 @@ func TestManagerRecoversFromViolations(t *testing.T) {
 	if m.ViolationRate() > 0.25 {
 		t.Fatalf("violation rate %v too high under managed load", m.ViolationRate())
 	}
-	if m.TailTrace.Len() == 0 {
+	if len(m.TailTrace.Points()) == 0 {
 		t.Fatal("no tail trace")
 	}
 }

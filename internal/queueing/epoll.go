@@ -43,9 +43,6 @@ func (c *connSubs) Push(j *job.Job) {
 
 func (c *connSubs) Len() int { return c.total }
 
-// ActiveConnections reports how many connections currently have queued jobs.
-func (c *connSubs) ActiveConnections() int { return len(c.order) }
-
 // Epoll models the epoll stage queue: jobs are classified into subqueues by
 // connection, and one batch drains the first PerConn jobs of every active
 // subqueue — the simulator analogue of epoll_wait returning all ready

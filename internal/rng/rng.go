@@ -29,9 +29,6 @@ type Splitter struct {
 // NewSplitter returns a splitter rooted at seed.
 func NewSplitter(seed uint64) *Splitter { return &Splitter{seed: seed} }
 
-// Seed reports the root seed.
-func (s *Splitter) Seed() uint64 { return s.seed }
-
 // Stream derives the child stream named by the given labels. Labels are
 // hashed, so any stable identifier (service name, stage name, index) works.
 func (s *Splitter) Stream(labels ...string) *Source {

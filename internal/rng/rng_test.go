@@ -73,7 +73,7 @@ func TestChildSplitter(t *testing.T) {
 	if c1.Stream("x").Uint64() != c2.Stream("x").Uint64() {
 		t.Fatal("child splitters with same label should match")
 	}
-	if s.Child("m0").Seed() == s.Child("m1").Seed() {
+	if s.Child("m0").seed == s.Child("m1").seed {
 		t.Fatal("different children should have different seeds")
 	}
 }

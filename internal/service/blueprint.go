@@ -70,12 +70,6 @@ type StageSpec struct {
 	// payload, modelling socket reads proportional to bytes.
 	PerKB float64
 
-	// BaseTable/PerJobTable optionally supply per-DVFS-frequency
-	// samplers (the paper's per-frequency histograms). When nil, Base /
-	// PerJob samples are scaled linearly by nominal/current frequency.
-	BaseTable   *dist.FreqTable
-	PerJobTable *dist.FreqTable
-
 	// PoolName, when non-empty, executes the stage against the named
 	// auxiliary pool on the instance's machine (e.g. "disk") instead of
 	// a core. Pool stages are not frequency-scaled and never batch.
@@ -159,8 +153,7 @@ func (b *Blueprint) Validate() error {
 		return fmt.Errorf("service %s: threaded model needs Threads >= 1", b.Name)
 	}
 	for i, s := range b.Stages {
-		if s.Base == nil && s.PerJob == nil && s.PerKB == 0 &&
-			s.BaseTable == nil && s.PerJobTable == nil {
+		if s.Base == nil && s.PerJob == nil && s.PerKB == 0 {
 			return fmt.Errorf("service %s: stage %d (%s) has no cost model", b.Name, i, s.Name)
 		}
 		if s.PoolName != "" && s.Batching {

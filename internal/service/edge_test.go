@@ -31,7 +31,8 @@ func TestBatchLimitBoundsDispatch(t *testing.T) {
 			in.Enqueue(now, jobs[i])
 		}
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	// Two batches of 2: first pair at 1200, second pair at 2400.
 	finishes := map[des.Time]int{}
 	for _, j := range jobs {
@@ -68,7 +69,8 @@ func TestEpollThenSocketPipelineKeepsConnOrder(t *testing.T) {
 			in.Enqueue(now, j)
 		}
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	// Per-connection completion order must match arrival order.
 	finishedAt := map[int][]des.Time{}
 	for _, j := range jobs {
@@ -104,7 +106,8 @@ func TestFrequencyChangeMidRunAffectsNewWork(t *testing.T) {
 	// Halve the frequency between the two jobs.
 	eng.At(5000, func(des.Time) { alloc.SetFreq(1300) })
 	eng.At(10000, func(now des.Time) { in.Enqueue(now, second) })
-	eng.Run()
+	for eng.Step() {
+	}
 	if first.Finished != 1000 {
 		t.Fatalf("first finished %v (nominal)", first.Finished)
 	}
@@ -132,7 +135,8 @@ func TestThreadedManyWaitersDrain(t *testing.T) {
 			in.Enqueue(now, h.newJob())
 		}
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if in.Completed() != 10 {
 		t.Fatalf("completed %d", in.Completed())
 	}
@@ -165,7 +169,8 @@ func TestThreadedPoolWaitersWakeInOrder(t *testing.T) {
 			in.Enqueue(now, jobs[i])
 		}
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	for i, j := range jobs {
 		want := des.Time(1000 * (i + 1))
 		if j.Finished != want {
@@ -199,7 +204,8 @@ func TestMultiPathStageSharing(t *testing.T) {
 		in.Enqueue(now, long)
 		in.Enqueue(now, short)
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if short.Finished != 100 || long.Finished != 300 {
 		t.Fatalf("short %v long %v, want 100/300 (2 cores)", short.Finished, long.Finished)
 	}
@@ -211,7 +217,8 @@ func TestArrivalDuringProcessingQueues(t *testing.T) {
 	a, b := h.newJob(), h.newJob()
 	h.eng.At(0, func(now des.Time) { in.Enqueue(now, a) })
 	h.eng.At(500, func(now des.Time) { in.Enqueue(now, b) })
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if a.Finished != 1000 || b.Finished != 2000 {
 		t.Fatalf("a %v b %v", a.Finished, b.Finished)
 	}

@@ -30,7 +30,8 @@ func TestKillDropsQueuedAndInFlight(t *testing.T) {
 	if !in.Down() {
 		t.Fatal("instance should be down")
 	}
-	h.eng.Run() // the stale completion event fires and drops the runner
+	for h.eng.Step() { // the stale completion event fires and drops the runner
+	}
 	if len(dropped) != 1 {
 		t.Fatalf("%d in-flight drops, want 1", len(dropped))
 	}
@@ -63,7 +64,8 @@ func TestRestartServesAgain(t *testing.T) {
 	if res := in.Admit(h.eng.Now(), fresh); res != Admitted {
 		t.Fatalf("admit after restart: %v", res)
 	}
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if len(h.done) != 1 || h.done[0] != fresh {
 		t.Fatalf("restarted instance completed %d jobs", len(h.done))
 	}
@@ -94,7 +96,8 @@ func TestAdmitShedsAtMaxQueue(t *testing.T) {
 	if in.Shed() != uint64(shed) {
 		t.Fatalf("Shed() = %d, want %d", in.Shed(), shed)
 	}
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if len(h.done) != admitted {
 		t.Fatalf("completed %d of %d admitted", len(h.done), admitted)
 	}
@@ -149,7 +152,8 @@ func TestKillMidPoolStageReleasesPoolOnce(t *testing.T) {
 		t.Fatalf("pool in use %d, want 1 (job mid-I/O)", pool.InUse())
 	}
 	in.Kill(h.eng.Now())
-	h.eng.Run() // stale I/O completion fires: releases the unit, drops the job
+	for h.eng.Step() { // stale I/O completion fires: releases the unit, drops the job
+	}
 	if pool.InUse() != 0 {
 		t.Fatalf("pool in use %d after drain, want 0", pool.InUse())
 	}
@@ -160,7 +164,8 @@ func TestKillMidPoolStageReleasesPoolOnce(t *testing.T) {
 	// The pool is usable again after restart.
 	in.Restart(h.eng.Now())
 	in.Enqueue(h.eng.Now(), h.newJob())
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if len(h.done) != 1 {
 		t.Fatalf("post-restart job did not complete (%d done)", len(h.done))
 	}
@@ -185,13 +190,15 @@ func TestThreadedKillRestoresThreadPool(t *testing.T) {
 	}
 	h.eng.RunUntil(100 * des.Microsecond)
 	in.Kill(h.eng.Now())
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	in.Restart(h.eng.Now())
 
 	// All threads available again: two fresh jobs proceed concurrently.
 	in.Enqueue(h.eng.Now(), h.newJob())
 	in.Enqueue(h.eng.Now(), h.newJob())
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if len(h.done) != 2 {
 		t.Fatalf("post-restart completed %d, want 2", len(h.done))
 	}

@@ -687,28 +687,21 @@ func (in *Instance) completeJob(now des.Time, j *job.Job) {
 }
 
 // sampleCost draws the batch's processing duration at the current DVFS
-// setting. Pool (I/O) stages are not frequency-scaled.
+// setting: costs scale linearly with nominal/current frequency. Pool
+// (I/O) stages are not frequency-scaled.
 func (in *Instance) sampleCost(stage int, batch []*job.Job, isPool bool) des.Time {
 	st := &in.BP.Stages[stage]
-	freq := in.Alloc.Freq()
 	total := 0.0
-	if st.BaseTable != nil {
-		total += st.BaseTable.SampleAt(freq, in.r)
-	} else if st.Base != nil {
+	if st.Base != nil {
 		total += st.Base.Sample(in.r)
 	}
-	perJobTable := st.PerJobTable
 	for _, j := range batch {
-		if perJobTable != nil {
-			total += perJobTable.SampleAt(freq, in.r)
-		} else if st.PerJob != nil {
+		if st.PerJob != nil {
 			total += st.PerJob.Sample(in.r)
 		}
 		total += st.PerKB * j.SizeKB
 	}
-	// Tables already encode the frequency dependence; raw samplers are
-	// scaled linearly. I/O is frequency-independent.
-	if !isPool && st.BaseTable == nil && st.PerJobTable == nil {
+	if !isPool {
 		total *= in.Alloc.SpeedFactor()
 	}
 	return des.FromNanos(total)
@@ -721,9 +714,6 @@ func (in *Instance) setBusy(now des.Time, n int) {
 }
 
 // ---- introspection ----
-
-// Arrived reports admitted jobs.
-func (in *Instance) Arrived() uint64 { return in.arrived }
 
 // Completed reports jobs that finished their service-local path.
 func (in *Instance) Completed() uint64 { return in.completed }

@@ -141,7 +141,8 @@ func TestSimpleSingleJob(t *testing.T) {
 	in := h.deploy(t, singleStageBP("svc", 1000), 1)
 	j := h.newJob()
 	h.eng.At(0, func(now des.Time) { in.Enqueue(now, j) })
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if len(h.done) != 1 {
 		t.Fatalf("done = %d", len(h.done))
 	}
@@ -162,7 +163,8 @@ func TestSimpleSerializationOnOneCore(t *testing.T) {
 			in.Enqueue(now, j)
 		}
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	// One core, three 1µs jobs → finishes at 1000, 2000, 3000.
 	for i, want := range []des.Time{1000, 2000, 3000} {
 		if jobs[i].Finished != want {
@@ -180,7 +182,8 @@ func TestSimpleParallelismAcrossCores(t *testing.T) {
 			in.Enqueue(now, j)
 		}
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	// Two cores: pairs finish at 1000 and 2000.
 	finishes := map[des.Time]int{}
 	for _, j := range jobs {
@@ -205,7 +208,8 @@ func TestMultiStagePath(t *testing.T) {
 	in := h.deploy(t, bp, 1)
 	j := h.newJob()
 	h.eng.At(0, func(now des.Time) { in.Enqueue(now, j) })
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if j.Finished != 600 {
 		t.Fatalf("finished %v, want 600", j.Finished)
 	}
@@ -230,7 +234,8 @@ func TestAlternatePathsSelectStages(t *testing.T) {
 	miss.PathID = 1
 	h.eng.At(0, func(now des.Time) { in.Enqueue(now, hit) })
 	h.eng.At(5000, func(now des.Time) { in.Enqueue(now, miss) })
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if hit.Finished != 10 {
 		t.Fatalf("hit finished %v", hit.Finished)
 	}
@@ -276,7 +281,8 @@ func TestEpollBatchAmortization(t *testing.T) {
 			in.Enqueue(now, jobs[i])
 		}
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	for i, j := range jobs {
 		if j.Finished != 1400 {
 			t.Fatalf("job %d finished %v, want 1400 (batched)", i, j.Finished)
@@ -302,7 +308,8 @@ func TestNoBatchingPaysBasePerJob(t *testing.T) {
 			in.Enqueue(now, j)
 		}
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if jobs[0].Finished != 1100 || jobs[1].Finished != 2200 {
 		t.Fatalf("finishes %v, %v; want 1100, 2200", jobs[0].Finished, jobs[1].Finished)
 	}
@@ -322,7 +329,8 @@ func TestPerKBCost(t *testing.T) {
 	j := h.newJob()
 	j.SizeKB = 4
 	h.eng.At(0, func(now des.Time) { in.Enqueue(now, j) })
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if j.Finished != 100+4*50 {
 		t.Fatalf("finished %v, want 300", j.Finished)
 	}
@@ -340,36 +348,10 @@ func TestFrequencyScaling(t *testing.T) {
 	alloc.SetFreq(1300) // half of 2600 → 2× slower
 	j := fac.NewJob(fac.NewRequest(0))
 	eng.At(0, func(now des.Time) { in.Enqueue(now, j) })
-	eng.Run()
+	for eng.Step() {
+	}
 	if j.Finished != 2000 {
 		t.Fatalf("finished %v at 1300MHz, want 2000", j.Finished)
-	}
-}
-
-func TestFreqTableOverridesScaling(t *testing.T) {
-	eng := des.New()
-	mach := cluster.NewMachine("m0", 2, cluster.DefaultFreqSpec)
-	alloc, _ := mach.Allocate("svc", 1)
-	table := dist.NewFreqTable(2600, dist.NewDeterministic(1000))
-	table.Set(1300, dist.NewDeterministic(3333)) // measured, not linear
-	bp := &Blueprint{
-		Name: "svc",
-		Stages: []StageSpec{{
-			Name: "proc", Queue: queueing.KindSingle, PerJobTable: table,
-		}},
-		Paths: []PathSpec{{Name: "p", Stages: []int{0}}},
-	}
-	in, err := NewInstance(eng, bp, "svc-0", alloc, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fac := job.NewFactory()
-	alloc.SetFreq(1300)
-	j := fac.NewJob(fac.NewRequest(0))
-	eng.At(0, func(now des.Time) { in.Enqueue(now, j) })
-	eng.Run()
-	if j.Finished != 3333 {
-		t.Fatalf("finished %v, want table value 3333 (not rescaled)", j.Finished)
 	}
 }
 
@@ -391,7 +373,8 @@ func TestPoolStageSerializesOnCapacity(t *testing.T) {
 			in.Enqueue(now, j)
 		}
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if jobs[0].Finished != 1000 || jobs[1].Finished != 2000 {
 		t.Fatalf("disk should serialize: %v, %v", jobs[0].Finished, jobs[1].Finished)
 	}
@@ -422,7 +405,8 @@ func TestPoolStageDoesNotHoldCore(t *testing.T) {
 		in.Enqueue(now, io)
 		in.Enqueue(now, compute)
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if compute.Finished != 1000 {
 		t.Fatalf("compute blocked by disk job: finished %v", compute.Finished)
 	}
@@ -451,7 +435,8 @@ func TestThreadedThreadLimitGatesConcurrency(t *testing.T) {
 			in.Enqueue(now, jobs[i])
 		}
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	finishes := map[des.Time]int{}
 	for _, j := range jobs {
 		finishes[j.Finished]++
@@ -482,7 +467,8 @@ func TestThreadedCoreLimitAndCtxSwitch(t *testing.T) {
 			in.Enqueue(now, jobs[i])
 		}
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	// Each dispatch pays 1000 + 100 ctx switch; serialized on 1 core.
 	if jobs[0].Finished != 1100 || jobs[1].Finished != 2200 {
 		t.Fatalf("finishes %v, %v; want 1100, 2200", jobs[0].Finished, jobs[1].Finished)
@@ -511,7 +497,8 @@ func TestThreadedPoolBlockingReleasesCore(t *testing.T) {
 		in.Enqueue(now, a)
 		in.Enqueue(now, b)
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	// A: parse 0-100, disk 100-5100, reply 5100-5200.
 	// B: parse 100-200 (core free while A on disk), disk 5100-10100
 	// (waits for the single spindle), reply 10100-10200.
@@ -529,7 +516,8 @@ func TestMetricsAndUtilization(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.eng.At(des.Time(i)*2000, func(now des.Time) { in.Enqueue(now, h.newJob()) })
 	}
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if in.Completed() != 10 {
 		t.Fatalf("completed = %d", in.Completed())
 	}
@@ -563,7 +551,8 @@ func TestTierLatencyAccrual(t *testing.T) {
 	in.Tier = 2
 	j := h.newJob()
 	h.eng.At(0, func(now des.Time) { in.Enqueue(now, j) })
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if d, ok := j.Req.TierLatency(2); !ok || d != 1000 {
 		t.Fatalf("tier latency = %v (visited %v), want 1000", d, ok)
 	}

@@ -34,7 +34,8 @@ func TestCanceledEntryJobsDiscardedAtDequeue(t *testing.T) {
 		dead[jobs[2].ID] = true
 		dead[jobs[3].ID] = true
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if len(h.done) != 3 {
 		t.Fatalf("done = %d, want 3", len(h.done))
 	}
@@ -62,7 +63,8 @@ func TestCanceledJobAlreadyStartedRunsToWaste(t *testing.T) {
 		in.Enqueue(now, j)
 	})
 	h.eng.At(des.Time(msNs/2), func(des.Time) { j.Outcome = job.OutcomeCanceled })
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if in.WastedWork() != 1 || in.CanceledEarly() != 0 {
 		t.Fatalf("wasted=%d canceled=%d", in.WastedWork(), in.CanceledEarly())
 	}
@@ -93,7 +95,8 @@ func TestCoDelShedsStaleBacklog(t *testing.T) {
 		at := des.Time(float64(i) * msNs / 3)
 		h.eng.At(at, func(now des.Time) { in.Enqueue(now, h.newJob()) })
 	}
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if len(shed) == 0 {
 		t.Fatal("persistent overload must shed")
 	}
@@ -134,7 +137,8 @@ func TestAdaptiveLIFOServesNewestUnderOverload(t *testing.T) {
 			in.Enqueue(now, j)
 		}
 	})
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if len(h.done) != 5 {
 		t.Fatalf("done = %d", len(h.done))
 	}
@@ -181,7 +185,8 @@ func TestDisciplineThreadedModel(t *testing.T) {
 		}
 	})
 	h.eng.At(des.Time(msNs/2), func(des.Time) { dead[jobs[1].ID] = true })
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if in.CanceledEarly() != 1 || in.Completed() != 2 || in.InFlight() != 0 {
 		t.Fatalf("canceled=%d completed=%d inflight=%d",
 			in.CanceledEarly(), in.Completed(), in.InFlight())
@@ -216,7 +221,8 @@ func TestVettingEnqueueStartsInSamePump(t *testing.T) {
 	if first.Started != 10 || second.Started != 10 {
 		t.Fatalf("after one pump: first started %v, second %v, want both 10", first.Started, second.Started)
 	}
-	h.eng.Run()
+	for h.eng.Step() {
+	}
 	if len(h.done) != 2 || second.Finished != 110 {
 		t.Fatalf("done %d, second finished %v, want 2 and 110", len(h.done), second.Finished)
 	}

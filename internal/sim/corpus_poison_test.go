@@ -14,17 +14,18 @@ import (
 // reproduce bit for bit.
 func TestPoisonedCorpusReplay(t *testing.T) {
 	const dir = "../../configs/metastable"
-	entries, err := chaos.Entries(filepath.Join(dir, "corpus"))
+	metas, err := filepath.Glob(filepath.Join(dir, "corpus", "*", "meta.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) == 0 {
+	if len(metas) == 0 {
 		t.Fatal("committed corpus is empty")
 	}
 	prev := sim.OnNew
 	sim.OnNew = sim.PoisonReleased
 	defer func() { sim.OnNew = prev }()
-	for _, entry := range entries {
+	for _, meta := range metas {
+		entry := filepath.Dir(meta)
 		res, err := chaos.Replay(dir, entry)
 		if err != nil {
 			t.Fatal(err)

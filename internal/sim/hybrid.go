@@ -32,9 +32,6 @@ func (s *Sim) HybridConfig() *hybrid.Config { return s.hybridCfg }
 // overriding a hybrid config file).
 func (s *Sim) ClearHybrid() { s.hybridCfg = nil }
 
-// Fluid exposes the live fluid tier (nil before Run or at sample rate 1).
-func (s *Sim) Fluid() *hybrid.State { return s.fluid }
-
 // fluidResolve re-solves the background equilibrium at a fault or heal
 // boundary. No-op outside hybrid runs; inside one, the fluid tier
 // accrues the old solution up to now and solves the new one immediately

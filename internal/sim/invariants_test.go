@@ -145,7 +145,8 @@ func TestConservationUnderFaults(t *testing.T) {
 		}
 		// Drain: no arrivals after the horizon, so pending retries, backoff
 		// timers, and client-timeout guards all resolve.
-		s.Engine().Run()
+		for s.Engine().Step() {
+		}
 		if n := len(s.live); n != 0 {
 			t.Fatalf("warmup %v: %d requests stuck after drain", warmup, n)
 		}
@@ -244,7 +245,8 @@ func TestConservationUnderOverload(t *testing.T) {
 		if rep.CanceledWork+rep.WastedWork == 0 {
 			t.Fatalf("warmup %v: overload run should cancel or waste some work", warmup)
 		}
-		s.Engine().Run()
+		for s.Engine().Step() {
+		}
 		if n := len(s.live); n != 0 {
 			t.Fatalf("warmup %v: %d requests stuck after drain", warmup, n)
 		}
@@ -302,7 +304,8 @@ func TestNoLostRequestsAcrossComplexTopology(t *testing.T) {
 	}
 	// Let in-flight requests drain: no arrivals after horizon, so the
 	// remaining events complete everything.
-	s.Engine().Run()
+	for s.Engine().Step() {
+	}
 	if len(s.live) != 0 {
 		t.Fatalf("%d requests stuck after drain", len(s.live))
 	}

@@ -292,7 +292,8 @@ func runRandom(t *testing.T, seed int64, build func(*testing.T, int64) *Sim, wit
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	fp := reportFingerprint(rep)
-	s.Engine().Run() // drain
+	for s.Engine().Step() { // drain
+	}
 	if err := s.VerifyDrained(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}

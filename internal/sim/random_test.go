@@ -358,7 +358,8 @@ func TestRandomOverloadTopologiesDrain(t *testing.T) {
 		if rep.Arrivals != total {
 			t.Fatalf("seed %d: conservation: arrivals %d != %d", seed, rep.Arrivals, total)
 		}
-		s.Engine().Run() // drain
+		for s.Engine().Step() { // drain
+		}
 		if n := len(s.live); n != 0 {
 			t.Fatalf("seed %d: %d requests leaked", seed, n)
 		}
@@ -397,7 +398,8 @@ func TestRandomTopologiesConserveRequests(t *testing.T) {
 		if rep.Completions == 0 {
 			t.Fatalf("seed %d: no completions", seed)
 		}
-		s.Engine().Run() // drain
+		for s.Engine().Step() { // drain
+		}
 		if n := len(s.live); n != 0 {
 			t.Fatalf("seed %d: %d requests leaked", seed, n)
 		}

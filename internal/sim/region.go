@@ -123,9 +123,6 @@ func (s *Sim) SetReplication(svc string, spec ReplicationSpec) error {
 // Replicated reports whether the deployment is geo-replicated.
 func (d *Deployment) Replicated() bool { return d.replicated }
 
-// ReplicationLag reports the configured replication lag.
-func (d *Deployment) ReplicationLag() des.Time { return d.lag }
-
 // ReplicaRegions reports the regions the replication spec covers.
 func (d *Deployment) ReplicaRegions() []string { return d.replRegions }
 
@@ -154,32 +151,14 @@ func (d *Deployment) PromotedAt(region string) (des.Time, bool) {
 	return 0, false
 }
 
-// FreshAt reports whether reads served by the region's replicas are
-// up to date at time now. Synchronously replicated deployments
-// (lag == 0) and non-replicated ones are always fresh.
-func (d *Deployment) FreshAt(now des.Time, region string) bool {
-	return d.freshAt(now, d.geo.RegionIndex(region))
-}
-
+// freshAt reports whether reads served by region r's replicas are up to
+// date at time now. Synchronously replicated deployments (lag == 0) and
+// non-replicated ones are always fresh.
 func (d *Deployment) freshAt(now des.Time, r int) bool {
 	if !d.replicated || d.lag == 0 {
 		return true
 	}
 	return r >= 0 && d.promoted[r] >= 0 && now >= d.promoted[r]+d.lag
-}
-
-// Staleness reports how far the region's replicas lag behind at time
-// now: zero when fresh, the remaining catch-up time while promoted, and
-// the full configured lag while unpromoted. Monitors export it as the
-// per-region replication-lag gauge.
-func (d *Deployment) Staleness(now des.Time, region string) des.Time {
-	if !d.replicated || d.lag == 0 {
-		return 0
-	}
-	if r := d.geo.RegionIndex(region); r >= 0 && d.promoted[r] >= 0 {
-		return max(d.promoted[r]+d.lag-now, 0)
-	}
-	return d.lag
 }
 
 // pickRegional selects an instance by nearest-healthy-region order:
@@ -202,7 +181,7 @@ func (s *Sim) pickRegional(dep *Deployment, srcRegion int) *service.Instance {
 // in and returns the WAN delay it must pay (zero intra-region or when an
 // endpoint has no region). A cross-region serve of a geo-replicated
 // deployment outside the request's origin region counts as stale while
-// the serving region lags (FreshAt).
+// the serving region lags (freshAt).
 func (s *Sim) wanHop(now des.Time, j *job.Job, dep *Deployment, in *service.Instance, src *cluster.Machine) des.Time {
 	dstR := in.Alloc.Machine.Region
 	if dstR < 0 {
@@ -212,7 +191,6 @@ func (s *Sim) wanHop(now des.Time, j *job.Job, dep *Deployment, in *service.Inst
 	if srcR < 0 {
 		return 0
 	}
-	s.regionHops++
 	if srcR == dstR {
 		return 0
 	}
@@ -223,13 +201,4 @@ func (s *Sim) wanHop(now des.Time, j *job.Job, dep *Deployment, in *service.Inst
 		}
 	}
 	return s.geo.DelayAt(srcR, dstR, j.Req.SizeKB)
-}
-
-// CrossRegionFraction reports the fraction of region-to-region traffic
-// that crossed a region boundary — the cross-region traffic gauge.
-func (s *Sim) CrossRegionFraction() float64 {
-	if s.regionHops == 0 {
-		return 0
-	}
-	return float64(s.crossHops) / float64(s.regionHops)
 }

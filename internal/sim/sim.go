@@ -235,8 +235,7 @@ type Sim struct {
 	retriesN        uint64
 	hedgesN         uint64
 	hedgeWins       uint64
-	regionHops      uint64 // deliveries where both endpoints have a region
-	crossHops       uint64 // subset that crossed a region boundary
+	crossHops       uint64 // deliveries that crossed a region boundary
 	staleReads      uint64 // cross-origin serves of a lagging replica
 	errCounts       map[string]*ErrorCounts
 	timers          TimerWork

@@ -1,6 +1,6 @@
 // Package stats provides the measurement side of the simulator: latency
-// histograms with quantile queries, streaming moments, windowed tail
-// trackers for the power manager, throughput counters, and time series.
+// histograms with quantile queries, windowed tail trackers for the power
+// manager, and time series.
 package stats
 
 import (
@@ -93,11 +93,8 @@ func (h *LatencyHist) Min() des.Time {
 	return h.min
 }
 
-// Max reports the largest recorded observation.
-func (h *LatencyHist) Max() des.Time { return h.max }
-
 // Quantile reports the latency at quantile q in [0,1] with the histogram's
-// bucket resolution. Exact extremes: q=0 returns Min, q=1 returns Max.
+// bucket resolution. Exact extremes: q=0 returns Min, q=1 the largest observation.
 func (h *LatencyHist) Quantile(q float64) des.Time {
 	if h.total == 0 {
 		return 0
@@ -154,78 +151,8 @@ func (h *LatencyHist) Merge(other *LatencyHist) {
 	}
 }
 
-// Reset clears the histogram.
-func (h *LatencyHist) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
-	h.sum = 0
-	h.min = des.MaxTime
-	h.max = 0
-}
-
-// Snapshot returns an independent copy.
-func (h *LatencyHist) Snapshot() *LatencyHist {
-	c := NewLatencyHist()
-	c.Merge(h)
-	return c
-}
-
 // String summarizes the histogram for logs.
 func (h *LatencyHist) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
 		h.total, h.Mean(), h.P50(), h.P99(), h.max)
-}
-
-// CumulativeAt reports the fraction of observations ≤ v (the empirical
-// CDF evaluated at v, with bucket resolution).
-func (h *LatencyHist) CumulativeAt(v des.Time) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if v < h.min {
-		return 0
-	}
-	if v >= h.max {
-		return 1
-	}
-	b := bucketOf(v)
-	var seen uint64
-	for i := 0; i <= b && i < len(h.counts); i++ {
-		seen += h.counts[i]
-	}
-	f := float64(seen) / float64(h.total)
-	if f > 1 {
-		f = 1
-	}
-	return f
-}
-
-// CDFPoint is one (latency, cumulative fraction) sample of the empirical
-// distribution.
-type CDFPoint struct {
-	Latency des.Time
-	Frac    float64
-}
-
-// CDF returns the empirical distribution as (bucket midpoint, cumulative
-// fraction) points over the occupied buckets — ready for plotting or CSV.
-func (h *LatencyHist) CDF() []CDFPoint {
-	if h.total == 0 {
-		return nil
-	}
-	var out []CDFPoint
-	var seen uint64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		seen += c
-		out = append(out, CDFPoint{
-			Latency: bucketMid(i),
-			Frac:    float64(seen) / float64(h.total),
-		})
-	}
-	return out
 }

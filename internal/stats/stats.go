@@ -1,105 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-
-	"uqsim/internal/des"
-)
-
-// Percentile computes the exact q-quantile (nearest-rank) of the samples.
-// It sorts a copy; intended for test assertions and small result sets, not
-// hot paths (use LatencyHist there).
-func Percentile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(q*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(s) {
-		rank = len(s) - 1
-	}
-	return s[rank]
-}
-
-// Welford tracks streaming mean and variance without storing samples.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add records one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Count reports the number of observations.
-func (w *Welford) Count() uint64 { return w.n }
-
-// Mean reports the running mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance reports the population variance (0 with <2 observations).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Stddev reports the population standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }
-
-// Counter counts events over virtual time and converts to rates.
-type Counter struct {
-	n     uint64
-	since des.Time
-}
-
-// NewCounter returns a counter whose window starts at start.
-func NewCounter(start des.Time) *Counter { return &Counter{since: start} }
-
-// Inc adds one event.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds n events.
-func (c *Counter) Add(n uint64) { c.n += n }
-
-// Count reports the number of events since the window start.
-func (c *Counter) Count() uint64 { return c.n }
-
-// Rate reports events per second of virtual time from the window start to
-// now. Zero-length windows report 0.
-func (c *Counter) Rate(now des.Time) float64 {
-	dt := (now - c.since).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return float64(c.n) / dt
-}
-
-// ResetAt restarts the window at now.
-func (c *Counter) ResetAt(now des.Time) {
-	c.n = 0
-	c.since = now
-}
+import "uqsim/internal/des"
 
 // Point is one (virtual time, value) observation in a TimeSeries.
 type Point struct {
@@ -124,33 +25,3 @@ func (ts *TimeSeries) Record(t des.Time, v float64) {
 
 // Points returns the recorded points (shared slice; treat as read-only).
 func (ts *TimeSeries) Points() []Point { return ts.points }
-
-// Len reports the number of points.
-func (ts *TimeSeries) Len() int { return len(ts.points) }
-
-// Mean reports the unweighted mean of the recorded values.
-func (ts *TimeSeries) Mean() float64 {
-	if len(ts.points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range ts.points {
-		sum += p.V
-	}
-	return sum / float64(len(ts.points))
-}
-
-// FractionAbove reports the fraction of points with value > threshold —
-// used for QoS-violation rates (Table III).
-func (ts *TimeSeries) FractionAbove(threshold float64) float64 {
-	if len(ts.points) == 0 {
-		return 0
-	}
-	n := 0
-	for _, p := range ts.points {
-		if p.V > threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(ts.points))
-}

@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"math"
+	"sort"
+
 	"uqsim/internal/des"
 )
 
@@ -9,8 +12,11 @@ import (
 // power manager uses it to measure "tail latency over the last decision
 // interval" (Algorithm 1's stats input).
 type WindowedTail struct {
-	window des.Time
-	obs    []obsEntry // ring-ish buffer ordered by time
+	window  des.Time
+	obs     []obsEntry // live observations are obs[head:], ordered by time
+	head    int
+	scratch []float64 // Quantile's sort buffer
+	moved   int       // entries compaction has copied; tests bound it
 }
 
 type obsEntry struct {
@@ -33,49 +39,54 @@ func (w *WindowedTail) Record(now, v des.Time) {
 	w.obs = append(w.obs, obsEntry{t: now, v: v})
 }
 
+// evict drops the observations older than the window ending at now. The
+// live suffix moves to the front only once the dead prefix is at least as
+// long as it, so every entry is copied O(1) times amortised.
 func (w *WindowedTail) evict(now des.Time) {
 	cutoff := now - w.window
-	i := 0
-	for i < len(w.obs) && w.obs[i].t < cutoff {
-		i++
+	for w.head < len(w.obs) && w.obs[w.head].t < cutoff {
+		w.head++
 	}
-	if i > 0 {
-		w.obs = append(w.obs[:0], w.obs[i:]...)
+	if w.head > 0 && w.head*2 >= len(w.obs) {
+		n := copy(w.obs, w.obs[w.head:])
+		w.moved += n
+		w.obs = w.obs[:n]
+		w.head = 0
 	}
-}
-
-// Count reports the number of live observations at virtual time now.
-func (w *WindowedTail) Count(now des.Time) int {
-	w.evict(now)
-	return len(w.obs)
 }
 
 // Quantile reports the q-quantile of observations within the window ending
-// at now. Returns (0, false) when the window holds no observations.
+// at now (nearest rank). Returns (0, false) when the
+// window holds no observations.
 func (w *WindowedTail) Quantile(now des.Time, q float64) (des.Time, bool) {
 	w.evict(now)
-	if len(w.obs) == 0 {
+	live := w.obs[w.head:]
+	if len(live) == 0 {
 		return 0, false
 	}
-	vals := make([]float64, len(w.obs))
-	for i, o := range w.obs {
-		vals[i] = float64(o.v)
+	w.scratch = w.scratch[:0]
+	for _, o := range live {
+		w.scratch = append(w.scratch, float64(o.v))
 	}
-	return des.FromNanos(Percentile(vals, q)), true
+	sort.Float64s(w.scratch)
+	return des.FromNanos(sortedQuantile(w.scratch, q)), true
 }
 
-// Mean reports the mean of observations within the window ending at now.
-func (w *WindowedTail) Mean(now des.Time) (des.Time, bool) {
-	w.evict(now)
-	if len(w.obs) == 0 {
-		return 0, false
+// sortedQuantile is the nearest-rank q-quantile on samples already
+// sorted ascending; s must not be empty.
+func sortedQuantile(s []float64, q float64) float64 {
+	if q <= 0 {
+		return s[0]
 	}
-	sum := 0.0
-	for _, o := range w.obs {
-		sum += float64(o.v)
+	if q >= 1 {
+		return s[len(s)-1]
 	}
-	return des.FromNanos(sum / float64(len(w.obs))), true
+	rank := int(math.Ceil(q*float64(len(s)))) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	if rank >= len(s) {
+		rank = len(s) - 1
+	}
+	return s[rank]
 }
-
-// Reset drops all observations.
-func (w *WindowedTail) Reset() { w.obs = w.obs[:0] }

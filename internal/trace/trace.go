@@ -185,6 +185,3 @@ func (t *Tracer) Slowest(n int) []*Request {
 	}
 	return out
 }
-
-// Sampled reports how many requests were recorded.
-func (t *Tracer) Sampled() int { return len(t.done) + len(t.open) }

@@ -355,9 +355,6 @@ func NewSessions(eng *des.Engine, split *rng.Splitter, cfg SessionConfig, emit f
 	return s, nil
 }
 
-// Config returns the validated session spec.
-func (s *Sessions) Config() SessionConfig { return s.cfg }
-
 // Start spawns the initial population and, when the population envelope is
 // dynamic, begins the control poll.
 func (s *Sessions) Start(at des.Time) {
@@ -393,12 +390,6 @@ func (s *Sessions) Stop() {
 
 // ActiveUsers is the current population (simulated + background).
 func (s *Sessions) ActiveUsers() int { return len(s.users) + s.bgUsers }
-
-// BackgroundUsers is the count of users carried by the fluid tier.
-func (s *Sessions) BackgroundUsers() int { return s.bgUsers }
-
-// SimulatedUsers is the count of full-fidelity users.
-func (s *Sessions) SimulatedUsers() int { return len(s.users) }
 
 // adjust reconciles the live population with the target at time t.
 // Retiring users still occupy their slots until the next step boundary —

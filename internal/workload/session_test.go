@@ -430,7 +430,8 @@ func TestSessionsDepartureWorkBounded(t *testing.T) {
 			len(sess.order), foreground)
 	}
 	sess.Stop()
-	eng.Run() // every user departs at its next step boundary
+	for eng.Step() { // every user departs at its next step boundary
+	}
 	if got := sess.SimulatedUsers(); got != 0 {
 		t.Fatalf("%d simulated users left after Stop and drain", got)
 	}

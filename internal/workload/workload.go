@@ -1,7 +1,7 @@
 // Package workload drives request arrivals into the simulator: open-loop
 // generators (Poisson or deterministic gaps, optionally with a
 // time-varying target rate such as a diurnal pattern), closed-loop clients
-// with think times, and trace replay.
+// with think times, and session populations.
 package workload
 
 import (
@@ -302,33 +302,4 @@ func (g *ClosedLoop) RequestDone(now des.Time) {
 		gap = des.FromNanos(g.Think(g.r))
 	}
 	g.eng.Post(now+gap, func(t des.Time) { g.Emit(t) })
-}
-
-// Replay re-issues a recorded arrival timestamp trace.
-type Replay struct {
-	// Emit receives each arrival. Required.
-	Emit func(now des.Time)
-
-	eng   *des.Engine
-	trace []des.Time
-}
-
-// NewReplay builds a trace replayer; timestamps must be nondecreasing.
-func NewReplay(eng *des.Engine, trace []des.Time, emit func(now des.Time)) *Replay {
-	if emit == nil {
-		panic("workload: replay needs an emit callback")
-	}
-	for i := 1; i < len(trace); i++ {
-		if trace[i] < trace[i-1] {
-			panic("workload: replay trace must be nondecreasing")
-		}
-	}
-	return &Replay{Emit: emit, eng: eng, trace: append([]des.Time(nil), trace...)}
-}
-
-// Start schedules every trace arrival.
-func (g *Replay) Start() {
-	for _, at := range g.trace {
-		g.eng.Post(at, func(t des.Time) { g.Emit(t) })
-	}
 }

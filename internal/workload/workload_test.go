@@ -175,26 +175,6 @@ func TestClosedLoopThinkTime(t *testing.T) {
 	}
 }
 
-func TestReplay(t *testing.T) {
-	eng := des.New()
-	var got []des.Time
-	trace := []des.Time{1, 5, 5, 9}
-	NewReplay(eng, trace, func(now des.Time) { got = append(got, now) }).Start()
-	eng.Run()
-	if len(got) != 4 || got[0] != 1 || got[3] != 9 {
-		t.Fatalf("replayed %v", got)
-	}
-}
-
-func TestReplayRejectsUnsortedTrace(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	NewReplay(des.New(), []des.Time{5, 1}, func(des.Time) {})
-}
-
 func TestConstructorValidation(t *testing.T) {
 	eng := des.New()
 	for i, fn := range []func(){
@@ -202,7 +182,6 @@ func TestConstructorValidation(t *testing.T) {
 		func() { NewOpenLoop(eng, rng.New(1), ConstantRate(1), nil) },
 		func() { NewClosedLoop(eng, rng.New(1), 0, func(des.Time) {}) },
 		func() { NewClosedLoop(eng, rng.New(1), 1, nil) },
-		func() { NewReplay(eng, nil, nil) },
 	} {
 		func() {
 			defer func() {

@@ -372,8 +372,7 @@ type FailureDomain = netfault.Domain
 
 // NetState carries a simulation's network-fault state and its
 // attempt-level counters (Unreachable, LinkDrops, LinkDups); read it via
-// Sim.Net. It satisfies the monitor's NetSource, so
-// Monitor.WatchNet(name, s.Net()) records the counters as time series.
+// Sim.Net. Monitor.WatchGauge can sample any of them as a time series.
 type NetState = netfault.State
 
 // ResiliencePolicy guards RPC edges with attempt timeouts, backoff retries,

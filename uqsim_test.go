@@ -131,8 +131,8 @@ func TestFacadeMonitor(t *testing.T) {
 	if _, err := s.Run(0, Second); err != nil {
 		t.Fatal(err)
 	}
-	if mon.Samples() < 15 || series.Util.Len() != mon.Samples() {
-		t.Fatalf("samples=%d utilPoints=%d", mon.Samples(), series.Util.Len())
+	if n := len(series.Util.Points()); n < 15 || len(series.QueueLen.Points()) != n {
+		t.Fatalf("utilPoints=%d qlenPoints=%d", n, len(series.QueueLen.Points()))
 	}
 }
 
@@ -144,8 +144,8 @@ func TestFacadeCachedTwoTier(t *testing.T) {
 	if _, err := s.Run(0, Second); err != nil {
 		t.Fatal(err)
 	}
-	if lru.Hits()+lru.Misses() == 0 {
-		t.Fatal("cache never consulted")
+	if lru.HitRatio() == 0 {
+		t.Fatal("cache never hit")
 	}
 }
 
