@@ -1,9 +1,17 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race bench bench-engine bench-throughput bench-test bench-e2e bench-compare fuzz chaos farm
+.PHONY: check fmt vet staticcheck build test race bench bench-engine bench-throughput bench-test bench-e2e bench-compare fuzz chaos farm
 
-# check is the tier-1 gate: everything CI runs.
-check: vet staticcheck build test race
+# check is the local gate: formatting, vet, build, the tier-1 tests, the
+# race detector and the benchmark module's own tests. CI runs all of these
+# and, beyond them, `make bench` and the fuzz, chaos and farm smokes, which
+# check leaves to CI.
+check: fmt vet staticcheck build test race bench-test
+
+# fmt fails, listing the files, when gofmt would change any Go file.
+fmt:
+	@files=$$(gofmt -l .); \
+	if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 # vet also checks the Example* functions beside uqsim.go: an example whose
 # name has no matching facade identifier (say ExampleSim_Bogus) fails with

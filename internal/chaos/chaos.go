@@ -27,7 +27,6 @@ import (
 	"uqsim/internal/job"
 	"uqsim/internal/rng"
 	"uqsim/internal/stats"
-	"uqsim/internal/validate"
 )
 
 // ErrInterrupted reports that a watchdog or signal stopped the simulation
@@ -386,9 +385,8 @@ func goodCompletion(req *job.Request) bool {
 	return req.Done() && !req.Failed && !req.TimedOut
 }
 
-// conservationID asserts validate.Conservation as a chaos violation.
+// conservationViolation reports a failed validate.Conservation as a chaos
+// violation.
 func conservationViolation(err error) *Violation {
 	return &Violation{ID: "conservation", Detail: err.Error()}
 }
-
-var _ = validate.Conservation // referenced from verify.go

@@ -7,7 +7,6 @@ import (
 	"uqsim/internal/des"
 	"uqsim/internal/service"
 	"uqsim/internal/sim"
-	"uqsim/internal/validate"
 )
 
 // AblationNoBatching quantifies design decision #1 of DESIGN.md: disabling
@@ -95,11 +94,8 @@ func AblationNoBlocking(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := s.Run(w, d)
+		rep, err := measure(s, w, d)
 		if err != nil {
-			return nil, err
-		}
-		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		t.Add(c.label,
@@ -129,11 +125,8 @@ func AblationLBPolicies(o Opts) (*Table, error) {
 			return nil, fmt.Errorf("experiments: nginx deployment missing")
 		}
 		dep.LB = c.policy
-		rep, err := s.Run(w, d)
+		rep, err := measure(s, w, d)
 		if err != nil {
-			return nil, err
-		}
-		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		t.Add(c.label,

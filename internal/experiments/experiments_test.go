@@ -69,9 +69,9 @@ func TestOptsScaling(t *testing.T) {
 }
 
 func TestGrid(t *testing.T) {
-	g := grid(10, 50, 10)
-	if len(g) != 5 || g[0] != 10 || g[4] != 50 {
-		t.Fatalf("grid %v", g)
+	g, err := SweepGrid(10, 50, 10)
+	if err != nil || len(g) != 5 || g[0] != 10 || g[4] != 50 {
+		t.Fatalf("grid %v, %v", g, err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"uqsim/internal/apps"
 	"uqsim/internal/cache"
 	"uqsim/internal/des"
-	"uqsim/internal/validate"
 )
 
 // cacheZipf builds the popularity model used for the analytic ceiling
@@ -25,7 +24,11 @@ func ExtTimeouts(o Opts) (*Table, error) {
 		"client", "offered_qps", "effective_qps", "goodput_qps", "timeout_rate", "p99_ms")
 	t.Note = "models the post-saturation cliff the paper attributes to timeouts/reconnections"
 	w, d := o.window(300*des.Millisecond, des.Second)
-	loads := o.thin(grid(40000, 70000, 10000))
+	loads, err := SweepGrid(40000, 70000, 10000)
+	if err != nil {
+		return nil, err
+	}
+	loads = o.thin(loads)
 	for _, c := range []struct {
 		label   string
 		timeout des.Time
@@ -44,11 +47,8 @@ func ExtTimeouts(o Opts) (*Table, error) {
 			cc.Timeout = c.timeout
 			cc.MaxRetries = c.retries
 			s.SetClient(cc)
-			rep, err := s.Run(w, d)
+			rep, err := measure(s, w, d)
 			if err != nil {
-				return nil, err
-			}
-			if err := validate.Conservation(rep); err != nil {
 				return nil, err
 			}
 			rate := 0.0
@@ -91,11 +91,8 @@ func ExtEmergentCache(o Opts) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := s.Run(w, d)
+		rep, err := measure(s, w, d)
 		if err != nil {
-			return nil, err
-		}
-		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		mongoShare := 0.0

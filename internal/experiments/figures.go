@@ -8,7 +8,6 @@ import (
 	"uqsim/internal/des"
 	"uqsim/internal/dist"
 	"uqsim/internal/sim"
-	"uqsim/internal/validate"
 )
 
 // Fig5TwoTier regenerates the two-tier NGINX→memcached validation: one
@@ -36,7 +35,7 @@ func Fig5TwoTier(o Opts) (*Table, error) {
 				Seed: o.Seed, QPS: qps,
 				NginxCores: c.nginx, MemcachedThreads: c.mc, Network: true,
 			})
-		}, grid(c.maxQPS/8, c.maxQPS, c.maxQPS/8), 300*des.Millisecond, des.Second)
+		}, c.maxQPS/8, c.maxQPS, c.maxQPS/8, 300*des.Millisecond, des.Second)
 		if err != nil {
 			return nil, err
 		}
@@ -52,7 +51,7 @@ func Fig6ThreeTier(o Opts) (*Table, error) {
 	t.Note = "paper: disk I/O bound; scaling the other tiers does not help"
 	pts, err := sweep(o, func(qps float64) (*sim.Sim, error) {
 		return apps.ThreeTier(apps.ThreeTierConfig{Seed: o.Seed, QPS: qps, Network: true})
-	}, grid(250, 2750, 250), 300*des.Millisecond, 2*des.Second)
+	}, 250, 2750, 250, 300*des.Millisecond, 2*des.Second)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +73,7 @@ func Fig8LoadBalancing(o Opts) (*Table, error) {
 		}
 		pts, err := sweep(o, func(qps float64) (*sim.Sim, error) {
 			return apps.LoadBalanced(apps.ScaleOutConfig{Seed: o.Seed, QPS: qps, Servers: n})
-		}, grid(maxQPS/8, maxQPS, maxQPS/8), 300*des.Millisecond, des.Second)
+		}, maxQPS/8, maxQPS, maxQPS/8, 300*des.Millisecond, des.Second)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +92,7 @@ func Fig10Fanout(o Opts) (*Table, error) {
 		n := n
 		pts, err := sweep(o, func(qps float64) (*sim.Sim, error) {
 			return apps.Fanout(apps.ScaleOutConfig{Seed: o.Seed, QPS: qps, Servers: n})
-		}, grid(1500, 10500, 1500), 300*des.Millisecond, des.Second)
+		}, 1500, 10500, 1500, 300*des.Millisecond, des.Second)
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +108,7 @@ func Fig12aThrift(o Opts) (*Table, error) {
 	t.Note = "paper: <100µs at low load, saturation ≈50 kQPS"
 	pts, err := sweep(o, func(qps float64) (*sim.Sim, error) {
 		return apps.ThriftHello(apps.ThriftHelloConfig{Seed: o.Seed, QPS: qps, Network: true})
-	}, grid(5000, 65000, 5000), 300*des.Millisecond, des.Second)
+	}, 5000, 65000, 5000, 300*des.Millisecond, des.Second)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +123,7 @@ func Fig12bSocialNetwork(o Opts) (*Table, error) {
 	t.Note = "paper: close latency match at low load, same saturation throughput"
 	pts, err := sweep(o, func(qps float64) (*sim.Sim, error) {
 		return apps.SocialNetwork(apps.SocialNetworkConfig{Seed: o.Seed, QPS: qps, Network: true})
-	}, grid(500, 6000, 500), 300*des.Millisecond, des.Second)
+	}, 500, 6000, 500, 300*des.Millisecond, des.Second)
 	if err != nil {
 		return nil, err
 	}
@@ -154,11 +153,8 @@ func Fig14TailAtScale(o Opts) (*Table, error) {
 				return nil, err
 			}
 			_, d := o.window(0, 40*des.Second)
-			rep, err := s.Run(0, d)
+			rep, err := measure(s, 0, d)
 			if err != nil {
-				return nil, err
-			}
-			if err := validate.Conservation(rep); err != nil {
 				return nil, err
 			}
 			cdf := analytic.MixtureExpCDF(slow, 1, 10) // ms units
@@ -185,21 +181,25 @@ func Fig13BigHouse(o Opts) (*Table, error) {
 	w, d := o.window(300*des.Millisecond, des.Second)
 
 	type appCase struct {
-		label  string
-		bp     string // "nginx" or "memcached"
-		path   string
-		cores  int
-		loads  []float64
-		sizeKB dist.Sampler
-		meanKB float64
+		label          string
+		bp             string // "nginx" or "memcached"
+		path           string
+		cores          int
+		from, to, step float64 // the load grid (SweepGrid)
+		sizeKB         dist.Sampler
+		meanKB         float64
 	}
 	cases := []appCase{
-		{"nginx-1p", "nginx", "serve", 1, grid(2000, 11000, 1500),
+		{"nginx-1p", "nginx", "serve", 1, 2000, 11000, 1500,
 			dist.NewDeterministic(612.0 / 1024), 612.0 / 1024},
-		{"memcached-4t", "memcached", "memcached_read", 4, grid(100000, 1000000, 100000),
+		{"memcached-4t", "memcached", "memcached_read", 4, 100000, 1000000, 100000,
 			dist.NewExponential(1), 1},
 	}
 	for _, c := range cases {
+		loads, err := SweepGrid(c.from, c.to, c.step)
+		if err != nil {
+			return nil, err
+		}
 		bp := apps.Nginx()
 		if c.bp == "memcached" {
 			bp = apps.Memcached()
@@ -211,16 +211,13 @@ func Fig13BigHouse(o Opts) (*Table, error) {
 			}
 		}
 		// µqSim: full stage model.
-		for _, qps := range o.thin(c.loads) {
+		for _, qps := range o.thin(loads) {
 			s, err := apps.SingleService(bp, c.path, c.cores, qps, o.Seed, c.sizeKB)
 			if err != nil {
 				return nil, err
 			}
-			rep, err := s.Run(w, d)
+			rep, err := measure(s, w, d)
 			if err != nil {
-				return nil, err
-			}
-			if err := validate.Conservation(rep); err != nil {
 				return nil, err
 			}
 			t.Add(c.label, "uqsim",
@@ -230,7 +227,7 @@ func Fig13BigHouse(o Opts) (*Table, error) {
 		}
 		// BigHouse: single-stage collapse.
 		svc := bhCollapse(bp, pathIdx, c.meanKB)
-		for _, qps := range o.thin(c.loads) {
+		for _, qps := range o.thin(loads) {
 			res, err := bhRun(o.Seed, c.cores, svc, qps, w, d)
 			if err != nil {
 				return nil, err

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"uqsim/internal/chaos"
 	"uqsim/internal/cluster"
@@ -176,7 +174,7 @@ func HybridFault(o Opts) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, cause := range []string{hybrid.CauseDegradeFreq, hybrid.CausePartition, hybrid.CauseGrayLink} {
+	for _, cause := range []hybrid.Cause{hybrid.CauseDegradeFreq, hybrid.CausePartition, hybrid.CauseGrayLink} {
 		if attrib.BackgroundShedByCause[cause] == 0 {
 			return nil, fmt.Errorf("hybridfault: no background loss attributed to %s (%v)",
 				cause, attrib.BackgroundShedByCause)
@@ -246,22 +244,13 @@ func hybridFaultSim(seed uint64, qps float64, hc *hybrid.Config) (*sim.Sim, erro
 	return s, nil
 }
 
-// formatByCause renders the attribution map as "cause:count,..." in
-// sorted cause order, or "-" when the tier booked no losses.
-func formatByCause(m map[string]uint64) string {
-	if len(m) == 0 {
-		return "-"
+// formatByCause renders the attribution as "cause:count,..." in cause
+// order, or "-" when the tier booked no losses.
+func formatByCause(by hybrid.Losses) string {
+	if s := by.String(); s != "" {
+		return s
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s:%d", k, m[k]))
-	}
-	return strings.Join(parts, ",")
+	return "-"
 }
 
 func init() {

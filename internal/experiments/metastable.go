@@ -155,11 +155,8 @@ func Metastable(o Opts) (*Table, error) {
 			}
 		}
 		gb := trackGoodput(s)
-		rep, err := s.Run(w, d)
+		rep, err := measure(s, w, d)
 		if err != nil {
-			return nil, err
-		}
-		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		var unreach uint64

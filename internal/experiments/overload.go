@@ -112,11 +112,8 @@ func Overload(o Opts) (*Table, error) {
 					return nil, err
 				}
 			}
-			rep, err := s.Run(w, d)
+			rep, err := measure(s, w, d)
 			if err != nil {
-				return nil, err
-			}
-			if err := validate.Conservation(rep); err != nil {
 				return nil, err
 			}
 			t.Add(c.label,

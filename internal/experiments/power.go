@@ -10,7 +10,6 @@ import (
 	"uqsim/internal/job"
 	"uqsim/internal/power"
 	"uqsim/internal/service"
-	"uqsim/internal/validate"
 	"uqsim/internal/workload"
 )
 
@@ -47,11 +46,7 @@ func Fig15Diurnal(o Opts) (*Table, error) {
 			counts[i]++
 		}
 	}
-	rep, err := s.Run(0, total)
-	if err != nil {
-		return nil, err
-	}
-	if err := validate.Conservation(rep); err != nil {
+	if _, err := measure(s, 0, total); err != nil {
 		return nil, err
 	}
 	for i := 0; i < nBuckets; i++ {
@@ -94,11 +89,7 @@ func powerRun(o Opts, interval des.Time, dur des.Time) (*power.Manager, error) {
 	}
 	s.OnRequestDone = mgr.Observe
 	mgr.Start()
-	rep, err := s.Run(0, dur)
-	if err != nil {
-		return nil, err
-	}
-	if err := validate.Conservation(rep); err != nil {
+	if _, err := measure(s, 0, dur); err != nil {
 		return nil, err
 	}
 	return mgr, nil

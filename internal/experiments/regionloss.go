@@ -180,11 +180,8 @@ func RegionLoss(o Opts) (*Table, error) {
 			}
 		}
 		gb := trackGoodput(s)
-		rep, err := s.Run(w, d)
+		rep, err := measure(s, w, d)
 		if err != nil {
-			return nil, err
-		}
-		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		r := &result{rep: rep, failoverMS: "-", actions: "-"}

@@ -11,18 +11,15 @@ import (
 // per-instance tables — shared by the CLI tools. Hybrid runs, runs that
 // armed a policy timer and runs with failed calls each gain a table.
 func ReportTables(rep *sim.Report) []*Table {
-	sum := NewTable("Run summary",
-		"offered_qps", "goodput_qps", "completions", "timeouts", "deadline", "shed", "dropped",
-		"unreachable", "retries", "hedges", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "p999_ms", "in_flight")
-	sum.Add(
-		fmt.Sprintf("%.0f", rep.OfferedQPS),
-		fmt.Sprintf("%.0f", rep.GoodputQPS),
-		fmt.Sprintf("%d", rep.Completions),
-		fmt.Sprintf("%d", rep.Timeouts),
-		fmt.Sprintf("%d", rep.DeadlineExpired),
-		fmt.Sprintf("%d", rep.Shed),
-		fmt.Sprintf("%d", rep.Dropped),
-		fmt.Sprintf("%d", rep.Unreachable),
+	cols := []string{"offered_qps", "goodput_qps"}
+	row := []string{fmt.Sprintf("%.0f", rep.OfferedQPS), fmt.Sprintf("%.0f", rep.GoodputQPS)}
+	for _, b := range rep.Buckets() {
+		cols = append(cols, b.Name)
+		row = append(row, fmt.Sprintf("%d", b.N))
+	}
+	sum := NewTable("Run summary", append(cols,
+		"retries", "hedges", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "p999_ms", "in_flight")...)
+	sum.Add(append(row,
 		fmt.Sprintf("%d", rep.Retries),
 		fmt.Sprintf("%d", rep.HedgesIssued),
 		fmt.Sprintf("%.3f", rep.Latency.Mean().Millis()),
@@ -30,8 +27,7 @@ func ReportTables(rep *sim.Report) []*Table {
 		fmt.Sprintf("%.3f", rep.Latency.P95().Millis()),
 		fmt.Sprintf("%.3f", rep.Latency.P99().Millis()),
 		fmt.Sprintf("%.3f", rep.Latency.P999().Millis()),
-		fmt.Sprintf("%d", rep.InFlight),
-	)
+		fmt.Sprintf("%d", rep.InFlight))...)
 
 	tiers := NewTable("Per-tier residence latency", "tier", "requests", "mean_ms", "p99_ms")
 	names := make([]string, 0, len(rep.PerTier))

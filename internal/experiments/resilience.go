@@ -101,11 +101,8 @@ func Resilience(o Opts) (*Table, error) {
 		}}); err != nil {
 			return nil, err
 		}
-		rep, err := s.Run(w, d)
+		rep, err := measure(s, w, d)
 		if err != nil {
-			return nil, err
-		}
-		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		addRow("a:instance-outage", c.label, rep)
@@ -142,11 +139,8 @@ func Resilience(o Opts) (*Table, error) {
 		}}); err != nil {
 			return nil, err
 		}
-		rep, err := s.Run(w, d)
+		rep, err := measure(s, w, d)
 		if err != nil {
-			return nil, err
-		}
-		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		addRow("b:machine-crash", c.label, rep)
@@ -171,11 +165,8 @@ func Resilience(o Opts) (*Table, error) {
 				return nil, err
 			}
 		}
-		rep, err := s.Run(w, d)
+		rep, err := measure(s, w, d)
 		if err != nil {
-			return nil, err
-		}
-		if err := validate.Conservation(rep); err != nil {
 			return nil, err
 		}
 		addRow("c:2x-overload", c.label, rep)

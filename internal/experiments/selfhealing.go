@@ -160,11 +160,8 @@ func SelfHealing(o Opts) (*Table, error) {
 			}
 		}
 		gb := trackGoodput(s)
-		rep, err := s.Run(w, d)
+		rep, err := measure(s, w, d)
 		if err != nil {
-			return nil, 0, nil, err
-		}
-		if err := validate.Conservation(rep); err != nil {
 			return nil, 0, nil, err
 		}
 		var st *control.Stats
@@ -209,11 +206,8 @@ func SelfHealing(o Opts) (*Table, error) {
 			}
 			s.OnCallResult = plane.ObserveCall
 		}
-		rep, err := s.Run(w, d)
+		rep, err := measure(s, w, d)
 		if err != nil {
-			return nil, nil, err
-		}
-		if err := validate.Conservation(rep); err != nil {
 			return nil, nil, err
 		}
 		var st *control.Stats
@@ -256,11 +250,8 @@ func SelfHealing(o Opts) (*Table, error) {
 				return nil, nil, err
 			}
 		}
-		rep, err := s.Run(w, d)
+		rep, err := measure(s, w, d)
 		if err != nil {
-			return nil, nil, err
-		}
-		if err := validate.Conservation(rep); err != nil {
 			return nil, nil, err
 		}
 		var st *control.Stats

@@ -68,8 +68,13 @@ type point struct {
 	Rep        *sim.Report
 }
 
-// sweep measures the load–latency curve of a scenario across loads.
-func sweep(o Opts, build builder, loads []float64, warmup, duration des.Time) ([]point, error) {
+// sweep measures the load–latency curve of a scenario across the load grid
+// from..to by step (SweepGrid), thinned by the scale.
+func sweep(o Opts, build builder, from, to, step float64, warmup, duration des.Time) ([]point, error) {
+	loads, err := SweepGrid(from, to, step)
+	if err != nil {
+		return nil, err
+	}
 	w, d := o.window(warmup, duration)
 	var out []point
 	for _, qps := range o.thin(loads) {
@@ -77,16 +82,23 @@ func sweep(o Opts, build builder, loads []float64, warmup, duration des.Time) ([
 		if err != nil {
 			return nil, fmt.Errorf("experiments: building at %v QPS: %w", qps, err)
 		}
-		rep, err := s.Run(w, d)
+		rep, err := measure(s, w, d)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: running at %v QPS: %w", qps, err)
-		}
-		if err := validate.Conservation(rep); err != nil {
 			return nil, fmt.Errorf("experiments: at %v QPS: %w", qps, err)
 		}
 		out = append(out, point{OfferedQPS: qps, Rep: rep})
 	}
 	return out, nil
+}
+
+// measure runs s for warmup w and measured window d, and checks the
+// report's conservation identity, as every experiment does.
+func measure(s *sim.Sim, w, d des.Time) (*sim.Report, error) {
+	rep, err := s.Run(w, d)
+	if err != nil {
+		return nil, err
+	}
+	return rep, validate.Conservation(rep)
 }
 
 // addCurve writes a sweep's points into a table as rows tagged with a
@@ -109,28 +121,12 @@ func curveColumns() []string {
 	return []string{"config", "offered_qps", "goodput_qps", "mean_ms", "p50_ms", "p99_ms"}
 }
 
-// grid builds an inclusive linear load grid.
-func grid(from, to, step float64) []float64 {
-	var out []float64
-	for v := from; v <= to+1e-9; v += step {
-		out = append(out, v)
-	}
-	return out
-}
-
-// saturation measures sustained goodput under the given overload.
+// saturation measures sustained goodput under the given overload: a
+// one-point sweep.
 func saturation(o Opts, build builder, overload float64) (float64, error) {
-	w, d := o.window(200*des.Millisecond, des.Second)
-	s, err := build(overload)
+	pts, err := sweep(o, build, overload, overload, overload, 200*des.Millisecond, des.Second)
 	if err != nil {
 		return 0, err
 	}
-	rep, err := s.Run(w, d)
-	if err != nil {
-		return 0, err
-	}
-	if err := validate.Conservation(rep); err != nil {
-		return 0, err
-	}
-	return rep.GoodputQPS, nil
+	return pts[0].Rep.GoodputQPS, nil
 }

@@ -97,7 +97,7 @@ func TestRetryStormSheds(t *testing.T) {
 		t.Fatalf("conservation: %+v", snap)
 	}
 	by := st.ByCause()
-	if by[CauseRetryStorm] != snap.Shed+snap.Unreachable {
+	if by[CauseRetryStorm] != uint64(snap.Shed+snap.Unreachable) {
 		t.Fatalf("attribution %v, want all %d under %s", by, snap.Shed, CauseRetryStorm)
 	}
 }
@@ -139,7 +139,7 @@ func TestUnreachableAccrual(t *testing.T) {
 		t.Fatalf("unreachable %d, want ~%d (snap %+v)", snap.Unreachable, want, snap)
 	}
 	by := st.ByCause()
-	if by[CausePartition] != snap.Unreachable+snap.Shed {
+	if by[CausePartition] != uint64(snap.Unreachable+snap.Shed) {
 		t.Fatalf("attribution %v, want all %d under %s", by, snap.Unreachable, CausePartition)
 	}
 }
@@ -170,18 +170,18 @@ func TestGrayLinkAttribution(t *testing.T) {
 	if by[CausePartition] == 0 || by[CauseGrayLink] == 0 {
 		t.Fatalf("attribution %v, want both partition and gray_link", by)
 	}
-	if by[CausePartition]+by[CauseGrayLink] != snap.Unreachable+snap.Shed {
+	if by[CausePartition]+by[CauseGrayLink] != uint64(snap.Unreachable+snap.Shed) {
 		t.Fatalf("attribution %v does not sum to losses in %+v", by, snap)
 	}
 	// cut 0.2 vs (1−cut)·drop 0.2: the split should be about even.
-	if d := by[CausePartition] - by[CauseGrayLink]; d < -2 || d > 2 {
+	if d := int64(by[CausePartition]) - int64(by[CauseGrayLink]); d < -2 || d > 2 {
 		t.Fatalf("attribution split %v, want ~even", by)
 	}
 }
 
 // TestShedCauseClassification drives each saturated-bottleneck cause.
 func TestShedCauseClassification(t *testing.T) {
-	run := func(fault string) map[string]int64 {
+	run := func(fault string) Losses {
 		t.Helper()
 		k := 4
 		speed := 1.0
@@ -290,34 +290,32 @@ func TestResolveNoRNG(t *testing.T) {
 // TestApportionExact: largest-remainder apportionment hands out exactly
 // total units, deterministically, for awkward weight mixes.
 func TestApportionExact(t *testing.T) {
+	a, b, c := CauseCapacity, CauseDegradeFreq, CauseOverload
 	cases := []struct {
-		weights map[string]float64
+		weights map[Cause]float64
 		total   int64
 	}{
-		{map[string]float64{"a": 1, "b": 1, "c": 1}, 100},
-		{map[string]float64{"a": 1, "b": 1, "c": 1}, 101},
-		{map[string]float64{"a": 0.1, "b": 0.3, "c": 0.6}, 7},
-		{map[string]float64{"a": 1e-9, "b": 1}, 3},
-		{map[string]float64{}, 5},
-		{map[string]float64{"a": math.NaN(), "b": -1}, 5},
+		{map[Cause]float64{a: 1, b: 1, c: 1}, 100},
+		{map[Cause]float64{a: 1, b: 1, c: 1}, 101},
+		{map[Cause]float64{a: 0.1, b: 0.3, c: 0.6}, 7},
+		{map[Cause]float64{a: 1e-9, b: 1}, 3},
+		{map[Cause]float64{}, 5},
+		{map[Cause]float64{a: math.NaN(), b: -1}, 5},
 	}
-	for _, c := range cases {
-		out := make(map[string]int64)
-		apportion(out, c.weights, c.total, "fallback")
-		var sum int64
-		for _, v := range out {
-			sum += v
+	for _, tc := range cases {
+		var w [numCauses]float64
+		for k, v := range tc.weights {
+			w[k] = v
 		}
-		if sum != c.total {
-			t.Errorf("apportion(%v, %d) handed out %d units: %v", c.weights, c.total, sum, out)
+		var out, out2 Losses
+		apportion(&out, &w, tc.total, false, CauseRetryStorm)
+		if out.Sum() != uint64(tc.total) {
+			t.Errorf("apportion(%v, %d) handed out %d units: %v", tc.weights, tc.total, out.Sum(), out)
 		}
 		// Determinism: a second run distributes identically.
-		out2 := make(map[string]int64)
-		apportion(out2, c.weights, c.total, "fallback")
-		for k, v := range out {
-			if out2[k] != v {
-				t.Errorf("apportion(%v, %d) nondeterministic: %v vs %v", c.weights, c.total, out, out2)
-			}
+		apportion(&out2, &w, tc.total, false, CauseRetryStorm)
+		if out2 != out {
+			t.Errorf("apportion(%v, %d) nondeterministic: %v vs %v", tc.weights, tc.total, out, out2)
 		}
 	}
 }
@@ -355,11 +353,7 @@ func TestConcurrentResolveUnderRace(t *testing.T) {
 	if snap.Arrivals != snap.Completions+snap.Shed+snap.Unreachable {
 		t.Fatalf("conservation under interleaved resolves: %+v", snap)
 	}
-	var by int64
-	for _, v := range st.ByCause() {
-		by += v
-	}
-	if by != snap.Shed+snap.Unreachable {
+	if by := st.ByCause().Sum(); by != uint64(snap.Shed+snap.Unreachable) {
 		t.Fatalf("attribution sum %d != shed %d + unreach %d", by, snap.Shed, snap.Unreachable)
 	}
 }

@@ -38,36 +38,87 @@
 package hybrid
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"uqsim/internal/analytic"
 	"uqsim/internal/des"
 	"uqsim/internal/rng"
 )
 
-// Cause labels bucket lost background flow by the fault family that
-// caused it — the per-fault attribution the run report and the extended
-// background conservation identity carry. One deterministic cause is
-// charged per epoch per bucket (the bottleneck's dominant condition), so
-// the buckets always sum exactly to the shed + unreachable totals.
+// Cause is the fault family lost background flow is charged to — the
+// per-fault attribution the run report and the extended background
+// conservation identity carry. One deterministic cause is charged per
+// epoch per family (the bottleneck's dominant condition), so the causes
+// always sum exactly to the shed + unreachable totals. Each cause is one
+// row of causeRows.
+type Cause uint8
+
+// Causes, in causeRows' order: by name.
 const (
-	// CauseOverload: the offered rate alone exceeds healthy capacity.
-	CauseOverload = "overload"
-	// CauseDegradeFreq: the bottleneck's effective µ is DVFS-degraded.
-	CauseDegradeFreq = "degrade_freq"
 	// CauseCapacity: the bottleneck lost servers (instance kills, machine
 	// or domain crashes) relative to its high-water replica count.
-	CauseCapacity = "capacity"
+	CauseCapacity Cause = iota
+	// CauseDegradeFreq: the bottleneck's effective µ is DVFS-degraded.
+	CauseDegradeFreq
+	// CauseGrayLink: flow dropped probabilistically on lossy links.
+	CauseGrayLink
+	// CauseOverload: the offered rate alone exceeds healthy capacity.
+	CauseOverload
+	// CausePartition: flow on machine pairs severed by a partition.
+	CausePartition
 	// CauseRetryStorm: stable at one attempt per request, saturated only
 	// by the mean-field retry amplification λ·E[attempts].
-	CauseRetryStorm = "retry_storm"
-	// CausePartition: flow on machine pairs severed by a partition.
-	CausePartition = "partition"
-	// CauseGrayLink: flow dropped probabilistically on lossy links.
-	CauseGrayLink = "gray_link"
+	CauseRetryStorm
+	numCauses
 )
+
+// causeRows is the cause table: each cause's name, as the bgcause=
+// fingerprint section and the hybridfault table spell it, and its family:
+// flow shed at a saturated bottleneck, or flow lost unreachable on the
+// network. Rows are in name order, which is the order attribution breaks
+// ties in and Losses renders.
+var causeRows = [numCauses]struct {
+	name        string
+	unreachable bool
+}{
+	CauseCapacity:    {"capacity", false},
+	CauseDegradeFreq: {"degrade_freq", false},
+	CauseGrayLink:    {"gray_link", true},
+	CauseOverload:    {"overload", false},
+	CausePartition:   {"partition", true},
+	CauseRetryStorm:  {"retry_storm", false},
+}
+
+// String names the cause.
+func (c Cause) String() string { return causeRows[c].name }
+
+// Losses counts lost background requests by Cause.
+type Losses [numCauses]uint64
+
+// Sum totals the losses over every cause.
+func (l Losses) Sum() uint64 {
+	var n uint64
+	for _, v := range l {
+		n += v
+	}
+	return n
+}
+
+// String renders the nonzero causes as "name:count,..." in row order, or
+// "" when there are none.
+func (l Losses) String() string {
+	var parts []string
+	for c, n := range l {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("%s:%d", Cause(c), n))
+		}
+	}
+	return strings.Join(parts, ",")
+}
 
 // Config selects the fidelity split.
 type Config struct {
@@ -231,16 +282,16 @@ type State struct {
 	lastUnreach   float64
 	lastWPart     float64
 	lastWGray     float64
-	lastShedCause string
+	lastShedCause Cause
 
 	bgArr     float64 // background arrivals accrued in the measured window
 	bgShed    float64 // background arrivals shed at the bottleneck
 	bgUnreach float64 // background arrivals lost to partitions / gray links
 
 	// Per-cause attribution accruals; resolved to whole requests by
-	// largest remainder in ByCause so buckets sum exactly.
-	shedCause    map[string]float64
-	unreachCause map[string]float64
+	// largest remainder in ByCause, family by family, so causes sum
+	// exactly.
+	causeW [numCauses]float64
 
 	// baseK is each service's high-water live server count — the
 	// reference that classifies a saturated bottleneck as capacity loss
@@ -284,16 +335,14 @@ func New(cfg Config, services []Service, rate func(t des.Time) float64, split *r
 		cfg.MaxWaitFactor = 100
 	}
 	st := &State{
-		cfg:          cfg,
-		services:     services,
-		rate:         rate,
-		split:        split,
-		points:       make([]point, len(services)),
-		memo:         make([]evalKey, len(services)),
-		streams:      make([]*rng.Source, len(services)),
-		baseK:        make([]int, len(services)),
-		shedCause:    make(map[string]float64),
-		unreachCause: make(map[string]float64),
+		cfg:      cfg,
+		services: services,
+		rate:     rate,
+		split:    split,
+		points:   make([]point, len(services)),
+		memo:     make([]evalKey, len(services)),
+		streams:  make([]*rng.Source, len(services)),
+		baseK:    make([]int, len(services)),
 	}
 	for i, s := range services {
 		st.streams[i] = split.Stream("hybrid", s.Name)
@@ -353,7 +402,7 @@ func (st *State) eval(t des.Time) {
 	st.lastServe = 1
 	st.lastUnreach = 0
 	st.lastWPart, st.lastWGray = 0, 0
-	st.lastShedCause = ""
+	st.lastShedCause = CauseOverload
 	survive := 1.0
 	anySat := false
 	for i := range st.services {
@@ -424,7 +473,7 @@ func (st *State) eval(t des.Time) {
 // below nominal), then capacity loss (live servers below the high-water
 // count), then a retry storm (stable at one attempt per request,
 // saturated only by amplification), else plain overload.
-func (st *State) shedCauseFor(i int, lambda, mu float64, k int, speed float64) string {
+func (st *State) shedCauseFor(i int, lambda, mu float64, k int, speed float64) Cause {
 	switch {
 	case speed < 1:
 		return CauseDegradeFreq
@@ -488,19 +537,15 @@ func (st *State) accrue(t des.Time) {
 	if unreach := bg * st.lastUnreach; unreach > 0 {
 		st.bgUnreach += unreach
 		if w := st.lastWPart + st.lastWGray; w > 0 {
-			st.unreachCause[CausePartition] += unreach * st.lastWPart / w
-			st.unreachCause[CauseGrayLink] += unreach * st.lastWGray / w
+			st.causeW[CausePartition] += unreach * st.lastWPart / w
+			st.causeW[CauseGrayLink] += unreach * st.lastWGray / w
 		} else {
-			st.unreachCause[CausePartition] += unreach
+			st.causeW[CausePartition] += unreach
 		}
 	}
 	if shed := bg * (1 - st.lastUnreach) * (1 - st.lastServe); shed > 0 {
 		st.bgShed += shed
-		cause := st.lastShedCause
-		if cause == "" {
-			cause = CauseOverload
-		}
-		st.shedCause[cause] += shed
+		st.causeW[st.lastShedCause] += shed
 	}
 }
 
@@ -604,62 +649,48 @@ func (st *State) Snapshot() Snapshot {
 // largest-remainder apportionment within each family against the same
 // rounded totals Snapshot reports, so the buckets sum exactly to
 // Shed + Unreachable — the extended background conservation identity.
-// Zero-valued causes are omitted; an inert tier returns an empty map.
-func (st *State) ByCause() map[string]int64 {
+// An inert tier books nothing.
+func (st *State) ByCause() Losses {
 	snap := st.Snapshot()
-	out := make(map[string]int64)
-	apportion(out, st.shedCause, snap.Shed, CauseOverload)
-	apportion(out, st.unreachCause, snap.Unreachable, CausePartition)
-	for k, v := range out {
-		if v == 0 {
-			delete(out, k)
-		}
-	}
+	var out Losses
+	apportion(&out, &st.causeW, snap.Shed, false, CauseOverload)
+	apportion(&out, &st.causeW, snap.Unreachable, true, CausePartition)
 	return out
 }
 
-// apportion distributes total whole requests over float weights by
-// largest remainder (ties broken by key, iteration in sorted-key order,
-// so the result is deterministic); an empty or degenerate weight map
-// books everything under the fallback cause.
-func apportion(out map[string]int64, weights map[string]float64, total int64, fallback string) {
+// apportion distributes total whole requests over the weights of one
+// family of causes (the unreachable ones, or the shed ones) by largest
+// remainder, ties broken by row order, so the result is deterministic; a
+// family without a positive finite weight books everything under fallback.
+func apportion(out *Losses, w *[numCauses]float64, total int64, unreachable bool, fallback Cause) {
 	if total <= 0 {
 		return
 	}
-	keys := make([]string, 0, len(weights))
-	sum := 0.0
-	for k, w := range weights {
-		if w > 0 && !math.IsNaN(w) && !math.IsInf(w, 0) {
-			keys = append(keys, k)
-			sum += w
+	var causes [numCauses]Cause
+	n, sum := 0, 0.0
+	for c, row := range causeRows {
+		if row.unreachable == unreachable && w[c] > 0 && !math.IsNaN(w[c]) && !math.IsInf(w[c], 0) {
+			causes[n] = Cause(c)
+			n++
+			sum += w[c]
 		}
 	}
-	if len(keys) == 0 || sum <= 0 {
-		out[fallback] += total
+	if n == 0 || sum <= 0 {
+		out[fallback] += uint64(total)
 		return
 	}
-	sort.Strings(keys)
-	type rem struct {
-		key  string
-		frac float64
-	}
-	rems := make([]rem, 0, len(keys))
+	var frac [numCauses]float64
 	left := total
-	for _, k := range keys {
-		exact := float64(total) * weights[k] / sum
+	for _, c := range causes[:n] {
+		exact := float64(total) * w[c] / sum
 		base := int64(math.Floor(exact))
-		out[k] += base
+		out[c] += uint64(base)
 		left -= base
-		rems = append(rems, rem{key: k, frac: exact - float64(base)})
+		frac[c] = exact - float64(base)
 	}
-	sort.SliceStable(rems, func(i, j int) bool {
-		if rems[i].frac != rems[j].frac {
-			return rems[i].frac > rems[j].frac
-		}
-		return rems[i].key < rems[j].key
-	})
+	slices.SortStableFunc(causes[:n], func(a, b Cause) int { return cmp.Compare(frac[b], frac[a]) })
 	for i := 0; left > 0; i++ {
-		out[rems[i%len(rems)].key]++
+		out[causes[i%n]]++
 		left--
 	}
 }

@@ -3,6 +3,7 @@ package hybrid
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"uqsim/internal/analytic"
@@ -91,5 +92,93 @@ func TestFixedPointStopsOnlyAtBitwiseFixedPoint(t *testing.T) {
 	}
 	if c.Solves != 2 || c.Capped != 1 {
 		t.Fatalf("2-cycle must run to the cap: %+v", c)
+	}
+}
+
+// refApportion is the string-keyed apportionment the cause table replaced:
+// largest remainder over a map of weights, keys visited in sorted order,
+// ties broken by key.
+func refApportion(out map[string]int64, weights map[string]float64, total int64, fallback string) {
+	if total <= 0 {
+		return
+	}
+	keys := make([]string, 0, len(weights))
+	sum := 0.0
+	for k, w := range weights {
+		if w > 0 && !math.IsNaN(w) && !math.IsInf(w, 0) {
+			keys = append(keys, k)
+			sum += w
+		}
+	}
+	if len(keys) == 0 || sum <= 0 {
+		out[fallback] += total
+		return
+	}
+	sort.Strings(keys)
+	type rem struct {
+		key  string
+		frac float64
+	}
+	rems := make([]rem, 0, len(keys))
+	left := total
+	for _, k := range keys {
+		exact := float64(total) * weights[k] / sum
+		base := int64(math.Floor(exact))
+		out[k] += base
+		left -= base
+		rems = append(rems, rem{key: k, frac: exact - float64(base)})
+	}
+	sort.SliceStable(rems, func(i, j int) bool {
+		if rems[i].frac != rems[j].frac {
+			return rems[i].frac > rems[j].frac
+		}
+		return rems[i].key < rems[j].key
+	})
+	for i := 0; left > 0; i++ {
+		out[rems[i%len(rems)].key]++
+		left--
+	}
+}
+
+// TestApportionMatchesReference: the table's apportionment books the same
+// count under every cause as the string-keyed one, family by family, on
+// random weights and totals — zero, negative, NaN and infinite weights,
+// absent causes, equal weights (tied remainders) and zero totals included.
+func TestApportionMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	special := []float64{0, -1, math.NaN(), math.Inf(1), 1, 1, 0.5, 1e-12}
+	for i := 0; i < 20000; i++ {
+		var w [numCauses]float64
+		ref := make(map[string]int64)
+		var got Losses
+		for _, unreachable := range []bool{false, true} {
+			weights := make(map[string]float64)
+			for c, row := range causeRows {
+				if row.unreachable != unreachable || r.Intn(4) == 0 {
+					continue // absent from the map, zero in the array
+				}
+				v := r.Float64() * 10
+				if r.Intn(3) == 0 {
+					v = special[r.Intn(len(special))]
+				}
+				w[c], weights[row.name] = v, v
+			}
+			total := int64(r.Intn(50))
+			if r.Intn(5) == 0 {
+				total = int64(r.Intn(1 << 20))
+			}
+			fallback := CauseOverload
+			if unreachable {
+				fallback = CausePartition
+			}
+			refApportion(ref, weights, total, fallback.String())
+			apportion(&got, &w, total, unreachable, fallback)
+		}
+		for c := range got {
+			if name := Cause(c).String(); uint64(ref[name]) != got[c] {
+				t.Fatalf("case %d: %s got %d, reference %d (weights %v, got %v, ref %v)",
+					i, name, got[c], ref[name], w, got, ref)
+			}
+		}
 	}
 }

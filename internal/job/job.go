@@ -16,10 +16,10 @@ type ID uint64
 // Outcome classifies how a request or job attempt ended. Beyond OK, the
 // taxonomy follows the failure modes a resilience policy can produce:
 // client/edge timeouts, load shedding, crash-induced drops, and circuit
-// breakers failing fast.
+// breakers failing fast. Each outcome is one row of outcomeRows.
 type Outcome uint8
 
-// Outcomes.
+// Outcomes, in outcomeRows' order.
 const (
 	// OutcomeOK is a normal completion.
 	OutcomeOK Outcome = iota
@@ -48,30 +48,43 @@ const (
 	// network fault model severed the machine pair (a partition) or a
 	// gray link dropped the message before delivery.
 	OutcomeUnreachable
+	// NumOutcomes counts the outcomes: arrays indexed by Outcome have
+	// this length.
+	NumOutcomes
 )
+
+// outcomeRows is the outcome table: each outcome's name, and the request
+// counter a request ended with that outcome is counted in. A request that
+// completes counts as OK and one the client gives up on as Timeout (the
+// client's own patience); every other end is a failure, counted in the
+// row's slot. An edge timeout whose retries run out drops the request, so
+// Timeout's failure slot is Dropped. BreakerOpen keeps its own slot, which
+// the report sums into its Shed bucket. Canceled never ends a request.
+var outcomeRows = [NumOutcomes]struct {
+	name    string
+	counted Outcome
+}{
+	OutcomeOK:          {"ok", OutcomeOK},
+	OutcomeTimeout:     {"timeout", OutcomeDropped},
+	OutcomeShed:        {"shed", OutcomeShed},
+	OutcomeDropped:     {"dropped", OutcomeDropped},
+	OutcomeBreakerOpen: {"breaker-open", OutcomeBreakerOpen},
+	OutcomeDeadline:    {"deadline", OutcomeDeadline},
+	OutcomeCanceled:    {"canceled", OutcomeDropped},
+	OutcomeUnreachable: {"unreachable", OutcomeUnreachable},
+}
 
 // String names the outcome.
 func (o Outcome) String() string {
-	switch o {
-	case OutcomeOK:
-		return "ok"
-	case OutcomeTimeout:
-		return "timeout"
-	case OutcomeShed:
-		return "shed"
-	case OutcomeDropped:
-		return "dropped"
-	case OutcomeBreakerOpen:
-		return "breaker-open"
-	case OutcomeDeadline:
-		return "deadline"
-	case OutcomeCanceled:
-		return "canceled"
-	case OutcomeUnreachable:
-		return "unreachable"
+	if o < NumOutcomes {
+		return outcomeRows[o].name
 	}
 	return "unknown"
 }
+
+// Counted is the request counter a request that fails with outcome o is
+// counted in (see outcomeRows).
+func (o Outcome) Counted() Outcome { return outcomeRows[o].counted }
 
 // Request is an end-to-end user request.
 type Request struct {

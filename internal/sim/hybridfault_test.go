@@ -220,7 +220,7 @@ func TestHybridFaultsInertAtFullRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.BackgroundArrivals != 0 || rep.BackgroundUnreachable != 0 || rep.BackgroundShedByCause != nil {
+	if rep.BackgroundArrivals != 0 || rep.BackgroundUnreachable != 0 || rep.BackgroundShedByCause != (hybrid.Losses{}) {
 		t.Fatalf("sample rate 1.0 accrued background state: arr=%d unreach=%d by=%v",
 			rep.BackgroundArrivals, rep.BackgroundUnreachable, rep.BackgroundShedByCause)
 	}

@@ -347,58 +347,17 @@ func (s *Sim) handleNetDrop(now des.Time, j *job.Job) {
 }
 
 // failRequest terminates a request with an error: it leaves the system now
-// (conn-pool tokens released, closed-loop user freed) and is counted into
-// exactly one outcome bucket, keeping the conservation identity
-// (validate.Leaked) over all six. Stray server-side work of the request is
-// discarded as it surfaces.
+// (conn-pool tokens released, closed-loop user freed) and is counted in the
+// slot the outcome table names for out (job.Outcome.Counted), keeping the
+// conservation identity (validate.Leaked). Stray server-side work of the
+// request is discarded as it surfaces.
 func (s *Sim) failRequest(now des.Time, st *reqState, out job.Outcome) {
-	req := &st.Request
-	if req.Failed || req.Done() {
+	if st.Failed || st.Done() {
 		return
 	}
-	req.Failed = true
-	req.Outcome = out
-	s.dropLive(st)
-	s.cleanupRequest(st)
-	// The request exits the system in one step, wherever it was in its
-	// acquire chain: every token it holds goes back, pool by pool.
-	for _, p := range s.pools {
-		for st.lastToken(p) >= 0 {
-			s.releaseConn(now, p, st)
-		}
-	}
-	// A client-timed-out request was already counted (and its closed-loop
-	// user freed) at the timeout instant. Buckets are gated on arrival time
-	// so counted arrivals land in exactly one bucket.
-	if req.Arrival >= s.warmupEnd && !req.TimedOut {
-		switch out {
-		case job.OutcomeShed:
-			s.shedReqs++
-		case job.OutcomeBreakerOpen:
-			s.shedReqs++
-			s.breakerFast++
-		case job.OutcomeDeadline:
-			s.deadlineReqs++
-		case job.OutcomeUnreachable:
-			s.unreachableReqs++
-		default:
-			s.droppedReqs++
-		}
-	}
-	if s.OnRequestDone != nil {
-		s.OnRequestDone(now, req)
-	}
-	if !req.TimedOut {
-		if s.closedLoop != nil {
-			s.closedLoop.RequestDone(now)
-		} else if s.sessions != nil && st.user >= 0 {
-			// A failed step still advances the session user's journey.
-			s.sessions.Done(now, st.user)
-		}
-	}
-	if req.LiveJobs() == 0 {
-		s.releaseRequest(st) // else the last stray job to die does it
-	}
+	st.Failed = true
+	st.Outcome = out
+	s.exit(now, st, out.Counted())
 }
 
 // errCount returns svc's error-counter record, creating it on first use.
@@ -475,18 +434,17 @@ func (s *Sim) Breakers() []BreakerInfo {
 	return out
 }
 
-// countError accrues one failed attempt on ec.
+// countError accrues one failed attempt on ec, in the field its outcome
+// names; an outcome without one (a drop, an expired deadline) is Dropped.
 func (s *Sim) countError(ec *ErrorCounts, out job.Outcome) {
-	switch out {
-	case job.OutcomeTimeout:
-		ec.Timeouts++
-	case job.OutcomeShed:
-		ec.Shed++
-	case job.OutcomeBreakerOpen:
-		ec.BreakerOpen++
-	case job.OutcomeUnreachable:
-		ec.Unreachable++
-	default:
-		ec.Dropped++
+	field := [job.NumOutcomes]*uint64{
+		job.OutcomeTimeout:     &ec.Timeouts,
+		job.OutcomeShed:        &ec.Shed,
+		job.OutcomeBreakerOpen: &ec.BreakerOpen,
+		job.OutcomeUnreachable: &ec.Unreachable,
+	}[out]
+	if field == nil {
+		field = &ec.Dropped
 	}
+	*field++
 }

@@ -8,6 +8,7 @@ import (
 	"uqsim/internal/dist"
 	"uqsim/internal/fault"
 	"uqsim/internal/graph"
+	"uqsim/internal/job"
 	"uqsim/internal/service"
 	"uqsim/internal/workload"
 )
@@ -173,12 +174,25 @@ func TestEdgeTimeoutAbandonsSlowService(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// A request whose edge timeouts exhaust its retries ends Timeout but
+	// is counted Dropped: Timeouts is the client's own patience.
+	var ended, endedTimeout int
+	s.OnRequestDone = func(_ des.Time, req *job.Request) {
+		ended++
+		if req.Outcome == job.OutcomeTimeout {
+			endedTimeout++
+		}
+	}
 	rep, err := s.Run(0, des.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Completions != 0 {
 		t.Fatalf("nothing can finish within the timeout, got %d completions", rep.Completions)
+	}
+	if rep.Dropped == 0 || rep.Timeouts != 0 || ended == 0 || endedTimeout != ended {
+		t.Fatalf("exhausted edge timeouts: dropped=%d timeouts=%d, %d of %d requests ended %v",
+			rep.Dropped, rep.Timeouts, endedTimeout, ended, job.OutcomeTimeout)
 	}
 	if rep.Errors["svc"].Timeouts == 0 || rep.Retries == 0 {
 		t.Fatalf("expected edge timeouts and retries, got %+v", rep.Errors["svc"])

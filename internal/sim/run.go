@@ -167,15 +167,13 @@ func (s *Sim) onTimeout(now des.Time, st *reqState) {
 	if st.slot >= 0 {
 		user, userTree = st.user, st.Class
 	}
-	// The latency sample belongs to the measurement window it lands in;
-	// the outcome bucket is gated on the request's arrival instead, so
-	// every counted arrival lands in exactly one bucket and
-	// warmup-straddling requests never skew the conservation invariant.
+	// The latency sample belongs to the measurement window it lands in,
+	// the outcome to its arrival.
 	if now >= s.warmupEnd && now <= s.windowEnd {
 		s.latency.Record(s.clientCfg.Timeout)
 	}
 	if st.Arrival >= s.warmupEnd {
-		s.timeouts++
+		s.outcomes[job.OutcomeTimeout]++
 	}
 	if st.Attempt < s.clientCfg.MaxRetries {
 		// A session user's retry stays on the same journey step (same
@@ -185,12 +183,48 @@ func (s *Sim) onTimeout(now des.Time, st *reqState) {
 		} else {
 			s.admit(now, st.Attempt+1)
 		}
-	} else if s.closedLoop != nil {
-		// The user gave up; in a closed loop they move on.
+	} else {
+		// The user gives up and moves on.
+		s.advanceUser(now, user)
+	}
+}
+
+// advanceUser moves a finished request's closed-loop or session user on.
+func (s *Sim) advanceUser(now des.Time, user int) {
+	if s.closedLoop != nil {
 		s.closedLoop.RequestDone(now)
 	} else if s.sessions != nil && user >= 0 {
-		// The session user gives up on this step and moves on.
 		s.sessions.Done(now, user)
+	}
+}
+
+// exit takes a completed or failed request out of the system and counts it
+// in outcome slot out. A failed request leaves in one step, wherever it was
+// in its acquire chain: every token it holds goes back, pool by pool. A
+// client-timed-out request was already counted, and its user moved on, at
+// the timeout instant (onTimeout). The block is released once no job of
+// the request is left; else the last stray job to die releases it.
+func (s *Sim) exit(now des.Time, st *reqState, out job.Outcome) {
+	s.dropLive(st)
+	s.cleanupRequest(st)
+	if st.Failed {
+		for _, p := range s.pools {
+			for st.lastToken(p) >= 0 {
+				s.releaseConn(now, p, st)
+			}
+		}
+	}
+	if !st.TimedOut && st.Arrival >= s.warmupEnd {
+		s.outcomes[out]++
+	}
+	if s.OnRequestDone != nil {
+		s.OnRequestDone(now, &st.Request)
+	}
+	if !st.TimedOut {
+		s.advanceUser(now, st.user)
+	}
+	if st.LiveJobs() == 0 {
+		s.releaseRequest(st)
 	}
 }
 
@@ -570,46 +604,19 @@ func (s *Sim) finalizeLeaf(now des.Time, j *job.Job) {
 		return
 	}
 	req.Finish = now
-	st := req.Owner.(*reqState)
-	s.dropLive(st)
-	s.cleanupRequest(st)
-	user := st.user
-	if !req.TimedOut {
-		// Delivered throughput and latency samples belong to the window
-		// the completion lands in (warmup-backlog work the system serves
-		// during the window is real delivered work)...
-		if now >= s.warmupEnd && now <= s.windowEnd {
-			s.windowDone++
-			s.latency.Record(req.Latency())
-			for t, h := range s.perTier {
-				if d, ok := req.TierLatency(t); ok {
-					h.Record(d)
-				}
+	// Delivered throughput and latency samples belong to the window the
+	// completion lands in: warmup-backlog work the system serves during
+	// the window is real delivered work.
+	if !req.TimedOut && now >= s.warmupEnd && now <= s.windowEnd {
+		s.windowDone++
+		s.latency.Record(req.Latency())
+		for t, h := range s.perTier {
+			if d, ok := req.TierLatency(t); ok {
+				h.Record(d)
 			}
 		}
-		// ...while the outcome bucket is gated on the arrival, so every
-		// counted arrival lands in exactly one bucket and the conservation
-		// invariant holds for any warmup.
-		if req.Arrival >= s.warmupEnd {
-			s.completions++
-		}
 	}
-	if s.OnRequestDone != nil {
-		s.OnRequestDone(now, req)
-	}
-	// A timed-out request already released its closed-loop user (and its
-	// client-visible latency) at the timeout instant; likewise a session
-	// user already advanced past a timed-out step.
-	if !req.TimedOut {
-		if s.closedLoop != nil {
-			s.closedLoop.RequestDone(now)
-		} else if s.sessions != nil && user >= 0 {
-			s.sessions.Done(now, user)
-		}
-	}
-	if req.LiveJobs() == 0 {
-		s.releaseRequest(st) // else the last stray job to die does it
-	}
+	s.exit(now, req.Owner.(*reqState), job.OutcomeOK)
 }
 
 // InstanceReport summarizes one instance at the end of a run.
@@ -643,7 +650,7 @@ type Report struct {
 	// Completions counts measured arrivals that finished within the
 	// client's patience (timed-out requests are excluded). Like all six
 	// outcome buckets it is gated on the request's arrival time, so the
-	// conservation identity (see Dropped) holds for any warmup.
+	// conservation identity (see Buckets) holds for any warmup.
 	Completions uint64
 	// Timeouts counts requests the client gave up on during the
 	// measured window (recorded into Latency at the timeout value).
@@ -653,18 +660,15 @@ type Report struct {
 	// fails (the BreakerFastFails subset).
 	Shed uint64
 	// Dropped counts requests that lost work to a crashed machine or
-	// killed instance with nothing left to retry. Together the outcome
-	// buckets conserve requests (validate.Leaked):
-	// Arrivals == Completions + Timeouts + Shed + Dropped +
-	// DeadlineExpired + Unreachable (+ InFlight).
+	// killed instance, or whose edge timeouts ran out of retries, with
+	// nothing left to retry.
 	Dropped uint64
 	// DeadlineExpired counts requests whose end-to-end budget ran out
 	// before completion; their remaining subtree was short-circuited.
 	DeadlineExpired uint64
 	// Unreachable counts requests failed by the network fault model with
 	// nothing left to retry — a partition severed the machine pair or a
-	// gray link dropped the message. It is the sixth outcome bucket of the
-	// conservation identity.
+	// gray link dropped the message.
 	Unreachable uint64
 	// LinkDrops and LinkDups count gray-link message losses and
 	// duplications at the dispatch boundary (attempt-level, like
@@ -735,12 +739,10 @@ type Report struct {
 	// fluid tier's analogue of the foreground Unreachable bucket.
 	BackgroundUnreachable uint64
 	// BackgroundShedByCause attributes BackgroundShed +
-	// BackgroundUnreachable to the fault class that caused each loss
-	// (hybrid.CauseOverload, CauseDegradeFreq, CauseCapacity,
-	// CauseRetryStorm, CausePartition, CauseGrayLink). Values sum
-	// exactly to BackgroundShed + BackgroundUnreachable; nil when both
-	// are zero.
-	BackgroundShedByCause map[string]uint64
+	// BackgroundUnreachable to the fault class that caused each loss,
+	// indexed by hybrid.Cause. Its sum is exactly BackgroundShed +
+	// BackgroundUnreachable.
+	BackgroundShedByCause hybrid.Losses
 	// SaturatedEpochs counts fluid-tier epochs with at least one
 	// saturated service.
 	SaturatedEpochs int
@@ -756,6 +758,25 @@ type Report struct {
 	// most events its heap held at once, and the most same-instant posts
 	// pending at once. Simulator-side, like FluidWork and Timers.
 	HeapPeak, LanePeak int
+}
+
+// Bucket is one terminal request bucket of a Report.
+type Bucket struct {
+	Name string
+	N    uint64
+}
+
+// Buckets lists the terminal request buckets, in the order the run summary
+// and the conservation error print them. Every measured arrival lands in
+// exactly one of them or is still InFlight (validate.Leaked):
+// Arrivals == Completions + Timeouts + DeadlineExpired + Shed + Dropped +
+// Unreachable + InFlight.
+func (r *Report) Buckets() []Bucket {
+	return []Bucket{
+		{"completions", r.Completions}, {"timeouts", r.Timeouts},
+		{"deadline", r.DeadlineExpired}, {"shed", r.Shed},
+		{"dropped", r.Dropped}, {"unreachable", r.Unreachable},
+	}
 }
 
 // TimerCounts counts the timers of one kind: Armed, then either Cancelled
@@ -785,20 +806,21 @@ type TimerWork [numTimerKinds]TimerCounts
 
 func (s *Sim) report(horizon des.Time) *Report {
 	window := (horizon - s.warmupEnd).Seconds()
+	n := &s.outcomes
 	r := &Report{
 		Warmup:      s.warmupEnd,
 		Horizon:     horizon,
 		Arrivals:    s.arrivals,
-		Completions: s.completions,
-		Timeouts:    s.timeouts,
-		Shed:        s.shedReqs,
-		Dropped:     s.droppedReqs,
+		Completions: n[job.OutcomeOK],
+		Timeouts:    n[job.OutcomeTimeout],
+		Shed:        n[job.OutcomeShed] + n[job.OutcomeBreakerOpen],
+		Dropped:     n[job.OutcomeDropped],
 
-		DeadlineExpired:  s.deadlineReqs,
-		Unreachable:      s.unreachableReqs,
+		DeadlineExpired:  n[job.OutcomeDeadline],
+		Unreachable:      n[job.OutcomeUnreachable],
 		CrossRegionCalls: s.crossHops,
 		StaleReads:       s.staleReads,
-		BreakerFastFails: s.breakerFast,
+		BreakerFastFails: n[job.OutcomeBreakerOpen],
 		Retries:          s.retriesN,
 		HedgesIssued:     s.hedgesN,
 		HedgeWins:        s.hedgeWins,
@@ -822,12 +844,7 @@ func (s *Sim) report(horizon des.Time) *Report {
 		r.BackgroundUnreachable = uint64(snap.Unreachable)
 		r.SaturatedEpochs = snap.SaturatedEpochs
 		r.FluidWork = snap.Work
-		if by := s.fluid.ByCause(); len(by) > 0 {
-			r.BackgroundShedByCause = make(map[string]uint64, len(by))
-			for cause, n := range by {
-				r.BackgroundShedByCause[cause] = uint64(n)
-			}
-		}
+		r.BackgroundShedByCause = s.fluid.ByCause()
 	}
 	for svc, ec := range s.errCounts {
 		c := *ec

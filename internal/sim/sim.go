@@ -218,27 +218,22 @@ type Sim struct {
 	hedgeRNG      *rng.Source
 	budgetRNG     *rng.Source
 
-	// Measurement. completions, timeouts, shedReqs, droppedReqs,
-	// deadlineReqs and unreachableReqs are the six arrival-gated outcome
-	// buckets of the conservation identity (validate.Leaked); windowDone
-	// counts deliveries by completion time and feeds goodput.
-	warmupEnd       des.Time
-	arrivals        uint64
-	completions     uint64
-	windowDone      uint64
-	timeouts        uint64
-	shedReqs        uint64
-	droppedReqs     uint64
-	deadlineReqs    uint64
-	unreachableReqs uint64
-	breakerFast     uint64
-	retriesN        uint64
-	hedgesN         uint64
-	hedgeWins       uint64
-	crossHops       uint64 // deliveries that crossed a region boundary
-	staleReads      uint64 // cross-origin serves of a lagging replica
-	errCounts       map[string]*ErrorCounts
-	timers          TimerWork
+	// Measurement. outcomes counts measured requests by how they ended, one
+	// slot per job.Outcome. Slots are gated on the request's arrival, not
+	// its end, so every counted arrival lands in exactly one slot and the
+	// conservation identity (Report.Buckets) holds for any warmup.
+	// windowDone counts deliveries by completion time and feeds goodput.
+	warmupEnd  des.Time
+	arrivals   uint64
+	outcomes   [job.NumOutcomes]uint64
+	windowDone uint64
+	retriesN   uint64
+	hedgesN    uint64
+	hedgeWins  uint64
+	crossHops  uint64 // deliveries that crossed a region boundary
+	staleReads uint64 // cross-origin serves of a lagging replica
+	errCounts  map[string]*ErrorCounts
+	timers     TimerWork
 	// Latency samples land in [warmupEnd, windowEnd], closed by Run at the
 	// end its report covers. perTier[t] is the residence of tiers[t].
 	windowEnd des.Time

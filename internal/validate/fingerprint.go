@@ -41,19 +41,8 @@ func Fingerprint(rep *sim.Report) string {
 			rep.BackgroundArrivals, rep.BackgroundCompletions,
 			rep.BackgroundShed, rep.BackgroundUnreachable)
 	}
-	if len(rep.BackgroundShedByCause) > 0 {
-		causes := make([]string, 0, len(rep.BackgroundShedByCause))
-		for c := range rep.BackgroundShedByCause {
-			causes = append(causes, c)
-		}
-		sort.Strings(causes)
-		fp += " bgcause="
-		for i, c := range causes {
-			if i > 0 {
-				fp += ","
-			}
-			fp += fmt.Sprintf("%s:%d", c, rep.BackgroundShedByCause[c])
-		}
+	if by := rep.BackgroundShedByCause.String(); by != "" {
+		fp += " bgcause=" + by
 	}
 	return fp
 }
