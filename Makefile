@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test race bench bench-engine bench-throughput bench-test bench-e2e bench-compare fuzz chaos farm
+.PHONY: check fmt vet staticcheck build test race bench bench-engine bench-throughput bench-test bench-e2e bench-compare fuzz chaos farm results-check
 
 # check is the local gate: formatting, vet, build, the tier-1 tests, the
 # race detector and the benchmark module's own tests. CI runs all of these
-# and, beyond them, `make bench` and the fuzz, chaos and farm smokes, which
-# check leaves to CI.
+# and, beyond them, `make bench`, the fuzz, chaos and farm smokes and
+# `make results-check`, which check leaves to CI.
 check: fmt vet staticcheck build test race bench-test
 
 # fmt fails, listing the files, when gofmt would change any Go file.
@@ -160,3 +160,34 @@ farm:
 		echo "farm: merged CSV diverged from serial sweep"; exit 1; \
 	fi; \
 	echo "farm: merged CSV byte-identical to serial sweep"
+
+# results-check regenerates every experiment at scale 1.0 and compares each
+# CSV byte for byte with its committed copy in results/ (about 3.5 minutes on
+# two cores). Only the wall-clock columns differ from run to run; in a file
+# whose header names one of the four fixed in the recipe's `wall` list, those
+# columns are dropped by name from both sides before comparing. A CSV missing
+# on either side fails.
+results-check:
+	@out=$$(mktemp -d); trap 'rm -rf $$out' EXIT; \
+	wall='wall_ms events_per_wall_s users_per_wall_s speedup_x'; \
+	$(GO) build -o $$out/uqsim ./cmd/uqsim || exit 1; \
+	$$out/uqsim experiments -scale 1.0 -csv -out $$out/new all >/dev/null || exit 1; \
+	nowall() { awk -F, -v cols="$$wall" 'BEGIN { OFS = ","; split(cols, c, " "); for (i in c) wall[c[i]] = 1 } \
+		NR == 1 { for (i = 1; i <= NF; i++) if ($$i in wall) drop[i] = 1 } \
+		{ line = ""; sep = ""; for (i = 1; i <= NF; i++) if (!(i in drop)) { line = line sep $$i; sep = "," }; print line }' "$$1"; }; \
+	rc=0; \
+	for f in results/*.csv $$out/new/*.csv; do \
+		name=$$(basename $$f); \
+		if [ ! -f results/$$name ] || [ ! -f $$out/new/$$name ]; then \
+			echo "results-check: $$name is not both committed and regenerated"; rc=1; continue; \
+		fi; \
+		case $$f in $$out/*) continue;; esac; \
+		if head -1 $$f | tr ',' '\n' | grep -qxF -e "$$(echo $$wall | tr ' ' '\n')"; then \
+			nowall $$f > $$out/old.csv; nowall $$out/new/$$name > $$out/new.csv; \
+			cmp -s $$out/old.csv $$out/new.csv || { echo "results-check: $$name differs (wall-clock columns dropped)"; rc=1; }; \
+		else \
+			cmp -s $$f $$out/new/$$name || { echo "results-check: $$name differs"; rc=1; }; \
+		fi; \
+	done; \
+	if [ $$rc -eq 0 ]; then echo "results-check: every results/*.csv regenerated byte for byte"; fi; \
+	exit $$rc

@@ -1,6 +1,8 @@
 package control
 
 import (
+	"slices"
+
 	"uqsim/internal/des"
 )
 
@@ -106,11 +108,11 @@ func (p *Plane) promoteAway(now des.Time, r int) {
 	lost := geo.Regions()[r].Name
 	for _, md := range p.managed {
 		dep := md.dep
-		if !dep.Replicated() || !regionListed(dep.ReplicaRegions(), lost) {
+		if !slices.Contains(dep.ReplicaRegions(), lost) {
 			continue
 		}
 		for _, to := range geo.Nearest(lost) {
-			if to == lost || !regionListed(dep.ReplicaRegions(), to) || dep.RegionHealthy(to) == 0 {
+			if to == lost || !slices.Contains(dep.ReplicaRegions(), to) || dep.RegionHealthy(to) == 0 {
 				continue
 			}
 			if _, already := dep.PromotedAt(to); !already {
@@ -120,13 +122,4 @@ func (p *Plane) promoteAway(now des.Time, r int) {
 			break
 		}
 	}
-}
-
-func regionListed(regions []string, name string) bool {
-	for _, r := range regions {
-		if r == name {
-			return true
-		}
-	}
-	return false
 }

@@ -52,7 +52,7 @@ func BenchmarkPickHealthy(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if dep.pickHealthy() == nil {
+				if dep.pickFrom(dep.healthy, &dep.rr) == nil {
 					b.Fatal("no healthy instance")
 				}
 			}
@@ -65,11 +65,11 @@ func BenchmarkPickHealthy(b *testing.B) {
 func TestPickHealthyNoAllocs(t *testing.T) {
 	dep := benchDeployment(t, RoundRobin, true)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if dep.pickHealthy() == nil {
+		if dep.pickFrom(dep.healthy, &dep.rr) == nil {
 			t.Fatal("no healthy instance")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("pickHealthy allocates %.1f times per pick; want 0", allocs)
+		t.Fatalf("a healthy pick allocates %.1f times; want 0", allocs)
 	}
 }

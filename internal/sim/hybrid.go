@@ -3,11 +3,13 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"uqsim/internal/analytic"
 	"uqsim/internal/des"
 	"uqsim/internal/hybrid"
+	"uqsim/internal/rng"
 	"uqsim/internal/service"
 	"uqsim/internal/workload"
 )
@@ -20,17 +22,27 @@ import (
 // load steps and client overrides are reflected. Sample rate 1.0 is
 // exactly a full-fidelity run: no extra random draws, no background
 // accounting, bit-identical fingerprint.
-func (s *Sim) SetHybrid(cfg hybrid.Config) {
-	c := cfg
-	s.hybridCfg = &c
-}
+func (s *Sim) SetHybrid(cfg hybrid.Config) { s.fluid = &fluidTier{cfg: cfg} }
 
 // HybridConfig reports the configured fidelity split (nil: full DES).
-func (s *Sim) HybridConfig() *hybrid.Config { return s.hybridCfg }
+func (s *Sim) HybridConfig() *hybrid.Config {
+	if s.fluid == nil {
+		return nil
+	}
+	return &s.fluid.cfg
+}
 
 // ClearHybrid reverts the run to full DES fidelity (CLI -fidelity full
 // overriding a hybrid config file).
-func (s *Sim) ClearHybrid() { s.hybridCfg = nil }
+func (s *Sim) ClearHybrid() { s.fluid = nil }
+
+// fluidTier is the hybrid-fidelity feature: the split and, from Run on, the
+// background tier, whose methods (WaitFor, Finish) the core calls directly.
+// Nil until SetHybrid, and from Run on at sample rate 1.
+type fluidTier struct {
+	cfg hybrid.Config
+	*hybrid.State
+}
 
 // fluidResolve re-solves the background equilibrium at a fault or heal
 // boundary. No-op outside hybrid runs; inside one, the fluid tier
@@ -42,52 +54,51 @@ func (s *Sim) fluidResolve(now des.Time) {
 	}
 }
 
-// thinnedPattern scales an arrival pattern by the foreground sample rate:
-// thinning a Poisson process by p yields a Poisson process at p·λ, so the
-// sampled foreground is statistically exact, not an approximation. It
-// composes with the fault plan's scaledPattern (load steps scale the
-// total offered rate; the thinning always applies on top).
-type thinnedPattern struct {
-	base workload.Pattern
-	f    float64
+// sampleUsers makes a session client sample whole users, not requests: an
+// unsampled user's entire journey belongs to the fluid tier, so sampled
+// journeys keep their step-to-step correlation. One draw per spawned id on
+// the bare generator: the same values rand.Rand.Float64 gives on this
+// stream, without its interface call per draw.
+func (f *fluidTier) sampleUsers(sess *workload.Sessions, split *rng.Splitter) {
+	rate, g := f.SampleRate(), split.PCG("hybrid", "sample")
+	sess.SampleUser = func(int) bool { return rng.Float64(g) < rate }
 }
 
-func (p *thinnedPattern) RateAt(t des.Time) float64 { return p.base.RateAt(t) * p.f }
+// report fills the background section from the tier's closed books.
+func (f *fluidTier) report(r *Report) {
+	r.SampleRate = f.SampleRate()
+	snap := f.Snapshot()
+	r.BackgroundArrivals = uint64(snap.Arrivals)
+	r.BackgroundCompletions = uint64(snap.Completions)
+	r.BackgroundShed = uint64(snap.Shed)
+	r.BackgroundUnreachable = uint64(snap.Unreachable)
+	r.SaturatedEpochs = snap.SaturatedEpochs
+	r.FluidWork = snap.Work
+	r.BackgroundShedByCause = f.ByCause()
+}
 
-// setupHybrid builds the fluid tier at Run time. Inert configurations
-// (sample rate 1.0) leave the simulation untouched.
-func (s *Sim) setupHybrid(warmupEnd des.Time) error {
-	cfg := *s.hybridCfg
+// setupHybrid builds the fluid tier at Run time over the client pattern
+// pat and returns the pattern the foreground generator runs. An inert
+// configuration (sample rate 1.0) removes the feature and leaves the
+// simulation untouched.
+func (s *Sim) setupHybrid(warmupEnd des.Time, pat workload.Pattern) (workload.Pattern, error) {
+	cfg := s.fluid.cfg
 	if err := cfg.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if cfg.SampleRate >= 1 {
-		return nil
+		s.fluid = nil
+		return pat, nil
 	}
 	if s.clientCfg.ClosedUsers > 0 {
-		return fmt.Errorf("sim: hybrid fidelity needs an open-loop or session client (closed_users thins poorly; model the population as sessions instead)")
+		return nil, fmt.Errorf("sim: hybrid fidelity needs an open-loop or session client (closed_users thins poorly; model the population as sessions instead)")
 	}
 
-	// Visit factors: how many times a request visits each service,
-	// weighted by tree selection probabilities. Brancher-pruned subtrees
-	// are counted as always taken — a documented upper bound.
-	weights := s.fluidTreeWeights()
-	visits := make(map[string]float64)
-	for ti := range s.topo.Trees {
-		w := weights[ti]
-		if w <= 0 {
-			continue
-		}
-		for i := range s.topo.Trees[ti].Nodes {
-			visits[s.topo.Trees[ti].Nodes[i].Service] += w
-		}
-	}
-
+	visits, callers := s.fluidVisits()
 	meanKB := 0.0
 	if s.clientCfg.SizeKB != nil {
 		meanKB = s.clientCfg.SizeKB.Mean()
 	}
-	callers := s.fluidCallers(weights)
 	var svcs []hybrid.Service
 	for _, dep := range s.deps {
 		name := dep.Name
@@ -98,7 +109,7 @@ func (s *Sim) setupHybrid(warmupEnd des.Time) error {
 		}
 		ms, err := meanServiceSeconds(dep.BP, meanKB)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		dep.fluid = len(svcs)
 		svcs = append(svcs, hybrid.Service{
@@ -118,7 +129,7 @@ func (s *Sim) setupHybrid(warmupEnd des.Time) error {
 		})
 	}
 	if len(svcs) == 0 {
-		return fmt.Errorf("sim: hybrid fidelity found no visited services to model")
+		return nil, fmt.Errorf("sim: hybrid fidelity found no visited services to model")
 	}
 
 	// The offered-rate envelope the fluid tier follows. Open-loop clients
@@ -135,58 +146,52 @@ func (s *Sim) setupHybrid(warmupEnd des.Time) error {
 			return cr.at(float64(sc.PopulationAt(t)), s.fluid.Work())
 		}
 	} else {
-		base := s.clientCfg.Pattern
+		// The foreground runs the pattern thinned by the sample rate; the
+		// tier follows the total offered load. Thinning a Poisson process by
+		// p yields a Poisson process at p·λ, so the sampled foreground is
+		// statistically exact, not an approximation.
+		base, f := pat, cfg.SampleRate
 		rate = func(t des.Time) float64 { return base.RateAt(t) }
-		// The thinned pattern is run-local: the stored client config keeps
-		// the unthinned pattern, the total offered load rate reads.
-		s.fgPattern = &thinnedPattern{base: base, f: cfg.SampleRate}
+		pat = &scaledPattern{base: base, scale: &f}
 	}
 
 	st, err := hybrid.New(cfg, svcs, rate, s.split)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.fluid = st
+	s.fluid.State = st
 	st.Start(s.eng, 0, warmupEnd)
-	return nil
+	return pat, nil
 }
 
-// fluidCallers maps each service to the sorted set of services whose
-// instances issue RPCs into it, across every tree the client can select.
-// Root services (called straight from the client) have no entry: client
-// hops enter from outside the fabric and are exempt from network faults,
-// matching the foreground dispatch path.
-func (s *Sim) fluidCallers(weights []float64) map[string][]string {
-	seen := make(map[string]map[string]bool)
-	for ti := range s.topo.Trees {
-		if ti < len(weights) && weights[ti] <= 0 {
+// fluidVisits walks the trees the client can select. visits is how many
+// times a request visits each service, weighted by tree selection
+// probabilities; brancher-pruned subtrees are counted as always taken — a
+// documented upper bound. callers lists, sorted, the services whose
+// instances issue RPCs into each service. Root services (called straight
+// from the client) have none: client hops enter from outside the fabric and
+// are exempt from network faults, matching the foreground dispatch path.
+func (s *Sim) fluidVisits() (visits map[string]float64, callers map[string][]string) {
+	visits, callers = make(map[string]float64), make(map[string][]string)
+	for ti, w := range s.fluidTreeWeights() {
+		if w <= 0 {
 			continue
 		}
 		tr := &s.topo.Trees[ti]
 		for i := range tr.Nodes {
 			svc := tr.Nodes[i].Service
+			visits[svc] += w
 			for _, pid := range tr.Parents(i) {
-				p := tr.Nodes[pid].Service
-				if p == svc {
-					continue
+				if p := tr.Nodes[pid].Service; p != svc && !slices.Contains(callers[svc], p) {
+					callers[svc] = append(callers[svc], p)
 				}
-				if seen[svc] == nil {
-					seen[svc] = make(map[string]bool)
-				}
-				seen[svc][p] = true
 			}
 		}
 	}
-	out := make(map[string][]string, len(seen))
-	for svc, set := range seen {
-		names := make([]string, 0, len(set))
-		for p := range set {
-			names = append(names, p)
-		}
-		sort.Strings(names)
-		out[svc] = names
+	for _, cs := range callers {
+		sort.Strings(cs)
 	}
-	return out
+	return visits, callers
 }
 
 // fluidSpeed builds the DVFS coupling for one deployment: the healthy-
@@ -212,51 +217,41 @@ func (s *Sim) fluidSpeed(dep *Deployment) func() float64 {
 // of caller-instance → callee-instance machine pairs currently severed
 // (partitions, region loss) and the mean gray-link drop probability over
 // the still-reachable pairs. Callers is the sorted caller-service list
-// from fluidCallers; services called only by the client see no network
+// from fluidVisits; services called only by the client see no network
 // faults (client hops bypass the fabric in the foreground path too).
 func (s *Sim) fluidLoss(dep *Deployment, callers []string) func() (float64, float64) {
 	if len(callers) == 0 {
 		return nil
 	}
 	return func() (float64, float64) {
-		if s.net == nil {
+		n := s.Net()
+		if n == nil {
 			return 0, 0
 		}
-		pairs, cutN := 0, 0
-		dropSum := 0.0
+		pairs, cutN, dropSum := 0, 0, 0.0
 		for _, cs := range callers {
-			cdep := s.deployments[cs]
-			if cdep == nil {
-				continue
-			}
-			for _, pin := range cdep.Healthy() {
+			for _, pin := range s.deployments[cs].Healthy() {
 				src := pin.Alloc.Machine.ID
 				for _, in := range dep.Healthy() {
 					dst := in.Alloc.Machine.ID
 					pairs++
-					if !s.net.Reachable(src, dst) {
+					if !n.Reachable(src, dst) {
 						cutN++
-						continue
-					}
-					if src != dst {
-						if l, ok := s.net.LinkFor(src, dst); ok {
-							dropSum += l.Drop
-						}
+					} else if l, ok := n.LinkFor(src, dst); ok && src != dst {
+						dropSum += l.Drop
 					}
 				}
 			}
 		}
-		if pairs == 0 {
+		switch {
+		case pairs == 0:
 			// All caller or callee replicas down: capacity coupling
 			// (Servers()==0) owns that failure mode, not reachability.
 			return 0, 0
+		case cutN == pairs:
+			return 1, 0
 		}
-		cut := float64(cutN) / float64(pairs)
-		drop := 0.0
-		if reach := pairs - cutN; reach > 0 {
-			drop = dropSum / float64(reach)
-		}
-		return cut, drop
+		return float64(cutN) / float64(pairs), dropSum / float64(pairs-cutN)
 	}
 }
 
@@ -268,14 +263,11 @@ func (s *Sim) fluidLoss(dep *Deployment, callers []string) func() (float64, floa
 // refinement the aggregate fluid tier cannot express; the service-wide
 // policy is the documented approximation.
 func (s *Sim) fluidPolicy(name string) *hybrid.Policy {
-	pr := s.svcPolicies[name]
-	if pr == nil {
+	pr := s.edgePolicy(-1, -1, name) // no tree node: the service-wide policy
+	if pr == nil || pr.pol.Timeout <= 0 || pr.pol.MaxRetries <= 0 {
 		return nil
 	}
 	pol := pr.pol
-	if pol.Timeout <= 0 || pol.MaxRetries <= 0 {
-		return nil
-	}
 	hp := &hybrid.Policy{
 		TimeoutS:   pol.Timeout.Seconds(),
 		MaxRetries: pol.MaxRetries,
@@ -290,24 +282,13 @@ func (s *Sim) fluidPolicy(name string) *hybrid.Policy {
 // topology tree: the session journeys' step frequencies when sessions
 // drive the client, else the client's tree-choice weights.
 func (s *Sim) fluidTreeWeights() []float64 {
-	n := len(s.topo.Trees)
-	w := make([]float64, n)
+	w := make([]float64, len(s.topo.Trees))
 	if s.clientCfg.Sessions != nil {
-		for i, tw := range s.clientCfg.Sessions.TreeWeights() {
-			if i < n {
-				w[i] = tw
-			}
-		}
+		copy(w, s.clientCfg.Sessions.TreeWeights())
 		return w
 	}
-	if s.treeChoice != nil && s.treeChoice.N() > 1 {
-		for i := 0; i < n; i++ {
-			w[i] = s.treeChoice.P(i)
-		}
-		return w
-	}
-	if n > 0 {
-		w[0] = 1
+	for i := range w {
+		w[i] = s.treeChoice.P(i)
 	}
 	return w
 }
@@ -318,35 +299,29 @@ func (s *Sim) fluidTreeWeights() []float64 {
 // count in full — a deliberate upper bound, since batching amortizes
 // them under load.
 func meanServiceSeconds(bp *service.Blueprint, meanKB float64) (float64, error) {
-	stageNs := func(idx int) float64 {
-		st := &bp.Stages[idx]
-		ns := st.PerKB * meanKB
-		if st.Base != nil {
-			ns += st.Base.Mean()
-		}
-		if st.PerJob != nil {
-			ns += st.PerJob.Mean()
-		}
-		return ns
+	probs := bp.PathProbs
+	if len(probs) != len(bp.Paths) || len(probs) == 0 {
+		probs = []float64{1} // no path state machine: the first path
 	}
-	pathNs := func(p *service.PathSpec) float64 {
-		ns := 0.0
-		for _, idx := range p.Stages {
-			ns += stageNs(idx)
-		}
-		return ns
+	total := 0.0
+	for _, p := range probs {
+		total += p
 	}
-	var ns float64
-	if len(bp.PathProbs) == len(bp.Paths) && len(bp.PathProbs) > 0 {
-		var total float64
-		for _, p := range bp.PathProbs {
-			total += p
+	ns := 0.0
+	for i, p := range probs {
+		path := 0.0
+		for _, idx := range bp.Paths[i].Stages {
+			st := &bp.Stages[idx]
+			stage := st.PerKB * meanKB
+			if st.Base != nil {
+				stage += st.Base.Mean()
+			}
+			if st.PerJob != nil {
+				stage += st.PerJob.Mean()
+			}
+			path += stage
 		}
-		for i := range bp.Paths {
-			ns += bp.PathProbs[i] / total * pathNs(&bp.Paths[i])
-		}
-	} else {
-		ns = pathNs(&bp.Paths[0])
+		ns += p / total * path
 	}
 	if math.IsNaN(ns) || math.IsInf(ns, 0) || ns <= 0 {
 		return 0, fmt.Errorf("sim: hybrid fidelity needs a finite positive mean service time for %q (got %vns; heavy-tailed stages without a mean cannot be fluid-modeled)", bp.Name, ns)

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"uqsim/internal/des"
 	"uqsim/internal/fault"
 	"uqsim/internal/job"
+	"uqsim/internal/rng"
 	"uqsim/internal/service"
 	"uqsim/internal/stats"
 )
@@ -32,25 +34,47 @@ func (s *Sim) SetQueueDiscipline(svc string, d fault.QueueDiscipline) error {
 			return err
 		}
 	}
-	if d.Kind != fault.QueueFIFO {
-		s.hasDiscipline = true
-	}
 	return nil
 }
 
-// installOverload arms the dequeue-time vetting before a run when any
-// overload feature (budget, hedging, discipline) is configured. The
-// network-processing instances are deliberately excluded: a message
-// silently discarded inside netproc would leak its pending-delivery
-// record.
+// overload is the overload-control feature. Run creates it when an
+// installed policy hedges, an instance has a non-FIFO discipline, or the
+// client has a budget; without it a terminated request's attempts run on.
+type overload struct {
+	hedgeRNG, budgetRNG *rng.Source
+	hedgesN, hedgeWins  uint64
+}
+
+// installOverload creates the overload feature when one of its triggers
+// is configured.
 func (s *Sim) installOverload() {
-	s.overloadOn = s.hasDiscipline || s.hasHedge || s.clientCfg.Budget != nil
-	if !s.overloadOn {
-		return
+	on := s.clientCfg.Budget != nil || s.pol != nil && s.pol.hedges()
+	for _, dep := range s.deps {
+		on = on || slices.ContainsFunc(dep.Instances, func(in *service.Instance) bool {
+			return in.Discipline().Kind != fault.QueueFIFO
+		})
 	}
-	s.isCanceledFn = func(j *job.Job) bool {
-		// Canceled: an abandoned attempt or lost hedge race, or a job of
-		// a request that already ended.
+	if on {
+		s.overloadState()
+	}
+}
+
+// overloadState returns the overload feature, creating it on first use: at
+// Run, or at the first draw of a client budget installed mid-run. Hedging
+// needs no such path: Run resolves every edge's policy once, after which a
+// new policy guards nothing. Creating it installs dequeue-time vetting on
+// every deployed instance, the one place that does; a replica added later
+// inherits it from its first sibling (addInstance). The network-processing
+// instances are deliberately left out: a message silently discarded inside
+// netproc would leak its pending-delivery record.
+func (s *Sim) overloadState() *overload {
+	if s.ovl != nil {
+		return s.ovl
+	}
+	s.ovl = &overload{hedgeRNG: s.split.Stream("hedge"), budgetRNG: s.split.Stream("budget")}
+	isCanceled := func(j *job.Job) bool {
+		// Canceled: an abandoned attempt or lost hedge race, or a job of a
+		// request that already ended.
 		if r := j.Req; j.Outcome == job.OutcomeOK && (r == nil || !(r.Failed || r.Done())) {
 			return false
 		}
@@ -59,12 +83,29 @@ func (s *Sim) installOverload() {
 	}
 	for _, dep := range s.deps {
 		for _, in := range dep.Instances {
-			in.IsCanceled = s.isCanceledFn
+			in.IsCanceled = isCanceled
 		}
 	}
+	return s.ovl
 }
 
+func (o *overload) report(r *Report) { r.HedgesIssued, r.HedgeWins = o.hedgesN, o.hedgeWins }
+
 // ---- deadline propagation ----
+
+// armBudget samples a fresh request's end-to-end budget and, when it has
+// one, arms its deadline.
+func (s *Sim) armBudget(now des.Time, st *reqState) {
+	b := s.clientCfg.Budget.Sample(s.overloadState().budgetRNG)
+	if b <= 0 {
+		return
+	}
+	st.Deadline = now + des.FromNanos(b)
+	if st.onDeadline == nil {
+		st.onDeadline = func(t des.Time) { s.onDeadline(t, st) }
+	}
+	s.arm(&st.deadlineEv, st.Deadline, st.onDeadline, TimerDeadline)
+}
 
 // onDeadline fires when a request's end-to-end budget expires: the whole
 // subtree short-circuits — the request is failed now, queued work is
@@ -88,7 +129,7 @@ func (s *Sim) cleanupRequest(st *reqState) {
 		case c.j == nil:
 			s.disarm(&c.timer, TimerRetryBackoff)
 			s.releaseCall(c)
-		case s.overloadOn:
+		case s.ovl != nil:
 			if c.op != nil {
 				s.disarm(&c.op.timer, TimerHedgeTrigger)
 			}
@@ -126,8 +167,8 @@ func (s *Sim) maybeHedge(now des.Time, c *call, pinned bool, nInstances int) {
 	if h == nil || pinned || nInstances < 2 {
 		return
 	}
-	delay, ok := s.hedgeDelay(s.nodeOf(c.st, c.nodeID).lat, h)
-	if !ok {
+	delay := s.hedgeDelay(s.nodeOf(c.st, c.nodeID).lat, h)
+	if delay <= 0 {
 		return
 	}
 	op := s.newHedgeOp(c)
@@ -138,21 +179,15 @@ func (s *Sim) maybeHedge(now des.Time, c *call, pinned bool, nInstances int) {
 // observed latency quantile (est) once it is warm, else the fixed fallback
 // delay; jitter comes from the dedicated hedge RNG stream so hedging never
 // perturbs service-time draws.
-func (s *Sim) hedgeDelay(est *stats.P2Quantile, h *fault.HedgeSpec) (des.Time, bool) {
+func (s *Sim) hedgeDelay(est *stats.P2Quantile, h *fault.HedgeSpec) des.Time {
 	d := h.Delay
 	if h.Quantile > 0 && est.Count() >= uint64(h.MinSamplesOrDefault()) {
 		d = des.Time(est.Value())
 	}
-	if d <= 0 {
-		return 0, false
+	if d > 0 && h.Jitter > 0 {
+		d = des.Time(float64(d) * (1 + h.Jitter*(2*s.ovl.hedgeRNG.Float64()-1)))
 	}
-	if h.Jitter > 0 {
-		d = des.Time(float64(d) * (1 + h.Jitter*(2*s.hedgeRNG.Float64()-1)))
-	}
-	if d <= 0 {
-		return 0, false
-	}
-	return d, true
+	return d // <= 0: no hedge
 }
 
 // onHedgeTimer fires when the primary has been outstanding for the hedge
@@ -179,7 +214,7 @@ func (s *Sim) onHedgeTimer(now des.Time, op *hedgeOp) {
 	h := s.newCall(st, c.nodeID, c.conn, c.src, c.attempt, c.pr)
 	h.isHedge, h.op, op.hedge = true, op, h
 	s.issue(now, h, j, in, probe)
-	s.hedgesN++
+	s.ovl.hedgesN++
 	s.depErrs(nd.dep).Hedges++
 	s.deliver(now, j, nd.dep, in, c.src)
 }
@@ -214,7 +249,7 @@ func (s *Sim) settleHedge(now des.Time, winner *call) {
 	s.disarm(&op.timer, TimerHedgeTrigger)
 	loser := op.hedge
 	if winner.isHedge {
-		s.hedgeWins++
+		s.ovl.hedgeWins++
 		loser = op.primary
 	}
 	if loser != nil && loser != winner {

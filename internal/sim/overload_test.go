@@ -251,6 +251,35 @@ func TestHedgePinnedEdgeNeverHedges(t *testing.T) {
 	}
 }
 
+// TestBudgetInstalledMidRun: a client budget set after Run started creates
+// overload control on its first draw. The run arms deadlines, conserves
+// requests and drains.
+func TestBudgetInstalledMidRun(t *testing.T) {
+	s := hedgeTopology(t, 4, fault.Policy{}, 100)
+	s.Engine().Post(200*des.Millisecond, func(des.Time) {
+		if s.ovl != nil {
+			t.Error("overload control is on before any trigger was installed")
+		}
+		s.SetClient(ClientConfig{
+			Pattern: workload.ConstantRate(100), Proc: workload.Uniform,
+			Budget: dist.NewDeterministic(float64(50 * des.Millisecond)),
+		})
+	})
+	rep, err := s.Run(0, des.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conserve(t, rep)
+	if s.ovl == nil || rep.Timers[TimerDeadline].Armed == 0 {
+		t.Fatal("a budget installed mid-run armed no deadline")
+	}
+	for s.Engine().Step() {
+	}
+	if err := s.VerifyDrained(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCoDelDisciplineShedsUnderOverload: CoDel admission at sustained 2×
 // saturation sheds stale work at dequeue into the Shed bucket while
 // completions keep flowing at capacity.

@@ -312,7 +312,7 @@ func runRandom(t *testing.T, seed int64, build func(*testing.T, int64) *Sim, wit
 		}
 	}
 	events := s.Engine().Processed()
-	if !s.overloadOn {
+	if s.ovl == nil {
 		events += s.timers[TimerClientTimeout].Cancelled + s.timers[TimerRetryBackoff].Cancelled
 	}
 	return fmt.Sprintf("%s events=%d", fp, events)

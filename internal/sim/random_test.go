@@ -124,8 +124,8 @@ func buildRandomTopology(t *testing.T, seed int64) *Sim {
 		// replicas in both regions.
 		if dep, _ := s.Deployment("join"); len(dep.Instances) >= 2 {
 			spans := make(map[int]bool)
-			for _, reg := range dep.instRegion {
-				spans[reg] = true
+			for _, in := range dep.Instances {
+				spans[in.Alloc.Machine.Region] = true
 			}
 			if len(spans) >= 2 {
 				if err := s.SetReplication("join", ReplicationSpec{

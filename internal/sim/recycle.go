@@ -17,7 +17,7 @@ import (
 //     being routed, an instance once admitted. It dies when that report
 //     arrives — completion (handleJobDone, handleNetDone), loss
 //     (failAttemptOrRequest, handleNetDrop), a refused duplicate, or a
-//     dequeue-time discard (isCanceledFn) — and releaseJob runs there.
+//     dequeue-time discard (overload.isCanceled) — and releaseJob runs there.
 //   - A request block (reqState, the request embedded) dies when it has
 //     terminated (finalizeLeaf, failRequest) and its last job has died,
 //     whichever comes later: stray work of timed-out, failed and out-raced

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"uqsim/internal/cluster"
 	"uqsim/internal/des"
@@ -10,6 +9,49 @@ import (
 	"uqsim/internal/netfault"
 	"uqsim/internal/service"
 )
+
+// geography is the region feature. Nil until SetGeography.
+type geography struct {
+	layout     *cluster.Geography
+	home       int    // the client's home region (-1: none), resolved at Run
+	crossHops  uint64 // deliveries that crossed a region boundary
+	staleReads uint64 // cross-origin serves of a lagging replica
+}
+
+// depRegions is one deployment's share of the geography: its healthy
+// instances and a round-robin cursor per region, and its geo-replication.
+// A read served outside the request's origin region is stale until the
+// serving region has been promoted (promoted[r] >= 0) for at least lag.
+type depRegions struct {
+	layout      *cluster.Geography
+	healthy     [][]*service.Instance
+	rr          []int
+	lag         des.Time
+	replRegions []string // nil: not geo-replicated
+	promoted    []des.Time
+}
+
+// newDepRegions readies a fresh deployment's per-region state.
+func (g *geography) newDepRegions() *depRegions {
+	n := len(g.layout.Regions())
+	r := &depRegions{layout: g.layout, healthy: make([][]*service.Instance, n), rr: make([]int, n), promoted: make([]des.Time, n)}
+	for i := range r.promoted {
+		r.promoted[i] = -1 // unpromoted
+	}
+	return r
+}
+
+// refresh splits the deployment's healthy set by home region, in order.
+func (r *depRegions) refresh(healthy []*service.Instance) {
+	for i := range r.healthy {
+		r.healthy[i] = r.healthy[i][:0]
+	}
+	for _, in := range healthy {
+		if i := in.Alloc.Machine.Region; i >= 0 {
+			r.healthy[i] = append(r.healthy[i], in)
+		}
+	}
+}
 
 // SetGeography installs the region layer of the topology: a disjoint
 // machine→region assignment returned as a *cluster.Geography whose WAN
@@ -35,10 +77,10 @@ func (s *Sim) SetGeography(regions []cluster.Region) (*cluster.Geography, error)
 	}
 	doms := make([]netfault.Domain, 0, len(regions))
 	for _, r := range g.Regions() {
-		if _, exists := s.domain(r.Name); exists {
-			return nil, fmt.Errorf("sim: region %q collides with a declared failure domain", r.Name)
-		}
 		doms = append(doms, netfault.Domain{Name: r.Name, Machines: r.Machines})
+	}
+	if err := s.faultState().declare(doms, true); err != nil {
+		return nil, err
 	}
 	for i, r := range g.Regions() {
 		for _, name := range r.Machines {
@@ -46,20 +88,35 @@ func (s *Sim) SetGeography(regions []cluster.Region) (*cluster.Geography, error)
 			m.Region = i
 		}
 	}
-	s.geo = g
-	s.geoDomains = doms
+	s.geo = &geography{layout: g, home: -1}
 	return g, nil
 }
 
 // Geography reports the installed region layer (nil without one).
-func (s *Sim) Geography() *cluster.Geography { return s.geo }
+func (s *Sim) Geography() *cluster.Geography {
+	if s.geo == nil {
+		return nil
+	}
+	return s.geo.layout
+}
+
+// resolveHome finds the client's home region when Run starts.
+func (g *geography) resolveHome(region string) error {
+	g.home = g.layout.RegionIndex(region)
+	if region != "" && g.home < 0 {
+		return fmt.Errorf("sim: client region %q is not a declared region (have %q)", region, g.layout.Names())
+	}
+	return nil
+}
+
+func (g *geography) report(r *Report) { r.CrossRegionCalls, r.StaleReads = g.crossHops, g.staleReads }
 
 // sourceRegion is the index of the region a hop originates from: the
 // sending machine's home region, or the client's for entry hops (src ==
 // nil); -1 for none.
 func (s *Sim) sourceRegion(src *cluster.Machine) int {
 	if src == nil {
-		return s.clientRegion
+		return s.geo.home
 	}
 	return src.Region
 }
@@ -92,73 +149,85 @@ func (s *Sim) SetReplication(svc string, spec ReplicationSpec) error {
 	if spec.Lag < 0 {
 		return fmt.Errorf("sim: %s: negative replication lag %v", svc, spec.Lag)
 	}
+	// Unless named, the regions are those hosting a replica, in the order
+	// the deployment's instances first reach them.
+	layout, hosts := s.geo.layout, make([]bool, len(s.geo.layout.Regions()))
 	regions := append([]string(nil), spec.Regions...)
-	if len(regions) == 0 {
-		seen := make([]bool, len(s.geo.Regions()))
-		for _, r := range dep.instRegion {
-			if r >= 0 && !seen[r] {
-				seen[r] = true
-				regions = append(regions, s.geo.Regions()[r].Name)
+	for _, in := range dep.Instances {
+		if r := in.Alloc.Machine.Region; r >= 0 && !hosts[r] {
+			hosts[r] = true
+			if len(spec.Regions) == 0 {
+				regions = append(regions, layout.Regions()[r].Name)
 			}
 		}
 	}
 	for _, name := range regions {
-		r := s.geo.RegionIndex(name)
+		r := layout.RegionIndex(name)
 		if r < 0 {
 			return fmt.Errorf("sim: %s: replication references unknown region %q", svc, name)
 		}
-		if !slices.Contains(dep.instRegion, r) {
+		if !hosts[r] {
 			return fmt.Errorf("sim: %s: replication region %q hosts no replica", svc, name)
 		}
 	}
 	if len(regions) < 2 {
 		return fmt.Errorf("sim: %s: replication needs replicas in at least two regions", svc)
 	}
-	dep.replicated = true
-	dep.lag = spec.Lag
-	dep.replRegions = regions
+	dep.regions.lag, dep.regions.replRegions = spec.Lag, regions
 	return nil
 }
 
-// Replicated reports whether the deployment is geo-replicated.
-func (d *Deployment) Replicated() bool { return d.replicated }
-
-// ReplicaRegions reports the regions the replication spec covers.
-func (d *Deployment) ReplicaRegions() []string { return d.replRegions }
+// ReplicaRegions reports the regions the replication spec covers; nil when
+// the deployment is not geo-replicated.
+func (d *Deployment) ReplicaRegions() []string {
+	if d.regions == nil {
+		return nil
+	}
+	return d.regions.replRegions
+}
 
 // RegionHealthy reports the healthy instances homed in one region.
 func (d *Deployment) RegionHealthy(region string) int {
-	if r := d.geo.RegionIndex(region); r >= 0 {
-		return len(d.byRegion[r])
+	if dr, r := d.region(region); r >= 0 {
+		return len(dr.healthy[r])
 	}
 	return 0
+}
+
+// region resolves a region name for the deployment's per-region state; -1
+// without a geography or for an undeclared region.
+func (d *Deployment) region(name string) (*depRegions, int) {
+	if d.regions == nil {
+		return nil, -1
+	}
+	return d.regions, d.regions.layout.RegionIndex(name)
 }
 
 // Promote marks a region as taking over serving at time now: its
 // replicas become fresh once the replication lag has elapsed. Promoting
 // an already-promoted region keeps the earlier clock.
 func (d *Deployment) Promote(now des.Time, region string) {
-	if r := d.geo.RegionIndex(region); r >= 0 && d.promoted[r] < 0 {
-		d.promoted[r] = now
+	if dr, r := d.region(region); r >= 0 && dr.promoted[r] < 0 {
+		dr.promoted[r] = now
 	}
 }
 
 // PromotedAt reports when a region was promoted, if it was.
 func (d *Deployment) PromotedAt(region string) (des.Time, bool) {
-	if r := d.geo.RegionIndex(region); r >= 0 && d.promoted[r] >= 0 {
-		return d.promoted[r], true
+	if dr, r := d.region(region); r >= 0 && dr.promoted[r] >= 0 {
+		return dr.promoted[r], true
 	}
 	return 0, false
 }
 
-// freshAt reports whether reads served by region r's replicas are up to
+// freshAt reports whether reads served by region i's replicas are up to
 // date at time now. Synchronously replicated deployments (lag == 0) and
 // non-replicated ones are always fresh.
-func (d *Deployment) freshAt(now des.Time, r int) bool {
-	if !d.replicated || d.lag == 0 {
+func (r *depRegions) freshAt(now des.Time, i int) bool {
+	if r.replRegions == nil || r.lag == 0 {
 		return true
 	}
-	return r >= 0 && d.promoted[r] >= 0 && now >= d.promoted[r]+d.lag
+	return i >= 0 && r.promoted[i] >= 0 && now >= r.promoted[i]+r.lag
 }
 
 // pickRegional selects an instance by nearest-healthy-region order:
@@ -166,12 +235,13 @@ func (d *Deployment) freshAt(now des.Time, r int) bool {
 // Nil when the source has no region or only region-less instances are
 // healthy — the caller falls back to the region-blind pick.
 func (s *Sim) pickRegional(dep *Deployment, srcRegion int) *service.Instance {
-	if srcRegion < 0 || dep.byRegion == nil {
+	dr := dep.regions
+	if srcRegion < 0 || dr == nil {
 		return nil
 	}
-	for _, r := range s.geo.NearestAt(srcRegion) {
-		if hs := dep.byRegion[r]; len(hs) > 0 {
-			return dep.pickFrom(hs, &dep.regionRR[r])
+	for _, r := range s.geo.layout.NearestAt(srcRegion) {
+		if hs := dr.healthy[r]; len(hs) > 0 {
+			return dep.pickFrom(hs, &dr.rr[r])
 		}
 	}
 	return nil
@@ -183,22 +253,16 @@ func (s *Sim) pickRegional(dep *Deployment, srcRegion int) *service.Instance {
 // deployment outside the request's origin region counts as stale while
 // the serving region lags (freshAt).
 func (s *Sim) wanHop(now des.Time, j *job.Job, dep *Deployment, in *service.Instance, src *cluster.Machine) des.Time {
-	dstR := in.Alloc.Machine.Region
-	if dstR < 0 {
+	srcR, dstR := s.sourceRegion(src), in.Alloc.Machine.Region
+	if srcR < 0 || dstR < 0 || srcR == dstR {
 		return 0
 	}
-	srcR := s.sourceRegion(src)
-	if srcR < 0 {
-		return 0
-	}
-	if srcR == dstR {
-		return 0
-	}
-	s.crossHops++
-	if dep.replicated {
-		if home := s.clientRegion; home >= 0 && home != dstR && !dep.freshAt(now, dstR) {
-			s.staleReads++
+	g := s.geo
+	g.crossHops++
+	if dr := dep.regions; dr.replRegions != nil {
+		if home := g.home; home >= 0 && home != dstR && !dr.freshAt(now, dstR) {
+			g.staleReads++
 		}
 	}
-	return s.geo.DelayAt(srcR, dstR, j.Req.SizeKB)
+	return g.layout.DelayAt(srcR, dstR, j.Req.SizeKB)
 }

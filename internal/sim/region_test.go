@@ -140,18 +140,18 @@ func TestRegionLossFailsOverAndPaysWAN(t *testing.T) {
 func TestReplicationFreshness(t *testing.T) {
 	s := twoRegionSim(t, 10*des.Millisecond)
 	dep, _ := s.Deployment("svc")
-	if !dep.Replicated() || dep.lag != 10*des.Millisecond {
+	if dep.ReplicaRegions() == nil || dep.regions.lag != 10*des.Millisecond {
 		t.Fatal("replication spec not recorded")
 	}
-	west := s.geo.RegionIndex("west")
-	if dep.freshAt(0, west) {
+	west := s.Geography().RegionIndex("west")
+	if dep.regions.freshAt(0, west) {
 		t.Fatal("fresh before promotion")
 	}
 	dep.Promote(20*des.Millisecond, "west")
-	if dep.freshAt(25*des.Millisecond, west) {
+	if dep.regions.freshAt(25*des.Millisecond, west) {
 		t.Fatal("fresh before lag elapsed")
 	}
-	if !dep.freshAt(30*des.Millisecond, west) {
+	if !dep.regions.freshAt(30*des.Millisecond, west) {
 		t.Fatal("stale after lag elapsed")
 	}
 	// Re-promotion keeps the earlier clock.
@@ -300,5 +300,87 @@ func TestRegionCrashCascadesAndHealsIndependently(t *testing.T) {
 		})
 	}
 	for s.Engine().Step() {
+	}
+}
+
+// TestAddReplicaInheritsAndJoinsRegion adds a replica mid-run to a
+// deployment with load shedding, a CoDel discipline, a client budget
+// (overload control on) and a geography. The replica admits like its
+// sibling, vets jobs at dequeue, and joins its region's healthy set, so the
+// east-homed client's nearest-region pick moves to it from the west.
+func TestAddReplicaInheritsAndJoinsRegion(t *testing.T) {
+	s := New(Options{Seed: 11})
+	s.AddMachine("m0", 4, cluster.FreqSpec{})
+	s.AddMachine("m1", 4, cluster.FreqSpec{})
+	geo, err := s.SetGeography([]cluster.Region{
+		{Name: "east", Machines: []string{"m0"}},
+		{Name: "west", Machines: []string{"m1"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := geo.SetDefaultWAN(cluster.WANLink{Latency: 5 * des.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	bp := service.SingleStage("svc", dist.NewDeterministic(float64(100*des.Microsecond)))
+	dep, err := s.Deploy(bp, RoundRobin, Placement{Machine: "m1", Cores: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codel := fault.QueueDiscipline{Kind: fault.QueueCoDel, Target: 2 * des.Millisecond, Interval: 20 * des.Millisecond}
+	if err := s.SetMaxQueue("svc", 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetQueueDiscipline("svc", codel); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetTopology(graph.Linear("t", "svc")); err != nil {
+		t.Fatal(err)
+	}
+	s.SetClient(ClientConfig{
+		Pattern: workload.ConstantRate(500),
+		Region:  "east",
+		Budget:  dist.NewDeterministic(float64(50 * des.Millisecond)),
+	})
+
+	var added *service.Instance
+	s.Engine().Post(100*des.Millisecond, func(des.Time) {
+		if dep.RegionHealthy("east") != 0 {
+			t.Error("east hosts a replica before AddReplica")
+		}
+		if added, err = s.AddReplica("svc", "m0", 2); err != nil {
+			t.Error(err)
+			return
+		}
+		if added.MaxQueue != 7 || added.Discipline() != codel {
+			t.Errorf("replica admits with max queue %d, discipline %+v; want 7, %+v", added.MaxQueue, added.Discipline(), codel)
+		}
+		if added.IsCanceled == nil {
+			t.Error("replica does not vet jobs at dequeue under overload control")
+		}
+		if dep.RegionHealthy("east") != 1 {
+			t.Errorf("east healthy set has %d instances after AddReplica; want 1", dep.RegionHealthy("east"))
+		}
+		if in := s.pickRegional(dep, geo.RegionIndex("east")); in != added {
+			t.Errorf("nearest-region pick from east is %v; want the new replica", in)
+		}
+	})
+	rep, err := s.Run(0, 300*des.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added == nil {
+		t.Fatal("no replica was added")
+	}
+	if added.Completed() == 0 {
+		t.Fatal("the east replica served nothing after it joined")
+	}
+	if rep.CrossRegionCalls == 0 {
+		t.Fatal("no cross-region call before the replica joined")
+	}
+	for s.Engine().Step() {
+	}
+	if err := s.VerifyDrained(); err != nil {
+		t.Fatal(err)
 	}
 }

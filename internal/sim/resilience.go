@@ -1,13 +1,17 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"uqsim/internal/cluster"
 	"uqsim/internal/des"
 	"uqsim/internal/fault"
+	"uqsim/internal/graph"
 	"uqsim/internal/job"
+	"uqsim/internal/rng"
 	"uqsim/internal/service"
 )
 
@@ -16,6 +20,45 @@ import (
 // against healthy instances, circuit breaking, and upstream propagation of
 // sheds and crash-induced drops. Edges without a policy keep the original
 // fast path; a request on a policy edge gets a call record per dispatch.
+
+// policies is the resilience feature: the installed per-edge policies, the
+// retry backoff's stream and the retry count. Nil until the first
+// SetServicePolicy or SetNodePolicy.
+type policies struct {
+	svc      map[string]*policyRuntime
+	node     map[[2]int]*policyRuntime // [tree,node] override
+	retryRNG *rng.Source
+	retriesN uint64
+}
+
+// policyState returns the resilience feature, creating it on first use.
+func (s *Sim) policyState() *policies {
+	if s.pol == nil {
+		s.pol = &policies{
+			svc:      make(map[string]*policyRuntime),
+			node:     make(map[[2]int]*policyRuntime),
+			retryRNG: s.split.Stream("retry"),
+		}
+	}
+	return s.pol
+}
+
+// hedges reports whether an installed policy hedges.
+func (p *policies) hedges() bool {
+	for _, pr := range p.svc {
+		if pr.pol.Hedge != nil {
+			return true
+		}
+	}
+	for _, pr := range p.node {
+		if pr.pol.Hedge != nil {
+			return true
+		}
+	}
+	return false
+}
+
+func (p *policies) report(r *Report) { r.Retries = p.retriesN }
 
 // policyRuntime is one installed policy plus its breaker instance.
 type policyRuntime struct {
@@ -29,6 +72,13 @@ func newPolicyRuntime(p fault.Policy) *policyRuntime {
 		pr.brk = fault.NewBreaker(*p.Breaker)
 	}
 	return pr
+}
+
+// record feeds the edge's breaker, if it has one, an attempt's outcome.
+func (pr *policyRuntime) record(now des.Time, failed bool) {
+	if pr.brk != nil {
+		pr.brk.Record(now, failed)
+	}
 }
 
 // call is one dispatch over a policy-guarded edge: the live attempt, or
@@ -95,10 +145,7 @@ func (s *Sim) SetServicePolicy(svc string, p fault.Policy) error {
 	if _, ok := s.deployments[svc]; !ok {
 		return fmt.Errorf("sim: policy for undeployed service %q", svc)
 	}
-	s.svcPolicies[svc] = newPolicyRuntime(p)
-	if p.Hedge != nil {
-		s.hasHedge = true
-	}
+	s.policyState().svc[svc] = newPolicyRuntime(p)
 	return nil
 }
 
@@ -111,20 +158,15 @@ func (s *Sim) SetNodePolicy(tree string, nodeID int, p fault.Policy) error {
 	if s.topo == nil {
 		return fmt.Errorf("sim: node policy needs a topology (call SetTopology first)")
 	}
-	for ti := range s.topo.Trees {
-		if s.topo.Trees[ti].Name != tree {
-			continue
-		}
-		if nodeID < 0 || nodeID >= len(s.topo.Trees[ti].Nodes) {
-			return fmt.Errorf("sim: tree %q has no node %d", tree, nodeID)
-		}
-		s.nodePolicies[[2]int{ti, nodeID}] = newPolicyRuntime(p)
-		if p.Hedge != nil {
-			s.hasHedge = true
-		}
-		return nil
+	ti := slices.IndexFunc(s.topo.Trees, func(t graph.Tree) bool { return t.Name == tree })
+	if ti < 0 {
+		return fmt.Errorf("sim: node policy references unknown tree %q", tree)
 	}
-	return fmt.Errorf("sim: node policy references unknown tree %q", tree)
+	if nodeID < 0 || nodeID >= len(s.topo.Trees[ti].Nodes) {
+		return fmt.Errorf("sim: tree %q has no node %d", tree, nodeID)
+	}
+	s.policyState().node[[2]int{ti, nodeID}] = newPolicyRuntime(p)
+	return nil
 }
 
 // SetMaxQueue enables queue-length load shedding on every instance of svc:
@@ -144,13 +186,17 @@ func (s *Sim) SetMaxQueue(svc string, max int) error {
 	return nil
 }
 
-// edgePolicy resolves the policy guarding tree node nodeID (nil: none). Node
-// overrides win over service-level policies.
+// edgePolicy resolves the policy guarding tree node nodeID of service svc
+// (nil: none). Node overrides win over service-level policies; node -1
+// asks for the service-level one.
 func (s *Sim) edgePolicy(treeIdx, nodeID int, svc string) *policyRuntime {
-	if pr, ok := s.nodePolicies[[2]int{treeIdx, nodeID}]; ok {
+	if s.pol == nil {
+		return nil
+	}
+	if pr, ok := s.pol.node[[2]int{treeIdx, nodeID}]; ok {
 		return pr
 	}
-	return s.svcPolicies[svc]
+	return s.pol.svc[svc]
 }
 
 // startAttempt issues the attempt c describes, for a request that is live
@@ -170,9 +216,7 @@ func (s *Sim) startAttempt(now des.Time, c *call) {
 	in := s.pickFor(node, nd.dep, c.src)
 	if in == nil {
 		// No healthy instance: an instant connection failure.
-		if c.pr.brk != nil {
-			c.pr.brk.Record(now, true)
-		}
+		c.pr.record(now, true)
 		s.retryOrFail(now, c, job.OutcomeDropped)
 		return
 	}
@@ -215,9 +259,7 @@ func (s *Sim) onAttemptTimeout(now des.Time, c *call) {
 		s.unlink(c)
 	}
 	s.observeCall(now, c.inst, false, c.pr.pol.Timeout)
-	if c.pr.brk != nil {
-		c.pr.brk.Record(now, true)
-	}
+	c.pr.record(now, true)
 	if orphan || c.st.Failed || c.st.Done() {
 		s.releaseCall(c)
 		return
@@ -234,9 +276,9 @@ func (s *Sim) retryOrFail(now des.Time, c *call, out job.Outcome) {
 	s.countError(ec, out)
 	s.leaveRace(c)
 	if c.attempt < c.pr.pol.MaxRetries {
-		s.retriesN++
+		s.pol.retriesN++
 		ec.Retries++
-		delay := c.pr.pol.Backoff(c.attempt+1, s.retryRNG)
+		delay := c.pr.pol.Backoff(c.attempt+1, s.pol.retryRNG)
 		s.arm(&c.timer, now+delay, c.onBackoff, TimerRetryBackoff)
 		return
 	}
@@ -256,9 +298,7 @@ func (s *Sim) settleCall(now des.Time, c *call) {
 	s.disarm(&c.timer, TimerAttemptTimeout)
 	s.unlink(c)
 	s.observeCall(now, c.inst, true, now-c.start)
-	if c.pr.brk != nil {
-		c.pr.brk.Record(now, false)
-	}
+	c.pr.record(now, false)
 	if h := c.pr.pol.Hedge; h != nil && h.Quantile > 0 {
 		s.nodeOf(c.st, c.nodeID).lat.Add(float64(now - c.start))
 	}
@@ -272,11 +312,7 @@ func (s *Sim) settleCall(now des.Time, c *call) {
 // discarded silently — their edge has moved on. Either way the job dies
 // here.
 func (s *Sim) failAttemptOrRequest(now des.Time, j *job.Job, out job.Outcome) {
-	s.propagateFailure(now, j, out)
-	s.releaseJob(j)
-}
-
-func (s *Sim) propagateFailure(now des.Time, j *job.Job, out job.Outcome) {
+	defer s.releaseJob(j)
 	// An attempt already abandoned by its edge (timeout fired, hedge race
 	// lost) must never overwrite its outcome or touch the live request.
 	abandoned := j.Outcome != job.OutcomeOK
@@ -303,9 +339,7 @@ func (s *Sim) propagateFailure(now des.Time, j *job.Job, out job.Outcome) {
 	if c != nil {
 		s.disarm(&c.timer, TimerAttemptTimeout)
 		s.unlink(c)
-		if c.pr.brk != nil {
-			c.pr.brk.Record(now, true)
-		}
+		c.pr.record(now, true)
 		s.failCall(now, c, out)
 		return
 	}
@@ -382,7 +416,7 @@ func (s *Sim) depErrs(dep *Deployment) *ErrorCounts {
 // monitors and liveness invariants ("no breaker stays open forever").
 type BreakerInfo struct {
 	// Edge names the guarded edge: "svc:<service>" for service-level
-	// policies, "node:<tree>/<node>" for per-node overrides.
+	// policies, "node:<tree index>/<node>" for per-node overrides.
 	Edge string
 	// State is the breaker's state at the engine's current virtual time.
 	State fault.BreakerState
@@ -396,40 +430,31 @@ type BreakerInfo struct {
 // Breakers reports every installed circuit breaker in deterministic order
 // (service edges sorted by name, then node overrides by tree and node).
 func (s *Sim) Breakers() []BreakerInfo {
+	if s.pol == nil {
+		return nil
+	}
 	now := s.eng.Now()
 	var out []BreakerInfo
-	svcs := make([]string, 0, len(s.svcPolicies))
-	for name, pr := range s.svcPolicies {
-		if pr.brk != nil {
-			svcs = append(svcs, name)
+	add := func(edge string, pr *policyRuntime) {
+		if brk := pr.brk; brk != nil {
+			out = append(out, BreakerInfo{Edge: edge, State: brk.State(now), Probing: brk.Probing(), Trips: brk.Trips()})
 		}
+	}
+	svcs := make([]string, 0, len(s.pol.svc))
+	for name := range s.pol.svc {
+		svcs = append(svcs, name)
 	}
 	sort.Strings(svcs)
 	for _, name := range svcs {
-		brk := s.svcPolicies[name].brk
-		out = append(out, BreakerInfo{
-			Edge: "svc:" + name, State: brk.State(now),
-			Probing: brk.Probing(), Trips: brk.Trips(),
-		})
+		add("svc:"+name, s.pol.svc[name])
 	}
-	nodes := make([][2]int, 0, len(s.nodePolicies))
-	for key, pr := range s.nodePolicies {
-		if pr.brk != nil {
-			nodes = append(nodes, key)
-		}
+	nodes := make([][2]int, 0, len(s.pol.node))
+	for key := range s.pol.node {
+		nodes = append(nodes, key)
 	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i][0] != nodes[j][0] {
-			return nodes[i][0] < nodes[j][0]
-		}
-		return nodes[i][1] < nodes[j][1]
-	})
+	slices.SortFunc(nodes, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 	for _, key := range nodes {
-		brk := s.nodePolicies[key].brk
-		out = append(out, BreakerInfo{
-			Edge: fmt.Sprintf("node:%d/%d", key[0], key[1]), State: brk.State(now),
-			Probing: brk.Probing(), Trips: brk.Trips(),
-		})
+		add(fmt.Sprintf("node:%d/%d", key[0], key[1]), s.pol.node[key])
 	}
 	return out
 }

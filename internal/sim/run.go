@@ -9,7 +9,6 @@ import (
 	"uqsim/internal/graph"
 	"uqsim/internal/hybrid"
 	"uqsim/internal/job"
-	"uqsim/internal/rng"
 	"uqsim/internal/service"
 	"uqsim/internal/stats"
 	"uqsim/internal/workload"
@@ -31,20 +30,24 @@ func (s *Sim) Run(warmup, duration des.Time) (*Report, error) {
 	if err := s.resolve(); err != nil {
 		return nil, err
 	}
+	pat, err := s.loadPattern()
+	if err != nil {
+		return nil, err
+	}
 	s.ran = true
 	s.warmupEnd = warmup
 	horizon := warmup + duration
 	s.installOverload()
-	if s.hybridCfg != nil {
-		if err := s.setupHybrid(warmup); err != nil {
+	if s.fluid != nil {
+		if pat, err = s.setupHybrid(warmup, pat); err != nil {
 			return nil, err
 		}
 	}
 
+	arrive := func(now des.Time) { s.admit(now, 0, -1, -1) }
 	if s.clientCfg.ClosedUsers > 0 {
-		s.closedLoop = workload.NewClosedLoop(s.eng, s.clientRNG, s.clientCfg.ClosedUsers, s.onArrival)
-		if s.clientCfg.Think != nil {
-			think := s.clientCfg.Think
+		s.closedLoop = workload.NewClosedLoop(s.eng, s.clientRNG, s.clientCfg.ClosedUsers, arrive)
+		if think := s.clientCfg.Think; think != nil {
 			s.closedLoop.Think = think.Sample
 		}
 		s.closedLoop.Start(0)
@@ -58,29 +61,18 @@ func (s *Sim) Run(warmup, duration des.Time) (*Report, error) {
 			}
 		}
 		sess, err := workload.NewSessions(s.eng, s.split.Child("sessions"), *s.clientCfg.Sessions,
-			func(now des.Time, user, tree int) { s.admitAs(now, 0, tree, user) })
+			func(now des.Time, user, tree int) { s.admit(now, 0, tree, user) })
 		if err != nil {
 			return nil, err
 		}
 		if s.fluid != nil {
-			// Hybrid fidelity samples whole users, not requests: an
-			// unsampled user's entire journey belongs to the fluid tier,
-			// so sampled journeys keep their step-to-step correlation.
-			// One draw per spawned id on the bare generator: the same
-			// values rand.Rand.Float64 gives on this stream, without its
-			// interface call per draw.
-			rate, g := s.fluid.SampleRate(), s.split.PCG("hybrid", "sample")
-			sess.SampleUser = func(int) bool { return rng.Float64(g) < rate }
+			s.fluid.sampleUsers(sess, s.split)
 		}
 		s.sessions = sess
 		sess.Start(0)
 		defer sess.Stop()
 	} else {
-		pat := s.clientCfg.Pattern
-		if s.fgPattern != nil {
-			pat = s.fgPattern // hybrid fidelity: sampled-foreground thinning
-		}
-		gen := workload.NewOpenLoop(s.eng, s.clientRNG, pat, s.onArrival)
+		gen := workload.NewOpenLoop(s.eng, s.clientRNG, pat, arrive)
 		gen.Proc = s.clientCfg.Proc
 		gen.Start(0)
 		defer gen.Stop()
@@ -90,10 +82,8 @@ func (s *Sim) Run(warmup, duration des.Time) (*Report, error) {
 	// A Stop (signal handler, watchdog) freezes the clock short of the
 	// horizon; the partial report covers what actually ran.
 	end := horizon
-	if s.eng.Stopped() {
-		if now := s.eng.Now(); now < horizon {
-			end = now
-		}
+	if now := s.eng.Now(); s.eng.Stopped() && now < horizon {
+		end = now
 	}
 	if s.fluid != nil {
 		s.fluid.Finish(end)
@@ -102,51 +92,35 @@ func (s *Sim) Run(warmup, duration des.Time) (*Report, error) {
 	return s.report(end), nil
 }
 
-// onArrival admits one client request at virtual time now.
-func (s *Sim) onArrival(now des.Time) {
-	s.admit(now, 0)
-}
-
-// admit starts one request (attempt 0) or retry (attempt > 0).
-func (s *Sim) admit(now des.Time, attempt int) {
-	s.admitAs(now, attempt, -1, -1)
-}
-
-// admitAs is admit with session context: forceTree >= 0 pins the topology
-// tree (session journey steps target specific trees; -1 samples the
-// client's tree choice), and user >= 0 ties the request to the session
-// user whose journey advances when it terminates.
-func (s *Sim) admitAs(now des.Time, attempt, forceTree, user int) {
-	treeIdx := forceTree
-	if treeIdx < 0 {
-		treeIdx = 0
+// admit starts one request at virtual time now: attempt 0 from the client,
+// or a client retry (attempt > 0). tree >= 0 pins the topology tree
+// (session journey steps target specific trees; -1 samples the client's
+// tree choice), and user >= 0 ties the request to the session user whose
+// journey advances when it terminates.
+func (s *Sim) admit(now des.Time, attempt, tree, user int) {
+	if tree < 0 {
+		tree = 0
 		if s.treeChoice.N() > 1 {
-			treeIdx = s.treeChoice.Pick(s.clientRNG)
+			tree = s.treeChoice.Pick(s.clientRNG)
 		}
 	}
-	tree := &s.topo.Trees[treeIdx]
+	t := &s.topo.Trees[tree]
 
-	st := s.newReqState(tree, now, user)
-	st.Class = treeIdx
+	st := s.newReqState(t, now, user)
+	st.Class = tree
 	st.Attempt = attempt
 	if s.clientCfg.SizeKB != nil {
 		st.SizeKB = s.clientCfg.SizeKB.Sample(s.clientRNG)
 	}
 	st.Conn = int(st.ID) % s.clientCfg.Connections
-	st.LeavesRemaining = len(tree.Leaves())
+	st.LeavesRemaining = len(t.Leaves())
 
 	s.trackLive(st)
 	if now >= s.warmupEnd {
 		s.arrivals++
 	}
 	if s.clientCfg.Budget != nil {
-		if b := s.clientCfg.Budget.Sample(s.budgetRNG); b > 0 {
-			st.Deadline = now + des.FromNanos(b)
-			if st.onDeadline == nil {
-				st.onDeadline = func(t des.Time) { s.onDeadline(t, st) }
-			}
-			s.arm(&st.deadlineEv, st.Deadline, st.onDeadline, TimerDeadline)
-		}
+		s.armBudget(now, st)
 	}
 	if s.clientCfg.Timeout > 0 {
 		if st.onClientTO == nil {
@@ -154,7 +128,7 @@ func (s *Sim) admitAs(now des.Time, attempt, forceTree, user int) {
 		}
 		s.arm(&st.clientTO, now+s.clientCfg.Timeout, st.onClientTO, TimerClientTimeout)
 	}
-	s.enterNode(now, st, tree.Root, 0, st.Conn, nil)
+	s.enterNode(now, st, t.Root, 0, st.Conn, nil)
 }
 
 // onTimeout fires when a request exceeds the client's patience: the client
@@ -163,9 +137,9 @@ func (s *Sim) admitAs(now des.Time, attempt, forceTree, user int) {
 func (s *Sim) onTimeout(now des.Time, st *reqState) {
 	s.timers[TimerClientTimeout].Fired++
 	st.TimedOut = true
-	user, userTree := -1, -1
-	if st.slot >= 0 {
-		user, userTree = st.user, st.Class
+	user, tree := -1, -1
+	if st.slot >= 0 && st.user >= 0 {
+		user, tree = st.user, st.Class
 	}
 	// The latency sample belongs to the measurement window it lands in,
 	// the outcome to its arrival.
@@ -178,11 +152,7 @@ func (s *Sim) onTimeout(now des.Time, st *reqState) {
 	if st.Attempt < s.clientCfg.MaxRetries {
 		// A session user's retry stays on the same journey step (same
 		// tree, same user); an anonymous client re-samples the tree.
-		if user >= 0 {
-			s.admitAs(now, st.Attempt+1, userTree, user)
-		} else {
-			s.admit(now, st.Attempt+1)
-		}
+		s.admit(now, st.Attempt+1, tree, user)
 	} else {
 		// The user gives up and moves on.
 		s.advanceUser(now, user)
@@ -248,9 +218,10 @@ func (s *Sim) nodeOf(st *reqState, nodeID int) *treeNode { return &s.nodes[st.Cl
 // after the topology — numbers the pools' tokens densely after the
 // client's connections, and finds the client's region.
 func (s *Sim) resolve() error {
-	s.clientRegion = s.geo.RegionIndex(s.clientCfg.Region)
-	if s.geo != nil && s.clientCfg.Region != "" && s.clientRegion < 0 {
-		return fmt.Errorf("sim: client region %q is not a declared region (have %q)", s.clientCfg.Region, s.geo.Names())
+	if s.geo != nil {
+		if err := s.geo.resolveHome(s.clientCfg.Region); err != nil {
+			return err
+		}
 	}
 	conn := s.clientCfg.Connections
 	for _, p := range s.pools {
@@ -346,7 +317,7 @@ func (s *Sim) pickFor(node *graph.Node, dep *Deployment, src *cluster.Machine) *
 			return in
 		}
 	}
-	return dep.pickHealthy()
+	return dep.pickFrom(dep.healthy, &dep.rr)
 }
 
 // newNodeJob creates the job for one visit to tree node nodeID.
@@ -375,10 +346,7 @@ func (s *Sim) newNodeJob(req *job.Request, nodeID, conn int, nd *treeNode) *job.
 // hops use loopback and skip it.
 func (s *Sim) deliver(now des.Time, j *job.Job, dep *Deployment, in *service.Instance, src *cluster.Machine) {
 	delay := dep.extra
-	if s.fluid != nil && dep.fluid >= 0 {
-		// Hybrid fidelity: the sampled request queues behind the fluid
-		// tier's background traffic — an equilibrium wait draw at the
-		// total (foreground + background) offered load.
+	if dep.fluid >= 0 {
 		delay += s.fluid.WaitFor(dep.fluid)
 	}
 	if delay > 0 {
@@ -394,26 +362,8 @@ func (s *Sim) deliverDirect(now des.Time, j *job.Job, dep *Deployment, in *servi
 	// The network fault model sits at the cross-machine boundary: client
 	// hops (src == nil) enter the cluster from outside and are not
 	// subject to intra-cluster partitions or gray links.
-	if s.net != nil && src != nil && src != dest {
-		if !s.net.Reachable(src.ID, dest.ID) {
-			s.net.CountUnreachable()
-			s.failAttemptOrRequest(now, j, job.OutcomeUnreachable)
-			return
-		}
-		if s.net.Lossy() {
-			if l, ok := s.net.LinkFor(src.ID, dest.ID); ok {
-				r := s.linkStream(src, dest)
-				if l.Drop > 0 && r.Float64() < l.Drop {
-					s.net.CountDrop()
-					s.failAttemptOrRequest(now, j, job.OutcomeUnreachable)
-					return
-				}
-				if l.Dup > 0 && r.Float64() < l.Dup {
-					s.net.CountDup()
-					s.deliverDuplicate(now, j, in)
-				}
-			}
-		}
+	if s.faults != nil && src != nil && src != dest && s.lostOnLink(now, j, in, src) {
+		return
 	}
 	// The WAN boundary: a hop whose endpoints home in different regions
 	// pays the geography's inter-region delay before admission. The
@@ -429,23 +379,28 @@ func (s *Sim) deliverDirect(now des.Time, j *job.Job, dep *Deployment, in *servi
 	s.admitDelivery(now, j, in, src)
 }
 
-// admitDelivery lands a routed job at its destination machine: directly
-// into the instance, or through the machine's interrupt-processing
-// service when the hop crossed machines and a network model is
-// configured.
+// admitDelivery lands a routed job at its destination machine.
 func (s *Sim) admitDelivery(now des.Time, j *job.Job, in *service.Instance, src *cluster.Machine) {
-	dest := in.Alloc.Machine
-	if s.netCfg == nil || src == dest {
-		if res := in.Admit(now, j); res != service.Admitted {
-			s.deliveryRejected(now, j, res)
-		}
-		return
-	}
-	s.park(j, in)
-	if res := s.netproc[dest.ID].Admit(now, j); res != service.Admitted {
-		s.unpark(j)
+	if res := s.admitVia(now, j, in, src); res != service.Admitted {
 		s.deliveryRejected(now, j, res)
 	}
+}
+
+// admitVia admits j into instance in: through the destination machine's
+// interrupt-processing service when the hop crossed machines and a network
+// model is configured, else directly. A refused job is unparked again and
+// the refusal returned.
+func (s *Sim) admitVia(now des.Time, j *job.Job, in *service.Instance, src *cluster.Machine) service.AdmitResult {
+	dest := in.Alloc.Machine
+	if s.netCfg == nil || src == dest {
+		return in.Admit(now, j)
+	}
+	s.park(j, in)
+	res := s.netproc[dest.ID].Admit(now, j)
+	if res != service.Admitted {
+		s.unpark(j)
+	}
+	return res
 }
 
 // park routes j through a network service: its destination (nil: a
@@ -461,31 +416,6 @@ func (s *Sim) unpark(j *job.Job) (dest *service.Instance) {
 	j.Dest, j.PathID = nil, j.DestPath
 	s.pendingN--
 	return dest
-}
-
-// deliverDuplicate admits a gray-link duplicate of j: a fresh clone
-// sharing the request, marked canceled up front so the receiver burns a
-// queue slot — and, without dequeue-time vetting, real service time — on
-// it while handleJobDone's abandoned-attempt path discards the result.
-// A duplicate the receiver refuses (down, full) simply evaporates; the
-// original attempt's fate is tracked separately.
-func (s *Sim) deliverDuplicate(now des.Time, j *job.Job, in *service.Instance) {
-	dup := s.fac.Clone(j)
-	dup.NodeID = j.NodeID
-	dup.PathID = j.PathID
-	dup.Outcome = job.OutcomeCanceled
-	dup.Server = in
-	if s.netCfg == nil {
-		if in.Admit(now, dup) != service.Admitted {
-			s.releaseJob(dup)
-		}
-		return
-	}
-	s.park(dup, in)
-	if s.netproc[in.Alloc.Machine.ID].Admit(now, dup) != service.Admitted {
-		s.unpark(dup)
-		s.releaseJob(dup)
-	}
 }
 
 // handleNetDone fires when the network service finishes processing a
@@ -818,12 +748,7 @@ func (s *Sim) report(horizon des.Time) *Report {
 
 		DeadlineExpired:  n[job.OutcomeDeadline],
 		Unreachable:      n[job.OutcomeUnreachable],
-		CrossRegionCalls: s.crossHops,
-		StaleReads:       s.staleReads,
 		BreakerFastFails: n[job.OutcomeBreakerOpen],
-		Retries:          s.retriesN,
-		HedgesIssued:     s.hedgesN,
-		HedgeWins:        s.hedgeWins,
 		Errors:           make(map[string]*ErrorCounts, len(s.errCounts)),
 
 		Latency: s.latency,
@@ -835,16 +760,21 @@ func (s *Sim) report(horizon des.Time) *Report {
 
 		SampleRate: 1,
 	}
+	// Each feature fills its own section.
+	if s.pol != nil {
+		s.pol.report(r)
+	}
+	if s.ovl != nil {
+		s.ovl.report(r)
+	}
+	if s.faults != nil {
+		s.faults.report(r)
+	}
+	if s.geo != nil {
+		s.geo.report(r)
+	}
 	if s.fluid != nil {
-		r.SampleRate = s.fluid.SampleRate()
-		snap := s.fluid.Snapshot()
-		r.BackgroundArrivals = uint64(snap.Arrivals)
-		r.BackgroundCompletions = uint64(snap.Completions)
-		r.BackgroundShed = uint64(snap.Shed)
-		r.BackgroundUnreachable = uint64(snap.Unreachable)
-		r.SaturatedEpochs = snap.SaturatedEpochs
-		r.FluidWork = snap.Work
-		r.BackgroundShedByCause = s.fluid.ByCause()
+		s.fluid.report(r)
 	}
 	for svc, ec := range s.errCounts {
 		c := *ec
@@ -854,10 +784,6 @@ func (s *Sim) report(horizon des.Time) *Report {
 		if h.Count() > 0 {
 			r.PerTier[s.tiers[t]] = h
 		}
-	}
-	if s.net != nil {
-		r.LinkDrops = s.net.LinkDrops()
-		r.LinkDups = s.net.LinkDups()
 	}
 	// Only measured arrivals count: a request still draining from the
 	// warmup window belongs to no bucket, and a timed-out request already

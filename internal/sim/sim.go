@@ -22,9 +22,7 @@ import (
 	"uqsim/internal/dist"
 	"uqsim/internal/fault"
 	"uqsim/internal/graph"
-	"uqsim/internal/hybrid"
 	"uqsim/internal/job"
-	"uqsim/internal/netfault"
 	"uqsim/internal/rng"
 	"uqsim/internal/service"
 	"uqsim/internal/stats"
@@ -137,23 +135,14 @@ type Sim struct {
 	netCfg  *NetworkConfig
 	netproc []*service.Instance // interrupt service by machine ID
 
-	// Network fault model: nil until a partition, gray link, or domain
-	// is installed — the perfect-fabric hot path pays one nil check.
-	net     *netfault.State
-	domains []netfault.Domain
-	// crashedM counts overlapping crash causes per machine (a region
-	// crash and a rack crash may both cover one machine); the machine is
-	// up only while its count is zero, so overlapping correlated faults
-	// heal independently — the same cut counting the partition model
-	// uses, one level up.
-	crashedM map[string]int
-	linkRNG  netfault.Pairs[*rng.Source]
-
-	// Geography: nil until SetGeography installs the region layer. Every
-	// region doubles as a failure domain (geoDomains) so correlated
-	// fault events and per-domain gauges address regions by name.
-	geo        *cluster.Geography
-	geoDomains []netfault.Domain
+	// The optional features, each owning its state in its own file and nil
+	// when absent, so a bare edge runs none of their code (DESIGN.md
+	// decision 17).
+	pol    *policies
+	ovl    *overload
+	faults *netFaults
+	geo    *geography
+	fluid  *fluidTier
 
 	topo       *graph.Topology
 	treeChoice *dist.Choice
@@ -164,26 +153,10 @@ type Sim struct {
 	nodes [][]treeNode
 	pools []*connPool
 
-	clientCfg ClientConfig
-	// clientRegion is the index of the client's home region (-1: none),
-	// resolved when Run starts.
-	clientRegion int
-	clientRNG    *rng.Source
-	closedLoop   *workload.ClosedLoop
-	sessions     *workload.Sessions
-
-	// Hybrid fidelity: nil until SetHybrid opts in. fluid is the live
-	// background tier (built at Run, nil at sample rate 1.0).
-	hybridCfg *hybrid.Config
-	fluid     *hybrid.State
-	// fgPattern is the run-local thinned arrival pattern the open-loop
-	// generator uses under hybrid fidelity; the stored client config keeps
-	// the unthinned pattern so it is never thinned twice.
-	fgPattern workload.Pattern
-	// loadScale multiplies the open-loop arrival rate; nil until the
-	// first LoadStep fault wraps the client pattern. LoadStep events
-	// write through it, so the generator sees rate changes live.
-	loadScale *float64
+	clientCfg  ClientConfig
+	clientRNG  *rng.Source
+	closedLoop *workload.ClosedLoop
+	sessions   *workload.Sessions
 
 	// live lists the requests in flight; each knows its place (reqState.slot).
 	live []*reqState
@@ -201,22 +174,7 @@ type Sim struct {
 	poisonReleased bool
 
 	branchers map[string]Brancher
-
-	// Resilience: per-edge policies and their live attempt state.
-	svcPolicies  map[string]*policyRuntime
-	nodePolicies map[[2]int]*policyRuntime // [tree,node] override
-	liveCalls    int                       // attempts issued and not yet settled, failed or abandoned
-	retryRNG     *rng.Source
-
-	// Overload control: deadline budgets, hedged requests, adaptive
-	// admission. overloadOn (resolved at Run) says whether a terminated
-	// request's queued and running work is cancelled with it.
-	hasHedge      bool
-	hasDiscipline bool
-	overloadOn    bool
-	isCanceledFn  func(j *job.Job) bool // installed on every instance while overloadOn
-	hedgeRNG      *rng.Source
-	budgetRNG     *rng.Source
+	liveCalls int // policy-guarded attempts issued and not yet settled, failed or abandoned
 
 	// Measurement. outcomes counts measured requests by how they ended, one
 	// slot per job.Outcome. Slots are gated on the request's arrival, not
@@ -227,11 +185,6 @@ type Sim struct {
 	arrivals   uint64
 	outcomes   [job.NumOutcomes]uint64
 	windowDone uint64
-	retriesN   uint64
-	hedgesN    uint64
-	hedgeWins  uint64
-	crossHops  uint64 // deliveries that crossed a region boundary
-	staleReads uint64 // cross-origin serves of a lagging replica
 	errCounts  map[string]*ErrorCounts
 	timers     TimerWork
 	// Latency samples land in [warmupEnd, windowEnd], closed by Run at the
@@ -303,22 +256,16 @@ var OnNew func(*Sim)
 
 // New creates an empty simulation.
 func New(opts Options) *Sim {
-	split := rng.NewSplitter(opts.Seed)
 	s := &Sim{
-		eng:          des.New(),
-		split:        split,
-		cluster:      cluster.NewCluster(),
-		fac:          job.NewFactory(),
-		deployments:  make(map[string]*Deployment),
-		branchers:    make(map[string]Brancher),
-		svcPolicies:  make(map[string]*policyRuntime),
-		nodePolicies: make(map[[2]int]*policyRuntime),
-		retryRNG:     split.Stream("retry"),
-		hedgeRNG:     split.Stream("hedge"),
-		budgetRNG:    split.Stream("budget"),
-		errCounts:    make(map[string]*ErrorCounts),
-		windowEnd:    des.MaxTime,
-		latency:      stats.NewLatencyHist(),
+		eng:         des.New(),
+		split:       rng.NewSplitter(opts.Seed),
+		cluster:     cluster.NewCluster(),
+		fac:         job.NewFactory(),
+		deployments: make(map[string]*Deployment),
+		branchers:   make(map[string]Brancher),
+		errCounts:   make(map[string]*ErrorCounts),
+		windowEnd:   des.MaxTime,
+		latency:     stats.NewLatencyHist(),
 	}
 	if OnNew != nil {
 		OnNew(s)
@@ -340,104 +287,6 @@ func (s *Sim) AddMachine(name string, cores int, freq cluster.FreqSpec) *cluster
 		panic(err)
 	}
 	return m
-}
-
-// netState returns the network fault state, creating it on first use —
-// installed by the fault plan (partitions, gray links) before the run.
-func (s *Sim) netState() *netfault.State {
-	if s.net == nil {
-		s.net = netfault.New()
-	}
-	return s.net
-}
-
-// Net exposes the network fault state; nil when no network fault has
-// been installed (a perfect fabric). Monitors feed their unreachable and
-// link-loss series from it.
-func (s *Sim) Net() *netfault.State { return s.net }
-
-// Reachable reports whether a message from machine src currently reaches
-// machine dst under the network fault model. With no network faults
-// installed everything is reachable. Control planes consult this for
-// their own vantage-restricted view of the cluster.
-func (s *Sim) Reachable(src, dst *cluster.Machine) bool {
-	return s.net == nil || s.net.Reachable(src.ID, dst.ID)
-}
-
-// SetDomains declares the cluster's failure domains (racks, power
-// feeds). Correlated fault events (CrashDomain, RecoverDomain) address
-// machines through them, and monitors export per-domain up gauges.
-func (s *Sim) SetDomains(domains []netfault.Domain) error {
-	if err := netfault.ValidateDomains(domains, func(m string) bool {
-		_, ok := s.cluster.Machine(m)
-		return ok
-	}); err != nil {
-		return err
-	}
-	for _, d := range domains {
-		for _, gd := range s.geoDomains {
-			if d.Name == gd.Name {
-				return fmt.Errorf("sim: domain %q collides with a declared region", d.Name)
-			}
-		}
-	}
-	s.domains = domains
-	return nil
-}
-
-// Domains reports the declared failure domains, regions last.
-func (s *Sim) Domains() []netfault.Domain {
-	if len(s.geoDomains) == 0 {
-		return s.domains
-	}
-	out := make([]netfault.Domain, 0, len(s.domains)+len(s.geoDomains))
-	out = append(out, s.domains...)
-	out = append(out, s.geoDomains...)
-	return out
-}
-
-// domain resolves a declared failure domain (or region) by name.
-func (s *Sim) domain(name string) (netfault.Domain, bool) {
-	for _, d := range s.domains {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	for _, d := range s.geoDomains {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return netfault.Domain{}, false
-}
-
-// DomainUp reports the fraction of the named domain's machines not
-// currently crashed by the fault plan — the per-domain up gauge. Unknown
-// domains report 0.
-func (s *Sim) DomainUp(name string) float64 {
-	d, ok := s.domain(name)
-	if !ok || len(d.Machines) == 0 {
-		return 0
-	}
-	up := 0
-	for _, m := range d.Machines {
-		if s.crashedM[m] == 0 {
-			up++
-		}
-	}
-	return float64(up) / float64(len(d.Machines))
-}
-
-// linkStream returns the dedicated RNG stream of one directed gray link,
-// derived lazily — identical (seed, src, dst) always yield an identical
-// stream regardless of derivation order, so determinism survives any
-// link-creation order.
-func (s *Sim) linkStream(src, dst *cluster.Machine) *rng.Source {
-	r := s.linkRNG.Ref(src.ID, dst.ID)
-	if *r == nil {
-		*r = s.split.Stream("netfault", "link", src.Name, dst.Name)
-	}
-	return *r
 }
 
 // instanceState is a deployment's control-plane view of one instance.
@@ -479,23 +328,7 @@ type Deployment struct {
 	healthy []*service.Instance
 	state   []instanceState
 
-	// Geography bookkeeping (only populated when the sim has one), by
-	// region index. instRegion aligns with Instances (-1: no region);
-	// byRegion holds the per-region healthy subsets rebuilt alongside
-	// healthy; regionRR keeps one round-robin cursor per region so
-	// regional picks rotate like global ones.
-	geo        *cluster.Geography
-	instRegion []int
-	byRegion   [][]*service.Instance
-	regionRR   []int
-
-	// Geo-replication (SetReplication): reads served outside the
-	// request's origin region are stale until the serving region has
-	// been promoted (promoted[r] >= 0) for at least lag.
-	replicated  bool
-	lag         des.Time
-	replRegions []string
-	promoted    []des.Time
+	regions *depRegions // the deployment's share of the geography; nil without one
 
 	// Injected edge latency, the fluid tier's index for this service (-1:
 	// not modeled), and the error counters (nil until the first error).
@@ -509,18 +342,13 @@ type Deployment struct {
 // rarer than dispatches.
 func (d *Deployment) refreshHealthy() {
 	d.healthy = d.healthy[:0]
-	for r := range d.byRegion {
-		d.byRegion[r] = d.byRegion[r][:0]
-	}
 	for i, in := range d.Instances {
 		if d.state[i] == instActive && !in.Down() {
 			d.healthy = append(d.healthy, in)
-			if d.byRegion != nil {
-				if r := d.instRegion[i]; r >= 0 {
-					d.byRegion[r] = append(d.byRegion[r], in)
-				}
-			}
 		}
+	}
+	if d.regions != nil {
+		d.regions.refresh(d.healthy)
 	}
 }
 
@@ -539,36 +367,27 @@ func (d *Deployment) indexOf(in *service.Instance) int {
 // Eject removes an active instance from load balancing (outlier
 // ejection). In-flight work on it still completes; only new picks skip
 // it. Reports whether the state changed.
-func (d *Deployment) Eject(in *service.Instance) bool {
-	i := d.indexOf(in)
-	if i < 0 || d.state[i] != instActive {
-		return false
-	}
-	d.state[i] = instEjected
-	d.refreshHealthy()
-	return true
-}
+func (d *Deployment) Eject(in *service.Instance) bool { return d.move(in, instActive, instEjected) }
 
 // Reinstate returns an ejected instance to load balancing (probation
 // ended). Reports whether the state changed.
-func (d *Deployment) Reinstate(in *service.Instance) bool {
-	i := d.indexOf(in)
-	if i < 0 || d.state[i] != instEjected {
-		return false
-	}
-	d.state[i] = instActive
-	d.refreshHealthy()
-	return true
-}
+func (d *Deployment) Reinstate(in *service.Instance) bool { return d.move(in, instEjected, instActive) }
 
 // Retire permanently removes an instance from load balancing (replaced
 // after failover, or scaled down). Reports whether the state changed.
 func (d *Deployment) Retire(in *service.Instance) bool {
 	i := d.indexOf(in)
-	if i < 0 || d.state[i] == instRetired {
+	return i >= 0 && d.move(in, d.state[i], instRetired)
+}
+
+// move takes one of d's instances from state from to state to, when it is
+// in from and that is a change, and reports whether it did.
+func (d *Deployment) move(in *service.Instance, from, to instanceState) bool {
+	i := d.indexOf(in)
+	if i < 0 || d.state[i] != from || from == to {
 		return false
 	}
-	d.state[i] = instRetired
+	d.state[i] = to
 	d.refreshHealthy()
 	return true
 }
@@ -580,22 +399,16 @@ func (d *Deployment) Retired(in *service.Instance) bool {
 }
 
 // EjectedCount reports instances currently ejected by outlier detection.
-func (d *Deployment) EjectedCount() int {
-	n := 0
-	for _, st := range d.state {
-		if st == instEjected {
-			n++
-		}
-	}
-	return n
-}
+func (d *Deployment) EjectedCount() int { return d.count(instEjected) }
 
 // ReplicaCount reports non-retired instances — the deployment's current
 // scale, regardless of momentary health.
-func (d *Deployment) ReplicaCount() int {
+func (d *Deployment) ReplicaCount() int { return len(d.state) - d.count(instRetired) }
+
+func (d *Deployment) count(st instanceState) int {
 	n := 0
-	for _, st := range d.state {
-		if st != instRetired {
+	for _, x := range d.state {
+		if x == st {
 			n++
 		}
 	}
@@ -616,55 +429,22 @@ func (s *Sim) Deploy(bp *service.Blueprint, lb Policy, placements ...Placement) 
 		rng:   s.split.Stream("lb", bp.Name),
 		fluid: -1,
 	}
-	tier := s.TierNumber(bp.Name)
 	if len(bp.PathProbs) > 0 {
 		dep.pathChoice = dist.NewChoice(bp.PathProbs)
 		dep.pathRNG = s.split.Stream("paths", bp.Name)
 	}
-	for i, p := range placements {
-		m, ok := s.cluster.Machine(p.Machine)
-		if !ok {
-			return nil, fmt.Errorf("sim: deployment %s references unknown machine %q", bp.Name, p.Machine)
-		}
-		name := fmt.Sprintf("%s-%d", bp.Name, i)
-		alloc, err := m.Allocate(name, p.Cores)
-		if err != nil {
+	if s.geo != nil {
+		dep.regions = s.geo.newDepRegions()
+	}
+	for _, p := range placements {
+		if _, err := s.addInstance(dep, p.Machine, p.Cores); err != nil {
 			return nil, err
 		}
-		in, err := service.NewInstance(s.eng, bp, name, alloc, s.split.Stream("instance", name))
-		if err != nil {
-			return nil, err
-		}
-		in.Tier, in.Index = tier, i
-		in.OnJobDone = s.handleJobDone
-		in.OnJobDrop = s.handleJobDrop
-		in.OnJobShed = s.handleJobShed
-		dep.Instances = append(dep.Instances, in)
-		dep.state = append(dep.state, instActive)
-		s.noteInstanceRegion(dep, m)
 	}
 	dep.refreshHealthy()
 	s.deployments[bp.Name] = dep
 	s.deps = append(s.deps, dep)
 	return dep, nil
-}
-
-// noteInstanceRegion records the home region of the instance just
-// appended to dep and keeps the per-region sets allocated. No-op without
-// a geography.
-func (s *Sim) noteInstanceRegion(dep *Deployment, m *cluster.Machine) {
-	if s.geo == nil {
-		return
-	}
-	dep.instRegion = append(dep.instRegion, m.Region)
-	if dep.byRegion == nil {
-		n := len(s.geo.Regions())
-		dep.geo, dep.byRegion, dep.regionRR = s.geo, make([][]*service.Instance, n), make([]int, n)
-		dep.promoted = make([]des.Time, n)
-		for r := range dep.promoted {
-			dep.promoted[r] = -1 // unpromoted
-		}
-	}
 }
 
 // AddReplica deploys one more instance of an existing deployment onto the
@@ -676,38 +456,61 @@ func (s *Sim) AddReplica(svc, machine string, cores int) (*service.Instance, err
 	if !ok {
 		return nil, fmt.Errorf("sim: replica of undeployed service %q", svc)
 	}
+	in, err := s.addInstance(dep, machine, cores)
+	if err != nil {
+		return nil, err
+	}
+	dep.refreshHealthy()
+	return in, nil
+}
+
+// addInstance appends one instance of dep on the named machine, named and
+// numbered after its siblings. It sheds, disciplines and vets its queue like
+// the first of them. It joins the rotation at the caller's next
+// refreshHealthy.
+func (s *Sim) addInstance(dep *Deployment, machine string, cores int) (*service.Instance, error) {
+	i := len(dep.Instances)
+	name := fmt.Sprintf("%s-%d", dep.Name, i)
 	m, ok := s.cluster.Machine(machine)
 	if !ok {
-		return nil, fmt.Errorf("sim: replica of %s references unknown machine %q", svc, machine)
+		return nil, fmt.Errorf("sim: %s references unknown machine %q", name, machine)
 	}
-	name := fmt.Sprintf("%s-%d", svc, len(dep.Instances))
+	in, err := s.newInstance(dep.BP, name, m, cores, s.split.Stream("instance", name))
+	if err != nil {
+		return nil, err
+	}
+	in.Index = i
+	in.OnJobDone, in.OnJobDrop, in.OnJobShed = s.handleJobDone, s.handleJobDrop, s.handleJobShed
+	if i > 0 {
+		tmpl := dep.Instances[0]
+		in.MaxQueue = tmpl.MaxQueue
+		in.IsCanceled = tmpl.IsCanceled // nil until overload control runs
+		if d := tmpl.Discipline(); d.Kind != fault.QueueFIFO {
+			if err := in.SetDiscipline(d); err != nil {
+				m.Release(in.Alloc)
+				return nil, err
+			}
+		}
+	}
+	dep.Instances = append(dep.Instances, in)
+	dep.state = append(dep.state, instActive)
+	return in, nil
+}
+
+// newInstance reserves cores on m and builds instance name of bp on its own
+// stream, in bp's tier. Its cores go back if the build fails. The caller
+// wires where its jobs go.
+func (s *Sim) newInstance(bp *service.Blueprint, name string, m *cluster.Machine, cores int, stream *rng.Source) (*service.Instance, error) {
 	alloc, err := m.Allocate(name, cores)
 	if err != nil {
 		return nil, err
 	}
-	in, err := service.NewInstance(s.eng, dep.BP, name, alloc, s.split.Stream("instance", name))
+	in, err := service.NewInstance(s.eng, bp, name, alloc, stream)
 	if err != nil {
 		m.Release(alloc)
 		return nil, err
 	}
-	in.OnJobDone = s.handleJobDone
-	in.OnJobDrop = s.handleJobDrop
-	in.OnJobShed = s.handleJobShed
-	tmpl := dep.Instances[0]
-	in.Tier, in.Index, in.MaxQueue = tmpl.Tier, len(dep.Instances), tmpl.MaxQueue
-	if d := tmpl.Discipline(); d.Kind != fault.QueueFIFO {
-		if err := in.SetDiscipline(d); err != nil {
-			m.Release(alloc)
-			return nil, err
-		}
-	}
-	if s.overloadOn {
-		in.IsCanceled = s.isCanceledFn
-	}
-	dep.Instances = append(dep.Instances, in)
-	dep.state = append(dep.state, instActive)
-	s.noteInstanceRegion(dep, m)
-	dep.refreshHealthy()
+	in.Tier = s.TierNumber(bp.Name)
 	return in, nil
 }
 
@@ -759,18 +562,10 @@ func (s *Sim) Deployment(name string) (*Deployment, bool) {
 // Deployments lists deployments in creation order.
 func (s *Sim) Deployments() []*Deployment { return append([]*Deployment(nil), s.deps...) }
 
-// pickHealthy selects an instance from the maintained healthy set — up,
-// not ejected, not retired — according to the deployment's policy; nil
-// when the set is empty. The set is rebuilt on membership events (kill,
-// restart, eject, reinstate, retire, replica add), so this path never
-// allocates.
-func (d *Deployment) pickHealthy() *service.Instance {
-	return d.pickFrom(d.healthy, &d.rr)
-}
-
 // pickFrom applies the deployment's balancing policy to one healthy
 // subset with its own rotation cursor — the whole set for region-blind
-// picks, a per-region subset for geography-aware ones.
+// picks, a per-region subset for geography-aware ones; nil when the subset
+// is empty.
 func (d *Deployment) pickFrom(healthy []*service.Instance, rr *int) *service.Instance {
 	n := len(healthy)
 	if n == 0 {
@@ -811,28 +606,17 @@ func (s *Sim) EnableNetwork(cfg NetworkConfig) error {
 	}
 	s.netCfg = &cfg
 	s.netproc = make([]*service.Instance, s.cluster.Size())
+	bp := &service.Blueprint{
+		Name:   "netproc",
+		Stages: []service.StageSpec{{Name: "soft_irq", PerJob: cfg.PerMsg, PerKB: cfg.PerKB}},
+		Paths:  []service.PathSpec{{Name: "rx", Stages: []int{0}}},
+	}
 	for _, m := range s.cluster.Machines() {
-		bp := &service.Blueprint{
-			Name: "netproc",
-			Stages: []service.StageSpec{{
-				Name:   "soft_irq",
-				PerJob: cfg.PerMsg,
-				PerKB:  cfg.PerKB,
-			}},
-			Paths: []service.PathSpec{{Name: "rx", Stages: []int{0}}},
-		}
-		name := "netproc@" + m.Name
-		alloc, err := m.Allocate(name, cfg.CoresPerMachine)
+		in, err := s.newInstance(bp, "netproc@"+m.Name, m, cfg.CoresPerMachine, s.split.Stream("netproc", m.Name))
 		if err != nil {
 			return fmt.Errorf("sim: reserving interrupt cores on %s: %w", m.Name, err)
 		}
-		in, err := service.NewInstance(s.eng, bp, name, alloc, s.split.Stream("netproc", m.Name))
-		if err != nil {
-			return err
-		}
-		in.Tier = s.TierNumber("netproc")
-		in.OnJobDone = s.handleNetDone
-		in.OnJobDrop = s.handleNetDrop
+		in.OnJobDone, in.OnJobDrop = s.handleNetDone, s.handleNetDrop
 		s.netproc[m.ID] = in
 	}
 	return nil
