@@ -7,7 +7,6 @@ import (
 	"uqsim/internal/cli"
 	"uqsim/internal/config"
 	"uqsim/internal/experiments"
-	"uqsim/internal/sim"
 )
 
 // sweepCmd measures the load–latency curve of a config directory: it
@@ -31,14 +30,17 @@ func sweepCmd(args []string) int {
 	if err != nil {
 		return f.fail(cli.ExitUsage, "%v", err)
 	}
+	dir, err := config.ReadDir(f.config)
+	if err != nil {
+		return f.fail(cli.ExitPartial, "%v", err)
+	}
 	wd := cli.StartWatchdog(f.maxWall)
 	t := experiments.SweepTable(f.config)
-	mod := func(s *sim.Sim) error { return config.ApplyFidelity(s, f.over.Fidelity, f.over.SampleRate) }
 	for i, qps := range grid {
 		if wd.Interrupted() {
 			break
 		}
-		row, err := experiments.SweepRow(f.config, qps, mod)
+		row, err := experiments.SweepRow(dir, qps, f.over)
 		if err != nil {
 			return f.fail(cli.ExitPartial, "%v", err)
 		}

@@ -18,7 +18,7 @@ import (
 // a breaker on both edges: every kind of request-path timer is armed on
 // every request, and nearly all are abandoned.
 func guardedThreeRegion() (*sim.Sim, error) {
-	setup, err := config.LoadDir("../../configs/threeregion")
+	setup, err := config.Load("../../configs/threeregion", config.Overrides{})
 	if err != nil {
 		return nil, err
 	}

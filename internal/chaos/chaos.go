@@ -16,11 +16,8 @@
 package chaos
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"uqsim/internal/config"
 	"uqsim/internal/des"
@@ -61,7 +58,7 @@ type Options struct {
 	P99SlackMs float64
 	// Fidelity selects the fidelity every scenario runs at: "" or "full"
 	// for pure DES, "hybrid" for sampled-foreground + fluid-background
-	// (see config.ApplyFidelity). Hybrid mode additionally checks the
+	// (as config.Overrides.Fidelity). Hybrid mode additionally checks the
 	// cross-fidelity invariant: a sample-rate-1.0 hybrid run must stay
 	// bit-identical to full DES under every generated fault schedule.
 	Fidelity string
@@ -140,13 +137,12 @@ type Result struct {
 }
 
 // Harness holds everything needed to run scenarios against one config
-// directory: the parsed base documents, the optional base fault and
-// control files, and the extracted world model the generator draws from.
+// directory: its documents, the decoded base faults file, and the
+// extracted world model the generator draws from.
 type Harness struct {
 	opts       Options
-	docs       *config.BaseDocs
+	dir        *config.Dir
 	baseFaults *config.FaultsFile
-	control    []byte
 	world      world
 	horizonS   float64
 	horizon    des.Time
@@ -181,35 +177,24 @@ type windowStats struct {
 	hist *stats.LatencyHist
 }
 
-// NewHarness parses the config directory and builds the world model.
-func NewHarness(opts Options) (*Harness, error) {
+// NewHarness loads dir — so it rejects exactly what `uqsim run` rejects —
+// and builds the world model from the decoded documents. opts.ConfigDir
+// only names dir in messages.
+func NewHarness(dir *config.Dir, opts Options) (*Harness, error) {
 	o := opts.withDefaults()
-	docs, err := config.ReadBase(o.ConfigDir)
+	setup, err := dir.Load(config.Overrides{})
 	if err != nil {
 		return nil, err
 	}
-	var mf config.MachinesFile
-	if err := json.Unmarshal(docs.Machines, &mf); err != nil {
-		return nil, fmt.Errorf("chaos: machines.json: %w", err)
-	}
-	var gf config.GraphFile
-	if err := json.Unmarshal(docs.Graph, &gf); err != nil {
-		return nil, fmt.Errorf("chaos: graph.json: %w", err)
-	}
-	var cf config.ClientFile
-	if err := json.Unmarshal(docs.Client, &cf); err != nil {
-		return nil, fmt.Errorf("chaos: client.json: %w", err)
-	}
+	mf, gf, cf := setup.Machines, setup.Graph, setup.Client
 	if cf.ClosedUsers > 0 {
 		return nil, fmt.Errorf("chaos: %s uses a closed-loop client, which never drains; chaos search needs an open-loop config", o.ConfigDir)
-	}
-	if cf.DurationS <= 0 {
-		return nil, fmt.Errorf("chaos: %s client.json needs a positive duration_s", o.ConfigDir)
 	}
 
 	h := &Harness{
 		opts:          o,
-		docs:          docs,
+		dir:           dir,
+		baseFaults:    setup.Faults,
 		horizonS:      cf.WarmupS + cf.DurationS,
 		baselineCache: make(map[[2]uint64]*windowStats),
 	}
@@ -239,22 +224,6 @@ func NewHarness(opts Options) (*Harness, error) {
 	}
 	for _, d := range gf.Deployments {
 		h.world.services = append(h.world.services, svcInfo{name: d.Service, instances: len(d.Instances)})
-	}
-
-	ffPath := filepath.Join(o.ConfigDir, "faults.json")
-	if data, err := os.ReadFile(ffPath); err == nil {
-		h.baseFaults = &config.FaultsFile{}
-		if err := json.Unmarshal(data, h.baseFaults); err != nil {
-			return nil, fmt.Errorf("chaos: %s: %w", ffPath, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("chaos: reading %s: %w", ffPath, err)
-	}
-	ctlPath := filepath.Join(o.ConfigDir, "control.json")
-	if data, err := os.ReadFile(ctlPath); err == nil {
-		h.control = data
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("chaos: reading %s: %w", ctlPath, err)
 	}
 	return h, nil
 }
@@ -306,7 +275,11 @@ func (h *Harness) Trial(trial int) (*TrialResult, error) {
 // Run explores opts.Trials scenarios, shrinking and archiving every
 // violation found. This is the `uqsim chaos` entry point.
 func Run(opts Options) (*Result, error) {
-	h, err := NewHarness(opts)
+	dir, err := config.ReadDir(opts.ConfigDir)
+	if err != nil {
+		return nil, err
+	}
+	h, err := NewHarness(dir, opts)
 	if err != nil {
 		return nil, err
 	}

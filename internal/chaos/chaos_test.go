@@ -3,6 +3,7 @@ package chaos
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"uqsim/internal/config"
@@ -290,33 +291,63 @@ func TestEntriesSkipsIncomplete(t *testing.T) {
 
 // Closed-loop configs never drain; the harness must refuse them up front.
 func TestRejectsClosedLoop(t *testing.T) {
+	dir := readDir(t, metastableDir)
+	dir.Client = []byte(`{"seed":1,"closed_users":10,"think":{"type":"deterministic","value_us":1000},"duration_s":1}`)
+	if _, err := NewHarness(dir, Options{}); err == nil || !strings.Contains(err.Error(), "closed-loop") {
+		t.Fatalf("closed-loop config: NewHarness error %v, want one naming the closed-loop client", err)
+	}
+}
+
+// TestRejectsWhatRunRejects: a search fails with config's own error on a
+// directory `uqsim run` refuses — here a misspelled key in the base
+// faults.json — instead of searching a configuration nobody wrote.
+func TestRejectsWhatRunRejects(t *testing.T) {
 	dir := t.TempDir()
-	base, err := config.ReadBase(metastableDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := map[string][]byte{
-		"machines.json": base.Machines,
-		"service.json":  base.Services,
-		"graph.json":    base.Graph,
-		"path.json":     base.Paths,
-		"client.json":   []byte(`{"seed":1,"closed_users":10,"think":{"type":"deterministic","value_us":1000},"duration_s":1}`),
-	}
-	for name, data := range files {
+	for _, name := range []string{"machines.json", "service.json", "graph.json", "path.json", "client.json"} {
+		data, err := os.ReadFile(filepath.Join(metastableDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := NewHarness(Options{ConfigDir: dir}); err == nil {
-		t.Fatal("closed-loop config accepted")
+	faults := `{"policies":[{"service":"backend","timeout_ms":40,"max_retries":6}],
+		"shedding":[{"service":"backend","max_queu":50}]}`
+	if err := os.WriteFile(filepath.Join(dir, "faults.json"), []byte(faults), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, want := config.Load(dir, config.Overrides{})
+	if want == nil || !strings.Contains(want.Error(), `unknown field "max_queu"`) {
+		t.Fatalf("config.Load: %v, want the unknown-field error", want)
+	}
+	_, err := Run(Options{ConfigDir: dir, Seed: 1, Trials: 1})
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("chaos.Run: %v, want config's error %q", err, want)
 	}
 }
 
-func newTestHarness(t *testing.T) *Harness {
+// readDir reads the config directory at path.
+func readDir(t *testing.T, path string) *config.Dir {
 	t.Helper()
-	h, err := NewHarness(Options{ConfigDir: metastableDir})
+	dir, err := config.ReadDir(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// newHarness builds a harness over the config directory at path.
+func newHarness(t *testing.T, path string, opts Options) *Harness {
+	t.Helper()
+	h, err := NewHarness(readDir(t, path), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return h
+}
+
+func newTestHarness(t *testing.T) *Harness {
+	t.Helper()
+	return newHarness(t, metastableDir, Options{})
 }

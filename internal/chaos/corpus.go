@@ -123,7 +123,7 @@ func Replay(configDir, entryDir string) (*ReplayResult, error) {
 	return ReplayWith(configDir, entryDir, "", 0)
 }
 
-// ReplayWith is Replay at an explicit fidelity (see config.ApplyFidelity):
+// ReplayWith is Replay at an explicit fidelity (as config.Overrides.Fidelity):
 // "hybrid" with sample rate 1.0 must still Match the recorded full-DES
 // finding bit-for-bit (the inertness contract), while sampled rates
 // re-judge the invariants — conservation in particular — on the hybrid
@@ -137,19 +137,25 @@ func ReplayWith(configDir, entryDir, fidelity string, sampleRate float64) (*Repl
 	if err := json.Unmarshal(metaData, &meta); err != nil {
 		return nil, fmt.Errorf("chaos: %s/meta.json: %w", entryDir, err)
 	}
-	faultsJSON, err := os.ReadFile(filepath.Join(entryDir, "faults.json"))
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	var ff config.FaultsFile
-	if err := json.Unmarshal(faultsJSON, &ff); err != nil {
-		return nil, fmt.Errorf("chaos: %s/faults.json: %w", entryDir, err)
-	}
-	h, err := NewHarness(Options{ConfigDir: configDir, Fidelity: fidelity, SampleRate: sampleRate})
+	dir, err := config.ReadDir(configDir)
 	if err != nil {
 		return nil, err
 	}
-	v, fp, err := h.verifyFaults(meta.Seed, faultsJSON, &ff)
+	h, err := NewHarness(dir, Options{ConfigDir: configDir, Fidelity: fidelity, SampleRate: sampleRate})
+	if err != nil {
+		return nil, err
+	}
+	// The entry's faults.json loads like a -faults override, so it is
+	// decoded as strictly as any config document.
+	entry, err := dir.Load(config.Overrides{Faults: filepath.Join(entryDir, "faults.json")})
+	if err != nil {
+		return nil, err
+	}
+	faultsJSON, err := encodeFaults(entry.Faults)
+	if err != nil {
+		return nil, err
+	}
+	v, fp, err := h.verifyFaults(meta.Seed, faultsJSON, entry.Faults)
 	if err != nil {
 		return nil, err
 	}

@@ -136,14 +136,8 @@ func TestWindowStartMatchesReference(t *testing.T) {
 		check(t, meta, entry, &ff)
 	}
 
-	region, err := NewHarness(Options{ConfigDir: "../../configs/threeregion"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare, err := NewHarness(Options{ConfigDir: "../../configs/threeregion"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	region := newHarness(t, "../../configs/threeregion", Options{})
+	bare := newHarness(t, "../../configs/threeregion", Options{})
 	bare.baseFaults = nil
 	for _, h := range []*Harness{meta, region, bare} {
 		windows, domainLast := 0, 0

@@ -65,10 +65,7 @@ func TestReplayCorpusHybridSampled(t *testing.T) {
 // (sample-rate-1.0 bit-identical to full DES) and worker-count
 // determinism of the fluid tier.
 func TestEmptyScenarioPassesHybrid(t *testing.T) {
-	h, err := NewHarness(Options{ConfigDir: metastableDir, Fidelity: "hybrid", SampleRate: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newHarness(t, metastableDir, Options{Fidelity: "hybrid", SampleRate: 0.5})
 	v, fp, err := h.Verify(Scenario{Seed: 1})
 	if err != nil {
 		t.Fatal(err)

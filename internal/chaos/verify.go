@@ -46,7 +46,7 @@ func (h *Harness) Verify(sc Scenario) (*Violation, string, error) {
 func (h *Harness) verifyFaults(seed uint64, faultsJSON []byte, ff *config.FaultsFile) (*Violation, string, error) {
 	winStart := h.recoveryWindowStart(ff)
 
-	run, err := h.runOnce(h.docs, seed, faultsJSON, winStart, h.opts.Fidelity, h.opts.SampleRate)
+	run, err := h.runOnce(seed, faultsJSON, winStart, h.opts.Fidelity, h.opts.SampleRate)
 	if err != nil {
 		return nil, "", err
 	}
@@ -109,7 +109,7 @@ func (h *Harness) verifyFaults(seed uint64, faultsJSON []byte, ff *config.Faults
 	// Determinism: a same-seed rerun must reproduce the fingerprint
 	// bit-for-bit. Anything that reads Go's randomised map order, the wall
 	// clock or a shared global diverges here.
-	rerun, err := h.runOnce(h.docs, seed, faultsJSON, 0, h.opts.Fidelity, h.opts.SampleRate)
+	rerun, err := h.runOnce(seed, faultsJSON, 0, h.opts.Fidelity, h.opts.SampleRate)
 	if err != nil {
 		return nil, "", err
 	}
@@ -124,11 +124,11 @@ func (h *Harness) verifyFaults(seed uint64, faultsJSON []byte, ff *config.Faults
 	// accounting — so its fingerprint must match full DES bit-for-bit
 	// under this fault schedule too.
 	if h.hybridMode() {
-		full, err := h.runOnce(h.docs, seed, faultsJSON, 0, "full", 0)
+		full, err := h.runOnce(seed, faultsJSON, 0, "full", 0)
 		if err != nil {
 			return nil, "", err
 		}
-		inert, err := h.runOnce(h.docs, seed, faultsJSON, 0, "hybrid", 1)
+		inert, err := h.runOnce(seed, faultsJSON, 0, "hybrid", 1)
 		if err != nil {
 			return nil, "", err
 		}
@@ -177,34 +177,22 @@ func (r *runResult) drain(h *Harness) error {
 	return err
 }
 
-// runOnce assembles and runs one simulation: the given seed, the
-// materialized fault plan, the fidelity overrides
-// (passed through config.ApplyFidelity), and — when winStart > 0 — a
-// recovery-window measurement hook counting goodput and latencies of
-// requests finishing at or after winStart.
-func (h *Harness) runOnce(docs *config.BaseDocs, seed uint64, faultsJSON []byte, winStart des.Time, fidelity string, sampleRate float64) (*runResult, error) {
+// runOnce loads and runs one simulation of the harness's directory with
+// the materialized fault plan in place of its faults.json, under the given
+// seed and fidelity, and — when winStart > 0 — a recovery-window
+// measurement hook counting goodput and latencies of requests finishing
+// at or after winStart.
+func (h *Harness) runOnce(seed uint64, faultsJSON []byte, winStart des.Time, fidelity string, sampleRate float64) (*runResult, error) {
 	if h.opts.Interrupted() {
 		return nil, ErrInterrupted
 	}
-	seeded, err := docs.WithSeed(seed)
+	dir := *h.dir
+	dir.Faults = faultsJSON
+	setup, err := dir.Load(config.Overrides{Seed: &seed, Fidelity: fidelity, SampleRate: sampleRate})
 	if err != nil {
 		return nil, err
 	}
-	setup, err := seeded.Assemble(faultsJSON)
-	if err != nil {
-		return nil, err
-	}
-	if err := config.ApplyFidelity(setup.Sim, fidelity, sampleRate); err != nil {
-		return nil, err
-	}
-	res := &runResult{sim: setup.Sim, horizon: setup.Warmup + setup.Duration}
-	if h.control != nil {
-		plane, err := config.ApplyControl(setup.Sim, h.control)
-		if err != nil {
-			return nil, err
-		}
-		res.plane = plane
-	}
+	res := &runResult{sim: setup.Sim, plane: setup.Plane, horizon: setup.Warmup + setup.Duration}
 	if winStart > 0 {
 		win := &windowStats{hist: stats.NewLatencyHist()}
 		res.window = win
@@ -243,7 +231,7 @@ func (h *Harness) baseline(seed uint64, winStart des.Time) (*windowStats, error)
 	if err != nil {
 		return nil, err
 	}
-	run, err := h.runOnce(h.docs, seed, faultsJSON, winStart, h.opts.Fidelity, h.opts.SampleRate)
+	run, err := h.runOnce(seed, faultsJSON, winStart, h.opts.Fidelity, h.opts.SampleRate)
 	if err != nil {
 		return nil, err
 	}

@@ -7,13 +7,13 @@ import (
 	"uqsim/internal/sim"
 )
 
-// ApplyControl decodes a control.json document and attaches the
+// applyControl decodes a control.json document and attaches the
 // self-healing control plane it describes to an assembled simulation.
 // Name references are validated here with did-you-mean suggestions;
 // semantic validation (bounds, detector prerequisites) happens in
 // control.Attach. When ejection is enabled the plane's call observer is
 // wired as the simulation's OnCallResult hook.
-func ApplyControl(s *sim.Sim, data []byte) (*control.Plane, error) {
+func applyControl(s *sim.Sim, data []byte) (*control.Plane, error) {
 	var cf ControlFile
 	if err := decodeStrict("control.json", data, &cf); err != nil {
 		return nil, err

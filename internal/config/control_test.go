@@ -45,7 +45,7 @@ func TestLoadDirReadsControlJSON(t *testing.T) {
 			               "target_utilization": 0.7, "interval_ms": 100}]
 		}`,
 	})
-	setup, err := LoadDir(dir)
+	setup, err := Load(dir, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestControlJSONErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		dir := writeTwotier(t, map[string]string{"control.json": tc.doc})
-		_, err := LoadDir(dir)
+		_, err := Load(dir, Overrides{})
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -119,7 +119,7 @@ func TestControlJSONErrors(t *testing.T) {
 
 // TestLoadDirWithoutControlJSON: the file stays optional.
 func TestLoadDirWithoutControlJSON(t *testing.T) {
-	setup, err := LoadDir(cfgDir)
+	setup, err := Load(cfgDir, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}

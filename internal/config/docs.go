@@ -3,81 +3,73 @@ package config
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 )
 
-// BaseDocs holds the five required config documents of one directory. The
-// chaos harness reads them once and assembles many simulations from them —
-// same cluster, varied seeds and fault plans — without
-// re-touching the filesystem per trial.
-type BaseDocs struct {
-	Machines []byte
-	Services []byte
-	Graph    []byte
-	Paths    []byte
-	Client   []byte
+// Dir is one config directory as read from disk: the bytes of its five
+// required documents and of the optional faults.json and control.json
+// (nil when absent). ReadDir is the only code that opens the directory,
+// Hash digests exactly the bytes the Dir holds, and Load is the only way
+// from those bytes to a simulation — so whatever hashes a Dir and runs it
+// runs the bytes it hashed, even if the directory changes in between.
+type Dir struct {
+	Machines, Services, Graph, Paths, Client []byte
+	Faults, Control                          []byte
 }
 
-// ReadBase reads the five required documents from dir.
-func ReadBase(dir string) (*BaseDocs, error) {
-	docs, err := readBaseDocs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &BaseDocs{
-		Machines: docs[0], Services: docs[1], Graph: docs[2],
-		Paths: docs[3], Client: docs[4],
-	}, nil
+// docNames names the documents of a Dir, in docs() and hash order.
+var docNames = [7]string{
+	"machines.json", "service.json", "graph.json", "path.json",
+	"client.json", "faults.json", "control.json",
 }
 
-// Assemble builds a simulation from the documents plus an optional faults
-// document, exactly like the package-level Assemble.
-func (d *BaseDocs) Assemble(faultsJSON ...[]byte) (*Setup, error) {
-	return Assemble(d.Machines, d.Services, d.Graph, d.Paths, d.Client, faultsJSON...)
+// docs points at the Dir's documents in docNames order; the last two are
+// optional.
+func (d *Dir) docs() [7]*[]byte {
+	return [7]*[]byte{&d.Machines, &d.Services, &d.Graph, &d.Paths, &d.Client, &d.Faults, &d.Control}
 }
 
-// WithSeed returns a copy with the client document's seed replaced.
-func (d *BaseDocs) WithSeed(seed uint64) (*BaseDocs, error) {
-	var cf ClientFile
-	if err := decodeStrict("client.json", d.Client, &cf); err != nil {
-		return nil, err
-	}
-	cf.Seed = seed
-	client, err := json.Marshal(&cf)
-	if err != nil {
-		return nil, fmt.Errorf("config: re-encoding client.json: %w", err)
-	}
-	out := *d
-	out.Client = client
-	return &out, nil
-}
-
-// HashDir fingerprints the complete configuration set of dir: the five
-// required documents plus the optional faults.json and control.json. The
-// farm journals this hash into every job spec so a spool can never be
-// resumed against a drifted configuration without noticing — a result is
-// only meaningful for the exact bytes it was computed from.
-func HashDir(dir string) (string, error) {
-	h := sha256.New()
-	names := []string{
-		"machines.json", "service.json", "graph.json", "path.json",
-		"client.json", "faults.json", "control.json",
-	}
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if os.IsNotExist(err) {
-			// The optional documents simply contribute their absence.
-			fmt.Fprintf(h, "%s\x00absent\x00", name)
+// ReadDir reads the config directory at path once.
+func ReadDir(path string) (*Dir, error) {
+	d := &Dir{}
+	for i, doc := range d.docs() {
+		b, err := os.ReadFile(filepath.Join(path, docNames[i]))
+		if i >= 5 && os.IsNotExist(err) {
 			continue
 		}
 		if err != nil {
-			return "", fmt.Errorf("config: hashing %s: %w", dir, err)
+			return nil, fmt.Errorf("config: reading %s: %w", docNames[i], err)
 		}
-		fmt.Fprintf(h, "%s\x00%d\x00", name, len(data))
-		h.Write(data)
+		*doc = b
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16]), nil
+	return d, nil
+}
+
+// Hash fingerprints the complete configuration set: the five required
+// documents plus the optional ones, which contribute their absence. The
+// farm journals this hash into every job spec so a spool can never be
+// resumed against a drifted configuration without noticing — a result is
+// only meaningful for the exact bytes it was computed from.
+func (d *Dir) Hash() string {
+	h := sha256.New()
+	for i, doc := range d.docs() {
+		if *doc == nil {
+			fmt.Fprintf(h, "%s\x00absent\x00", docNames[i])
+			continue
+		}
+		fmt.Fprintf(h, "%s\x00%d\x00", docNames[i], len(*doc))
+		h.Write(*doc)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// HashDir is ReadDir(dir).Hash(), for the benchmark module.
+func HashDir(dir string) (string, error) {
+	d, err := ReadDir(dir)
+	if err != nil {
+		return "", err
+	}
+	return d.Hash(), nil
 }

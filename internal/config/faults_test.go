@@ -25,8 +25,8 @@ func twotierDocs(t *testing.T) map[string][]byte {
 func assembleWithFaults(t *testing.T, faults string) (*Setup, error) {
 	t.Helper()
 	docs := twotierDocs(t)
-	return Assemble(docs["machines.json"], docs["service.json"], docs["graph.json"],
-		docs["path.json"], docs["client.json"], []byte(faults))
+	docs["faults.json"] = []byte(faults)
+	return docsDir(docs).Load(Overrides{})
 }
 
 // Unknown JSON keys must be rejected with an error naming the file and the
@@ -48,8 +48,7 @@ func TestUnknownKeyRejected(t *testing.T) {
 			bad[k] = v
 		}
 		bad[name] = b
-		_, err = Assemble(bad["machines.json"], bad["service.json"], bad["graph.json"],
-			bad["path.json"], bad["client.json"])
+		_, err = docsDir(bad).Load(Overrides{})
 		if err == nil {
 			t.Errorf("%s: unknown key accepted", name)
 			continue
@@ -124,7 +123,7 @@ func TestLoadDirReadsFaultsJSON(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "faults.json"), []byte(faults), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	setup, err := LoadDir(dir)
+	setup, err := Load(dir, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +142,7 @@ func TestLoadDirReadsFaultsJSON(t *testing.T) {
 // validation.
 func TestShippedFaultsLoad(t *testing.T) {
 	for _, dir := range []string{"robust", "metastable", "threeregion"} {
-		if _, err := LoadDir(filepath.Join("..", "..", "configs", dir)); err != nil {
+		if _, err := Load(filepath.Join("..", "..", "configs", dir), Overrides{}); err != nil {
 			t.Errorf("configs/%s: %v", dir, err)
 		}
 	}
@@ -157,7 +156,7 @@ func TestShippedFaultsLoad(t *testing.T) {
 	for _, faults := range entries {
 		// entry → corpus → config directory.
 		dir := filepath.Dir(filepath.Dir(filepath.Dir(faults)))
-		if _, err := LoadDirWithFaults(dir, faults); err != nil {
+		if _, err := Load(dir, Overrides{Faults: faults}); err != nil {
 			t.Errorf("%s: %v", faults, err)
 		}
 	}

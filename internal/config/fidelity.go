@@ -8,14 +8,11 @@ import (
 	"uqsim/internal/sim"
 )
 
-// ApplyFidelity applies CLI-style -fidelity/-sample-rate overrides to an
+// applyFidelity applies CLI-style -fidelity/-sample-rate overrides to an
 // assembled simulation: "full" clears any configured hybrid split,
 // "hybrid" installs one (sample rate defaults to the config's, else 0.01),
-// and a bare sample-rate override retunes an already-hybrid setup. It
-// lives here — below both the experiment harness and the chaos harness —
-// so chaos campaigns can target hybrid mode without importing the
-// experiment layer that itself imports chaos.
-func ApplyFidelity(s *sim.Sim, fidelity string, sampleRate float64) error {
+// and a bare sample-rate override retunes an already-hybrid setup.
+func applyFidelity(s *sim.Sim, fidelity string, sampleRate float64) error {
 	switch strings.ToLower(fidelity) {
 	case "":
 		if sampleRate == 0 {

@@ -6,28 +6,30 @@ import (
 	"testing"
 )
 
-// fuzzBaseDocs loads the shipped two-tier documents once; fuzz targets
-// mutate one document at a time against this known-good base.
-func fuzzBaseDocs(f *testing.F) (machines, svc, graph, path, client []byte) {
+// fuzzBaseDir reads the shipped two-tier directory once; fuzz targets
+// replace one document at a time in this known-good base and load it.
+func fuzzBaseDir(f *testing.F) *Dir {
 	f.Helper()
-	dir := filepath.Join("..", "..", "configs", "twotier")
-	read := func(name string) []byte {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
+	d, err := ReadDir(filepath.Join("..", "..", "configs", "twotier"))
+	if err != nil {
+		f.Fatal(err)
 	}
-	return read("machines.json"), read("service.json"), read("graph.json"),
-		read("path.json"), read("client.json")
+	return d
+}
+
+// fuzzLoad loads base with one document replaced by set.
+func fuzzLoad(base *Dir, set func(*Dir)) (*Setup, error) {
+	d := *base
+	set(&d)
+	return d.Load(Overrides{})
 }
 
 // FuzzMachines feeds arbitrary bytes through the machines.json decoder and
-// the full assembly path. Assembly may reject the document, but it must
+// the full load path. Assembly may reject the document, but it must
 // never panic.
 func FuzzMachines(f *testing.F) {
-	mach, svc, graph, path, client := fuzzBaseDocs(f)
-	f.Add(mach)
+	base := fuzzBaseDir(f)
+	f.Add(base.Machines)
 	for _, name := range []string{"machines.json"} {
 		if b, err := os.ReadFile(filepath.Join("..", "..", "configs", "threetier", name)); err == nil {
 			f.Add(b)
@@ -57,7 +59,7 @@ func FuzzMachines(f *testing.F) {
 	// A pinned invalid input: the removed parallel-engine section.
 	f.Add([]byte(`{"machines":[{"name":"a","cores":2}],"engine":{"workers":4}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = Assemble(data, svc, graph, path, client)
+		_, _ = fuzzLoad(base, func(d *Dir) { d.Machines = data })
 	})
 }
 
@@ -65,7 +67,7 @@ func FuzzMachines(f *testing.F) {
 // including the network partition/link sections, against the shipped base
 // documents. Installation may reject the plan, but it must never panic.
 func FuzzFaults(f *testing.F) {
-	mach, svc, graph, path, client := fuzzBaseDocs(f)
+	base := fuzzBaseDir(f)
 	f.Add([]byte(`{"events":[{"at_s":0.1,"kind":"crash_machine","machine":"frontend"},
 		{"at_s":0.2,"kind":"recover_machine","machine":"frontend"}]}`))
 	f.Add([]byte(`{"events":[{"at_s":0.1,"kind":"crash_domain","domain":"rack0","stagger_ms":5}]}`))
@@ -83,28 +85,28 @@ func FuzzFaults(f *testing.F) {
 		{"at_s":0.2,"until_s":0.3,"kind":"restart_instance","service":"memcached"}]}`))
 	f.Add([]byte(`{"events":[{"at_s":0.1,"kind":"partition"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = Assemble(mach, svc, graph, path, client, data)
+		_, _ = fuzzLoad(base, func(d *Dir) { d.Faults = data })
 	})
 }
 
 // FuzzControl feeds arbitrary bytes through the control.json decoder and
-// plane attachment on a freshly assembled simulation. Attachment may
-// reject the document, but it must never panic.
+// plane attachment on the assembled base. Attachment may reject the
+// document, but it must never panic.
 func FuzzControl(f *testing.F) {
-	mach, svc, graph, path, client := fuzzBaseDocs(f)
+	base := fuzzBaseDir(f)
 	f.Add([]byte(`{"services":["nginx"],"detector":{"period_ms":10},"failover":{"restart_delay_ms":50}}`))
 	f.Add([]byte(`{"vantage":"frontend","detector":{"period_ms":5,"phi_threshold":8}}`))
 	f.Add([]byte(`{"autoscale":[{"service":"nginx","min":1,"max":3,"target_utilization":0.6,"interval_ms":50}]}`))
 	// Region failover against a geography-less base must be rejected
 	// cleanly, never panic.
 	f.Add([]byte(`{"heartbeat":{"period_ms":10},"region_failover":{"check_interval_ms":10,"drain_delay_ms":20}}`))
+	if _, err := base.Load(Overrides{}); err != nil {
+		f.Fatalf("base documents stopped assembling: %v", err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		setup, err := Assemble(mach, svc, graph, path, client)
-		if err != nil {
-			t.Fatalf("base documents stopped assembling: %v", err)
-		}
-		if plane, err := ApplyControl(setup.Sim, data); err == nil && plane != nil {
-			plane.Stop()
+		setup, err := fuzzLoad(base, func(d *Dir) { d.Control = data })
+		if err == nil && setup.Plane != nil {
+			setup.Plane.Stop()
 		}
 	})
 }
@@ -114,8 +116,8 @@ func FuzzControl(f *testing.F) {
 // and geo-replication declarations. Assembly may reject the document, but
 // it must never panic.
 func FuzzGraph(f *testing.F) {
-	mach, svc, graph, path, client := fuzzBaseDocs(f)
-	f.Add(graph)
+	base := fuzzBaseDir(f)
+	f.Add(base.Graph)
 	for _, dir := range []string{"threetier", "threeregion", "metastable"} {
 		if b, err := os.ReadFile(filepath.Join("..", "..", "configs", dir, "graph.json")); err == nil {
 			f.Add(b)
@@ -131,7 +133,7 @@ func FuzzGraph(f *testing.F) {
 	f.Add([]byte(`{"deployments":[{"service":"nginx","replication":{"lag_ms":30},
 		"instances":[{"machine":"frontend","cores":1}]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = Assemble(mach, svc, data, path, client)
+		_, _ = fuzzLoad(base, func(d *Dir) { d.Graph = data })
 	})
 }
 
@@ -140,8 +142,8 @@ func FuzzGraph(f *testing.F) {
 // and deadline-budget settings. Assembly may reject the document, but it
 // must never panic.
 func FuzzClient(f *testing.F) {
-	mach, svc, graph, path, client := fuzzBaseDocs(f)
-	f.Add(client)
+	base := fuzzBaseDir(f)
+	f.Add(base.Client)
 	for _, dir := range []string{"threetier", "threeregion", "metastable"} {
 		if b, err := os.ReadFile(filepath.Join("..", "..", "configs", dir, "client.json")); err == nil {
 			f.Add(b)
@@ -157,7 +159,7 @@ func FuzzClient(f *testing.F) {
 	f.Add([]byte(`{"qps":10,"budget_ms":50,"budget":{"type":"deterministic","value_us":1},"duration_s":1}`))
 	f.Add([]byte(`{"qps":10,"process":"bogus","duration_s":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = Assemble(mach, svc, graph, path, data)
+		_, _ = fuzzLoad(base, func(d *Dir) { d.Client = data })
 	})
 }
 
@@ -165,8 +167,8 @@ func FuzzClient(f *testing.F) {
 // node wiring, pool acquire/release sequences. Assembly may reject the
 // document, but it must never panic.
 func FuzzPath(f *testing.F) {
-	mach, svc, graph, path, client := fuzzBaseDocs(f)
-	f.Add(path)
+	base := fuzzBaseDir(f)
+	f.Add(base.Paths)
 	for _, dir := range []string{"threetier", "threeregion", "metastable"} {
 		if b, err := os.ReadFile(filepath.Join("..", "..", "configs", dir, "path.json")); err == nil {
 			f.Add(b)
@@ -183,7 +185,7 @@ func FuzzPath(f *testing.F) {
 	f.Add([]byte(`{"pools":[{"name":"p","capacity":1}],"trees":[{"name":"t","weight":1,"root":0,
 		"nodes":[{"id":0,"service":"nginx","path":"rx","release":["p"]}]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = Assemble(mach, svc, graph, data, client)
+		_, _ = fuzzLoad(base, func(d *Dir) { d.Paths = data })
 	})
 }
 
@@ -191,8 +193,8 @@ func FuzzPath(f *testing.F) {
 // stage lists, queue disciplines, path stage indices, threading models.
 // Assembly may reject the document, but it must never panic.
 func FuzzService(f *testing.F) {
-	mach, svc, graph, path, client := fuzzBaseDocs(f)
-	f.Add(svc)
+	base := fuzzBaseDir(f)
+	f.Add(base.Services)
 	for _, dir := range []string{"threetier", "threeregion", "metastable"} {
 		if b, err := os.ReadFile(filepath.Join("..", "..", "configs", dir, "service.json")); err == nil {
 			f.Add(b)
@@ -215,7 +217,7 @@ func FuzzService(f *testing.F) {
 		"paths":[{"path_name":"a","stages":[0]},{"path_name":"b","stages":[0]}],
 		"path_probs":[0.9,0.9]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = Assemble(mach, data, graph, path, client)
+		_, _ = fuzzLoad(base, func(d *Dir) { d.Services = data })
 	})
 }
 
@@ -223,8 +225,8 @@ func FuzzService(f *testing.F) {
 // the sessions and fidelity blocks in play. Assembly may reject the
 // document, but it must never panic.
 func FuzzSessions(f *testing.F) {
-	mach, svc, graph, path, client := fuzzBaseDocs(f)
-	f.Add(client)
+	base := fuzzBaseDir(f)
+	f.Add(base.Client)
 	// Valid session populations: weighted journeys, phased ramps, flash
 	// crowds, on/off users, and a hybrid-fidelity split.
 	f.Add([]byte(`{"seed":1,"duration_s":0.5,"sessions":{"users":50,"journeys":[
@@ -248,6 +250,6 @@ func FuzzSessions(f *testing.F) {
 	f.Add([]byte(`{"duration_s":1,"qps":100,"sample_rate":0.5}`))
 	f.Add([]byte(`{"duration_s":1,"qps":100,"fidelity":"hybrid","sample_rate":2}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = Assemble(mach, svc, graph, path, data)
+		_, _ = fuzzLoad(base, func(d *Dir) { d.Client = data })
 	})
 }

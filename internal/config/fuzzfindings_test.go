@@ -1,7 +1,6 @@
 package config
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -10,16 +9,10 @@ import (
 // lean on: malformed times and probabilities must fail loudly, not panic or
 // install silently.
 func TestInvalidFaultTimesRejected(t *testing.T) {
-	dir := filepath.Join("..", "..", "configs", "twotier")
-	read := func(name string) []byte {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+	base, err := ReadDir(filepath.Join("..", "..", "configs", "twotier"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	mach, svc, graph, path, client := read("machines.json"), read("service.json"),
-		read("graph.json"), read("path.json"), read("client.json")
 	for _, bad := range []string{
 		`{"events":[{"at_s":-1,"kind":"crash_machine","machine":"frontend"}]}`,
 		`{"events":[{"at_s":0.1,"until_s":0.05,"kind":"edge_latency","service":"nginx","extra_ms":1}]}`,
@@ -28,7 +21,9 @@ func TestInvalidFaultTimesRejected(t *testing.T) {
 		`{"network":{"links":[{"src":"frontend","dst":"cache","drop":1.5}]}}`,
 		`{"network":{"links":[{"src":"frontend","dst":"cache","drop":-0.1}]}}`,
 	} {
-		_, err := Assemble(mach, svc, graph, path, client, []byte(bad))
+		d := *base
+		d.Faults = []byte(bad)
+		_, err := d.Load(Overrides{})
 		t.Logf("%s -> %v", bad, err)
 		if err == nil {
 			t.Errorf("accepted: %s", bad)

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 
@@ -31,86 +29,17 @@ type Setup struct {
 	// Plane is the attached self-healing control plane; nil unless the
 	// config directory had a control.json.
 	Plane *control.Plane
+	// Machines, Graph, Client and Faults are the decoded documents the
+	// simulation was assembled from (Faults nil without one), for callers
+	// that need the configuration's shape rather than the built Sim.
+	Machines *MachinesFile
+	Graph    *GraphFile
+	Client   *ClientFile
+	Faults   *FaultsFile
 }
 
 // Run executes the configured window.
 func (s *Setup) Run() (*sim.Report, error) { return s.Sim.Run(s.Warmup, s.Duration) }
-
-// LoadDir reads machines.json, service.json, graph.json, path.json, and
-// client.json from dir and assembles the simulation. An optional faults.json
-// adds resilience policies and a fault-injection plan; an optional
-// control.json attaches the self-healing control plane.
-func LoadDir(dir string) (*Setup, error) {
-	docs, err := readBaseDocs(dir)
-	if err != nil {
-		return nil, err
-	}
-	var setup *Setup
-	faults, err := os.ReadFile(filepath.Join(dir, "faults.json"))
-	switch {
-	case os.IsNotExist(err):
-		setup, err = Assemble(docs[0], docs[1], docs[2], docs[3], docs[4])
-	case err != nil:
-		return nil, fmt.Errorf("config: reading faults.json: %w", err)
-	default:
-		setup, err = Assemble(docs[0], docs[1], docs[2], docs[3], docs[4], faults)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return applyControlFile(dir, setup)
-}
-
-// LoadDirWithFaults is LoadDir with an explicit faults document replacing
-// any dir/faults.json. Unlike LoadDir's optional lookup, faultsPath must
-// exist.
-func LoadDirWithFaults(dir, faultsPath string) (*Setup, error) {
-	docs, err := readBaseDocs(dir)
-	if err != nil {
-		return nil, err
-	}
-	faults, err := os.ReadFile(faultsPath)
-	if err != nil {
-		return nil, fmt.Errorf("config: reading %s: %w", faultsPath, err)
-	}
-	setup, err := Assemble(docs[0], docs[1], docs[2], docs[3], docs[4], faults)
-	if err != nil {
-		return nil, err
-	}
-	return applyControlFile(dir, setup)
-}
-
-// applyControlFile attaches dir/control.json to an assembled setup when
-// the file exists.
-func applyControlFile(dir string, setup *Setup) (*Setup, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "control.json"))
-	if os.IsNotExist(err) {
-		return setup, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("config: reading control.json: %w", err)
-	}
-	plane, err := ApplyControl(setup.Sim, data)
-	if err != nil {
-		return nil, err
-	}
-	setup.Plane = plane
-	return setup, nil
-}
-
-// readBaseDocs reads the five required config documents from dir in
-// machines, service, graph, path, client order.
-func readBaseDocs(dir string) ([5][]byte, error) {
-	var docs [5][]byte
-	for i, name := range [5]string{"machines.json", "service.json", "graph.json", "path.json", "client.json"} {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return docs, fmt.Errorf("config: reading %s: %w", name, err)
-		}
-		docs[i] = b
-	}
-	return docs, nil
-}
 
 // decodeStrict unmarshals one config document, rejecting unknown JSON keys
 // so typos fail loudly instead of being ignored. When the unknown key is
@@ -136,42 +65,8 @@ func decodeStrict(name string, data []byte, v any) error {
 	return nil
 }
 
-// Assemble builds a simulation from the five JSON documents plus an
-// optional sixth faults.json document.
-func Assemble(machinesJSON, servicesJSON, graphJSON, pathsJSON, clientJSON []byte, faultsJSON ...[]byte) (*Setup, error) {
-	var mf MachinesFile
-	if err := decodeStrict("machines.json", machinesJSON, &mf); err != nil {
-		return nil, err
-	}
-	var sf ServicesFile
-	if err := decodeStrict("service.json", servicesJSON, &sf); err != nil {
-		return nil, err
-	}
-	var gf GraphFile
-	if err := decodeStrict("graph.json", graphJSON, &gf); err != nil {
-		return nil, err
-	}
-	var pf PathsFile
-	if err := decodeStrict("path.json", pathsJSON, &pf); err != nil {
-		return nil, err
-	}
-	var cf ClientFile
-	if err := decodeStrict("client.json", clientJSON, &cf); err != nil {
-		return nil, err
-	}
-	var ff *FaultsFile
-	if len(faultsJSON) > 1 {
-		return nil, fmt.Errorf("config: at most one faults.json document, got %d", len(faultsJSON))
-	}
-	if len(faultsJSON) == 1 {
-		ff = &FaultsFile{}
-		if err := decodeStrict("faults.json", faultsJSON[0], ff); err != nil {
-			return nil, err
-		}
-	}
-	return assemble(&mf, &sf, &gf, &pf, &cf, ff)
-}
-
+// assemble builds a simulation from the decoded documents; ff is nil
+// without a faults document.
 func assemble(mf *MachinesFile, sf *ServicesFile, gf *GraphFile, pf *PathsFile, cf *ClientFile, ff *FaultsFile) (*Setup, error) {
 	if cf.DurationS <= 0 {
 		return nil, fmt.Errorf("config: client.json needs a positive duration_s")
@@ -533,6 +428,7 @@ func assemble(mf *MachinesFile, sf *ServicesFile, gf *GraphFile, pf *PathsFile, 
 		Sim:      s,
 		Warmup:   des.FromSeconds(cf.WarmupS),
 		Duration: des.FromSeconds(cf.DurationS),
+		Machines: mf, Graph: gf, Client: cf, Faults: ff,
 	}, nil
 }
 

@@ -15,7 +15,7 @@ import (
 const cfgDir = "../../configs/twotier"
 
 func TestLoadDirTwoTier(t *testing.T) {
-	setup, err := LoadDir(cfgDir)
+	setup, err := Load(cfgDir, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestLoadDirTwoTier(t *testing.T) {
 }
 
 func TestLoadDirMissingFile(t *testing.T) {
-	if _, err := LoadDir(t.TempDir()); err == nil {
+	if _, err := Load(t.TempDir(), Overrides{}); err == nil {
 		t.Fatal("missing files should fail")
 	}
 }
@@ -80,8 +80,15 @@ func mutateSetup(t *testing.T, muts map[string]func(map[string]any)) (*Setup, er
 		}
 		docs[which] = b
 	}
-	return Assemble(docs["machines.json"], docs["service.json"], docs["graph.json"],
-		docs["path.json"], docs["client.json"])
+	return docsDir(docs).Load(Overrides{})
+}
+
+// docsDir is the Dir holding docs, keyed by file name.
+func docsDir(docs map[string][]byte) *Dir {
+	return &Dir{
+		Machines: docs["machines.json"], Services: docs["service.json"], Graph: docs["graph.json"],
+		Paths: docs["path.json"], Client: docs["client.json"], Faults: docs["faults.json"],
+	}
 }
 
 func TestAssembleErrors(t *testing.T) {
@@ -186,7 +193,7 @@ func TestBuildBlueprintThreaded(t *testing.T) {
 }
 
 func TestLoadDirThreeTier(t *testing.T) {
-	setup, err := LoadDir("../../configs/threetier")
+	setup, err := Load("../../configs/threetier", Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,10 @@ func assembleMutated(t *testing.T, which string, fn func(map[string]any), faults
 		}
 		docs[which] = b
 	}
-	if faults == "" {
-		return Assemble(docs["machines.json"], docs["service.json"], docs["graph.json"],
-			docs["path.json"], docs["client.json"])
+	if faults != "" {
+		docs["faults.json"] = []byte(faults)
 	}
-	return Assemble(docs["machines.json"], docs["service.json"], docs["graph.json"],
-		docs["path.json"], docs["client.json"], []byte(faults))
+	return docsDir(docs).Load(Overrides{})
 }
 
 // TestOverloadConfigRoundTrip wires every new overload knob through JSON:
@@ -181,7 +179,7 @@ func TestUnknownServiceDidYouMean(t *testing.T) {
 		{"at_s": 0.6, "kind": "recover_domain", "domain": "east"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadDirWithFaults("../../configs/threeregion", faults)
+	_, err := Load("../../configs/threeregion", Overrides{Faults: faults})
 	if err == nil || !strings.Contains(err.Error(), "events[0].domain") ||
 		!strings.Contains(err.Error(), `did you mean "east"`) {
 		t.Errorf("domain typo: %v", err)

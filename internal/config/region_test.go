@@ -189,7 +189,7 @@ func TestRegionConfigAssembles(t *testing.T) {
 // store, east-homed diurnal client, a full east outage healed mid-run,
 // and the control plane's region failover promoting a survivor.
 func TestLoadDirThreeRegion(t *testing.T) {
-	setup, err := LoadDir("../../configs/threeregion")
+	setup, err := Load("../../configs/threeregion", Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestLoadDirThreeRegion(t *testing.T) {
 // member lists, and each nearest order is the one its definition gives:
 // ascending WAN latency from the source, ties by declaration order.
 func TestThreeRegionIndexLookups(t *testing.T) {
-	setup, err := LoadDir("../../configs/threeregion")
+	setup, err := Load("../../configs/threeregion", Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,6 @@ import (
 	"uqsim/internal/fault"
 )
 
-func init() {
-	Registry["chaos"] = Chaos
-}
-
 // chaosConfigDir locates configs/metastable whether the caller runs from
 // the repo root (the binaries) or from a package directory (go test).
 func chaosConfigDir() (string, error) { return configDir("metastable") }
@@ -55,7 +51,11 @@ func Chaos(o Opts) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := chaos.NewHarness(chaos.Options{ConfigDir: dir})
+	cfg, err := config.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	h, err := chaos.NewHarness(cfg, chaos.Options{ConfigDir: dir})
 	if err != nil {
 		return nil, err
 	}

@@ -67,11 +67,6 @@ func ExtTimeouts(o Opts) (*Table, error) {
 	return t, nil
 }
 
-func init() {
-	Registry["ext-timeouts"] = ExtTimeouts
-	Registry["ext-cache"] = ExtEmergentCache
-}
-
 // ExtEmergentCache sweeps LRU cache sizes in the emergent-cache two-tier
 // scenario: the hit ratio (and therefore disk traffic and the latency
 // distribution) emerges from cache capacity and Zipf key popularity

@@ -252,7 +252,3 @@ func formatByCause(by hybrid.Losses) string {
 	}
 	return "-"
 }
-
-func init() {
-	Registry["hybridfault"] = HybridFault
-}

@@ -14,10 +14,6 @@ import (
 	"uqsim/internal/workload"
 )
 
-func init() {
-	Registry["metastable"] = Metastable
-}
-
 // metastableScenario is a two-machine, two-tier chain: a cheap front tier
 // on m0 calling a 1-core backend on m1 (exp 1ms service, ≈1000 QPS
 // capacity) across the one machine boundary a partition can cut. The

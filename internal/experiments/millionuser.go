@@ -217,7 +217,3 @@ func relErr(got, want float64) float64 {
 	}
 	return math.Abs(got-want) / want
 }
-
-func init() {
-	Registry["millionuser"] = MillionUser
-}

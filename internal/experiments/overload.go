@@ -14,10 +14,6 @@ import (
 	"uqsim/internal/workload"
 )
 
-func init() {
-	Registry["overload"] = Overload
-}
-
 // overloadSLO is the end-to-end latency objective shared by every
 // configuration in the sweep: the baseline client abandons requests this
 // old, the graceful configurations carry it as a propagated deadline

@@ -16,10 +16,6 @@ import (
 	"uqsim/internal/workload"
 )
 
-func init() {
-	Registry["regionloss"] = RegionLoss
-}
-
 // regionLossScenario builds the three-region geo-replicated store: one
 // replica per region with the home region (east) sized for the full
 // load and the remote regions sized for regional spillover only, WAN

@@ -9,7 +9,8 @@ import (
 type Runner func(Opts) (*Table, error)
 
 // Registry maps experiment IDs to runners. IDs follow the paper's
-// numbering plus the DESIGN.md ablations.
+// numbering, then the DESIGN.md ablations, then the extensions beyond the
+// paper.
 var Registry = map[string]Runner{
 	"fig5":              Fig5TwoTier,
 	"fig6":              Fig6ThreeTier,
@@ -26,6 +27,18 @@ var Registry = map[string]Runner{
 	"ablation-netproc":  AblationNoNetproc,
 	"ablation-blocking": AblationNoBlocking,
 	"ablation-lb":       AblationLBPolicies,
+	"validation":        Validation,
+	"scalability":       Scalability,
+	"ext-timeouts":      ExtTimeouts,
+	"ext-cache":         ExtEmergentCache,
+	"resilience":        Resilience,
+	"overload":          Overload,
+	"metastable":        Metastable,
+	"selfhealing":       SelfHealing,
+	"regionloss":        RegionLoss,
+	"chaos":             Chaos,
+	"hybridfault":       HybridFault,
+	"millionuser":       MillionUser,
 }
 
 // Names lists registered experiment IDs in sorted order.

@@ -14,10 +14,6 @@ import (
 	"uqsim/internal/workload"
 )
 
-func init() {
-	Registry["resilience"] = Resilience
-}
-
 // resilienceScenario builds one service with exponential 1ms request cost
 // spread across instances (one core each, ≈1000 QPS capacity per instance),
 // driven open-loop at qps.

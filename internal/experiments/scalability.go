@@ -50,7 +50,3 @@ func Scalability(o Opts) (*Table, error) {
 	}
 	return t, nil
 }
-
-func init() {
-	Registry["scalability"] = Scalability
-}

@@ -16,10 +16,6 @@ import (
 	"uqsim/internal/workload"
 )
 
-func init() {
-	Registry["selfhealing"] = SelfHealing
-}
-
 // selfHealScenario builds one service with exponential 1ms request cost,
 // one instance per machine, driven open-loop at qps.
 func selfHealScenario(seed uint64, qps float64, freq cluster.FreqSpec,

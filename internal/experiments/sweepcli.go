@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"uqsim/internal/config"
-	"uqsim/internal/sim"
 )
 
 // This file is the shared core of the load-sweep workflow: `uqsim sweep`
@@ -50,21 +49,15 @@ func SweepGrid(from, to, step float64) ([]float64, error) {
 }
 
 // SweepRow measures one load point of the configured scenario and formats
-// it as a table row in SweepColumns order. Each point assembles a fresh
-// simulation from the config directory (same seed, same windows), so rows
-// are independent: any subset can run anywhere, in any order, and still
-// match a serial sweep. mod, when non-nil, adjusts the assembled
-// simulation before it runs; the byte-identical serial-vs-farm contract
-// extends to any deterministic mod applied equally on both paths.
-func SweepRow(cfgDir string, qps float64, mod func(*sim.Sim) error) ([]string, error) {
-	setup, err := config.Load(cfgDir, config.Overrides{QPS: qps})
+// it as a table row in SweepColumns order. Each point loads a fresh
+// simulation from dir at load qps with o's other overrides (same seed,
+// same windows), so rows are independent: any subset can run anywhere,
+// in any order, and still match a serial sweep with the same overrides.
+func SweepRow(dir *config.Dir, qps float64, o config.Overrides) ([]string, error) {
+	o.QPS = qps
+	setup, err := dir.Load(o)
 	if err != nil {
 		return nil, err
-	}
-	if mod != nil {
-		if err := mod(setup.Sim); err != nil {
-			return nil, err
-		}
 	}
 	rep, err := setup.Run()
 	if err != nil {

@@ -35,7 +35,3 @@ func Validation(o Opts) (*Table, error) {
 	}
 	return t, nil
 }
-
-func init() {
-	Registry["validation"] = Validation
-}

@@ -22,7 +22,7 @@ func TestFarmChaosCampaignMatchesSerial(t *testing.T) {
 
 	// Serial reference: run the trials in-process and archive findings
 	// exactly as `uqsim chaos` would.
-	h, err := chaos.NewHarness(chaos.Options{ConfigDir: cfgDir, Seed: seed, Trials: trials})
+	h, err := chaos.NewHarness(readDir(t, cfgDir), chaos.Options{ConfigDir: cfgDir, Seed: seed, Trials: trials})
 	if err != nil {
 		t.Fatal(err)
 	}

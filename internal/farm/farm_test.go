@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"uqsim/internal/config"
 	"uqsim/internal/experiments"
 )
 
@@ -75,14 +76,78 @@ func serialCSV(t *testing.T, cfgDir string, from, to, step float64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := readDir(t, cfgDir)
 	for _, qps := range grid {
-		row, err := experiments.SweepRow(cfgDir, qps, nil)
+		row, err := experiments.SweepRow(dir, qps, config.Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		table.Add(row...)
 	}
 	return table.CSV()
+}
+
+// readDir reads the config directory at path.
+func readDir(t *testing.T, path string) *config.Dir {
+	t.Helper()
+	dir, err := config.ReadDir(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestExecutorRunsTheBytesItHashed: a worker checks every spec against
+// the hash of the configuration it read at start, so it must also run
+// those bytes. An edit to the directory afterwards — here client.json's
+// seed — must not reach a job whose spec carries the original hash.
+func TestExecutorRunsTheBytesItHashed(t *testing.T) {
+	src, cfgDir := testConfigDir(t, "twotier"), t.TempDir()
+	for _, name := range []string{"machines.json", "service.json", "graph.json", "path.json", "client.json"} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cfgDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewSweepCampaign(cfgDir, 20000, 20000, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := c.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExecutor(cfgDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := ex.Execute(jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	client := filepath.Join(cfgDir, "client.json")
+	data, err := os.ReadFile(client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(string(data), `"seed": 42`, `"seed": 99`, 1)
+	if edited == string(data) {
+		t.Fatal("client.json has no seed 42 to edit")
+	}
+	if err := os.WriteFile(client, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	after, err := ex.Execute(jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(after.Row, ","), strings.Join(before.Row, ","); got != want {
+		t.Fatalf("row after the edit %s, want the row of the hashed bytes %s", got, want)
+	}
 }
 
 func mergedCSV(t *testing.T, spool string) string {
@@ -285,7 +350,7 @@ func TestFarmPoisonQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.SweepRow(cfgDir, 21000, nil)
+	want, err := experiments.SweepRow(readDir(t, cfgDir), 21000, config.Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,22 +13,26 @@ import (
 // quarantined spec under a debugger's eye.
 type Executor struct {
 	ConfigDir string
+	dir       *config.Dir
 	hash      string
 	// chaos harnesses are cached per (seed, maxActions): every trial of a
-	// campaign shares one, and building it re-parses the config set.
+	// campaign shares one, and building it loads the config set.
 	harnesses map[[2]uint64]*chaos.Harness
 }
 
-// NewExecutor hashes the configuration once; every job is checked against
-// it so a spec journaled for different config bytes is refused, not run.
+// NewExecutor reads the configuration once and hashes it; every job is
+// checked against the hash, so a spec journaled for different config
+// bytes is refused, and every job runs the bytes that were hashed, so an
+// edit to the directory after the worker started changes nothing.
 func NewExecutor(configDir string) (*Executor, error) {
-	hash, err := config.HashDir(configDir)
+	dir, err := config.ReadDir(configDir)
 	if err != nil {
 		return nil, err
 	}
 	return &Executor{
 		ConfigDir: configDir,
-		hash:      hash,
+		dir:       dir,
+		hash:      dir.Hash(),
 		harnesses: make(map[[2]uint64]*chaos.Harness),
 	}, nil
 }
@@ -42,7 +46,7 @@ func (e *Executor) Execute(spec JobSpec) (*Result, error) {
 	res := &Result{Hash: spec.Hash(), Job: spec}
 	switch spec.Kind {
 	case KindSweep:
-		row, err := experiments.SweepRow(e.ConfigDir, spec.QPS, nil)
+		row, err := experiments.SweepRow(e.dir, spec.QPS, config.Overrides{})
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +79,7 @@ func (e *Executor) harness(spec JobSpec) (*chaos.Harness, error) {
 	if h, ok := e.harnesses[key]; ok {
 		return h, nil
 	}
-	h, err := chaos.NewHarness(chaos.Options{
+	h, err := chaos.NewHarness(e.dir, chaos.Options{
 		ConfigDir:  e.ConfigDir,
 		Seed:       spec.Seed,
 		MaxActions: spec.MaxActions,

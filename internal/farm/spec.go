@@ -49,7 +49,7 @@ const MaxJobs = 1 << 20
 type Campaign struct {
 	Kind      string `json:"kind"`
 	ConfigDir string `json:"config_dir"`
-	// ConfigHash pins the exact configuration bytes (config.HashDir);
+	// ConfigHash pins the exact configuration bytes (config.Dir.Hash);
 	// every job spec carries it, so results from a drifted config are
 	// rejected rather than silently merged.
 	ConfigHash string `json:"config_hash"`
@@ -70,12 +70,12 @@ type Campaign struct {
 // NewSweepCampaign builds a sweep campaign over configDir, hashing the
 // configuration it will run against.
 func NewSweepCampaign(configDir string, from, to, step float64) (*Campaign, error) {
-	hash, err := config.HashDir(configDir)
+	dir, err := config.ReadDir(configDir)
 	if err != nil {
 		return nil, err
 	}
 	c := &Campaign{
-		Kind: KindSweep, ConfigDir: configDir, ConfigHash: hash,
+		Kind: KindSweep, ConfigDir: configDir, ConfigHash: dir.Hash(),
 		FromQPS: from, ToQPS: to, StepQPS: step,
 	}
 	if err := c.Validate(); err != nil {
@@ -86,12 +86,12 @@ func NewSweepCampaign(configDir string, from, to, step float64) (*Campaign, erro
 
 // NewChaosCampaign builds a chaos-search campaign over configDir.
 func NewChaosCampaign(configDir string, seed uint64, trials, maxActions int) (*Campaign, error) {
-	hash, err := config.HashDir(configDir)
+	dir, err := config.ReadDir(configDir)
 	if err != nil {
 		return nil, err
 	}
 	c := &Campaign{
-		Kind: KindChaos, ConfigDir: configDir, ConfigHash: hash,
+		Kind: KindChaos, ConfigDir: configDir, ConfigHash: dir.Hash(),
 		Seed: seed, Trials: trials, MaxActions: maxActions,
 	}
 	if err := c.Validate(); err != nil {

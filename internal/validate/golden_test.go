@@ -42,7 +42,7 @@ func appsRun(mk func() (*sim.Sim, error), warmup, duration des.Time) func() (*si
 
 func dirRun(dir string) func() (*sim.Sim, *sim.Report, error) {
 	return func() (*sim.Sim, *sim.Report, error) {
-		setup, err := config.LoadDir(dir)
+		setup, err := config.Load(dir, config.Overrides{})
 		if err != nil {
 			return nil, nil, err
 		}

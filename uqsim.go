@@ -287,7 +287,7 @@ type ConfigSetup = config.Setup
 // LoadConfig reads machines.json, service.json, graph.json, path.json, and
 // client.json from dir (the paper's Table I inputs), plus the optional
 // faults.json and control.json.
-func LoadConfig(dir string) (*ConfigSetup, error) { return config.LoadDir(dir) }
+func LoadConfig(dir string) (*ConfigSetup, error) { return config.Load(dir, config.Overrides{}) }
 
 // ---- prebuilt application models ----
 
