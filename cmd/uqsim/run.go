@@ -54,8 +54,8 @@ func report(f *flags) error {
 	if err != nil {
 		return err
 	}
-	eng := experiments.NewTable("Event engine (simulator-side; not in the fingerprint)", "heap_peak", "lane_peak")
-	eng.Add(fmt.Sprintf("%d", rep.HeapPeak), fmt.Sprintf("%d", rep.LanePeak))
+	eng := experiments.NewTable("Event engine (simulator-side; not in the fingerprint)", "heap_peak", "lane_peak", "calendar_peak")
+	eng.Add(fmt.Sprintf("%d", rep.HeapPeak), fmt.Sprintf("%d", rep.LanePeak), fmt.Sprintf("%d", rep.CalendarPeak))
 	for _, t := range append(experiments.ReportTables(rep), eng) {
 		if f.csv {
 			fmt.Print(t.CSV())

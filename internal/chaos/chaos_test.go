@@ -327,6 +327,35 @@ func TestRejectsWhatRunRejects(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsMisspelledMeta: a corpus entry whose meta.json misspells
+// a key fails the replay with config's unknown-field error. Read leniently,
+// "seeed" dropped the recorded seed, and the replay ran under seed 0 and
+// reported that the finding no longer reproduces.
+func TestReplayRejectsMisspelledMeta(t *testing.T) {
+	src := filepath.Join(metastableDir, "corpus", "trial0000-recovery-goodput")
+	entry := t.TempDir()
+	for _, name := range []string{"faults.json", "meta.json"} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "meta.json" {
+			if !strings.Contains(string(data), `"seed":`) {
+				t.Fatalf("%s has no seed key", name)
+			}
+			data = []byte(strings.Replace(string(data), `"seed":`, `"seeed":`, 1))
+		}
+		if err := os.WriteFile(filepath.Join(entry, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := Replay(metastableDir, entry)
+	want := `unknown field "seeed" (did you mean "seed"?)`
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "meta.json") {
+		t.Fatalf("Replay: %v, want an error naming meta.json and %s", err, want)
+	}
+}
+
 // readDir reads the config directory at path.
 func readDir(t *testing.T, path string) *config.Dir {
 	t.Helper()

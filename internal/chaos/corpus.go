@@ -134,8 +134,8 @@ func ReplayWith(configDir, entryDir, fidelity string, sampleRate float64) (*Repl
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	var meta Meta
-	if err := json.Unmarshal(metaData, &meta); err != nil {
-		return nil, fmt.Errorf("chaos: %s/meta.json: %w", entryDir, err)
+	if err := config.DecodeStrict(filepath.Join(entryDir, "meta.json"), metaData, &meta); err != nil {
+		return nil, err
 	}
 	dir, err := config.ReadDir(configDir)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // wired as the simulation's OnCallResult hook.
 func applyControl(s *sim.Sim, data []byte) (*control.Plane, error) {
 	var cf ControlFile
-	if err := decodeStrict("control.json", data, &cf); err != nil {
+	if err := DecodeStrict("control.json", data, &cf); err != nil {
 		return nil, err
 	}
 

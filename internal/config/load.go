@@ -41,11 +41,13 @@ type Setup struct {
 // Run executes the configured window.
 func (s *Setup) Run() (*sim.Report, error) { return s.Sim.Run(s.Warmup, s.Duration) }
 
-// decodeStrict unmarshals one config document, rejecting unknown JSON keys
-// so typos fail loudly instead of being ignored. When the unknown key is
-// an edit distance away from a real field anywhere in the document's
-// schema, the error suggests it.
-func decodeStrict(name string, data []byte, v any) error {
+// DecodeStrict unmarshals one JSON document named name (a config document,
+// or another file a command reads beside one, such as a chaos corpus
+// entry's meta.json), rejecting unknown JSON keys so typos fail loudly
+// instead of being ignored. When the unknown key is an edit distance away
+// from a real field anywhere in the document's schema, the error suggests
+// it.
+func DecodeStrict(name string, data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

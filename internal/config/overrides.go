@@ -66,13 +66,13 @@ func (d *Dir) Load(o Overrides) (*Setup, error) {
 	)
 	docs := d.docs()
 	for i, v := range [5]any{&mf, &sf, &gf, &pf, &cf} {
-		if err := decodeStrict(docNames[i], *docs[i], v); err != nil {
+		if err := DecodeStrict(docNames[i], *docs[i], v); err != nil {
 			return nil, err
 		}
 	}
 	if faults != nil {
 		ff = &FaultsFile{}
-		if err := decodeStrict("faults.json", faults, ff); err != nil {
+		if err := DecodeStrict("faults.json", faults, ff); err != nil {
 			return nil, err
 		}
 	}

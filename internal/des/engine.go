@@ -56,30 +56,34 @@ type Engine struct {
 	processed uint64
 	armed     uint64
 	canceled  uint64
-	heapPeak  int // most events on the heap at once
-	lanePeak  int // most same-instant posts pending at once
+	heapPeak  int      // most events on the heap at once
+	lanePeak  int      // most same-instant posts pending at once
+	cal       calendar // far posts; see calendar.go
 }
 
 // New returns an engine with the clock at zero and an empty event queue.
 func New() *Engine {
-	return &Engine{}
+	return &Engine{cal: calendar{low: MaxTime}}
 }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending reports the number of events currently scheduled. A cancelled
-// event leaves the heap at once, so every one counted is live.
-func (e *Engine) Pending() int { return len(e.h) + len(e.lane) - e.head }
+// Pending reports the number of events currently scheduled, on the heap,
+// the lane and the calendar. A cancelled event leaves the heap at once, so
+// every one counted is live.
+func (e *Engine) Pending() int { return len(e.h) + len(e.lane) - e.head + e.cal.n }
 
 // Processed reports how many events have fired since construction.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// HeapPeak reports the most events the heap has held at once, and
-// LanePeak the most same-instant posts pending at once: the depths the
-// queue's costs grow with.
-func (e *Engine) HeapPeak() int { return e.heapPeak }
-func (e *Engine) LanePeak() int { return e.lanePeak }
+// HeapPeak reports the most events the heap has held at once, LanePeak
+// the most same-instant posts pending at once, and CalendarPeak the most
+// far posts waiting on the calendar at once: the depths the queue's costs
+// grow with.
+func (e *Engine) HeapPeak() int     { return e.heapPeak }
+func (e *Engine) LanePeak() int     { return e.lanePeak }
+func (e *Engine) CalendarPeak() int { return e.cal.peak }
 
 // Arm schedules fn to run at absolute virtual time t on ev, an event the
 // caller owns and that is not queued (see Event); arming a queued event
@@ -116,21 +120,29 @@ func (e *Engine) After(d Time, fn Callback) *Event {
 // returned and the event's storage is recycled after it fires, so hot
 // paths that never cancel (service stage completions, generator arrivals)
 // do not allocate in steady state. A post at the current time skips the
-// heap for the same-instant lane.
+// heap for the same-instant lane, and a post far enough ahead waits on the
+// calendar until it is nearly due.
 func (e *Engine) Post(t Time, fn Callback) {
 	e.check(t, fn)
 	if t == e.now {
 		e.postNow(fn)
 		return
 	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		ev = &Event{pooled: true}
+	if b := t >> calShift; uint64(b-e.now>>calShift-2) < calRing-1 { // 2 to calRing buckets ahead
+		e.calPost(t, b, fn)
+		return
 	}
-	e.push(ev, t, fn)
+	e.push(e.pooled(), t, fn)
+}
+
+// pooled takes a fire-and-forget event from the freelist.
+func (e *Engine) pooled() *Event {
+	if n := len(e.free); n > 0 {
+		ev := e.free[n-1]
+		e.free = e.free[:n-1]
+		return ev
+	}
+	return &Event{pooled: true}
 }
 
 func (e *Engine) check(t Time, fn Callback) {
@@ -167,8 +179,10 @@ func (e *Engine) Step() bool {
 		fn(e.now)
 		return true
 	}
-	if len(e.h) == 0 {
-		return false
+	if len(e.h) == 0 || e.h[0].at >= e.cal.low {
+		if e.settle(); len(e.h) == 0 {
+			return false
+		}
 	}
 	ev := e.h[0]
 	e.removeAt(0)
@@ -186,7 +200,18 @@ func (e *Engine) Step() bool {
 // RunUntil fires events with timestamps ≤ deadline, then advances the clock
 // to the deadline. Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline Time) {
-	for (e.head < len(e.lane) && e.now <= deadline || len(e.h) > 0 && e.h[0].at <= deadline) && e.Step() {
+	for {
+		if e.head == len(e.lane) || e.now > deadline {
+			if len(e.h) == 0 || e.h[0].at >= e.cal.low {
+				e.settle()
+			}
+			if len(e.h) == 0 || e.h[0].at > deadline {
+				break
+			}
+		}
+		if !e.Step() {
+			break
+		}
 	}
 	if e.now < deadline && !e.stopped.Load() {
 		e.now = deadline

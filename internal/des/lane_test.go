@@ -142,9 +142,10 @@ func TestLaneReusesItsBackingArray(t *testing.T) {
 	}
 }
 
-// TestEnginePeaks pins the heap and lane high-water marks of a script:
-// four events on the heap before a cancel, three same-instant posts from
-// one callback, and later, smaller depths that must not lower either mark.
+// TestEnginePeaks pins the heap, lane and calendar high-water marks of a
+// script: four events on the heap before a cancel, two far posts on the
+// calendar and a third from a callback, three same-instant posts from one
+// callback, and later, smaller depths that must not lower any mark.
 func TestEnginePeaks(t *testing.T) {
 	e := New()
 	nop := func(Time) {}
@@ -157,15 +158,19 @@ func TestEnginePeaks(t *testing.T) {
 	e.Post(2, func(Time) {
 		e.Post(2, nop)
 		e.Post(2, nop)
+		e.Post(5<<calShift, nop)
 	})
 	e.Post(3, nop)
 	e.Cancel(e.At(4, nop))
-	if e.HeapPeak() != 4 || e.LanePeak() != 0 {
-		t.Fatalf("before the run: heap peak %d, lane peak %d, want 4 and 0", e.HeapPeak(), e.LanePeak())
+	e.Post(3<<calShift, nop)
+	e.Post(3<<calShift+1, nop)
+	if e.HeapPeak() != 4 || e.LanePeak() != 0 || e.CalendarPeak() != 2 || e.Pending() != 5 {
+		t.Fatalf("before the run: heap peak %d, lane peak %d, calendar peak %d, pending %d, want 4, 0, 2, 5",
+			e.HeapPeak(), e.LanePeak(), e.CalendarPeak(), e.Pending())
 	}
 	e.Run()
-	if e.HeapPeak() != 4 || e.LanePeak() != 3 || e.Processed() != 9 {
-		t.Fatalf("heap peak %d, lane peak %d, processed %d, want 4, 3, 9",
-			e.HeapPeak(), e.LanePeak(), e.Processed())
+	if e.HeapPeak() != 4 || e.LanePeak() != 3 || e.CalendarPeak() != 3 || e.Processed() != 12 {
+		t.Fatalf("heap peak %d, lane peak %d, calendar peak %d, processed %d, want 4, 3, 3, 12",
+			e.HeapPeak(), e.LanePeak(), e.CalendarPeak(), e.Processed())
 	}
 }

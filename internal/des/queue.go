@@ -13,7 +13,8 @@ package des
 // Now or later, so the earliest event overall is the lane head unless the
 // heap root is at Now with a lower sequence number: the (time, sequence)
 // order is exactly the heap's own. A service's coalesced dispatch pump
-// posts this way, about half of a fan-out run's events. Arm stays on the
+// posts this way, about half of a fan-out run's events. Posts far ahead
+// wait on the calendar until nearly due (calendar.go). Arm stays on the
 // heap, since only a heap entry can be cancelled.
 
 const arity = 4
@@ -61,6 +62,11 @@ func (e *Engine) popLane() Callback {
 func (e *Engine) push(ev *Event, t Time, fn Callback) {
 	ev.at, ev.seq, ev.fn = t, e.seq, fn
 	e.seq++
+	e.insert(ev)
+}
+
+// insert adds ev, already timed and sequenced, to the heap.
+func (e *Engine) insert(ev *Event) {
 	e.h = append(e.h, ev)
 	if len(e.h) > e.heapPeak {
 		e.heapPeak = len(e.h)

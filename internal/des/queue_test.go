@@ -82,3 +82,27 @@ func TestEnginePostDoesNotAllocateInSteadyState(t *testing.T) {
 		t.Fatalf("steady-state Post allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestEngineFarPostDoesNotAllocateInSteadyState: posts about 10 ms ahead
+// wait on the calendar. Once its pages and the freelist hold a chain's
+// standing depth, a post and the step that fires it allocate nothing.
+func TestEngineFarPostDoesNotAllocateInSteadyState(t *testing.T) {
+	e := New()
+	hop := func(Time) {}
+	for i := 0; i < 8; i++ {
+		e.Post(Time(i+1)*10*Millisecond/8, hop)
+	}
+	step := func() {
+		e.Post(e.Now()+10*Millisecond, hop)
+		e.Step()
+	}
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	if e.CalendarPeak() == 0 {
+		t.Fatal("no post reached the calendar")
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("a far Post and a Step allocate %.2f objects/op, want 0", allocs)
+	}
+}

@@ -12,9 +12,12 @@ import (
 // heap-allocated event per At. Any correct priority queue pops a total
 // order the same way, so the live engine must match it step for step. The
 // equivalence test and the fuzz target below drive both with one script of
-// Post / Arm / Cancel / re-Arm / Step / RunUntil, heavy on timestamp ties
-// and on the removals a sift gets wrong first: the root, the last slot,
-// an event cancelling or re-arming itself from inside its own callback.
+// Post / Arm / Cancel / re-Arm / Step / RunUntil / Stop / Resume, heavy on
+// timestamp ties and on the removals a sift gets wrong first: the root, the
+// last slot, an event cancelling or re-arming itself from inside its own
+// callback. Some times lie far enough ahead for the live engine's calendar:
+// whole buckets ahead, on a bucket's exact start, on the ring's last bucket
+// and past the ring's span.
 
 type refEvent struct {
 	at       Time
@@ -58,6 +61,7 @@ type refEngine struct {
 	h         refHeap
 	seq       uint64
 	processed uint64
+	stopped   bool
 }
 
 func (e *refEngine) at(t Time, fn Callback) *refEvent {
@@ -78,7 +82,7 @@ func (e *refEngine) cancel(ev *refEvent) {
 }
 
 func (e *refEngine) step() bool {
-	if len(e.h) == 0 {
+	if e.stopped || len(e.h) == 0 {
 		return false
 	}
 	ev := heap.Pop(&e.h).(*refEvent)
@@ -89,10 +93,10 @@ func (e *refEngine) step() bool {
 }
 
 func (e *refEngine) runUntil(deadline Time) {
-	for len(e.h) > 0 && e.h[0].at <= deadline {
+	for !e.stopped && len(e.h) > 0 && e.h[0].at <= deadline {
 		e.step()
 	}
-	if e.now < deadline {
+	if e.now < deadline && !e.stopped {
 		e.now = deadline
 	}
 }
@@ -112,6 +116,8 @@ type scriptWorld interface {
 	armedAt(slot int) Time
 	step() bool
 	runUntil(t Time)
+	stop()
+	resume()
 	counts() (pending int, processed uint64)
 }
 
@@ -128,6 +134,8 @@ func (w *liveWorld) pending(slot int) bool             { return w.slots[slot].Pe
 func (w *liveWorld) armedAt(slot int) Time             { return w.slots[slot].At() }
 func (w *liveWorld) step() bool                        { return w.e.Step() }
 func (w *liveWorld) runUntil(t Time)                   { w.e.RunUntil(t) }
+func (w *liveWorld) stop()                             { w.e.Stop() }
+func (w *liveWorld) resume()                           { w.e.Resume() }
 func (w *liveWorld) counts() (int, uint64)             { return w.e.Pending(), w.e.Processed() }
 
 type refWorld struct {
@@ -146,6 +154,8 @@ func (w *refWorld) pending(slot int) bool {
 func (w *refWorld) armedAt(slot int) Time { return w.slots[slot].at }
 func (w *refWorld) step() bool            { return w.e.step() }
 func (w *refWorld) runUntil(t Time)       { w.e.runUntil(t) }
+func (w *refWorld) stop()                 { w.e.stopped = true }
+func (w *refWorld) resume()               { w.e.stopped = false }
 func (w *refWorld) counts() (int, uint64) { return len(w.e.h), w.e.processed }
 
 // scriptRun is the state one world accumulates under a script: what fired,
@@ -163,15 +173,49 @@ type scriptRun struct {
 // many events share a timestamp and the sequence number decides.
 var scriptDelays = [...]Time{0, 0, 1, 1, 1, 2, 3, 7}
 
+// farOffset moves a time from now out to the calendar's range, by k%8:
+// half the time not at all, else two buckets ahead, to the exact start of
+// the third bucket after now's, onto the ring's last bucket, or one bucket
+// past the ring's span (back on the heap). A tiny delay on top of a
+// bucket's start ties entries moved from the calendar with heap entries.
+func farOffset(now Time, k byte) Time {
+	switch k % 8 {
+	case 4:
+		return 2 << calShift
+	case 5:
+		return (now>>calShift+3)<<calShift - now
+	case 6:
+		return calRing << calShift
+	case 7:
+		return (calRing + 1) << calShift
+	}
+	return 0
+}
+
+// scriptAt is the time a script operation schedules at: a tiny delay from
+// scriptDelays, pushed out by farOffset.
+func scriptAt(now Time, delay, far byte) Time {
+	return now + scriptDelays[delay%8] + farOffset(now, far)
+}
+
+// argFar is the far offset a callback's follow-up takes from the top two
+// bits of its argument: none, two buckets, a bucket's start, or past the
+// ring.
+func argFar(arg byte) byte { return [4]byte{0, 4, 5, 7}[arg>>6] }
+
 // callback builds the body of event id. What it does besides recording
-// itself depends on act: nothing, post a follow-up, cancel a slot (its own,
-// when it was armed on that slot), or re-arm its own slot.
+// itself depends on act%4: nothing, post a follow-up, cancel a slot (its
+// own, when it was armed on that slot), or re-arm its own slot. With act&4 it then stops the engine, and
+// the script's next operation resumes it.
 func (r *scriptRun) callback(id, slot int, act, arg byte) Callback {
 	return func(now Time) {
 		r.fired = append(r.fired, fmt.Sprintf("%d@%d", id, now))
+		if act&4 != 0 {
+			defer r.w.stop()
+		}
 		switch act % 4 {
 		case 1:
-			r.post(now+scriptDelays[arg%8], 0, 0)
+			r.post(scriptAt(now, arg, argFar(arg)), 0, 0)
 		case 2:
 			target := int(arg) % scriptSlots
 			if slot >= 0 && arg&0x80 != 0 {
@@ -181,7 +225,7 @@ func (r *scriptRun) callback(id, slot int, act, arg byte) Callback {
 		case 3:
 			if slot >= 0 && r.rearms > 0 {
 				r.rearms--
-				r.arm(slot, now+scriptDelays[arg%8], arg>>3, arg)
+				r.arm(slot, scriptAt(now, arg, argFar(arg)), arg>>3, arg)
 			}
 		}
 	}
@@ -201,20 +245,24 @@ func (r *scriptRun) arm(slot int, t Time, act, arg byte) {
 	r.w.arm(slot, t, r.callback(r.nextID, slot, act, arg))
 }
 
-// apply performs one three-byte script operation.
+// apply performs one three-byte script operation: op%8 is the operation
+// and op>>3 its far offset; a holds the delay (a%8) and what a scheduled
+// callback does (a>>3); b is a slot or the callback's argument. An engine
+// a callback stopped is resumed first.
 func (r *scriptRun) apply(op, a, b byte) {
+	r.w.resume()
 	now := r.w.now()
 	switch op % 8 {
 	case 0, 1:
-		r.post(now+scriptDelays[a%8], a>>3, b)
+		r.post(scriptAt(now, a, op>>3), a>>3, b)
 	case 2, 3:
-		r.arm(int(b)%scriptSlots, now+scriptDelays[a%8], a>>3, b)
+		r.arm(int(b)%scriptSlots, scriptAt(now, a, op>>3), a>>3, b)
 	case 4:
 		r.w.cancel(int(a) % scriptSlots)
 	case 5:
 		r.w.step()
 	case 6:
-		r.w.runUntil(now + scriptDelays[a%8])
+		r.w.runUntil(scriptAt(now, a, op>>3))
 	case 7:
 		// Aimed cancels: the pending slot due first (the root, when no
 		// posted event is earlier), or the slot armed last (the heap's
@@ -260,12 +308,21 @@ func runScript(t *testing.T, script []byte) {
 		ref.apply(script[i], script[i+1], script[i+2])
 		check(i/3, fmt.Sprintf("op %d", script[i]%8))
 	}
-	// Drain: every event left must come out in the same order.
-	live.w.runUntil(live.w.now() + 1000)
-	ref.w.runUntil(ref.w.now() + 1000)
-	check(len(script)/3, "drain")
-	if p, _ := live.w.counts(); p != 0 {
-		t.Fatalf("%d events pending after the drain", p)
+	// Drain, past the ring's span and every re-arm chain: every event left
+	// must come out in the same order. Each stop a callback makes ends one
+	// pass early; only events the script scheduled and re-arms can stop.
+	for pass := 0; ; pass++ {
+		horizon := Time(live.rearms+2) * (calRing + 2) << calShift
+		live.w.resume()
+		ref.w.resume()
+		live.w.runUntil(live.w.now() + horizon)
+		ref.w.runUntil(ref.w.now() + horizon)
+		check(len(script)/3+pass, "drain")
+		if p, _ := live.w.counts(); p == 0 {
+			break
+		} else if pass > len(script)/3+64 {
+			t.Fatalf("%d events pending after the drain", p)
+		}
 	}
 }
 
@@ -290,6 +347,17 @@ func FuzzEngineScript(f *testing.F) {
 	f.Add([]byte{2, 16 + 2, 0x80, 6, 7, 0})                    // cancels itself inside its callback
 	f.Add([]byte{2, 24, 1, 6, 7, 0, 6, 7, 0})                  // re-arms itself inside its callback
 	f.Add([]byte{0, 8, 0, 0, 0, 0, 2, 0, 3, 2, 1, 3, 6, 2, 0}) // re-Arm of a pending slot among ties
+	// Calendar cases; 8·k+op is op at far offset k, 32+d a post that stops.
+	// A RunUntil deadline inside a bucket that still holds a post: an arm at
+	// its start+1 fires, the post at start+7 waits.
+	f.Add([]byte{40, 7, 0, 42, 2, 0, 46, 2, 0, 5, 0, 0})
+	// Stop and Resume mid-bucket: the post at bucket 2's start stops the
+	// run, the rest of its bucket is already on the heap, bucket 3 is not.
+	f.Add([]byte{32, 32, 0, 32, 6, 0, 32, 7, 0, 40, 0, 0, 62, 0, 0, 5, 0, 0, 6, 0, 0})
+	// A moved post tied with a heap entry and a lane entry: post, arm and
+	// post at bucket 3's exact start; the first post's follow-up takes the
+	// lane at that instant, after the arm and the second post.
+	f.Add([]byte{40, 8, 0, 42, 0, 1, 40, 0, 0, 62, 0, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*4096 {
 			script = script[:3*4096]

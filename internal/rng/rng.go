@@ -38,7 +38,7 @@ func (s *Splitter) Stream(labels ...string) *Source {
 // PCG is the bare generator behind Stream(labels...): the same seeding, so
 // it yields the same draws, without the *rand.Rand wrapper and its
 // rand.Source interface call per draw. For a hot loop that needs only
-// uniform draws (see Float64).
+// uniform draws: rand.Rand.Float64 is the draw's low 53 bits over 2^53.
 func (s *Splitter) PCG(labels ...string) *rand.PCG {
 	h := fnv.New64a()
 	for _, l := range labels {
@@ -46,12 +46,6 @@ func (s *Splitter) PCG(labels ...string) *rand.PCG {
 		h.Write([]byte{0})
 	}
 	return rand.NewPCG(s.seed, h.Sum64()|1)
-}
-
-// Float64 is rand.Rand.Float64 computed on the bare generator: a uniform
-// draw in [0, 1) equal, draw for draw, to rand.New(g).Float64().
-func Float64(g *rand.PCG) float64 {
-	return float64(g.Uint64()<<11>>11) / (1 << 53)
 }
 
 // Child derives a nested splitter, useful for per-instance namespaces.

@@ -105,9 +105,9 @@ func TestStreamPurityProperty(t *testing.T) {
 	}
 }
 
-// TestFloat64MatchesRand: Float64 on the bare generator is, draw for draw,
-// what rand.Rand.Float64 returns on the same generator, and PCG(labels) is
-// seeded exactly like Stream(labels).
+// TestFloat64MatchesRand: the draw's low 53 bits over 2^53 (Float64 on the
+// bare generator) is, draw for draw, what rand.Rand.Float64 returns on the
+// same generator, and PCG(labels) is seeded exactly like Stream(labels).
 func TestFloat64MatchesRand(t *testing.T) {
 	sp := NewSplitter(20260)
 	bare, wrapped := sp.PCG("hybrid", "sample"), sp.Stream("hybrid", "sample")

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"sort"
 
@@ -56,12 +57,31 @@ func (s *Sim) fluidResolve(now des.Time) {
 
 // sampleUsers makes a session client sample whole users, not requests: an
 // unsampled user's entire journey belongs to the fluid tier, so sampled
-// journeys keep their step-to-step correlation. One draw per spawned id on
-// the bare generator: the same values rand.Rand.Float64 gives on this
-// stream, without its interface call per draw.
+// journeys keep their step-to-step correlation.
 func (f *fluidTier) sampleUsers(sess *workload.Sessions, split *rng.Splitter) {
-	rate, g := f.SampleRate(), split.PCG("hybrid", "sample")
-	sess.SampleUser = func(int) bool { return rng.Float64(g) < rate }
+	sess.SampleRun = backgroundRun(split.PCG("hybrid", "sample"), f.SampleRate())
+}
+
+// backgroundRun samples each user id with probability rate, one draw per
+// id on g in id order, and counts a run of unsampled ids in one loop. A
+// draw is rng.Float64's k/2^53, k its low 53 bits, and k/2^53 ≥ rate
+// exactly when k ≥ ⌈rate·2^53⌉ (both sides are exact in float64), so the
+// loop decides as rng.Float64(g) >= rate would, on integers and with no
+// call per draw beyond the generator's own.
+func backgroundRun(g *rand.PCG, rate float64) func(n int) int {
+	atLeast := backgroundFrom(rate)
+	return func(n int) int {
+		run := 0
+		for run < n && g.Uint64()&(1<<53-1) >= atLeast {
+			run++
+		}
+		return run
+	}
+}
+
+// backgroundFrom is the least k whose draw k/2^53 is at or above rate.
+func backgroundFrom(rate float64) uint64 {
+	return uint64(math.Ceil(min(max(rate, 0), 1) * (1 << 53)))
 }
 
 // report fills the background section from the tier's closed books.

@@ -3,10 +3,12 @@ package sim
 import (
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"testing"
 
 	"uqsim/internal/analytic"
 	"uqsim/internal/hybrid"
+	"uqsim/internal/rng"
 )
 
 // closedRateOf solves one closed fixed point from scratch.
@@ -241,5 +243,42 @@ func TestClosedRateMemoComparesExactInputs(t *testing.T) {
 	}
 	if work.MemoHits != 1 || work.Solves != 4 {
 		t.Fatalf("three changed inputs must solve three more times: %+v", work)
+	}
+}
+
+// TestBackgroundRunMatchesFloat64Draws: the integer run-length sampler
+// decides every id as the per-id comparison it replaced, a rand.Rand
+// Float64 draw on the same generator below rate, and leaves the generator
+// at the same draw. Rates include the ends and both sides of 1; the draws
+// right at the threshold are checked on the boundary itself.
+func TestBackgroundRunMatchesFloat64Draws(t *testing.T) {
+	rates := []float64{0, 1e-9, 0.004, 0.1, 0.25, 0.5, 1 - 0x1p-53, 1, 1.5}
+	r := rand.New(rand.NewSource(3))
+	for _, rate := range rates {
+		got, want := rng.NewSplitter(9).PCG("hybrid", "sample"), rng.NewSplitter(9).PCG("hybrid", "sample")
+		run, wantR := backgroundRun(got, rate), randv2.New(want)
+		for k := 0; k < 20_000; k++ {
+			n := 1 + r.Intn(3000)
+			ref := 0
+			for ref < n && wantR.Float64() >= rate {
+				ref++
+			}
+			if g := run(n); g != ref {
+				t.Fatalf("rate %v, call %d: run %d of %d, per-id comparison %d", rate, k, g, n, ref)
+			}
+		}
+		if a, b := got.Uint64(), want.Uint64(); a != b {
+			t.Fatalf("rate %v: generators parted: next draws %#x and %#x", rate, a, b)
+		}
+	}
+	// At the boundary, which random draws never reach: the draw k/2^53 is
+	// at or above rate from backgroundFrom(rate) on, and below it before.
+	for _, rate := range []float64{0x1p-53, 0.004, 0.25, 1.0 / 3, 1 - 0x1p-53} {
+		from := backgroundFrom(rate)
+		for _, k := range []uint64{from - 1, from, from + 1} {
+			if bg := float64(k)/(1<<53) >= rate; bg != (k >= from) {
+				t.Fatalf("rate %v, k %d: float comparison %v, integer %v", rate, k, bg, k >= from)
+			}
+		}
 	}
 }

@@ -684,10 +684,11 @@ type Report struct {
 	// the fingerprint. A kind with Cancelled close to Armed is a guard that
 	// almost never fires.
 	Timers TimerWork
-	// HeapPeak and LanePeak are the event engine's high-water marks: the
-	// most events its heap held at once, and the most same-instant posts
-	// pending at once. Simulator-side, like FluidWork and Timers.
-	HeapPeak, LanePeak int
+	// HeapPeak, LanePeak and CalendarPeak are the event engine's
+	// high-water marks: the most events its heap held at once, the most
+	// same-instant posts pending at once, and the most far posts waiting on
+	// its calendar at once. Simulator-side, like FluidWork and Timers.
+	HeapPeak, LanePeak, CalendarPeak int
 }
 
 // Bucket is one terminal request bucket of a Report.
@@ -755,8 +756,9 @@ func (s *Sim) report(horizon des.Time) *Report {
 		PerTier: make(map[string]*stats.LatencyHist, len(s.tiers)),
 		Timers:  s.timers,
 
-		HeapPeak: s.eng.HeapPeak(),
-		LanePeak: s.eng.LanePeak(),
+		HeapPeak:     s.eng.HeapPeak(),
+		LanePeak:     s.eng.LanePeak(),
+		CalendarPeak: s.eng.CalendarPeak(),
 
 		SampleRate: 1,
 	}

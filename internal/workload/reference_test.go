@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"slices"
 	"testing"
 
@@ -87,10 +88,10 @@ func TestRunLengthOrderMatchesPerUserList(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess.SampleUser = func(id int) bool {
+		sess.SampleRun = perUser(func(id int) bool {
 			sampled[id] = r.Float64() < sampleP
 			return sampled[id]
-		}
+		})
 		ref := &refOrder{live: make(map[int]bool), retiring: make(map[int]bool)}
 		var retiringLive []int // marked, not yet departed
 		for step := 0; step < 400; step++ {
@@ -152,6 +153,96 @@ func TestRunLengthOrderMatchesPerUserList(t *testing.T) {
 				t.Fatalf("seed %d step %d: runs hold %d background users, counter says %d", seed, step, bg, sess.bgUsers)
 			}
 		}
+	}
+}
+
+// perUser adapts a per-id predicate, the sampler hook's form before it
+// decided runs, to SampleRun: it asks pred about ids in order from 0, once
+// each, and ends a run at the first id pred samples.
+func perUser(pred func(id int) bool) func(n int) int {
+	next := 0
+	return func(n int) int {
+		run := 0
+		for run < n && !pred(next+run) {
+			run++
+		}
+		next += min(run+1, n)
+		return run
+	}
+}
+
+// bernoulliRun is a run-length sampler: each id is sampled with
+// probability rate, one rand.Rand.Float64 draw per id on g.
+func bernoulliRun(g *randv2.PCG, rate float64) func(n int) int {
+	r := randv2.New(g)
+	return func(n int) int {
+		run := 0
+		for run < n && r.Float64() >= rate {
+			run++
+		}
+		return run
+	}
+}
+
+// TestSampleRunMatchesPerUserSampler drives population control through a
+// flash crowd twice from one seed: once with the run-length sampler, once
+// with the per-id predicate it replaced. Both must sample the same ids in
+// the same order, keep the same populations, and leave the generator at
+// the same draw.
+func TestSampleRunMatchesPerUserSampler(t *testing.T) {
+	const users, crowd, rate = 100_000, 50_000, 0.004
+	cfg := validSessionConfig()
+	cfg.Users = users
+	cfg.Crowds = []FlashCrowd{{At: 200 * des.Millisecond, Extra: crowd,
+		RampUp: 300 * des.Millisecond, Hold: 200 * des.Millisecond, RampDown: 300 * des.Millisecond}}
+	type side struct {
+		eng     *des.Engine
+		sess    *Sessions
+		g       *randv2.PCG
+		sampled []int
+	}
+	build := func(perID bool) *side {
+		sd := &side{eng: des.New(), g: rng.NewSplitter(7).PCG("hybrid", "sample")}
+		var err error
+		sd.sess, err = NewSessions(sd.eng, rng.NewSplitter(7).Child("sessions"), cfg, func(now des.Time, user, _ int) {
+			sd.eng.Post(now+des.Millisecond, func(t des.Time) { sd.sess.Done(t, user) })
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hook := bernoulliRun(sd.g, rate)
+		if perID {
+			r := randv2.New(sd.g)
+			hook = perUser(func(int) bool { return r.Float64() < rate })
+		}
+		sd.sess.SampleRun = func(n int) int {
+			run := hook(n)
+			if run < n {
+				sd.sampled = append(sd.sampled, sd.sess.nextID+run)
+			}
+			return run
+		}
+		sd.sess.Start(0)
+		return sd
+	}
+	runs, ids := build(false), build(true)
+	for now := des.Time(0); now <= 1500*des.Millisecond; now += 50 * des.Millisecond {
+		runs.eng.RunUntil(now)
+		ids.eng.RunUntil(now)
+		if !slices.Equal(runs.sampled, ids.sampled) {
+			t.Fatalf("at %v: run-length sampler chose %d ids, per-id sampler %d", now, len(runs.sampled), len(ids.sampled))
+		}
+		if runs.sess.SimulatedUsers() != ids.sess.SimulatedUsers() || runs.sess.BackgroundUsers() != ids.sess.BackgroundUsers() {
+			t.Fatalf("at %v: %d simulated + %d background users, per-id sampler %d + %d", now,
+				runs.sess.SimulatedUsers(), runs.sess.BackgroundUsers(), ids.sess.SimulatedUsers(), ids.sess.BackgroundUsers())
+		}
+	}
+	if len(runs.sampled) < 300 || runs.sess.nextID < users+crowd {
+		t.Fatalf("%d ids sampled of %d spawned; the crowd should spawn %d users and sample about 0.4 %%",
+			len(runs.sampled), runs.sess.nextID, users+crowd)
+	}
+	if a, b := runs.g.Uint64(), ids.g.Uint64(); a != b {
+		t.Fatalf("generators parted: next draws %#x and %#x", a, b)
 	}
 }
 
@@ -219,7 +310,7 @@ func randomEnvelope(r *rand.Rand) SessionConfig {
 // FuzzSessionsPopulation drives Sessions and the per-user reference
 // controller through the same random envelope, sampler answers, request
 // completions and departures, one poll tick at a time. After every tick
-// both must have asked SampleUser about the same ids in the same order,
+// both must have asked the sampler about the same ids in the same order,
 // hold the same background, simulated and pending-retirement counts, and
 // mark the same users as retiring.
 func FuzzSessionsPopulation(f *testing.F) {
@@ -250,7 +341,7 @@ func FuzzSessionsPopulation(f *testing.F) {
 		ref := &refPopulation{cfg: cfg, order: &refOrder{live: make(map[int]bool), retiring: make(map[int]bool)}}
 		ref.sample = func(id int) bool { return true }
 		if p >= 0 {
-			sess.SampleUser = func(id int) bool { got = append(got, id); return answer(id) }
+			sess.SampleRun = perUser(func(id int) bool { got = append(got, id); return answer(id) })
 			ref.sample = func(id int) bool { want = append(want, id); return answer(id) }
 		}
 		for k := 0; k <= int(ticks%400); k++ {
@@ -283,7 +374,7 @@ func FuzzSessionsPopulation(f *testing.F) {
 			sess.adjust(now)
 			ref.adjust(now)
 			if !slices.Equal(got, want) {
-				t.Fatalf("tick %d: SampleUser asked about %d ids, reference %d (first ids %v vs %v)",
+				t.Fatalf("tick %d: the sampler was asked about %d ids, reference %d (first ids %v vs %v)",
 					k, len(got), len(want), got[:min(len(got), 8)], want[:min(len(want), 8)])
 			}
 			if sess.BackgroundUsers() != ref.order.bgUsers || sess.SimulatedUsers() != len(ref.order.live) ||
@@ -318,8 +409,7 @@ func TestSessionsRetireWorkPerUserRetired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := rng.NewSplitter(7).PCG("hybrid", "sample")
-	sess.SampleUser = func(int) bool { return rng.Float64(g) < float64(foreground)/users }
+	sess.SampleRun = bernoulliRun(rng.NewSplitter(7).PCG("hybrid", "sample"), float64(foreground)/users)
 	type retiree struct {
 		departAt des.Time
 		id       int

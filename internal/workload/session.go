@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"uqsim/internal/des"
 	"uqsim/internal/dist"
@@ -92,7 +93,7 @@ func (c *SessionConfig) Validate() error {
 		return fmt.Errorf("workload: sessions need at least one journey")
 	}
 	totalW := 0.0
-	for i, j := range c.Journeys {
+	for _, j := range c.Journeys {
 		if j.Weight < 0 || math.IsNaN(j.Weight) || math.IsInf(j.Weight, 0) {
 			return fmt.Errorf("workload: journey %q weight must be finite and >= 0, got %v", j.Name, j.Weight)
 		}
@@ -110,7 +111,6 @@ func (c *SessionConfig) Validate() error {
 				}
 			}
 		}
-		_ = i
 	}
 	if totalW <= 0 {
 		return fmt.Errorf("workload: journey weights sum to %v; at least one must be positive", totalW)
@@ -277,12 +277,14 @@ type Sessions struct {
 	// Emit issues one request for user on the given topology tree.
 	// Required.
 	Emit func(now des.Time, user, tree int)
-	// SampleUser, when non-nil, decides at spawn whether a user runs at
-	// full DES fidelity. Unsampled users never Emit — the hybrid fluid
-	// tier carries their load analytically — but still count toward the
-	// population. It is called exactly once per user id, in id order.
-	// nil: every user is simulated.
-	SampleUser func(user int) bool
+	// SampleRun, when non-nil, decides at spawn which users run at full
+	// DES fidelity, a run at a time: given the next n user ids, it reports
+	// how many of them come before the first sampled one, n when none is.
+	// The id after a shorter run is the sampled one, so every id is
+	// decided once, in id order. Unsampled users never Emit — the hybrid
+	// fluid tier carries their load analytically — but still count toward
+	// the population. nil: every user is simulated.
+	SampleRun func(n int) int
 
 	cfg   SessionConfig
 	eng   *des.Engine
@@ -407,16 +409,13 @@ func (s *Sessions) adjust(now des.Time) {
 	}
 }
 
-// spawn adds n users with the next n ids. SampleUser decides each id in id
-// order, once; a run of background ids costs one sampler call each and
-// is recorded with one count, and only a sampled id becomes a user.
+// spawn adds n users with the next n ids. SampleRun decides them a run at
+// a time; a run of background ids costs one call and is recorded with one
+// count, and only a sampled id becomes a user.
 func (s *Sessions) spawn(now des.Time, n int) {
 	for n > 0 {
-		if s.SampleUser != nil {
-			run := 0
-			for run < n && !s.SampleUser(s.nextID+run) {
-				run++
-			}
+		if s.SampleRun != nil {
+			run := s.SampleRun(n)
 			s.nextID += run
 			s.bgUsers += run
 			s.order[len(s.order)-1].bgAfter += run
@@ -434,7 +433,7 @@ func (s *Sessions) spawn(now des.Time, n int) {
 // spawnSim starts simulated user id: its own stream, a first journey, and
 // its first request after the first think time.
 func (s *Sessions) spawnSim(now des.Time, id int) {
-	u := &sessionUser{r: s.split.Stream("user", fmt.Sprint(id))}
+	u := &sessionUser{r: s.split.Stream("user", strconv.Itoa(id))}
 	u.wake = func(t des.Time) { s.issue(t, id, u) }
 	u.journey = s.pickJourney(u.r)
 	u.step = 0

@@ -215,7 +215,7 @@ func TestSessionsDeterminism(t *testing.T) {
 }
 
 // TestSessionsSampling: unsampled users never emit but count toward the
-// population; sampled users do. SampleUser is called once per spawned id.
+// population; sampled users do. The sampler decides each spawned id once.
 func TestSessionsSampling(t *testing.T) {
 	eng := des.New()
 	cfg := validSessionConfig()
@@ -229,11 +229,11 @@ func TestSessionsSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	sampled := map[int]bool{}
-	sess.SampleUser = func(user int) bool {
+	sess.SampleRun = perUser(func(user int) bool {
 		s := user%3 == 0 // 4 of ids 0..9
 		sampled[user] = s
 		return s
-	}
+	})
 	sess.Start(0)
 	eng.RunUntil(100 * des.Millisecond)
 	if sess.ActiveUsers() != 10 {
@@ -243,7 +243,7 @@ func TestSessionsSampling(t *testing.T) {
 		t.Fatalf("sim=%d bg=%d, want 4/6", sess.SimulatedUsers(), sess.BackgroundUsers())
 	}
 	if len(sampled) != 10 {
-		t.Fatalf("SampleUser called for %d ids, want 10", len(sampled))
+		t.Fatalf("the sampler decided %d ids, want 10", len(sampled))
 	}
 }
 
@@ -416,7 +416,7 @@ func TestSessionsDepartureWorkBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Foreground users are spread through the spawn order, one in 2500.
-	sess.SampleUser = func(id int) bool { return id%(users/foreground) == 0 }
+	sess.SampleRun = perUser(func(id int) bool { return id%(users/foreground) == 0 })
 	sess.Start(0)
 	eng.RunUntil(50 * des.Millisecond)
 	if got := sess.SimulatedUsers(); got != foreground {
