@@ -82,12 +82,64 @@ func ErlangC(k int, a float64) float64 {
 	// B(0)=1; B(j)=a·B(j−1)/(j+a·B(j−1)) is Erlang-B; then
 	// C = k·B /(k − a(1−B)).
 	// Once b underflows to exactly 0 it stays 0, so the rest of the
-	// recurrence is skipped.
+	// recurrence is skipped; once it is subnormal, erlangBTail finishes it.
 	b := 1.0
 	for j := 1; j <= k && b != 0; j++ {
-		b = a * b / (float64(j) + a*b)
+		ab := a * b
+		if b < 0x1p-1022 && ab < 0x1p-1022 && float64(j) > a {
+			b = erlangBTail(a, b, j, k)
+			break
+		}
+		b = ab / (float64(j) + ab)
 	}
 	return float64(k) * b / (float64(k) - a*(1-b))
+}
+
+// erlangBTail runs the Erlang-B recurrence from step j to k in integers,
+// bit for bit as the float loop would, once b and a·b are subnormal and
+// j > a. Then b = m·2^-1074 with m < 2^52 and a step is subnormalStep.
+// Since j > a, m never grows, so every later step stays in that range. x86
+// takes a microcode assist on each subnormal operand, which made this tail
+// most of a call at the hybrid tier's operating points.
+func erlangBTail(a, b float64, j, k int) float64 {
+	m := math.Float64bits(b) // b is subnormal: its bits are m
+	for ; j <= k && m != 0; j++ {
+		m = subnormalStep(a, m, uint64(j))
+	}
+	return math.Float64frombits(m)
+}
+
+// subnormalStep is the step b ← a·b/(j + a·b) on b = m·2^-1074 with a·b
+// subnormal: a·b rounds to rne(a·m)·2^-1074, j plus that rounds to j, and
+// the quotient rounds to rne(rne(a·m)/j)·2^-1074, rne rounding to the
+// nearest integer, ties to even.
+func subnormalStep(a float64, m, j uint64) uint64 {
+	n := rneMul(a, m)
+	q, r := n/j, n%j
+	if 2*r > j || 2*r == j && q&1 == 1 {
+		q++
+	}
+	return q
+}
+
+// rneMul is a·m rounded to the nearest integer, ties to even, for a·m
+// below 2^52. The float product p is off the exact one by the residual
+// FMA returns, under half an ulp of p, and ulp(p) ≤ 1/2 is a divisor of
+// 1/2: so the product's fraction is on the same side of 1/2 as p's unless
+// p's is exactly 1/2, where the residual's sign decides.
+func rneMul(a float64, m uint64) uint64 {
+	x := float64(m)
+	p := a * x
+	f := math.Floor(p)
+	n := uint64(f)
+	if c := p - f; c > 0.5 {
+		n++
+	} else if c == 0.5 {
+		if r := math.FMA(a, x, -p); r > 0 || r == 0 && n&1 == 1 {
+			n++
+		}
+	}
+	return n
 }
 
 // MMkMeanWait is the mean queueing delay (excluding service) of M/M/k:

@@ -3,6 +3,8 @@ package des
 import (
 	"fmt"
 	"sync/atomic"
+
+	"uqsim/internal/slab"
 )
 
 // Callback is the body of a scheduled event. It receives the virtual time at
@@ -43,12 +45,12 @@ func (e *Event) before(o *Event) bool {
 // Construct with New. Engines are not safe for concurrent use: all
 // scheduling must happen from event callbacks or before Run.
 type Engine struct {
-	now  Time
-	h    []*Event    // the event heap; see queue.go
-	lane []laneEntry // posts at the current instant, lane[head:] pending; see queue.go
-	head int
-	seq  uint64
-	free []*Event // posted events that fired, reused by Post
+	now    Time
+	h      []*Event    // the event heap; see queue.go
+	lane   []laneEntry // posts at the current instant, lane[head:] pending; see queue.go
+	head   int
+	seq    uint64
+	events slab.Slab[Event] // posted events, recycled as they fire
 	// stopped is atomic so an external watchdog (signal handler, wall-clock
 	// guard) may call Stop while Run spins on another goroutine. Everything
 	// else on the engine remains single-threaded.
@@ -135,14 +137,11 @@ func (e *Engine) Post(t Time, fn Callback) {
 	e.push(e.pooled(), t, fn)
 }
 
-// pooled takes a fire-and-forget event from the freelist.
+// pooled takes a fire-and-forget event from the engine's slab.
 func (e *Engine) pooled() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &Event{pooled: true}
+	ev := e.events.Get()
+	ev.pooled = true
+	return ev
 }
 
 func (e *Engine) check(t Time, fn Callback) {
@@ -167,7 +166,7 @@ func (e *Engine) Cancel(ev *Event) {
 
 // Step fires the single earliest pending event. It reports false when the
 // queue is empty or the engine has been stopped. A posted event's storage
-// is already back on the freelist, and an armed event may be armed again,
+// is already back on the slab, and an armed event may be armed again,
 // when the callback runs.
 func (e *Engine) Step() bool {
 	if e.stopped.Load() {
@@ -189,7 +188,7 @@ func (e *Engine) Step() bool {
 	at, fn := ev.at, ev.fn
 	if ev.pooled {
 		ev.fn = nil
-		e.free = append(e.free, ev)
+		e.events.Put(ev)
 	}
 	e.now = at
 	e.processed++

@@ -1,7 +1,7 @@
 package des
 
 // The engine's event heap. Post draws fire-and-forget events from the
-// engine's freelist and Step takes them back as they pop; Arm queues an
+// engine's slab and Step gives them back as they pop; Arm queues an
 // event the caller owns. Neither allocates in steady state. The heap is
 // 4-ary over event pointers with the comparison written out, and sifts by
 // moving a hole: against container/heap that halves a hold-model step at

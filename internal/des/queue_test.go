@@ -12,6 +12,12 @@ func TestEventQueueOrderAndRecycle(t *testing.T) {
 	e.Post(10, rec(0))
 	e.Post(10, rec(1)) // same time: scheduling order breaks the tie
 	e.Arm(&owned, 40, rec(3))
+	posted := make(map[*Event]bool)
+	for _, ev := range e.h {
+		if ev != &owned {
+			posted[ev] = true
+		}
+	}
 
 	var prev Time
 	for e.Step() {
@@ -25,15 +31,24 @@ func TestEventQueueOrderAndRecycle(t *testing.T) {
 			t.Fatalf("fire order %v, want 0..3", got)
 		}
 	}
-	if len(e.free) != 3 {
-		t.Fatalf("freelist has %d events, want 3 (a caller-owned event must not be recycled)", len(e.free))
-	}
 
-	// Posting must reuse freelist storage, arming must not touch it.
+	// Posting must reuse the fired posts' storage, and a caller-owned
+	// event is never recycled: three posts take the three fired events,
+	// a fourth a new one.
 	e.Arm(&owned, 45, rec(5))
-	e.Post(50, rec(4))
-	if len(e.free) != 2 {
-		t.Fatalf("freelist has %d events after one Post and one Arm, want 2", len(e.free))
+	for i := range 4 {
+		e.Post(Time(50+i), rec(4))
+	}
+	reused := 0
+	for _, ev := range e.h {
+		if posted[ev] {
+			reused++
+		} else if ev != &owned && !ev.pooled {
+			t.Fatalf("event at %v is neither the owned one nor posted", ev.at)
+		}
+	}
+	if reused != 3 || len(e.h) != 5 {
+		t.Fatalf("%d of %d queued events reuse a fired post, want 3 of 5", reused, len(e.h))
 	}
 }
 

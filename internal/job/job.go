@@ -8,6 +8,7 @@ package job
 
 import (
 	"uqsim/internal/des"
+	"uqsim/internal/slab"
 )
 
 // ID identifies requests and jobs uniquely within a run.
@@ -230,14 +231,14 @@ type Job struct {
 }
 
 // Factory allocates request and job IDs and recycles the storage of freed
-// jobs. IDs are never reused; storage is. The freelist holds exactly what
-// has been freed, so it is bounded by the peak number of live jobs. Request
-// storage belongs to the issuing layer, which recycles it through
-// InitRequest.
+// jobs. IDs are never reused; storage is. Jobs come from a slab that holds
+// exactly what has been freed, so it is bounded by the peak number of live
+// jobs. Request storage belongs to the issuing layer, which recycles it
+// through InitRequest.
 type Factory struct {
-	nextReq  ID
-	nextJob  ID
-	freeJobs []*Job
+	nextReq ID
+	nextJob ID
+	jobs    slab.Slab[Job]
 }
 
 // NewFactory returns an ID factory starting at 1 (0 is reserved "no id").
@@ -255,22 +256,18 @@ func (f *Factory) NewRequest(arrival des.Time) *Request {
 // but Owner, which goes with the storage, and the per-tier storage, kept
 // cleared.
 func (f *Factory) InitRequest(r *Request, arrival des.Time) {
-	clear(r.tiers)
-	*r = Request{ID: f.nextReq, Arrival: arrival, Owner: r.Owner, tiers: r.tiers}
+	owner, tiers := r.Owner, r.tiers
+	clear(tiers)
+	*r = Request{} // zeroed in place; a literal reading r's own fields is built aside and copied back
+	r.ID, r.Arrival, r.Owner, r.tiers = f.nextReq, arrival, owner, tiers
 	f.nextReq++
 }
 
 // NewJob creates a job belonging to req, overwriting every field of
 // recycled storage.
 func (f *Factory) NewJob(req *Request) *Job {
-	var j *Job
-	if n := len(f.freeJobs); n > 0 {
-		j = f.freeJobs[n-1]
-		f.freeJobs = f.freeJobs[:n-1]
-		*j = Job{}
-	} else {
-		j = &Job{}
-	}
+	j := f.jobs.Get()
+	*j = Job{}
 	j.ID = f.nextJob
 	j.Req = req
 	f.nextJob++
@@ -297,5 +294,5 @@ func (f *Factory) FreeJob(j *Job) {
 	if j.Req != nil {
 		j.Req.jobs--
 	}
-	f.freeJobs = append(f.freeJobs, j)
+	f.jobs.Put(j)
 }

@@ -6,8 +6,8 @@
 package rng
 
 import (
-	"hash/fnv"
 	"math/rand/v2"
+	"strconv"
 )
 
 // Source is a deterministic random stream. It is a thin alias over
@@ -40,20 +40,41 @@ func (s *Splitter) Stream(labels ...string) *Source {
 // rand.Source interface call per draw. For a hot loop that needs only
 // uniform draws: rand.Rand.Float64 is the draw's low 53 bits over 2^53.
 func (s *Splitter) PCG(labels ...string) *rand.PCG {
-	h := fnv.New64a()
-	for _, l := range labels {
-		h.Write([]byte(l))
-		h.Write([]byte{0})
-	}
-	return rand.NewPCG(s.seed, h.Sum64()|1)
+	return rand.NewPCG(s.seed, hashLabels(labels)|1)
+}
+
+// SeedPCG reseeds g as the generator of Stream(label, strconv.Itoa(i)),
+// hashing i's digits from a stack buffer: it allocates nothing, so a record
+// can own its generator and reseed it each time it is reused.
+func (s *Splitter) SeedPCG(g *rand.PCG, label string, i int) {
+	var digits [20]byte
+	g.Seed(s.seed, fold(fold(fnvOffset, label), strconv.AppendInt(digits[:0], int64(i), 10))|1)
 }
 
 // Child derives a nested splitter, useful for per-instance namespaces.
 func (s *Splitter) Child(labels ...string) *Splitter {
-	h := fnv.New64a()
+	return &Splitter{seed: s.seed ^ hashLabels(labels)}
+}
+
+// FNV-1a, 64-bit (hash/fnv's New64a), over the labels each followed by a
+// zero byte.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func hashLabels(labels []string) uint64 {
+	h := uint64(fnvOffset)
 	for _, l := range labels {
-		h.Write([]byte(l))
-		h.Write([]byte{0})
+		h = fold(h, l)
 	}
-	return &Splitter{seed: s.seed ^ h.Sum64()}
+	return h
+}
+
+// fold hashes one label and its zero terminator into h.
+func fold[S string | []byte](h uint64, l S) uint64 {
+	for i := 0; i < len(l); i++ {
+		h = (h ^ uint64(l[i])) * fnvPrime
+	}
+	return h * fnvPrime // h ^ 0
 }

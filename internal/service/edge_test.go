@@ -95,7 +95,7 @@ func TestFrequencyChangeMidRunAffectsNewWork(t *testing.T) {
 	eng := des.New()
 	mach := cluster.NewMachine("m0", 2, cluster.DefaultFreqSpec)
 	alloc, _ := mach.Allocate("svc", 1)
-	in, err := NewInstance(eng, SingleStage("svc", dist.NewDeterministic(1000)), "svc-0", alloc, rng.New(1))
+	in, err := NewInstance(eng, SingleStage("svc", dist.NewDeterministic(1000)), "svc-0", alloc, rng.New(1), new(RunPool))
 	if err != nil {
 		t.Fatal(err)
 	}

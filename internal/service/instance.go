@@ -10,6 +10,7 @@ import (
 	"uqsim/internal/job"
 	"uqsim/internal/queueing"
 	"uqsim/internal/rng"
+	"uqsim/internal/slab"
 )
 
 // Instance is one deployed copy of a microservice blueprint, pinned to a
@@ -43,10 +44,11 @@ type Instance struct {
 	pumpPending bool
 	pumpFn      des.Callback
 
-	// freeRuns recycles stage-execution records; one is the single-job pop
-	// buffer of the threaded model.
-	freeRuns []*stageRun
-	one      [1]*job.Job
+	// runs recycles stage-execution records, shared with every instance
+	// of the simulation; one is the single-job pop buffer of the threaded
+	// model.
+	runs *RunPool
+	one  [1]*job.Job
 
 	// Fault state: down marks a killed instance; epoch invalidates
 	// completion events scheduled before the kill (their callbacks see a
@@ -109,8 +111,9 @@ type Instance struct {
 }
 
 // NewInstance deploys bp as name on the given allocation and engine, with a
-// dedicated random stream. The blueprint must validate.
-func NewInstance(eng *des.Engine, bp *Blueprint, name string, alloc *cluster.Allocation, r *rng.Source) (*Instance, error) {
+// dedicated random stream, taking its stage runs from runs, the pool every
+// instance on the engine shares. The blueprint must validate.
+func NewInstance(eng *des.Engine, bp *Blueprint, name string, alloc *cluster.Allocation, r *rng.Source, runs *RunPool) (*Instance, error) {
 	if err := bp.Validate(); err != nil {
 		return nil, err
 	}
@@ -123,6 +126,7 @@ func NewInstance(eng *des.Engine, bp *Blueprint, name string, alloc *cluster.All
 		Alloc: alloc,
 		eng:   eng,
 		r:     r,
+		runs:  runs,
 	}
 	in.pumpFn = in.pump
 	in.queues = make([]queueing.Queue, len(bp.Stages))
@@ -333,8 +337,9 @@ func (in *Instance) popOrdered(now des.Time, q queueing.Queue, max int, buf []*j
 
 // stageRun is one stage execution in progress: the batch holding a core or
 // a pool unit until its completion event fires. Runs are recycled through
-// the instance's freelist; each owns its batch buffer and binds its
-// completion callback once, so dispatching a stage allocates nothing.
+// a RunPool; each owns its batch buffer, which starts on an inline slot,
+// and binds its completion callback once, so dispatching a stage allocates
+// nothing.
 type stageRun struct {
 	in    *Instance
 	batch []*job.Job
@@ -343,23 +348,28 @@ type stageRun struct {
 	// completion means a kill invalidated the run and its work is lost.
 	epoch uint64
 	pool  *cluster.Pool // the pool unit held (nil: the run holds a core)
-	done  des.Callback  // complete, bound at creation
+	done  des.Callback  // complete, bound when the record is carved
+	one   [1]*job.Job   // the batch's first backing array
 }
 
+// RunPool recycles stage runs. One pool serves every instance of a
+// simulation, so the records it holds follow the stages running at once,
+// not the number of instances. The zero value is ready.
+type RunPool struct{ slab.Slab[stageRun] }
+
 func (in *Instance) newRun() *stageRun {
-	if n := len(in.freeRuns); n > 0 {
-		r := in.freeRuns[n-1]
-		in.freeRuns = in.freeRuns[:n-1]
-		return r
+	r := in.runs.Get()
+	if r.done == nil { // fresh from the slab
+		r.done = r.complete
+		r.batch = r.one[:0]
 	}
-	r := &stageRun{in: in}
-	r.done = r.complete
+	r.in = in
 	return r
 }
 
 func (in *Instance) freeRun(r *stageRun) {
 	r.batch = r.batch[:0]
-	in.freeRuns = append(in.freeRuns, r)
+	in.runs.Put(r)
 }
 
 // start occupies one unit of pool (e.g. a disk spindle) — or, when pool is

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"uqsim/internal/cluster"
@@ -35,7 +36,7 @@ func (h *harness) deploy(t *testing.T, bp *Blueprint, cores int) *Instance {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewInstance(h.eng, bp, bp.Name+"-0", alloc, rng.New(7))
+	in, err := NewInstance(h.eng, bp, bp.Name+"-0", alloc, rng.New(7), new(RunPool))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestFrequencyScaling(t *testing.T) {
 	eng := des.New()
 	mach := cluster.NewMachine("m0", 2, cluster.DefaultFreqSpec)
 	alloc, _ := mach.Allocate("svc", 1)
-	in, err := NewInstance(eng, singleStageBP("svc", 1000), "svc-0", alloc, rng.New(1))
+	in, err := NewInstance(eng, singleStageBP("svc", 1000), "svc-0", alloc, rng.New(1), new(RunPool))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,5 +567,53 @@ func TestUtilizationZeroTime(t *testing.T) {
 	in := h.deploy(t, singleStageBP("svc", 10), 1)
 	if in.Utilization(0) != 0 {
 		t.Fatal("zero-time utilization should be 0")
+	}
+}
+
+// TestSharedRunPoolHoldsOneRecord: instances that share a RunPool and
+// serve jobs one after another reuse one stage-run record between them,
+// and a FIFO that holds one job at a time lives on its inline slot, so
+// serving a job on each of n instances allocates the same whatever n is.
+func TestSharedRunPoolHoldsOneRecord(t *testing.T) {
+	serve := func(n int) uint64 {
+		eng := des.New()
+		mach := cluster.NewMachine("m0", n, cluster.FreqSpec{})
+		fac := job.NewFactory()
+		runs := new(RunPool)
+		ins := make([]*Instance, n)
+		for i := range ins {
+			alloc, err := mach.Allocate(fmt.Sprintf("svc%d", i), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ins[i], err = NewInstance(eng, singleStageBP("svc", 1000), fmt.Sprintf("svc-%d", i), alloc, rng.New(1), runs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		served := 0
+		for i, in := range ins {
+			in.OnJobDone = func(now des.Time, j *job.Job) {
+				served++
+				if i+1 < n {
+					ins[i+1].Enqueue(now, j) // the next instance serves it once this one is done
+				}
+			}
+		}
+		j := fac.NewJob(fac.NewRequest(0))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ins[0].Enqueue(0, j)
+		for eng.Step() {
+		}
+		runtime.ReadMemStats(&after)
+		if served != n {
+			t.Fatalf("%d instances served the job %d times", n, served)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	one, many := serve(1), serve(256)
+	t.Logf("serving on 1 instance: %d mallocs; on 256: %d", one, many)
+	if many > one {
+		t.Fatalf("serving one job on each of 256 instances made %d mallocs, on one instance %d: runs or queues are per instance", many, one)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"uqsim/internal/cluster"
@@ -301,14 +302,21 @@ func runRandom(t *testing.T, seed int64, build func(*testing.T, int64) *Sim, wit
 		t.Fatalf("seed %d: the drain after Run changed the report\n at Run: %s\n drained: %s", seed, fp, after)
 	}
 	if !s.poisonReleased {
-		for _, st := range s.freeStates {
+		// The slab hands back its spare blocks first: one per block a
+		// request terminated in, each once, before it carves a new one.
+		for n := len(blocks); n > 0; n-- {
+			st := s.states.Get()
 			if !blocks[st] {
-				t.Fatalf("seed %d: request block %p is on the free list twice, or was never handed out", seed, st)
+				t.Fatalf("seed %d: request block %p is on the slab twice, or was never handed out, or %d blocks never came back",
+					seed, st, n)
 			}
 			delete(blocks, st)
 		}
-		if len(blocks) > 0 {
-			t.Fatalf("seed %d: %d request blocks never came back to the free list", seed, len(blocks))
+		// A block released twice leaves one spare too many, wherever
+		// the copy sits: the next take must be carved fresh, and only a
+		// recycled block has its Owner set.
+		if st := s.states.Get(); st.Owner != nil {
+			t.Fatalf("seed %d: request block %p is on the slab twice", seed, st)
 		}
 	}
 	events := s.Engine().Processed()
@@ -340,14 +348,27 @@ func TestRandomTopologyGoldens(t *testing.T) {
 // run off its fingerprint; and because the poisoned run recycles nothing,
 // matching it also shows that recycled storage carries no state into its
 // next life.
+//
+// Request blocks, calls and hedge races are carved from slabs, a poisoned
+// record beside live ones in the same array. After a poisoned run every
+// record those slabs hand out is new and zeroed: no poisoned record went
+// back, and poisoning one wrote nothing into its neighbours.
 func TestPoisonedReleaseChangesNothing(t *testing.T) {
-	poison := func(s *Sim) { s.poisonReleased = true }
+	var poisoned *Sim
+	poison := func(s *Sim) { s.poisonReleased, poisoned = true, s }
 	for _, suite := range randomSuites {
 		for seed := int64(1); seed <= suite.seeds; seed++ {
 			want := runRandom(t, seed, suite.build, suite.with, nil)
 			if got := runRandom(t, seed, suite.build, suite.with, poison); got != want {
 				t.Fatalf("%s seed %d: poisoning released objects changed the run\n pooled:   %s\n poisoned: %s",
 					suite.name, seed, want, got)
+			}
+			for i := 0; i < 64; i++ {
+				for _, r := range []any{*poisoned.states.Get(), *poisoned.calls.Get(), *poisoned.ops.Get()} {
+					if !reflect.ValueOf(r).IsZero() {
+						t.Fatalf("%s seed %d: the slab handed out a used record after a poisoned run: %+v", suite.name, seed, r)
+					}
+				}
 			}
 		}
 	}

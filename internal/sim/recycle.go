@@ -43,18 +43,17 @@ import (
 // ID.
 
 // newReqState readies a block for a freshly admitted request, reusing
-// recycled storage and its slices.
+// recycled storage and its slices. A recycled block is reset in place:
+// InitRequest resets its request once, and the rest is rewritten here or
+// needs no reset (its timers left the queue and its calls its list before
+// releaseRequest, and trackLive sets its slot).
 func (s *Sim) newReqState(tree *graph.Tree, now des.Time, user int) *reqState {
-	st := pop(&s.freeStates)
-	if st != nil {
-		*st = reqState{Request: st.Request, arrived: st.arrived, tokens: st.tokens[:0], calls: st.calls,
-			onDeadline: st.onDeadline, onClientTO: st.onClientTO}
-	} else {
-		st = &reqState{}
+	st := s.states.Get()
+	if st.Owner == nil { // fresh from the slab
 		st.Owner = st
 	}
 	s.fac.InitRequest(&st.Request, now)
-	st.tree, st.user = tree, user
+	st.tree, st.user, st.tokens = tree, user, st.tokens[:0]
 	if n := len(tree.Nodes); cap(st.arrived) >= n {
 		st.arrived = st.arrived[:n]
 		clear(st.arrived)
@@ -95,7 +94,7 @@ func (s *Sim) releaseRequest(st *reqState) {
 			user: -1 << 40, slot: 1 << 30}
 		return
 	}
-	s.freeStates = append(s.freeStates, st)
+	s.states.Put(st)
 }
 
 // arm queues a request-path timer of kind k on the event its record embeds;
@@ -112,23 +111,11 @@ func (s *Sim) disarm(ev *des.Event, k TimerKind) {
 	}
 }
 
-// pop takes the last record off a free list; nil when the list is empty.
-func pop[T any](free *[]*T) *T {
-	n := len(*free)
-	if n == 0 {
-		return nil
-	}
-	v := (*free)[n-1]
-	*free = (*free)[:n-1]
-	return v
-}
-
 // newCall readies the record of one dispatch over a guarded edge and puts
 // it on its request's list. Callbacks are bound once, with fresh storage.
 func (s *Sim) newCall(st *reqState, nodeID, conn int, src *cluster.Machine, attempt int, pr *policyRuntime) *call {
-	c := pop(&s.freeCalls)
-	if c == nil {
-		c = &call{}
+	c := s.calls.Get()
+	if c.onTimeout == nil { // fresh from the slab
 		c.onTimeout = func(t des.Time) { s.onAttemptTimeout(t, c) }
 		c.onBackoff = func(t des.Time) { s.onBackoff(t, c) }
 	}
@@ -164,14 +151,13 @@ func (s *Sim) releaseCall(c *call) {
 		*c = call{st: &reqState{Request: job.Request{ID: ^job.ID(0), Class: -1}}, j: &job.Job{ID: ^job.ID(0)}, slot: 1 << 40, attempt: -1 << 40}
 		return
 	}
-	s.freeCalls = append(s.freeCalls, c) // newCall and issue rewrite every field
+	s.calls.Put(c) // newCall and issue rewrite every field
 }
 
 // newHedgeOp readies the race record of primary attempt c.
 func (s *Sim) newHedgeOp(c *call) *hedgeOp {
-	op := pop(&s.freeOps)
-	if op == nil {
-		op = &hedgeOp{}
+	op := s.ops.Get()
+	if op.onTimer == nil { // fresh from the slab
 		op.onTimer = func(t des.Time) { s.onHedgeTimer(t, op) }
 	}
 	op.primary, c.op = c, op
@@ -202,7 +188,7 @@ func (s *Sim) leaveRace(c *call) {
 		return
 	}
 	*op = hedgeOp{onTimer: op.onTimer}
-	s.freeOps = append(s.freeOps, op)
+	s.ops.Put(op)
 }
 
 // hop is a delivery waiting out a delay: injected edge latency or a fluid-tier
@@ -218,12 +204,11 @@ type hop struct {
 
 // newHop readies a hop; its callback releases it before the delivery goes on.
 func (s *Sim) newHop(j *job.Job, dep *Deployment, in *service.Instance, src *cluster.Machine, routed bool) *hop {
-	h := pop(&s.freeHops)
-	if h == nil {
-		h = &hop{}
+	h := s.hops.Get()
+	if h.resume == nil { // fresh from the slab
 		h.resume = func(t des.Time) {
 			j, dep, in, src, routed := h.j, h.dep, h.in, h.src, h.routed
-			s.freeHops = append(s.freeHops, h)
+			s.hops.Put(h)
 			if routed {
 				s.admitDelivery(t, j, in, src)
 			} else {

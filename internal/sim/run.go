@@ -799,6 +799,18 @@ func (s *Sim) report(horizon des.Time) *Report {
 		r.OfferedQPS = float64(s.arrivals) / window
 		r.GoodputQPS = float64(s.windowDone) / window
 	}
+	instances := 0
+	for _, dep := range s.deps {
+		instances += len(dep.Instances)
+	}
+	for _, np := range s.netproc {
+		if np != nil {
+			instances++
+		}
+	}
+	if instances > 0 {
+		r.Instances = make([]InstanceReport, 0, instances)
+	}
 	for _, dep := range s.deps {
 		for _, in := range dep.Instances {
 			r.Instances = append(r.Instances, instanceReport(in, dep.Name, horizon))

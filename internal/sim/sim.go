@@ -25,6 +25,7 @@ import (
 	"uqsim/internal/job"
 	"uqsim/internal/rng"
 	"uqsim/internal/service"
+	"uqsim/internal/slab"
 	"uqsim/internal/stats"
 	"uqsim/internal/workload"
 )
@@ -163,14 +164,16 @@ type Sim struct {
 	// pendingN counts jobs in transit through a network service (their
 	// destination parked in Job.Dest), for VerifyDrained.
 	pendingN int
-	// The free lists recycle request blocks, call records, hedge races and
-	// delayed deliveries; jobs recycle through fac.
+	// The slabs recycle request blocks, call records, hedge races and
+	// delayed deliveries; jobs recycle through fac, and every instance's
+	// stage runs through runs.
 	// poisonReleased is a test hook: released objects are overwritten with
 	// garbage and withheld from reuse, so a read after release shows.
-	freeStates     []*reqState
-	freeCalls      []*call
-	freeOps        []*hedgeOp
-	freeHops       []*hop
+	states         slab.Slab[reqState]
+	calls          slab.Slab[call]
+	ops            slab.Slab[hedgeOp]
+	hops           slab.Slab[hop]
+	runs           service.RunPool
 	poisonReleased bool
 
 	branchers map[string]Brancher
@@ -505,7 +508,7 @@ func (s *Sim) newInstance(bp *service.Blueprint, name string, m *cluster.Machine
 	if err != nil {
 		return nil, err
 	}
-	in, err := service.NewInstance(s.eng, bp, name, alloc, stream)
+	in, err := service.NewInstance(s.eng, bp, name, alloc, stream, &s.runs)
 	if err != nil {
 		m.Release(alloc)
 		return nil, err

@@ -128,7 +128,7 @@ func TestRunLengthOrderMatchesPerUserList(t *testing.T) {
 					j := r.Intn(len(retiringLive))
 					id := retiringLive[j]
 					retiringLive = slices.Delete(retiringLive, j, j+1)
-					sess.depart(id, sess.users[id])
+					sess.depart(sess.users[id])
 					ref.depart(id)
 				}
 			default:
@@ -418,7 +418,7 @@ func TestSessionsRetireWorkPerUserRetired(t *testing.T) {
 	calls, retired := 0, 0
 	for now := des.Time(0); now <= 12*des.Second; now += 10 * des.Millisecond {
 		for len(waiting) > 0 && waiting[0].departAt <= now {
-			sess.depart(waiting[0].id, sess.users[waiting[0].id])
+			sess.depart(sess.users[waiting[0].id])
 			waiting = waiting[1:]
 		}
 		before, visits := sess.pendingRetire, sess.retireVisits

@@ -3,12 +3,13 @@ package workload
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sort"
-	"strconv"
 
 	"uqsim/internal/des"
 	"uqsim/internal/dist"
 	"uqsim/internal/rng"
+	"uqsim/internal/slab"
 )
 
 // Session-based user flows: instead of a bare arrival rate, the workload is
@@ -255,10 +256,16 @@ func (c *SessionConfig) TreeWeights() []float64 {
 	return w
 }
 
-// sessionUser is one live simulated (foreground-sampled) user.
+// sessionUser is one live simulated (foreground-sampled) user. Records
+// come from Sessions' slab and go back to it when the user departs, with
+// neither a wake-up pending nor a request in flight; the generator, its
+// rand.Rand and the wake callback are part of the record, set up when it
+// is carved.
 type sessionUser struct {
-	r        *rng.Source
-	wake     func(t des.Time) // issues the next request; bound once at spawn
+	pcg      rand.PCG
+	r        rand.Rand        // draws from pcg
+	wake     func(t des.Time) // issues the next request; bound once per record
+	id       int
 	journey  int
 	step     int
 	offAt    des.Time // end of the current on-period (OnOff only)
@@ -266,7 +273,6 @@ type sessionUser struct {
 	issued   bool // lastIss is meaningful
 	inflight bool // a request is outstanding; Done will advance
 	retiring bool // depart at the next step boundary
-	gone     bool
 }
 
 // Sessions drives a population of journey-walking users. The sim layer
@@ -291,6 +297,7 @@ type Sessions struct {
 	split *rng.Splitter
 
 	users map[int]*sessionUser
+	spare slab.Slab[sessionUser]
 	// order lists users in spawn order, for LIFO retirement, run-length
 	// coded: one entry per simulated user, holding its id and the number of
 	// background users spawned after it and before the next simulated one.
@@ -433,16 +440,20 @@ func (s *Sessions) spawn(now des.Time, n int) {
 // spawnSim starts simulated user id: its own stream, a first journey, and
 // its first request after the first think time.
 func (s *Sessions) spawnSim(now des.Time, id int) {
-	u := &sessionUser{r: s.split.Stream("user", strconv.Itoa(id))}
-	u.wake = func(t des.Time) { s.issue(t, id, u) }
-	u.journey = s.pickJourney(u.r)
-	u.step = 0
+	u := s.spare.Get()
+	if u.wake == nil { // fresh from the slab
+		u.r = *rand.New(&u.pcg)
+		u.wake = func(t des.Time) { s.issue(t, u) }
+	}
+	s.split.SeedPCG(&u.pcg, "user", id)
+	u.id, u.step, u.offAt, u.lastIss, u.issued, u.inflight, u.retiring = id, 0, 0, 0, false, false, false
+	u.journey = s.pickJourney(&u.r)
 	if s.cfg.OnOff != nil {
-		u.offAt = now + expTime(u.r, s.cfg.OnOff.MeanOn)
+		u.offAt = now + expTime(&u.r, s.cfg.OnOff.MeanOn)
 	}
 	s.users[id] = u
 	s.order = append(s.order, orderEntry{id: id})
-	s.issueAfterThink(now, id, u)
+	s.issueAfterThink(now, u)
 }
 
 // retire removes n users, newest first. Background users vanish
@@ -487,12 +498,12 @@ func (s *Sessions) journeyAt(x float64) int {
 
 // issueAfterThink schedules user id's next request after the current
 // step's think time (plus any off-period pause).
-func (s *Sessions) issueAfterThink(now des.Time, id int, u *sessionUser) {
+func (s *Sessions) issueAfterThink(now des.Time, u *sessionUser) {
 	j := s.cfg.Journeys[u.journey]
 	st := j.Steps[u.step]
 	gap := des.Time(0)
 	if st.Think != nil {
-		gap = des.FromNanos(st.Think.Sample(u.r))
+		gap = des.FromNanos(st.Think.Sample(&u.r))
 	}
 	// A zero-think user completing instantly (e.g. shed at admission)
 	// would otherwise re-issue at the same virtual instant forever,
@@ -503,27 +514,24 @@ func (s *Sessions) issueAfterThink(now des.Time, id int, u *sessionUser) {
 	if s.cfg.OnOff != nil && now+gap >= u.offAt {
 		// Entering a silent period: pause for Exp(MeanOff), then start a
 		// fresh on-period.
-		pause := expTime(u.r, s.cfg.OnOff.MeanOff)
+		pause := expTime(&u.r, s.cfg.OnOff.MeanOff)
 		gap += pause
-		u.offAt = now + gap + expTime(u.r, s.cfg.OnOff.MeanOn)
+		u.offAt = now + gap + expTime(&u.r, s.cfg.OnOff.MeanOn)
 	}
 	s.eng.Post(now+gap, u.wake)
 }
 
 // issue is a user's wake-up after its think time: it sends the current
 // step's request, unless the user was retired while thinking.
-func (s *Sessions) issue(t des.Time, id int, u *sessionUser) {
-	if u.gone {
-		return
-	}
+func (s *Sessions) issue(t des.Time, u *sessionUser) {
 	if u.retiring {
-		s.depart(id, u)
+		s.depart(u)
 		return
 	}
 	u.inflight = true
 	u.lastIss = t
 	u.issued = true
-	s.Emit(t, id, s.cfg.Journeys[u.journey].Steps[u.step].Tree)
+	s.Emit(t, u.id, s.cfg.Journeys[u.journey].Steps[u.step].Tree)
 }
 
 // Done advances user id past its current step: the sim layer calls it
@@ -535,23 +543,25 @@ func (s *Sessions) Done(now des.Time, user int) {
 	}
 	u.inflight = false
 	if u.retiring {
-		s.depart(user, u)
+		s.depart(u)
 		return
 	}
 	u.step++
 	if u.step >= len(s.cfg.Journeys[u.journey].Steps) {
-		u.journey = s.pickJourney(u.r)
+		u.journey = s.pickJourney(&u.r)
 		u.step = 0
 	}
-	s.issueAfterThink(now, user, u)
+	s.issueAfterThink(now, u)
 }
 
-func (s *Sessions) depart(id int, u *sessionUser) {
-	u.gone = true
+// depart removes u, which has no wake-up pending and no request in flight,
+// and gives its record back.
+func (s *Sessions) depart(u *sessionUser) {
 	if u.retiring && s.pendingRetire > 0 {
 		s.pendingRetire--
 	}
-	delete(s.users, id)
+	delete(s.users, u.id)
+	s.spare.Put(u)
 	s.departed++
 	if s.departed > 64 && s.departed*2 > len(s.order) {
 		s.compactOrder()
