@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test race bench bench-engine bench-throughput bench-test bench-e2e bench-compare fuzz chaos farm results-check
+.PHONY: check fmt vet staticcheck build test race bench bench-engine bench-throughput bench-test bench-e2e bench-compare fuzz chaos farm results-check lines
 
 # check is the local gate: formatting, vet, build, the tier-1 tests, the
 # race detector and the benchmark module's own tests. CI runs all of these
@@ -191,3 +191,12 @@ results-check:
 	done; \
 	if [ $$rc -eq 0 ]; then echo "results-check: every results/*.csv regenerated byte for byte"; fi; \
 	exit $$rc
+
+# lines prints the code lines of each package under internal/ and cmd/:
+# non-test Go files, without blank lines and lines that hold only a //
+# comment. It gates nothing; the repository's line bars are read from it.
+lines:
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
+		awk -v d=$$d '{ sub(/^[ \t]+/, "") } $$0 != "" && $$0 !~ /^\/\// { n++ } END { printf "%6d %s\n", n, d }' \
+			$$(ls $$d/*.go | grep -v '_test\.go$$'); \
+	done

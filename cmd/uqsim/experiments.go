@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"uqsim/internal/atomicfile"
 	"uqsim/internal/cli"
@@ -12,7 +11,9 @@ import (
 )
 
 // experimentsCmd regenerates the paper's evaluation: every figure and
-// table has a named runner producing the rows the paper reports.
+// table has a named experiment producing the rows the paper reports. The
+// text output ends each table with what its cells cost: cells, events,
+// run wall and events/s.
 //
 //	uqsim experiments -list
 //	uqsim experiments fig8 table3
@@ -49,7 +50,6 @@ func experimentsCmd(args []string) int {
 	wd := cli.StartWatchdog(f.maxWall)
 	opts := experiments.Opts{Seed: f.seed, Scale: *scale}
 	for _, id := range ids {
-		start := time.Now()
 		t, err := experiments.Run(id, opts)
 		if err != nil {
 			// An interrupted simulation can surface as an experiment error
@@ -68,7 +68,7 @@ func experimentsCmd(args []string) int {
 			fmt.Println()
 		} else {
 			fmt.Println(t.String())
-			fmt.Printf("(%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("(%s: %v)\n\n", id, t.Cost)
 		}
 		if *out != "" {
 			err := os.MkdirAll(*out, 0o755)

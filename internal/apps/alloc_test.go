@@ -103,13 +103,17 @@ func hybridSessions() (*sim.Sim, error) {
 // (a stage run's completion, a user's wake-up, a call's timers): the
 // fan-out cell makes 2.81 mallocs per request, 12.8 before, and the
 // session cell 0.0010, 0.0043 before.
+//
+// Under the race detector only the malloc ceilings are read: its
+// instrumentation allocates bytes of its own, so a byte count there varies
+// from run to run (the policy cell read 1.88 to 2.01 against 2.1).
 func TestRequestPathAllocationCeiling(t *testing.T) {
 	cells := []struct {
 		name     string
 		build    func() (*sim.Sim, error)
 		duration des.Time
 		ceiling  float64 // mallocs per completed request over the whole run
-		bytes    float64 // bytes allocated per completed request
+		bytes    float64 // bytes allocated per completed request, read without -race only
 	}{
 		{
 			name: "twotier",
@@ -180,7 +184,7 @@ func TestRequestPathAllocationCeiling(t *testing.T) {
 		if perReq > c.ceiling {
 			t.Errorf("%s: %.4g mallocs per request, ceiling %.4g", c.name, perReq, c.ceiling)
 		}
-		if bytesPerReq > c.bytes {
+		if !raceBuild && bytesPerReq > c.bytes {
 			t.Errorf("%s: %.4g bytes per request, ceiling %.4g", c.name, bytesPerReq, c.bytes)
 		}
 	}

@@ -9,29 +9,26 @@ import (
 	"uqsim/internal/sim"
 )
 
-// AblationNoBatching quantifies design decision #1 of DESIGN.md: disabling
+// ablationBatching quantifies design decision #1 of DESIGN.md: disabling
 // the epoll/socket batch amortization (processing every job individually,
 // full base cost each time) lowers the saturation throughput — the same
 // modelling gap the BigHouse comparison exposes, isolated inside µqSim.
-func AblationNoBatching(o Opts) (*Table, error) {
-	t := NewTable("Ablation — epoll batch amortization",
-		"model", "saturation_qps")
-	t.Note = "batching amortizes per-dispatch base costs; without it capacity drops"
-	base := apps.Memcached()
-	noBatch := disableBatching(base)
-	for _, c := range []struct {
-		label string
-		bp    *service.Blueprint
-	}{{"batched (µqSim)", base}, {"unbatched (ablated)", noBatch}} {
-		sat, err := saturation(o, func(qps float64) (*sim.Sim, error) {
-			return apps.SingleService(c.bp, "memcached_read", 4, qps, o.Seed, nil)
-		}, 900000)
-		if err != nil {
-			return nil, err
+var ablationBatching = Spec{
+	Cells: func(o Opts) (cells []Cell) {
+		base := apps.Memcached()
+		for _, c := range []struct {
+			label string
+			bp    *service.Blueprint
+		}{{"batched (µqSim)", base}, {"unbatched (ablated)", disableBatching(base)}} {
+			cells = append(cells, saturation(o, []string{c.label}, func() (*sim.Sim, error) {
+				return apps.SingleService(c.bp, "memcached_read", 4, 900000, o.Seed, nil)
+			}))
 		}
-		t.Add(c.label, fmt.Sprintf("%.0f", sat))
-	}
-	return t, nil
+		return cells
+	},
+	Reduce: rows("Ablation — epoll batch amortization",
+		"batching amortizes per-dispatch base costs; without it capacity drops",
+		"model", "saturation_qps"),
 }
 
 // disableBatching deep-copies a blueprint with all batching turned off and
@@ -46,92 +43,85 @@ func disableBatching(bp *service.Blueprint) *service.Blueprint {
 	return &c
 }
 
-// AblationNoNetproc quantifies design decision #2: without the shared
+// ablationNetproc quantifies design decision #2: without the shared
 // interrupt-processing service, the 16-way load-balancing scale-out keeps
 // scaling linearly instead of flattening near 120k QPS.
-func AblationNoNetproc(o Opts) (*Table, error) {
-	t := NewTable("Ablation — network interrupt processing",
-		"servers", "with_netproc_qps", "without_netproc_qps")
-	t.Note = "paper Fig. 8's sub-linear 16-way point comes from soft_irq saturation"
-	for _, n := range []int{8, 16} {
-		n := n
-		with, err := saturation(o, func(qps float64) (*sim.Sim, error) {
-			return apps.LoadBalanced(apps.ScaleOutConfig{Seed: o.Seed, QPS: qps, Servers: n})
-		}, float64(n)*9000*2)
-		if err != nil {
-			return nil, err
+var ablationNetproc = Spec{
+	Cells: func(o Opts) (cells []Cell) {
+		for _, n := range []int{8, 16} {
+			for _, noNet := range []bool{false, true} {
+				cells = append(cells, saturation(o, []string{fmt.Sprint(n), fmt.Sprint(noNet)}, func() (*sim.Sim, error) {
+					return apps.LoadBalanced(apps.ScaleOutConfig{
+						Seed: o.Seed, QPS: float64(n) * 9000 * 2, Servers: n, NoNetwork: noNet,
+					})
+				}))
+			}
 		}
-		without, err := saturation(o, func(qps float64) (*sim.Sim, error) {
-			return apps.LoadBalanced(apps.ScaleOutConfig{Seed: o.Seed, QPS: qps, Servers: n, NoNetwork: true})
-		}, float64(n)*9000*2)
-		if err != nil {
-			return nil, err
+		return cells
+	},
+	// One row per cluster size: the cells with and without the network.
+	Reduce: func(_ Opts, rs []Result) (*Table, error) {
+		t := NewTable("Ablation — network interrupt processing",
+			"servers", "with_netproc_qps", "without_netproc_qps")
+		t.Note = "paper Fig. 8's sub-linear 16-way point comes from soft_irq saturation"
+		for i := 0; i < len(rs); i += 2 {
+			t.Add(rs[i].Label[0], f0(rs[i].Rep.GoodputQPS), f0(rs[i+1].Rep.GoodputQPS))
 		}
-		t.Add(fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.0f", with),
-			fmt.Sprintf("%.0f", without))
-	}
-	return t, nil
+		return t, nil
+	},
 }
 
-// AblationNoBlocking quantifies design decision #3: connection-level
+// ablationBlocking quantifies design decision #3: connection-level
 // blocking (finite http/1.1 connection pools) bounds in-flight requests,
 // so the saturated system degrades by queueing at the connection pool
 // instead of flooding every stage queue.
-func AblationNoBlocking(o Opts) (*Table, error) {
-	t := NewTable("Ablation — http/1.1 connection blocking",
-		"model", "offered_qps", "p99_ms", "in_flight_at_end")
-	t.Note = "without pools, overload floods the service queues (unbounded in-flight)"
-	w, d := o.window(200*des.Millisecond, des.Second)
-	const overload = 100000 // ≈1.4× the 8p capacity
-	for _, c := range []struct {
-		label      string
-		noBlocking bool
-	}{{"blocking (µqSim)", false}, {"no blocking (ablated)", true}} {
-		s, err := apps.TwoTier(apps.TwoTierConfig{
-			Seed: o.Seed, QPS: overload, Network: true, NoBlocking: c.noBlocking,
-		})
-		if err != nil {
-			return nil, err
+var ablationBlocking = Spec{
+	Cells: func(o Opts) (cells []Cell) {
+		w, d := o.window(200*des.Millisecond, des.Second)
+		const overload = 100000 // ≈1.4× the 8p capacity
+		for _, c := range []struct {
+			label      string
+			noBlocking bool
+		}{{"blocking (µqSim)", false}, {"no blocking (ablated)", true}} {
+			cells = append(cells, Cell{Label: []string{c.label, fmt.Sprint(overload)}, Warmup: w, Window: d,
+				Build: func() (*sim.Sim, error) {
+					return apps.TwoTier(apps.TwoTierConfig{
+						Seed: o.Seed, QPS: overload, Network: true, NoBlocking: c.noBlocking,
+					})
+				}})
 		}
-		rep, err := measure(s, w, d)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(c.label,
-			fmt.Sprintf("%d", overload),
-			fmt.Sprintf("%.3f", rep.Latency.P99().Millis()),
-			fmt.Sprintf("%d", rep.InFlight))
-	}
-	return t, nil
+		return cells
+	},
+	Reduce: rows("Ablation — http/1.1 connection blocking",
+		"without pools, overload floods the service queues (unbounded in-flight)",
+		"model", "offered_qps", "p99_ms", "in_flight_at_end"),
 }
 
-// AblationLBPolicies compares load-balancing policies on the scale-out
-// scenario at high load: least-loaded smooths tail latency relative to
-// random; round-robin sits between.
-func AblationLBPolicies(o Opts) (*Table, error) {
-	t := NewTable("Ablation — load-balancing policy", "policy", "p99_ms", "goodput_qps")
-	w, d := o.window(300*des.Millisecond, des.Second)
-	for _, c := range []struct {
-		label  string
-		policy sim.Policy
-	}{{"round_robin", sim.RoundRobin}, {"random", sim.Random}, {"least_loaded", sim.LeastLoaded}} {
-		s, err := apps.LoadBalanced(apps.ScaleOutConfig{Seed: o.Seed, QPS: 30000, Servers: 4})
-		if err != nil {
-			return nil, err
+// ablationLB compares load-balancing policies on the scale-out scenario
+// at high load: least-loaded smooths tail latency relative to random;
+// round-robin sits between.
+var ablationLB = Spec{
+	Cells: func(o Opts) (cells []Cell) {
+		w, d := o.window(300*des.Millisecond, des.Second)
+		for _, c := range []struct {
+			label  string
+			policy sim.Policy
+		}{{"round_robin", sim.RoundRobin}, {"random", sim.Random}, {"least_loaded", sim.LeastLoaded}} {
+			cells = append(cells, Cell{Label: []string{c.label}, Warmup: w, Window: d,
+				Build: func() (*sim.Sim, error) {
+					s, err := apps.LoadBalanced(apps.ScaleOutConfig{Seed: o.Seed, QPS: 30000, Servers: 4})
+					if err != nil {
+						return nil, err
+					}
+					dep, ok := s.Deployment("nginx")
+					if !ok {
+						return nil, fmt.Errorf("experiments: nginx deployment missing")
+					}
+					dep.LB = c.policy
+					return s, nil
+				}})
 		}
-		dep, ok := s.Deployment("nginx")
-		if !ok {
-			return nil, fmt.Errorf("experiments: nginx deployment missing")
-		}
-		dep.LB = c.policy
-		rep, err := measure(s, w, d)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(c.label,
-			fmt.Sprintf("%.3f", rep.Latency.P99().Millis()),
-			fmt.Sprintf("%.0f", rep.GoodputQPS))
-	}
-	return t, nil
+		return cells
+	},
+	Reduce: rows("Ablation — load-balancing policy", "", "policy", "p99_ms", "goodput_qps"),
 }

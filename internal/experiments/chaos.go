@@ -11,10 +11,6 @@ import (
 	"uqsim/internal/fault"
 )
 
-// chaosConfigDir locates configs/metastable whether the caller runs from
-// the repo root (the binaries) or from a package directory (go test).
-func chaosConfigDir() (string, error) { return configDir("metastable") }
-
 // configDir locates configs/<name> from the repo root or a package
 // directory.
 func configDir(name string) (string, error) {
@@ -26,18 +22,11 @@ func configDir(name string) (string, error) {
 			return dir, nil
 		}
 	}
-	return "", fmt.Errorf("experiments: configs/%s not found from %s", name, cwd())
+	wd, _ := os.Getwd() // only named in the error
+	return "", fmt.Errorf("experiments: configs/%s not found from %s", name, wd)
 }
 
-func cwd() string {
-	d, err := os.Getwd()
-	if err != nil {
-		return "?"
-	}
-	return d
-}
-
-// Chaos demonstrates the chaos-search pipeline end to end on the
+// chaosSearch demonstrates the chaos-search pipeline end to end on the
 // metastable two-tier config: a noisy hand-built schedule — the real
 // killer (a partition between the tiers) buried among harmless decoy
 // faults — is checked against the invariant battery, the violation is
@@ -45,17 +34,35 @@ func cwd() string {
 // minimum is re-verified to confirm it reproduces the identical
 // violation. The same pipeline runs generatively in `uqsim chaos`;
 // this experiment pins the canonical seeded scenario so the find → check
-// → shrink → replay story is itself a regression-tested result.
-func Chaos(o Opts) (*Table, error) {
-	dir, err := chaosConfigDir()
+// → shrink → replay story is itself a regression-tested result. The
+// pipeline is one function cell: its runs are the harness's own.
+var chaosSearch = Spec{
+	Cells: func(o Opts) []Cell {
+		return []Cell{{Label: []string{"find-shrink-replay"}, Func: func() (any, error) { return chaosPipeline(o.Seed) }}}
+	},
+	Reduce: func(_ Opts, rs []Result) (*Table, error) {
+		t := NewTable("Chaos search: find, shrink, replay (metastable two-tier)",
+			"step", "events", "violation", "detail")
+		t.Note = "seeded retry-storm metastability; shrinking must isolate the partition from the decoys"
+		for _, row := range rs[0].Value.([][]string) {
+			t.Add(row...)
+		}
+		return t, nil
+	},
+}
+
+// chaosPipeline verifies, shrinks and replays the noisy scenario, one
+// row per step.
+func chaosPipeline(seed uint64) ([][]string, error) {
+	path, err := configDir("metastable")
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := config.ReadDir(dir)
+	dir, err := config.ReadDir(path)
 	if err != nil {
 		return nil, err
 	}
-	h, err := chaos.NewHarness(cfg, chaos.Options{ConfigDir: dir})
+	h, err := chaos.NewHarness(dir, chaos.Options{ConfigDir: path})
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +71,7 @@ func Chaos(o Opts) (*Table, error) {
 	// retry storm) plus three decoys mild enough to pass every invariant
 	// on their own.
 	noisy := chaos.Scenario{
-		Seed: o.Seed,
+		Seed: seed,
 		Actions: []chaos.Action{
 			{
 				Label: "edge latency backend +2ms (decoy)",
@@ -93,19 +100,14 @@ func Chaos(o Opts) (*Table, error) {
 		},
 	}
 
-	t := NewTable("Chaos search: find, shrink, replay (metastable two-tier)",
-		"step", "events", "violation", "detail")
-	t.Note = "seeded retry-storm metastability; shrinking must isolate the partition from the decoys"
-
 	v, _, err := h.Verify(noisy)
 	if err != nil {
 		return nil, err
 	}
 	if v == nil {
-		t.Add("find", fmt.Sprint(noisy.EventCount()), "none", "noisy scenario unexpectedly passed")
-		return t, nil
+		return [][]string{{"find", fmt.Sprint(noisy.EventCount()), "none", "noisy scenario unexpectedly passed"}}, nil
 	}
-	t.Add("find", fmt.Sprint(noisy.EventCount()), v.ID, v.Detail)
+	find := []string{"find", fmt.Sprint(noisy.EventCount()), v.ID, v.Detail}
 
 	min, err := h.Shrink(noisy, v.ID)
 	if err != nil {
@@ -118,7 +120,6 @@ func Chaos(o Opts) (*Table, error) {
 	if minV == nil {
 		return nil, fmt.Errorf("experiments: shrunk chaos scenario no longer reproduces %s", v.ID)
 	}
-	t.Add("shrink", fmt.Sprint(min.EventCount()), minV.ID, strings.Join(min.Labels(), ", "))
 
 	// Replay: verifying the minimum again must reproduce the identical
 	// simulation — same violation, bit-identical fingerprint.
@@ -130,6 +131,9 @@ func Chaos(o Opts) (*Table, error) {
 	if v2 == nil || v2.ID != minV.ID || fp2 != fp {
 		replay = "MISMATCH: replay diverged"
 	}
-	t.Add("replay", fmt.Sprint(min.EventCount()), minV.ID, replay)
-	return t, nil
+	return [][]string{
+		find,
+		{"shrink", fmt.Sprint(min.EventCount()), minV.ID, strings.Join(min.Labels(), ", ")},
+		{"replay", fmt.Sprint(min.EventCount()), minV.ID, replay},
+	}, nil
 }

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"uqsim/internal/sim"
 )
 
 func TestTableFormatting(t *testing.T) {
@@ -100,18 +104,68 @@ func TestSweepGridRejectsEndlessGrids(t *testing.T) {
 	}
 }
 
+// TestRegistryNamesAndUnknown pins the ids `uqsim experiments -list`
+// prints, in its order.
 func TestRegistryNamesAndUnknown(t *testing.T) {
-	names := Names()
-	if len(names) != len(Registry) {
-		t.Fatal("names length")
+	want := []string{
+		"ablation-batching", "ablation-blocking", "ablation-lb", "ablation-netproc",
+		"chaos", "ext-cache", "ext-timeouts",
+		"fig10", "fig12a", "fig12b", "fig13", "fig14", "fig15", "fig16", "fig5", "fig6", "fig8",
+		"hybridfault", "metastable", "millionuser", "overload", "regionloss", "resilience",
+		"scalability", "selfhealing", "table3", "validation",
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatal("names not sorted")
-		}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %q, want %q", got, want)
 	}
 	if _, err := Run("nope", Opts{}); err == nil {
 		t.Fatal("unknown id should fail")
+	}
+}
+
+// TestCellErrorNamesIDAndLabel: a cell that fails to build fails its
+// experiment with an error naming the experiment and the cell.
+func TestCellErrorNamesIDAndLabel(t *testing.T) {
+	boom := errors.New("boom")
+	_, err := execute("fig5", []Cell{{
+		Label: []string{"nginx8p-mc4t", "10000"},
+		Build: func() (*sim.Sim, error) { return nil, boom },
+	}})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "fig5 nginx8p-mc4t/10000") {
+		t.Fatalf("err = %v, want boom naming fig5 and nginx8p-mc4t/10000", err)
+	}
+}
+
+// TestCellsAreIndependent: running an experiment's cells in reverse order
+// and reducing their results in declared order gives the same table, byte
+// for byte. State shared between cells (a captured map, one goodputBins
+// for two runs) fails it.
+func TestCellsAreIndependent(t *testing.T) {
+	o := Opts{Seed: 5, Scale: 0.05}
+	for _, id := range []string{"resilience", "overload", "ablation-lb"} {
+		sp := specs[id]
+		cells := sp.Cells(o)
+		fwd, err := execute(id, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reversed := slices.Clone(cells)
+		slices.Reverse(reversed)
+		rev, err := execute(id, reversed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Reverse(rev)
+		a, err := sp.Reduce(o, fwd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sp.Reduce(o, rev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != b.String() {
+			t.Errorf("%s: cells run in reverse order give another table:\n%s\nforward:\n%s", id, b, a)
+		}
 	}
 }
 

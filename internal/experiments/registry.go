@@ -1,61 +1,61 @@
 package experiments
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Runner regenerates one paper table or figure.
-type Runner func(Opts) (*Table, error)
-
-// Registry maps experiment IDs to runners. IDs follow the paper's
+// specs maps experiment IDs to their specs. IDs follow the paper's
 // numbering, then the DESIGN.md ablations, then the extensions beyond the
 // paper.
-var Registry = map[string]Runner{
-	"fig5":              Fig5TwoTier,
-	"fig6":              Fig6ThreeTier,
-	"fig8":              Fig8LoadBalancing,
-	"fig10":             Fig10Fanout,
-	"fig12a":            Fig12aThrift,
-	"fig12b":            Fig12bSocialNetwork,
-	"fig13":             Fig13BigHouse,
-	"fig14":             Fig14TailAtScale,
-	"fig15":             Fig15Diurnal,
-	"fig16":             Fig16PowerTrace,
-	"table3":            Table3PowerViolations,
-	"ablation-batching": AblationNoBatching,
-	"ablation-netproc":  AblationNoNetproc,
-	"ablation-blocking": AblationNoBlocking,
-	"ablation-lb":       AblationLBPolicies,
-	"validation":        Validation,
-	"scalability":       Scalability,
-	"ext-timeouts":      ExtTimeouts,
-	"ext-cache":         ExtEmergentCache,
-	"resilience":        Resilience,
-	"overload":          Overload,
-	"metastable":        Metastable,
-	"selfhealing":       SelfHealing,
-	"regionloss":        RegionLoss,
-	"chaos":             Chaos,
-	"hybridfault":       HybridFault,
-	"millionuser":       MillionUser,
+var specs = map[string]Spec{
+	"fig5":              fig5,
+	"fig6":              fig6,
+	"fig8":              fig8,
+	"fig10":             fig10,
+	"fig12a":            fig12a,
+	"fig12b":            fig12b,
+	"fig13":             fig13,
+	"fig14":             fig14,
+	"fig15":             fig15,
+	"fig16":             fig16,
+	"table3":            table3,
+	"ablation-batching": ablationBatching,
+	"ablation-netproc":  ablationNetproc,
+	"ablation-blocking": ablationBlocking,
+	"ablation-lb":       ablationLB,
+	"validation":        validation,
+	"scalability":       scalability,
+	"ext-timeouts":      extTimeouts,
+	"ext-cache":         extCache,
+	"resilience":        resilience,
+	"overload":          overload,
+	"metastable":        metastable,
+	"selfhealing":       selfHealing,
+	"regionloss":        regionLoss,
+	"chaos":             chaosSearch,
+	"hybridfault":       hybridFault,
+	"millionuser":       millionUser,
 }
 
 // Names lists registered experiment IDs in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(Registry))
-	for k := range Registry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return sortedKeys(specs) }
 
-// Run executes one experiment by ID.
+// Run executes one experiment by ID. The table's Cost totals its cells.
 func Run(id string, o Opts) (*Table, error) {
-	r, ok := Registry[id]
+	sp, ok := specs[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, Names())
 	}
-	return r(o)
+	rs, err := execute(id, sp.Cells(o))
+	if err != nil {
+		return nil, err
+	}
+	t, err := sp.Reduce(o, rs)
+	if err != nil {
+		return nil, err
+	}
+	t.Cost = Cost{Cells: len(rs)}
+	for _, r := range rs {
+		t.Cost.Events += r.Events
+		t.Cost.Wall += r.Wall
+	}
+	return t, nil
 }

@@ -11,31 +11,19 @@ import (
 // per-instance tables — shared by the CLI tools. Hybrid runs, runs that
 // armed a policy timer and runs with failed calls each gain a table.
 func ReportTables(rep *sim.Report) []*Table {
-	cols := []string{"offered_qps", "goodput_qps"}
-	row := []string{fmt.Sprintf("%.0f", rep.OfferedQPS), fmt.Sprintf("%.0f", rep.GoodputQPS)}
+	r := &Result{Rep: rep}
+	head := []string{"offered_qps", "goodput_qps"}
+	row := r.row(head...)
 	for _, b := range rep.Buckets() {
-		cols = append(cols, b.Name)
-		row = append(row, fmt.Sprintf("%d", b.N))
+		head = append(head, b.Name)
+		row = append(row, fmt.Sprint(b.N))
 	}
-	sum := NewTable("Run summary", append(cols,
-		"retries", "hedges", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "p999_ms", "in_flight")...)
-	sum.Add(append(row,
-		fmt.Sprintf("%d", rep.Retries),
-		fmt.Sprintf("%d", rep.HedgesIssued),
-		fmt.Sprintf("%.3f", rep.Latency.Mean().Millis()),
-		fmt.Sprintf("%.3f", rep.Latency.P50().Millis()),
-		fmt.Sprintf("%.3f", rep.Latency.P95().Millis()),
-		fmt.Sprintf("%.3f", rep.Latency.P99().Millis()),
-		fmt.Sprintf("%.3f", rep.Latency.P999().Millis()),
-		fmt.Sprintf("%d", rep.InFlight))...)
+	tail := []string{"retries", "hedges", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "p999_ms", "in_flight"}
+	sum := NewTable("Run summary", append(head, tail...)...)
+	sum.Add(append(row, r.row(tail...)...)...)
 
 	tiers := NewTable("Per-tier residence latency", "tier", "requests", "mean_ms", "p99_ms")
-	names := make([]string, 0, len(rep.PerTier))
-	for name := range rep.PerTier {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(rep.PerTier) {
 		h := rep.PerTier[name]
 		tiers.Add(name,
 			fmt.Sprintf("%d", h.Count()),
@@ -60,17 +48,10 @@ func ReportTables(rep *sim.Report) []*Table {
 	out := []*Table{sum, tiers, insts}
 
 	if rep.SampleRate < 1 {
-		hy := NewTable("Hybrid fidelity (foreground above is the sampled fraction)",
-			"sample_rate", "bg_arrivals", "bg_completions", "bg_shed", "bg_unreachable",
-			"bg_lost_by_cause", "saturated_epochs")
-		hy.Add(
-			fmt.Sprintf("%g", rep.SampleRate),
-			fmt.Sprintf("%d", rep.BackgroundArrivals),
-			fmt.Sprintf("%d", rep.BackgroundCompletions),
-			fmt.Sprintf("%d", rep.BackgroundShed),
-			fmt.Sprintf("%d", rep.BackgroundUnreachable),
-			formatByCause(rep.BackgroundShedByCause),
-			fmt.Sprintf("%d", rep.SaturatedEpochs))
+		hyCols := []string{"sample_rate", "bg_arrivals", "bg_completions", "bg_shed", "bg_unreachable",
+			"bg_lost_by_cause", "saturated_epochs"}
+		hy := NewTable("Hybrid fidelity (foreground above is the sampled fraction)", hyCols...)
+		hy.Add(r.row(hyCols...)...)
 		out = append(out, hy)
 		w := rep.FluidWork
 		work := NewTable("Fluid tier work (simulator-side; not in the fingerprint)",
@@ -99,19 +80,14 @@ func ReportTables(rep *sim.Report) []*Table {
 
 	if rep.CrossRegionCalls > 0 || rep.StaleReads > 0 {
 		xr := NewTable("Cross-region traffic", "xregion_calls", "stale_reads")
-		xr.Add(fmt.Sprintf("%d", rep.CrossRegionCalls), fmt.Sprintf("%d", rep.StaleReads))
+		xr.Add(r.row(xr.Columns...)...)
 		out = append(out, xr)
 	}
 
 	if len(rep.Errors) > 0 {
 		errs := NewTable("Per-service call errors",
 			"service", "timeouts", "shed", "dropped", "breaker_open", "unreachable", "retries", "hedges")
-		svcs := make([]string, 0, len(rep.Errors))
-		for name := range rep.Errors {
-			svcs = append(svcs, name)
-		}
-		sort.Strings(svcs)
-		for _, name := range svcs {
+		for _, name := range sortedKeys(rep.Errors) {
 			ec := rep.Errors[name]
 			errs.Add(name,
 				fmt.Sprintf("%d", ec.Timeouts),
@@ -125,4 +101,13 @@ func ReportTables(rep *sim.Report) []*Table {
 		out = append(out, errs)
 	}
 	return out
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

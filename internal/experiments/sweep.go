@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"fmt"
+	"slices"
 
 	"uqsim/internal/des"
 	"uqsim/internal/sim"
-	"uqsim/internal/validate"
 )
 
 // Opts controls experiment runs.
@@ -29,15 +28,8 @@ func (o Opts) scale() float64 {
 // scaled.
 func (o Opts) window(warmup, duration des.Time) (des.Time, des.Time) {
 	s := o.scale()
-	w := des.Time(float64(warmup) * s)
-	d := des.Time(float64(duration) * s)
-	if w < 50*des.Millisecond {
-		w = 50 * des.Millisecond
-	}
-	if d < 200*des.Millisecond {
-		d = 200 * des.Millisecond
-	}
-	return w, d
+	return max(des.Time(float64(warmup)*s), 50*des.Millisecond),
+		max(des.Time(float64(duration)*s), 200*des.Millisecond)
 }
 
 // thin reduces a sweep grid according to the scale, always keeping the
@@ -59,74 +51,36 @@ func (o Opts) thin(loads []float64) []float64 {
 	return out
 }
 
-// builder constructs a scenario at one offered load.
-type builder func(qps float64) (*sim.Sim, error)
-
-// point is one measured sweep sample.
-type point struct {
-	OfferedQPS float64
-	Rep        *sim.Report
-}
-
-// sweep measures the load–latency curve of a scenario across the load grid
-// from..to by step (SweepGrid), thinned by the scale.
-func sweep(o Opts, build builder, from, to, step float64, warmup, duration des.Time) ([]point, error) {
-	loads, err := SweepGrid(from, to, step)
+// loads expands the grid from..to by step (SweepGrid), thinned by the
+// scale. Every grid is an experiment's own constant, so an error is a bug.
+func (o Opts) loads(from, to, step float64) []float64 {
+	g, err := SweepGrid(from, to, step)
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
-	w, d := o.window(warmup, duration)
-	var out []point
-	for _, qps := range o.thin(loads) {
-		s, err := build(qps)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: building at %v QPS: %w", qps, err)
-		}
-		rep, err := measure(s, w, d)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: at %v QPS: %w", qps, err)
-		}
-		out = append(out, point{OfferedQPS: qps, Rep: rep})
-	}
-	return out, nil
+	return o.thin(g)
 }
 
-// measure runs s for warmup w and measured window d, and checks the
-// report's conservation identity, as every experiment does.
-func measure(s *sim.Sim, w, d des.Time) (*sim.Report, error) {
-	rep, err := s.Run(w, d)
-	if err != nil {
-		return nil, err
+// curveColumns is the header of a load–latency table.
+var curveColumns = []string{"config", "offered_qps", "goodput_qps", "mean_ms", "p50_ms", "p99_ms"}
+
+// curve lists one cell per load of the grid from..to by step, thinned by
+// the scale: a 300ms warm-up and the scaled window, labelled with label
+// and the load.
+func curve(o Opts, label []string, from, to, step float64, window des.Time,
+	build func(qps float64) (*sim.Sim, error)) []Cell {
+	w, d := o.window(300*des.Millisecond, window)
+	var cells []Cell
+	for _, qps := range o.loads(from, to, step) {
+		cells = append(cells, Cell{Label: slices.Concat(label, []string{f0(qps)}), Warmup: w, Window: d,
+			Build: func() (*sim.Sim, error) { return build(qps) }})
 	}
-	return rep, validate.Conservation(rep)
+	return cells
 }
 
-// addCurve writes a sweep's points into a table as rows tagged with a
-// configuration label.
-func addCurve(t *Table, label string, pts []point) {
-	for _, p := range pts {
-		t.Add(
-			label,
-			fmt.Sprintf("%.0f", p.OfferedQPS),
-			fmt.Sprintf("%.0f", p.Rep.GoodputQPS),
-			fmt.Sprintf("%.3f", p.Rep.Latency.Mean().Millis()),
-			fmt.Sprintf("%.3f", p.Rep.Latency.P50().Millis()),
-			fmt.Sprintf("%.3f", p.Rep.Latency.P99().Millis()),
-		)
-	}
-}
-
-// curveColumns is the shared header of load–latency tables.
-func curveColumns() []string {
-	return []string{"config", "offered_qps", "goodput_qps", "mean_ms", "p50_ms", "p99_ms"}
-}
-
-// saturation measures sustained goodput under the given overload: a
-// one-point sweep.
-func saturation(o Opts, build builder, overload float64) (float64, error) {
-	pts, err := sweep(o, build, overload, overload, overload, 200*des.Millisecond, des.Second)
-	if err != nil {
-		return 0, err
-	}
-	return pts[0].Rep.GoodputQPS, nil
+// saturation is the one cell that measures sustained goodput at an
+// overload: a 200ms warm-up and a one-second window.
+func saturation(o Opts, label []string, build func() (*sim.Sim, error)) Cell {
+	w, d := o.window(200*des.Millisecond, des.Second)
+	return Cell{Label: label, Warmup: w, Window: d, Build: build}
 }

@@ -63,15 +63,8 @@ func SweepRow(dir *config.Dir, qps float64, o config.Overrides) ([]string, error
 	if err != nil {
 		return nil, err
 	}
-	return []string{
-		fmt.Sprintf("%.0f", qps),
-		fmt.Sprintf("%.0f", rep.GoodputQPS),
-		fmt.Sprintf("%.3f", rep.Latency.Mean().Millis()),
-		fmt.Sprintf("%.3f", rep.Latency.P50().Millis()),
-		fmt.Sprintf("%.3f", rep.Latency.P95().Millis()),
-		fmt.Sprintf("%.3f", rep.Latency.P99().Millis()),
-		fmt.Sprintf("%d", rep.InFlight),
-	}, nil
+	r := &Result{Label: []string{f0(qps)}, Rep: rep}
+	return r.row(SweepColumns()[1:]...), nil
 }
 
 // SweepTable builds the table `uqsim sweep` prints, ready for rows from

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section: each runner builds the corresponding scenario,
-// sweeps the loads the figure plots, and emits the same rows/series the
-// paper reports, as aligned text and CSV.
+// evaluation section. Each experiment is a Spec: the independent runs
+// (cells) the figure needs, and a reducer that turns their results into
+// the rows the paper reports, as aligned text and CSV. One executor builds,
+// runs, checks and times every cell.
 package experiments
 
 import (
@@ -15,6 +16,9 @@ type Table struct {
 	Note    string
 	Columns []string
 	Rows    [][]string
+	// Cost is what an experiment's cells cost (set by Run); neither
+	// String nor CSV renders it.
+	Cost Cost
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -50,48 +54,37 @@ func (t *Table) String() string {
 	if t.Note != "" {
 		fmt.Fprintf(&b, "%s\n", t.Note)
 	}
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Columns)
 	sep := make([]string, len(t.Columns))
 	for i := range sep {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
-	writeRow(sep)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
+	t.write(&b, "  ", func(i int, cell string) string { return fmt.Sprintf("%-*s", widths[i], cell) }, t.Columns, sep)
 	return b.String()
 }
 
 // CSV renders the table as comma-separated values (quoting commas).
 func (t *Table) CSV() string {
 	var b strings.Builder
-	esc := func(s string) string {
+	esc := func(_ int, s string) string {
 		if strings.ContainsAny(s, ",\"\n") {
 			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 		}
 		return s
 	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
+	t.write(&b, ",", esc, t.Columns)
+	return b.String()
+}
+
+// write writes the head rows, then the table's rows, a line each: every
+// cell through format, cells joined by sep.
+func (t *Table) write(b *strings.Builder, sep string, format func(i int, cell string) string, head ...[]string) {
+	for _, row := range append(head, t.Rows...) {
+		for i, cell := range row {
 			if i > 0 {
-				b.WriteByte(',')
+				b.WriteString(sep)
 			}
-			b.WriteString(esc(c))
+			b.WriteString(format(i, cell))
 		}
 		b.WriteByte('\n')
 	}
-	writeRow(t.Columns)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
 }
