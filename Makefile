@@ -192,11 +192,12 @@ results-check:
 	if [ $$rc -eq 0 ]; then echo "results-check: every results/*.csv regenerated byte for byte"; fi; \
 	exit $$rc
 
-# lines prints the code lines of each package under internal/ and cmd/:
-# non-test Go files, without blank lines and lines that hold only a //
-# comment. It gates nothing; the repository's line bars are read from it.
+# lines prints the code lines of each package under internal/ and cmd/,
+# then their total: non-test Go files, without blank lines and lines that
+# hold only a // comment. It gates nothing; the repository's line bars are
+# read from it.
 lines:
 	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
 		awk -v d=$$d '{ sub(/^[ \t]+/, "") } $$0 != "" && $$0 !~ /^\/\// { n++ } END { printf "%6d %s\n", n, d }' \
 			$$(ls $$d/*.go | grep -v '_test\.go$$'); \
-	done
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'

@@ -29,10 +29,9 @@ var unusedAllow = map[string]string{
 }
 
 // globalWriteAllow lists the package-level variables of internal/ that
-// code assigns outside their declaration or an init function.
-var globalWriteAllow = map[string]string{
-	"sim.OnNew": "process-wide hook the watchdog and the poison test set; ROADMAP 11(a) replaces it with a per-run stop token",
-}
+// code assigns outside their declaration or an init function. It is
+// empty: a run's stop token is its context (sim.Sim.Bind), not a hook.
+var globalWriteAllow = map[string]string{}
 
 // TestAPIGuard type-checks the module's non-test packages, the benchmark's
 // sources under bench/ and the facade's Example functions, then fails when

@@ -7,6 +7,7 @@ package uqsim
 // benchmarks backing the "scalable" claim.
 
 import (
+	"context"
 	"testing"
 
 	"uqsim/internal/experiments"
@@ -19,7 +20,7 @@ const benchScale = 0.08
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(id, experiments.Opts{Seed: 1, Scale: benchScale}); err != nil {
+		if _, err := experiments.Run(context.Background(), id, experiments.Opts{Seed: 1, Scale: benchScale}); err != nil {
 			b.Fatal(err)
 		}
 	}

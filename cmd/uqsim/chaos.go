@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -34,9 +35,9 @@ func chaosCmd(args []string) int {
 	if code, ok := f.parse(args, true); !ok {
 		return code
 	}
-	wd := cli.StartWatchdog(f.maxWall)
+	ctx := cli.StartWatchdog(f.maxWall)
 	if *replay != "" {
-		return chaosReplay(f, *replay)
+		return chaosReplay(ctx, f, *replay)
 	}
 
 	if *corpus == "" {
@@ -49,19 +50,18 @@ func chaosCmd(args []string) int {
 		logf = nil
 	}
 	start := time.Now()
-	res, err := chaos.Run(chaos.Options{
-		ConfigDir:   f.config,
-		Seed:        f.seed,
-		Trials:      f.trials,
-		CorpusDir:   *corpus,
-		MaxActions:  f.maxActions,
-		Fidelity:    f.over.Fidelity,
-		SampleRate:  f.over.SampleRate,
-		Interrupted: wd.Interrupted,
-		Logf:        logf,
+	res, err := chaos.Run(ctx, chaos.Options{
+		ConfigDir:  f.config,
+		Seed:       f.seed,
+		Trials:     f.trials,
+		CorpusDir:  *corpus,
+		MaxActions: f.maxActions,
+		Fidelity:   f.over.Fidelity,
+		SampleRate: f.over.SampleRate,
+		Logf:       logf,
 	})
-	if err != nil && wd.Interrupted() {
-		return f.fail(cli.ExitPartial, "interrupted (%s)", wd.Reason())
+	if err != nil && ctx.Err() != nil {
+		return f.fail(cli.ExitPartial, "interrupted (%v)", context.Cause(ctx))
 	}
 	if err != nil {
 		return f.fail(cli.ExitPartial, "%v", err)
@@ -74,8 +74,8 @@ func chaosCmd(args []string) int {
 			fd.Trial, fd.Violation, fd.Events, fd.EventsBefore, fd.Dir)
 	}
 	if res.Interrupted {
-		return f.fail(cli.ExitPartial, "PARTIAL: interrupted (%s) after %d trials; corpus entries written so far are complete",
-			wd.Reason(), res.Trials)
+		return f.fail(cli.ExitPartial, "PARTIAL: interrupted (%v) after %d trials; corpus entries written so far are complete",
+			context.Cause(ctx), res.Trials)
 	}
 	if len(res.Findings) > 0 {
 		return cli.ExitFindings // distinct from interruption: the search itself succeeded
@@ -85,8 +85,8 @@ func chaosCmd(args []string) int {
 
 // chaosReplay re-runs one corpus entry and reports whether it still
 // reproduces the recorded finding bit-for-bit.
-func chaosReplay(f *flags, entry string) int {
-	res, err := chaos.ReplayWith(f.config, entry, f.over.Fidelity, f.over.SampleRate)
+func chaosReplay(ctx context.Context, f *flags, entry string) int {
+	res, err := chaos.ReplayWith(ctx, f.config, entry, f.over.Fidelity, f.over.SampleRate)
 	if err != nil {
 		return f.fail(cli.ExitPartial, "%v", err)
 	}

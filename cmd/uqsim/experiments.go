@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -47,21 +48,21 @@ func experimentsCmd(args []string) int {
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = experiments.Names()
 	}
-	wd := cli.StartWatchdog(f.maxWall)
+	ctx := cli.StartWatchdog(f.maxWall)
 	opts := experiments.Opts{Seed: f.seed, Scale: *scale}
 	for _, id := range ids {
-		t, err := experiments.Run(id, opts)
+		t, err := experiments.Run(ctx, id, opts)
 		if err != nil {
 			// An interrupted simulation can surface as an experiment error
 			// (e.g. an invariant over a half-run window); report the
 			// interruption rather than the symptom.
-			if wd.Interrupted() {
-				return f.fail(cli.ExitPartial, "interrupted (%s) during %s", wd.Reason(), id)
+			if ctx.Err() != nil {
+				return f.fail(cli.ExitPartial, "interrupted (%v) during %s", context.Cause(ctx), id)
 			}
 			return f.fail(cli.ExitPartial, "%s: %v", id, err)
 		}
-		if wd.Interrupted() {
-			t.Note = appendNote(t.Note, "PARTIAL: "+wd.Reason())
+		if ctx.Err() != nil {
+			t.Note = appendNote(t.Note, fmt.Sprint("PARTIAL: ", context.Cause(ctx)))
 		}
 		if f.csv {
 			fmt.Print(t.CSV())
@@ -79,8 +80,8 @@ func experimentsCmd(args []string) int {
 				return f.fail(cli.ExitPartial, "%v", err)
 			}
 		}
-		if wd.Interrupted() {
-			return f.fail(cli.ExitPartial, "interrupted (%s); %s is partial, later experiments skipped", wd.Reason(), id)
+		if ctx.Err() != nil {
+			return f.fail(cli.ExitPartial, "interrupted (%v); %s is partial, later experiments skipped", context.Cause(ctx), id)
 		}
 	}
 	return cli.ExitOK

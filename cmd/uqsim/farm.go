@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -171,13 +172,13 @@ func farmCampaign(f *farmFlags) int {
 	if err != nil {
 		return f.fail(cli.ExitPartial, "%v", err)
 	}
-	wd := cli.StartWatchdog(f.maxWall)
+	ctx := cli.StartWatchdog(f.maxWall)
 	logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 	if f.quiet {
 		logf = nil
 	}
 	start := time.Now()
-	sum, err := farm.Run(farm.Options{
+	sum, err := farm.Run(ctx, farm.Options{
 		Spool:       f.spool,
 		Workers:     f.workers,
 		WorkerArgv:  []string{self, "farm", "-worker", "-config", f.config, "-heartbeat", (f.lease / 5).String()},
@@ -187,7 +188,6 @@ func farmCampaign(f *farmFlags) int {
 		Resume:      f.resume,
 		KillWorkers: f.killWorkers,
 		Seed:        f.seed,
-		Interrupted: wd.Interrupted,
 		Logf:        logf,
 	}, c)
 	if err != nil {
@@ -219,8 +219,8 @@ func farmCampaign(f *farmFlags) int {
 		sum.Requeues, sum.Quarantined, sum.Respawns, sum.Kills, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("merged %s -> %s\n", f.spool, outPath)
 
-	if sum.Interrupted || wd.Interrupted() {
-		return f.fail(cli.ExitPartial, "PARTIAL: interrupted (%s) with %d jobs unfinished; rerun with -resume", wd.Reason(), len(m.Missing))
+	if sum.Interrupted || ctx.Err() != nil {
+		return f.fail(cli.ExitPartial, "PARTIAL: interrupted (%v) with %d jobs unfinished; rerun with -resume", context.Cause(ctx), len(m.Missing))
 	}
 	if len(m.Quarantined) > 0 || m.Violations > 0 {
 		fmt.Printf("findings: %d chaos violations, %d quarantined jobs\n", m.Violations, len(m.Quarantined))

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -27,29 +28,30 @@ func runCmd(args []string) int {
 	if code, ok := f.parse(args, true); !ok {
 		return code
 	}
-	wd := cli.StartWatchdog(f.maxWall)
+	ctx := cli.StartWatchdog(f.maxWall)
 	stopProfiles, err := f.prof.Start()
 	if err != nil {
 		return f.fail(cli.ExitUsage, "%v", err)
 	}
-	err = report(f)
+	err = report(ctx, f)
 	if perr := stopProfiles(); err == nil {
 		err = perr
 	}
 	if err != nil {
 		return f.fail(cli.ExitPartial, "%v", err)
 	}
-	if wd.Interrupted() {
-		return f.fail(cli.ExitPartial, "interrupted (%s); results above are partial", wd.Reason())
+	if ctx.Err() != nil {
+		return f.fail(cli.ExitPartial, "interrupted (%v); results above are partial", context.Cause(ctx))
 	}
 	return cli.ExitOK
 }
 
-func report(f *flags) error {
+func report(ctx context.Context, f *flags) error {
 	setup, err := config.Load(f.config, f.over)
 	if err != nil {
 		return err
 	}
+	defer setup.Sim.Bind(ctx)()
 	rep, err := setup.Run()
 	if err != nil {
 		return err
@@ -83,11 +85,12 @@ func traceCmd(args []string) int {
 	if code, ok := f.parse(args, true); !ok {
 		return code
 	}
-	wd := cli.StartWatchdog(f.maxWall)
+	ctx := cli.StartWatchdog(f.maxWall)
 	setup, err := config.Load(f.config, f.over)
 	if err != nil {
 		return f.fail(cli.ExitPartial, "%v", err)
 	}
+	defer setup.Sim.Bind(ctx)()
 	tr := trace.New(*sample)
 	tr.MaxTraces = 65536
 	setup.Sim.OnJobDone = tr.OnJobDone
@@ -123,8 +126,8 @@ func traceCmd(args []string) int {
 	for _, svc := range svcs {
 		fmt.Printf("  %-14s %d\n", svc, counts[svc])
 	}
-	if wd.Interrupted() {
-		return f.fail(cli.ExitPartial, "PARTIAL: interrupted (%s); traces above cover the truncated run", wd.Reason())
+	if ctx.Err() != nil {
+		return f.fail(cli.ExitPartial, "PARTIAL: interrupted (%v); traces above cover the truncated run", context.Cause(ctx))
 	}
 	return cli.ExitOK
 }

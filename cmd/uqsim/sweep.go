@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -34,20 +35,17 @@ func sweepCmd(args []string) int {
 	if err != nil {
 		return f.fail(cli.ExitPartial, "%v", err)
 	}
-	wd := cli.StartWatchdog(f.maxWall)
+	ctx := cli.StartWatchdog(f.maxWall)
 	t := experiments.SweepTable(f.config)
 	for i, qps := range grid {
-		if wd.Interrupted() {
-			break
-		}
-		row, err := experiments.SweepRow(dir, qps, f.over)
-		if err != nil {
-			return f.fail(cli.ExitPartial, "%v", err)
-		}
+		row, err := experiments.SweepRow(ctx, dir, qps, f.over)
 		// A signal mid-run stops the simulation early; that point's row
 		// reflects a truncated window, so drop it and keep the clean rows.
-		if wd.Interrupted() {
+		if ctx.Err() != nil {
 			break
+		}
+		if err != nil {
+			return f.fail(cli.ExitPartial, "%v", err)
 		}
 		t.Add(row...)
 		if *progress {
@@ -59,9 +57,9 @@ func sweepCmd(args []string) int {
 	} else {
 		fmt.Println(t.String())
 	}
-	if wd.Interrupted() {
-		return f.fail(cli.ExitPartial, "PARTIAL: interrupted (%s) after %d/%d points; rows printed are complete",
-			wd.Reason(), len(t.Rows), len(grid))
+	if ctx.Err() != nil {
+		return f.fail(cli.ExitPartial, "PARTIAL: interrupted (%v) after %d/%d points; rows printed are complete",
+			context.Cause(ctx), len(t.Rows), len(grid))
 	}
 	return cli.ExitOK
 }

@@ -16,6 +16,7 @@
 package chaos
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -26,8 +27,8 @@ import (
 	"uqsim/internal/stats"
 )
 
-// ErrInterrupted reports that a watchdog or signal stopped the simulation
-// mid-run; the partial results are not trustworthy and the search loop
+// ErrInterrupted reports that the harness's context was done and stopped a
+// simulation; the partial results are not trustworthy and the search loop
 // winds down, keeping whatever corpus it already flushed.
 var ErrInterrupted = errors.New("chaos: interrupted")
 
@@ -65,9 +66,6 @@ type Options struct {
 	// SampleRate overrides the hybrid foreground sample rate (default
 	// 0.01 when Fidelity is "hybrid").
 	SampleRate float64
-	// Interrupted, when non-nil, is polled between runs (wire it to
-	// cli.Watchdog.Interrupted) so a signal stops the search cleanly.
-	Interrupted func() bool
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -88,9 +86,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.P99SlackMs <= 0 {
 		out.P99SlackMs = 20
-	}
-	if out.Interrupted == nil {
-		out.Interrupted = func() bool { return false }
 	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
@@ -138,8 +133,10 @@ type Result struct {
 
 // Harness holds everything needed to run scenarios against one config
 // directory: its documents, the decoded base faults file, and the
-// extracted world model the generator draws from.
+// extracted world model the generator draws from. Every simulation it
+// runs is bound to ctx, so a done ctx stops the harness's work.
 type Harness struct {
+	ctx        context.Context
 	opts       Options
 	dir        *config.Dir
 	baseFaults *config.FaultsFile
@@ -179,8 +176,9 @@ type windowStats struct {
 
 // NewHarness loads dir — so it rejects exactly what `uqsim run` rejects —
 // and builds the world model from the decoded documents. opts.ConfigDir
-// only names dir in messages.
-func NewHarness(dir *config.Dir, opts Options) (*Harness, error) {
+// only names dir in messages. The harness's runs are bound to ctx: once it
+// is done they stop and report ErrInterrupted.
+func NewHarness(ctx context.Context, dir *config.Dir, opts Options) (*Harness, error) {
 	o := opts.withDefaults()
 	setup, err := dir.Load(config.Overrides{})
 	if err != nil {
@@ -192,6 +190,7 @@ func NewHarness(dir *config.Dir, opts Options) (*Harness, error) {
 	}
 
 	h := &Harness{
+		ctx:           ctx,
 		opts:          o,
 		dir:           dir,
 		baseFaults:    setup.Faults,
@@ -273,25 +272,21 @@ func (h *Harness) Trial(trial int) (*TrialResult, error) {
 }
 
 // Run explores opts.Trials scenarios, shrinking and archiving every
-// violation found. This is the `uqsim chaos` entry point.
-func Run(opts Options) (*Result, error) {
+// violation found, until ctx is done. This is the `uqsim chaos` entry
+// point.
+func Run(ctx context.Context, opts Options) (*Result, error) {
 	dir, err := config.ReadDir(opts.ConfigDir)
 	if err != nil {
 		return nil, err
 	}
-	h, err := NewHarness(dir, opts)
+	h, err := NewHarness(ctx, dir, opts)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
-	for trial := 0; trial < h.opts.Trials; trial++ {
-		if h.opts.Interrupted() {
-			res.Interrupted = true
-			break
-		}
+	for trial := 0; trial < h.opts.Trials && ctx.Err() == nil; trial++ {
 		tr, err := h.Trial(trial)
 		if errors.Is(err, ErrInterrupted) {
-			res.Interrupted = true
 			break
 		}
 		if err != nil {
@@ -313,9 +308,7 @@ func Run(opts Options) (*Result, error) {
 		res.Findings = append(res.Findings, *f)
 		h.opts.Logf("trial %d: shrunk to %d events (%s), archived %s", trial, f.Events, f.Violation, f.Dir)
 	}
-	if !res.Interrupted && h.opts.Interrupted() {
-		res.Interrupted = true
-	}
+	res.Interrupted = ctx.Err() != nil
 	return res, nil
 }
 

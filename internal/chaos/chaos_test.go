@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +26,7 @@ func TestReplayCommittedCorpus(t *testing.T) {
 	}
 	for _, entry := range entries {
 		t.Run(filepath.Base(entry), func(t *testing.T) {
-			res, err := Replay(metastableDir, entry)
+			res, err := Replay(context.Background(), metastableDir, entry)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +55,7 @@ func TestReplayCommittedCorpus(t *testing.T) {
 // replays to the identical finding.
 func TestSearchFindsShrinksAndArchives(t *testing.T) {
 	corpus := t.TempDir()
-	res, err := Run(Options{
+	res, err := Run(context.Background(), Options{
 		ConfigDir: metastableDir,
 		Seed:      1,
 		Trials:    2,
@@ -79,7 +80,7 @@ func TestSearchFindsShrinksAndArchives(t *testing.T) {
 		if f.Events > f.EventsBefore {
 			t.Errorf("trial %d: shrinking grew the schedule (%d → %d)", f.Trial, f.EventsBefore, f.Events)
 		}
-		rr, err := Replay(metastableDir, f.Dir)
+		rr, err := Replay(context.Background(), metastableDir, f.Dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,14 +239,15 @@ func TestSplitComplements(t *testing.T) {
 	}
 }
 
-// An immediately tripped Interrupted flag must stop the search before any
-// trial runs and mark the result partial.
+// A context already cancelled must stop the search before any trial runs
+// and mark the result partial.
 func TestRunInterrupted(t *testing.T) {
-	res, err := Run(Options{
-		ConfigDir:   metastableDir,
-		Seed:        1,
-		Trials:      5,
-		Interrupted: func() bool { return true },
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Run(ctx, Options{
+		ConfigDir: metastableDir,
+		Seed:      1,
+		Trials:    5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +295,7 @@ func TestEntriesSkipsIncomplete(t *testing.T) {
 func TestRejectsClosedLoop(t *testing.T) {
 	dir := readDir(t, metastableDir)
 	dir.Client = []byte(`{"seed":1,"closed_users":10,"think":{"type":"deterministic","value_us":1000},"duration_s":1}`)
-	if _, err := NewHarness(dir, Options{}); err == nil || !strings.Contains(err.Error(), "closed-loop") {
+	if _, err := NewHarness(context.Background(), dir, Options{}); err == nil || !strings.Contains(err.Error(), "closed-loop") {
 		t.Fatalf("closed-loop config: NewHarness error %v, want one naming the closed-loop client", err)
 	}
 }
@@ -321,7 +323,7 @@ func TestRejectsWhatRunRejects(t *testing.T) {
 	if want == nil || !strings.Contains(want.Error(), `unknown field "max_queu"`) {
 		t.Fatalf("config.Load: %v, want the unknown-field error", want)
 	}
-	_, err := Run(Options{ConfigDir: dir, Seed: 1, Trials: 1})
+	_, err := Run(context.Background(), Options{ConfigDir: dir, Seed: 1, Trials: 1})
 	if err == nil || err.Error() != want.Error() {
 		t.Fatalf("chaos.Run: %v, want config's error %q", err, want)
 	}
@@ -349,7 +351,7 @@ func TestReplayRejectsMisspelledMeta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err := Replay(metastableDir, entry)
+	_, err := Replay(context.Background(), metastableDir, entry)
 	want := `unknown field "seeed" (did you mean "seed"?)`
 	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "meta.json") {
 		t.Fatalf("Replay: %v, want an error naming meta.json and %s", err, want)
@@ -369,7 +371,7 @@ func readDir(t *testing.T, path string) *config.Dir {
 // newHarness builds a harness over the config directory at path.
 func newHarness(t *testing.T, path string, opts Options) *Harness {
 	t.Helper()
-	h, err := NewHarness(readDir(t, path), opts)
+	h, err := NewHarness(context.Background(), readDir(t, path), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -119,8 +120,8 @@ func (r *ReplayResult) Matches() bool {
 // against the given config directory and re-judges the invariants. The
 // committed corpus is replayed in CI, so every archived chaos finding
 // stays a live regression test.
-func Replay(configDir, entryDir string) (*ReplayResult, error) {
-	return ReplayWith(configDir, entryDir, "", 0)
+func Replay(ctx context.Context, configDir, entryDir string) (*ReplayResult, error) {
+	return ReplayWith(ctx, configDir, entryDir, "", 0)
 }
 
 // ReplayWith is Replay at an explicit fidelity (as config.Overrides.Fidelity):
@@ -128,7 +129,7 @@ func Replay(configDir, entryDir string) (*ReplayResult, error) {
 // finding bit-for-bit (the inertness contract), while sampled rates
 // re-judge the invariants — conservation in particular — on the hybrid
 // tier's own books and are not expected to reproduce the fingerprint.
-func ReplayWith(configDir, entryDir, fidelity string, sampleRate float64) (*ReplayResult, error) {
+func ReplayWith(ctx context.Context, configDir, entryDir, fidelity string, sampleRate float64) (*ReplayResult, error) {
 	metaData, err := os.ReadFile(filepath.Join(entryDir, "meta.json"))
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
@@ -141,7 +142,7 @@ func ReplayWith(configDir, entryDir, fidelity string, sampleRate float64) (*Repl
 	if err != nil {
 		return nil, err
 	}
-	h, err := NewHarness(dir, Options{ConfigDir: configDir, Fidelity: fidelity, SampleRate: sampleRate})
+	h, err := NewHarness(ctx, dir, Options{ConfigDir: configDir, Fidelity: fidelity, SampleRate: sampleRate})
 	if err != nil {
 		return nil, err
 	}

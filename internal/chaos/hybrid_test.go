@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 )
@@ -18,7 +19,7 @@ func TestReplayCorpusHybridRateOne(t *testing.T) {
 	}
 	for _, entry := range entries {
 		t.Run(filepath.Base(entry), func(t *testing.T) {
-			res, err := ReplayWith(metastableDir, entry, "hybrid", 1.0)
+			res, err := ReplayWith(context.Background(), metastableDir, entry, "hybrid", 1.0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +47,7 @@ func TestReplayCorpusHybridSampled(t *testing.T) {
 	}
 	for _, entry := range entries {
 		t.Run(filepath.Base(entry), func(t *testing.T) {
-			res, err := ReplayWith(metastableDir, entry, "hybrid", 0.5)
+			res, err := ReplayWith(context.Background(), metastableDir, entry, "hybrid", 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +84,7 @@ func TestEmptyScenarioPassesHybrid(t *testing.T) {
 // and conservation invariants must never be among the violations — those
 // would be hybrid-tier accounting bugs, not config fragility.
 func TestHybridSearchRuns(t *testing.T) {
-	res, err := Run(Options{
+	res, err := Run(context.Background(), Options{
 		ConfigDir:  metastableDir,
 		Seed:       1,
 		Trials:     2,

@@ -11,9 +11,6 @@ package chaos
 func (h *Harness) Shrink(sc Scenario, targetID string) (Scenario, error) {
 	actions := sc.Actions
 	reproduces := func(subset []Action) (bool, error) {
-		if h.opts.Interrupted() {
-			return false, ErrInterrupted
-		}
 		v, _, err := h.Verify(Scenario{Seed: sc.Seed, Actions: subset})
 		if err != nil {
 			return false, err

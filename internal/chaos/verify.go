@@ -157,15 +157,14 @@ type runResult struct {
 }
 
 // drain runs the engine past the measured window, one horizon at a time
-// for up to drainRounds horizons, until the simulation empties. The
-// returned error is the last round's violation evidence, or
-// ErrInterrupted when a watchdog stopped the engine.
+// for up to drainRounds horizons, until the simulation empties. The drain
+// is bound to the harness's context like the run before it. The returned
+// error is the last round's violation evidence, or ErrInterrupted when
+// the context stopped the engine.
 func (r *runResult) drain(h *Harness) error {
+	defer r.sim.Bind(h.ctx)()
 	var err error
 	for i := des.Time(1); i <= drainRounds; i++ {
-		if h.opts.Interrupted() {
-			return ErrInterrupted
-		}
 		r.sim.Engine().RunUntil(r.horizon * (1 + i))
 		if r.sim.Engine().Stopped() {
 			return ErrInterrupted
@@ -181,11 +180,8 @@ func (r *runResult) drain(h *Harness) error {
 // the materialized fault plan in place of its faults.json, under the given
 // seed and fidelity, and — when winStart > 0 — a recovery-window
 // measurement hook counting goodput and latencies of requests finishing
-// at or after winStart.
+// at or after winStart. The run is bound to the harness's context.
 func (h *Harness) runOnce(seed uint64, faultsJSON []byte, winStart des.Time, fidelity string, sampleRate float64) (*runResult, error) {
-	if h.opts.Interrupted() {
-		return nil, ErrInterrupted
-	}
 	dir := *h.dir
 	dir.Faults = faultsJSON
 	setup, err := dir.Load(config.Overrides{Seed: &seed, Fidelity: fidelity, SampleRate: sampleRate})
@@ -207,6 +203,7 @@ func (h *Harness) runOnce(seed uint64, faultsJSON []byte, winStart des.Time, fid
 			}
 		}
 	}
+	defer setup.Sim.Bind(h.ctx)()
 	rep, err := setup.Run()
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -31,7 +32,7 @@ type Cell struct {
 	Build          func() (*sim.Sim, error)
 	Warmup, Window des.Time
 	Read           func(*sim.Sim, *sim.Report) any
-	Func           func() (any, error)
+	Func           func(context.Context) (any, error)
 }
 
 // Result is what one cell's run left.
@@ -50,12 +51,12 @@ type Result struct {
 type cols map[string]string
 
 // execute runs cells one after another. It is the only code in the
-// package that builds a cell, runs it, checks its conservation identity
-// and times it.
-func execute(id string, cells []Cell) ([]Result, error) {
+// package that builds a cell, binds it to ctx, runs it, checks its
+// conservation identity and times it.
+func execute(ctx context.Context, id string, cells []Cell) ([]Result, error) {
 	rs := make([]Result, len(cells))
 	for i, c := range cells {
-		r, err := runCell(c)
+		r, err := runCell(ctx, c)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s %s: %w", id, strings.Join(c.Label, "/"), err)
 		}
@@ -64,11 +65,11 @@ func execute(id string, cells []Cell) ([]Result, error) {
 	return rs, nil
 }
 
-func runCell(c Cell) (r Result, err error) {
+func runCell(ctx context.Context, c Cell) (r Result, err error) {
 	r.Label = c.Label
 	if c.Func != nil {
 		start := time.Now()
-		r.Value, err = c.Func()
+		r.Value, err = c.Func(ctx)
 		r.Wall = time.Since(start)
 		return r, err
 	}
@@ -76,6 +77,7 @@ func runCell(c Cell) (r Result, err error) {
 	if err != nil {
 		return r, err
 	}
+	defer s.Bind(ctx)()
 	start := time.Now()
 	r.Rep, err = s.Run(c.Warmup, c.Window)
 	r.Wall = time.Since(start)
@@ -92,11 +94,15 @@ func runCell(c Cell) (r Result, err error) {
 	return r, nil
 }
 
-// Cost totals what an experiment's cells cost.
+// Cost totals what an experiment's cells cost. The event rate is over the
+// simulation cells alone; function cells report no events, so their count
+// and wall stand beside it.
 type Cost struct {
-	Cells  int
-	Events uint64
-	Wall   time.Duration // summed over the cells' runs
+	Cells    int // simulation cells
+	Events   uint64
+	Wall     time.Duration // summed over the simulation cells' runs
+	Funcs    int           // function cells
+	FuncWall time.Duration // summed over the function cells' runs
 }
 
 func (c Cost) String() string {
@@ -104,11 +110,16 @@ func (c Cost) String() string {
 	if c.Wall > 0 {
 		rate = float64(c.Events) / c.Wall.Seconds()
 	}
-	return fmt.Sprintf("%d cells, %d events in %v, %.0f events/s",
+	s := fmt.Sprintf("%d cells, %d events in %v, %.0f events/s",
 		c.Cells, c.Events, c.Wall.Round(time.Millisecond), rate)
+	if c.Funcs > 0 {
+		s += fmt.Sprintf("; %d function cells in %v", c.Funcs, c.FuncWall.Round(time.Millisecond))
+	}
+	return s
 }
 
 func f0(v float64) string     { return fmt.Sprintf("%.0f", v) }
+func fg(v float64) string     { return fmt.Sprintf("%g", v) }
 func ms(d des.Time) string    { return fmt.Sprintf("%.3f", d.Millis()) }
 func pct(frac float64) string { return fmt.Sprintf("%.1f%%", 100*frac) }
 
@@ -141,7 +152,7 @@ var columns = map[string]func(*Result) string{
 	"in_flight_at_end":  func(r *Result) string { return fmt.Sprint(r.Rep.InFlight) },
 	"xregion_calls":     func(r *Result) string { return fmt.Sprint(r.Rep.CrossRegionCalls) },
 	"stale_reads":       func(r *Result) string { return fmt.Sprint(r.Rep.StaleReads) },
-	"sample_rate":       func(r *Result) string { return fmt.Sprintf("%g", r.Rep.SampleRate) },
+	"sample_rate":       func(r *Result) string { return fg(r.Rep.SampleRate) },
 	"bg_completions":    func(r *Result) string { return fmt.Sprint(r.Rep.BackgroundCompletions) },
 	"bg_shed":           func(r *Result) string { return fmt.Sprint(r.Rep.BackgroundShed) },
 	"bg_unreachable":    func(r *Result) string { return fmt.Sprint(r.Rep.BackgroundUnreachable) },

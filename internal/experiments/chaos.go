@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,7 +39,7 @@ func configDir(name string) (string, error) {
 // pipeline is one function cell: its runs are the harness's own.
 var chaosSearch = Spec{
 	Cells: func(o Opts) []Cell {
-		return []Cell{{Label: []string{"find-shrink-replay"}, Func: func() (any, error) { return chaosPipeline(o.Seed) }}}
+		return []Cell{{Label: []string{"find-shrink-replay"}, Func: func(ctx context.Context) (any, error) { return chaosPipeline(ctx, o.Seed) }}}
 	},
 	Reduce: func(_ Opts, rs []Result) (*Table, error) {
 		t := NewTable("Chaos search: find, shrink, replay (metastable two-tier)",
@@ -53,7 +54,7 @@ var chaosSearch = Spec{
 
 // chaosPipeline verifies, shrinks and replays the noisy scenario, one
 // row per step.
-func chaosPipeline(seed uint64) ([][]string, error) {
+func chaosPipeline(ctx context.Context, seed uint64) ([][]string, error) {
 	path, err := configDir("metastable")
 	if err != nil {
 		return nil, err
@@ -62,7 +63,7 @@ func chaosPipeline(seed uint64) ([][]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := chaos.NewHarness(dir, chaos.Options{ConfigDir: path})
+	h, err := chaos.NewHarness(ctx, dir, chaos.Options{ConfigDir: path})
 	if err != nil {
 		return nil, err
 	}

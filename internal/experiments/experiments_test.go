@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"uqsim/internal/des"
 	"uqsim/internal/sim"
 )
 
@@ -117,7 +120,7 @@ func TestRegistryNamesAndUnknown(t *testing.T) {
 	if got := Names(); !slices.Equal(got, want) {
 		t.Fatalf("Names() = %q, want %q", got, want)
 	}
-	if _, err := Run("nope", Opts{}); err == nil {
+	if _, err := Run(context.Background(), "nope", Opts{}); err == nil {
 		t.Fatal("unknown id should fail")
 	}
 }
@@ -126,7 +129,7 @@ func TestRegistryNamesAndUnknown(t *testing.T) {
 // experiment with an error naming the experiment and the cell.
 func TestCellErrorNamesIDAndLabel(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := execute("fig5", []Cell{{
+	_, err := execute(context.Background(), "fig5", []Cell{{
 		Label: []string{"nginx8p-mc4t", "10000"},
 		Build: func() (*sim.Sim, error) { return nil, boom },
 	}})
@@ -144,13 +147,13 @@ func TestCellsAreIndependent(t *testing.T) {
 	for _, id := range []string{"resilience", "overload", "ablation-lb"} {
 		sp := specs[id]
 		cells := sp.Cells(o)
-		fwd, err := execute(id, cells)
+		fwd, err := execute(context.Background(), id, cells)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reversed := slices.Clone(cells)
 		slices.Reverse(reversed)
-		rev, err := execute(id, reversed)
+		rev, err := execute(context.Background(), id, reversed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +175,7 @@ func TestCellsAreIndependent(t *testing.T) {
 // smoke runs an experiment at tiny scale and sanity-checks the table.
 func smoke(t *testing.T, id string) *Table {
 	t.Helper()
-	tb, err := Run(id, Opts{Seed: 5, Scale: 0.05})
+	tb, err := Run(context.Background(), id, Opts{Seed: 5, Scale: 0.05})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -502,5 +505,58 @@ func TestMillionUserSmoke(t *testing.T) {
 	last := tb.Rows[len(tb.Rows)-1]
 	if last[11] == "-" {
 		t.Fatalf("scale row missing speedup: %v", last)
+	}
+}
+
+// TestConcurrentCampaignsShareNothing runs two experiments at once in one
+// process, each under its own context. The overload campaign's context is
+// cancelled by an event halfway through its middle cell's window, so the
+// cells before it run whole beside resilience, that cell stops short or
+// runs out, and every cell after it processes no event. The resilience run
+// beside it must not notice: its table equals its serial run's byte for
+// byte.
+func TestConcurrentCampaignsShareNothing(t *testing.T) {
+	o := Opts{Seed: 5, Scale: 0.05}
+	serial, err := Run(context.Background(), "resilience", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cells := specs["overload"].Cells(o)
+	mid := len(cells) / 2
+	c := cells[mid]
+	build := c.Build
+	cells[mid].Build = func() (*sim.Sim, error) {
+		s, err := build()
+		if err == nil {
+			s.Engine().At(c.Warmup+c.Window/2, func(des.Time) { cancel() })
+		}
+		return s, err
+	}
+	var wg sync.WaitGroup
+	var res *Table
+	var ovl []Result
+	var resErr, ovlErr error
+	wg.Add(2)
+	go func() { defer wg.Done(); res, resErr = Run(context.Background(), "resilience", o) }()
+	go func() { defer wg.Done(); ovl, ovlErr = execute(ctx, "overload", cells) }()
+	wg.Wait()
+	if resErr != nil {
+		t.Fatal(resErr)
+	}
+	if got, want := res.CSV(), serial.CSV(); got != want {
+		t.Fatalf("resilience beside a cancelled overload run:\n%s\nserial:\n%s", got, want)
+	}
+	if ovlErr != nil {
+		return // interrupted: the cut cell failed its conservation check
+	}
+	for i, r := range ovl {
+		if i < mid && r.Events == 0 {
+			t.Fatalf("overload cell %d before the cancel processed no events", i)
+		}
+		if i > mid && r.Events != 0 {
+			t.Fatalf("overload cell %d after the cancel processed %d events, want 0", i, r.Events)
+		}
 	}
 }

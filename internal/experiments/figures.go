@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -189,7 +190,7 @@ var fig13 = Spec{
 			// BigHouse: single-stage collapse.
 			svc := bighouse.SingleStageService(apps.CollapsedSamplers(bp, pathIdx, c.meanKB)...)
 			for _, qps := range o.loads(c.from, c.to, c.step) {
-				cells = append(cells, Cell{Label: []string{c.label, "bighouse", f0(qps)}, Func: func() (any, error) {
+				cells = append(cells, Cell{Label: []string{c.label, "bighouse", f0(qps)}, Func: func(context.Context) (any, error) {
 					res, err := bighouse.Run(bighouse.Config{
 						Seed:         o.Seed,
 						Servers:      c.cores,

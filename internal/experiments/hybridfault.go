@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -46,7 +47,7 @@ var hybridFault = Spec{
 		at := func(frac float64) des.Time { return warm + des.Time(frac*float64(phaseDur)) }
 		// A "full" cell runs without the fluid tier, any other fid at rate.
 		add := func(phase, fid string, rate float64, events []fault.Event, w, d des.Time) {
-			cells = append(cells, Cell{Label: []string{phase, fid, fmt.Sprintf("%.4g", rate)}, Warmup: w, Window: d,
+			cells = append(cells, Cell{Label: []string{phase, fid, fg(rate)}, Warmup: w, Window: d,
 				Build: func() (*sim.Sim, error) {
 					return hybridFaultSim(o.Seed, qps, hybridAt(fid, rate), events)
 				}})
@@ -91,8 +92,8 @@ var hybridFault = Spec{
 		// 1.0 and demands a bit-identical fingerprint to full DES. Zero
 		// violations required. The search is a function cell: its runs are
 		// the harness's own.
-		cells = append(cells, Cell{Label: []string{"chaos", "hybrid", fmt.Sprintf("%.4g", hybridFaultRate)},
-			Func: func() (any, error) {
+		cells = append(cells, Cell{Label: []string{"chaos", "hybrid", fg(hybridFaultRate)},
+			Func: func(ctx context.Context) (any, error) {
 				dir, err := configDir("robust")
 				if err != nil {
 					return nil, err
@@ -101,7 +102,7 @@ var hybridFault = Spec{
 				if o.scale() < 0.9 {
 					trials = int(math.Max(5, 200*o.scale()))
 				}
-				res, err := chaos.Run(chaos.Options{
+				res, err := chaos.Run(ctx, chaos.Options{
 					ConfigDir:  dir,
 					Seed:       o.Seed,
 					Trials:     trials,

@@ -44,7 +44,7 @@ var millionUser = Spec{
 		warm, dur := o.window(2*des.Second, 20*des.Second)
 		add := func(rho float64, fid string, users, k int, rate float64) {
 			cells = append(cells, Cell{
-				Label:  []string{fmt.Sprintf("%.1f", rho), fid, fmt.Sprint(users), fmt.Sprintf("%.4g", rate)},
+				Label:  []string{fmt.Sprintf("%.1f", rho), fid, fmt.Sprint(users), fg(rate)},
 				Warmup: warm, Window: dur,
 				Build: func() (*sim.Sim, error) {
 					return millionUserSim(o.Seed, users, k, muServiceS, muThinkS, hybridAt(fid, rate))

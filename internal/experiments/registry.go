@@ -1,6 +1,9 @@
 package experiments
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // specs maps experiment IDs to their specs. IDs follow the paper's
 // numbering, then the DESIGN.md ablations, then the extensions beyond the
@@ -38,13 +41,16 @@ var specs = map[string]Spec{
 // Names lists registered experiment IDs in sorted order.
 func Names() []string { return sortedKeys(specs) }
 
-// Run executes one experiment by ID. The table's Cost totals its cells.
-func Run(id string, o Opts) (*Table, error) {
+// Run executes one experiment by ID, every cell bound to ctx: once ctx is
+// done the running simulation stops and later ones process no event, so
+// the table comes back partial (or the reducer fails on a truncated run).
+// The table's Cost totals its cells.
+func Run(ctx context.Context, id string, o Opts) (*Table, error) {
 	sp, ok := specs[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, Names())
 	}
-	rs, err := execute(id, sp.Cells(o))
+	rs, err := execute(ctx, id, sp.Cells(o))
 	if err != nil {
 		return nil, err
 	}
@@ -52,8 +58,13 @@ func Run(id string, o Opts) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Cost = Cost{Cells: len(rs)}
 	for _, r := range rs {
+		if r.Rep == nil {
+			t.Cost.Funcs++
+			t.Cost.FuncWall += r.Wall
+			continue
+		}
+		t.Cost.Cells++
 		t.Cost.Events += r.Events
 		t.Cost.Wall += r.Wall
 	}

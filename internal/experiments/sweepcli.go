@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"uqsim/internal/config"
+	"uqsim/internal/sim"
 )
 
 // This file is the shared core of the load-sweep workflow: `uqsim sweep`
@@ -53,17 +55,18 @@ func SweepGrid(from, to, step float64) ([]float64, error) {
 // simulation from dir at load qps with o's other overrides (same seed,
 // same windows), so rows are independent: any subset can run anywhere,
 // in any order, and still match a serial sweep with the same overrides.
-func SweepRow(dir *config.Dir, qps float64, o config.Overrides) ([]string, error) {
+// The point runs as an experiment cell bound to ctx, conservation checked.
+func SweepRow(ctx context.Context, dir *config.Dir, qps float64, o config.Overrides) ([]string, error) {
 	o.QPS = qps
 	setup, err := dir.Load(o)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := setup.Run()
+	r, err := runCell(ctx, Cell{Label: []string{f0(qps)}, Warmup: setup.Warmup, Window: setup.Duration,
+		Build: func() (*sim.Sim, error) { return setup.Sim, nil }})
 	if err != nil {
 		return nil, err
 	}
-	r := &Result{Label: []string{f0(qps)}, Rep: rep}
 	return r.row(SweepColumns()[1:]...), nil
 }
 

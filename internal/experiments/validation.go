@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"uqsim/internal/des"
@@ -14,8 +15,8 @@ import (
 var validation = Spec{
 	Cells: func(o Opts) []Cell {
 		_, dur := o.window(0, 20*des.Second)
-		return []Cell{{Label: []string{"suite"}, Func: func() (any, error) {
-			return validate.Suite(validate.Options{Seed: o.Seed, Duration: dur})
+		return []Cell{{Label: []string{"suite"}, Func: func(ctx context.Context) (any, error) {
+			return validate.Suite(ctx, validate.Options{Seed: o.Seed, Duration: dur})
 		}}}
 	},
 	Reduce: func(_ Opts, rs []Result) (*Table, error) {

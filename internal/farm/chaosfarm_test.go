@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,7 +23,7 @@ func TestFarmChaosCampaignMatchesSerial(t *testing.T) {
 
 	// Serial reference: run the trials in-process and archive findings
 	// exactly as `uqsim chaos` would.
-	h, err := chaos.NewHarness(readDir(t, cfgDir), chaos.Options{ConfigDir: cfgDir, Seed: seed, Trials: trials})
+	h, err := chaos.NewHarness(context.Background(), readDir(t, cfgDir), chaos.Options{ConfigDir: cfgDir, Seed: seed, Trials: trials})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestFarmChaosCampaignMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	spool := t.TempDir()
-	sum, err := Run(Options{
+	sum, err := Run(context.Background(), Options{
 		Spool:      spool,
 		Workers:    3,
 		WorkerArgv: workerArgv(t, cfgDir),

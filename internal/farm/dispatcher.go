@@ -2,6 +2,7 @@ package farm
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -44,10 +45,6 @@ type Options struct {
 	// Seed drives the chaos monkey's choice of victim and the respawn
 	// jitter (default 1).
 	Seed uint64
-	// Interrupted, when non-nil, is polled from the event loop (wire it
-	// to cli.Watchdog.Interrupted); when it fires the dispatcher stops
-	// leasing, kills the pool, and returns with Interrupted set.
-	Interrupted func() bool
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -71,9 +68,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Seed == 0 {
 		out.Seed = 1
-	}
-	if out.Interrupted == nil {
-		out.Interrupted = func() bool { return false }
 	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
@@ -130,8 +124,9 @@ const (
 // Run executes campaign c: it opens (or resumes) the spool, leases jobs
 // to a pool of worker subprocesses, and survives worker crashes, hangs,
 // and kills without losing or double-counting a job. It returns once
-// every job is committed or quarantined, or the run is interrupted.
-func Run(o Options, c *Campaign) (*Summary, error) {
+// every job is committed or quarantined, or once ctx is done: then it
+// stops leasing, kills the pool, and returns with Interrupted set.
+func Run(ctx context.Context, o Options, c *Campaign) (*Summary, error) {
 	opts := o.withDefaults()
 	if opts.Spool == "" {
 		return nil, fmt.Errorf("farm: Options.Spool is required")
@@ -170,7 +165,7 @@ func Run(o Options, c *Campaign) (*Summary, error) {
 			d.summary.Violations++
 		}
 	}
-	return d.run()
+	return d.run(ctx)
 }
 
 type dispatcher struct {
@@ -184,7 +179,7 @@ type dispatcher struct {
 	summary Summary
 }
 
-func (d *dispatcher) run() (*Summary, error) {
+func (d *dispatcher) run(ctx context.Context) (*Summary, error) {
 	if d.queue.idle() {
 		d.opts.Logf("farm: nothing to do: %d/%d jobs already journaled", d.summary.Skipped, d.summary.Jobs)
 		return &d.summary, nil
@@ -203,7 +198,7 @@ func (d *dispatcher) run() (*Summary, error) {
 	defer tick.Stop()
 	var fatal error
 	for !d.queue.idle() {
-		if d.opts.Interrupted() {
+		if ctx.Err() != nil {
 			d.summary.Interrupted = true
 			break
 		}
@@ -215,6 +210,7 @@ func (d *dispatcher) run() (*Summary, error) {
 			}
 		case <-tick.C:
 			d.reap(time.Now())
+		case <-ctx.Done():
 		}
 		if fatal != nil {
 			break

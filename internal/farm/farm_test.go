@@ -8,6 +8,7 @@ package farm
 // to a serial run.
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -78,7 +79,7 @@ func serialCSV(t *testing.T, cfgDir string, from, to, step float64) string {
 	}
 	dir := readDir(t, cfgDir)
 	for _, qps := range grid {
-		row, err := experiments.SweepRow(dir, qps, config.Overrides{})
+		row, err := experiments.SweepRow(context.Background(), dir, qps, config.Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func TestFarmChaosMonkeyByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	spool := t.TempDir()
-	sum, err := Run(Options{
+	sum, err := Run(context.Background(), Options{
 		Spool:       spool,
 		Workers:     4,
 		WorkerArgv:  workerArgv(t, cfgDir),
@@ -229,14 +230,14 @@ func TestFarmResumeByteIdentical(t *testing.T) {
 	}
 	spool := t.TempDir()
 
-	deadline := time.Now().Add(1200 * time.Millisecond)
-	first, err := Run(Options{
-		Spool:       spool,
-		Workers:     2,
-		WorkerArgv:  workerArgv(t, cfgDir),
-		LeaseTTL:    5 * time.Second,
-		Interrupted: func() bool { return time.Now().After(deadline) },
-		Logf:        t.Logf,
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(1200*time.Millisecond))
+	defer cancel()
+	first, err := Run(ctx, Options{
+		Spool:      spool,
+		Workers:    2,
+		WorkerArgv: workerArgv(t, cfgDir),
+		LeaseTTL:   5 * time.Second,
+		Logf:       t.Logf,
 	}, c)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +246,7 @@ func TestFarmResumeByteIdentical(t *testing.T) {
 		t.Log("first run finished before the interrupt; resume degenerates to a no-op")
 	}
 
-	second, err := Run(Options{
+	second, err := Run(context.Background(), Options{
 		Spool:      spool,
 		Workers:    4,
 		WorkerArgv: workerArgv(t, cfgDir),
@@ -270,7 +271,7 @@ func TestFarmResumeByteIdentical(t *testing.T) {
 
 	// Running again without -resume must refuse: the journal already
 	// holds this campaign.
-	if _, err := Run(Options{
+	if _, err := Run(context.Background(), Options{
 		Spool: spool, Workers: 1, WorkerArgv: workerArgv(t, cfgDir),
 	}, c); err == nil || !strings.Contains(err.Error(), "-resume") {
 		t.Fatalf("rerun without resume: %v", err)
@@ -292,7 +293,7 @@ func TestFarmPoisonQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	spool := t.TempDir()
-	sum, err := Run(Options{
+	sum, err := Run(context.Background(), Options{
 		Spool:       spool,
 		Workers:     2,
 		WorkerArgv:  workerArgv(t, cfgDir),
@@ -350,7 +351,7 @@ func TestFarmPoisonQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.SweepRow(readDir(t, cfgDir), 21000, config.Overrides{})
+	want, err := experiments.SweepRow(context.Background(), readDir(t, cfgDir), 21000, config.Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +375,7 @@ func TestFarmHangWatchdogRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	spool := t.TempDir()
-	sum, err := Run(Options{
+	sum, err := Run(context.Background(), Options{
 		Spool:      spool,
 		Workers:    2,
 		WorkerArgv: workerArgv(t, cfgDir),

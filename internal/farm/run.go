@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"fmt"
 
 	"uqsim/internal/chaos"
@@ -10,7 +11,8 @@ import (
 
 // Executor runs job specs in-process. Worker subprocesses wrap one in the
 // stdin/stdout protocol loop; -replay uses one directly to re-run a
-// quarantined spec under a debugger's eye.
+// quarantined spec under a debugger's eye. Its runs are unwatched (bound
+// to context.Background): the dispatcher stops a worker by killing it.
 type Executor struct {
 	ConfigDir string
 	dir       *config.Dir
@@ -46,7 +48,7 @@ func (e *Executor) Execute(spec JobSpec) (*Result, error) {
 	res := &Result{Hash: spec.Hash(), Job: spec}
 	switch spec.Kind {
 	case KindSweep:
-		row, err := experiments.SweepRow(e.dir, spec.QPS, config.Overrides{})
+		row, err := experiments.SweepRow(context.Background(), e.dir, spec.QPS, config.Overrides{})
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +81,7 @@ func (e *Executor) harness(spec JobSpec) (*chaos.Harness, error) {
 	if h, ok := e.harnesses[key]; ok {
 		return h, nil
 	}
-	h, err := chaos.NewHarness(e.dir, chaos.Options{
+	h, err := chaos.NewHarness(context.Background(), e.dir, chaos.Options{
 		ConfigDir:  e.ConfigDir,
 		Seed:       spec.Seed,
 		MaxActions: spec.MaxActions,

@@ -14,6 +14,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -251,15 +252,9 @@ type reqState struct {
 	calls                  []*call
 }
 
-// OnNew, when set, observes every simulation created by New. Command-line
-// harnesses use it to keep a handle on whichever simulation is currently
-// running so a signal handler or wall-clock watchdog can stop its engine.
-// Set it once before any New call; it runs on the constructing goroutine.
-var OnNew func(*Sim)
-
 // New creates an empty simulation.
 func New(opts Options) *Sim {
-	s := &Sim{
+	return &Sim{
 		eng:         des.New(),
 		split:       rng.NewSplitter(opts.Seed),
 		cluster:     cluster.NewCluster(),
@@ -270,10 +265,23 @@ func New(opts Options) *Sim {
 		windowEnd:   des.MaxTime,
 		latency:     stats.NewLatencyHist(),
 	}
-	if OnNew != nil {
-		OnNew(s)
+}
+
+// poisonKey marks a context whose runs poison what they release (see
+// Sim.poisonReleased); only the package's tests set it.
+type poisonKey struct{}
+
+// Bind ties the run to ctx: once ctx is done the engine stops (Engine.Stop
+// is atomic, so the stop may come from any goroutine) and Run returns a
+// partial report up to the stopped clock. A ctx already done stops the
+// engine at once, so the run processes no event. Call release when the
+// run, and whatever the caller drives on the engine after it, is over.
+func (s *Sim) Bind(ctx context.Context) (release func() bool) {
+	s.poisonReleased = ctx.Value(poisonKey{}) != nil
+	if ctx.Err() != nil {
+		s.eng.Stop()
 	}
-	return s
+	return context.AfterFunc(ctx, s.eng.Stop)
 }
 
 // Engine exposes the underlying event engine (read-mostly; used by the

@@ -10,6 +10,7 @@
 package validate
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -62,10 +63,11 @@ func (o Options) duration() des.Time {
 	return o.Duration
 }
 
-// singleQueue builds and runs a one-service scenario and returns the
-// report.
-func singleQueue(o Options, svcSampler dist.Sampler, cores int, qps float64) (*sim.Report, error) {
+// singleQueue builds and runs a one-service scenario, bound to ctx, and
+// returns the report.
+func singleQueue(ctx context.Context, o Options, svcSampler dist.Sampler, cores int, qps float64) (*sim.Report, error) {
 	s := sim.New(sim.Options{Seed: o.Seed})
+	defer s.Bind(ctx)()
 	s.AddMachine("m0", cores+2, cluster.FreqSpec{})
 	if _, err := s.Deploy(service.SingleStage("svc", svcSampler), sim.RoundRobin,
 		sim.Placement{Machine: "m0", Cores: cores}); err != nil {
@@ -95,12 +97,12 @@ func heavyTrafficFactor(rho float64) float64 {
 
 // MM1 validates mean and p99 sojourn time of M/M/1 at the given
 // utilization.
-func MM1(o Options, rho float64) ([]Check, error) {
+func MM1(ctx context.Context, o Options, rho float64) ([]Check, error) {
 	mu := 10000.0
 	lambda := rho * mu
 	scaled := o
 	scaled.Duration = des.Time(float64(o.duration()) * heavyTrafficFactor(rho))
-	rep, err := singleQueue(scaled, dist.NewExponential(1e9/mu), 1, lambda)
+	rep, err := singleQueue(ctx, scaled, dist.NewExponential(1e9/mu), 1, lambda)
 	if err != nil {
 		return nil, err
 	}
@@ -121,10 +123,10 @@ func MM1(o Options, rho float64) ([]Check, error) {
 }
 
 // MMk validates mean sojourn of M/M/k.
-func MMk(o Options, k int, rho float64) ([]Check, error) {
+func MMk(ctx context.Context, o Options, k int, rho float64) ([]Check, error) {
 	mu := 10000.0
 	lambda := rho * mu * float64(k)
-	rep, err := singleQueue(o, dist.NewExponential(1e9/mu), k, lambda)
+	rep, err := singleQueue(ctx, o, dist.NewExponential(1e9/mu), k, lambda)
 	if err != nil {
 		return nil, err
 	}
@@ -138,10 +140,10 @@ func MMk(o Options, k int, rho float64) ([]Check, error) {
 
 // MD1 validates mean sojourn of M/D/1 (Pollaczek–Khinchine with zero
 // service variance).
-func MD1(o Options, rho float64) ([]Check, error) {
+func MD1(ctx context.Context, o Options, rho float64) ([]Check, error) {
 	d := 100 * des.Microsecond
 	lambda := rho / d.Seconds()
-	rep, err := singleQueue(o, dist.NewDeterministic(float64(d)), 1, lambda)
+	rep, err := singleQueue(ctx, o, dist.NewDeterministic(float64(d)), 1, lambda)
 	if err != nil {
 		return nil, err
 	}
@@ -155,10 +157,10 @@ func MD1(o Options, rho float64) ([]Check, error) {
 
 // MG1 validates the Pollaczek–Khinchine formula with an Erlang-4 service
 // (squared coefficient of variation 1/4).
-func MG1Erlang(o Options, rho float64) ([]Check, error) {
+func MG1Erlang(ctx context.Context, o Options, rho float64) ([]Check, error) {
 	mean := 100 * des.Microsecond
 	lambda := rho / mean.Seconds()
-	rep, err := singleQueue(o, dist.NewErlang(4, float64(mean)), 1, lambda)
+	rep, err := singleQueue(ctx, o, dist.NewErlang(4, float64(mean)), 1, lambda)
 	if err != nil {
 		return nil, err
 	}
@@ -174,8 +176,9 @@ func MG1Erlang(o Options, rho float64) ([]Check, error) {
 
 // ForkJoin validates the zero-load fan-out/fan-in latency: max of n iid
 // exponentials.
-func ForkJoin(o Options, n int) ([]Check, error) {
+func ForkJoin(ctx context.Context, o Options, n int) ([]Check, error) {
 	s := sim.New(sim.Options{Seed: o.Seed})
+	defer s.Bind(ctx)()
 	const perMachine = 32
 	nM := (n + perMachine - 1) / perMachine
 	for i := 0; i < nM; i++ {
@@ -230,8 +233,8 @@ func ForkJoin(o Options, n int) ([]Check, error) {
 	}, nil
 }
 
-// Suite runs the whole validation battery.
-func Suite(o Options) ([]Check, error) {
+// Suite runs the whole validation battery, every run bound to ctx.
+func Suite(ctx context.Context, o Options) ([]Check, error) {
 	var out []Check
 	add := func(cs []Check, err error) error {
 		if err != nil {
@@ -241,25 +244,25 @@ func Suite(o Options) ([]Check, error) {
 		return nil
 	}
 	for _, rho := range []float64{0.3, 0.5, 0.7, 0.9} {
-		if err := add(MM1(o, rho)); err != nil {
+		if err := add(MM1(ctx, o, rho)); err != nil {
 			return nil, err
 		}
 	}
 	for _, k := range []int{2, 4, 8} {
-		if err := add(MMk(o, k, 0.7)); err != nil {
+		if err := add(MMk(ctx, o, k, 0.7)); err != nil {
 			return nil, err
 		}
 	}
 	for _, rho := range []float64{0.5, 0.8} {
-		if err := add(MD1(o, rho)); err != nil {
+		if err := add(MD1(ctx, o, rho)); err != nil {
 			return nil, err
 		}
-		if err := add(MG1Erlang(o, rho)); err != nil {
+		if err := add(MG1Erlang(ctx, o, rho)); err != nil {
 			return nil, err
 		}
 	}
 	for _, n := range []int{2, 8, 32} {
-		if err := add(ForkJoin(o, n)); err != nil {
+		if err := add(ForkJoin(ctx, o, n)); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"context"
 	"testing"
 
 	"uqsim/internal/des"
@@ -41,27 +42,27 @@ func assertChecks(t *testing.T, cs []Check, err error) {
 func opts() Options { return Options{Seed: 3, Duration: 10 * des.Second} }
 
 func TestMM1Validation(t *testing.T) {
-	cs, err := MM1(opts(), 0.7)
+	cs, err := MM1(context.Background(), opts(), 0.7)
 	assertChecks(t, cs, err)
 }
 
 func TestMMkValidation(t *testing.T) {
-	cs, err := MMk(opts(), 4, 0.7)
+	cs, err := MMk(context.Background(), opts(), 4, 0.7)
 	assertChecks(t, cs, err)
 }
 
 func TestMD1Validation(t *testing.T) {
-	cs, err := MD1(opts(), 0.8)
+	cs, err := MD1(context.Background(), opts(), 0.8)
 	assertChecks(t, cs, err)
 }
 
 func TestMG1ErlangValidation(t *testing.T) {
-	cs, err := MG1Erlang(opts(), 0.8)
+	cs, err := MG1Erlang(context.Background(), opts(), 0.8)
 	assertChecks(t, cs, err)
 }
 
 func TestForkJoinValidation(t *testing.T) {
-	cs, err := ForkJoin(opts(), 8)
+	cs, err := ForkJoin(context.Background(), opts(), 8)
 	assertChecks(t, cs, err)
 }
 
@@ -69,7 +70,7 @@ func TestSuiteRunsEverything(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite is slow")
 	}
-	cs, err := Suite(Options{Seed: 3, Duration: 5 * des.Second})
+	cs, err := Suite(context.Background(), Options{Seed: 3, Duration: 5 * des.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,8 @@
 package uqsim
 
 import (
+	"context"
+
 	"uqsim/internal/apps"
 	"uqsim/internal/cache"
 	"uqsim/internal/chaos"
@@ -555,14 +557,18 @@ type ChaosReplayResult = chaos.ReplayResult
 // directory in opts, verifies each against the simulator's invariants
 // (conservation, drain, same-seed determinism, post-heal recovery),
 // shrinks every violation to a minimal reproduction, and archives the
-// repros as replayable corpus entries. The same engine backs
+// repros as replayable corpus entries. Once ctx is done the search stops
+// and its result is marked Interrupted. The same engine backs
 // `uqsim chaos`.
-func RunChaos(opts ChaosOptions) (*ChaosResult, error) { return chaos.Run(opts) }
+func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
+	return chaos.Run(ctx, opts)
+}
 
-// ReplayChaosFinding re-runs one corpus entry directory and reports
-// whether the archived violation still reproduces bit-identically.
-func ReplayChaosFinding(configDir, entryDir string) (*ChaosReplayResult, error) {
-	return chaos.Replay(configDir, entryDir)
+// ReplayChaosFinding re-runs one corpus entry directory, its runs bound
+// to ctx, and reports whether the archived violation still reproduces
+// bit-identically.
+func ReplayChaosFinding(ctx context.Context, configDir, entryDir string) (*ChaosReplayResult, error) {
+	return chaos.Replay(ctx, configDir, entryDir)
 }
 
 // ---- fault-tolerant experiment farm ----
@@ -606,9 +612,12 @@ func NewFarmChaosCampaign(configDir string, seed uint64, trials, maxActions int)
 // subprocesses behind a lease-based queue: leases expire back to the
 // queue, hung workers are killed by the per-job watchdog, crashed workers
 // respawn with backoff, poison jobs are quarantined after repeated
-// failures, and results commit idempotently. The same engine backs
-// `uqsim farm`.
-func RunFarm(o FarmOptions, c *FarmCampaign) (*FarmSummary, error) { return farm.Run(o, c) }
+// failures, and results commit idempotently. Once ctx is done the
+// dispatcher stops leasing, kills the pool and returns with Interrupted
+// set; -resume finishes the campaign. The same engine backs `uqsim farm`.
+func RunFarm(ctx context.Context, o FarmOptions, c *FarmCampaign) (*FarmSummary, error) {
+	return farm.Run(ctx, o, c)
+}
 
 // MergeFarm replays a spool journal into campaign-order results.
 func MergeFarm(spoolDir string) (*FarmMerged, error) { return farm.Merge(spoolDir) }
