@@ -125,41 +125,27 @@ chaos:
 	rm -rf $$out; \
 	if [ $$rc -ne 0 ]; then echo "hybrid-mode chaos search must stay clean"; exit $$rc; fi
 
-# farm smoke-tests the fault-tolerant experiment farm end to end: a small
-# sweep fanned out across FARM_WORKERS crash-recovering workers with the
-# built-in chaos monkey SIGKILLing one of them mid-run. The requeued job
-# retries, and the merged CSV must be byte-identical to a serial
-# `uqsim sweep` of the same grid — the farm's determinism contract. If the
-# campaign is interrupted (exit 1) it finishes with -resume first.
-FARM_WORKERS ?= 4
-FARM_FROM ?= 18000
+# farm smoke-tests the journaled experiment farm end to end: a small sweep
+# campaign is SIGKILLed as soon as its journal holds one result, while
+# later jobs are still running, then finished with -resume and audited.
+# The merged CSV must be byte-identical to a serial `uqsim sweep` of the
+# same grid — the farm's determinism contract.
+FARM_FROM ?= 12000
 FARM_TO ?= 26000
 FARM_STEP ?= 2000
 farm:
-	@out=$$(mktemp -d); \
+	@out=$$(mktemp -d); trap 'rm -rf $$out' EXIT; \
 	$(GO) build -o $$out/uqsim ./cmd/uqsim || exit 1; \
-	$$out/uqsim farm -config configs/twotier \
-		-from $(FARM_FROM) -to $(FARM_TO) -step $(FARM_STEP) \
-		-workers $(FARM_WORKERS) -kill-workers 1 -seed 7 -q \
-		-spool $$out/spool; rc=$$?; \
-	if [ $$rc -eq 1 ]; then \
-		echo "farm: campaign interrupted; resuming"; \
-		$$out/uqsim farm -config configs/twotier \
-			-from $(FARM_FROM) -to $(FARM_TO) -step $(FARM_STEP) \
-			-workers $(FARM_WORKERS) -resume -q -spool $$out/spool \
-			|| { rm -rf $$out; exit 1; }; \
-	elif [ $$rc -ne 0 ]; then rm -rf $$out; exit $$rc; fi; \
-	$$out/uqsim farm -audit -spool $$out/spool >/dev/null \
-		|| { rm -rf $$out; echo "farm: journal audit failed"; exit 1; }; \
-	$$out/uqsim sweep -config configs/twotier \
-		-from $(FARM_FROM) -to $(FARM_TO) -step $(FARM_STEP) -csv \
-		> $$out/serial.csv || { rm -rf $$out; exit 1; }; \
-	cmp -s $$out/spool/merged.csv $$out/serial.csv; rc=$$?; \
-	rm -rf $$out; \
-	if [ $$rc -ne 0 ]; then \
-		echo "farm: merged CSV diverged from serial sweep"; exit 1; \
-	fi; \
-	echo "farm: merged CSV byte-identical to serial sweep"
+	grid="-config configs/twotier -from $(FARM_FROM) -to $(FARM_TO) -step $(FARM_STEP)"; \
+	$$out/uqsim farm $$grid -q -spool $$out/spool >/dev/null & pid=$$!; \
+	until ls $$out/spool/results/*.json >/dev/null 2>&1 || ! kill -0 $$pid 2>/dev/null; do sleep 0.01; done; \
+	kill -9 $$pid 2>/dev/null; wait $$pid; \
+	echo "farm: killed the campaign with $$(ls $$out/spool/results | wc -l) result(s) journaled; resuming"; \
+	$$out/uqsim farm $$grid -resume -q -spool $$out/spool >/dev/null || { echo "farm: -resume failed"; exit 1; }; \
+	$$out/uqsim farm -audit -spool $$out/spool >/dev/null || { echo "farm: journal audit failed"; exit 1; }; \
+	GOMAXPROCS=1 $$out/uqsim sweep $$grid -csv > $$out/serial.csv || exit 1; \
+	cmp -s $$out/spool/merged.csv $$out/serial.csv || { echo "farm: merged CSV diverged from serial sweep"; exit 1; }; \
+	echo "farm: merged CSV byte-identical to serial sweep after a kill and -resume"
 
 # results-check regenerates every experiment at scale 1.0 and compares each
 # CSV byte for byte with its committed copy in results/ (about 3.5 minutes on

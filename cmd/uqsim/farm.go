@@ -14,27 +14,26 @@ import (
 // farmFlags are the farm's own flags on top of the shared ones.
 type farmFlags struct {
 	*flags
-	kind, spool, out, corpus, replay  string
-	workers, maxFailures, killWorkers int
-	lease, jobTimeout, heartbeat      time.Duration
-	resume, audit, worker             bool
+	kind, spool, out, corpus, replay string
+	jobTimeout                       time.Duration
+	resume, audit                    bool
 }
 
 // farmCmd runs experiment campaigns — load sweeps and chaos searches —
-// across a pool of crash-recovering worker subprocesses. Jobs are
-// content-hashed, journaled to a durable spool, and dispatched over a
-// lease-based queue, so worker crashes, hangs, and operator interrupts
-// never lose or double-count a trial; an interrupted campaign finishes
-// with -resume, and the merged output is byte-identical to a serial run
-// at any worker count.
+// with a durable journal. Jobs are content-hashed, run side by side in
+// this process on runtime.GOMAXPROCS(0) goroutines, and journaled to the
+// spool as each finishes, so an interrupt or a kill of the process loses
+// at most the jobs that were running; an interrupted campaign finishes
+// with -resume, and the merged output is byte-identical to a serial run.
 //
-//	uqsim farm -config configs/metastable -kind chaos -trials 200 -workers 8 -spool spool/
+//	uqsim farm -config configs/metastable -kind chaos -trials 200 -spool spool/
 //	uqsim farm -spool spool/ -resume -config configs/twotier -from 5000 -to 80000 -step 5000
 //	uqsim farm -spool spool/ -audit
 //	uqsim farm -config configs/twotier -replay spool/quarantine/<hash>.json
 //
-// Workers are this binary again, as `uqsim farm -worker`. Exit 3 means
-// completed with findings: chaos violations or quarantined poison jobs.
+// A job that errs, panics or runs past -job-timeout is quarantined at
+// once. Exit 3 means completed with findings: chaos violations or
+// quarantined jobs.
 func farmCmd(args []string) int {
 	f := &farmFlags{flags: newFlags("farm")}
 	f.withConfig()
@@ -44,44 +43,23 @@ func farmCmd(args []string) int {
 	f.withQuiet()
 	f.withMaxWall()
 	f.StringVar(&f.kind, "kind", "sweep", "campaign kind: sweep or chaos")
-	f.IntVar(&f.workers, "workers", 4, "worker subprocess pool size")
 	f.StringVar(&f.spool, "spool", "", "durable spool directory journaling the campaign (required)")
 	f.StringVar(&f.out, "out", "", "merged CSV path (default <spool>/merged.csv)")
 	f.StringVar(&f.corpus, "corpus", "", "chaos: merged corpus directory (default <spool>/corpus)")
 	f.BoolVar(&f.resume, "resume", false, "finish the campaign already journaled in -spool")
-	f.DurationVar(&f.lease, "lease", 10*time.Second, "lease TTL: requeue a job whose worker goes silent this long")
-	f.DurationVar(&f.jobTimeout, "job-timeout", 5*time.Minute, "per-job wall-clock watchdog: kill workers that run one job longer than this")
-	f.IntVar(&f.maxFailures, "max-failures", 3, "quarantine a job after this many consecutive failed attempts")
-	f.IntVar(&f.killWorkers, "kill-workers", 0, "chaos monkey: SIGKILL this many workers mid-run (self-test)")
+	f.DurationVar(&f.jobTimeout, "job-timeout", 5*time.Minute, "per-job wall-clock budget: stop and quarantine a job that runs longer than this")
 	f.BoolVar(&f.audit, "audit", false, "audit the spool journal (exactly-once accounting) and exit")
 	f.StringVar(&f.replay, "replay", "", "re-run one journaled job (a spool results/ or quarantine/ JSON file) in-process")
-	f.BoolVar(&f.worker, "worker", false, "run as a worker subprocess (internal; spawned by the dispatcher)")
-	f.DurationVar(&f.heartbeat, "heartbeat", 0, "worker heartbeat interval (internal; set by the dispatcher)")
 	if code, ok := f.parse(args, false); !ok {
 		return code
 	}
 	switch {
-	case f.worker:
-		return farmWorker(f)
 	case f.audit:
 		return farmAudit(f)
 	case f.replay != "":
 		return farmReplay(f)
 	}
 	return farmCampaign(f)
-}
-
-func farmWorker(f *farmFlags) int {
-	if f.config == "" {
-		return f.fail(cli.ExitUsage, "-worker needs -config")
-	}
-	if f.heartbeat <= 0 {
-		f.heartbeat = time.Second
-	}
-	if err := farm.WorkerMain(f.config, f.heartbeat, os.Stdin, os.Stdout); err != nil {
-		return f.fail(cli.ExitPartial, "%v", err)
-	}
-	return cli.ExitOK
 }
 
 func farmAudit(f *farmFlags) int {
@@ -133,7 +111,7 @@ func farmReplay(f *farmFlags) int {
 	if err != nil {
 		return f.fail(cli.ExitPartial, "%v", err)
 	}
-	res, err := exec.Execute(spec)
+	res, err := exec.Execute(context.Background(), spec)
 	if err != nil {
 		return f.fail(cli.ExitPartial, "replay failed: %v", err)
 	}
@@ -168,10 +146,6 @@ func farmCampaign(f *farmFlags) int {
 		return f.fail(cli.ExitUsage, "%v", err)
 	}
 
-	self, err := os.Executable()
-	if err != nil {
-		return f.fail(cli.ExitPartial, "%v", err)
-	}
 	ctx := cli.StartWatchdog(f.maxWall)
 	logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 	if f.quiet {
@@ -179,16 +153,10 @@ func farmCampaign(f *farmFlags) int {
 	}
 	start := time.Now()
 	sum, err := farm.Run(ctx, farm.Options{
-		Spool:       f.spool,
-		Workers:     f.workers,
-		WorkerArgv:  []string{self, "farm", "-worker", "-config", f.config, "-heartbeat", (f.lease / 5).String()},
-		LeaseTTL:    f.lease,
-		JobTimeout:  f.jobTimeout,
-		MaxFailures: f.maxFailures,
-		Resume:      f.resume,
-		KillWorkers: f.killWorkers,
-		Seed:        f.seed,
-		Logf:        logf,
+		Spool:      f.spool,
+		JobTimeout: f.jobTimeout,
+		Resume:     f.resume,
+		Logf:       logf,
 	}, c)
 	if err != nil {
 		return f.fail(cli.ExitPartial, "%v", err)
@@ -214,9 +182,9 @@ func farmCampaign(f *farmFlags) int {
 			return f.fail(cli.ExitPartial, "%v", err)
 		}
 	}
-	fmt.Printf("\n%d jobs: %d committed (%d this run, %d duplicates dropped), %d requeues, %d quarantined, %d respawns, %d monkey kills in %v\n",
-		sum.Jobs, sum.Jobs-len(m.Missing)-len(m.Quarantined), sum.Committed, sum.Duplicates,
-		sum.Requeues, sum.Quarantined, sum.Respawns, sum.Kills, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("\n%d jobs: %d committed (%d this run), %d quarantined (%d this run) in %v\n",
+		sum.Jobs, sum.Jobs-len(m.Missing)-len(m.Quarantined), sum.Committed,
+		len(m.Quarantined), sum.Quarantined, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("merged %s -> %s\n", f.spool, outPath)
 
 	if sum.Interrupted || ctx.Err() != nil {

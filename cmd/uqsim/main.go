@@ -8,7 +8,7 @@
 //	uqsim trace -config configs/threetier -slowest 5 -sample 4
 //	uqsim chaos -config configs/metastable -trials 50
 //	uqsim experiments -csv -out results/ all
-//	uqsim farm -config configs/twotier -from 5000 -to 80000 -workers 8 -spool spool/
+//	uqsim farm -config configs/twotier -from 5000 -to 80000 -step 5000 -spool spool/
 //
 // `uqsim <subcommand> -h` lists a subcommand's flags.
 //
@@ -40,7 +40,7 @@ const usage = `usage: uqsim <subcommand> [flags]
   trace        print waterfalls of the slowest traced requests
   chaos        search random fault schedules for invariant violations
   experiments  regenerate the paper's figures and tables
-  farm         run a sweep or chaos campaign across worker processes
+  farm         run a sweep or chaos campaign with a journal that resumes
 
 Run 'uqsim <subcommand> -h' for its flags.
 `

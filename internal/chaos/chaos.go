@@ -19,10 +19,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"uqsim/internal/config"
 	"uqsim/internal/des"
 	"uqsim/internal/job"
+	"uqsim/internal/pool"
 	"uqsim/internal/rng"
 	"uqsim/internal/stats"
 )
@@ -134,7 +136,9 @@ type Result struct {
 // Harness holds everything needed to run scenarios against one config
 // directory: its documents, the decoded base faults file, and the
 // extracted world model the generator draws from. Every simulation it
-// runs is bound to ctx, so a done ctx stops the harness's work.
+// runs is bound to ctx, so a done ctx stops the harness's work. Verify
+// and Shrink share the harness's baseline memo, so one goroutine calls
+// them at a time; Trial works on a copy and is safe to call concurrently.
 type Harness struct {
 	ctx        context.Context
 	opts       Options
@@ -144,9 +148,10 @@ type Harness struct {
 	horizonS   float64
 	horizon    des.Time
 
-	// baselineCache memoizes no-fault baseline runs keyed by (seed,
-	// recovery-window start): shrink probes share them.
-	baselineCache map[[2]uint64]*windowStats
+	// baselines memoizes no-fault baseline runs keyed by (seed,
+	// recovery-window start): shrink probes share them. A trial keeps its
+	// own: trial seeds differ, so trials would share no entry.
+	baselines map[[2]uint64]*windowStats
 }
 
 // world is the generator's view of the config: what exists to break.
@@ -190,12 +195,12 @@ func NewHarness(ctx context.Context, dir *config.Dir, opts Options) (*Harness, e
 	}
 
 	h := &Harness{
-		ctx:           ctx,
-		opts:          o,
-		dir:           dir,
-		baseFaults:    setup.Faults,
-		horizonS:      cf.WarmupS + cf.DurationS,
-		baselineCache: make(map[[2]uint64]*windowStats),
+		ctx:        ctx,
+		opts:       o,
+		dir:        dir,
+		baseFaults: setup.Faults,
+		horizonS:   cf.WarmupS + cf.DurationS,
+		baselines:  make(map[[2]uint64]*windowStats),
 	}
 	h.horizon = des.FromSeconds(h.horizonS)
 	h.world.domainSize = make(map[string]int)
@@ -230,9 +235,8 @@ func NewHarness(ctx context.Context, dir *config.Dir, opts Options) (*Harness, e
 // TrialResult is the outcome of one independent trial: either the
 // invariants held (Finding nil) or a shrunk, replayable violation. A
 // trial is a pure function of the harness options and the trial index, so
-// trials can run in any order, on any process — the experiment farm fans
-// them out across workers and merges TrialResults back into the same
-// corpus a serial search writes.
+// trials can run in any order, side by side: Run and the experiment farm
+// both run them on a pool and get the corpus a serial search writes.
 type TrialResult struct {
 	Trial int
 	// Events is the explored schedule's fault-event count (pre-shrink).
@@ -244,22 +248,24 @@ type TrialResult struct {
 }
 
 // Trial generates, verifies, and (on violation) shrinks the trial'th
-// scenario of the search seeded by the harness options. It never touches
-// the corpus directory; use ArchiveEntry (or Run, which does both) to
-// persist the artifact.
-func (h *Harness) Trial(trial int) (*TrialResult, error) {
-	child := rng.NewSplitter(h.opts.Seed).Child("chaos", fmt.Sprint(trial))
-	sc := h.Generate(child.Stream("schedule"), child.Stream("seed").Uint64())
+// scenario of the search seeded by the harness options, every run bound
+// to ctx. It works on a copy of the harness with its own baseline memo, so
+// trials may run concurrently. It never touches the corpus directory; use
+// ArchiveEntry (or Run, which does both) to persist the artifact.
+func (h *Harness) Trial(ctx context.Context, trial int) (*TrialResult, error) {
+	t := *h
+	t.ctx, t.baselines = ctx, make(map[[2]uint64]*windowStats)
+	child := rng.NewSplitter(t.opts.Seed).Child("chaos", fmt.Sprint(trial))
+	sc := t.Generate(child.Stream("schedule"), child.Stream("seed").Uint64())
 	tr := &TrialResult{Trial: trial, Events: sc.EventCount()}
-	v, _, err := h.Verify(sc)
+	v, _, err := t.Verify(sc)
 	if err != nil {
 		return nil, err
 	}
 	if v == nil {
 		return tr, nil
 	}
-	h.opts.Logf("trial %d (seed %d): VIOLATION %s — shrinking %d events", trial, sc.Seed, v.ID, sc.EventCount())
-	f, faultsJSON, err := h.shrinkFinding(trial, sc, v)
+	f, faultsJSON, err := t.shrinkFinding(trial, sc, v)
 	if err != nil {
 		return nil, err
 	}
@@ -271,9 +277,11 @@ func (h *Harness) Trial(trial int) (*TrialResult, error) {
 	return tr, nil
 }
 
-// Run explores opts.Trials scenarios, shrinking and archiving every
-// violation found, until ctx is done. This is the `uqsim chaos` entry
-// point.
+// Run explores opts.Trials scenarios side by side on
+// runtime.GOMAXPROCS(0) goroutines, shrinking and archiving every
+// violation found, until ctx is done. Progress lines and corpus entries
+// come out in trial order, so the output is the same at any width. This
+// is the `uqsim chaos` entry point.
 func Run(ctx context.Context, opts Options) (*Result, error) {
 	dir, err := config.ReadDir(opts.ConfigDir)
 	if err != nil {
@@ -284,31 +292,30 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	for trial := 0; trial < h.opts.Trials && ctx.Err() == nil; trial++ {
-		tr, err := h.Trial(trial)
-		if errors.Is(err, ErrInterrupted) {
-			break
-		}
-		if err != nil {
-			return res, err
-		}
+	logf := h.opts.Logf
+	err = pool.Run(ctx, runtime.GOMAXPROCS(0), h.opts.Trials, h.Trial, func(trial int, tr *TrialResult) error {
 		res.Trials++
-		if tr.Finding == nil {
-			h.opts.Logf("trial %d: %d events ok", trial, tr.Events)
-			continue
-		}
 		f := tr.Finding
+		if f == nil {
+			logf("trial %d: %d events ok", trial, tr.Events)
+			return nil
+		}
+		logf("trial %d (seed %d): VIOLATION %s — shrinking %d events", trial, f.Seed, f.Violation, f.EventsBefore)
 		if h.opts.CorpusDir != "" {
 			dir, err := ArchiveEntry(h.opts.CorpusDir, tr.Entry)
 			if err != nil {
-				return res, err
+				return err
 			}
 			f.Dir = dir
 		}
 		res.Findings = append(res.Findings, *f)
-		h.opts.Logf("trial %d: shrunk to %d events (%s), archived %s", trial, f.Events, f.Violation, f.Dir)
-	}
+		logf("trial %d: shrunk to %d events (%s), archived %s", trial, f.Events, f.Violation, f.Dir)
+		return nil
+	})
 	res.Interrupted = ctx.Err() != nil
+	if err != nil && !errors.Is(err, ErrInterrupted) {
+		return res, err
+	}
 	return res, nil
 }
 

@@ -27,10 +27,10 @@ type Meta struct {
 }
 
 // Entry is one corpus artifact in portable form: the entry directory's
-// name plus the exact bytes of its two files. Findings cross process
-// boundaries as Entries — a farm worker returns them over its result
-// pipe and the dispatcher archives them — so the merged corpus of a
-// distributed search is byte-identical to a serial one.
+// name plus the exact bytes of its two files. Findings outlive their
+// process as Entries — a farm job journals them in its spool result and
+// the merge archives them — so the merged corpus of a farm campaign is
+// byte-identical to a serial search's.
 type Entry struct {
 	Name   string          `json:"name"`
 	Meta   json.RawMessage `json:"meta"`
@@ -64,8 +64,8 @@ func findingEntry(f *Finding, faultsJSON []byte) (*Entry, error) {
 // policies) and meta.json. Both files land atomically and meta.json is
 // written last, so an interrupted flush can never leave an entry that
 // Replay would pick up half-written. Both documents are
-// re-indented canonically: an Entry that crossed a process boundary (a
-// farm worker's result pipe, the spool journal) carries RawMessage bytes
+// re-indented canonically: an Entry read back from the spool journal
+// carries RawMessage bytes
 // reformatted by the enclosing encoders, and the corpus must come out
 // byte-identical either way.
 func ArchiveEntry(corpusDir string, e *Entry) (string, error) {

@@ -221,7 +221,7 @@ func (h *Harness) runOnce(seed uint64, faultsJSON []byte, winStart des.Time, fid
 // (seed, window) pair memoizes across them.
 func (h *Harness) baseline(seed uint64, winStart des.Time) (*windowStats, error) {
 	key := [2]uint64{seed, uint64(winStart)}
-	if ws, ok := h.baselineCache[key]; ok {
+	if ws, ok := h.baselines[key]; ok {
 		return ws, nil
 	}
 	faultsJSON, err := encodeFaults(h.cleanFaults())
@@ -232,7 +232,7 @@ func (h *Harness) baseline(seed uint64, winStart des.Time) (*windowStats, error)
 	if err != nil {
 		return nil, err
 	}
-	h.baselineCache[key] = run.window
+	h.baselines[key] = run.window
 	return run.window, nil
 }
 

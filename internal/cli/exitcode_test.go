@@ -61,55 +61,52 @@ func TestExitCodeConvention(t *testing.T) {
 	cases := []struct {
 		name   string
 		args   []string
-		env    []string // KEY=VALUE appended to the environment
 		want   int
 		output string // when set, must appear in the combined output
 	}{
 		// ---- 2: usage errors; nothing runs ----
-		{"uqsim/no-subcommand", nil, nil, cli.ExitUsage, ""},
-		{"uqsim/unknown-subcommand", []string{"simulate"}, nil, cli.ExitUsage, `unknown subcommand "simulate"`},
-		{"uqsim/legacy-invocation", []string{"-config", "configs/twotier"}, nil, cli.ExitUsage, "uqsim run -config configs/twotier"},
-		{"uqsim/no-config", []string{"run"}, nil, cli.ExitUsage, ""},
-		{"sweep/no-config", []string{"sweep"}, nil, cli.ExitUsage, ""},
-		{"sweep/bad-grid", []string{"sweep", "-config", "configs/twotier", "-from", "2000", "-to", "1000"}, nil, cli.ExitUsage, ""},
-		{"sweep/inf-grid", []string{"sweep", "-config", "configs/twotier", "-to", "Inf"}, nil, cli.ExitUsage, "finite"},
-		{"sweep/sub-ulp-step", []string{"sweep", "-config", "configs/twotier", "-from", "20000", "-to", "30000", "-step", "1e-13"}, nil, cli.ExitUsage, "too small"},
-		{"trace/no-config", []string{"trace"}, nil, cli.ExitUsage, ""},
-		{"chaos/no-config", []string{"chaos"}, nil, cli.ExitUsage, ""},
-		{"experiments/no-args", []string{"experiments"}, nil, cli.ExitUsage, ""},
-		{"farm/no-config", []string{"farm"}, nil, cli.ExitUsage, ""},
-		{"farm/bad-kind", []string{"farm", "-config", "configs/twotier", "-spool", filepath.Join(t.TempDir(), "s"), "-kind", "nope"}, nil, cli.ExitUsage, ""},
-		{"farm/audit-no-spool", []string{"farm", "-audit"}, nil, cli.ExitUsage, ""},
-		{"farm/replay-no-config", []string{"farm", "-replay", "x.json"}, nil, cli.ExitUsage, ""},
+		{"uqsim/no-subcommand", nil, cli.ExitUsage, ""},
+		{"uqsim/unknown-subcommand", []string{"simulate"}, cli.ExitUsage, `unknown subcommand "simulate"`},
+		{"uqsim/legacy-invocation", []string{"-config", "configs/twotier"}, cli.ExitUsage, "uqsim run -config configs/twotier"},
+		{"uqsim/no-config", []string{"run"}, cli.ExitUsage, ""},
+		{"sweep/no-config", []string{"sweep"}, cli.ExitUsage, ""},
+		{"sweep/bad-grid", []string{"sweep", "-config", "configs/twotier", "-from", "2000", "-to", "1000"}, cli.ExitUsage, ""},
+		{"sweep/inf-grid", []string{"sweep", "-config", "configs/twotier", "-to", "Inf"}, cli.ExitUsage, "finite"},
+		{"sweep/sub-ulp-step", []string{"sweep", "-config", "configs/twotier", "-from", "20000", "-to", "30000", "-step", "1e-13"}, cli.ExitUsage, "too small"},
+		{"trace/no-config", []string{"trace"}, cli.ExitUsage, ""},
+		{"chaos/no-config", []string{"chaos"}, cli.ExitUsage, ""},
+		{"experiments/no-args", []string{"experiments"}, cli.ExitUsage, ""},
+		{"farm/no-config", []string{"farm"}, cli.ExitUsage, ""},
+		{"farm/bad-kind", []string{"farm", "-config", "configs/twotier", "-spool", filepath.Join(t.TempDir(), "s"), "-kind", "nope"}, cli.ExitUsage, ""},
+		{"farm/audit-no-spool", []string{"farm", "-audit"}, cli.ExitUsage, ""},
+		{"farm/replay-no-config", []string{"farm", "-replay", "x.json"}, cli.ExitUsage, ""},
 
 		// ---- 0: completed runs ----
-		{"uqsim/ok", []string{"run", "-config", "configs/twotier", "-warmup", "10ms", "-duration", "50ms"}, nil, cli.ExitOK, ""},
-		{"sweep/ok", []string{"sweep", "-config", "configs/twotier", "-from", "20000", "-to", "20000", "-step", "1000", "-csv"}, nil, cli.ExitOK, ""},
-		{"trace/ok", []string{"trace", "-config", "configs/twotier", "-duration", "100ms"}, nil, cli.ExitOK, ""},
-		{"experiments/list", []string{"experiments", "-list"}, nil, cli.ExitOK, ""},
-		{"farm/audit-complete", []string{"farm", "-audit", "-spool", completeSpool}, nil, cli.ExitOK, ""},
+		{"uqsim/ok", []string{"run", "-config", "configs/twotier", "-warmup", "10ms", "-duration", "50ms"}, cli.ExitOK, ""},
+		{"sweep/ok", []string{"sweep", "-config", "configs/twotier", "-from", "20000", "-to", "20000", "-step", "1000", "-csv"}, cli.ExitOK, ""},
+		{"trace/ok", []string{"trace", "-config", "configs/twotier", "-duration", "100ms"}, cli.ExitOK, ""},
+		{"experiments/list", []string{"experiments", "-list"}, cli.ExitOK, ""},
+		{"farm/audit-complete", []string{"farm", "-audit", "-spool", completeSpool}, cli.ExitOK, ""},
 
 		// ---- 1: interrupted or incomplete; artifacts partial ----
-		{"sweep/max-wall", []string{"sweep", "-config", "configs/twotier", "-from", "15000", "-to", "80000", "-step", "1000", "-max-wall", "500ms"}, nil, cli.ExitPartial, ""},
-		{"farm/audit-incomplete", []string{"farm", "-audit", "-spool", partialSpool}, nil, cli.ExitPartial, ""},
+		{"sweep/max-wall", []string{"sweep", "-config", "configs/twotier", "-from", "15000", "-to", "80000", "-step", "1000", "-max-wall", "500ms"}, cli.ExitPartial, ""},
+		{"farm/audit-incomplete", []string{"farm", "-audit", "-spool", partialSpool}, cli.ExitPartial, ""},
 
 		// ---- 3: the run succeeded and surfaced findings ----
-		{"farm/audit-orphan", []string{"farm", "-audit", "-spool", dirtySpool}, nil, cli.ExitFindings, ""},
+		{"farm/audit-orphan", []string{"farm", "-audit", "-spool", dirtySpool}, cli.ExitFindings, ""},
+		// A job past its budget is stopped and quarantined: a finding.
 		{"farm/poison-quarantine", []string{
 			"farm", "-config", "configs/twotier",
 			"-from", "20000", "-to", "20000", "-step", "1000",
-			"-workers", "1", "-max-failures", "1", "-q",
+			"-job-timeout", "1ns", "-q",
 			"-spool", filepath.Join(t.TempDir(), "poison"),
-		}, []string{farm.EnvTestCrash + "=@99"}, cli.ExitFindings, ""},
+		}, cli.ExitFindings, "1 quarantined"},
 	}
 
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := uqsim(t, tc.args...)
-			if tc.env != nil {
-				cmd.Env = append(cmd.Environ(), tc.env...)
-			}
 			out, err := cmd.CombinedOutput()
 			code := 0
 			if exit, ok := err.(*exec.ExitError); ok {

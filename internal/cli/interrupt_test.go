@@ -317,3 +317,73 @@ func TestTraceInterruptReportsPartialRun(t *testing.T) {
 		t.Fatalf("truncated run did not report its partial results:\n%s", stdout.String())
 	}
 }
+
+// farmGrid is the sweep that TestFarmSurvivesKill journals and that
+// TestOutputIndependentOfWidth prints: eight twotier points.
+var farmGrid = []string{"-config", "configs/twotier", "-from", "12000", "-to", "26000", "-step", "2000"}
+
+// serialSweepOut is `uqsim sweep -csv` over farmGrid on one core: the
+// byte reference for the farm's merge and for the sweep at any width. The
+// tests run one at a time, and the first that needs it runs the sweep.
+var serialSweepOut []byte
+
+func serialSweep(t *testing.T) []byte {
+	t.Helper()
+	if serialSweepOut == nil {
+		cmd := uqsim(t, append([]string{"sweep", "-csv"}, farmGrid...)...)
+		cmd.Env = append(cmd.Environ(), "GOMAXPROCS=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("uqsim sweep: %v", err)
+		}
+		serialSweepOut = out
+	}
+	return serialSweepOut
+}
+
+// TestFarmSurvivesKill: SIGKILL the whole farm process once its journal
+// holds a result, while later jobs are running. A -resume run must finish
+// the campaign, the journal must audit clean, and the merged CSV must be
+// byte-identical to a serial sweep of the same grid.
+func TestFarmSurvivesKill(t *testing.T) {
+	spool := filepath.Join(t.TempDir(), "spool")
+	farm := func(extra ...string) *exec.Cmd {
+		return uqsim(t, append(append([]string{"farm", "-q", "-spool", spool}, farmGrid...), extra...)...)
+	}
+	cmd := farm()
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		if files, _ := filepath.Glob(filepath.Join(spool, "results", "*.json")); len(files) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			t.Fatal("no result journaled within 2m")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait()
+	if err := uqsim(t, "farm", "-audit", "-spool", spool).Run(); err == nil {
+		t.Fatal("the killed campaign audits complete: the kill landed after the last job")
+	}
+
+	if out, err := farm("-resume").CombinedOutput(); err != nil {
+		t.Fatalf("uqsim farm -resume: %v\n%s", err, out)
+	}
+	if out, err := uqsim(t, "farm", "-audit", "-spool", spool).CombinedOutput(); err != nil {
+		t.Fatalf("uqsim farm -audit: %v\n%s", err, out)
+	}
+	merged, err := os.ReadFile(filepath.Join(spool, "merged.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := serialSweep(t); !bytes.Equal(merged, want) {
+		t.Fatalf("merged CSV after kill and resume:\n%s\nserial sweep:\n%s", merged, want)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"uqsim/internal/des"
+	"uqsim/internal/pool"
 	"uqsim/internal/sim"
 	"uqsim/internal/validate"
 )
@@ -50,17 +51,23 @@ type Result struct {
 // reads them before the shared column table.
 type cols map[string]string
 
-// execute runs cells one after another. It is the only code in the
-// package that builds a cell, binds it to ctx, runs it, checks its
-// conservation identity and times it.
-func execute(ctx context.Context, id string, cells []Cell) ([]Result, error) {
+// execute runs cells on a pool of width goroutines (pool.Run). Together
+// with runCell it is the only code in the package that builds a cell,
+// binds it to ctx, runs it, checks its conservation identity and times it.
+func execute(ctx context.Context, id string, cells []Cell, width int) ([]Result, error) {
 	rs := make([]Result, len(cells))
-	for i, c := range cells {
-		r, err := runCell(ctx, c)
+	err := pool.Run(ctx, width, len(cells), func(ctx context.Context, i int) (Result, error) {
+		r, err := runCell(ctx, cells[i])
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s %s: %w", id, strings.Join(c.Label, "/"), err)
+			err = fmt.Errorf("experiments: %s %s: %w", id, strings.Join(cells[i].Label, "/"), err)
 		}
+		return r, err
+	}, func(i int, r Result) error {
 		rs[i] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rs, nil
 }

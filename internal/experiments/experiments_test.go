@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -132,50 +133,41 @@ func TestCellErrorNamesIDAndLabel(t *testing.T) {
 	_, err := execute(context.Background(), "fig5", []Cell{{
 		Label: []string{"nginx8p-mc4t", "10000"},
 		Build: func() (*sim.Sim, error) { return nil, boom },
-	}})
+	}}, 1)
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "fig5 nginx8p-mc4t/10000") {
 		t.Fatalf("err = %v, want boom naming fig5 and nginx8p-mc4t/10000", err)
 	}
 }
 
-// TestCellsAreIndependent: running an experiment's cells in reverse order
-// and reducing their results in declared order gives the same table, byte
-// for byte. State shared between cells (a captured map, one goodputBins
-// for two runs) fails it.
+// TestCellsAreIndependent: running an experiment's cells four at a time
+// gives the table running them one after another gives, byte for byte.
+// State shared between cells (a captured map, one goodputBins for two
+// runs) fails it, and so does a race under -race.
 func TestCellsAreIndependent(t *testing.T) {
 	o := Opts{Seed: 5, Scale: 0.05}
 	for _, id := range []string{"resilience", "overload", "ablation-lb"} {
-		sp := specs[id]
-		cells := sp.Cells(o)
-		fwd, err := execute(context.Background(), id, cells)
+		one, err := run(context.Background(), id, o, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reversed := slices.Clone(cells)
-		slices.Reverse(reversed)
-		rev, err := execute(context.Background(), id, reversed)
+		four, err := run(context.Background(), id, o, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slices.Reverse(rev)
-		a, err := sp.Reduce(o, fwd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := sp.Reduce(o, rev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Errorf("%s: cells run in reverse order give another table:\n%s\nforward:\n%s", id, b, a)
+		if one.String() != four.String() {
+			t.Errorf("%s: cells run four at a time give another table:\n%s\none at a time:\n%s", id, four, one)
 		}
 	}
 }
 
+// smokeWidth is the pool width the smoke tests run their cells at: at
+// least two, so -race sees cells side by side on any host.
+var smokeWidth = max(2, runtime.GOMAXPROCS(0))
+
 // smoke runs an experiment at tiny scale and sanity-checks the table.
 func smoke(t *testing.T, id string) *Table {
 	t.Helper()
-	tb, err := Run(context.Background(), id, Opts{Seed: 5, Scale: 0.05})
+	tb, err := run(context.Background(), id, Opts{Seed: 5, Scale: 0.05}, smokeWidth)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -509,15 +501,16 @@ func TestMillionUserSmoke(t *testing.T) {
 }
 
 // TestConcurrentCampaignsShareNothing runs two experiments at once in one
-// process, each under its own context. The overload campaign's context is
-// cancelled by an event halfway through its middle cell's window, so the
-// cells before it run whole beside resilience, that cell stops short or
-// runs out, and every cell after it processes no event. The resilience run
-// beside it must not notice: its table equals its serial run's byte for
-// byte.
+// process, each under its own context, resilience with its cells side by
+// side. The overload campaign's context is cancelled by an event halfway
+// through its middle cell's window. Its cells run one at a time, so the
+// cells before that one run whole beside resilience, that cell stops short
+// or runs out, and every cell after it processes no event; at a larger
+// width a later cell may already have started. The resilience run beside
+// it must not notice: its table equals its serial run's byte for byte.
 func TestConcurrentCampaignsShareNothing(t *testing.T) {
 	o := Opts{Seed: 5, Scale: 0.05}
-	serial, err := Run(context.Background(), "resilience", o)
+	serial, err := run(context.Background(), "resilience", o, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,8 +532,8 @@ func TestConcurrentCampaignsShareNothing(t *testing.T) {
 	var ovl []Result
 	var resErr, ovlErr error
 	wg.Add(2)
-	go func() { defer wg.Done(); res, resErr = Run(context.Background(), "resilience", o) }()
-	go func() { defer wg.Done(); ovl, ovlErr = execute(ctx, "overload", cells) }()
+	go func() { defer wg.Done(); res, resErr = run(context.Background(), "resilience", o, smokeWidth) }()
+	go func() { defer wg.Done(); ovl, ovlErr = execute(ctx, "overload", cells, 1) }()
 	wg.Wait()
 	if resErr != nil {
 		t.Fatal(resErr)

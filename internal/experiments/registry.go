@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 )
 
 // specs maps experiment IDs to their specs. IDs follow the paper's
@@ -41,16 +42,21 @@ var specs = map[string]Spec{
 // Names lists registered experiment IDs in sorted order.
 func Names() []string { return sortedKeys(specs) }
 
-// Run executes one experiment by ID, every cell bound to ctx: once ctx is
-// done the running simulation stops and later ones process no event, so
-// the table comes back partial (or the reducer fails on a truncated run).
-// The table's Cost totals its cells.
+// Run executes one experiment by ID, its cells side by side on
+// runtime.GOMAXPROCS(0) goroutines and every cell bound to ctx: once ctx
+// is done the running simulations stop and later ones process no event,
+// so the table comes back partial (or the reducer fails on a truncated
+// run). The table's Cost totals its cells.
 func Run(ctx context.Context, id string, o Opts) (*Table, error) {
+	return run(ctx, id, o, runtime.GOMAXPROCS(0))
+}
+
+func run(ctx context.Context, id string, o Opts, width int) (*Table, error) {
 	sp, ok := specs[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, Names())
 	}
-	rs, err := execute(ctx, id, sp.Cells(o))
+	rs, err := execute(ctx, id, sp.Cells(o), width)
 	if err != nil {
 		return nil, err
 	}

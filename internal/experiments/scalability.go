@@ -11,8 +11,9 @@ import (
 // scalability measures the simulator itself — the "scalable" half of the
 // paper's title: the full simulator running the tail-at-scale app at
 // growing cluster sizes, for absolute event throughput. Scale-out beyond
-// one core is running many of these at once (internal/farm), not splitting
-// one across cores.
+// one core is running many of these at once (the cell pool,
+// internal/pool), not splitting one across cores; these cells run side by
+// side too, so their wall columns are measured beside one another.
 var scalability = Spec{
 	Cells: func(o Opts) (cells []Cell) {
 		clusters := []int{10, 50, 100, 500, 1000}

@@ -10,10 +10,11 @@ import (
 )
 
 // This file is the shared core of the load-sweep workflow: `uqsim sweep`
-// runs these points serially, and the farm (internal/farm) fans the same
-// points out across worker processes. Both paths must produce identical
-// rows, byte for byte — the farm's determinism contract is that a merged
-// campaign CSV equals the serial CLI's output at any worker count.
+// runs these points side by side on the cell pool, and the farm
+// (internal/farm) runs the same points on the pool with a journal. Both
+// paths must produce identical rows, byte for byte — the farm's
+// determinism contract is that a merged campaign CSV equals a serial
+// sweep's output at any pool width.
 
 // SweepColumns is the header of a load-sweep table.
 func SweepColumns() []string {

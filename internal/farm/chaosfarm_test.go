@@ -5,19 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"uqsim/internal/chaos"
 )
 
-// TestFarmChaosCampaignMatchesSerial distributes a chaos search across
-// workers and checks the other half of the determinism contract: the
+// TestFarmChaosCampaignMatchesSerial runs a chaos search on the farm's
+// pool and checks the other half of the determinism contract: the
 // merged corpus — every artifact file — is byte-identical to archiving
 // the same trials serially in one process.
 func TestFarmChaosCampaignMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
 	cfgDir := testConfigDir(t, "metastable")
 	const seed, trials = 5, 3
 
@@ -30,7 +26,7 @@ func TestFarmChaosCampaignMatchesSerial(t *testing.T) {
 	serialCorpus := filepath.Join(t.TempDir(), "serial")
 	violations := 0
 	for i := 0; i < trials; i++ {
-		tr, err := h.Trial(i)
+		tr, err := h.Trial(context.Background(), i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,13 +43,7 @@ func TestFarmChaosCampaignMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	spool := t.TempDir()
-	sum, err := Run(context.Background(), Options{
-		Spool:      spool,
-		Workers:    3,
-		WorkerArgv: workerArgv(t, cfgDir),
-		LeaseTTL:   10 * time.Second,
-		Logf:       t.Logf,
-	}, c)
+	sum, err := Run(context.Background(), Options{Spool: spool, Logf: t.Logf}, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,72 +1,23 @@
 package farm
 
-// Integration tests over the real worker binary: the dispatcher runs
-// in-process (so summaries and options are directly inspectable) and
-// spawns actual `uqsim farm -worker` subprocesses, which it crashes,
-// hangs, and SIGKILLs. The acceptance bar is the determinism contract:
-// whatever the farm survives, the merged output must be byte-identical
-// to a serial run.
+// Campaign tests: Run executes every job in this process on the cell
+// pool. The acceptance bar is the determinism contract: whatever the farm
+// survives — an interrupt, a panicking job, a job that never finishes —
+// the journal accounts for every job once and the merged output is
+// byte-identical to a serial run. Killing the whole process and resuming
+// is tested on the built binary in internal/cli.
 
 import (
 	"context"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"uqsim/internal/config"
 	"uqsim/internal/experiments"
 )
-
-var (
-	workerBinOnce sync.Once
-	workerBinPath string
-	workerBinErr  error
-)
-
-// TestMain removes the worker binary once every test has used it.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if workerBinErr == nil && workerBinPath != "" {
-		os.RemoveAll(filepath.Dir(workerBinPath))
-	}
-	os.Exit(code)
-}
-
-// workerBin builds cmd/uqsim once per test process.
-func workerBin(t *testing.T) string {
-	t.Helper()
-	workerBinOnce.Do(func() {
-		root, err := filepath.Abs(filepath.Join("..", ".."))
-		if err != nil {
-			workerBinErr = err
-			return
-		}
-		dir, err := os.MkdirTemp("", "uqsim-bin")
-		if err != nil {
-			workerBinErr = err
-			return
-		}
-		workerBinPath = filepath.Join(dir, "uqsim")
-		cmd := exec.Command("go", "build", "-o", workerBinPath, "./cmd/uqsim")
-		cmd.Dir = root
-		if out, err := cmd.CombinedOutput(); err != nil {
-			workerBinErr = err
-			workerBinPath = string(out)
-		}
-	})
-	if workerBinErr != nil {
-		t.Fatalf("building worker binary: %v\n%s", workerBinErr, workerBinPath)
-	}
-	return workerBinPath
-}
-
-func workerArgv(t *testing.T, cfgDir string) []string {
-	return []string{workerBin(t), "farm", "-worker", "-config", cfgDir, "-heartbeat", "200ms"}
-}
 
 // serialCSV computes the sweep the slow way — one point after another in
 // one process — as the byte-identity reference.
@@ -98,7 +49,7 @@ func readDir(t *testing.T, path string) *config.Dir {
 	return dir
 }
 
-// TestExecutorRunsTheBytesItHashed: a worker checks every spec against
+// TestExecutorRunsTheBytesItHashed: an executor checks every spec against
 // the hash of the configuration it read at start, so it must also run
 // those bytes. An edit to the directory afterwards — here client.json's
 // seed — must not reach a job whose spec carries the original hash.
@@ -125,7 +76,7 @@ func TestExecutorRunsTheBytesItHashed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := ex.Execute(jobs[0])
+	before, err := ex.Execute(context.Background(), jobs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +93,7 @@ func TestExecutorRunsTheBytesItHashed(t *testing.T) {
 	if err := os.WriteFile(client, []byte(edited), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	after, err := ex.Execute(jobs[0])
+	after, err := ex.Execute(context.Background(), jobs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,57 +122,11 @@ func auditComplete(t *testing.T, spool string) {
 	}
 }
 
-// TestFarmChaosMonkeyByteIdentical is the acceptance test: four workers,
-// the dispatcher's chaos monkey SIGKILLing randomly chosen busy workers
-// mid-lease, and the merged CSV must still equal the serial sweep byte
-// for byte, with the journal accounting for every job exactly once.
-func TestFarmChaosMonkeyByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	cfgDir := testConfigDir(t, "twotier")
-	const from, to, step = 18000, 28000, 2000
-	c, err := NewSweepCampaign(cfgDir, from, to, step)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spool := t.TempDir()
-	sum, err := Run(context.Background(), Options{
-		Spool:       spool,
-		Workers:     4,
-		WorkerArgv:  workerArgv(t, cfgDir),
-		LeaseTTL:    5 * time.Second,
-		JobTimeout:  2 * time.Minute,
-		KillWorkers: 3,
-		Seed:        7,
-		Logf:        t.Logf,
-	}, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Kills != 3 {
-		t.Fatalf("chaos monkey killed %d workers, want 3", sum.Kills)
-	}
-	if sum.Interrupted || sum.Quarantined != 0 {
-		t.Fatalf("summary: %+v", sum)
-	}
-	if got := sum.Committed + sum.Skipped; got != sum.Jobs {
-		t.Fatalf("committed %d + skipped %d != %d jobs", sum.Committed, sum.Skipped, sum.Jobs)
-	}
-	auditComplete(t, spool)
-	want := serialCSV(t, cfgDir, from, to, step)
-	if got := mergedCSV(t, spool); got != want {
-		t.Fatalf("merged CSV diverged from serial run\n--- farm ---\n%s--- serial ---\n%s", got, want)
-	}
-}
-
-// TestFarmResumeByteIdentical interrupts a campaign mid-flight, then
-// resumes it with a different worker count; the final merge must equal
-// the serial run and skip every journaled job.
+// TestFarmResumeByteIdentical interrupts a campaign after its first
+// commit, while later jobs are running, then resumes it; the jobs the
+// interrupt cut short must journal nothing, and the final merge must
+// equal the serial run and skip every journaled job.
 func TestFarmResumeByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
 	cfgDir := testConfigDir(t, "twotier")
 	const from, to, step = 17000, 26000, 1000
 	c, err := NewSweepCampaign(cfgDir, from, to, step)
@@ -230,30 +135,22 @@ func TestFarmResumeByteIdentical(t *testing.T) {
 	}
 	spool := t.TempDir()
 
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(1200*time.Millisecond))
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	first, err := Run(ctx, Options{
-		Spool:      spool,
-		Workers:    2,
-		WorkerArgv: workerArgv(t, cfgDir),
-		LeaseTTL:   5 * time.Second,
-		Logf:       t.Logf,
-	}, c)
+	first, err := Run(ctx, Options{Spool: spool, Logf: func(format string, args ...any) {
+		t.Logf(format, args...)
+		if strings.Contains(format, "committed") {
+			cancel()
+		}
+	}}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !first.Interrupted && first.Committed == first.Jobs {
-		t.Log("first run finished before the interrupt; resume degenerates to a no-op")
+	if !first.Interrupted || first.Committed == 0 || first.Committed == first.Jobs {
+		t.Fatalf("first run was to stop part-way: %+v", first)
 	}
 
-	second, err := Run(context.Background(), Options{
-		Spool:      spool,
-		Workers:    4,
-		WorkerArgv: workerArgv(t, cfgDir),
-		LeaseTTL:   5 * time.Second,
-		Resume:     true,
-		Logf:       t.Logf,
-	}, c)
+	second, err := Run(context.Background(), Options{Spool: spool, Resume: true, Logf: t.Logf}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,44 +168,56 @@ func TestFarmResumeByteIdentical(t *testing.T) {
 
 	// Running again without -resume must refuse: the journal already
 	// holds this campaign.
-	if _, err := Run(context.Background(), Options{
-		Spool: spool, Workers: 1, WorkerArgv: workerArgv(t, cfgDir),
-	}, c); err == nil || !strings.Contains(err.Error(), "-resume") {
+	if _, err := Run(context.Background(), Options{Spool: spool}, c); err == nil || !strings.Contains(err.Error(), "-resume") {
 		t.Fatalf("rerun without resume: %v", err)
 	}
 }
 
-// TestFarmPoisonQuarantine crashes one job's worker on every attempt; the
-// job must be quarantined after MaxFailures tries with its full failure
-// history, the rest of the campaign must finish, and the quarantined spec
-// must replay cleanly in isolation once the hook is gone.
-func TestFarmPoisonQuarantine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
+// substitute runs every job through a fresh executor over cfgDir, except
+// the job whose key is poison, which runs bad instead.
+func substitute(t *testing.T, cfgDir, poison string, bad jobFunc) jobFunc {
+	t.Helper()
+	ex, err := NewExecutor(cfgDir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return func(ctx context.Context, spec JobSpec) (*Result, error) {
+		if spec.Key() == poison {
+			return bad(ctx, spec)
+		}
+		return ex.Execute(ctx, spec)
+	}
+}
+
+// quarantinedOnce runs a light 1k-4k QPS campaign with job sweep:2000
+// replaced by bad and checks the accounting: that job is quarantined at once with
+// one failure record whose reason contains why, every other job commits,
+// the merge names the poison job, and the quarantined spec replays clean
+// through an executor, as -replay runs it.
+func quarantinedOnce(t *testing.T, o Options, bad jobFunc, why string) {
+	t.Helper()
 	cfgDir := testConfigDir(t, "twotier")
-	t.Setenv(EnvTestCrash, "sweep:21000@99") // every attempt at that point dies
-	c, err := NewSweepCampaign(cfgDir, 20000, 23000, 1000)
+	c, err := NewSweepCampaign(cfgDir, 1000, 4000, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spool := t.TempDir()
-	sum, err := Run(context.Background(), Options{
-		Spool:       spool,
-		Workers:     2,
-		WorkerArgv:  workerArgv(t, cfgDir),
-		LeaseTTL:    5 * time.Second,
-		MaxFailures: 3,
-		Logf:        t.Logf,
-	}, c)
+	o.Spool, o.Logf = t.TempDir(), t.Logf
+	sum, err := run(context.Background(), o, c, substitute(t, cfgDir, "sweep:2000", bad))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Quarantined != 1 || sum.Committed != sum.Jobs-1 {
+	if sum.Quarantined != 1 || sum.Committed != sum.Jobs-1 || sum.Interrupted {
 		t.Fatalf("summary: %+v", sum)
 	}
+	rep, err := Audit(o.Spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Complete() || rep.Quarantined != 1 {
+		t.Fatalf("journal audit:\n%s", rep)
+	}
 
-	sp, err := OpenSpoolDir(spool)
+	sp, err := OpenSpoolDir(o.Spool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,42 +225,34 @@ func TestFarmPoisonQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(quar) != 1 {
-		t.Fatalf("quarantine entries: %d", len(quar))
-	}
 	var entry *QuarantineEntry
 	for _, q := range quar {
 		entry = q
 	}
-	if entry.Job.Key() != "sweep:21000" || len(entry.Failures) != 3 {
+	if entry == nil || entry.Job.Key() != "sweep:2000" || len(entry.Failures) != 1 {
 		t.Fatalf("quarantine entry: %+v", entry)
 	}
-	for i, f := range entry.Failures {
-		if f.Attempt != i+1 || !strings.Contains(f.Reason, "exit status 3") {
-			t.Fatalf("failure %d: %+v", i, f)
-		}
+	if f := entry.Failures[0]; f.Attempt != 1 || !strings.Contains(f.Reason, why) {
+		t.Fatalf("failure record %+v, want a reason containing %q", f, why)
 	}
 
-	// The merge marks the campaign partial and names the poison job.
-	m, err := Merge(spool)
+	m, err := Merge(o.Spool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Complete() || len(m.Quarantined) != 1 || m.Quarantined[0] != "sweep:21000" {
+	if m.Complete() || len(m.Quarantined) != 1 || m.Quarantined[0] != "sweep:2000" {
 		t.Fatalf("merge: quarantined=%v complete=%v", m.Quarantined, m.Complete())
 	}
 
-	// Replay the quarantined spec in-process (no worker, no crash hook
-	// path): it is an ordinary job and must produce the serial row.
 	ex, err := NewExecutor(cfgDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.Execute(entry.Job)
+	res, err := ex.Execute(context.Background(), entry.Job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.SweepRow(context.Background(), readDir(t, cfgDir), 21000, config.Overrides{})
+	want, err := experiments.SweepRow(context.Background(), readDir(t, cfgDir), 2000, config.Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,41 +261,21 @@ func TestFarmPoisonQuarantine(t *testing.T) {
 	}
 }
 
-// TestFarmHangWatchdogRequeues hangs one job's first attempt with
-// heartbeats still flowing; only the per-job wall-clock watchdog can kill
-// it. The retry must succeed and the merge must match the serial run.
-func TestFarmHangWatchdogRequeues(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	cfgDir := testConfigDir(t, "twotier")
-	t.Setenv(EnvTestHang, "sweep:19000@1") // first attempt hangs, second runs
-	const from, to, step = 19000, 21000, 1000
-	c, err := NewSweepCampaign(cfgDir, from, to, step)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spool := t.TempDir()
-	sum, err := Run(context.Background(), Options{
-		Spool:      spool,
-		Workers:    2,
-		WorkerArgv: workerArgv(t, cfgDir),
-		LeaseTTL:   5 * time.Second,
-		JobTimeout: 2 * time.Second,
-		Logf:       t.Logf,
-	}, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Requeues < 1 {
-		t.Fatalf("hung job never requeued: %+v", sum)
-	}
-	if sum.Quarantined != 0 || sum.Committed != sum.Jobs {
-		t.Fatalf("summary: %+v", sum)
-	}
-	auditComplete(t, spool)
-	want := serialCSV(t, cfgDir, from, to, step)
-	if got := mergedCSV(t, spool); got != want {
-		t.Fatalf("merge after hang diverged from serial run\n--- farm ---\n%s--- serial ---\n%s", got, want)
-	}
+// TestFarmPoisonQuarantine: a job that panics is recovered, quarantined
+// on its first failure (an in-process failure repeats exactly, so a retry
+// buys nothing), and the rest of the campaign finishes.
+func TestFarmPoisonQuarantine(t *testing.T) {
+	quarantinedOnce(t, Options{}, func(context.Context, JobSpec) (*Result, error) {
+		panic("poison job")
+	}, "panic: poison job")
+}
+
+// TestFarmHangWatchdogQuarantines: a job that never finishes on its own
+// is stopped by its per-job deadline and quarantined, and the rest of the
+// campaign finishes.
+func TestFarmHangWatchdogQuarantines(t *testing.T) {
+	quarantinedOnce(t, Options{JobTimeout: time.Second}, func(ctx context.Context, _ JobSpec) (*Result, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}, "wall-clock budget")
 }

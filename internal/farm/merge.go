@@ -11,8 +11,8 @@ import (
 // Merged is a campaign's results reassembled in campaign order. Because
 // every job is deterministic and the merge iterates the campaign's own
 // expansion — never the completion order — the merged table of a farm run
-// is byte-identical to a serial run, at any worker count, with workers
-// dying mid-campaign.
+// is byte-identical to a serial run, at any pool width, across kills and
+// resumes.
 type Merged struct {
 	Campaign *Campaign
 	// Table is the sweep table (experiments.SweepColumns rows) or the
@@ -33,23 +33,11 @@ func (m *Merged) Complete() bool { return len(m.Missing) == 0 && len(m.Quarantin
 
 // Merge replays the spool journal into campaign-order results.
 func Merge(spoolDir string) (*Merged, error) {
-	sp, err := OpenSpoolDir(spoolDir)
+	j, err := readSpool(spoolDir)
 	if err != nil {
 		return nil, err
 	}
-	c := sp.Campaign()
-	jobs, err := c.Jobs()
-	if err != nil {
-		return nil, err
-	}
-	committed, err := sp.Committed()
-	if err != nil {
-		return nil, err
-	}
-	quarantined, err := sp.Quarantined()
-	if err != nil {
-		return nil, err
-	}
+	c := j.campaign
 	m := &Merged{Campaign: c}
 	switch c.Kind {
 	case KindSweep:
@@ -59,27 +47,27 @@ func Merge(spoolDir string) (*Merged, error) {
 			fmt.Sprintf("Chaos search of %s (seed %d)", c.ConfigDir, c.Seed),
 			"trial", "events", "violation", "events_shrunk", "detail")
 	}
-	for _, j := range jobs {
-		hash := j.Hash()
-		r := committed[hash]
+	for _, job := range j.jobs {
+		hash := job.Hash()
+		r := j.committed[hash]
 		if r == nil {
-			if _, ok := quarantined[hash]; ok {
-				m.Quarantined = append(m.Quarantined, j.Key())
+			if _, ok := j.quarantined[hash]; ok {
+				m.Quarantined = append(m.Quarantined, job.Key())
 			} else {
-				m.Missing = append(m.Missing, j.Key())
+				m.Missing = append(m.Missing, job.Key())
 			}
 			continue
 		}
 		switch c.Kind {
 		case KindSweep:
 			if len(r.Row) != len(m.Table.Columns) {
-				return nil, fmt.Errorf("farm: result %s carries %d cells for %d columns", j.Key(), len(r.Row), len(m.Table.Columns))
+				return nil, fmt.Errorf("farm: result %s carries %d cells for %d columns", job.Key(), len(r.Row), len(m.Table.Columns))
 			}
 			m.Table.Add(r.Row...)
 		case KindChaos:
 			out := r.Chaos
 			if out == nil {
-				return nil, fmt.Errorf("farm: chaos result %s carries no outcome", j.Key())
+				return nil, fmt.Errorf("farm: chaos result %s carries no outcome", job.Key())
 			}
 			violation, detail := "ok", ""
 			if out.Violation != "" {
@@ -90,7 +78,7 @@ func Merge(spoolDir string) (*Merged, error) {
 				}
 			}
 			m.Table.Add(
-				fmt.Sprintf("%d", j.Index),
+				fmt.Sprintf("%d", job.Index),
 				fmt.Sprintf("%d", out.Events),
 				violation,
 				fmt.Sprintf("%d", out.EventsAfter),

@@ -1,24 +1,20 @@
-// Package farm is µqSim's fault-tolerant experiment farm: it expands a
-// sweep or chaos campaign into content-hashed job specs, journals them to
-// a durable spool directory, and fans them out to a pool of worker
-// subprocesses behind a lease-based queue. The farm is built to tolerate
-// the same failures the simulator injects — worker crashes, hangs, and
-// operator interrupts — without losing or double-counting a single trial:
+// Package farm is µqSim's journaled experiment farm: it expands a sweep
+// or chaos campaign into content-hashed job specs, runs them side by side
+// in one process on the cell pool (internal/pool), and journals every
+// outcome to a durable spool directory as the job finishes, so a campaign
+// that is interrupted or killed loses at most the jobs that were running:
 //
-//   - leases carry heartbeats and expire back to the queue when a worker
-//     goes silent;
-//   - a per-job wall-clock watchdog kills workers that hang mid-job;
-//   - crashed workers respawn with exponential backoff and jitter;
-//   - a job that kills its worker K times in a row is quarantined as a
-//     replayable poison spec instead of wedging the campaign;
 //   - results commit idempotently, keyed by the job's content hash, so a
-//     retried or duplicated completion can never double-count;
-//   - an interrupted campaign resumes by replaying the spool journal.
+//     resumed campaign can never double-count;
+//   - a job that errs, panics or overruns its wall-clock budget is
+//     quarantined at once as a replayable spec instead of ending the
+//     campaign;
+//   - an interrupted or killed campaign resumes by replaying the journal.
 //
 // The determinism contract: every job is a pure function of its spec and
 // the configuration bytes it hashes, so the merged output of a campaign —
-// at any worker count, with workers dying mid-run — is byte-identical to
-// a serial run of the same points.
+// at any pool width, across any number of kills and resumes — is
+// byte-identical to a serial run of the same points.
 package farm
 
 import (
@@ -70,30 +66,20 @@ type Campaign struct {
 // NewSweepCampaign builds a sweep campaign over configDir, hashing the
 // configuration it will run against.
 func NewSweepCampaign(configDir string, from, to, step float64) (*Campaign, error) {
-	dir, err := config.ReadDir(configDir)
-	if err != nil {
-		return nil, err
-	}
-	c := &Campaign{
-		Kind: KindSweep, ConfigDir: configDir, ConfigHash: dir.Hash(),
-		FromQPS: from, ToQPS: to, StepQPS: step,
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return newCampaign(&Campaign{Kind: KindSweep, ConfigDir: configDir, FromQPS: from, ToQPS: to, StepQPS: step})
 }
 
 // NewChaosCampaign builds a chaos-search campaign over configDir.
 func NewChaosCampaign(configDir string, seed uint64, trials, maxActions int) (*Campaign, error) {
-	dir, err := config.ReadDir(configDir)
+	return newCampaign(&Campaign{Kind: KindChaos, ConfigDir: configDir, Seed: seed, Trials: trials, MaxActions: maxActions})
+}
+
+func newCampaign(c *Campaign) (*Campaign, error) {
+	dir, err := config.ReadDir(c.ConfigDir)
 	if err != nil {
 		return nil, err
 	}
-	c := &Campaign{
-		Kind: KindChaos, ConfigDir: configDir, ConfigHash: dir.Hash(),
-		Seed: seed, Trials: trials, MaxActions: maxActions,
-	}
+	c.ConfigHash = dir.Hash()
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -171,8 +157,7 @@ func (c *Campaign) Jobs() ([]JobSpec, error) {
 
 // JobSpec is one unit of farm work: a single sweep point or chaos trial.
 // Specs are content-addressed — Hash covers every field plus the config
-// hash — which is what makes retries, duplicate completions, and resumed
-// campaigns safe to merge.
+// hash — which is what makes resumed campaigns safe to merge.
 type JobSpec struct {
 	Kind       string `json:"kind"`
 	ConfigHash string `json:"config_hash"`
@@ -185,8 +170,7 @@ type JobSpec struct {
 }
 
 // Hash is the job's content address: a stable digest of the canonical
-// spec encoding. Spool filenames, leases, and idempotent commits are all
-// keyed by it.
+// spec encoding. Spool filenames and idempotent commits are keyed by it.
 func (j JobSpec) Hash() string {
 	data, err := json.Marshal(j)
 	if err != nil {
@@ -197,8 +181,7 @@ func (j JobSpec) Hash() string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// Key is the job's human-readable handle, used in logs and by the
-// test-only fault hooks that target specific jobs.
+// Key is the job's human-readable handle, used in logs.
 func (j JobSpec) Key() string {
 	switch j.Kind {
 	case KindSweep:

@@ -19,7 +19,7 @@ import (
 //	spool/
 //	  campaign.json           the campaign document (journal head)
 //	  results/<hash>.json     one committed result per finished job
-//	  quarantine/<hash>.json  poison jobs withdrawn after K failures
+//	  quarantine/<hash>.json  jobs that erred, panicked or overran
 //
 // Every file is written via a same-directory temp file and rename (the
 // chaos-corpus pattern), so a SIGKILL mid-write leaves at worst an
@@ -59,8 +59,8 @@ type FailureRecord struct {
 	Reason  string `json:"reason"`
 }
 
-// QuarantineEntry is a poison job withdrawn from the queue: the spec (so
-// -replay can re-run it in isolation) plus the failure history that
+// QuarantineEntry is a poison job withdrawn from the campaign: the spec
+// (so -replay can re-run it in isolation) plus the failure that
 // condemned it.
 type QuarantineEntry struct {
 	Hash     string          `json:"hash"`
@@ -123,42 +123,36 @@ func OpenSpoolDir(dir string) (*Spool, error) {
 	return &Spool{Dir: dir, campaign: c}, nil
 }
 
-// Campaign returns the journaled campaign document.
-func (s *Spool) Campaign() *Campaign { return s.campaign }
-
 // CommitResult journals one finished job, idempotently: the first commit
-// of a hash wins and every later one reports committed=false. Retried
-// jobs and duplicated completions therefore cannot double-count — the
+// of a hash wins and every later one reports committed=false, so the
 // journal holds at most one result per spec.
 func (s *Spool) CommitResult(r *Result) (committed bool, err error) {
-	if r.Hash != r.Job.Hash() {
-		return false, fmt.Errorf("farm: result hash %s does not match its spec (%s)", r.Hash, r.Job.Hash())
-	}
-	path := filepath.Join(s.Dir, "results", r.Hash+".json")
-	if _, err := os.Stat(path); err == nil {
+	if _, err := os.Stat(filepath.Join(s.Dir, "results", r.Hash+".json")); err == nil && r.Hash == r.Job.Hash() {
 		return false, nil
 	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return false, fmt.Errorf("farm: encoding result: %w", err)
-	}
-	if err := atomicfile.Write(path, append(data, '\n')); err != nil {
-		return false, fmt.Errorf("farm: %w", err)
+	if err := s.write("results", "result", r.Hash, r.Job, r); err != nil {
+		return false, err
 	}
 	return true, nil
 }
 
 // Quarantine journals a poison job. Like results, quarantine entries are
-// keyed by hash and idempotent.
+// keyed by hash.
 func (s *Spool) Quarantine(q *QuarantineEntry) error {
-	if q.Hash != q.Job.Hash() {
-		return fmt.Errorf("farm: quarantine hash %s does not match its spec (%s)", q.Hash, q.Job.Hash())
+	return s.write("quarantine", "quarantine", q.Hash, q.Job, q)
+}
+
+// write journals record v of job under sub/<hash>.json atomically, once
+// hash is checked to bind to the job.
+func (s *Spool) write(sub, what, hash string, job JobSpec, v any) error {
+	if hash != job.Hash() {
+		return fmt.Errorf("farm: %s hash %s does not match its spec (%s)", what, hash, job.Hash())
 	}
-	data, err := json.MarshalIndent(q, "", "  ")
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = atomicfile.Write(filepath.Join(s.Dir, sub, hash+".json"), append(data, '\n'))
+	}
 	if err != nil {
-		return fmt.Errorf("farm: encoding quarantine entry: %w", err)
-	}
-	if err := atomicfile.Write(filepath.Join(s.Dir, "quarantine", q.Hash+".json"), append(data, '\n')); err != nil {
 		return fmt.Errorf("farm: %w", err)
 	}
 	return nil
@@ -166,48 +160,27 @@ func (s *Spool) Quarantine(q *QuarantineEntry) error {
 
 // Committed loads every journaled result, keyed by job hash.
 func (s *Spool) Committed() (map[string]*Result, error) {
-	out := make(map[string]*Result)
-	err := s.scan("results", func(hash string, data []byte) error {
-		r, err := DecodeResult(data)
-		if err != nil {
-			return err
-		}
-		if r.Hash != hash {
-			return fmt.Errorf("journaled under %s but records hash %s", hash, r.Hash)
-		}
-		out[hash] = r
-		return nil
-	})
-	return out, err
+	return load(s, "results", DecodeResult, func(r *Result) string { return r.Hash })
 }
 
 // Quarantined loads every quarantine entry, keyed by job hash.
 func (s *Spool) Quarantined() (map[string]*QuarantineEntry, error) {
-	out := make(map[string]*QuarantineEntry)
-	err := s.scan("quarantine", func(hash string, data []byte) error {
-		q, err := DecodeQuarantine(data)
-		if err != nil {
-			return err
-		}
-		if q.Hash != hash {
-			return fmt.Errorf("journaled under %s but records hash %s", hash, q.Hash)
-		}
-		out[hash] = q
-		return nil
-	})
-	return out, err
+	return load(s, "quarantine", DecodeQuarantine, func(q *QuarantineEntry) string { return q.Hash })
 }
 
-// scan walks one spool subdirectory, skipping interrupted temp files.
-func (s *Spool) scan(sub string, fn func(hash string, data []byte) error) error {
+// load decodes every record of one spool subdirectory, keyed by the hash
+// its file is named for, skipping interrupted temp files. A record whose
+// own hash is another fails.
+func load[T any](s *Spool, sub string, decode func([]byte) (*T, error), hashOf func(*T) string) (map[string]*T, error) {
 	dir := filepath.Join(s.Dir, sub)
 	des, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
-		return nil
+		return map[string]*T{}, nil
 	}
 	if err != nil {
-		return fmt.Errorf("farm: %w", err)
+		return nil, fmt.Errorf("farm: %w", err)
 	}
+	out := make(map[string]*T)
 	for _, de := range des {
 		name := de.Name()
 		if de.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".tmp-") {
@@ -215,13 +188,52 @@ func (s *Spool) scan(sub string, fn func(hash string, data []byte) error) error 
 		}
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			return fmt.Errorf("farm: %w", err)
+			return nil, fmt.Errorf("farm: %w", err)
 		}
-		if err := fn(strings.TrimSuffix(name, ".json"), data); err != nil {
-			return fmt.Errorf("farm: %s/%s: %w", sub, name, err)
+		v, err := decode(data)
+		hash := strings.TrimSuffix(name, ".json")
+		if err == nil && hashOf(v) != hash {
+			err = fmt.Errorf("journaled under %s but records hash %s", hash, hashOf(v))
 		}
+		if err != nil {
+			return nil, fmt.Errorf("farm: %s/%s: %w", sub, name, err)
+		}
+		out[hash] = v
 	}
-	return nil
+	return out, nil
+}
+
+// journal is a spool's campaign expanded into its jobs, with the results
+// and quarantine entries its journal holds.
+type journal struct {
+	campaign    *Campaign
+	jobs        []JobSpec
+	committed   map[string]*Result
+	quarantined map[string]*QuarantineEntry
+}
+
+func (s *Spool) read() (*journal, error) {
+	j := &journal{campaign: s.campaign}
+	var err error
+	if j.jobs, err = s.campaign.Jobs(); err != nil {
+		return nil, err
+	}
+	if j.committed, err = s.Committed(); err != nil {
+		return nil, err
+	}
+	if j.quarantined, err = s.Quarantined(); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// readSpool reopens the spool at dir and reads its journal.
+func readSpool(dir string) (*journal, error) {
+	sp, err := OpenSpoolDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	return sp.read()
 }
 
 // ---- journal decoding (fuzzed: see FuzzFarmJournal) ----
@@ -325,42 +337,30 @@ func (a *AuditReport) String() string {
 
 // Audit replays the journal and checks the exactly-once invariant.
 func Audit(dir string) (*AuditReport, error) {
-	sp, err := OpenSpoolDir(dir)
+	j, err := readSpool(dir)
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := sp.campaign.Jobs()
-	if err != nil {
-		return nil, err
-	}
-	committed, err := sp.Committed()
-	if err != nil {
-		return nil, err
-	}
-	quarantined, err := sp.Quarantined()
-	if err != nil {
-		return nil, err
-	}
-	rep := &AuditReport{Jobs: len(jobs), Committed: len(committed), Quarantined: len(quarantined)}
-	known := make(map[string]bool, len(jobs))
-	for _, j := range jobs {
-		hash := j.Hash()
+	rep := &AuditReport{Jobs: len(j.jobs), Committed: len(j.committed), Quarantined: len(j.quarantined)}
+	known := make(map[string]bool, len(j.jobs))
+	for _, job := range j.jobs {
+		hash := job.Hash()
 		known[hash] = true
-		_, isDone := committed[hash]
-		_, isQuar := quarantined[hash]
+		_, isDone := j.committed[hash]
+		_, isQuar := j.quarantined[hash]
 		switch {
 		case isDone && isQuar:
-			rep.Conflicts = append(rep.Conflicts, j.Key())
+			rep.Conflicts = append(rep.Conflicts, job.Key())
 		case !isDone && !isQuar:
-			rep.Missing = append(rep.Missing, j.Key())
+			rep.Missing = append(rep.Missing, job.Key())
 		}
 	}
-	for hash := range committed {
+	for hash := range j.committed {
 		if !known[hash] {
 			rep.Orphans = append(rep.Orphans, "results/"+hash+".json")
 		}
 	}
-	for hash := range quarantined {
+	for hash := range j.quarantined {
 		if !known[hash] {
 			rep.Orphans = append(rep.Orphans, "quarantine/"+hash+".json")
 		}

@@ -67,7 +67,7 @@ func TestSpoolCommitIdempotent(t *testing.T) {
 	if err != nil || !committed {
 		t.Fatalf("first commit: committed=%v err=%v", committed, err)
 	}
-	// A duplicate completion (retry, stale lease) must not overwrite.
+	// A second commit of the same job must not overwrite the first.
 	dup := *r
 	dup.Row = []string{"9", "9", "9", "9", "9", "9", "9"}
 	committed, err = sp.CommitResult(&dup)

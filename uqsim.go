@@ -571,7 +571,7 @@ func ReplayChaosFinding(ctx context.Context, configDir, entryDir string) (*Chaos
 	return chaos.Replay(ctx, configDir, entryDir)
 }
 
-// ---- fault-tolerant experiment farm ----
+// ---- journaled experiment farm ----
 
 // FarmCampaign describes one experiment campaign — a load sweep or a
 // chaos search expanded into content-hashed, independently runnable job
@@ -579,19 +579,19 @@ func ReplayChaosFinding(ctx context.Context, configDir, entryDir string) (*Chaos
 type FarmCampaign = farm.Campaign
 
 // FarmJobSpec is one unit of farm work: a single sweep point or chaos
-// trial, content-addressed so retries and duplicate completions are safe.
+// trial, content-addressed so a resumed campaign never runs it twice.
 type FarmJobSpec = farm.JobSpec
 
-// FarmOptions configures a dispatcher run: worker pool size, lease TTL,
-// per-job watchdog, poison-quarantine threshold, resume.
+// FarmOptions configures a campaign run: the spool, the per-job
+// wall-clock budget, resume.
 type FarmOptions = farm.Options
 
-// FarmSummary is the accounting of one dispatcher run (commits, requeues,
-// quarantines, respawns).
+// FarmSummary is the accounting of one campaign run (commits,
+// quarantines, chaos violations).
 type FarmSummary = farm.Summary
 
 // FarmMerged is a campaign's results reassembled in campaign order —
-// byte-identical to a serial run at any worker count.
+// byte-identical to a serial run at any pool width.
 type FarmMerged = farm.Merged
 
 // FarmAuditReport is the exactly-once accounting of a spool journal.
@@ -608,13 +608,13 @@ func NewFarmChaosCampaign(configDir string, seed uint64, trials, maxActions int)
 	return farm.NewChaosCampaign(configDir, seed, trials, maxActions)
 }
 
-// RunFarm executes a campaign across a pool of crash-recovering worker
-// subprocesses behind a lease-based queue: leases expire back to the
-// queue, hung workers are killed by the per-job watchdog, crashed workers
-// respawn with backoff, poison jobs are quarantined after repeated
-// failures, and results commit idempotently. Once ctx is done the
-// dispatcher stops leasing, kills the pool and returns with Interrupted
-// set; -resume finishes the campaign. The same engine backs `uqsim farm`.
+// RunFarm executes a campaign in this process, its jobs side by side on
+// runtime.GOMAXPROCS(0) goroutines, journaling each outcome to the spool
+// as the job finishes: a job that errs, panics or overruns its budget is
+// quarantined at once, and results commit idempotently. Once ctx is done
+// the running jobs stop, journal nothing, and RunFarm returns with
+// Interrupted set; -resume finishes the campaign, also after the process
+// was killed. The same engine backs `uqsim farm`.
 func RunFarm(ctx context.Context, o FarmOptions, c *FarmCampaign) (*FarmSummary, error) {
 	return farm.Run(ctx, o, c)
 }
