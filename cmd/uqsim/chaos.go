@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"os"
 	"time"
 
 	"uqsim/internal/chaos"
@@ -67,8 +68,10 @@ func chaosCmd(args []string) int {
 		return f.fail(cli.ExitPartial, "%v", err)
 	}
 
-	fmt.Printf("\n%d/%d trials, %d finding(s) in %v\n",
-		res.Trials, f.trials, len(res.Findings), time.Since(start).Round(time.Millisecond))
+	// The wall time goes to stderr, so that stdout is a function of the
+	// seed and the config alone.
+	fmt.Fprintf(os.Stderr, "%s: %d trials in %v\n", f.Name(), res.Trials, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("\n%d/%d trials, %d finding(s)\n", res.Trials, f.trials, len(res.Findings))
 	for _, fd := range res.Findings {
 		fmt.Printf("  trial %4d  %-17s %2d events (from %d)  %s\n",
 			fd.Trial, fd.Violation, fd.Events, fd.EventsBefore, fd.Dir)

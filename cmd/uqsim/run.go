@@ -56,9 +56,7 @@ func report(ctx context.Context, f *flags) error {
 	if err != nil {
 		return err
 	}
-	eng := experiments.NewTable("Event engine (simulator-side; not in the fingerprint)", "heap_peak", "lane_peak", "calendar_peak")
-	eng.Add(fmt.Sprintf("%d", rep.HeapPeak), fmt.Sprintf("%d", rep.LanePeak), fmt.Sprintf("%d", rep.CalendarPeak))
-	for _, t := range append(experiments.ReportTables(rep), eng) {
+	for _, t := range append(experiments.ReportTables(rep), experiments.EngineTables(rep)...) {
 		if f.csv {
 			fmt.Print(t.CSV())
 			fmt.Println()

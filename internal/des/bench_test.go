@@ -33,6 +33,25 @@ func BenchmarkEnginePost(b *testing.B) {
 	}
 }
 
+// nopHandler is a record that is its own handler, as the hot records are.
+type nopHandler struct{ n int }
+
+func (h *nopHandler) Fire(Time, Kind) { h.n++ }
+
+// BenchmarkEnginePostTo is BenchmarkEnginePost on the path the hot records
+// take: an event of a kind to a handler, not a closure of the function
+// kind.
+func BenchmarkEnginePostTo(b *testing.B) {
+	e := New()
+	h := new(nopHandler)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.PostTo(e.Now()+Microsecond, h, KindStage)
+		e.Step()
+	}
+}
+
 // BenchmarkEnginePostNow is a service's dispatch pump: post at the current
 // instant, then step, over a standing heap of 64 later events. The post
 // takes the same-instant lane and never touches the heap.
@@ -111,7 +130,7 @@ func BenchmarkEngineArmCancel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Arm(&ev, Millisecond, hop)
+		e.Arm(&ev, Millisecond, Callback(hop), KindFunc)
 		e.Cancel(&ev)
 	}
 }

@@ -26,15 +26,16 @@ package des
 const (
 	calShift = 22   // a bucket spans 2^22 ns, about 4.2 ms
 	calRing  = 1024 // buckets in the ring: a span of about 4.3 s, heads of 4 KB
-	calPage  = 16   // entries per storage page: 512 B
+	calPage  = 16   // entries per storage page: 640 B
 )
 
-// calEntry is one post waiting on the calendar. next links its bucket's
-// list, or the free list: an entry index + 1, 0 ending the list.
+// calEntry is one post waiting on the calendar; seq carries its kind as an
+// Event's does. next links its bucket's list, or the free list: an entry
+// index + 1, 0 ending the list.
 type calEntry struct {
 	at   Time
 	seq  uint64
-	fn   Callback
+	h    Handler
 	next int32
 }
 
@@ -55,9 +56,9 @@ func (c *calendar) entry(i int32) *calEntry {
 	return &c.pages[i/calPage][i%calPage]
 }
 
-// calPost files fn at time t, in bucket b = t >> calShift, with the next
-// sequence number.
-func (e *Engine) calPost(t, b Time, fn Callback) {
+// calPost files an event to h, sequenced seq, at time t, in bucket b = t
+// >> calShift.
+func (e *Engine) calPost(t, b Time, seq uint64, h Handler) {
 	c := &e.cal
 	if c.heads == nil {
 		c.heads = new([calRing]int32)
@@ -73,9 +74,8 @@ func (e *Engine) calPost(t, b Time, fn Callback) {
 		i = c.used
 	}
 	slot := &c.heads[b&(calRing-1)]
-	*c.entry(i) = calEntry{at: t, seq: e.seq, fn: fn, next: *slot}
+	*c.entry(i) = calEntry{at: t, seq: seq, h: h, next: *slot}
 	*slot = i
-	e.seq++
 	if c.n == 0 || b < c.next {
 		c.next, c.low = b, b<<calShift
 	}
@@ -92,11 +92,11 @@ func (e *Engine) settle() {
 		slot := &c.heads[c.next&(calRing-1)]
 		for i := *slot; i != 0; {
 			en := c.entry(i)
-			ev := e.pooled()
-			ev.at, ev.seq, ev.fn = en.at, en.seq, en.fn
+			ev := e.events.Get()
+			ev.at, ev.seq, ev.h, ev.pooled = en.at, en.seq, en.h, true
 			e.insert(ev)
 			next := en.next
-			en.fn, en.next, c.free = nil, c.free, i
+			en.h, en.next, c.free = nil, c.free, i
 			i = next
 			c.n--
 		}

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -324,6 +325,29 @@ func TestEngineNilCallbackPanics(t *testing.T) {
 	e.At(5, nil)
 }
 
+// TestEngineNilHandlerPanics: a nil handler is refused at scheduling time,
+// by every way in, as a nil callback is.
+func TestEngineNilHandlerPanics(t *testing.T) {
+	for name, schedule := range map[string]func(e *Engine){
+		"PostTo": func(e *Engine) { e.PostTo(5, nil, KindStage) },
+		"Arm":    func(e *Engine) { e.Arm(new(Event), 5, nil, KindDeadline) },
+		"Post":   func(e *Engine) { e.Post(5, nil) },
+	} {
+		func() {
+			e := New()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a nil handler did not panic", name)
+				}
+				if e.Pending() != 0 || e.Counts() != (Counts{}) {
+					t.Errorf("%s of a nil handler left %d pending, counts %v", name, e.Pending(), e.Counts())
+				}
+			}()
+			schedule(e)
+		}()
+	}
+}
+
 func TestEngineNegativeAfterClamps(t *testing.T) {
 	e := New()
 	fired := false
@@ -425,5 +449,34 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 			e.At(Time(j%97), func(Time) {})
 		}
 		e.Run()
+	}
+}
+
+// kindLog is a handler that records the kind of every event it is given.
+type kindLog []Kind
+
+func (l *kindLog) Fire(_ Time, k Kind) { *l = append(*l, k) }
+
+// TestHandlerIsToldItsKind: one handler scheduled under several kinds, by
+// the lane, the heap, the calendar and Arm, is told each event's kind, and
+// the engine counts each under it.
+func TestHandlerIsToldItsKind(t *testing.T) {
+	e := New()
+	var l kindLog
+	var ev Event
+	e.PostTo(0, &l, KindPump)                  // lane
+	e.PostTo(5, &l, KindStage)                 // heap
+	e.PostTo(3<<calShift, &l, KindArrival)     // calendar
+	e.Arm(&ev, 7, &l, KindAttemptTimeout)      // heap, cancellable
+	e.Arm(new(Event), 9, &l, KindRetryBackoff) // heap, cancellable
+	e.Cancel(&ev)
+	e.Run()
+	want := kindLog{KindPump, KindStage, KindRetryBackoff, KindArrival}
+	if fmt.Sprint(l) != fmt.Sprint(want) {
+		t.Fatalf("kinds fired %v, want %v", l, want)
+	}
+	c := e.Counts()
+	if c[KindAttemptTimeout] != (Count{Armed: 1, Canceled: 1}) || c[KindArrival] != (Count{Armed: 1, Fired: 1}) || e.Processed() != 4 {
+		t.Fatalf("counts %+v, processed %d", c, e.Processed())
 	}
 }

@@ -28,10 +28,10 @@ func TestLaneArmAndPostAtNowFireInSequence(t *testing.T) {
 	var got recorder
 	var a, b Event
 	e.At(10, func(Time) {
-		e.Arm(&a, 10, got.fn("armed first"))
+		e.Arm(&a, 10, Callback(got.fn("armed first")), KindFunc)
 		e.Post(10, got.fn("posted second"))
 		e.Post(10, got.fn("posted third"))
-		e.Arm(&b, 10, got.fn("armed fourth"))
+		e.Arm(&b, 10, Callback(got.fn("armed fourth")), KindFunc)
 	})
 	e.Run()
 	got.want(t, "armed first", "posted second", "posted third", "armed fourth")

@@ -19,23 +19,23 @@ package des
 
 const arity = 4
 
-// laneEntry is one post at the current instant; its time is Now.
+// laneEntry is one post at the current instant; its time is Now, and seq
+// carries its kind as an Event's does.
 type laneEntry struct {
 	seq uint64
-	fn  Callback
+	h   Handler
 }
 
-// postNow appends fn to the lane, first sliding the pending entries to the
+// postNow appends an event to h, sequenced seq, to the lane, first sliding the pending entries to the
 // front when the backing array is full, so the lane grows with the most
 // entries pending at once, not with how many one instant fires.
-func (e *Engine) postNow(fn Callback) {
+func (e *Engine) postNow(seq uint64, h Handler) {
 	if len(e.lane) == cap(e.lane) && e.head > 0 {
 		n := copy(e.lane, e.lane[e.head:])
 		clear(e.lane[n:])
 		e.lane, e.head = e.lane[:n], 0
 	}
-	e.lane = append(e.lane, laneEntry{e.seq, fn})
-	e.seq++
+	e.lane = append(e.lane, laneEntry{seq, h})
 	if n := len(e.lane) - e.head; n > e.lanePeak {
 		e.lanePeak = n
 	}
@@ -49,19 +49,19 @@ func (e *Engine) laneFirst() bool {
 
 // popLane dequeues the lane head; an emptied lane restarts at the front of
 // its backing array.
-func (e *Engine) popLane() Callback {
-	fn := e.lane[e.head].fn
-	e.lane[e.head].fn = nil
+func (e *Engine) popLane() (Handler, Kind) {
+	en := &e.lane[e.head]
+	h, k := en.h, Kind(en.seq)
+	en.h = nil
 	if e.head++; e.head == len(e.lane) {
 		e.lane, e.head = e.lane[:0], 0
 	}
-	return fn
+	return h, k
 }
 
-// push enqueues ev at absolute time t with the next sequence number.
-func (e *Engine) push(ev *Event, t Time, fn Callback) {
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	e.seq++
+// push enqueues an event to h, sequenced seq, on ev at absolute time t.
+func (e *Engine) push(ev *Event, t Time, seq uint64, h Handler) {
+	ev.at, ev.seq, ev.h = t, seq, h
 	e.insert(ev)
 }
 
@@ -74,11 +74,11 @@ func (e *Engine) insert(ev *Event) {
 	e.up(len(e.h)-1, ev)
 }
 
-// removeAt unlinks the entry at heap index i, refilling the slot with
-// the last entry.
-func (e *Engine) removeAt(i int) {
-	n := len(e.h) - 1
-	e.h[i].pos = 0
+// remove unlinks ev, which is on the heap, refilling its slot with the
+// last entry.
+func (e *Engine) remove(ev *Event) {
+	i, n := int(ev.pos)-1, len(e.h)-1
+	ev.pos = 0
 	last := e.h[n]
 	e.h[n] = nil
 	e.h = e.h[:n]

@@ -1,6 +1,9 @@
 package des
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestEventQueueOrderAndRecycle(t *testing.T) {
 	e := New()
@@ -11,7 +14,7 @@ func TestEventQueueOrderAndRecycle(t *testing.T) {
 	e.Post(30, rec(2))
 	e.Post(10, rec(0))
 	e.Post(10, rec(1)) // same time: scheduling order breaks the tie
-	e.Arm(&owned, 40, rec(3))
+	e.Arm(&owned, 40, Callback(rec(3)), KindFunc)
 	posted := make(map[*Event]bool)
 	for _, ev := range e.h {
 		if ev != &owned {
@@ -35,7 +38,7 @@ func TestEventQueueOrderAndRecycle(t *testing.T) {
 	// Posting must reuse the fired posts' storage, and a caller-owned
 	// event is never recycled: three posts take the three fired events,
 	// a fourth a new one.
-	e.Arm(&owned, 45, rec(5))
+	e.Arm(&owned, 45, Callback(rec(5)), KindFunc)
 	for i := range 4 {
 		e.Post(Time(50+i), rec(4))
 	}
@@ -56,7 +59,7 @@ func TestEventQueueRemove(t *testing.T) {
 	e := New()
 	fired := false
 	var ev Event
-	e.Arm(&ev, 10, func(Time) { fired = true })
+	e.Arm(&ev, 10, Callback(func(Time) { fired = true }), KindFunc)
 	e.Post(20, func(Time) {})
 
 	e.Cancel(&ev)
@@ -119,5 +122,18 @@ func TestEngineFarPostDoesNotAllocateInSteadyState(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
 		t.Fatalf("a far Post and a Step allocate %.2f objects/op, want 0", allocs)
+	}
+}
+
+// TestEntrySizes pins what a queued event costs on 64-bit targets: 40
+// bytes for an Event and a calendar entry, 24 for a lane entry. The kind
+// rides in the sequence value, so each is one word (the handler's type)
+// larger than when events carried a bare closure.
+func TestEntrySizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit targets")
+	}
+	if ev, cal, lane := unsafe.Sizeof(Event{}), unsafe.Sizeof(calEntry{}), unsafe.Sizeof(laneEntry{}); ev != 40 || cal != 40 || lane != 24 {
+		t.Fatalf("Event %d, calendar entry %d, lane entry %d bytes, want 40, 40, 24", ev, cal, lane)
 	}
 }

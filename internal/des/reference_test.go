@@ -121,14 +121,22 @@ type scriptWorld interface {
 	counts() (pending int, processed uint64)
 }
 
+// liveWorld schedules each post and arm under the next kind in turn, so
+// that a script exercises every row of the engine's counts.
 type liveWorld struct {
 	e     *Engine
 	slots [scriptSlots]Event
+	kinds int
+}
+
+func (w *liveWorld) kind() Kind {
+	w.kinds++
+	return Kind(w.kinds % int(NumKinds))
 }
 
 func (w *liveWorld) now() Time                         { return w.e.Now() }
-func (w *liveWorld) post(t Time, fn Callback)          { w.e.Post(t, fn) }
-func (w *liveWorld) arm(slot int, t Time, fn Callback) { w.e.Arm(&w.slots[slot], t, fn) }
+func (w *liveWorld) post(t Time, fn Callback)          { w.e.PostTo(t, fn, w.kind()) }
+func (w *liveWorld) arm(slot int, t Time, fn Callback) { w.e.Arm(&w.slots[slot], t, fn, w.kind()) }
 func (w *liveWorld) cancel(slot int)                   { w.e.Cancel(&w.slots[slot]) }
 func (w *liveWorld) pending(slot int) bool             { return w.slots[slot].Pending() }
 func (w *liveWorld) armedAt(slot int) Time             { return w.slots[slot].At() }
@@ -137,6 +145,24 @@ func (w *liveWorld) runUntil(t Time)                   { w.e.RunUntil(t) }
 func (w *liveWorld) stop()                             { w.e.Stop() }
 func (w *liveWorld) resume()                           { w.e.Resume() }
 func (w *liveWorld) counts() (int, uint64)             { return w.e.Pending(), w.e.Processed() }
+
+// countsErr checks the engine's counts by kind: they sum to processed, the
+// reference's count of fired events, and each kind's armed count is its
+// fired plus cancelled plus still-pending counts.
+func (w *liveWorld) countsErr(processed uint64) error {
+	pending := w.e.pendingByKind()
+	var fired uint64
+	for k, c := range w.e.Counts() {
+		fired += c.Fired
+		if c.Armed != c.Fired+c.Canceled+pending[k] {
+			return fmt.Errorf("kind %v: armed %d, fired %d + cancelled %d + pending %d", Kind(k), c.Armed, c.Fired, c.Canceled, pending[k])
+		}
+	}
+	if fired != processed {
+		return fmt.Errorf("kinds fired %d events in all, the reference %d", fired, processed)
+	}
+	return nil
+}
 
 type refWorld struct {
 	e     refEngine
@@ -297,6 +323,9 @@ func runScript(t *testing.T, script []byte) {
 		for s := 0; same && s < scriptSlots; s++ {
 			same = live.w.pending(s) == ref.w.pending(s)
 		}
+		if err := live.w.(*liveWorld).countsErr(rn); same && err != nil {
+			t.Fatalf("step %d (%s): %v", step, what, err)
+		}
 		if !same {
 			t.Fatalf("step %d (%s): engines diverged\n live: now %v pending %d processed %d fired %v\n ref:  now %v pending %d processed %d fired %v",
 				step, what, live.w.now(), lp, ln, live.fired, ref.w.now(), rp, rn, ref.fired)
@@ -369,7 +398,7 @@ func FuzzEngineScript(f *testing.F) {
 func TestArmQueuedEventPanics(t *testing.T) {
 	e := New()
 	var ev Event
-	e.Arm(&ev, 10, func(Time) {})
+	e.Arm(&ev, 10, Callback(func(Time) {}), KindFunc)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("arming a queued event did not panic")
@@ -378,27 +407,27 @@ func TestArmQueuedEventPanics(t *testing.T) {
 			t.Fatal("the refused Arm disturbed the queue")
 		}
 	}()
-	e.Arm(&ev, 20, func(Time) {})
+	e.Arm(&ev, 20, Callback(func(Time) {}), KindFunc)
 }
 
 func TestCancelUnqueuedEventIsNoOp(t *testing.T) {
 	e := New()
 	var zero, fired, cancelled Event
 	hop := func(Time) {}
-	e.Arm(&fired, 1, hop)
-	e.Arm(&cancelled, 2, hop)
+	e.Arm(&fired, 1, Callback(hop), KindFunc)
+	e.Arm(&cancelled, 2, Callback(hop), KindFunc)
 	e.Post(3, hop)
 	e.Step()
 	e.Cancel(&cancelled)
 	for _, ev := range []*Event{nil, &zero, &fired, &cancelled} {
 		e.Cancel(ev)
 	}
-	if e.Pending() != 1 || e.Armed() != 2 || e.Canceled() != 1 {
-		t.Fatalf("pending %d armed %d cancelled %d, want 1, 2, 1", e.Pending(), e.Armed(), e.Canceled())
+	if c := e.Counts()[KindFunc]; e.Pending() != 1 || c != (Count{Armed: 3, Canceled: 1, Fired: 1}) {
+		t.Fatalf("pending %d, counts %+v, want 1, {Armed:3 Canceled:1 Fired:1}", e.Pending(), c)
 	}
 	// All three are armable again.
 	for i, ev := range []*Event{&zero, &fired, &cancelled} {
-		e.Arm(ev, Time(10+i), hop)
+		e.Arm(ev, Time(10+i), Callback(hop), KindFunc)
 	}
 	if e.Pending() != 4 {
 		t.Fatalf("pending %d after re-arming, want 4", e.Pending())
@@ -413,7 +442,7 @@ func TestArmCancelDoesNotAllocate(t *testing.T) {
 	}
 	var ev Event
 	if allocs := testing.AllocsPerRun(1000, func() {
-		e.Arm(&ev, Millisecond, hop)
+		e.Arm(&ev, Millisecond, Callback(hop), KindFunc)
 		e.Cancel(&ev)
 	}); allocs != 0 {
 		t.Fatalf("Arm+Cancel allocates %.1f objects/op, want 0", allocs)

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"uqsim/internal/des"
 	"uqsim/internal/sim"
 )
 
@@ -68,12 +70,13 @@ func ReportTables(rep *sim.Report) []*Table {
 		out = append(out, work)
 	}
 
-	if tw := rep.Timers; tw != (sim.TimerWork{}) {
+	// The request path's timers are a block of des's kind table.
+	first, last := des.KindAttemptTimeout, des.KindRetryBackoff
+	if tw := rep.Events[first : last+1]; slices.ContainsFunc(tw, func(n des.Count) bool { return n.Armed > 0 }) {
 		timers := NewTable("Timers (simulator-side; not in the fingerprint)",
 			"kind", "armed", "cancelled", "fired")
-		for k, n := range tw {
-			timers.Add(sim.TimerKind(k).String(), fmt.Sprintf("%d", n.Armed),
-				fmt.Sprintf("%d", n.Cancelled), fmt.Sprintf("%d", n.Fired))
+		for i, n := range tw {
+			timers.Add(countRow(first+des.Kind(i), n)...)
 		}
 		out = append(out, timers)
 	}
@@ -101,6 +104,26 @@ func ReportTables(rep *sim.Report) []*Table {
 		out = append(out, errs)
 	}
 	return out
+}
+
+// EngineTables renders what the event engine did in a run: its queue
+// peaks, and its events by kind, one row per kind the run armed. Both are
+// simulator-side and outside the fingerprint.
+func EngineTables(rep *sim.Report) []*Table {
+	peaks := NewTable("Event engine (simulator-side; not in the fingerprint)", "heap_peak", "lane_peak", "calendar_peak")
+	peaks.Add(fmt.Sprintf("%d", rep.HeapPeak), fmt.Sprintf("%d", rep.LanePeak), fmt.Sprintf("%d", rep.CalendarPeak))
+	events := NewTable("Events by kind (simulator-side; not in the fingerprint)",
+		"kind", "armed", "cancelled", "fired")
+	for k, n := range rep.Events {
+		if n.Armed > 0 {
+			events.Add(countRow(des.Kind(k), n)...)
+		}
+	}
+	return []*Table{peaks, events}
+}
+
+func countRow(k des.Kind, n des.Count) []string {
+	return []string{k.String(), fmt.Sprintf("%d", n.Armed), fmt.Sprintf("%d", n.Canceled), fmt.Sprintf("%d", n.Fired)}
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -137,7 +137,8 @@ func TestReportTablesUnreachable(t *testing.T) {
 }
 
 // TestReportTablesTimers: a run that arms policy timers gains the timer
-// table, and each kind's cancelled + fired never exceeds its armed.
+// table, and each kind's cancelled + fired never exceeds its armed; the
+// engine's events-by-kind table has one row per kind the run armed.
 func TestReportTablesTimers(t *testing.T) {
 	s := sim.New(sim.Options{Seed: 2})
 	s.AddMachine("m0", 4, cluster.FreqSpec{})
@@ -156,22 +157,28 @@ func TestReportTablesTimers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := ReportTables(rep)
-	timers := tables[3]
-	tw := rep.Timers
-	if !strings.HasPrefix(timers.Title, "Timers") || len(timers.Rows) != len(tw) {
-		t.Fatalf("table 3 is %q with %d rows, want one per timer kind", timers.Title, len(timers.Rows))
+	timers, events := ReportTables(rep)[3], EngineTables(rep)[1]
+	ev := rep.Events
+	if !strings.HasPrefix(events.Title, "Events by kind") || !strings.HasPrefix(timers.Title, "Timers") {
+		t.Fatalf("tables %q and %q, want the events and timer tables", events.Title, timers.Title)
 	}
-	if tw[sim.TimerClientTimeout].Armed < rep.Arrivals || tw[sim.TimerAttemptTimeout].Fired == 0 ||
-		tw[sim.TimerRetryBackoff].Armed != rep.Retries {
-		t.Fatalf("timer counts %+v do not match %d arrivals, %d retries", tw, rep.Arrivals, rep.Retries)
-	}
-	for k, n := range tw {
-		if timers.Rows[k][0] != sim.TimerKind(k).String() {
-			t.Fatalf("timer row %d is %q, want %q", k, timers.Rows[k][0], sim.TimerKind(k))
+	var armed int
+	for _, n := range ev {
+		if n.Armed > 0 {
+			armed++
 		}
-		if n.Cancelled+n.Fired > n.Armed {
-			t.Fatalf("%s timer counts %+v: cancelled + fired exceeds armed", sim.TimerKind(k), n)
+	}
+	if len(events.Rows) != armed || len(timers.Rows) != int(des.KindRetryBackoff-des.KindAttemptTimeout+1) {
+		t.Fatalf("%d event rows for %d kinds armed, %d timer rows", len(events.Rows), armed, len(timers.Rows))
+	}
+	if ev[des.KindClientTimeout].Armed < rep.Arrivals || ev[des.KindAttemptTimeout].Fired == 0 ||
+		ev[des.KindRetryBackoff].Armed != rep.Retries {
+		t.Fatalf("timer counts %+v do not match %d arrivals, %d retries", ev, rep.Arrivals, rep.Retries)
+	}
+	for i, row := range timers.Rows {
+		k := des.KindAttemptTimeout + des.Kind(i)
+		if n := ev[k]; row[0] != k.String() || n.Canceled+n.Fired > n.Armed {
+			t.Fatalf("timer row %d is %v for %s counts %+v: wrong kind, or cancelled + fired exceeds armed", i, row, k, n)
 		}
 	}
 }

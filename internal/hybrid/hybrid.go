@@ -370,18 +370,19 @@ func (st *State) Start(eng *des.Engine, at, warmupEnd des.Time) {
 	st.warmupEnd = warmupEnd
 	st.work.Epochs++
 	st.eval(at)
-	epoch := st.cfg.Epoch
-	var tick func(t des.Time)
-	tick = func(t des.Time) {
-		if st.stopped {
-			return
-		}
-		st.work.Epochs++
-		st.accrue(t)
-		st.eval(t)
-		eng.Post(t+epoch, tick)
+	eng.PostTo(at+st.cfg.Epoch, st, des.KindFluidEpoch)
+}
+
+// Fire is the epoch tick: it accrues the epoch that ended at t and
+// freezes the next one's equilibrium.
+func (st *State) Fire(t des.Time, _ des.Kind) {
+	if st.stopped {
+		return
 	}
-	eng.Post(at+epoch, tick)
+	st.work.Epochs++
+	st.accrue(t)
+	st.eval(t)
+	st.eng.PostTo(t+st.cfg.Epoch, st, des.KindFluidEpoch)
 }
 
 // eval freezes the equilibrium for the epoch starting at t. Per service

@@ -80,7 +80,6 @@ type Monitor struct {
 	gaugeFns []func(now des.Time) float64
 	gauges   []*stats.TimeSeries
 	started  bool
-	tick     des.Callback // m.sample, bound once
 }
 
 // New creates a monitor sampling every interval of virtual time.
@@ -88,9 +87,7 @@ func New(eng *des.Engine, interval des.Time) *Monitor {
 	if interval <= 0 {
 		panic("monitor: interval must be positive")
 	}
-	m := &Monitor{eng: eng, interval: interval}
-	m.tick = m.sample
-	return m
+	return &Monitor{eng: eng, interval: interval}
 }
 
 // Watch registers a target under a display name. Must be called before
@@ -140,10 +137,11 @@ func (m *Monitor) WatchGauge(name string, fn func(now des.Time) float64) *stats.
 // Start schedules the first sample one interval from now.
 func (m *Monitor) Start() {
 	m.started = true
-	m.eng.Post(m.eng.Now()+m.interval, m.tick)
+	m.eng.PostTo(m.eng.Now()+m.interval, m, des.KindMonitor)
 }
 
-func (m *Monitor) sample(now des.Time) {
+// Fire takes one sample of every series and schedules the next.
+func (m *Monitor) Fire(now des.Time, _ des.Kind) {
 	for i, t := range m.targets {
 		s := m.series[i]
 		s.QueueLen.Record(now, float64(t.QueueLen()))
@@ -168,7 +166,7 @@ func (m *Monitor) sample(now des.Time) {
 	for i, fn := range m.gaugeFns {
 		m.gauges[i].Record(now, fn(now))
 	}
-	m.eng.Post(now+m.interval, m.tick)
+	m.eng.PostTo(now+m.interval, m, des.KindMonitor)
 }
 
 // Series returns the registered series in Watch order.

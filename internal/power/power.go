@@ -159,7 +159,6 @@ type Manager struct {
 	TailTrace *stats.TimeSeries            // end-to-end p99 per cycle (ms)
 	FreqTrace map[string]*stats.TimeSeries // per-tier frequency (MHz)
 
-	tick       des.Callback // m.cycle, bound once
 	lastProbe  des.Time
 	cycles     int
 	violations int
@@ -214,7 +213,6 @@ func New(s *sim.Sim, cfg Config, tiers []*Tier) (*Manager, error) {
 		})
 	}
 	m.targetBucket = cfg.Buckets - 1 // start near the QoS boundary
-	m.tick = m.cycle
 	return m, nil
 }
 
@@ -231,12 +229,12 @@ func (m *Manager) Observe(now des.Time, req *job.Request) {
 
 // Start schedules the first decision cycle.
 func (m *Manager) Start() {
-	m.eng.Post(m.eng.Now()+m.cfg.Interval, m.tick)
+	m.eng.PostTo(m.eng.Now()+m.cfg.Interval, m, des.KindPower)
 }
 
-// cycle is one pass of Algorithm 1.
-func (m *Manager) cycle(now des.Time) {
-	defer m.eng.Post(now+m.cfg.Interval, m.tick)
+// Fire is one decision cycle: a pass of Algorithm 1.
+func (m *Manager) Fire(now des.Time, _ des.Kind) {
+	defer m.eng.PostTo(now+m.cfg.Interval, m, des.KindPower)
 
 	p99, ok := m.e2e.Quantile(now, m.cfg.Quantile)
 	if !ok {

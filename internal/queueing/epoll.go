@@ -14,16 +14,17 @@ import (
 // nothing queued, so re-activating a connection allocates nothing; order
 // lists only the connections with queued jobs.
 type connSubs struct {
-	pages [][]FIFO // connection c's subqueue: pages[c/connPage][c%connPage]
+	pages [][]fifo // connection c's subqueue: pages[c/connPage][c%connPage]
 	order []int    // active connection IDs in first-activation order
 	total int
+	spill *Spill // the subqueues' overflow arrays
 }
 
 // connPage is the number of connections one page of the table covers.
 const connPage = 64
 
 // at returns conn's subqueue, whose page must exist.
-func (c *connSubs) at(conn int) *FIFO { return &c.pages[conn/connPage][conn%connPage] }
+func (c *connSubs) at(conn int) *fifo { return &c.pages[conn/connPage][conn%connPage] }
 
 func (c *connSubs) Push(j *job.Job) {
 	p := j.Conn / connPage
@@ -31,13 +32,13 @@ func (c *connSubs) Push(j *job.Job) {
 		c.pages = append(c.pages, nil)
 	}
 	if c.pages[p] == nil {
-		c.pages[p] = make([]FIFO, connPage)
+		c.pages[p] = make([]fifo, connPage)
 	}
 	sub := c.at(j.Conn)
 	if sub.Len() == 0 {
 		c.order = append(c.order, j.Conn)
 	}
-	sub.Push(j)
+	sub.push(j, c.spill)
 	c.total++
 }
 
@@ -57,9 +58,9 @@ type Epoll struct {
 }
 
 // NewEpoll returns an epoll queue taking up to perConn jobs per connection
-// per batch (<= 0: unbounded).
+// per batch (<= 0: unbounded), with a Spill of its own.
 func NewEpoll(perConn int) *Epoll {
-	return &Epoll{PerConn: perConn}
+	return &Epoll{PerConn: perConn, connSubs: connSubs{spill: new(Spill)}}
 }
 
 // PopInto appends the first PerConn jobs of each active subqueue, in
@@ -82,7 +83,7 @@ func (q *Epoll) PopInto(buf []*job.Job, max int) []*job.Job {
 				take = room
 			}
 		}
-		buf = sub.PopInto(buf, take)
+		buf = sub.popInto(buf, take, q.spill)
 		q.total -= take
 		if sub.Len() > 0 {
 			q.order[keep] = conn
@@ -114,12 +115,6 @@ type Socket struct {
 	next int // round-robin cursor into order
 }
 
-// NewSocket returns a socket queue draining up to perConn jobs from one
-// connection per batch (<= 0: entire connection backlog).
-func NewSocket(perConn int) *Socket {
-	return &Socket{PerConn: perConn}
-}
-
 func (q *Socket) PopInto(buf []*job.Job, max int) []*job.Job {
 	if q.total == 0 {
 		return buf
@@ -135,7 +130,7 @@ func (q *Socket) PopInto(buf []*job.Job, max int) []*job.Job {
 	if max > 0 && take > max {
 		take = max
 	}
-	buf = sub.PopInto(buf, take)
+	buf = sub.popInto(buf, take, q.spill)
 	q.total -= take
 	if sub.Len() == 0 {
 		q.order = append(q.order[:q.next], q.order[q.next+1:]...)
@@ -167,15 +162,16 @@ const (
 	KindSocket Kind = "socket"
 )
 
-// New constructs a queue of the given kind. perConn is the per-connection
-// batch parameter for epoll/socket (ignored for single).
-func New(kind Kind, perConn int) Queue {
+// New constructs a queue of the given kind, whose FIFOs take their
+// overflow arrays from spill. perConn is the per-connection batch
+// parameter for epoll/socket (ignored for single).
+func New(kind Kind, perConn int, spill *Spill) Queue {
 	switch kind {
 	case KindEpoll:
-		return NewEpoll(perConn)
+		return &Epoll{PerConn: perConn, connSubs: connSubs{spill: spill}}
 	case KindSocket:
-		return NewSocket(perConn)
+		return &Socket{PerConn: perConn, connSubs: connSubs{spill: spill}}
 	default:
-		return NewFIFO()
+		return &FIFO{spill: spill}
 	}
 }

@@ -286,16 +286,16 @@ func TestSocketPeekAndActive(t *testing.T) {
 }
 
 func TestNewByKind(t *testing.T) {
-	if _, ok := New(KindSingle, 0).(*FIFO); !ok {
+	if _, ok := New(KindSingle, 0, nil).(*FIFO); !ok {
 		t.Fatal("single should be FIFO")
 	}
-	if _, ok := New(KindEpoll, 2).(*Epoll); !ok {
+	if _, ok := New(KindEpoll, 2, nil).(*Epoll); !ok {
 		t.Fatal("epoll kind")
 	}
-	if _, ok := New(KindSocket, 2).(*Socket); !ok {
+	if _, ok := New(KindSocket, 2, nil).(*Socket); !ok {
 		t.Fatal("socket kind")
 	}
-	if _, ok := New(Kind("unknown"), 0).(*FIFO); !ok {
+	if _, ok := New(Kind("unknown"), 0, nil).(*FIFO); !ok {
 		t.Fatal("unknown kind should default to FIFO")
 	}
 }
@@ -306,7 +306,7 @@ func TestQueueConservationProperty(t *testing.T) {
 	prop := func(seed int64, kindSel uint8, perConn uint8, nJobs uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		kinds := []Kind{KindSingle, KindEpoll, KindSocket}
-		q := New(kinds[int(kindSel)%3], int(perConn%4))
+		q := New(kinds[int(kindSel)%3], int(perConn%4), new(Spill))
 		f := job.NewFactory()
 		n := int(nJobs%100) + 1
 		pushed := make(map[job.ID]int) // id → conn
@@ -342,5 +342,40 @@ func TestQueueConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpillFollowsQueuesAtOnce: FIFOs sharing a Spill take an overflow
+// array when they outgrow their inline slot and give it back when they
+// drain, so queues that reach two jobs one after another share one array,
+// and only queues holding two or more at once hold one each.
+func TestSpillFollowsQueuesAtOnce(t *testing.T) {
+	f := job.NewFactory()
+	spill := new(Spill)
+	qs := make([]*FIFO, 100)
+	for i := range qs {
+		qs[i] = New(KindSingle, 0, spill).(*FIFO)
+	}
+	arrays := map[**job.Job]bool{}
+	for _, q := range qs {
+		for k := 0; k < 3; k++ {
+			q.Push(f.NewJob(nil))
+		}
+		arrays[&q.items[0]] = true
+		for q.Len() > 0 {
+			q.PopInto(nil, 1)
+		}
+	}
+	if len(arrays) != 1 {
+		t.Fatalf("queues reaching three jobs in turn took %d overflow arrays, want 1", len(arrays))
+	}
+	clear(arrays)
+	for _, q := range qs {
+		q.Push(f.NewJob(nil))
+		q.Push(f.NewJob(nil))
+		arrays[&q.items[0]] = true
+	}
+	if len(arrays) != len(qs) {
+		t.Fatalf("%d queues holding two jobs at once use %d overflow arrays", len(qs), len(arrays))
 	}
 }

@@ -263,12 +263,20 @@ func TestQueueDisciplinesMatchReference(t *testing.T) {
 		liveE := NewEpoll(perConn)
 		refS := &refSocket{PerConn: perConn, subs: make(map[int]*refConnQueue)}
 		liveS := NewSocket(perConn)
+		// The spilled queues share one Spill, so an overflow array given
+		// back while a queue still used it would show as a divergence.
+		spill := new(Spill)
+		refES := &refEpoll{PerConn: perConn, subs: make(map[int]*refConnQueue)}
+		refSS := &refSocket{PerConn: perConn, subs: make(map[int]*refConnQueue)}
 		pairs := []pair{
 			{name: "fifo", ref: &refFIFO{}, live: &liveAdapter{Queue: NewFIFO()}, popSingle: true},
 			{name: "epoll", ref: refE, live: &liveAdapter{Queue: liveE},
 				active: func() (int, int) { return refE.ActiveConnections(), liveE.ActiveConnections() }},
 			{name: "socket", ref: refS, live: &liveAdapter{Queue: liveS},
 				active: func() (int, int) { return refS.ActiveConnections(), liveS.ActiveConnections() }},
+			{name: "fifo/spill", ref: &refFIFO{}, live: &liveAdapter{Queue: New(KindSingle, 0, spill)}, popSingle: true},
+			{name: "epoll/spill", ref: refES, live: &liveAdapter{Queue: New(KindEpoll, perConn, spill)}},
+			{name: "socket/spill", ref: refSS, live: &liveAdapter{Queue: New(KindSocket, perConn, spill)}},
 		}
 		f := job.NewFactory()
 		conns := 1 + r.Intn(6)
@@ -338,7 +346,8 @@ func TestPopIntoReusesBuffer(t *testing.T) {
 		jobs[i] = f.NewJob(nil)
 		jobs[i].Conn = i % 8
 	}
-	for _, q := range []Queue{NewFIFO(), NewEpoll(2), NewSocket(2)} {
+	spill := new(Spill)
+	for _, q := range []Queue{NewFIFO(), NewEpoll(2), NewSocket(2), New(KindSingle, 0, spill), New(KindEpoll, 2, spill), New(KindSocket, 2, spill)} {
 		var buf []*job.Job
 		round := func() {
 			for _, j := range jobs {

@@ -39,14 +39,13 @@ type Instance struct {
 	// Simple-model + threaded-model core accounting.
 	busyCores int
 
-	// pumpPending coalesces same-instant dispatch attempts; pumpFn is the
-	// dispatch callback, bound once so scheduling a pump allocates nothing.
+	// pumpPending coalesces same-instant dispatch attempts: the instance
+	// is the pump's handler (Fire), so scheduling one allocates nothing.
 	pumpPending bool
-	pumpFn      des.Callback
 
-	// runs recycles stage-execution records, shared with every instance
-	// of the simulation; one is the single-job pop buffer of the threaded
-	// model.
+	// runs recycles stage-execution records and queue overflow arrays,
+	// shared with every instance of the simulation; one is the single-job
+	// pop buffer of the threaded model.
 	runs *RunPool
 	one  [1]*job.Job
 
@@ -111,8 +110,9 @@ type Instance struct {
 }
 
 // NewInstance deploys bp as name on the given allocation and engine, with a
-// dedicated random stream, taking its stage runs from runs, the pool every
-// instance on the engine shares. The blueprint must validate.
+// dedicated random stream, taking its stage runs and its queues' overflow
+// arrays from runs, the pool every instance on the engine shares. The
+// blueprint must validate.
 func NewInstance(eng *des.Engine, bp *Blueprint, name string, alloc *cluster.Allocation, r *rng.Source, runs *RunPool) (*Instance, error) {
 	if err := bp.Validate(); err != nil {
 		return nil, err
@@ -128,10 +128,9 @@ func NewInstance(eng *des.Engine, bp *Blueprint, name string, alloc *cluster.All
 		r:     r,
 		runs:  runs,
 	}
-	in.pumpFn = in.pump
 	in.queues = make([]queueing.Queue, len(bp.Stages))
 	for i, s := range bp.Stages {
-		in.queues[i] = queueing.New(s.Queue, s.PerConn)
+		in.queues[i] = queueing.New(s.Queue, s.PerConn, &runs.spill)
 	}
 	if bp.Model == ModelThreaded {
 		in.idleThreads = bp.Threads
@@ -205,10 +204,11 @@ func (in *Instance) schedulePump(now des.Time) {
 		return
 	}
 	in.pumpPending = true
-	in.eng.Post(now, in.pumpFn)
+	in.eng.PostTo(now, in, des.KindPump)
 }
 
-func (in *Instance) pump(now des.Time) {
+// Fire runs the instance's dispatch pump: its one kind of event.
+func (in *Instance) Fire(now des.Time, _ des.Kind) {
 	in.pumpPending = false
 	if in.BP.Model == ModelThreaded {
 		in.pumpThreaded(now)
@@ -338,7 +338,7 @@ func (in *Instance) popOrdered(now des.Time, q queueing.Queue, max int, buf []*j
 // stageRun is one stage execution in progress: the batch holding a core or
 // a pool unit until its completion event fires. Runs are recycled through
 // a RunPool; each owns its batch buffer, which starts on an inline slot,
-// and binds its completion callback once, so dispatching a stage allocates
+// and is its completion's handler, so dispatching a stage allocates
 // nothing.
 type stageRun struct {
 	in    *Instance
@@ -348,19 +348,21 @@ type stageRun struct {
 	// completion means a kill invalidated the run and its work is lost.
 	epoch uint64
 	pool  *cluster.Pool // the pool unit held (nil: the run holds a core)
-	done  des.Callback  // complete, bound when the record is carved
 	one   [1]*job.Job   // the batch's first backing array
 }
 
-// RunPool recycles stage runs. One pool serves every instance of a
-// simulation, so the records it holds follow the stages running at once,
-// not the number of instances. The zero value is ready.
-type RunPool struct{ slab.Slab[stageRun] }
+// RunPool recycles stage runs and the overflow arrays of the instances'
+// queues. One pool serves every instance of a simulation, so the records
+// it holds follow the stages running and the queues holding two or more
+// jobs at once, not the number of instances. The zero value is ready.
+type RunPool struct {
+	slab.Slab[stageRun]
+	spill queueing.Spill
+}
 
 func (in *Instance) newRun() *stageRun {
 	r := in.runs.Get()
-	if r.done == nil { // fresh from the slab
-		r.done = r.complete
+	if r.in == nil { // fresh from the slab
 		r.batch = r.one[:0]
 	}
 	r.in = in
@@ -386,11 +388,12 @@ func (in *Instance) start(now des.Time, stage int, r *stageRun, pool *cluster.Po
 	}
 	dur := in.sampleCost(stage, r.batch, pool != nil) + extra
 	r.stage, r.epoch, r.pool = stage, in.epoch, pool
-	in.eng.Post(now+dur, r.done)
+	in.eng.PostTo(now+dur, r, des.KindStage)
 }
 
-// complete fires when the run's duration has elapsed.
-func (r *stageRun) complete(now des.Time) {
+// Fire completes the run when its duration has elapsed: its one kind of
+// event.
+func (r *stageRun) Fire(now des.Time, _ des.Kind) {
 	in, pool := r.in, r.pool
 	if pool != nil {
 		// The pool unit is freed exactly once — here — whether or not

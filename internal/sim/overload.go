@@ -101,10 +101,7 @@ func (s *Sim) armBudget(now des.Time, st *reqState) {
 		return
 	}
 	st.Deadline = now + des.FromNanos(b)
-	if st.onDeadline == nil {
-		st.onDeadline = func(t des.Time) { s.onDeadline(t, st) }
-	}
-	s.arm(&st.deadlineEv, st.Deadline, st.onDeadline, TimerDeadline)
+	s.eng.Arm(&st.deadlineEv, st.Deadline, st, des.KindDeadline)
 }
 
 // onDeadline fires when a request's end-to-end budget expires: the whole
@@ -112,7 +109,6 @@ func (s *Sim) armBudget(now des.Time, st *reqState) {
 // cancelled (lazily, at dequeue), and pending timers leave the event heap
 // via O(log n) cancellation.
 func (s *Sim) onDeadline(now des.Time, st *reqState) {
-	s.timers[TimerDeadline].Fired++
 	s.failRequest(now, st, job.OutcomeDeadline)
 }
 
@@ -121,17 +117,17 @@ func (s *Sim) onDeadline(now des.Time, st *reqState) {
 // live attempts are abandoned with it; without, they run on and their
 // timeouts still observe the edge.
 func (s *Sim) cleanupRequest(st *reqState) {
-	s.disarm(&st.deadlineEv, TimerDeadline)
-	s.disarm(&st.clientTO, TimerClientTimeout)
+	s.eng.Cancel(&st.deadlineEv)
+	s.eng.Cancel(&st.clientTO)
 	for i := len(st.calls) - 1; i >= 0; i-- {
 		// Releasing c moves an attempt already passed over into slot i.
 		switch c := st.calls[i]; {
 		case c.j == nil:
-			s.disarm(&c.timer, TimerRetryBackoff)
+			s.eng.Cancel(&c.timer)
 			s.releaseCall(c)
 		case s.ovl != nil:
 			if c.op != nil {
-				s.disarm(&c.op.timer, TimerHedgeTrigger)
+				s.eng.Cancel(&c.op.timer)
 			}
 			s.abandonCall(c)
 		}
@@ -156,8 +152,11 @@ type hedgeOp struct {
 	primary *call // nil once the primary failed
 	hedge   *call // nil until issued, and again once the hedge failed
 	timer   des.Event
-	onTimer des.Callback
+	sim     *Sim
 }
+
+// Fire runs the race's hedge trigger.
+func (op *hedgeOp) Fire(now des.Time, _ des.Kind) { op.sim.onHedgeTimer(now, op) }
 
 // maybeHedge arms the hedge timer for a freshly issued primary attempt.
 // Pinned edges cannot hedge (there is no "different instance"), nor can
@@ -172,7 +171,7 @@ func (s *Sim) maybeHedge(now des.Time, c *call, pinned bool, nInstances int) {
 		return
 	}
 	op := s.newHedgeOp(c)
-	s.arm(&op.timer, now+delay, op.onTimer, TimerHedgeTrigger)
+	s.eng.Arm(&op.timer, now+delay, op, des.KindHedgeTrigger)
 }
 
 // hedgeDelay resolves the wait before the backup attempt: the edge's
@@ -195,7 +194,6 @@ func (s *Sim) hedgeDelay(est *stats.P2Quantile, h *fault.HedgeSpec) des.Time {
 // trigger is disarmed as soon as the primary settles or fails or its request
 // terminates, so the race it finds is undecided.
 func (s *Sim) onHedgeTimer(now des.Time, op *hedgeOp) {
-	s.timers[TimerHedgeTrigger].Fired++
 	c := op.primary
 	st := c.st
 	nd := s.nodeOf(st, c.nodeID)
@@ -246,7 +244,7 @@ func (s *Sim) settleHedge(now des.Time, winner *call) {
 	if op == nil {
 		return
 	}
-	s.disarm(&op.timer, TimerHedgeTrigger)
+	s.eng.Cancel(&op.timer)
 	loser := op.hedge
 	if winner.isHedge {
 		s.ovl.hedgeWins++
@@ -261,7 +259,7 @@ func (s *Sim) settleHedge(now des.Time, winner *call) {
 // timeout is cancelled, its job marked canceled — discarded unserved at
 // dequeue, or counted as wasted work if already on a core.
 func (s *Sim) abandonCall(c *call) {
-	s.disarm(&c.timer, TimerAttemptTimeout)
+	s.eng.Cancel(&c.timer)
 	if c.isProbe && c.pr.brk != nil {
 		// The half-open probe dies without an outcome; release the slot or
 		// the breaker refuses every future call.
@@ -290,7 +288,7 @@ func (s *Sim) failCall(now des.Time, c *call, out job.Outcome) {
 			s.releaseCall(c)
 			return
 		}
-		s.disarm(&op.timer, TimerHedgeTrigger) // no backup is coming
+		s.eng.Cancel(&op.timer) // no backup is coming
 	}
 	s.retryOrFail(now, c, out)
 }

@@ -270,7 +270,7 @@ func TestBudgetInstalledMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	conserve(t, rep)
-	if s.ovl == nil || rep.Timers[TimerDeadline].Armed == 0 {
+	if s.ovl == nil || rep.Events[des.KindDeadline].Armed == 0 {
 		t.Fatal("a budget installed mid-run armed no deadline")
 	}
 	for s.Engine().Step() {

@@ -207,8 +207,8 @@ func TestHedgeRacesReach(t *testing.T) {
 			t.Fatal(err)
 		}
 		wins += rep.HedgeWins
-		expired += rep.Timers[TimerDeadline].Fired
-		midBackoff += rep.Timers[TimerRetryBackoff].Cancelled
+		expired += rep.Events[des.KindDeadline].Fired
+		midBackoff += rep.Events[des.KindRetryBackoff].Canceled
 		for _, b := range s.Breakers() {
 			trips += b.Trips
 		}
@@ -321,7 +321,8 @@ func runRandom(t *testing.T, seed int64, build func(*testing.T, int64) *Sim, wit
 	}
 	events := s.Engine().Processed()
 	if s.ovl == nil {
-		events += s.timers[TimerClientTimeout].Cancelled + s.timers[TimerRetryBackoff].Cancelled
+		c := s.Engine().Counts()
+		events += c[des.KindClientTimeout].Canceled + c[des.KindRetryBackoff].Canceled
 	}
 	return fmt.Sprintf("%s events=%d", fp, events)
 }

@@ -50,10 +50,10 @@ import (
 func (s *Sim) newReqState(tree *graph.Tree, now des.Time, user int) *reqState {
 	st := s.states.Get()
 	if st.Owner == nil { // fresh from the slab
-		st.Owner = st
+		st.Owner, st.sim = st, s
 	}
 	s.fac.InitRequest(&st.Request, now)
-	st.tree, st.user, st.tokens = tree, user, st.tokens[:0]
+	st.tree, st.user, st.tokens = tree, int32(user), st.tokens[:0]
 	if n := len(tree.Nodes); cap(st.arrived) >= n {
 		st.arrived = st.arrived[:n]
 		clear(st.arrived)
@@ -90,35 +90,18 @@ func (s *Sim) releaseRequest(st *reqState) {
 		// Poison looks alive (not failed, not done) so a stale reader
 		// carries on and breaks something visible, and its ID matches no
 		// request, so the ID guards still stand down.
-		*st = reqState{Request: job.Request{ID: ^job.ID(0), Class: -1, LeavesRemaining: -1 << 40, Outcome: ^job.Outcome(0)},
-			user: -1 << 40, slot: 1 << 30}
+		*st = reqState{Request: job.Request{ID: ^job.ID(0), Class: -1, LeavesRemaining: -1 << 30, Outcome: ^job.Outcome(0)},
+			user: -1 << 30, slot: 1 << 30}
 		return
 	}
 	s.states.Put(st)
 }
 
-// arm queues a request-path timer of kind k on the event its record embeds;
-// disarm takes it out again unless it has fired or been disarmed. Both count.
-func (s *Sim) arm(ev *des.Event, t des.Time, fn des.Callback, k TimerKind) {
-	s.timers[k].Armed++
-	s.eng.Arm(ev, t, fn)
-}
-
-func (s *Sim) disarm(ev *des.Event, k TimerKind) {
-	if ev.Pending() {
-		s.timers[k].Cancelled++
-		s.eng.Cancel(ev)
-	}
-}
-
 // newCall readies the record of one dispatch over a guarded edge and puts
-// it on its request's list. Callbacks are bound once, with fresh storage.
+// it on its request's list.
 func (s *Sim) newCall(st *reqState, nodeID, conn int, src *cluster.Machine, attempt int, pr *policyRuntime) *call {
 	c := s.calls.Get()
-	if c.onTimeout == nil { // fresh from the slab
-		c.onTimeout = func(t des.Time) { s.onAttemptTimeout(t, c) }
-		c.onBackoff = func(t des.Time) { s.onBackoff(t, c) }
-	}
+	c.sim = s
 	c.st, c.nodeID, c.conn, c.src, c.attempt, c.pr = st, nodeID, conn, src, attempt, pr
 	c.slot = len(st.calls)
 	st.calls = append(st.calls, c)
@@ -148,7 +131,7 @@ func (s *Sim) releaseCall(c *call) {
 	if s.poisonReleased {
 		// Poison looks like a live, tracked attempt of a live request, so a
 		// stale reader acts on it; every pointer it would follow is nil.
-		*c = call{st: &reqState{Request: job.Request{ID: ^job.ID(0), Class: -1}}, j: &job.Job{ID: ^job.ID(0)}, slot: 1 << 40, attempt: -1 << 40}
+		*c = call{st: &reqState{Request: job.Request{ID: ^job.ID(0), Class: -1}}, j: &job.Job{ID: ^job.ID(0)}, slot: 1 << 30, attempt: -1 << 30}
 		return
 	}
 	s.calls.Put(c) // newCall and issue rewrite every field
@@ -157,10 +140,7 @@ func (s *Sim) releaseCall(c *call) {
 // newHedgeOp readies the race record of primary attempt c.
 func (s *Sim) newHedgeOp(c *call) *hedgeOp {
 	op := s.ops.Get()
-	if op.onTimer == nil { // fresh from the slab
-		op.onTimer = func(t des.Time) { s.onHedgeTimer(t, op) }
-	}
-	op.primary, c.op = c, op
+	op.sim, op.primary, c.op = s, c, op
 	return op
 }
 
@@ -184,38 +164,38 @@ func (s *Sim) leaveRace(c *call) {
 		panic("sim: hedge race released with its trigger armed")
 	}
 	if s.poisonReleased {
-		*op = hedgeOp{primary: &call{slot: 1 << 40}} // looks like a race its primary is still in
+		*op = hedgeOp{primary: &call{slot: 1 << 30}} // looks like a race its primary is still in
 		return
 	}
-	*op = hedgeOp{onTimer: op.onTimer}
+	*op = hedgeOp{}
 	s.ops.Put(op)
 }
 
 // hop is a delivery waiting out a delay: injected edge latency or a fluid-tier
 // wait ahead of deliverDirect, or WAN transit (routed) ahead of admitDelivery.
 type hop struct {
+	sim    *Sim
 	j      *job.Job
 	dep    *Deployment
 	in     *service.Instance
 	src    *cluster.Machine
 	routed bool
-	resume des.Callback
 }
 
-// newHop readies a hop; its callback releases it before the delivery goes on.
+// newHop readies a hop, the handler of its delay's end.
 func (s *Sim) newHop(j *job.Job, dep *Deployment, in *service.Instance, src *cluster.Machine, routed bool) *hop {
 	h := s.hops.Get()
-	if h.resume == nil { // fresh from the slab
-		h.resume = func(t des.Time) {
-			j, dep, in, src, routed := h.j, h.dep, h.in, h.src, h.routed
-			s.hops.Put(h)
-			if routed {
-				s.admitDelivery(t, j, in, src)
-			} else {
-				s.deliverDirect(t, j, dep, in, src)
-			}
-		}
-	}
-	h.j, h.dep, h.in, h.src, h.routed = j, dep, in, src, routed
+	*h = hop{s, j, dep, in, src, routed}
 	return h
+}
+
+// Fire releases the hop before the delivery goes on.
+func (h *hop) Fire(now des.Time, _ des.Kind) {
+	s, j, dep, in, src, routed := h.sim, h.j, h.dep, h.in, h.src, h.routed
+	s.hops.Put(h)
+	if routed {
+		s.admitDelivery(now, j, in, src)
+	} else {
+		s.deliverDirect(now, j, dep, in, src)
+	}
 }

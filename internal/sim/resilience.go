@@ -96,8 +96,8 @@ type call struct {
 
 	// timer is the attempt's edge timeout while the attempt is live (or an
 	// orphan's timeout is still owed), the retry backoff after it failed.
-	timer                des.Event
-	onTimeout, onBackoff des.Callback
+	timer des.Event
+	sim   *Sim
 
 	// The live attempt: its job (nil during backoff, and for an orphan,
 	// whose job died with the timeout still owed), issue time and target
@@ -112,6 +112,15 @@ type call struct {
 	// attempt is torn down without an outcome (deadline expiry, hedge-race
 	// loss), the probe slot must be released or the breaker starves.
 	isProbe bool
+}
+
+// Fire runs the call's timer: the attempt's timeout or the retry backoff.
+func (c *call) Fire(now des.Time, k des.Kind) {
+	if k == des.KindAttemptTimeout {
+		c.sim.onAttemptTimeout(now, c)
+	} else {
+		c.sim.onBackoff(now, c)
+	}
 }
 
 // ErrorCounts breaks down failed call attempts against one target service.
@@ -233,7 +242,7 @@ func (s *Sim) issue(now des.Time, c *call, j *job.Job, in *service.Instance, pro
 	j.Owner = c
 	s.liveCalls++
 	if t := c.pr.pol.Timeout; t > 0 {
-		s.arm(&c.timer, now+t, c.onTimeout, TimerAttemptTimeout)
+		s.eng.Arm(&c.timer, now+t, c, des.KindAttemptTimeout)
 	}
 }
 
@@ -248,7 +257,6 @@ func (s *Sim) unlink(c *call) {
 // caller abandons it (the server-side work keeps running, its result
 // discarded) and retries or fails the request.
 func (s *Sim) onAttemptTimeout(now des.Time, c *call) {
-	s.timers[TimerAttemptTimeout].Fired++
 	// An orphan's job was lost after its request had ended: nothing is
 	// left to abandon, but the edge still observes the timeout.
 	orphan := c.j == nil
@@ -279,14 +287,13 @@ func (s *Sim) retryOrFail(now des.Time, c *call, out job.Outcome) {
 		s.pol.retriesN++
 		ec.Retries++
 		delay := c.pr.pol.Backoff(c.attempt+1, s.pol.retryRNG)
-		s.arm(&c.timer, now+delay, c.onBackoff, TimerRetryBackoff)
+		s.eng.Arm(&c.timer, now+delay, c, des.KindRetryBackoff)
 		return
 	}
 	s.failRequest(now, c.st, out) // takes c back
 }
 
 func (s *Sim) onBackoff(now des.Time, c *call) {
-	s.timers[TimerRetryBackoff].Fired++
 	c.attempt++
 	s.startAttempt(now, c)
 }
@@ -295,7 +302,7 @@ func (s *Sim) onBackoff(now des.Time, c *call) {
 // timeout, feed the breaker a success, record the observed edge latency
 // for quantile-based hedging, and resolve any hedge race in its favor.
 func (s *Sim) settleCall(now des.Time, c *call) {
-	s.disarm(&c.timer, TimerAttemptTimeout)
+	s.eng.Cancel(&c.timer)
 	s.unlink(c)
 	s.observeCall(now, c.inst, true, now-c.start)
 	c.pr.record(now, false)
@@ -337,7 +344,7 @@ func (s *Sim) failAttemptOrRequest(now des.Time, j *job.Job, out job.Outcome) {
 		return
 	}
 	if c != nil {
-		s.disarm(&c.timer, TimerAttemptTimeout)
+		s.eng.Cancel(&c.timer)
 		s.unlink(c)
 		c.pr.record(now, true)
 		s.failCall(now, c, out)

@@ -123,10 +123,7 @@ func (s *Sim) admit(now des.Time, attempt, tree, user int) {
 		s.armBudget(now, st)
 	}
 	if s.clientCfg.Timeout > 0 {
-		if st.onClientTO == nil {
-			st.onClientTO = func(t des.Time) { s.onTimeout(t, st) }
-		}
-		s.arm(&st.clientTO, now+s.clientCfg.Timeout, st.onClientTO, TimerClientTimeout)
+		s.eng.Arm(&st.clientTO, now+s.clientCfg.Timeout, st, des.KindClientTimeout)
 	}
 	s.enterNode(now, st, t.Root, 0, st.Conn, nil)
 }
@@ -135,11 +132,10 @@ func (s *Sim) admit(now des.Time, attempt, tree, user int) {
 // records the timeout as its observed latency and possibly retries, while
 // the in-flight server work continues to completion.
 func (s *Sim) onTimeout(now des.Time, st *reqState) {
-	s.timers[TimerClientTimeout].Fired++
 	st.TimedOut = true
 	user, tree := -1, -1
 	if st.slot >= 0 && st.user >= 0 {
-		user, tree = st.user, st.Class
+		user, tree = int(st.user), st.Class
 	}
 	// The latency sample belongs to the measurement window it lands in,
 	// the outcome to its arrival.
@@ -191,7 +187,7 @@ func (s *Sim) exit(now des.Time, st *reqState, out job.Outcome) {
 		s.OnRequestDone(now, &st.Request)
 	}
 	if !st.TimedOut {
-		s.advanceUser(now, st.user)
+		s.advanceUser(now, int(st.user))
 	}
 	if st.LiveJobs() == 0 {
 		s.releaseRequest(st)
@@ -350,7 +346,7 @@ func (s *Sim) deliver(now des.Time, j *job.Job, dep *Deployment, in *service.Ins
 		delay += s.fluid.WaitFor(dep.fluid)
 	}
 	if delay > 0 {
-		s.eng.Post(now+delay, s.newHop(j, dep, in, src, false).resume)
+		s.eng.PostTo(now+delay, s.newHop(j, dep, in, src, false), des.KindHop)
 		return
 	}
 	s.deliverDirect(now, j, dep, in, src)
@@ -372,7 +368,7 @@ func (s *Sim) deliverDirect(now des.Time, j *job.Job, dep *Deployment, in *servi
 	// existing random streams.
 	if s.geo != nil {
 		if wan := s.wanHop(now, j, dep, in, src); wan > 0 {
-			s.eng.Post(now+wan, s.newHop(j, dep, in, src, true).resume)
+			s.eng.PostTo(now+wan, s.newHop(j, dep, in, src, true), des.KindHop)
 			return
 		}
 	}
@@ -680,14 +676,15 @@ type Report struct {
 	// re-solves, memo hits, fixed-point iterations). It describes the
 	// simulator, not the simulated system: the fingerprint leaves it out.
 	FluidWork hybrid.Counters
-	// Timers counts the request path's timers by kind, likewise left out of
-	// the fingerprint. A kind with Cancelled close to Armed is a guard that
-	// almost never fires.
-	Timers TimerWork
+	// Events counts the engine's events by kind (des.Kind): armed,
+	// cancelled and fired. Likewise left out of the fingerprint. Among the
+	// request path's timers, a kind with Canceled close to Armed is a guard
+	// that almost never fires.
+	Events des.Counts
 	// HeapPeak, LanePeak and CalendarPeak are the event engine's
 	// high-water marks: the most events its heap held at once, the most
 	// same-instant posts pending at once, and the most far posts waiting on
-	// its calendar at once. Simulator-side, like FluidWork and Timers.
+	// its calendar at once. Simulator-side, like FluidWork and Events.
 	HeapPeak, LanePeak, CalendarPeak int
 }
 
@@ -710,31 +707,6 @@ func (r *Report) Buckets() []Bucket {
 	}
 }
 
-// TimerCounts counts the timers of one kind: Armed, then either Cancelled
-// before firing or Fired; the difference was still queued at the horizon.
-type TimerCounts struct{ Armed, Cancelled, Fired uint64 }
-
-// TimerKind is a kind of request-path timer: a row of TimerWork.
-type TimerKind int
-
-// Timer kinds, in TimerWork's row order.
-const (
-	TimerAttemptTimeout TimerKind = iota
-	TimerHedgeTrigger
-	TimerClientTimeout
-	TimerDeadline
-	TimerRetryBackoff
-	numTimerKinds
-)
-
-var timerNames = [numTimerKinds]string{"attempt_timeout", "hedge_trigger", "client_timeout", "deadline", "retry_backoff"}
-
-// String names the kind as the Timers table prints it.
-func (k TimerKind) String() string { return timerNames[k] }
-
-// TimerWork is TimerCounts per kind of request-path timer.
-type TimerWork [numTimerKinds]TimerCounts
-
 func (s *Sim) report(horizon des.Time) *Report {
 	window := (horizon - s.warmupEnd).Seconds()
 	n := &s.outcomes
@@ -754,7 +726,7 @@ func (s *Sim) report(horizon des.Time) *Report {
 
 		Latency: s.latency,
 		PerTier: make(map[string]*stats.LatencyHist, len(s.tiers)),
-		Timers:  s.timers,
+		Events:  s.eng.Counts(),
 
 		HeapPeak:     s.eng.HeapPeak(),
 		LanePeak:     s.eng.LanePeak(),

@@ -190,7 +190,6 @@ type Sim struct {
 	outcomes   [job.NumOutcomes]uint64
 	windowDone uint64
 	errCounts  map[string]*ErrorCounts
-	timers     TimerWork
 	// Latency samples land in [warmupEnd, windowEnd], closed by Run at the
 	// end its report covers. perTier[t] is the residence of tiers[t].
 	windowEnd des.Time
@@ -241,15 +240,24 @@ type reqState struct {
 	tree    *graph.Tree
 	arrived []int       // per-node parent-completion counts
 	tokens  []heldToken // connection-pool tokens held, in grant order
-	user    int         // owning session user (-1: no session client)
+	user    int32       // owning session user (-1: no session client)
 	slot    int32       // index in Sim.live while in flight, else -1
 
-	// What cleanupRequest disarms: the request's own two timers (callbacks
-	// bound on first use) and its call records, live attempts and pending
-	// retry backoffs, each holding its index here in call.slot.
-	deadlineEv, clientTO   des.Event
-	onDeadline, onClientTO des.Callback
-	calls                  []*call
+	// What cleanupRequest disarms: the request's own two timers, whose
+	// handler is the block (Fire), and its call records, live attempts and
+	// pending retry backoffs, each holding its index here in call.slot.
+	deadlineEv, clientTO des.Event
+	calls                []*call
+	sim                  *Sim
+}
+
+// Fire runs the request's deadline or client timeout.
+func (st *reqState) Fire(now des.Time, k des.Kind) {
+	if k == des.KindDeadline {
+		st.sim.onDeadline(now, st)
+	} else {
+		st.sim.onTimeout(now, st)
+	}
 }
 
 // New creates an empty simulation.

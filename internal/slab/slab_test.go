@@ -86,3 +86,51 @@ func TestLargeRecordsCarveByBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestSparePages checks the spare list: records put back across several
+// pages come out last in first out, the list grows a page at a time, and
+// spares that rise and fall across a page boundary allocate nothing.
+func TestSparePages(t *testing.T) {
+	const n = 1020 + 3*sparePage
+	var s Slab[record]
+	recs := make([]*record, n)
+	for i := range recs {
+		recs[i] = s.Get()
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, p := range recs {
+			s.Put(p)
+		}
+		for i := n - 1; i >= 0; i-- {
+			if got := s.Get(); got != recs[i] {
+				t.Fatalf("Get %d of %d spares = %p, want %p", n-i, n, got, recs[i])
+			}
+		}
+	})
+	// Pages of 4, 8, ..., 512 pointers (1,020 in all) and three more of
+	// 512, and the page list's own growth: 1, 2, 4, 8 and 16 entries.
+	if allocs > 11+5 {
+		t.Fatalf("%d spares took %.0f allocations, want a page of %d at a time", n, allocs, sparePage)
+	}
+	// Past the doubling, every page is sparePage long.
+	for range 100 * sparePage {
+		s.Put(recs[0])
+	}
+	if k := len(s.pages); k < 100 || len(s.pages[k-1]) != sparePage {
+		t.Fatalf("%d spares on %d pages, the last of %d", 100*sparePage, k, len(s.pages[k-1]))
+	}
+	for range 100 * sparePage {
+		s.Get()
+	}
+	for _, p := range recs[:sparePage] {
+		s.Put(p)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Put(recs[sparePage])
+		s.Put(recs[sparePage+1])
+		s.Get()
+		s.Get()
+	}); allocs != 0 {
+		t.Fatalf("spares crossing a page boundary allocate %.1f objects/op, want 0", allocs)
+	}
+}

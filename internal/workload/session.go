@@ -258,13 +258,13 @@ func (c *SessionConfig) TreeWeights() []float64 {
 
 // sessionUser is one live simulated (foreground-sampled) user. Records
 // come from Sessions' slab and go back to it when the user departs, with
-// neither a wake-up pending nor a request in flight; the generator, its
-// rand.Rand and the wake callback are part of the record, set up when it
-// is carved.
+// neither a wake-up pending nor a request in flight; the generator and
+// its rand.Rand are part of the record, set up when it is carved. The
+// record is the handler of its own wake-ups.
 type sessionUser struct {
 	pcg      rand.PCG
-	r        rand.Rand        // draws from pcg
-	wake     func(t des.Time) // issues the next request; bound once per record
+	r        rand.Rand // draws from pcg
+	s        *Sessions
 	id       int
 	journey  int
 	step     int
@@ -441,9 +441,9 @@ func (s *Sessions) spawn(now des.Time, n int) {
 // its first request after the first think time.
 func (s *Sessions) spawnSim(now des.Time, id int) {
 	u := s.spare.Get()
-	if u.wake == nil { // fresh from the slab
+	if u.s == nil { // fresh from the slab
 		u.r = *rand.New(&u.pcg)
-		u.wake = func(t des.Time) { s.issue(t, u) }
+		u.s = s
 	}
 	s.split.SeedPCG(&u.pcg, "user", id)
 	u.id, u.step, u.offAt, u.lastIss, u.issued, u.inflight, u.retiring = id, 0, 0, 0, false, false, false
@@ -518,8 +518,11 @@ func (s *Sessions) issueAfterThink(now des.Time, u *sessionUser) {
 		gap += pause
 		u.offAt = now + gap + expTime(&u.r, s.cfg.OnOff.MeanOn)
 	}
-	s.eng.Post(now+gap, u.wake)
+	s.eng.PostTo(now+gap, u, des.KindUserWake)
 }
+
+// Fire is the user's wake-up after its think time.
+func (u *sessionUser) Fire(t des.Time, _ des.Kind) { u.s.issue(t, u) }
 
 // issue is a user's wake-up after its think time: it sends the current
 // step's request, unless the user was retired while thinking.

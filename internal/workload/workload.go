@@ -199,9 +199,6 @@ type OpenLoop struct {
 	eng     *des.Engine
 	r       *rng.Source
 	stopped bool
-	// arrive and poll are the generator's two event callbacks, bound once
-	// so scheduling the next arrival allocates nothing.
-	arrive, poll des.Callback
 }
 
 // NewOpenLoop builds a generator on the engine with a dedicated stream.
@@ -216,20 +213,19 @@ func NewOpenLoop(eng *des.Engine, r *rng.Source, pattern Pattern, emit func(now 
 			panic(err.Error())
 		}
 	}
-	g := &OpenLoop{Emit: emit, Pattern: pattern, eng: eng, r: r}
-	g.arrive = func(t des.Time) {
-		if g.stopped {
-			return
-		}
+	return &OpenLoop{Emit: emit, Pattern: pattern, eng: eng, r: r}
+}
+
+// Fire is the generator's handler: an arrival, which schedules the next,
+// or the end of an idle poll. A stopped generator drops both.
+func (g *OpenLoop) Fire(t des.Time, k des.Kind) {
+	if g.stopped {
+		return
+	}
+	if k == des.KindArrival {
 		g.Emit(t)
-		g.scheduleNext(t)
 	}
-	g.poll = func(t des.Time) {
-		if !g.stopped {
-			g.scheduleNext(t)
-		}
-	}
-	return g
+	g.scheduleNext(t)
 }
 
 // Start schedules the first arrival at (or after) virtual time at.
@@ -245,7 +241,7 @@ func (g *OpenLoop) scheduleNext(from des.Time) {
 	rate := g.Pattern.RateAt(from)
 	if rate <= 0 {
 		// Idle period: poll again in 1ms of virtual time.
-		g.eng.Post(from+des.Millisecond, g.poll)
+		g.eng.PostTo(from+des.Millisecond, g, des.KindIdlePoll)
 		return
 	}
 	meanGapNs := 1e9 / rate
@@ -259,7 +255,7 @@ func (g *OpenLoop) scheduleNext(from des.Time) {
 	if gap < 1 {
 		gap = 1
 	}
-	g.eng.Post(from+gap, g.arrive)
+	g.eng.PostTo(from+gap, g, des.KindArrival)
 }
 
 // ClosedLoop models N users who each issue one request, wait for its
@@ -291,9 +287,12 @@ func NewClosedLoop(eng *des.Engine, r *rng.Source, users int, emit func(now des.
 // Start issues each user's first request at virtual time at.
 func (g *ClosedLoop) Start(at des.Time) {
 	for i := 0; i < g.Users; i++ {
-		g.eng.Post(at, func(t des.Time) { g.Emit(t) })
+		g.eng.PostTo(at, g, des.KindArrival)
 	}
 }
+
+// Fire issues one user's request.
+func (g *ClosedLoop) Fire(t des.Time, _ des.Kind) { g.Emit(t) }
 
 // RequestDone schedules the issuing user's next request after think time.
 func (g *ClosedLoop) RequestDone(now des.Time) {
@@ -301,5 +300,5 @@ func (g *ClosedLoop) RequestDone(now des.Time) {
 	if g.Think != nil {
 		gap = des.FromNanos(g.Think(g.r))
 	}
-	g.eng.Post(now+gap, func(t des.Time) { g.Emit(t) })
+	g.eng.PostTo(now+gap, g, des.KindArrival)
 }

@@ -113,13 +113,14 @@ const (
 // ---- simulation engine ----
 
 // Engine is the discrete-event loop every simulation runs on (see
-// Sim.Engine). Post if you never cancel: the event's storage is recycled.
-// Arm if you do and own the storage: the Event is a field of your own
-// record, and arming and cancelling it allocate nothing. At and After
-// allocate a handle per call and are for cold paths.
+// Sim.Engine). Post, At and After schedule a closure: Post if you never
+// cancel, and the event's storage is recycled; At and After allocate a
+// handle per call and are for cold paths. The simulator's own records
+// use PostTo and Arm, which name a handler and a kind from des's kind
+// table and allocate nothing.
 type Engine = des.Engine
 
-// Event is a cancellable scheduled callback: the handle At returns, or the
+// Event is a cancellable scheduled event: the handle At returns, or the
 // caller-owned storage Arm queues. Its zero value is ready to arm.
 type Event = des.Event
 
