@@ -101,6 +101,7 @@ fuzz:
 	$(GO) test ./internal/config -run xxx -fuzz FuzzPath -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/config -run xxx -fuzz FuzzService -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/config -run xxx -fuzz FuzzSessions -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/config -run xxx -fuzz FuzzOverrides -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/farm -run xxx -fuzz FuzzFarmJournal -fuzztime $(FUZZTIME)
 
 # chaos runs a short seeded fault-schedule search against the metastable

@@ -22,7 +22,6 @@ import (
 	"runtime"
 
 	"uqsim/internal/config"
-	"uqsim/internal/des"
 	"uqsim/internal/job"
 	"uqsim/internal/pool"
 	"uqsim/internal/rng"
@@ -145,8 +144,9 @@ type Harness struct {
 	dir        *config.Dir
 	baseFaults *config.FaultsFile
 	world      world
-	horizonS   float64
-	horizon    des.Time
+	// horizonS is the run's warmup plus its measured window in seconds;
+	// generated fault times are fractions of it.
+	horizonS float64
 
 	// baselines memoizes no-fault baseline runs keyed by (seed,
 	// recovery-window start): shrink probes share them. A trial keeps its
@@ -180,7 +180,7 @@ type windowStats struct {
 }
 
 // NewHarness loads dir — so it rejects exactly what `uqsim run` rejects —
-// and builds the world model from the decoded documents. opts.ConfigDir
+// and builds the world model from the assembled simulation. opts.ConfigDir
 // only names dir in messages. The harness's runs are bound to ctx: once it
 // is done they stop and report ErrInterrupted.
 func NewHarness(ctx context.Context, dir *config.Dir, opts Options) (*Harness, error) {
@@ -189,8 +189,8 @@ func NewHarness(ctx context.Context, dir *config.Dir, opts Options) (*Harness, e
 	if err != nil {
 		return nil, err
 	}
-	mf, gf, cf := setup.Machines, setup.Graph, setup.Client
-	if cf.ClosedUsers > 0 {
+	s := setup.Sim
+	if s.Client().ClosedUsers > 0 {
 		return nil, fmt.Errorf("chaos: %s uses a closed-loop client, which never drains; chaos search needs an open-loop config", o.ConfigDir)
 	}
 
@@ -199,35 +199,24 @@ func NewHarness(ctx context.Context, dir *config.Dir, opts Options) (*Harness, e
 		opts:       o,
 		dir:        dir,
 		baseFaults: setup.Faults,
-		horizonS:   cf.WarmupS + cf.DurationS,
+		horizonS:   (setup.Warmup + setup.Duration).Seconds(),
 		baselines:  make(map[[2]uint64]*windowStats),
 	}
-	h.horizon = des.FromSeconds(h.horizonS)
 	h.world.domainSize = make(map[string]int)
-	for _, m := range mf.Machines {
+	for _, m := range s.Cluster().Machines() {
 		h.world.machines = append(h.world.machines, m.Name)
-		if m.Freq != nil && m.Freq.MaxMHz > 0 {
+		if m.Freq.MaxMHz > 0 {
 			h.world.freqMachines = append(h.world.freqMachines, freqMachine{
 				name: m.Name, min: m.Freq.MinMHz, max: m.Freq.MaxMHz,
 			})
 		}
 	}
-	if mf.Topology != nil {
-		for _, d := range mf.Topology.Domains {
-			h.world.domains = append(h.world.domains, d.Name)
-			h.world.domainSize[d.Name] = len(d.Machines)
-		}
-		for _, r := range mf.Topology.Regions {
-			n := len(r.Machines)
-			for _, rack := range r.Racks {
-				n += h.world.domainSize[rack]
-			}
-			h.world.domains = append(h.world.domains, r.Name)
-			h.world.domainSize[r.Name] = n
-		}
+	for _, d := range s.Domains() {
+		h.world.domains = append(h.world.domains, d.Name)
+		h.world.domainSize[d.Name] = len(d.Machines)
 	}
-	for _, d := range gf.Deployments {
-		h.world.services = append(h.world.services, svcInfo{name: d.Service, instances: len(d.Instances)})
+	for _, d := range s.Deployments() {
+		h.world.services = append(h.world.services, svcInfo{name: d.Name, instances: len(d.Instances)})
 	}
 	return h, nil
 }

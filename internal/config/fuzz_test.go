@@ -1,9 +1,13 @@
 package config
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"uqsim/internal/des"
 )
 
 // fuzzBaseDir reads the shipped two-tier directory once; fuzz targets
@@ -158,8 +162,41 @@ func FuzzClient(f *testing.F) {
 	f.Add([]byte(`{"qps":-5,"duration_s":1}`))
 	f.Add([]byte(`{"qps":10,"budget_ms":50,"budget":{"type":"deterministic","value_us":1},"duration_s":1}`))
 	f.Add([]byte(`{"qps":10,"process":"bogus","duration_s":1}`))
+	// Pinned invalid inputs that used to run with a wrong number: a
+	// negative warmup, a window past the virtual clock, negative
+	// connections and retries.
+	f.Add([]byte(`{"qps":100,"warmup_s":-0.5,"duration_s":1}`))
+	f.Add([]byte(`{"qps":100,"duration_s":1e10}`))
+	f.Add([]byte(`{"qps":100,"connections":-7,"duration_s":1}`))
+	f.Add([]byte(`{"qps":100,"timeout_ms":10,"max_retries":-1,"duration_s":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = fuzzLoad(base, func(d *Dir) { d.Client = data })
+	})
+}
+
+// FuzzOverrides loads the two-tier directory under arbitrary overrides:
+// load, fidelity mode, sample rate and run windows. Load may reject them,
+// but it must never panic, and a Setup it returns runs a window the
+// virtual clock holds.
+func FuzzOverrides(f *testing.F) {
+	base := fuzzBaseDir(f)
+	f.Add(0.0, "", 0.0, int64(0), int64(0))
+	f.Add(30000.0, "hybrid", 0.25, int64(time.Millisecond), int64(time.Second))
+	f.Add(-5.0, "full", 0.0, int64(-time.Second), int64(0))
+	f.Add(0.0, "hybird", 2.0, int64(0), int64(-1))
+	f.Add(math.Inf(1), "HYBRID", math.NaN(), int64(math.MaxInt64), int64(1))
+	f.Add(0.0, "", 0.0, int64(0), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, qps float64, fidelity string, rate float64, warmup, duration int64) {
+		setup, err := base.Load(Overrides{
+			QPS: qps, Fidelity: fidelity, SampleRate: rate,
+			Warmup: time.Duration(warmup), Duration: time.Duration(duration),
+		})
+		if err != nil {
+			return
+		}
+		if setup.Warmup < 0 || setup.Duration <= 0 || setup.Warmup > des.MaxTime-setup.Duration {
+			t.Fatalf("loaded a window the clock cannot run: warmup %d, duration %d", setup.Warmup, setup.Duration)
+		}
 	})
 }
 

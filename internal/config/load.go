@@ -29,13 +29,9 @@ type Setup struct {
 	// Plane is the attached self-healing control plane; nil unless the
 	// config directory had a control.json.
 	Plane *control.Plane
-	// Machines, Graph, Client and Faults are the decoded documents the
-	// simulation was assembled from (Faults nil without one), for callers
-	// that need the configuration's shape rather than the built Sim.
-	Machines *MachinesFile
-	Graph    *GraphFile
-	Client   *ClientFile
-	Faults   *FaultsFile
+	// Faults is the decoded faults document the simulation was assembled
+	// with (nil without one), for callers that compose fault schedules.
+	Faults *FaultsFile
 }
 
 // Run executes the configured window.
@@ -68,10 +64,14 @@ func DecodeStrict(name string, data []byte, v any) error {
 }
 
 // assemble builds a simulation from the decoded documents; ff is nil
-// without a faults document.
-func assemble(mf *MachinesFile, sf *ServicesFile, gf *GraphFile, pf *PathsFile, cf *ClientFile, ff *FaultsFile) (*Setup, error) {
-	if cf.DurationS <= 0 {
-		return nil, fmt.Errorf("config: client.json needs a positive duration_s")
+// without a faults document. Each override in o is applied where the
+// client.json field it replaces is read, once that section of the
+// document has been validated, so an override means what the same value
+// in client.json means.
+func assemble(mf *MachinesFile, sf *ServicesFile, gf *GraphFile, pf *PathsFile, cf *ClientFile, ff *FaultsFile, o *Overrides) (*Setup, error) {
+	warmup, duration, err := runWindows(cf, o)
+	if err != nil {
+		return nil, err
 	}
 	s := sim.New(sim.Options{Seed: cf.Seed})
 
@@ -308,6 +308,12 @@ func assemble(mf *MachinesFile, sf *ServicesFile, gf *GraphFile, pf *PathsFile, 
 	if cf.TimeoutMs < 0 {
 		return nil, fmt.Errorf("config: timeout_ms must be non-negative")
 	}
+	if cf.Connections < 0 {
+		return nil, fmt.Errorf("config: client.json: connections must be non-negative")
+	}
+	if cf.MaxRetries < 0 {
+		return nil, fmt.Errorf("config: client.json: max_retries must be non-negative")
+	}
 	if cf.MaxRetries > 0 && cf.TimeoutMs <= 0 {
 		return nil, fmt.Errorf("config: max_retries requires timeout_ms")
 	}
@@ -391,9 +397,19 @@ func assemble(mf *MachinesFile, sf *ServicesFile, gf *GraphFile, pf *PathsFile, 
 		// microseconds; undo that scale.
 		cc.SizeKB = dist.NewScaled(sz, 1.0/1000)
 	}
+	if o.QPS != 0 {
+		// -qps: a constant open-loop rate in place of the document's load.
+		r := workload.ConstantRate(o.QPS)
+		if err := r.Validate(); err != nil {
+			return nil, fmt.Errorf("config: -qps: %w", err)
+		}
+		cc.Pattern, cc.ClosedUsers, cc.Sessions = r, 0, nil
+	}
 	s.SetClient(cc)
 
-	// Fidelity.
+	// Fidelity: the document's mode, sample rate and epoch, then the
+	// -fidelity and -sample-rate overrides.
+	var hc *hybrid.Config
 	switch strings.ToLower(cf.Fidelity) {
 	case "", "full":
 		if cf.SampleRate != 0 {
@@ -403,20 +419,44 @@ func assemble(mf *MachinesFile, sf *ServicesFile, gf *GraphFile, pf *PathsFile, 
 			return nil, fmt.Errorf("config: client.json: hybrid_epoch_ms requires fidelity \"hybrid\"")
 		}
 	case "hybrid":
-		rate := cf.SampleRate
-		if rate == 0 {
-			rate = 0.01
-		}
 		if cf.HybridEpochMs < 0 {
 			return nil, fmt.Errorf("config: client.json: hybrid_epoch_ms must be >= 0")
 		}
-		hc := hybrid.Config{SampleRate: rate, Epoch: des.FromSeconds(cf.HybridEpochMs / 1000)}
+		hc = &hybrid.Config{SampleRate: defaultSampleRate, Epoch: des.FromSeconds(cf.HybridEpochMs / 1000)}
+		if cf.SampleRate != 0 {
+			hc.SampleRate = cf.SampleRate
+		}
 		if err := hc.Validate(); err != nil {
 			return nil, fmt.Errorf("config: client.json: %w", err)
 		}
-		s.SetHybrid(hc)
 	default:
-		return nil, unknownName("client.json", "fidelity", "fidelity mode", cf.Fidelity, []string{"full", "hybrid"})
+		return nil, unknownName("client.json", "fidelity", "fidelity mode", cf.Fidelity, fidelityModes)
+	}
+	switch strings.ToLower(o.Fidelity) {
+	case "":
+		if o.SampleRate != 0 && hc == nil {
+			return nil, fmt.Errorf("config: -sample-rate requires -fidelity hybrid or fidelity \"hybrid\" in client.json")
+		}
+	case "full":
+		if o.SampleRate != 0 {
+			return nil, fmt.Errorf("config: -sample-rate conflicts with -fidelity full")
+		}
+		hc = nil
+	case "hybrid":
+		if hc == nil {
+			hc = &hybrid.Config{SampleRate: defaultSampleRate}
+		}
+	default:
+		return nil, unknownName("-fidelity", "", "fidelity mode", o.Fidelity, fidelityModes)
+	}
+	if o.SampleRate != 0 {
+		hc.SampleRate = o.SampleRate
+		if err := hc.Validate(); err != nil {
+			return nil, fmt.Errorf("config: -sample-rate: %w", err)
+		}
+	}
+	if hc != nil {
+		s.SetHybrid(*hc)
 	}
 
 	// Faults (last: policies and plans reference deployments + topology).
@@ -426,12 +466,46 @@ func assemble(mf *MachinesFile, sf *ServicesFile, gf *GraphFile, pf *PathsFile, 
 		}
 	}
 
-	return &Setup{
-		Sim:      s,
-		Warmup:   des.FromSeconds(cf.WarmupS),
-		Duration: des.FromSeconds(cf.DurationS),
-		Machines: mf, Graph: gf, Client: cf, Faults: ff,
-	}, nil
+	return &Setup{Sim: s, Warmup: warmup, Duration: duration, Faults: ff}, nil
+}
+
+// Fidelity modes and the hybrid sample rate when neither client.json nor
+// -sample-rate gives one.
+var fidelityModes = []string{"full", "hybrid"}
+
+const defaultSampleRate = 0.01
+
+// runWindows is client.json's warmup_s and duration_s, each replaced by
+// -warmup or -duration when set. The document must be valid on its own;
+// then the warmup must be non-negative, the measured window positive, and
+// the run must end by des.MaxTime. An error names the key or the flag.
+func runWindows(cf *ClientFile, o *Overrides) (warmup, duration des.Time, err error) {
+	switch {
+	case cf.WarmupS < 0:
+		err = fmt.Errorf("config: client.json: warmup_s must be non-negative")
+	case cf.DurationS <= 0:
+		err = fmt.Errorf("config: client.json needs a positive duration_s")
+	case (cf.WarmupS+cf.DurationS)*1e9 >= float64(des.MaxTime):
+		err = fmt.Errorf("config: client.json: warmup_s + duration_s must be under %.0f s", des.MaxTime.Seconds())
+	case o.Warmup < 0:
+		err = fmt.Errorf("config: -warmup must be non-negative")
+	case o.Duration < 0:
+		err = fmt.Errorf("config: -duration must be positive")
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	warmup, duration = des.FromSeconds(cf.WarmupS), des.FromSeconds(cf.DurationS)
+	if o.Warmup > 0 {
+		warmup = des.FromDuration(o.Warmup)
+	}
+	if o.Duration > 0 {
+		duration = des.FromDuration(o.Duration)
+	}
+	if warmup > des.MaxTime-duration {
+		return 0, 0, fmt.Errorf("config: -warmup, -duration: the run (%v + %v) must end by %v", warmup, duration, des.MaxTime)
+	}
+	return warmup, duration, nil
 }
 
 // buildSessions resolves client.json's sessions block into a workload

@@ -4,25 +4,28 @@ import (
 	"fmt"
 	"os"
 	"time"
-
-	"uqsim/internal/des"
-	"uqsim/internal/workload"
 )
 
-// Overrides are the adjustments applied on top of a config directory. The
-// zero value changes nothing.
+// Overrides are the adjustments applied on top of a config directory, one
+// per command-line flag. The zero value changes nothing. Each is applied
+// where the client.json field it replaces is read, after the document's
+// own value has been validated, and is rejected the way that value is:
+// the error names the flag.
 type Overrides struct {
 	// Faults names a faults.json that replaces the directory's; it must
 	// exist.
 	Faults string
 	// Seed, when non-nil, replaces client.json's seed.
 	Seed *uint64
-	// QPS > 0 replaces the configured client load — open loop, closed
-	// loop or sessions — with a constant open-loop rate.
+	// QPS, when non-zero, replaces the configured client load — open
+	// loop, closed loop or sessions — with a constant open-loop rate.
 	QPS float64
-	// Warmup and Duration > 0 replace the configured run windows.
+	// Warmup and Duration, when non-zero, replace warmup_s and
+	// duration_s.
 	Warmup, Duration time.Duration
-	// Fidelity and SampleRate are applied by applyFidelity.
+	// Fidelity ("full" or "hybrid") replaces the fidelity mode, and
+	// SampleRate, when non-zero, the hybrid sample rate; a hybrid
+	// document keeps its hybrid_epoch_ms.
 	Fidelity   string
 	SampleRate float64
 }
@@ -43,11 +46,10 @@ func LoadDirWithFaults(dir, faultsPath string) (*Setup, error) {
 	return Load(dir, Overrides{Faults: faultsPath})
 }
 
-// Load strictly decodes the documents, assembles the simulation and
-// applies o. It is the only assembly path, so a document or an override
-// means the same thing to every command: the faults document installs
-// last in assembly, then control.json's plane attaches, then o's load,
-// fidelity and windows apply.
+// Load strictly decodes the documents and assembles the simulation with
+// o. It is the only assembly path, so a document or an override means the
+// same thing to every command: o applies inside assembly, the faults
+// document installs last in it, then control.json's plane attaches.
 func (d *Dir) Load(o Overrides) (*Setup, error) {
 	faults := d.Faults
 	if o.Faults != "" {
@@ -79,7 +81,7 @@ func (d *Dir) Load(o Overrides) (*Setup, error) {
 	if o.Seed != nil {
 		cf.Seed = *o.Seed
 	}
-	setup, err := assemble(&mf, &sf, &gf, &pf, &cf, ff)
+	setup, err := assemble(&mf, &sf, &gf, &pf, &cf, ff, &o)
 	if err != nil {
 		return nil, err
 	}
@@ -87,22 +89,6 @@ func (d *Dir) Load(o Overrides) (*Setup, error) {
 		if setup.Plane, err = applyControl(setup.Sim, d.Control); err != nil {
 			return nil, err
 		}
-	}
-	if o.QPS > 0 {
-		cc := setup.Sim.Client()
-		cc.Pattern = workload.ConstantRate(o.QPS)
-		cc.ClosedUsers = 0
-		cc.Sessions = nil
-		setup.Sim.SetClient(cc)
-	}
-	if err := applyFidelity(setup.Sim, o.Fidelity, o.SampleRate); err != nil {
-		return nil, err
-	}
-	if o.Warmup > 0 {
-		setup.Warmup = des.FromDuration(o.Warmup)
-	}
-	if o.Duration > 0 {
-		setup.Duration = des.FromDuration(o.Duration)
 	}
 	return setup, nil
 }

@@ -25,18 +25,6 @@ import (
 // accounting, bit-identical fingerprint.
 func (s *Sim) SetHybrid(cfg hybrid.Config) { s.fluid = &fluidTier{cfg: cfg} }
 
-// HybridConfig reports the configured fidelity split (nil: full DES).
-func (s *Sim) HybridConfig() *hybrid.Config {
-	if s.fluid == nil {
-		return nil
-	}
-	return &s.fluid.cfg
-}
-
-// ClearHybrid reverts the run to full DES fidelity (CLI -fidelity full
-// overriding a hybrid config file).
-func (s *Sim) ClearHybrid() { s.fluid = nil }
-
 // fluidTier is the hybrid-fidelity feature: the split and, from Run on, the
 // background tier, whose methods (WaitFor, Finish) the core calls directly.
 // Nil until SetHybrid, and from Run on at sample rate 1.

@@ -15,11 +15,15 @@ import (
 )
 
 // Run executes the simulation: warmup (not measured), then duration
-// (measured), and returns the report. Run may be called once per Sim; a
-// second call, once a first got past setup validation, returns an error.
+// (measured), and returns the report. Both windows are non-negative and
+// the run ends by des.MaxTime. Run may be called once per Sim; a second
+// call, once a first got past setup validation, returns an error.
 func (s *Sim) Run(warmup, duration des.Time) (*Report, error) {
 	if s.ran {
 		return nil, fmt.Errorf("sim: Run called twice; a Sim runs once")
+	}
+	if warmup < 0 || duration < 0 || warmup > des.MaxTime-duration {
+		return nil, fmt.Errorf("sim: run window %v + %v: each must be >= 0 and the run must end by %v", warmup, duration, des.MaxTime)
 	}
 	if s.topo == nil {
 		return nil, fmt.Errorf("sim: no topology installed")

@@ -51,6 +51,26 @@ func TestRunRequiresSetup(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadWindows: a negative warmup, a negative duration and a
+// run that would end past des.MaxTime fail before anything is scheduled,
+// and the Sim can still run a good window afterwards.
+func TestRunRejectsBadWindows(t *testing.T) {
+	s := buildSingle(t, dist.NewExponential(float64(50*des.Microsecond)), 1, 1000)
+	for _, w := range [][2]des.Time{
+		{-des.Millisecond, des.Second},
+		{0, -des.Second},
+		{des.MaxTime - des.Second, 2 * des.Second},
+		{des.Second, des.MaxTime},
+	} {
+		if rep, err := s.Run(w[0], w[1]); err == nil || !strings.Contains(err.Error(), "run window") || rep != nil {
+			t.Fatalf("Run(%v, %v) returned %v, %v; want a run window error", w[0], w[1], rep, err)
+		}
+	}
+	if _, err := s.Run(0, 10*des.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRunOnce: a Sim runs once. A second Run returns an error instead of
 // scheduling into the finished run's past.
 func TestRunOnce(t *testing.T) {
